@@ -36,7 +36,7 @@ use crate::trajectory::{obj, Json, TrajectoryDoc};
 use scrack_chooser::{switch_seed, ConfigSpace, SelfDrivingEngine};
 use scrack_core::{CrackConfig, Engine, EngineKind};
 use scrack_types::{QueryRange, Stats};
-use scrack_updates::{build_update_engine, Updatable, UpdateEngine};
+use scrack_updates::{build_update_engine, Updatable};
 use scrack_workloads::data::unique_permutation;
 use scrack_workloads::{
     skyserver_trace, MixedOp, MixedWorkloadSpec, PhasedWorkload, SkyServerConfig, WorkloadKind,
@@ -226,7 +226,7 @@ trait Serves {
     fn stats(&self) -> Stats;
 }
 
-impl Serves for Updatable<Box<dyn UpdateEngine<u64>>, u64> {
+impl Serves for Updatable<u64> {
     fn serve(&mut self, q: QueryRange) -> (usize, u64) {
         let out = self.select(q);
         (out.len(), out.key_checksum(self.data()))

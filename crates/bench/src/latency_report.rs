@@ -26,7 +26,7 @@
 //! exists to expose), and the deterministic MDD1M midpoint engine joins
 //! the engine sweep.
 
-use scrack_core::{CrackConfig, CrackEngine, Engine, IndexPolicy, Mdd1mEngine, Mdd1rEngine};
+use scrack_core::{CrackConfig, CrackerEngine, Engine, EngineKind, IndexPolicy};
 use scrack_index::CrackerIndex;
 use scrack_types::QueryRange;
 use scrack_workloads::data::unique_permutation;
@@ -163,37 +163,25 @@ fn run_once(
     queries: &[QueryRange],
     seed: u64,
 ) -> (Vec<f64>, u64, usize) {
-    let config = CrackConfig::default().with_index(policy);
-    let mut latencies = Vec::with_capacity(queries.len());
-    let mut checksum = 0u64;
-    let mut select = |eng: &mut dyn Engine<u64>| {
-        for q in queries {
-            let t0 = Instant::now();
-            let out = eng.select(*q);
-            latencies.push(t0.elapsed().as_nanos() as f64);
-            checksum = checksum
-                .wrapping_add(std::hint::black_box(out.len()) as u64)
-                .wrapping_add(out.key_checksum(eng.data()));
-        }
-    };
-    let cracks = match engine {
-        "crack" => {
-            let mut eng = CrackEngine::new(data.to_vec(), config);
-            select(&mut eng);
-            eng.cracked().index().crack_count()
-        }
-        "mdd1r" => {
-            let mut eng = Mdd1rEngine::new(data.to_vec(), config, seed);
-            select(&mut eng);
-            eng.cracked_mut().index().crack_count()
-        }
-        "mdd1m" => {
-            let mut eng = Mdd1mEngine::new(data.to_vec(), config);
-            select(&mut eng);
-            eng.cracked_mut().index().crack_count()
-        }
+    let kind = match engine {
+        "crack" => EngineKind::Crack,
+        "mdd1r" => EngineKind::Mdd1r,
+        "mdd1m" => EngineKind::Mdd1m,
         other => panic!("unknown engine {other}"),
     };
+    let config = CrackConfig::default().with_index(policy);
+    let mut eng = CrackerEngine::new(kind, data.to_vec(), config, seed);
+    let mut latencies = Vec::with_capacity(queries.len());
+    let mut checksum = 0u64;
+    for q in queries {
+        let t0 = Instant::now();
+        let out = eng.select(*q);
+        latencies.push(t0.elapsed().as_nanos() as f64);
+        checksum = checksum
+            .wrapping_add(std::hint::black_box(out.len()) as u64)
+            .wrapping_add(out.key_checksum(eng.data()));
+    }
+    let cracks = eng.cracked().index().crack_count();
     (latencies, checksum, cracks)
 }
 

@@ -1,6 +1,6 @@
 //! Multi-armed-bandit policies: learn the best action from observed costs.
 //!
-//! The bandits treat each [`Action`](crate::Action) as an arm whose reward
+//! The bandits treat each menu entry as an arm whose reward
 //! is the negative normalized query cost. They know nothing about the
 //! workload or the column; everything they learn comes from the §3 cost
 //! counters. This is the strongest reading of §6's "dynamic component":

@@ -1,20 +1,27 @@
-//! The chooser engine: one column, a menu of actions, a policy.
+//! The chooser engine: one cracker, a menu of strategies, a policy.
 
-use crate::action::Action;
 use crate::bandit::{EpsilonGreedy, Ucb1};
 use crate::context::QueryContext;
 use crate::policy::{ChoicePolicy, Fixed, PieceAware};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use scrack_columnstore::QueryOutput;
-use scrack_core::{CrackConfig, CrackedColumn, Engine};
+use scrack_core::{CrackConfig, CrackedColumn, CrackerEngine, Engine, EngineKind};
 use scrack_types::{Element, QueryRange, Stats};
+
+/// The default menu: one arm per family the paper's Fig. 20 frontier
+/// distinguishes (query-driven, eager stochastic, materializing
+/// stochastic, progressive stochastic).
+pub const DEFAULT_MENU: [EngineKind; 4] = [
+    EngineKind::Crack,
+    EngineKind::Dd1r,
+    EngineKind::Mdd1r,
+    EngineKind::Progressive { swap_pct: 10 },
+];
 
 /// Ready-made policy configurations, mirroring [`scrack_core`]'s
 /// `EngineKind` style so experiments can sweep policies by name.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PolicyKind {
-    /// Always the given arm of [`Action::default_menu`].
+    /// Always the given arm of [`DEFAULT_MENU`].
     Fixed(usize),
     /// Deterministic piece-size cost model.
     PieceAware,
@@ -55,30 +62,33 @@ impl PolicyKind {
 /// An adaptive-indexing engine that picks, per query, which cracking
 /// algorithm answers it (§6's dynamic component).
 ///
-/// All actions share one [`CrackedColumn`], so every piece of indexing
-/// knowledge is common property: a random crack added by an MDD1R query
-/// narrows the pieces later original-cracking queries must scan, and vice
-/// versa. The policy closes the loop by observing each action's realized
-/// cost on this column under this workload.
+/// Every arm runs through [`CrackerEngine::select_as`] on one shared
+/// cracker, so the chooser adds no reorganization semantics of its own
+/// and every piece of indexing knowledge is common property: a random
+/// crack added by an MDD1R query narrows the pieces later
+/// original-cracking queries must scan, and vice versa — "combining the
+/// strengths of the various stochastic cracking algorithms" (§6). The
+/// policy's draws and the cracks' draws interleave on the engine's one
+/// RNG stream. The policy closes the loop by observing each arm's
+/// realized cost on this column under this workload.
 #[derive(Debug)]
 pub struct ChooserEngine<E: Element> {
-    col: CrackedColumn<E>,
-    rng: SmallRng,
+    engine: CrackerEngine<E>,
     policy: Box<dyn ChoicePolicy>,
-    menu: Vec<Action>,
+    menu: Vec<EngineKind>,
     pulls: Vec<u64>,
     query_no: u64,
 }
 
 impl<E: Element> ChooserEngine<E> {
-    /// Builds the engine with the default action menu.
+    /// Builds the engine with [`DEFAULT_MENU`].
     pub fn new(
         data: Vec<E>,
         config: CrackConfig,
         seed: u64,
         policy: Box<dyn ChoicePolicy>,
     ) -> Self {
-        Self::with_menu(data, config, seed, policy, Action::default_menu())
+        Self::with_menu(data, config, seed, policy, DEFAULT_MENU.to_vec())
     }
 
     /// Builds the engine from a [`PolicyKind`] description.
@@ -86,22 +96,27 @@ impl<E: Element> ChooserEngine<E> {
         Self::new(data, config, seed, kind.build())
     }
 
-    /// Builds the engine with a custom action menu.
+    /// Builds the engine with a custom menu of cracker kinds.
     ///
     /// # Panics
-    /// If `menu` is empty.
+    /// If `menu` is empty or names `Scan`/`Sort`.
     pub fn with_menu(
         data: Vec<E>,
         config: CrackConfig,
         seed: u64,
         policy: Box<dyn ChoicePolicy>,
-        menu: Vec<Action>,
+        menu: Vec<EngineKind>,
     ) -> Self {
         assert!(!menu.is_empty(), "the action menu cannot be empty");
+        assert!(
+            !menu.iter().any(|k| matches!(k, EngineKind::Scan | EngineKind::Sort)),
+            "Scan and Sort have no cracker column to share"
+        );
         let pulls = vec![0; menu.len()];
         Self {
-            col: CrackedColumn::new(data, config),
-            rng: SmallRng::seed_from_u64(seed),
+            // The engine's own kind is never run: every select goes
+            // through `select_as(menu[arm], q)`.
+            engine: CrackerEngine::new(menu[0], data, config, seed),
             policy,
             menu,
             pulls,
@@ -109,8 +124,8 @@ impl<E: Element> ChooserEngine<E> {
         }
     }
 
-    /// The action menu.
-    pub fn menu(&self) -> &[Action] {
+    /// The menu of strategies the policy picks from.
+    pub fn menu(&self) -> &[EngineKind] {
         &self.menu
     }
 
@@ -121,20 +136,21 @@ impl<E: Element> ChooserEngine<E> {
 
     /// The underlying cracked column (for integrity checks in tests).
     pub fn column(&self) -> &CrackedColumn<E> {
-        &self.col
+        self.engine.cracked()
     }
 
     fn context(&self, q: QueryRange) -> QueryContext {
         let elem = std::mem::size_of::<E>();
-        let index = self.col.index();
+        let col = self.engine.cracked();
+        let index = col.index();
         QueryContext {
-            column_len: self.col.data().len(),
+            column_len: col.data().len(),
             piece_low_len: index.piece_containing(q.low).len(),
             piece_high_len: index.piece_containing(q.high).len(),
             crack_count: index.crack_count(),
             query_no: self.query_no,
-            l1_elems: self.col.config().crack_size(elem),
-            l2_elems: self.col.config().progressive_threshold(elem),
+            l1_elems: col.config().crack_size(elem),
+            l2_elems: col.config().progressive_threshold(elem),
         }
     }
 }
@@ -146,10 +162,12 @@ impl<E: Element> Engine<E> for ChooserEngine<E> {
 
     fn select(&mut self, q: QueryRange) -> QueryOutput<E> {
         let ctx = self.context(q);
-        let arm = self.policy.choose(&ctx, self.menu.len(), &mut self.rng);
-        let before = self.col.stats();
-        let out = self.menu[arm].execute(&mut self.col, q, &mut self.rng);
-        let delta = self.col.stats().since(&before);
+        let arm = self
+            .policy
+            .choose(&ctx, self.menu.len(), self.engine.rng_mut());
+        let before = self.engine.stats();
+        let out = self.engine.select_as(self.menu[arm], q);
+        let delta = self.engine.stats().since(&before);
         let cost = (delta.touched + delta.materialized) as f64;
         let post = self.context(q);
         self.policy.observe(arm, &ctx, &post, cost);
@@ -159,19 +177,19 @@ impl<E: Element> Engine<E> for ChooserEngine<E> {
     }
 
     fn data(&self) -> &[E] {
-        self.col.data()
+        self.engine.data()
     }
 
     fn stats(&self) -> Stats {
-        self.col.stats()
+        self.engine.stats()
     }
 
     fn reset_stats(&mut self) {
-        self.col.stats_mut().reset();
+        self.engine.reset_stats();
     }
 
     fn quarantine_rebuild(&mut self) {
-        self.col.quarantine_rebuild();
+        self.engine.quarantine_rebuild();
     }
 }
 

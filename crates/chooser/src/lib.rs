@@ -5,9 +5,10 @@
 //! decides which algorithm to choose for a query on the fly". This crate
 //! implements that component.
 //!
-//! A [`ChooserEngine`] owns one cracked column and a menu of [`Action`]s —
-//! original cracking, DD1R, MDD1R, progressive MDD1R — and delegates the
-//! per-query pick to a [`ChoicePolicy`]:
+//! A [`ChooserEngine`] owns one [`scrack_core::CrackerEngine`] and a menu
+//! of [`scrack_core::EngineKind`]s ([`DEFAULT_MENU`]: original cracking,
+//! DD1R, MDD1R, progressive MDD1R) and delegates the per-query pick to a
+//! [`ChoicePolicy`]:
 //!
 //! * [`PieceAware`](policy::PieceAware) — a deterministic cost model that
 //!   inspects the pieces the query bounds fall into and picks the action
@@ -27,8 +28,8 @@
 //! cross-product (engine × kernel × index × update policy), decisions run
 //! at epoch granularity, and switching arms rebuilds the engine over the
 //! current data under quarantine-rebuild semantics — so it can move
-//! between engine families (selective wrappers, RNcrack, the recursive
-//! data-driven variants) that no shared-column chooser can reach.
+//! along the config axes (kernel, index, update policy) that a chooser
+//! over one shared column under one fixed `CrackConfig` cannot reach.
 //!
 //! # Example
 //!
@@ -52,7 +53,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod action;
 pub mod bandit;
 mod config_space;
 mod context;
@@ -62,11 +62,10 @@ pub mod policy;
 mod scheduler;
 mod self_driving;
 
-pub use action::Action;
 pub use config_space::{ConfigArm, ConfigSpace};
 pub use context::QueryContext;
 pub use contextual::ContextualEpsGreedy;
-pub use engine::{ChooserEngine, PolicyKind};
+pub use engine::{ChooserEngine, PolicyKind, DEFAULT_MENU};
 pub use policy::ChoicePolicy;
 pub use scheduler::{scheduler_space, SelfDrivingScheduler};
 pub use self_driving::{switch_seed, SelfDrivingEngine, SwitchEvent};

@@ -114,8 +114,8 @@ pub struct PieceAware {
 }
 
 impl Default for PieceAware {
-    /// Arm indices matching [`Action::default_menu`](crate::Action::default_menu):
-    /// `[Original, Dd1r, Mdd1r, Progressive(10)]`.
+    /// Arm indices matching [`DEFAULT_MENU`](crate::DEFAULT_MENU):
+    /// `[Crack, Dd1r, Mdd1r, Progressive { swap_pct: 10 }]`.
     fn default() -> Self {
         Self {
             mdd1r: 2,

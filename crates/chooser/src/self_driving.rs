@@ -2,8 +2,7 @@
 //!
 //! [`ChooserEngine`](crate::ChooserEngine) picks a crack *path* per query,
 //! but all paths share one column under one fixed [`CrackConfig`] — it can
-//! never move between engine families that need different construction
-//! (selective wrappers, RNcrack) or different config axes (update policy).
+//! never move along the config axes (kernel, index, update policy).
 //! [`SelfDrivingEngine`] closes that gap: its action space is a
 //! [`ConfigSpace`] over the full live cross-product, and switching arms
 //! *rebuilds* the engine over the current physical data — exactly the
@@ -66,7 +65,7 @@ use rand::SeedableRng;
 use scrack_columnstore::QueryOutput;
 use scrack_core::{CrackConfig, Engine};
 use scrack_types::{Element, QueryRange, Stats};
-use scrack_updates::{build_update_engine, CrackAccess, Updatable, UpdateEngine};
+use scrack_updates::{build_update_engine, Updatable};
 
 /// One online config switch, recorded for replay and audit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,7 +92,7 @@ pub fn switch_seed(base: u64, nth: u64) -> u64 {
 /// [`Updatable`], so it slots anywhere a factory engine does, on mixed
 /// read/write streams too.
 pub struct SelfDrivingEngine<E: Element> {
-    engine: Updatable<Box<dyn UpdateEngine<E>>, E>,
+    engine: Updatable<E>,
     space: ConfigSpace,
     base: CrackConfig,
     base_seed: u64,
@@ -302,7 +301,7 @@ impl<E: Element> SelfDrivingEngine<E> {
     }
 
     /// Full integrity check of the live cracker column (tests; O(n)).
-    pub fn check_integrity(&mut self) -> Result<(), String> {
+    pub fn check_integrity(&self) -> Result<(), String> {
         self.engine.check_integrity()
     }
 
@@ -323,10 +322,9 @@ impl<E: Element> SelfDrivingEngine<E> {
     /// Epoch-granular context: the column's mean piece length stands in
     /// for the per-query end pieces (decisions cover whole epochs, not
     /// single queries).
-    fn context(&mut self) -> QueryContext {
+    fn context(&self) -> QueryContext {
         let elem = std::mem::size_of::<E>();
-        let query_no = self.query_no;
-        let col = self.engine.cracked_mut();
+        let col = self.engine.inner().cracked();
         let len = col.data().len();
         let mean_piece = len / (col.index().crack_count() + 1).max(1);
         QueryContext {
@@ -334,7 +332,7 @@ impl<E: Element> SelfDrivingEngine<E> {
             piece_low_len: mean_piece,
             piece_high_len: mean_piece,
             crack_count: col.index().crack_count(),
-            query_no,
+            query_no: self.query_no,
             l1_elems: col.config().crack_size(elem),
             l2_elems: col.config().progressive_threshold(elem),
         }
@@ -503,7 +501,7 @@ mod tests {
 
     #[test]
     fn answers_stay_exact_across_switches() {
-        let mut e = drive(5);
+        let e = drive(5);
         assert!(
             !e.switch_log().is_empty(),
             "an exploring bandit over 25 epochs must switch at least once"

@@ -1,7 +1,7 @@
 //! Integration tests: the chooser is exact on every workload, and its
 //! learning policies actually steer toward the robust arms.
 
-use scrack_chooser::{Action, ChooserEngine, PolicyKind};
+use scrack_chooser::{ChooserEngine, PolicyKind};
 use scrack_core::{build_engine, CrackConfig, Engine, EngineKind, Oracle};
 use scrack_workloads::data::unique_permutation;
 use scrack_workloads::{WorkloadKind, WorkloadSpec};
@@ -152,7 +152,9 @@ fn custom_menu_progressive_only() {
         CrackConfig::default(),
         SEED,
         PolicyKind::EpsilonGreedy.build(),
-        vec![Action::Progressive(1), Action::Progressive(10), Action::Progressive(50)],
+        [1, 10, 50]
+            .map(|swap_pct| EngineKind::Progressive { swap_pct })
+            .to_vec(),
     );
     for q in WorkloadSpec::new(WorkloadKind::ZoomInAlt, N, QUERIES, SEED).generate() {
         let out = engine.select(q);

@@ -2,13 +2,8 @@
 
 use crate::baseline::{ScanEngine, SortEngine};
 use crate::config::CrackConfig;
+use crate::cracker::CrackerEngine;
 use crate::engine::Engine;
-use crate::engines::{
-    CrackEngine, Dd1cEngine, Dd1mEngine, Dd1rEngine, DdcEngine, DdmEngine, DdrEngine, Mdd1mEngine,
-    Mdd1rEngine, ProgressiveEngine,
-};
-use crate::naive::RandomInjectEngine;
-use crate::selective::{SelectiveEngine, SelectivePolicy};
 use scrack_types::Element;
 
 /// Every strategy evaluated in the paper, as a constructible description.
@@ -80,7 +75,8 @@ impl EngineKind {
             EngineKind::Dd1m => "DD1M".into(),
             EngineKind::Mdd1m => "MDD1M".into(),
             EngineKind::Progressive { swap_pct } => format!("P{swap_pct}%"),
-            EngineKind::EveryX { x } => SelectivePolicy::EveryX(*x).label(),
+            EngineKind::EveryX { x: 2 } => "FiftyFifty".into(),
+            EngineKind::EveryX { x } => format!("Every{x}"),
             EngineKind::FlipCoin => "FlipCoin".into(),
             EngineKind::Monitor { threshold } => format!("ScrackMon{threshold}"),
             EngineKind::SizeThreshold => "L1Switch".into(),
@@ -135,48 +131,7 @@ pub fn build_engine<E: Element>(
     match kind {
         EngineKind::Scan => Box::new(ScanEngine::new(data)),
         EngineKind::Sort => Box::new(SortEngine::new(data)),
-        EngineKind::Crack => Box::new(CrackEngine::new(data, config)),
-        EngineKind::Ddc => Box::new(DdcEngine::new(data, config)),
-        EngineKind::Ddr => Box::new(DdrEngine::new(data, config, seed)),
-        EngineKind::Dd1c => Box::new(Dd1cEngine::new(data, config)),
-        EngineKind::Dd1r => Box::new(Dd1rEngine::new(data, config, seed)),
-        EngineKind::Mdd1r => Box::new(Mdd1rEngine::new(data, config, seed)),
-        EngineKind::Ddm => Box::new(DdmEngine::new(data, config)),
-        EngineKind::Dd1m => Box::new(Dd1mEngine::new(data, config)),
-        EngineKind::Mdd1m => Box::new(Mdd1mEngine::new(data, config)),
-        EngineKind::Progressive { swap_pct } => Box::new(ProgressiveEngine::new(
-            data,
-            config,
-            seed,
-            f64::from(swap_pct),
-        )),
-        EngineKind::EveryX { x } => Box::new(SelectiveEngine::new(
-            data,
-            config,
-            seed,
-            SelectivePolicy::EveryX(x),
-        )),
-        EngineKind::FlipCoin => Box::new(SelectiveEngine::new(
-            data,
-            config,
-            seed,
-            SelectivePolicy::FlipCoin(0.5),
-        )),
-        EngineKind::Monitor { threshold } => Box::new(SelectiveEngine::new(
-            data,
-            config,
-            seed,
-            SelectivePolicy::Monitor(threshold),
-        )),
-        EngineKind::SizeThreshold => Box::new(SelectiveEngine::new(
-            data,
-            config,
-            seed,
-            SelectivePolicy::SizeThreshold,
-        )),
-        EngineKind::RandomInject { every } => {
-            Box::new(RandomInjectEngine::new(data, config, seed, every))
-        }
+        _ => Box::new(CrackerEngine::new(kind, data, config, seed)),
     }
 }
 
@@ -189,6 +144,9 @@ mod tests {
         assert_eq!(EngineKind::Progressive { swap_pct: 10 }.label(), "P10%");
         assert_eq!(EngineKind::RandomInject { every: 4 }.label(), "R4crack");
         assert_eq!(EngineKind::EveryX { x: 2 }.label(), "FiftyFifty");
+        assert_eq!(EngineKind::EveryX { x: 8 }.label(), "Every8");
+        assert_eq!(EngineKind::FlipCoin.label(), "FlipCoin");
+        assert_eq!(EngineKind::SizeThreshold.label(), "L1Switch");
         assert_eq!(EngineKind::Monitor { threshold: 50 }.label(), "ScrackMon50");
     }
 

@@ -5,20 +5,23 @@
 //! Idreos, Karras, Yap: Stochastic Database Cracking (VLDB 2012)*. It
 //! provides, behind the single [`Engine`] interface:
 //!
-//! | Strategy | Paper section | Type |
+//! | Strategy | Paper section | [`EngineKind`] |
 //! |---|---|---|
-//! | `Scan`, `Sort` | §3 baselines | [`ScanEngine`], [`SortEngine`] |
-//! | `Crack` (original cracking) | §2–3 | [`CrackEngine`] |
-//! | `DDC`, `DDR` | §4, Fig. 4 | [`DdcEngine`], [`DdrEngine`] |
-//! | `DD1C`, `DD1R` | §4 | [`Dd1cEngine`], [`Dd1rEngine`] |
-//! | `MDD1R` (a.k.a. `Scrack`) | §4, Fig. 5–6 | [`Mdd1rEngine`] |
-//! | `P{x}%` progressive | §4 | [`ProgressiveEngine`] |
-//! | FiftyFifty / FlipCoin / ScrackMon / L1-switch | §4 selective | [`SelectiveEngine`] |
-//! | `R{N}crack` naive randomizers | §5, Fig. 12 | [`RandomInjectEngine`] |
+//! | `Scan`, `Sort` | §3 baselines | `Scan`, `Sort` ([`ScanEngine`], [`SortEngine`]) |
+//! | `Crack` (original cracking) | §2–3 | `Crack` |
+//! | `DDC`, `DDR` | §4, Fig. 4 | `Ddc`, `Ddr` |
+//! | `DD1C`, `DD1R` | §4 | `Dd1c`, `Dd1r` |
+//! | `MDD1R` (a.k.a. `Scrack`) | §4, Fig. 5–6 | `Mdd1r` |
+//! | `P{x}%` progressive | §4 | `Progressive` |
+//! | FiftyFifty / FlipCoin / ScrackMon / L1-switch | §4 selective | `EveryX`, `FlipCoin`, `Monitor`, `SizeThreshold` |
+//! | `R{N}crack` naive randomizers | §5, Fig. 12 | `RandomInject` |
+//! | `DDM`, `DD1M`, `MDD1M` midpoint family | post-paper | `Ddm`, `Dd1m`, `Mdd1m` |
 //!
-//! The physical machinery lives in [`CrackedColumn`]; everything above it
-//! is thin policy. [`build_engine`] constructs any strategy by
-//! [`EngineKind`], and [`Oracle`] supplies ground truth for validation.
+//! The physical machinery lives in [`CrackedColumn`]; every adaptive
+//! strategy is one [`CrackerEngine`] — a cracker column plus an RNG —
+//! whose [`CrackerEngine::select_as`] picks the column's crack routine by
+//! kind. [`build_engine`] constructs any strategy by [`EngineKind`], and
+//! [`Oracle`] supplies ground truth for validation.
 //!
 //! # Example
 //!
@@ -41,14 +44,12 @@
 mod baseline;
 mod config;
 mod cracked;
+mod cracker;
 mod engine;
-mod engines;
 mod factory;
 pub mod fault;
 mod meta;
-mod naive;
 mod oracle;
-mod selective;
 
 pub use baseline::{ScanEngine, SortEngine};
 pub use config::{CrackConfig, UpdatePolicy};
@@ -57,14 +58,9 @@ pub use config::{CrackConfig, UpdatePolicy};
 pub use scrack_index::IndexPolicy;
 pub use scrack_partition::KernelPolicy;
 pub use cracked::CrackedColumn;
+pub use cracker::CrackerEngine;
 pub use engine::Engine;
-pub use engines::{
-    CrackEngine, Dd1cEngine, Dd1mEngine, Dd1rEngine, DdcEngine, DdmEngine, DdrEngine, Mdd1mEngine,
-    Mdd1rEngine, ProgressiveEngine,
-};
 pub use factory::{build_engine, EngineKind};
 pub use fault::{FaultInjector, FaultKind, FaultPlan};
 pub use meta::PieceState;
-pub use naive::RandomInjectEngine;
 pub use oracle::Oracle;
-pub use selective::{SelectiveEngine, SelectivePolicy};

@@ -20,22 +20,19 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use scrack_core::{Engine, EngineKind, UpdatePolicy};
 use scrack_types::QueryRange;
-use scrack_updates::{build_update_engine, CrackAccess, Updatable};
+use scrack_updates::{build_update_engine, Updatable};
 use scrack_workloads::{MixedOp, MixedWorkloadSpec, WorkloadKind};
 use std::time::Instant;
 
 /// Total wall-clock for a full interleaved run.
-fn run_total<Eng>(
-    mut engine: Updatable<Eng, u64>,
+fn run_total(
+    mut engine: Updatable<u64>,
     queries: &[QueryRange],
     n: u64,
     seed: u64,
     period: usize,
     batch: usize,
-) -> f64
-where
-    Eng: Engine<u64> + CrackAccess<u64>,
-{
+) -> f64 {
     let mut rng = SmallRng::seed_from_u64(seed);
     let t0 = Instant::now();
     for (i, q) in queries.iter().enumerate() {

@@ -4,7 +4,7 @@
 use super::{fresh_data, heading, workload};
 use crate::report::{format_secs, Table};
 use crate::runner::{run_engine, ExpConfig};
-use scrack_core::{DdcEngine, Engine, Oracle};
+use scrack_core::{CrackerEngine, Engine, EngineKind, Oracle};
 use scrack_types::CacheProfile;
 use scrack_workloads::WorkloadKind;
 
@@ -33,7 +33,7 @@ pub fn run(cfg: &ExpConfig) -> String {
         let data = fresh_data(cfg);
         let oracle = cfg.verify.then(|| Oracle::new(&data));
         let crack_cfg = cfg.crack_config().with_crack_size(elems.max(1));
-        let mut engine = DdcEngine::new(data, crack_cfg);
+        let mut engine = CrackerEngine::new(EngineKind::Ddc, data, crack_cfg, cfg.seed_for("fig8"));
         let r = run_engine(
             &mut engine as &mut dyn Engine<u64>,
             &queries,

@@ -4,7 +4,7 @@
 use super::{fresh_data, heading, workload};
 use crate::report::{cumulative_table, write_series};
 use crate::runner::{run_engine, ExpConfig, RunResult};
-use scrack_core::{CrackEngine, Engine, Oracle};
+use scrack_core::{CrackerEngine, Engine, EngineKind, Oracle};
 use scrack_hybrids::{HybridEngine, HybridKind};
 use scrack_workloads::WorkloadKind;
 
@@ -43,7 +43,8 @@ pub fn run(cfg: &ExpConfig) -> String {
     {
         let data = fresh_data(cfg);
         let oracle = cfg.verify.then(|| Oracle::new(&data));
-        let mut eng = CrackEngine::new(data, cfg.crack_config());
+        let mut eng =
+            CrackerEngine::new(EngineKind::Crack, data, cfg.crack_config(), cfg.seed_for("fig14"));
         results.push(run_engine(
             &mut eng as &mut dyn Engine<u64>,
             &queries,

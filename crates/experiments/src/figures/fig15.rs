@@ -6,26 +6,23 @@ use crate::report::{cumulative_table, write_series};
 use crate::runner::{ExpConfig, RunResult};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use scrack_core::{CrackEngine, Engine, Mdd1rEngine};
+use scrack_core::{Engine, EngineKind};
 use scrack_types::QueryRange;
-use scrack_updates::{CrackAccess, Updatable};
+use scrack_updates::{build_update_engine, Updatable};
 use scrack_workloads::WorkloadKind;
 use std::time::Instant;
 
 /// Runs `engine` over the sequence, injecting `batch` random inserts every
 /// `period` queries (the paper's high-frequency / low-volume scenario:
 /// 10 updates every 10 queries).
-fn run_with_updates<Eng>(
-    mut engine: Updatable<Eng, u64>,
+fn run_with_updates(
+    mut engine: Updatable<u64>,
     queries: &[QueryRange],
     n: u64,
     seed: u64,
     period: usize,
     batch: usize,
-) -> RunResult
-where
-    Eng: Engine<u64> + CrackAccess<u64>,
-{
+) -> RunResult {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut per_query_ns = Vec::with_capacity(queries.len());
     let mut per_query_touched = Vec::with_capacity(queries.len());
@@ -65,12 +62,9 @@ pub fn run(cfg: &ExpConfig) -> String {
          does not disturb either behaviour.",
     );
     let queries = workload(cfg, WorkloadKind::Sequential);
-    let crack = Updatable::new(CrackEngine::new(fresh_data(cfg), cfg.crack_config()));
-    let scrack = Updatable::new(Mdd1rEngine::new(
-        fresh_data(cfg),
-        cfg.crack_config(),
-        cfg.seed_for("fig15-scrack"),
-    ));
+    let build = |kind, seed| build_update_engine(kind, fresh_data(cfg), cfg.crack_config(), seed);
+    let crack = build(EngineKind::Crack, cfg.seed_for("fig15-crack"));
+    let scrack = build(EngineKind::Mdd1r, cfg.seed_for("fig15-scrack"));
     let results = vec![
         run_with_updates(crack, &queries, cfg.n, cfg.seed_for("fig15-upd1"), 10, 10),
         run_with_updates(scrack, &queries, cfg.n, cfg.seed_for("fig15-upd2"), 10, 10),

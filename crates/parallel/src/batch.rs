@@ -18,7 +18,8 @@
 //! shards** on quantile bounds (introselect over a scratch copy picks the
 //! bounds; the physical split runs the configured
 //! [`KernelPolicy`](scrack_core::KernelPolicy) kernel). Each shard owns
-//! an independent [`CrackedColumn`] plus its own seeded RNG stream.
+//! an independent [`CrackerEngine`]: a cracker column plus its own seeded
+//! RNG stream.
 //!
 //! [`BatchScheduler::execute`] takes a batch of [`QueryRange`]s and
 //! 1. **routes**: each query is clipped against every overlapping
@@ -61,9 +62,7 @@ use crate::resilience::{
     AdmissionPolicy, BatchReport, QueryOutcome, ResilienceStats, ServingConfig, ShardHealth,
 };
 use crate::ParallelStrategy;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use scrack_core::{CrackConfig, CrackedColumn, FaultInjector, FaultKind};
+use scrack_core::{CrackConfig, CrackerEngine, Engine, FaultInjector, FaultKind};
 use scrack_types::{Element, QueryRange, Stats};
 use scrack_updates::PendingUpdates;
 use std::time::{Duration, Instant};
@@ -100,15 +99,14 @@ pub enum BatchOp<E> {
 /// queue of `(submission index, item)` entries.
 type ShardTasks<'a, E, Q> = Vec<(&'a mut BatchShard<E>, &'a Vec<(usize, Q)>)>;
 
-/// One key-range shard: its key span, cracker column, pending-update
-/// queue, and RNG stream.
+/// One key-range shard: its key span, cracker engine (column plus RNG
+/// stream) and pending-update queue.
 #[derive(Debug)]
 struct BatchShard<E: Element> {
     /// Keys `k` of this shard satisfy `span.low <= k < span.high`.
     span: QueryRange,
-    col: CrackedColumn<E>,
+    engine: CrackerEngine<E>,
     pending: PendingUpdates<E>,
-    rng: SmallRng,
     /// Position in the degradation ladder (see [`ShardHealth`]).
     health: ShardHealth,
     /// Shard-level fault sites (poison, overload), scoped to this shard.
@@ -120,40 +118,37 @@ struct BatchShard<E: Element> {
 impl<E: Element> BatchShard<E> {
     /// Builds one shard; `owner` scopes any planned fault so a targeted
     /// plan arms exactly one shard.
-    fn build(span: QueryRange, data: Vec<E>, config: CrackConfig, seed: u64, owner: usize) -> Self {
+    fn build(
+        span: QueryRange,
+        data: Vec<E>,
+        strategy: ParallelStrategy,
+        config: CrackConfig,
+        seed: u64,
+        owner: usize,
+    ) -> Self {
         let scoped = config.fault.scoped_to(owner);
         BatchShard {
             span,
-            col: CrackedColumn::new(data, config.with_fault(scoped)),
+            engine: CrackerEngine::new(strategy.into(), data, config.with_fault(scoped), seed),
             pending: PendingUpdates::new(),
-            rng: SmallRng::seed_from_u64(seed),
             health: ShardHealth::Healthy,
             fault: FaultInjector::new(scoped),
             recent_bounds: Vec::new(),
         }
     }
     /// Answers one clipped query against this shard.
-    fn select(&mut self, q: QueryRange, strategy: ParallelStrategy) -> (usize, u64) {
-        self.pending.merge_qualifying(&mut self.col, q);
-        let out = match strategy {
-            ParallelStrategy::Crack => self.col.select_original(q),
-            ParallelStrategy::Stochastic => self.col.mdd1r_select(q, &mut self.rng),
-        };
-        out.resolve(self.col.data())
-            .fold((0usize, 0u64), |(c, s), e| (c + 1, s.wrapping_add(e.key())))
+    fn select(&mut self, q: QueryRange) -> (usize, u64) {
+        self.pending.merge_qualifying(self.engine.cracked_mut(), q);
+        self.engine.select_aggregate(q)
     }
 
     /// Drains `queue` in order, answering each clipped query against this
     /// shard; returns `(query_index, count, key_sum)` partials.
-    fn drain(
-        &mut self,
-        queue: &[(usize, QueryRange)],
-        strategy: ParallelStrategy,
-    ) -> Vec<(usize, usize, u64)> {
+    fn drain(&mut self, queue: &[(usize, QueryRange)]) -> Vec<(usize, usize, u64)> {
         queue
             .iter()
             .map(|&(qi, q)| {
-                let (count, sum) = self.select(q, strategy);
+                let (count, sum) = self.select(q);
                 (qi, count, sum)
             })
             .collect()
@@ -164,8 +159,8 @@ impl<E: Element> BatchShard<E> {
     /// depend on the data multiset, which cracking preserves). Merges
     /// any pending updates first so visibility matches the healthy path.
     fn select_scan(&mut self, q: QueryRange) -> (usize, u64) {
-        self.pending.merge_all(&mut self.col);
-        self.col
+        self.pending.merge_all(self.engine.cracked_mut());
+        self.engine
             .data()
             .iter()
             .filter(|e| q.contains(e.key()))
@@ -177,8 +172,8 @@ impl<E: Element> BatchShard<E> {
     /// into the base data, and the shard serves scans for
     /// `batches_left` more batches before rebuilding.
     fn quarantine(&mut self, batches_left: u32) {
-        self.col.quarantine_rebuild();
-        self.pending.merge_all(&mut self.col);
+        self.engine.quarantine_rebuild();
+        self.pending.merge_all(self.engine.cracked_mut());
         self.health = ShardHealth::Quarantined { batches_left };
     }
 
@@ -188,7 +183,7 @@ impl<E: Element> BatchShard<E> {
     fn rebuild(&mut self) {
         for b in std::mem::take(&mut self.recent_bounds) {
             if self.span.contains(b) {
-                self.col.crack_on(b);
+                self.engine.cracked_mut().crack_on(b);
             }
         }
         self.health = ShardHealth::Healthy;
@@ -212,7 +207,6 @@ impl<E: Element> BatchShard<E> {
     fn drain_resilient(
         &mut self,
         queue: &[(usize, QueryRange)],
-        strategy: ParallelStrategy,
         arrival: Instant,
         deadline: Option<Duration>,
         rebuild_after: u32,
@@ -231,7 +225,7 @@ impl<E: Element> BatchShard<E> {
                 let ans = match self.health {
                     ShardHealth::Healthy => {
                         self.note_bounds(q);
-                        self.select(q, strategy)
+                        self.select(q)
                     }
                     ShardHealth::Quarantined { .. } => self.select_scan(q),
                 };
@@ -243,16 +237,12 @@ impl<E: Element> BatchShard<E> {
 
     /// Drains a mixed op queue in submission order; selects produce
     /// partials, updates queue into the shard's pending set.
-    fn drain_ops(
-        &mut self,
-        queue: &[(usize, BatchOp<E>)],
-        strategy: ParallelStrategy,
-    ) -> Vec<(usize, usize, u64)> {
+    fn drain_ops(&mut self, queue: &[(usize, BatchOp<E>)]) -> Vec<(usize, usize, u64)> {
         let mut partials = Vec::new();
         for &(qi, op) in queue {
             match op {
                 BatchOp::Select(q) => {
-                    let (count, sum) = self.select(q, strategy);
+                    let (count, sum) = self.select(q);
                     partials.push((qi, count, sum));
                 }
                 BatchOp::Insert(e) => self.pending.queue_insert(e),
@@ -285,7 +275,6 @@ impl<E: Element> BatchShard<E> {
 #[derive(Debug)]
 pub struct BatchScheduler<E: Element> {
     shards: Vec<BatchShard<E>>,
-    strategy: ParallelStrategy,
     /// Per-shard work queues, kept across batches and refilled in place:
     /// steady-state batches route without allocating.
     queues: Vec<Vec<(usize, QueryRange)>>,
@@ -331,14 +320,13 @@ impl<E: Element> BatchScheduler<E> {
                 .into_iter()
                 .enumerate()
                 .map(|(i, (span, part))| {
-                    BatchShard::build(span, part, config, seed.wrapping_add(i as u64), i)
+                    BatchShard::build(span, part, strategy, config, seed.wrapping_add(i as u64), i)
                 })
                 .collect();
         let queues = vec![Vec::new(); shards.len()];
         let op_queues = vec![Vec::new(); shards.len()];
         Self {
             shards,
-            strategy,
             queues,
             op_queues,
             resilience: ResilienceStats::default(),
@@ -412,7 +400,6 @@ impl<E: Element> BatchScheduler<E> {
     /// order.
     pub fn execute(&mut self, batch: &[QueryRange]) -> Vec<(usize, u64)> {
         self.build_queues(batch);
-        let strategy = self.strategy;
         let Self { shards, queues, .. } = self;
         let tasks: ShardTasks<'_, E, QueryRange> = shards
             .iter_mut()
@@ -421,7 +408,7 @@ impl<E: Element> BatchScheduler<E> {
             .collect();
         let workers = crate::executor::worker_count(tasks.len());
         let partials = crate::executor::run_tasks(workers, tasks, |_, (shard, queue)| {
-            shard.drain(queue, strategy)
+            shard.drain(queue)
         });
         Self::merge(batch.len(), partials)
     }
@@ -431,12 +418,11 @@ impl<E: Element> BatchScheduler<E> {
     /// bit-identical to the parallel path — the determinism oracle.
     pub fn execute_serial(&mut self, batch: &[QueryRange]) -> Vec<(usize, u64)> {
         self.build_queues(batch);
-        let strategy = self.strategy;
         let Self { shards, queues, .. } = self;
         let partials: Vec<Vec<(usize, usize, u64)>> = shards
             .iter_mut()
             .zip(queues.iter())
-            .map(|(shard, queue)| shard.drain(queue, strategy))
+            .map(|(shard, queue)| shard.drain(queue))
             .collect();
         Self::merge(batch.len(), partials)
     }
@@ -508,7 +494,6 @@ impl<E: Element> BatchScheduler<E> {
     /// [`BatchScheduler::flush_updates`] to force a checkpoint).
     pub fn execute_ops(&mut self, ops: &[BatchOp<E>]) -> Vec<(usize, u64)> {
         self.build_op_queues(ops);
-        let strategy = self.strategy;
         let Self {
             shards, op_queues, ..
         } = self;
@@ -519,7 +504,7 @@ impl<E: Element> BatchScheduler<E> {
             .collect();
         let workers = crate::executor::worker_count(tasks.len());
         let partials = crate::executor::run_tasks(workers, tasks, |_, (shard, queue)| {
-            shard.drain_ops(queue, strategy)
+            shard.drain_ops(queue)
         });
         Self::merge(ops.len(), partials)
     }
@@ -530,14 +515,13 @@ impl<E: Element> BatchScheduler<E> {
     /// mixed batches.
     pub fn execute_ops_serial(&mut self, ops: &[BatchOp<E>]) -> Vec<(usize, u64)> {
         self.build_op_queues(ops);
-        let strategy = self.strategy;
         let Self {
             shards, op_queues, ..
         } = self;
         let partials: Vec<Vec<(usize, usize, u64)>> = shards
             .iter_mut()
             .zip(op_queues.iter())
-            .map(|(shard, queue)| shard.drain_ops(queue, strategy))
+            .map(|(shard, queue)| shard.drain_ops(queue))
             .collect();
         Self::merge(ops.len(), partials)
     }
@@ -556,7 +540,7 @@ impl<E: Element> BatchScheduler<E> {
     pub fn flush_updates(&mut self) -> usize {
         self.shards
             .iter_mut()
-            .map(|s| s.pending.merge_all(&mut s.col))
+            .map(|s| s.pending.merge_all(s.engine.cracked_mut()))
             .sum()
     }
 
@@ -565,7 +549,7 @@ impl<E: Element> BatchScheduler<E> {
     pub fn stats(&self) -> Stats {
         let mut s = Stats::new();
         for shard in &self.shards {
-            s += shard.col.stats();
+            s += shard.engine.stats();
         }
         s
     }
@@ -573,7 +557,7 @@ impl<E: Element> BatchScheduler<E> {
     /// Switches the scheduler's live configuration online: the serving
     /// strategy changes immediately and every shard's column is rebuilt
     /// from its current physical data under `config` — the per-shard
-    /// analogue of [`CrackedColumn::quarantine_rebuild`], except the new
+    /// analogue of [`scrack_core::CrackedColumn::quarantine_rebuild`], except the new
     /// config takes effect. Pending updates flush into the data first so
     /// the tuple multiset (and therefore every later answer) transfers
     /// exactly; earned cracks are discarded; shard key spans are
@@ -591,19 +575,15 @@ impl<E: Element> BatchScheduler<E> {
         config: CrackConfig,
         seed: u64,
     ) -> Stats {
-        self.strategy = strategy;
         let mut retired = Stats::new();
         for (i, shard) in self.shards.iter_mut().enumerate() {
-            shard.pending.merge_all(&mut shard.col);
-            retired += shard.col.stats();
-            let (data, _, _) = shard.col.parts_mut();
-            let data = std::mem::take(data);
-            let scoped = config.fault.scoped_to(i);
-            shard.col = CrackedColumn::new(data, config.with_fault(scoped));
-            shard.rng = SmallRng::seed_from_u64(seed.wrapping_add(i as u64));
-            shard.fault = FaultInjector::new(scoped);
-            shard.health = ShardHealth::Healthy;
-            shard.recent_bounds.clear();
+            shard.pending.merge_all(shard.engine.cracked_mut());
+            retired += shard.engine.stats();
+            let data = std::mem::take(shard.engine.cracked_mut().parts_mut().0);
+            // Exactly the construction path: fresh engine, RNG stream,
+            // fault scope and health; the (just drained) queue starts empty.
+            let seed = seed.wrapping_add(i as u64);
+            *shard = BatchShard::build(shard.span, data, strategy, config, seed, i);
         }
         retired
     }
@@ -646,7 +626,6 @@ impl<E: Element> BatchScheduler<E> {
             "admission queue capacity must be at least 1"
         );
         let arrival = Instant::now();
-        let strategy = self.strategy;
         let deadline = serving.deadline;
         let rebuild_after = serving.rebuild_after;
 
@@ -761,7 +740,7 @@ impl<E: Element> BatchScheduler<E> {
                 let workers = crate::executor::worker_count(tasks.len());
                 let results =
                     crate::executor::run_tasks_isolated(workers, tasks, |_, (shard, queue)| {
-                        shard.drain_resilient(queue, strategy, arrival, deadline, rebuild_after)
+                        shard.drain_resilient(queue, arrival, deadline, rebuild_after)
                     });
                 for (k, result) in results.into_iter().enumerate() {
                     let si = task_sis[k];
@@ -905,13 +884,18 @@ impl<E: Element> BatchScheduler<E> {
     }
 
     /// Full integrity check (tests only; O(n)): every shard's cracker
-    /// invariants hold and every key lies inside its shard's span.
+    /// invariants hold and every key lies in the shard updates of that
+    /// key are routed to — inside the shard's span, or the reserved
+    /// `u64::MAX` in the last shard.
     pub fn check_integrity(&self) -> Result<(), String> {
+        let last = self.shards.len() - 1;
         for (i, s) in self.shards.iter().enumerate() {
-            s.col
+            s.engine
+                .cracked()
                 .check_integrity()
                 .map_err(|e| format!("shard {i}: {e}"))?;
-            if let Some(e) = s.col.data().iter().find(|e| !s.span.contains(e.key())) {
+            let owned = |key| s.span.contains(key) || (i == last && key == u64::MAX);
+            if let Some(e) = s.engine.data().iter().find(|e| !owned(e.key())) {
                 return Err(format!(
                     "shard {i}: key {} outside span {}",
                     e.key(),
@@ -1074,6 +1058,27 @@ mod tests {
         // `u64::MAX` is the one key no half-open span can contain; it
         // belongs to the last (open-ended) shard by convention.
         assert_eq!(sched.route(u64::MAX), spans.len() - 1);
+    }
+
+    #[test]
+    fn check_integrity_accepts_the_reserved_max_key_where_route_puts_it() {
+        // Routed in as an update...
+        let mut sched = BatchScheduler::new(
+            permuted(10_000),
+            4,
+            ParallelStrategy::Stochastic,
+            CrackConfig::default(),
+            1,
+        );
+        sched.execute_ops(&[BatchOp::Insert(u64::MAX)]);
+        assert_eq!(sched.flush_updates(), 1);
+        sched.check_integrity().unwrap();
+        // ...or present in the data the scheduler is built over.
+        let mut data = permuted(10_000);
+        data.push(u64::MAX);
+        let sched =
+            BatchScheduler::new(data, 4, ParallelStrategy::Crack, CrackConfig::default(), 1);
+        sched.check_integrity().unwrap();
     }
 
     #[test]

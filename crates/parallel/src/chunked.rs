@@ -2,9 +2,7 @@
 
 use crate::executor;
 use crate::ParallelStrategy;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use scrack_core::{CrackConfig, CrackedColumn};
+use scrack_core::{CrackConfig, CrackedColumn, CrackerEngine, Engine};
 use scrack_partition::select_nth_key;
 use scrack_types::{Element, QueryRange, Stats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -19,54 +17,33 @@ const MERGE_CRACK_SAMPLE: usize = 64;
 
 /// The executor's post-merge work list: each live shard paired with its
 /// non-empty queue of `(submission index, clipped query)` entries.
-type MergedTasks<'a, E> = Vec<(&'a mut Chunk<E>, &'a Vec<(usize, QueryRange)>)>;
+type MergedTasks<'a, E> = Vec<(&'a mut CrackerEngine<E>, &'a Vec<(usize, QueryRange)>)>;
 
-/// One private chunk: an independent cracker column plus its RNG stream.
-/// No coordination of any kind while cracking — the chunk is the unit of
-/// parallelism.
-#[derive(Debug)]
-struct Chunk<E: Element> {
-    col: CrackedColumn<E>,
-    rng: SmallRng,
-}
-
-impl<E: Element> Chunk<E> {
-    /// Answers one (possibly clipped) query against this chunk.
-    fn select(&mut self, q: QueryRange, strategy: ParallelStrategy) -> (usize, u64) {
-        let out = match strategy {
-            ParallelStrategy::Crack => self.col.select_original(q),
-            ParallelStrategy::Stochastic => self.col.mdd1r_select(q, &mut self.rng),
-        };
-        out.resolve(self.col.data())
-            .fold((0usize, 0u64), |(c, s), e| (c + 1, s.wrapping_add(e.key())))
-    }
-
-    /// Drains a `(query_index, range)` queue in order; returns
-    /// `(query_index, count, key_sum)` partials.
-    fn drain(
-        &mut self,
-        queue: &[(usize, QueryRange)],
-        strategy: ParallelStrategy,
-    ) -> Vec<(usize, usize, u64)> {
-        queue
-            .iter()
-            .map(|&(qi, q)| {
-                let (count, sum) = self.select(q, strategy);
-                (qi, count, sum)
-            })
-            .collect()
-    }
+/// Drains a `(query_index, range)` queue through one chunk (or merged
+/// shard) in order; returns `(query_index, count, key_sum)` partials.
+fn drain<E: Element>(
+    chunk: &mut CrackerEngine<E>,
+    queue: &[(usize, QueryRange)],
+) -> Vec<(usize, usize, u64)> {
+    queue
+        .iter()
+        .map(|&(qi, q)| {
+            let (count, sum) = chunk.select_aggregate(q);
+            (qi, count, sum)
+        })
+        .collect()
 }
 
 /// Which layout the column is currently in.
 #[derive(Debug)]
 enum Phase<E: Element> {
-    /// Row-partitioned chunks: every query visits every chunk; chunks
-    /// crack privately and partials sum.
-    Chunked(Vec<Chunk<E>>),
+    /// Row-partitioned chunks, each an independent cracker (column plus
+    /// RNG stream) — no coordination of any kind while cracking. Every
+    /// query visits every chunk; partials sum.
+    Chunked(Vec<CrackerEngine<E>>),
     /// Key-disjoint shards (post partition-merge): queries clip against
     /// shard spans, narrow queries land on exactly one shard.
-    Merged(Vec<(QueryRange, Chunk<E>)>),
+    Merged(Vec<(QueryRange, CrackerEngine<E>)>),
 }
 
 /// Parallel-chunked cracking with refined partition-merge (Alvarez et
@@ -162,18 +139,17 @@ impl<E: Element> ChunkedCracker<E> {
             // Scope any planned fault to this chunk, so a targeted plan
             // arms exactly one chunk.
             let scoped = config.fault.scoped_to(i as usize);
-            chunks.push(Chunk {
-                col: CrackedColumn::new(data, config.with_fault(scoped)),
-                rng: SmallRng::seed_from_u64(seed.wrapping_add(i)),
-            });
+            chunks.push(CrackerEngine::new(
+                strategy.into(),
+                data,
+                config.with_fault(scoped),
+                seed.wrapping_add(i),
+            ));
             data = tail;
             i += 1;
         }
         if chunks.is_empty() {
-            chunks.push(Chunk {
-                col: CrackedColumn::new(Vec::new(), config),
-                rng: SmallRng::seed_from_u64(seed),
-            });
+            chunks.push(CrackerEngine::new(strategy.into(), Vec::new(), config, seed));
         }
         Self {
             phase: Phase::Chunked(chunks),
@@ -261,7 +237,6 @@ impl<E: Element> ChunkedCracker<E> {
             self.partition_merge(isolate);
         }
         self.queries_seen += batch.len();
-        let strategy = self.strategy;
         let partials: Vec<Vec<(usize, usize, u64)>> = match &mut self.phase {
             Phase::Chunked(chunks) => {
                 // Row partitioning: every chunk answers every query.
@@ -271,11 +246,10 @@ impl<E: Element> ChunkedCracker<E> {
                     .filter(|(_, q)| !q.is_empty())
                     .map(|(qi, q)| (qi, *q))
                     .collect();
-                let tasks: Vec<&mut Chunk<E>> = chunks.iter_mut().collect();
+                let tasks: Vec<&mut CrackerEngine<E>> = chunks.iter_mut().collect();
                 if isolate {
-                    let results = executor::run_tasks_isolated(workers, tasks, |_, chunk| {
-                        chunk.drain(&queue, strategy)
-                    });
+                    let results =
+                        executor::run_tasks_isolated(workers, tasks, |_, chunk| drain(chunk, &queue));
                     let mut partials = Vec::with_capacity(results.len());
                     for (k, r) in results.into_iter().enumerate() {
                         partials.push(match r {
@@ -285,14 +259,14 @@ impl<E: Element> ChunkedCracker<E> {
                                 // discard its index (multiset intact),
                                 // rebuild disarmed, replay its queue.
                                 self.panics_isolated += 1;
-                                chunks[k].col.quarantine_rebuild();
-                                chunks[k].drain(&queue, strategy)
+                                chunks[k].quarantine_rebuild();
+                                drain(&mut chunks[k], &queue)
                             }
                         });
                     }
                     partials
                 } else {
-                    executor::run_tasks(workers, tasks, |_, chunk| chunk.drain(&queue, strategy))
+                    executor::run_tasks(workers, tasks, |_, chunk| drain(chunk, &queue))
                 }
             }
             Phase::Merged(shards) => {
@@ -331,7 +305,7 @@ impl<E: Element> ChunkedCracker<E> {
                     .collect();
                 if isolate {
                     let results = executor::run_tasks_isolated(workers, tasks, |_, (shard, queue)| {
-                        shard.drain(queue, strategy)
+                        drain(shard, queue)
                     });
                     let mut partials = Vec::with_capacity(results.len());
                     for (k, r) in results.into_iter().enumerate() {
@@ -340,16 +314,14 @@ impl<E: Element> ChunkedCracker<E> {
                             Err(_) => {
                                 self.panics_isolated += 1;
                                 let si = task_sis[k];
-                                shards[si].1.col.quarantine_rebuild();
-                                shards[si].1.drain(&queues[si], strategy)
+                                shards[si].1.quarantine_rebuild();
+                                drain(&mut shards[si].1, &queues[si])
                             }
                         });
                     }
                     partials
                 } else {
-                    executor::run_tasks(workers, tasks, |_, (shard, queue)| {
-                        shard.drain(queue, strategy)
-                    })
+                    executor::run_tasks(workers, tasks, |_, (shard, queue)| drain(shard, queue))
                 }
             }
         };
@@ -393,7 +365,7 @@ impl<E: Element> ChunkedCracker<E> {
         // 1. Quantile bounds on a scratch copy of the full column.
         let mut scratch: Vec<E> = Vec::new();
         for chunk in chunks.iter() {
-            scratch.extend_from_slice(chunk.col.data());
+            scratch.extend_from_slice(chunk.data());
         }
         let n = scratch.len();
         let mut bounds: Vec<u64> = Vec::new();
@@ -416,7 +388,7 @@ impl<E: Element> ChunkedCracker<E> {
         let mut crack_keys: Vec<u64> = Vec::new();
         let mut segments: Vec<Vec<Vec<E>>> = Vec::with_capacity(chunks.len());
         for chunk in chunks.iter_mut() {
-            crack_keys.extend(chunk.col.index().crack_arrays().0);
+            crack_keys.extend(chunk.cracked().index().crack_arrays().0);
             let cut_all = |col: &mut CrackedColumn<E>| -> Vec<usize> {
                 bounds.iter().map(|&b| col.crack_on(b)).collect()
             };
@@ -424,20 +396,19 @@ impl<E: Element> ChunkedCracker<E> {
                 // A chunk with an armed fault can die in the cut itself;
                 // recover by discarding its earned structure (multiset
                 // intact) and cutting the rebuilt, disarmed column.
-                match catch_unwind(AssertUnwindSafe(|| cut_all(&mut chunk.col))) {
+                match catch_unwind(AssertUnwindSafe(|| cut_all(chunk.cracked_mut()))) {
                     Ok(cuts) => cuts,
                     Err(_) => {
                         self.panics_isolated += 1;
-                        chunk.col.quarantine_rebuild();
-                        cut_all(&mut chunk.col)
+                        chunk.quarantine_rebuild();
+                        cut_all(chunk.cracked_mut())
                     }
                 }
             } else {
-                cut_all(&mut chunk.col)
+                cut_all(chunk.cracked_mut())
             };
-            self.retired += chunk.col.stats();
-            let (data, _, _) = chunk.col.parts_mut();
-            let mut data = std::mem::take(data);
+            self.retired += chunk.stats();
+            let mut data = std::mem::take(chunk.cracked_mut().parts_mut().0);
             let mut segs: Vec<Vec<E>> = Vec::with_capacity(cuts.len() + 1);
             for &pos in cuts.iter().rev() {
                 segs.push(data.split_off(pos));
@@ -461,7 +432,7 @@ impl<E: Element> ChunkedCracker<E> {
             spans.push(QueryRange::new(lo, u64::MAX));
             spans
         };
-        let mut shards: Vec<(QueryRange, Chunk<E>)> = Vec::with_capacity(spans.len());
+        let mut shards: Vec<(QueryRange, CrackerEngine<E>)> = Vec::with_capacity(spans.len());
         for (j, &span) in spans.iter().enumerate() {
             let mut data = Vec::new();
             for segs in &mut segments {
@@ -472,7 +443,8 @@ impl<E: Element> ChunkedCracker<E> {
             // re-cracks into these columns (an armed plan would fire
             // inside the merge, not during serving).
             let disarmed = self.config.with_fault(scrack_core::FaultPlan::disabled());
-            let mut col = CrackedColumn::new(data, disarmed);
+            let seed = self.seed.wrapping_add(0x6D65_7267).wrapping_add(j as u64);
+            let mut shard = CrackerEngine::new(self.strategy.into(), data, disarmed, seed);
             // Sample the earned crack keys strictly inside the span
             // (span edges are already piece boundaries by construction).
             let lo_i = crack_keys.partition_point(|k| *k <= span.low);
@@ -480,17 +452,11 @@ impl<E: Element> ChunkedCracker<E> {
             let inside = &crack_keys[lo_i..hi_i];
             let take = inside.len().min(MERGE_CRACK_SAMPLE);
             for t in 0..take {
-                col.crack_on(inside[t * inside.len() / take.max(1)]);
+                shard
+                    .cracked_mut()
+                    .crack_on(inside[t * inside.len() / take.max(1)]);
             }
-            shards.push((
-                span,
-                Chunk {
-                    col,
-                    rng: SmallRng::seed_from_u64(
-                        self.seed.wrapping_add(0x6D65_7267).wrapping_add(j as u64),
-                    ),
-                },
-            ));
+            shards.push((span, shard));
         }
         self.phase = Phase::Merged(shards);
     }
@@ -504,12 +470,12 @@ impl<E: Element> ChunkedCracker<E> {
         match &self.phase {
             Phase::Chunked(chunks) => {
                 for c in chunks {
-                    s += c.col.stats();
+                    s += c.stats();
                 }
             }
             Phase::Merged(shards) => {
                 for (_, c) in shards {
-                    s += c.col.stats();
+                    s += c.stats();
                 }
             }
         }
@@ -523,7 +489,7 @@ impl<E: Element> ChunkedCracker<E> {
         match &self.phase {
             Phase::Chunked(chunks) => {
                 for (i, c) in chunks.iter().enumerate() {
-                    c.col
+                    c.cracked()
                         .check_integrity()
                         .map_err(|e| format!("chunk {i}: {e}"))?;
                 }
@@ -531,14 +497,14 @@ impl<E: Element> ChunkedCracker<E> {
             Phase::Merged(shards) => {
                 let mut expect_lo = 0u64;
                 for (i, (span, c)) in shards.iter().enumerate() {
-                    c.col
+                    c.cracked()
                         .check_integrity()
                         .map_err(|e| format!("shard {i}: {e}"))?;
                     if span.low != expect_lo {
                         return Err(format!("shard {i}: span gap at {expect_lo}"));
                     }
                     expect_lo = span.high;
-                    if let Some(e) = c.col.data().iter().find(|e| !span.contains(e.key())) {
+                    if let Some(e) = c.data().iter().find(|e| !span.contains(e.key())) {
                         return Err(format!("shard {i}: key {} outside {span}", e.key()));
                     }
                 }
@@ -666,7 +632,7 @@ mod tests {
         let Phase::Merged(shards) = &cc.phase else {
             unreachable!()
         };
-        let carried: usize = shards.iter().map(|(_, c)| c.col.index().crack_count()).sum();
+        let carried: usize = shards.iter().map(|(_, c)| c.cracked().index().crack_count()).sum();
         assert!(
             carried > shards.len(),
             "merged shards must inherit sampled cracks, got {carried}"

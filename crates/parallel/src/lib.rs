@@ -88,3 +88,12 @@ pub enum ParallelStrategy {
     /// Stochastic cracking (MDD1R).
     Stochastic,
 }
+
+impl From<ParallelStrategy> for scrack_core::EngineKind {
+    fn from(strategy: ParallelStrategy) -> Self {
+        match strategy {
+            ParallelStrategy::Crack => Self::Crack,
+            ParallelStrategy::Stochastic => Self::Mdd1r,
+        }
+    }
+}

@@ -2,9 +2,7 @@
 //! partitioning helper ([`key_disjoint_partitions`]).
 
 use crate::ParallelStrategy;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use scrack_core::{CrackConfig, CrackedColumn, KernelPolicy};
+use scrack_core::{CrackConfig, CrackerEngine, Engine, KernelPolicy};
 use scrack_partition::{crack_in_two_policy, select_nth_key};
 use scrack_types::{Element, QueryRange, Stats};
 
@@ -57,39 +55,6 @@ pub fn key_disjoint_partitions<E: Element>(
     parts
 }
 
-/// One shard: an independent cracker column plus its RNG stream.
-#[derive(Debug)]
-struct Shard<E: Element> {
-    col: CrackedColumn<E>,
-    rng: SmallRng,
-}
-
-impl<E: Element> Shard<E> {
-    /// Answers `q`, returning `(count, key_sum)` and appending qualifying
-    /// elements to `out` when collection is requested.
-    fn select(
-        &mut self,
-        q: QueryRange,
-        strategy: ParallelStrategy,
-        mut out: Option<&mut Vec<E>>,
-    ) -> (usize, u64) {
-        let res = match strategy {
-            ParallelStrategy::Crack => self.col.select_original(q),
-            ParallelStrategy::Stochastic => self.col.mdd1r_select(q, &mut self.rng),
-        };
-        let mut count = 0usize;
-        let mut sum = 0u64;
-        for e in res.resolve(self.col.data()) {
-            count += 1;
-            sum = sum.wrapping_add(e.key());
-            if let Some(buf) = out.as_deref_mut() {
-                buf.push(e);
-            }
-        }
-        (count, sum)
-    }
-}
-
 /// A column split into independently cracked shards, queried in parallel.
 ///
 /// Each shard holds an arbitrary horizontal slice of the tuples (cracking
@@ -98,8 +63,8 @@ impl<E: Element> Shard<E> {
 /// reorganizations never conflict because shards share nothing.
 #[derive(Debug)]
 pub struct ShardedCracker<E: Element> {
-    shards: Vec<Shard<E>>,
-    strategy: ParallelStrategy,
+    /// One independent cracker (column plus RNG stream) per shard.
+    shards: Vec<CrackerEngine<E>>,
 }
 
 impl<E: Element> ShardedCracker<E> {
@@ -120,20 +85,19 @@ impl<E: Element> ShardedCracker<E> {
         let mut i = 0u64;
         while !data.is_empty() {
             let tail = data.split_off(per.min(data.len()));
-            shards.push(Shard {
-                col: CrackedColumn::new(data, config),
-                rng: SmallRng::seed_from_u64(seed.wrapping_add(i)),
-            });
+            shards.push(CrackerEngine::new(
+                strategy.into(),
+                data,
+                config,
+                seed.wrapping_add(i),
+            ));
             data = tail;
             i += 1;
         }
         if shards.is_empty() {
-            shards.push(Shard {
-                col: CrackedColumn::new(Vec::new(), config),
-                rng: SmallRng::seed_from_u64(seed),
-            });
+            shards.push(CrackerEngine::new(strategy.into(), Vec::new(), config, seed));
         }
-        Self { shards, strategy }
+        Self { shards }
     }
 
     /// [`ShardedCracker::new`] under [`CrackConfig::default`] — the
@@ -155,12 +119,11 @@ impl<E: Element> ShardedCracker<E> {
     /// Parallel select: every shard cracks concurrently; returns the
     /// total qualifying count and key sum (checksum against the oracle).
     pub fn select_aggregate(&mut self, q: QueryRange) -> (usize, u64) {
-        let strategy = self.strategy;
         let results: Vec<(usize, u64)> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shards
                 .iter_mut()
-                .map(|s| scope.spawn(move || s.select(q, strategy, None)))
+                .map(|s| scope.spawn(move || s.select_aggregate(q)))
                 .collect();
             handles
                 .into_iter()
@@ -174,18 +137,11 @@ impl<E: Element> ShardedCracker<E> {
 
     /// Parallel select materializing all qualifying elements (unordered).
     pub fn select_collect(&mut self, q: QueryRange) -> Vec<E> {
-        let strategy = self.strategy;
         let mut parts: Vec<Vec<E>> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shards
                 .iter_mut()
-                .map(|s| {
-                    scope.spawn(move || {
-                        let mut buf = Vec::new();
-                        s.select(q, strategy, Some(&mut buf));
-                        buf
-                    })
-                })
+                .map(|s| scope.spawn(move || s.select(q).resolve(s.data()).collect::<Vec<E>>()))
                 .collect();
             handles
                 .into_iter()
@@ -204,7 +160,7 @@ impl<E: Element> ShardedCracker<E> {
     pub fn stats(&self) -> Stats {
         let mut s = Stats::new();
         for shard in &self.shards {
-            s += shard.col.stats();
+            s += shard.stats();
         }
         s
     }
@@ -212,7 +168,7 @@ impl<E: Element> ShardedCracker<E> {
     /// Full integrity check of every shard (tests only; O(n)).
     pub fn check_integrity(&self) -> Result<(), String> {
         for (i, s) in self.shards.iter().enumerate() {
-            s.col
+            s.cracked()
                 .check_integrity()
                 .map_err(|e| format!("shard {i}: {e}"))?;
         }

@@ -2,9 +2,7 @@
 
 use crate::ParallelStrategy;
 use parking_lot::RwLock;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use scrack_core::{CrackConfig, CrackedColumn};
+use scrack_core::{CrackConfig, CrackerEngine, Engine};
 use scrack_types::{Element, QueryRange, Stats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,7 +67,6 @@ pub struct SharedCracker<E: Element> {
     /// `Arc` — never while cracking — so readers wait at most for a
     /// pointer exchange, not for reorganization.
     published: RwLock<Arc<Snapshot<E>>>,
-    strategy: ParallelStrategy,
     /// Writer panics caught mid-crack; each one rebuilt the live column
     /// and republished the epoch.
     isolated_panics: AtomicU64,
@@ -142,9 +139,9 @@ impl<E: Element> Snapshot<E> {
 
 #[derive(Debug)]
 struct Inner<E: Element> {
-    col: CrackedColumn<E>,
-    rng: SmallRng,
-    /// Cached [`CrackedColumn::key_span`] (one scan at construction).
+    engine: CrackerEngine<E>,
+    /// Cached [`scrack_core::CrackedColumn::key_span`] (one scan at
+    /// construction).
     key_span: Option<(u64, u64)>,
     /// Crack count of the epoch last published.
     published_cracks: usize,
@@ -160,13 +157,13 @@ impl<E: Element> Inner<E> {
         let Some((min_key, max_key)) = self.key_span else {
             return Some((0, 0));
         };
-        let n = self.col.data().len();
+        let n = self.engine.data().len();
         let lo = if q.low <= min_key {
             0
         } else if q.low > max_key {
             n
         } else {
-            let p = self.col.index().piece_containing(q.low);
+            let p = self.engine.cracked().index().piece_containing(q.low);
             if p.lo_key != Some(q.low) {
                 return None;
             }
@@ -177,7 +174,7 @@ impl<E: Element> Inner<E> {
         } else if q.high <= min_key {
             0
         } else {
-            let p = self.col.index().piece_containing(q.high);
+            let p = self.engine.cracked().index().piece_containing(q.high);
             if p.lo_key != Some(q.high) {
                 return None;
             }
@@ -191,16 +188,16 @@ impl<E: Element> Inner<E> {
     /// the directory is small, then 12.5% growth steps — geometric, so a
     /// column pays O(log(cracks)) publications total.
     fn publish_due(&self) -> bool {
-        let live = self.col.index().crack_count();
+        let live = self.engine.cracked().index().crack_count();
         live >= self.published_cracks + (self.published_cracks / 8).max(1)
     }
 
     /// Freezes the current layout as a new epoch.
     fn snapshot(&mut self) -> Arc<Snapshot<E>> {
-        let (crack_keys, crack_pos) = self.col.index().crack_arrays();
+        let (crack_keys, crack_pos) = self.engine.cracked().index().crack_arrays();
         self.published_cracks = crack_keys.len();
         Arc::new(Snapshot {
-            data: self.col.data().to_vec(),
+            data: self.engine.data().to_vec(),
             crack_keys,
             crack_pos,
             key_span: self.key_span,
@@ -214,18 +211,16 @@ impl<E: Element> SharedCracker<E> {
     /// initial epoch (uncracked layout + key span), so edge queries are
     /// on the read path from the first call.
     pub fn new(data: Vec<E>, strategy: ParallelStrategy, config: CrackConfig, seed: u64) -> Self {
-        let col = CrackedColumn::new(data, config);
+        let engine = CrackerEngine::new(strategy.into(), data, config, seed);
         let mut inner = Inner {
-            key_span: col.key_span(),
-            col,
-            rng: SmallRng::seed_from_u64(seed),
+            key_span: engine.cracked().key_span(),
+            engine,
             published_cracks: 0,
         };
         let first_epoch = inner.snapshot();
         Self {
             inner: RwLock::new(inner),
             published: RwLock::new(first_epoch),
-            strategy,
             isolated_panics: AtomicU64::new(0),
         }
     }
@@ -251,7 +246,7 @@ impl<E: Element> SharedCracker<E> {
         if let Some((lo, hi)) = guard.view_bounds_ready(q) {
             let mut count = 0usize;
             let mut sum = 0u64;
-            for e in &guard.col.data()[lo..hi] {
+            for e in &guard.engine.data()[lo..hi] {
                 count += 1;
                 sum = sum.wrapping_add(e.key());
                 if let Some(f) = each.as_deref_mut() {
@@ -261,7 +256,6 @@ impl<E: Element> SharedCracker<E> {
             return (count, sum);
         }
         let inner = &mut *guard;
-        let strategy = self.strategy;
         // Panic isolation around the reorganization itself: a panic
         // mid-crack (injected or organic) fires before any element is
         // materialized, so no partial output has been observed. The
@@ -269,15 +263,12 @@ impl<E: Element> SharedCracker<E> {
         // elements — the multiset is intact — so discarding the index
         // and rebuilding from the data is always sound. parking_lot
         // locks don't poison, so the write guard stays usable.
-        let cracked = catch_unwind(AssertUnwindSafe(|| match strategy {
-            ParallelStrategy::Crack => inner.col.select_original(q),
-            ParallelStrategy::Stochastic => inner.col.mdd1r_select(q, &mut inner.rng),
-        }));
+        let cracked = catch_unwind(AssertUnwindSafe(|| inner.engine.select(q)));
         let mut count = 0usize;
         let mut sum = 0u64;
         match cracked {
             Ok(out) => {
-                for e in out.resolve(inner.col.data()) {
+                for e in out.resolve(inner.engine.data()) {
                     count += 1;
                     sum = sum.wrapping_add(e.key());
                     if let Some(f) = each.as_deref_mut() {
@@ -287,7 +278,7 @@ impl<E: Element> SharedCracker<E> {
             }
             Err(_) => {
                 self.isolated_panics.fetch_add(1, Ordering::Relaxed);
-                inner.col.quarantine_rebuild();
+                inner.engine.quarantine_rebuild();
                 // Republish immediately: the clean epoch replaces stale
                 // crack metadata and resets the publication schedule.
                 let epoch = inner.snapshot();
@@ -295,7 +286,7 @@ impl<E: Element> SharedCracker<E> {
                 // Answer this query by scan over the rebuilt column —
                 // bit-identical to what the crack path would have
                 // produced (aggregates depend only on the multiset).
-                for e in inner.col.data().iter().filter(|e| q.contains(e.key())) {
+                for e in inner.engine.data().iter().filter(|e| q.contains(e.key())) {
                     count += 1;
                     sum = sum.wrapping_add(e.key());
                     if let Some(f) = each.as_deref_mut() {
@@ -350,7 +341,7 @@ impl<E: Element> SharedCracker<E> {
 
     /// Snapshot of the physical cost counters.
     pub fn stats(&self) -> Stats {
-        self.inner.read().col.stats()
+        self.inner.read().engine.stats()
     }
 
     /// Writer panics caught mid-crack and recovered (live column rebuilt,
@@ -361,7 +352,7 @@ impl<E: Element> SharedCracker<E> {
 
     /// Number of cracks in the live index.
     pub fn crack_count(&self) -> usize {
-        self.inner.read().col.index().crack_count()
+        self.inner.read().engine.cracked().index().crack_count()
     }
 
     /// Number of cracks in the published epoch (grows in publication
@@ -375,10 +366,10 @@ impl<E: Element> SharedCracker<E> {
     /// directory sorted and monotone, every frozen element inside its
     /// piece's key bounds, same element count as the live column).
     pub fn check_integrity(&self) -> Result<(), String> {
-        self.inner.read().col.check_integrity()?;
+        self.inner.read().engine.cracked().check_integrity()?;
         let epoch = self.epoch();
         let n = epoch.data.len();
-        if n != self.inner.read().col.data().len() {
+        if n != self.inner.read().engine.data().len() {
             return Err("published epoch length diverged from live column".into());
         }
         if epoch.crack_keys.len() != epoch.crack_pos.len() {

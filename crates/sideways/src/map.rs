@@ -1,10 +1,8 @@
 //! Cracker maps and the self-organizing map set.
 
 use crate::pair::Pair;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use scrack_columnstore::{QueryOutput, Table};
-use scrack_core::{CrackConfig, CrackedColumn};
+use scrack_core::{CrackConfig, CrackerEngine, Engine, EngineKind};
 use scrack_types::{QueryRange, Stats};
 use std::collections::HashMap;
 
@@ -17,6 +15,15 @@ pub enum MapStrategy {
     Stochastic,
 }
 
+impl From<MapStrategy> for EngineKind {
+    fn from(strategy: MapStrategy) -> Self {
+        match strategy {
+            MapStrategy::Crack => Self::Crack,
+            MapStrategy::Stochastic => Self::Mdd1r,
+        }
+    }
+}
+
 /// One adaptive `(head, tail)` map: a cracked two-attribute array.
 ///
 /// A select `[low, high)` on the head attribute answers with the
@@ -25,9 +32,7 @@ pub enum MapStrategy {
 /// no positional join afterwards.
 #[derive(Debug, Clone)]
 pub struct CrackerMap {
-    col: CrackedColumn<Pair>,
-    rng: SmallRng,
-    strategy: MapStrategy,
+    engine: CrackerEngine<Pair>,
 }
 
 impl CrackerMap {
@@ -46,48 +51,41 @@ impl CrackerMap {
             .zip(tail)
             .map(|(h, t)| Pair::new(*h, *t))
             .collect();
-        let mut col = CrackedColumn::new(pairs, config);
+        let mut engine = CrackerEngine::new(strategy.into(), pairs, config, seed);
         // Map creation touches every tuple of both columns once.
-        col.stats_mut().touched += 2 * head.len() as u64;
-        Self {
-            col,
-            rng: SmallRng::seed_from_u64(seed),
-            strategy,
-        }
+        engine.cracked_mut().stats_mut().touched += 2 * head.len() as u64;
+        Self { engine }
     }
 
     /// Number of pairs in the map.
     pub fn len(&self) -> usize {
-        self.col.data().len()
+        self.engine.data().len()
     }
 
     /// Whether the map is empty.
     pub fn is_empty(&self) -> bool {
-        self.col.data().is_empty()
+        self.engine.data().is_empty()
     }
 
     /// Cumulative physical costs of this map.
     pub fn stats(&self) -> Stats {
-        self.col.stats()
+        self.engine.stats()
     }
 
     /// The map's current physical order (views resolve against this).
     pub fn data(&self) -> &[Pair] {
-        self.col.data()
+        self.engine.data()
     }
 
     /// Selects pairs whose head falls in `q`, reorganizing as configured.
     pub fn select(&mut self, q: QueryRange) -> QueryOutput<Pair> {
-        match self.strategy {
-            MapStrategy::Crack => self.col.select_original(q),
-            MapStrategy::Stochastic => self.col.mdd1r_select(q, &mut self.rng),
-        }
+        self.engine.select(q)
     }
 
     /// Selects and projects the tail attribute.
     pub fn select_tails(&mut self, q: QueryRange) -> Vec<u64> {
         let out = self.select(q);
-        out.resolve(self.col.data()).map(|p| p.tail).collect()
+        out.resolve(self.engine.data()).map(|p| p.tail).collect()
     }
 }
 

@@ -3,10 +3,8 @@
 
 use crate::session::{Session, TxnOutcome};
 use parking_lot::Mutex;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use scrack_core::fault::fire_panic;
-use scrack_core::{CrackConfig, CrackedColumn, FaultInjector, FaultKind};
+use scrack_core::{CrackConfig, CrackerEngine, Engine, FaultInjector, FaultKind};
 use scrack_parallel::lock::{LockManager, LockStats};
 use scrack_parallel::{
     key_disjoint_partitions, AdmissionPolicy, ParallelStrategy, ResilienceStats, ServingConfig,
@@ -20,13 +18,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Instant;
 
-/// One key-range shard: cracked column + committed-update log + the
-/// shard-scoped fault sites and health ladder.
+/// One key-range shard: cracker engine (column plus RNG stream) +
+/// committed-update log + the shard-scoped fault sites and health ladder.
 pub(crate) struct TxnShard<E: Element> {
     pub(crate) span: QueryRange,
-    pub(crate) col: CrackedColumn<E>,
+    pub(crate) engine: CrackerEngine<E>,
     pub(crate) log: EpochLog<E>,
-    pub(crate) rng: SmallRng,
     pub(crate) health: ShardHealth,
     pub(crate) fault: FaultInjector,
 }
@@ -36,17 +33,11 @@ impl<E: Element> TxnShard<E> {
     /// over `q`: adaptive select while healthy, exact scan while
     /// quarantined. Cracking preserves the multiset, so the aggregate is
     /// layout-independent.
-    fn physical_aggregate(&mut self, q: QueryRange, strategy: ParallelStrategy) -> (usize, u64) {
+    fn physical_aggregate(&mut self, q: QueryRange) -> (usize, u64) {
         match self.health {
-            ShardHealth::Healthy => {
-                let out = match strategy {
-                    ParallelStrategy::Crack => self.col.select_original(q),
-                    ParallelStrategy::Stochastic => self.col.mdd1r_select(q, &mut self.rng),
-                };
-                (out.len(), out.key_checksum(self.col.data()))
-            }
+            ShardHealth::Healthy => self.engine.select_aggregate(q),
             ShardHealth::Quarantined { .. } => self
-                .col
+                .engine
                 .data()
                 .iter()
                 .filter(|e| q.contains(e.key()))
@@ -58,7 +49,7 @@ impl<E: Element> TxnShard<E> {
     /// so every published snapshot is preserved), serve scans for
     /// `batches_left` reads.
     fn quarantine(&mut self, batches_left: u32) {
-        self.col.quarantine_rebuild();
+        self.engine.quarantine_rebuild();
         self.health = ShardHealth::Quarantined { batches_left };
     }
 
@@ -114,7 +105,6 @@ pub struct TxnManager<E: Element> {
     pub(crate) locks: Arc<LockManager>,
     clock: StdMutex<Clock>,
     admit_cv: Condvar,
-    pub(crate) strategy: ParallelStrategy,
     pub(crate) serving: ServingConfig,
     /// Manager-level fault sites (queue overload).
     fault: FaultInjector,
@@ -152,9 +142,13 @@ impl<E: Element> TxnManager<E> {
             spans.push(span);
             shards.push(Mutex::new(TxnShard {
                 span,
-                col: CrackedColumn::new(part, config.with_fault(scoped)),
+                engine: CrackerEngine::new(
+                    strategy.into(),
+                    part,
+                    config.with_fault(scoped),
+                    seed.wrapping_add(i as u64),
+                ),
                 log: EpochLog::new(),
-                rng: SmallRng::seed_from_u64(seed.wrapping_add(i as u64)),
                 health: ShardHealth::Healthy,
                 fault: FaultInjector::new(scoped),
             }));
@@ -169,7 +163,6 @@ impl<E: Element> TxnManager<E> {
                 sessions_active: 0,
             }),
             admit_cv: Condvar::new(),
-            strategy,
             serving,
             fault: FaultInjector::new(config.fault),
             stats: Mutex::new(ResilienceStats::default()),
@@ -271,9 +264,8 @@ impl<E: Element> TxnManager<E> {
             stats.quarantines += 1;
             return Err(());
         }
-        let strategy = self.strategy;
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let (c, s) = shard.physical_aggregate(clip, strategy);
+            let (c, s) = shard.physical_aggregate(clip);
             let (dc, ds) = shard.log.delta(clip, snapshot);
             (c as i64 + dc, s.wrapping_add(ds))
         }));
@@ -394,8 +386,8 @@ impl<E: Element> TxnManager<E> {
         // can ever need an epoch below it.
         for cell in &self.shards {
             let mut shard = cell.lock();
-            let TxnShard { col, log, .. } = &mut *shard;
-            log.merge_through(col, watermark);
+            let TxnShard { engine, log, .. } = &mut *shard;
+            log.merge_through(engine.cracked_mut(), watermark);
         }
     }
 
@@ -445,10 +437,11 @@ impl<E: Element> TxnManager<E> {
         for (i, cell) in self.shards.iter().enumerate() {
             let shard = cell.lock();
             shard
-                .col
+                .engine
+                .cracked()
                 .check_integrity()
                 .map_err(|e| format!("shard {i}: {e}"))?;
-            for e in shard.col.data() {
+            for e in shard.engine.data() {
                 if !shard.span.contains(e.key()) {
                     return Err(format!(
                         "shard {i}: key {} outside span {}",
@@ -457,7 +450,7 @@ impl<E: Element> TxnManager<E> {
                     ));
                 }
             }
-            total += shard.col.data().len();
+            total += shard.engine.data().len();
         }
         Ok(total)
     }

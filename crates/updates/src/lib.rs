@@ -24,8 +24,7 @@
 //!   sorted once and applied in a single boundary walk.
 //!
 //! [`PendingUpdates`] holds the queued inserts/deletes; [`Updatable`]
-//! wraps any cracking `Engine` exposing [`CrackAccess`] (every
-//! cracker-backed engine in the factory — build one with
+//! wraps a [`scrack_core::CrackerEngine`] of any kind (build one with
 //! [`build_update_engine`]) with on-demand merging. [`EpochLog`] adds
 //! the committed, epoch-stamped form of the same queues: snapshot
 //! readers combine the physical column with the log's per-epoch delta,
@@ -45,6 +44,4 @@ pub use epoch::{EpochLog, LoggedOp};
 pub use merge::{merge_ripple_deletes, merge_ripple_inserts};
 pub use pending::PendingUpdates;
 pub use ripple::{ripple_delete, ripple_insert};
-pub use wrapper::{
-    build_update_engine, update_capable_kinds, CrackAccess, Updatable, UpdateEngine,
-};
+pub use wrapper::{build_update_engine, update_capable_kinds, Updatable};

@@ -2,88 +2,8 @@
 
 use crate::pending::PendingUpdates;
 use scrack_columnstore::QueryOutput;
-use scrack_core::{
-    CrackConfig, CrackEngine, CrackedColumn, Dd1cEngine, Dd1mEngine, Dd1rEngine, DdcEngine,
-    DdmEngine, DdrEngine, Engine, EngineKind, Mdd1mEngine, Mdd1rEngine, ProgressiveEngine,
-    RandomInjectEngine, SelectiveEngine,
-};
+use scrack_core::{CrackConfig, CrackerEngine, Engine, EngineKind};
 use scrack_types::{Element, QueryRange, Stats};
-
-/// Engines exposing their underlying cracker column, so updates can be
-/// rippled in.
-///
-/// Every cracker-backed engine in the factory implements this (`Scan` and
-/// `Sort` have no cracker column and are excluded); progressive engines
-/// are supported too — the merge path settles their in-flight partition
-/// jobs before rippling ([`CrackedColumn::settle_all_jobs`]).
-pub trait CrackAccess<E: Element> {
-    /// The engine's cracker column.
-    fn cracked_mut(&mut self) -> &mut CrackedColumn<E>;
-}
-
-macro_rules! impl_crack_access {
-    ($($ty:ident),+ $(,)?) => {
-        $(impl<E: Element> CrackAccess<E> for $ty<E> {
-            fn cracked_mut(&mut self) -> &mut CrackedColumn<E> {
-                $ty::cracked_mut(self)
-            }
-        })+
-    };
-}
-
-impl_crack_access!(
-    CrackEngine,
-    DdcEngine,
-    DdrEngine,
-    Dd1cEngine,
-    Dd1rEngine,
-    Mdd1rEngine,
-    DdmEngine,
-    Dd1mEngine,
-    Mdd1mEngine,
-    ProgressiveEngine,
-    SelectiveEngine,
-    RandomInjectEngine,
-);
-
-/// Object-safe union of [`Engine`] and [`CrackAccess`], so update-capable
-/// engines can be built dynamically from an [`EngineKind`]
-/// ([`build_update_engine`]) and still compose with [`Updatable`].
-pub trait UpdateEngine<E: Element>: Engine<E> + CrackAccess<E> {}
-
-impl<E: Element, T: Engine<E> + CrackAccess<E>> UpdateEngine<E> for T {}
-
-impl<E: Element> Engine<E> for Box<dyn UpdateEngine<E>> {
-    fn name(&self) -> String {
-        self.as_ref().name()
-    }
-
-    fn select(&mut self, q: QueryRange) -> QueryOutput<E> {
-        self.as_mut().select(q)
-    }
-
-    fn data(&self) -> &[E] {
-        self.as_ref().data()
-    }
-
-    fn stats(&self) -> Stats {
-        self.as_ref().stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.as_mut().reset_stats();
-    }
-
-    fn quarantine_rebuild(&mut self) {
-        self.as_mut().quarantine_rebuild();
-    }
-}
-
-impl<E: Element> CrackAccess<E> for Box<dyn UpdateEngine<E>> {
-    fn cracked_mut(&mut self) -> &mut CrackedColumn<E> {
-        self.as_mut().cracked_mut()
-    }
-}
 
 /// Every [`EngineKind`] that owns a cracker column and therefore supports
 /// updates — [`EngineKind::extended_selection`] minus the `Scan`/`Sort`
@@ -95,10 +15,9 @@ pub fn update_capable_kinds() -> Vec<EngineKind> {
         .collect()
 }
 
-/// Builds an [`Updatable`] over any update-capable factory engine.
-///
-/// The mirror of [`scrack_core::build_engine`] for mixed read/write
-/// workloads: the same kinds, seeds and [`CrackConfig`] knobs (including
+/// Builds an [`Updatable`] over a [`CrackerEngine`] of the given kind:
+/// [`scrack_core::build_engine`] for mixed read/write workloads — the
+/// same kinds, seeds and [`CrackConfig`] knobs (including
 /// [`scrack_core::UpdatePolicy`]), wrapped with an empty pending-update
 /// queue.
 ///
@@ -109,76 +28,8 @@ pub fn build_update_engine<E: Element>(
     data: Vec<E>,
     config: CrackConfig,
     seed: u64,
-) -> Updatable<Box<dyn UpdateEngine<E>>, E> {
-    let engine: Box<dyn UpdateEngine<E>> = match kind {
-        EngineKind::Scan | EngineKind::Sort => {
-            panic!("{} has no cracker column; updates are unsupported", kind.label())
-        }
-        EngineKind::Crack => Box::new(CrackEngine::new(data, config)),
-        EngineKind::Ddc => Box::new(DdcEngine::new(data, config)),
-        EngineKind::Ddr => Box::new(DdrEngine::new(data, config, seed)),
-        EngineKind::Dd1c => Box::new(Dd1cEngine::new(data, config)),
-        EngineKind::Dd1r => Box::new(Dd1rEngine::new(data, config, seed)),
-        EngineKind::Mdd1r => Box::new(Mdd1rEngine::new(data, config, seed)),
-        EngineKind::Ddm => Box::new(DdmEngine::new(data, config)),
-        EngineKind::Dd1m => Box::new(Dd1mEngine::new(data, config)),
-        EngineKind::Mdd1m => Box::new(Mdd1mEngine::new(data, config)),
-        EngineKind::Progressive { swap_pct } => Box::new(ProgressiveEngine::new(
-            data,
-            config,
-            seed,
-            f64::from(swap_pct),
-        )),
-        EngineKind::EveryX { .. }
-        | EngineKind::FlipCoin
-        | EngineKind::Monitor { .. }
-        | EngineKind::SizeThreshold
-        | EngineKind::RandomInject { .. } => {
-            return Updatable::new(build_selective_like(kind, data, config, seed));
-        }
-    };
-    Updatable::new(engine)
-}
-
-/// The selective/naive kinds share enough construction shape to go
-/// through one helper (keeps the match above readable).
-fn build_selective_like<E: Element>(
-    kind: EngineKind,
-    data: Vec<E>,
-    config: CrackConfig,
-    seed: u64,
-) -> Box<dyn UpdateEngine<E>> {
-    use scrack_core::SelectivePolicy;
-    match kind {
-        EngineKind::EveryX { x } => Box::new(SelectiveEngine::new(
-            data,
-            config,
-            seed,
-            SelectivePolicy::EveryX(x),
-        )),
-        EngineKind::FlipCoin => Box::new(SelectiveEngine::new(
-            data,
-            config,
-            seed,
-            SelectivePolicy::FlipCoin(0.5),
-        )),
-        EngineKind::Monitor { threshold } => Box::new(SelectiveEngine::new(
-            data,
-            config,
-            seed,
-            SelectivePolicy::Monitor(threshold),
-        )),
-        EngineKind::SizeThreshold => Box::new(SelectiveEngine::new(
-            data,
-            config,
-            seed,
-            SelectivePolicy::SizeThreshold,
-        )),
-        EngineKind::RandomInject { every } => {
-            Box::new(RandomInjectEngine::new(data, config, seed, every))
-        }
-        other => unreachable!("{other:?} handled by build_update_engine"),
-    }
+) -> Updatable<E> {
+    Updatable::new(CrackerEngine::new(kind, data, config, seed))
 }
 
 /// A cracking engine with a pending-update queue merged on demand.
@@ -186,23 +37,21 @@ fn build_selective_like<E: Element>(
 /// This is the setup of the paper's Fig. 15 — updates interleave with
 /// queries; each query first ripples in the pending updates qualifying
 /// for its range, then proceeds as usual — generalized to the whole
-/// engine zoo: any [`Engine`] exposing [`CrackAccess`] composes, under
-/// either index representation and either
-/// [`scrack_core::UpdatePolicy`]. Use [`build_update_engine`] to
-/// construct one from an [`EngineKind`].
+/// engine zoo: a [`CrackerEngine`] of any kind composes, under any
+/// index representation and either [`scrack_core::UpdatePolicy`];
+/// progressive kinds too — the merge path settles their in-flight
+/// partition jobs before rippling
+/// ([`scrack_core::CrackedColumn::settle_all_jobs`]). Use
+/// [`build_update_engine`] to construct one from an [`EngineKind`].
 #[derive(Debug, Clone)]
-pub struct Updatable<Eng, E> {
-    engine: Eng,
+pub struct Updatable<E: Element> {
+    engine: CrackerEngine<E>,
     pending: PendingUpdates<E>,
 }
 
-impl<Eng, E> Updatable<Eng, E>
-where
-    E: Element,
-    Eng: Engine<E> + CrackAccess<E>,
-{
+impl<E: Element> Updatable<E> {
     /// Wraps an engine with an empty update queue.
-    pub fn new(engine: Eng) -> Self {
+    pub fn new(engine: CrackerEngine<E>) -> Self {
         Self {
             engine,
             pending: PendingUpdates::new(),
@@ -231,32 +80,18 @@ where
     }
 
     /// The wrapped engine.
-    pub fn inner(&self) -> &Eng {
+    pub fn inner(&self) -> &CrackerEngine<E> {
         &self.engine
     }
 
     /// Full integrity check of the underlying cracker column (tests
     /// only; O(n)).
-    pub fn check_integrity(&mut self) -> Result<(), String> {
-        self.engine.cracked_mut().check_integrity()
+    pub fn check_integrity(&self) -> Result<(), String> {
+        self.engine.cracked().check_integrity()
     }
 }
 
-impl<Eng, E> CrackAccess<E> for Updatable<Eng, E>
-where
-    E: Element,
-    Eng: Engine<E> + CrackAccess<E>,
-{
-    fn cracked_mut(&mut self) -> &mut CrackedColumn<E> {
-        self.engine.cracked_mut()
-    }
-}
-
-impl<Eng, E> Engine<E> for Updatable<Eng, E>
-where
-    E: Element,
-    Eng: Engine<E> + CrackAccess<E>,
-{
+impl<E: Element> Engine<E> for Updatable<E> {
     fn name(&self) -> String {
         self.engine.name()
     }
@@ -286,12 +121,16 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scrack_core::{CrackConfig, UpdatePolicy};
+    use scrack_core::UpdatePolicy;
+
+    fn updatable(kind: EngineKind, keys: Vec<u64>, seed: u64) -> Updatable<u64> {
+        build_update_engine(kind, keys, CrackConfig::default(), seed)
+    }
 
     #[test]
     fn queries_see_queued_inserts_in_their_range() {
         let keys: Vec<u64> = (0..1000).map(|i| (i * 17) % 1000).collect();
-        let mut eng = Updatable::new(CrackEngine::new(keys, CrackConfig::default()));
+        let mut eng = updatable(EngineKind::Crack, keys, 0);
         eng.insert(500u64);
         eng.insert(501u64);
         eng.insert(2_000u64);
@@ -306,7 +145,7 @@ mod tests {
     #[test]
     fn deletes_hide_tuples_from_queries() {
         let keys: Vec<u64> = (0..100).collect();
-        let mut eng = Updatable::new(Mdd1rEngine::new(keys, CrackConfig::default(), 1));
+        let mut eng = updatable(EngineKind::Mdd1r, keys, 1);
         eng.delete(42);
         let out = eng.select(QueryRange::new(40, 45));
         assert_eq!(out.keys_sorted(eng.data()), vec![40, 41, 43, 44]);
@@ -315,7 +154,7 @@ mod tests {
     #[test]
     fn non_qualifying_updates_cost_nothing_now() {
         let keys: Vec<u64> = (0..10_000).collect();
-        let mut eng = Updatable::new(CrackEngine::new(keys, CrackConfig::default()));
+        let mut eng = updatable(EngineKind::Crack, keys, 0);
         // Prime some cracks.
         eng.select(QueryRange::new(4_000, 6_000));
         let before = eng.stats();
@@ -365,7 +204,7 @@ mod tests {
         let config = CrackConfig::default()
             .with_crack_size(64)
             .with_progressive_threshold(1_000);
-        let mut eng = Updatable::new(ProgressiveEngine::new(data, config, 3, 1.0));
+        let mut eng = build_update_engine(EngineKind::Progressive { swap_pct: 1 }, data, config, 3);
         let _ = eng.select(QueryRange::new(10_000, 10_100)); // starts a job
         eng.insert(10_050u64);
         eng.delete(10_060);
@@ -377,7 +216,7 @@ mod tests {
     #[test]
     fn flush_applies_everything() {
         let keys: Vec<u64> = (0..500).collect();
-        let mut eng = Updatable::new(CrackEngine::new(keys, CrackConfig::default()));
+        let mut eng = updatable(EngineKind::Crack, keys, 0);
         eng.insert(10_000u64);
         eng.delete(3);
         assert_eq!(eng.flush(), 2);
@@ -387,34 +226,33 @@ mod tests {
     }
 
     #[test]
-    fn build_update_engine_mirrors_the_core_factory() {
-        // The "mirror of build_engine" contract: for every
-        // update-capable kind, both factories must construct
-        // identically-parameterized engines — same name, and (with no
-        // updates queued) bit-identical answers and Stats over a query
-        // stream. Catches silent drift between the two match arms.
-        let data: Vec<u64> = (0..3_000).map(|i| (i * 31) % 3_000).collect();
-        let queries: Vec<QueryRange> = (0..40u64)
-            .map(|i| QueryRange::new((i * 523) % 2_500, (i * 523) % 2_500 + 1 + (i * 17) % 200))
-            .collect();
-        let config = CrackConfig::default()
-            .with_crack_size(64)
-            .with_progressive_threshold(256);
-        for kind in update_capable_kinds() {
-            let mut core = scrack_core::build_engine::<u64>(kind, data.clone(), config, 9);
-            let mut upd = build_update_engine::<u64>(kind, data.clone(), config, 9);
-            assert_eq!(core.name(), Engine::name(&upd), "{kind:?}: name drifted");
-            for (qi, q) in queries.iter().enumerate() {
-                let a = core.select(*q);
-                let b = upd.select(*q);
-                assert_eq!(
-                    (a.len(), a.key_checksum(core.data())),
-                    (b.len(), b.key_checksum(Engine::data(&upd))),
-                    "{kind:?}: query {qi} diverged between factories"
-                );
-            }
-            assert_eq!(core.stats(), Engine::stats(&upd), "{kind:?}: Stats drifted");
+    fn rncrack_injection_reaches_appended_keys_after_a_rebuild() {
+        // The injected random ranges are drawn from the key domain seen
+        // at construction; a rebuild must re-derive it, or the tail that
+        // updates appended above the old maximum is never pre-cracked.
+        let keys: Vec<u64> = (0..1_000).collect();
+        let mut eng = updatable(EngineKind::RandomInject { every: 1 }, keys, 5);
+        for k in 0..64u64 {
+            eng.insert(1_000_000 + k);
         }
+        eng.flush();
+        let max_crack = |eng: &Updatable<u64>| {
+            let (keys, _) = eng.inner().cracked().index().crack_arrays();
+            keys.into_iter().max().unwrap_or(0)
+        };
+        for i in 0..32u64 {
+            eng.select(QueryRange::new(i * 10, i * 10 + 5));
+        }
+        assert!(max_crack(&eng) <= 1_000, "control: the construction-time domain");
+        eng.quarantine_rebuild();
+        for i in 0..32u64 {
+            eng.select(QueryRange::new(i * 10, i * 10 + 5));
+        }
+        assert!(
+            max_crack(&eng) > 1_000,
+            "after a rebuild the injected bounds must cover the appended tail"
+        );
+        eng.check_integrity().unwrap();
     }
 
     #[test]

@@ -15,7 +15,7 @@ fn main() {
     let data: Vec<u64> = unique_permutation(n, 11);
     let oracle_keys: Vec<u64> = data.clone();
 
-    let mut engine = Updatable::new(Mdd1rEngine::new(data, CrackConfig::default(), 11));
+    let mut engine = build_update_engine(EngineKind::Mdd1r, data, CrackConfig::default(), 11);
     let queries = WorkloadSpec::new(WorkloadKind::Sequential, n, 5_000, 11).generate();
 
     // A deterministic "sensor" stream of new readings.

@@ -298,10 +298,8 @@ pub mod prelude {
     };
     pub use scrack_columnstore::{Column, QueryOutput, Table};
     pub use scrack_core::{
-        build_engine, CrackConfig, CrackEngine, CrackedColumn, Dd1cEngine, Dd1mEngine, Dd1rEngine,
-        DdcEngine, DdmEngine, DdrEngine, Engine, EngineKind, FaultKind, FaultPlan, IndexPolicy,
-        KernelPolicy, Mdd1mEngine, Mdd1rEngine, Oracle, ProgressiveEngine, ScanEngine,
-        SelectiveEngine, SelectivePolicy, SortEngine, UpdatePolicy,
+        build_engine, CrackConfig, CrackedColumn, CrackerEngine, Engine, EngineKind, FaultKind,
+        FaultPlan, IndexPolicy, KernelPolicy, Oracle, ScanEngine, SortEngine, UpdatePolicy,
     };
     pub use scrack_hybrids::{HybridEngine, HybridKind};
     pub use scrack_parallel::{
