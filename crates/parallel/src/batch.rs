@@ -1,10 +1,9 @@
 //! Batched, partition-parallel query execution.
 //!
-//! The wrappers in this crate parallelize *within* one query
-//! ([`ShardedCracker`](crate::ShardedCracker)) or serialize concurrent
-//! streams behind locks ([`SharedCracker`](crate::SharedCracker),
-//! [`PieceLockedCracker`](crate::PieceLockedCracker)). A throughput
-//! system gets a third shape: queries arrive in **batches**, and the
+//! [`SharedCracker`](crate::SharedCracker) and
+//! [`PieceLockedCracker`](crate::PieceLockedCracker) serialize concurrent
+//! streams behind locks. A throughput system gets another shape:
+//! queries arrive in **batches**, and the
 //! scheduler routes each query to the data that can answer it. That is
 //! the coarse-grained parallel adaptive indexing of Alvarez et al.,
 //! *Main Memory Adaptive Indexing for Multi-core Systems* (DaMoN 2014):
@@ -15,16 +14,15 @@
 //! # Design
 //!
 //! At construction the column is split into `shard_count` **key-disjoint
-//! shards** on quantile bounds (introselect over a scratch copy picks the
-//! bounds; the physical split runs the configured
-//! [`KernelPolicy`](scrack_core::KernelPolicy) kernel). Each shard owns
-//! an independent [`CrackerEngine`]: a cracker column plus its own seeded
-//! RNG stream.
+//! shards** on quantile bounds
+//! ([`key_disjoint_partitions`](crate::key_disjoint_partitions)). Each is
+//! a [`Shard`]: an independent cracker over its key span, with its own
+//! seeded RNG stream.
 //!
 //! [`BatchScheduler::execute`] takes a batch of [`QueryRange`]s and
-//! 1. **routes**: each query is clipped against every overlapping
-//!    shard's key span — the group-by-key-region step; narrow queries
-//!    land on exactly one shard;
+//! 1. **routes**: each query is [clipped](crate::shard::clip) against
+//!    every overlapping shard's key span — the group-by-key-region step;
+//!    narrow queries land on exactly one shard;
 //! 2. **sorts** each shard's queue by clipped bound (queries touching
 //!    the same key region run back to back, cache-warm);
 //! 3. **executes** shard queues in parallel on the work-stealing
@@ -51,26 +49,23 @@
 //! # Determinism
 //!
 //! Each shard drains its queue in a fixed order with its own RNG, so the
-//! work a shard performs is independent of thread scheduling.
+//! work a shard performs is independent of thread scheduling. All four
+//! entry points are one route → sort → drain → fold path;
 //! [`BatchScheduler::execute_serial`] (and
-//! [`BatchScheduler::execute_ops_serial`] for mixed batches) replays the
-//! identical per-shard queues on the calling thread; results *and*
-//! [`Stats`] are bit-identical to the parallel path under any
-//! interleaving (pinned by `tests/threaded_determinism.rs`).
+//! [`BatchScheduler::execute_ops_serial`] for mixed batches) run it with
+//! one worker, on the calling thread. Results *and* [`Stats`] are
+//! bit-identical to the parallel path under any interleaving (pinned by
+//! `tests/threaded_determinism.rs`).
 
 use crate::resilience::{
     AdmissionPolicy, BatchReport, QueryOutcome, ResilienceStats, ServingConfig, ShardHealth,
 };
-use crate::ParallelStrategy;
-use scrack_core::{CrackConfig, CrackerEngine, Engine, FaultInjector, FaultKind};
+use crate::shard::{self, Shard};
+use crate::{executor, ParallelStrategy};
+use scrack_core::{CrackConfig, Engine, FaultKind};
 use scrack_types::{Element, QueryRange, Stats};
 use scrack_updates::PendingUpdates;
 use std::time::{Duration, Instant};
-
-/// Recently served crack bounds a shard remembers for its post-
-/// quarantine rebuild (enough to re-warm the hot key regions, small
-/// enough that a rebuild stays O(sample × piece)).
-const RECENT_BOUNDS_CAP: usize = 32;
 
 /// One resilient wave's per-query partial aggregates, keyed by query
 /// index (`None` = the query's deadline expired before it started).
@@ -95,162 +90,89 @@ pub enum BatchOp<E> {
     Delete(u64),
 }
 
-/// The executor's work list: each live shard paired with its non-empty
-/// queue of `(submission index, item)` entries.
-type ShardTasks<'a, E, Q> = Vec<(&'a mut BatchShard<E>, &'a Vec<(usize, Q)>)>;
+/// A shard beside its write buffer (the paper's §5 pending-update set).
+type Cell<E> = (Shard<E>, PendingUpdates<E>);
 
-/// One key-range shard: its key span, cracker engine (column plus RNG
-/// stream) and pending-update queue.
-#[derive(Debug)]
-struct BatchShard<E: Element> {
-    /// Keys `k` of this shard satisfy `span.low <= k < span.high`.
-    span: QueryRange,
-    engine: CrackerEngine<E>,
-    pending: PendingUpdates<E>,
-    /// Position in the degradation ladder (see [`ShardHealth`]).
-    health: ShardHealth,
-    /// Shard-level fault sites (poison, overload), scoped to this shard.
-    fault: FaultInjector,
-    /// Ring of recently served crack bounds for the rebuild re-crack.
-    recent_bounds: Vec<u64>,
+/// One shard's work queue: `(submission index, op)` entries, selects
+/// already clipped to the shard's span.
+type Queue<E> = Vec<(usize, BatchOp<E>)>;
+
+/// Answers one clipped query: the qualifying pending updates merge
+/// first, then the shard's health ladder picks select or scan.
+fn answer<E: Element>((shard, pending): &mut Cell<E>, q: QueryRange) -> (usize, u64) {
+    pending.merge_qualifying(shard.engine.cracked_mut(), q);
+    shard.aggregate(q)
 }
 
-impl<E: Element> BatchShard<E> {
-    /// Builds one shard; `owner` scopes any planned fault so a targeted
-    /// plan arms exactly one shard.
-    fn build(
-        span: QueryRange,
-        data: Vec<E>,
-        strategy: ParallelStrategy,
-        config: CrackConfig,
-        seed: u64,
-        owner: usize,
-    ) -> Self {
-        let scoped = config.fault.scoped_to(owner);
-        BatchShard {
-            span,
-            engine: CrackerEngine::new(strategy.into(), data, config.with_fault(scoped), seed),
-            pending: PendingUpdates::new(),
-            health: ShardHealth::Healthy,
-            fault: FaultInjector::new(scoped),
-            recent_bounds: Vec::new(),
-        }
-    }
-    /// Answers one clipped query against this shard.
-    fn select(&mut self, q: QueryRange) -> (usize, u64) {
-        self.pending.merge_qualifying(self.engine.cracked_mut(), q);
-        self.engine.select_aggregate(q)
-    }
+/// Quarantines a shard for `batches_left` more batches; its pending
+/// updates fold into the base data the scans will serve from.
+fn quarantine<E: Element>((shard, pending): &mut Cell<E>, batches_left: u32) {
+    shard.quarantine(batches_left);
+    pending.merge_all(shard.engine.cracked_mut());
+}
 
-    /// Drains `queue` in order, answering each clipped query against this
-    /// shard; returns `(query_index, count, key_sum)` partials.
-    fn drain(&mut self, queue: &[(usize, QueryRange)]) -> Vec<(usize, usize, u64)> {
-        queue
-            .iter()
-            .map(|&(qi, q)| {
-                let (count, sum) = self.select(q);
-                (qi, count, sum)
-            })
-            .collect()
-    }
-
-    /// Scan of the shard's current contents — the quarantine serving
-    /// path: no cracking, no index, bit-identical aggregates (they only
-    /// depend on the data multiset, which cracking preserves). Merges
-    /// any pending updates first so visibility matches the healthy path.
-    fn select_scan(&mut self, q: QueryRange) -> (usize, u64) {
-        self.pending.merge_all(self.engine.cracked_mut());
-        self.engine
-            .data()
-            .iter()
-            .filter(|e| q.contains(e.key()))
-            .fold((0usize, 0u64), |(c, s), e| (c + 1, s.wrapping_add(e.key())))
-    }
-
-    /// Enters quarantine: the cracker index is discarded (the data
-    /// multiset survives — cracking only swaps), pending updates fold
-    /// into the base data, and the shard serves scans for
-    /// `batches_left` more batches before rebuilding.
-    fn quarantine(&mut self, batches_left: u32) {
-        self.engine.quarantine_rebuild();
-        self.pending.merge_all(self.engine.cracked_mut());
-        self.health = ShardHealth::Quarantined { batches_left };
-    }
-
-    /// Leaves quarantine: re-cracks the remembered recently-served
-    /// bounds so hot key regions are warm again, then resumes adaptive
-    /// serving.
-    fn rebuild(&mut self) {
-        for b in std::mem::take(&mut self.recent_bounds) {
-            if self.span.contains(b) {
-                self.engine.cracked_mut().crack_on(b);
+/// Drains `queue` in order: selects produce `(query_index, count,
+/// key_sum)` partials, updates queue into the shard's pending set.
+fn drain<E: Element>(cell: &mut Cell<E>, queue: &[(usize, BatchOp<E>)]) -> Vec<(usize, usize, u64)> {
+    let mut partials = Vec::with_capacity(queue.len());
+    for &(qi, op) in queue {
+        match op {
+            BatchOp::Select(q) => {
+                let (count, sum) = answer(cell, q);
+                partials.push((qi, count, sum));
             }
+            BatchOp::Insert(e) => cell.1.queue_insert(e),
+            BatchOp::Delete(k) => cell.1.queue_delete(k),
         }
-        self.health = ShardHealth::Healthy;
     }
+    partials
+}
 
-    /// Remembers a served query's bounds for the rebuild re-crack.
-    fn note_bounds(&mut self, q: QueryRange) {
-        for b in [q.low, q.high] {
-            if self.recent_bounds.len() == RECENT_BOUNDS_CAP {
-                self.recent_bounds.remove(0);
+/// Drains one resilient wave's queue: per query, deadline check, then
+/// the poison fault site (→ quarantine), then [`answer`]. Returns
+/// per-query partials (`None` = deadline expired) and whether this drain
+/// entered quarantine.
+fn drain_resilient<E: Element>(
+    cell: &mut Cell<E>,
+    queue: &[(usize, BatchOp<E>)],
+    arrival: Instant,
+    deadline: Option<Duration>,
+    rebuild_after: u32,
+) -> (WavePartials, bool) {
+    let mut newly_quarantined = false;
+    let partials = queue
+        .iter()
+        .map(|&(qi, op)| {
+            let BatchOp::Select(q) = op else {
+                unreachable!("resilient waves route selects only")
+            };
+            if deadline.is_some_and(|d| arrival.elapsed() > d) {
+                return (qi, None);
             }
-            self.recent_bounds.push(b);
-        }
-    }
-
-    /// Drains one resilient wave's queue: per query, deadline check,
-    /// then the health ladder (poison fault → quarantine; quarantined →
-    /// scan; healthy → adaptive select). Returns per-query partials
-    /// (`None` = deadline expired) and whether this drain entered
-    /// quarantine.
-    fn drain_resilient(
-        &mut self,
-        queue: &[(usize, QueryRange)],
-        arrival: Instant,
-        deadline: Option<Duration>,
-        rebuild_after: u32,
-    ) -> (WavePartials, bool) {
-        let mut newly_quarantined = false;
-        let partials = queue
-            .iter()
-            .map(|&(qi, q)| {
-                if deadline.is_some_and(|d| arrival.elapsed() > d) {
-                    return (qi, None);
-                }
-                if self.health == ShardHealth::Healthy && self.fault.poll(FaultKind::PoisonShard) {
-                    self.quarantine(rebuild_after);
+            if cell.0.health == ShardHealth::Healthy {
+                if cell.0.fault.poll(FaultKind::PoisonShard) {
+                    quarantine(cell, rebuild_after);
                     newly_quarantined = true;
+                } else {
+                    cell.0.note_bounds(q);
                 }
-                let ans = match self.health {
-                    ShardHealth::Healthy => {
-                        self.note_bounds(q);
-                        self.select(q)
-                    }
-                    ShardHealth::Quarantined { .. } => self.select_scan(q),
-                };
-                (qi, Some(ans))
-            })
-            .collect();
-        (partials, newly_quarantined)
-    }
-
-    /// Drains a mixed op queue in submission order; selects produce
-    /// partials, updates queue into the shard's pending set.
-    fn drain_ops(&mut self, queue: &[(usize, BatchOp<E>)]) -> Vec<(usize, usize, u64)> {
-        let mut partials = Vec::new();
-        for &(qi, op) in queue {
-            match op {
-                BatchOp::Select(q) => {
-                    let (count, sum) = self.select(q);
-                    partials.push((qi, count, sum));
-                }
-                BatchOp::Insert(e) => self.pending.queue_insert(e),
-                BatchOp::Delete(k) => self.pending.queue_delete(k),
             }
-        }
-        partials
+            (qi, Some(answer(cell, q)))
+        })
+        .collect();
+    (partials, newly_quarantined)
+}
+
+/// Folds per-shard partials into per-query `(count, key_sum)` results in
+/// submission order. Queries with no qualifying tuples (or empty ranges)
+/// come back as `(0, 0)`.
+pub(crate) fn fold(batch_len: usize, partials: Vec<Vec<(usize, usize, u64)>>) -> Vec<(usize, u64)> {
+    let mut results = vec![(0usize, 0u64); batch_len];
+    for (qi, count, sum) in partials.into_iter().flatten() {
+        results[qi].0 += count;
+        results[qi].1 = results[qi].1.wrapping_add(sum);
     }
+    results
 }
 
 /// A batch scheduler over key-range partitioned shards (see module docs).
@@ -274,13 +196,12 @@ impl<E: Element> BatchShard<E> {
 /// ```
 #[derive(Debug)]
 pub struct BatchScheduler<E: Element> {
-    shards: Vec<BatchShard<E>>,
+    cells: Vec<Cell<E>>,
+    /// The shard map: `cells[i]`'s span, in key order.
+    spans: Vec<QueryRange>,
     /// Per-shard work queues, kept across batches and refilled in place:
     /// steady-state batches route without allocating.
-    queues: Vec<Vec<(usize, QueryRange)>>,
-    /// Per-shard mixed-op queues for [`BatchScheduler::execute_ops`],
-    /// reused the same way.
-    op_queues: Vec<Vec<(usize, BatchOp<E>)>>,
+    queues: Vec<Queue<E>>,
     /// Cumulative counters over every resilient batch served.
     resilience: ResilienceStats,
 }
@@ -312,201 +233,123 @@ impl<E: Element> BatchScheduler<E> {
         config: CrackConfig,
         seed: u64,
     ) -> Self {
-        // Quantile-bound partitioning (construction-time cost,
-        // deliberately not charged to the query Stats) is shared with
-        // the other key-routed layers via `key_disjoint_partitions`.
-        let shards: Vec<BatchShard<E>> =
-            crate::sharded::key_disjoint_partitions(data, shard_count, config.kernel)
-                .into_iter()
-                .enumerate()
-                .map(|(i, (span, part))| {
-                    BatchShard::build(span, part, strategy, config, seed.wrapping_add(i as u64), i)
-                })
-                .collect();
-        let queues = vec![Vec::new(); shards.len()];
-        let op_queues = vec![Vec::new(); shards.len()];
+        let parts = shard::key_disjoint_partitions(data, shard_count, config.kernel);
+        Self::from_shards(shard::build_shards(parts, strategy, config, seed))
+    }
+
+    /// A scheduler over already-built shards forming a shard map (the
+    /// [`ChunkedCracker`](crate::ChunkedCracker) partition-merge hands
+    /// its merged shards over this way).
+    pub(crate) fn from_shards(shards: Vec<Shard<E>>) -> Self {
         Self {
-            shards,
-            queues,
-            op_queues,
+            spans: shards.iter().map(|s| s.span).collect(),
+            queues: vec![Vec::new(); shards.len()],
+            cells: shards.into_iter().map(|s| (s, PendingUpdates::new())).collect(),
             resilience: ResilienceStats::default(),
         }
     }
 
-    /// [`BatchScheduler::new`] under [`CrackConfig::default`].
-    pub fn new_default(
-        data: Vec<E>,
-        shard_count: usize,
-        strategy: ParallelStrategy,
-        seed: u64,
-    ) -> Self {
-        Self::new(data, shard_count, strategy, CrackConfig::default(), seed)
-    }
-
     /// Number of shards (may be lower than asked; see [`BatchScheduler::new`]).
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.cells.len()
     }
 
     /// The key span `[low, high)` of every shard, in key order. Spans are
     /// disjoint and cover `[0, u64::MAX)`.
     pub fn shard_spans(&self) -> Vec<QueryRange> {
-        self.shards.iter().map(|s| s.span).collect()
+        self.spans.clone()
     }
 
-    /// Fills the reusable per-shard work queues for `batch`: route (clip
-    /// against each shard span, dropping empty intersections), then sort
-    /// each queue by clipped bounds so a shard works key regions back to
-    /// back. The queues are cleared, not reallocated, between batches.
-    fn build_queues(&mut self, batch: &[QueryRange]) {
+    /// Sorts each queue of clipped selects by bound, so a shard works
+    /// key regions back to back. Only query-only batches sort: a mixed
+    /// batch must keep submission order, so that selects observe exactly
+    /// the updates submitted before them.
+    fn sort_queues(&mut self) {
+        for queue in &mut self.queues {
+            queue.sort_by_key(|&(qi, q)| match q {
+                BatchOp::Select(q) => (q.low, q.high, qi),
+                BatchOp::Insert(_) | BatchOp::Delete(_) => {
+                    unreachable!("only query-only batches sort")
+                }
+            });
+        }
+    }
+
+    /// The one serving path behind the four `execute*` entry points.
+    ///
+    /// **Route** into the reusable per-shard queues (cleared, not
+    /// reallocated, between batches): selects are clipped against every
+    /// overlapping shard span, inserts and deletes are key-routed to the
+    /// single shard owning their key. **Sort** (query-only entries).
+    /// **Drain** every non-empty queue on the work-stealing
+    /// [`executor`] — one worker when `serial`, else capped at available
+    /// parallelism. **Fold** the partials per op, in submission order.
+    fn run(
+        &mut self,
+        ops: impl ExactSizeIterator<Item = BatchOp<E>>,
+        serial: bool,
+        sort: bool,
+    ) -> Vec<(usize, u64)> {
+        let len = ops.len();
         for queue in &mut self.queues {
             queue.clear();
         }
-        for (qi, q) in batch.iter().enumerate() {
-            if q.is_empty() {
-                continue;
-            }
-            for (si, shard) in self.shards.iter().enumerate() {
-                let clipped = q.intersect(&shard.span);
-                if !clipped.is_empty() {
-                    self.queues[si].push((qi, clipped));
+        for (qi, op) in ops.enumerate() {
+            match op {
+                BatchOp::Select(q) => {
+                    for (si, clipped) in shard::clip(&self.spans, q) {
+                        self.queues[si].push((qi, BatchOp::Select(clipped)));
+                    }
                 }
+                BatchOp::Insert(e) => self.queues[shard::owner(&self.spans, e.key())].push((qi, op)),
+                BatchOp::Delete(k) => self.queues[shard::owner(&self.spans, k)].push((qi, op)),
             }
         }
-        for queue in &mut self.queues {
-            queue.sort_by_key(|&(qi, q)| (q.low, q.high, qi));
+        if sort {
+            self.sort_queues();
         }
-    }
-
-    /// Merges per-shard partials into per-query `(count, key_sum)`
-    /// results in submission order. Queries with no qualifying tuples
-    /// (or empty ranges) come back as `(0, 0)`.
-    fn merge(batch_len: usize, partials: Vec<Vec<(usize, usize, u64)>>) -> Vec<(usize, u64)> {
-        let mut results = vec![(0usize, 0u64); batch_len];
-        for part in partials {
-            for (qi, count, sum) in part {
-                results[qi].0 += count;
-                results[qi].1 = results[qi].1.wrapping_add(sum);
-            }
-        }
-        results
+        let tasks: Vec<(&mut Cell<E>, &Queue<E>)> = self
+            .cells
+            .iter_mut()
+            .zip(&self.queues)
+            .filter(|(_, queue)| !queue.is_empty())
+            .collect();
+        let workers = if serial {
+            1
+        } else {
+            executor::worker_count(tasks.len())
+        };
+        let partials = executor::run_tasks(workers, tasks, |_, (cell, queue)| drain(cell, queue));
+        fold(len, partials)
     }
 
     /// Executes `batch` partition-parallel on the work-stealing
-    /// [`executor`](crate::executor): shards with empty queues spawn no
+    /// [`executor`]: shards with empty queues spawn no
     /// task, live workers cap at available parallelism, and idle workers
     /// steal queued shards, so a skewed batch cannot idle cores. Partials
     /// merge into per-query `(count, key_sum)` results in submission
     /// order.
     pub fn execute(&mut self, batch: &[QueryRange]) -> Vec<(usize, u64)> {
-        self.build_queues(batch);
-        let Self { shards, queues, .. } = self;
-        let tasks: ShardTasks<'_, E, QueryRange> = shards
-            .iter_mut()
-            .zip(queues.iter())
-            .filter(|(_, queue)| !queue.is_empty())
-            .collect();
-        let workers = crate::executor::worker_count(tasks.len());
-        let partials = crate::executor::run_tasks(workers, tasks, |_, (shard, queue)| {
-            shard.drain(queue)
-        });
-        Self::merge(batch.len(), partials)
+        self.run(batch.iter().map(|q| BatchOp::Select(*q)), false, true)
     }
 
     /// [`BatchScheduler::execute`] on the calling thread: identical
     /// queues drained in shard order. Answers and [`Stats`] are
     /// bit-identical to the parallel path — the determinism oracle.
     pub fn execute_serial(&mut self, batch: &[QueryRange]) -> Vec<(usize, u64)> {
-        self.build_queues(batch);
-        let Self { shards, queues, .. } = self;
-        let partials: Vec<Vec<(usize, usize, u64)>> = shards
-            .iter_mut()
-            .zip(queues.iter())
-            .map(|(shard, queue)| shard.drain(queue))
-            .collect();
-        Self::merge(batch.len(), partials)
+        self.run(batch.iter().map(|q| BatchOp::Select(*q)), true, true)
     }
 
-    /// Fills the reusable per-shard op queues for a mixed batch: selects
-    /// are clipped against every overlapping shard span (as in
-    /// [`BatchScheduler::build_queues`]); inserts and deletes are
-    /// **key-routed** to the single shard whose span holds their key.
-    /// Unlike the query-only path, queues are *not* sorted — submission
-    /// order is execution order, so selects observe exactly the updates
-    /// submitted before them.
-    fn build_op_queues(&mut self, ops: &[BatchOp<E>]) {
-        for queue in &mut self.op_queues {
-            queue.clear();
-        }
-        for (qi, op) in ops.iter().enumerate() {
-            match *op {
-                BatchOp::Select(q) => {
-                    if q.is_empty() {
-                        continue;
-                    }
-                    for (si, shard) in self.shards.iter().enumerate() {
-                        let clipped = q.intersect(&shard.span);
-                        if !clipped.is_empty() {
-                            self.op_queues[si].push((qi, BatchOp::Select(clipped)));
-                        }
-                    }
-                }
-                BatchOp::Insert(e) => {
-                    let si = self.route(e.key());
-                    self.op_queues[si].push((qi, *op));
-                }
-                BatchOp::Delete(k) => {
-                    let si = self.route(k);
-                    self.op_queues[si].push((qi, *op));
-                }
-            }
-        }
-    }
-
-    /// The shard owning `key`. Spans chain contiguously over
-    /// `[0, u64::MAX)`, so every key except `u64::MAX` itself is covered;
-    /// that one unreachable key maps to the last shard. Any *other* miss
-    /// is a span-partitioning bug — fail loudly instead of silently
-    /// misrouting the update.
-    fn route(&self, key: u64) -> usize {
-        match self.shards.iter().position(|s| s.span.contains(key)) {
-            Some(si) => si,
-            None => {
-                debug_assert_eq!(
-                    key,
-                    u64::MAX,
-                    "key {key} not covered by any shard span — partitioning bug"
-                );
-                self.shards.len() - 1
-            }
-        }
-    }
-
-    /// Executes a mixed read/write batch partition-parallel on the
-    /// work-stealing [`executor`](crate::executor) (empty op queues spawn
-    /// no task; live workers cap at available parallelism). Each shard
-    /// drains its op queue in submission order. Returns one
-    /// `(count, key_sum)` per op in submission order; update ops report
-    /// `(0, 0)`.
+    /// Executes a mixed read/write batch partition-parallel (see
+    /// [`BatchScheduler::execute`]). Each shard drains its op queue in
+    /// submission order. Returns one `(count, key_sum)` per op in
+    /// submission order; update ops report `(0, 0)`.
     ///
     /// Updates queue into their shard's pending set and merge on the
     /// first later qualifying select (possibly in a later batch — call
     /// [`BatchScheduler::flush_updates`] to force a checkpoint).
     pub fn execute_ops(&mut self, ops: &[BatchOp<E>]) -> Vec<(usize, u64)> {
-        self.build_op_queues(ops);
-        let Self {
-            shards, op_queues, ..
-        } = self;
-        let tasks: ShardTasks<'_, E, BatchOp<E>> = shards
-            .iter_mut()
-            .zip(op_queues.iter())
-            .filter(|(_, queue)| !queue.is_empty())
-            .collect();
-        let workers = crate::executor::worker_count(tasks.len());
-        let partials = crate::executor::run_tasks(workers, tasks, |_, (shard, queue)| {
-            shard.drain_ops(queue)
-        });
-        Self::merge(ops.len(), partials)
+        self.run(ops.iter().copied(), false, false)
     }
 
     /// [`BatchScheduler::execute_ops`] on the calling thread: identical
@@ -514,33 +357,21 @@ impl<E: Element> BatchScheduler<E> {
     /// bit-identical to the parallel path — the determinism oracle for
     /// mixed batches.
     pub fn execute_ops_serial(&mut self, ops: &[BatchOp<E>]) -> Vec<(usize, u64)> {
-        self.build_op_queues(ops);
-        let Self {
-            shards, op_queues, ..
-        } = self;
-        let partials: Vec<Vec<(usize, usize, u64)>> = shards
-            .iter_mut()
-            .zip(op_queues.iter())
-            .map(|(shard, queue)| shard.drain_ops(queue))
-            .collect();
-        Self::merge(ops.len(), partials)
+        self.run(ops.iter().copied(), true, false)
     }
 
     /// Updates queued across all shards but not yet merged into a
     /// cracker column.
     pub fn pending_updates(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.pending.pending_inserts() + s.pending.pending_deletes())
-            .sum()
+        self.cells.iter().map(|(_, pending)| pending.len()).sum()
     }
 
     /// Merges every pending update in every shard now (a checkpoint),
     /// returning how many were applied.
     pub fn flush_updates(&mut self) -> usize {
-        self.shards
+        self.cells
             .iter_mut()
-            .map(|s| s.pending.merge_all(s.engine.cracked_mut()))
+            .map(|(shard, pending)| pending.merge_all(shard.engine.cracked_mut()))
             .sum()
     }
 
@@ -548,7 +379,7 @@ impl<E: Element> BatchScheduler<E> {
     /// construction is not included).
     pub fn stats(&self) -> Stats {
         let mut s = Stats::new();
-        for shard in &self.shards {
+        for (shard, _) in &self.cells {
             s += shard.engine.stats();
         }
         s
@@ -576,14 +407,11 @@ impl<E: Element> BatchScheduler<E> {
         seed: u64,
     ) -> Stats {
         let mut retired = Stats::new();
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            shard.pending.merge_all(shard.engine.cracked_mut());
+        for (i, (shard, pending)) in self.cells.iter_mut().enumerate() {
+            pending.merge_all(shard.engine.cracked_mut());
             retired += shard.engine.stats();
             let data = std::mem::take(shard.engine.cracked_mut().parts_mut().0);
-            // Exactly the construction path: fresh engine, RNG stream,
-            // fault scope and health; the (just drained) queue starts empty.
-            let seed = seed.wrapping_add(i as u64);
-            *shard = BatchShard::build(shard.span, data, strategy, config, seed, i);
+            *shard = Shard::build(shard.span, data, strategy, config, seed, i);
         }
         retired
     }
@@ -632,9 +460,9 @@ impl<E: Element> BatchScheduler<E> {
         // An overload fault clamps the shard's admission capacity for
         // this whole batch; polled once per shard per batch.
         let caps: Vec<usize> = self
-            .shards
+            .cells
             .iter()
-            .map(|s| {
+            .map(|(s, _)| {
                 if s.fault.poll(FaultKind::QueueOverload) {
                     s.fault.plan().overload_capacity().unwrap_or(1).max(1)
                 } else {
@@ -693,20 +521,12 @@ impl<E: Element> BatchScheduler<E> {
                 if !matches!(slots[qi], Slot::Pending { .. }) {
                     continue;
                 }
-                let targets: Vec<(usize, QueryRange)> = self
-                    .shards
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(si, shard)| {
-                        let clipped = q.intersect(&shard.span);
-                        (!clipped.is_empty()).then_some((si, clipped))
-                    })
-                    .collect();
+                let targets: Vec<(usize, QueryRange)> = shard::clip(&self.spans, *q).collect();
                 let fits = targets.iter().all(|&(si, _)| self.queues[si].len() < caps[si]);
                 match (fits, serving.admission) {
                     (true, _) | (false, AdmissionPolicy::Admit) => {
                         for (si, clipped) in targets {
-                            self.queues[si].push((qi, clipped));
+                            self.queues[si].push((qi, BatchOp::Select(clipped)));
                             report.max_queue_depth =
                                 report.max_queue_depth.max(self.queues[si].len());
                         }
@@ -716,69 +536,49 @@ impl<E: Element> BatchScheduler<E> {
                     (false, AdmissionPolicy::Block) => {} // next wave
                 }
             }
-            for queue in &mut self.queues {
-                queue.sort_by_key(|&(qi, q)| (q.low, q.high, qi));
-            }
+            self.sort_queues();
 
             // Execute the wave with panic isolation; fold partials per
             // query and remember deadline expiries.
             let mut acc: Vec<(usize, u64)> = vec![(0, 0); batch.len()];
             let mut timed: Vec<bool> = vec![false; batch.len()];
-            {
-                let Self { shards, queues, .. } = &mut *self;
-                let mut task_sis: Vec<usize> = Vec::new();
-                let tasks: ShardTasks<'_, E, QueryRange> = shards
-                    .iter_mut()
-                    .zip(queues.iter())
-                    .enumerate()
-                    .filter(|(_, (_, queue))| !queue.is_empty())
-                    .map(|(si, t)| {
-                        task_sis.push(si);
-                        t
-                    })
-                    .collect();
-                let workers = crate::executor::worker_count(tasks.len());
-                let results =
-                    crate::executor::run_tasks_isolated(workers, tasks, |_, (shard, queue)| {
-                        shard.drain_resilient(queue, arrival, deadline, rebuild_after)
-                    });
-                for (k, result) in results.into_iter().enumerate() {
-                    let si = task_sis[k];
-                    match result {
-                        Ok((partials, newly_quarantined)) => {
-                            if newly_quarantined {
-                                report.quarantined.push(si);
-                            }
-                            for (qi, part) in partials {
-                                match part {
-                                    Some((c, s)) => {
-                                        acc[qi].0 += c;
-                                        acc[qi].1 = acc[qi].1.wrapping_add(s);
-                                    }
-                                    None => timed[qi] = true,
-                                }
-                            }
+            let live: Vec<usize> = (0..self.queues.len())
+                .filter(|&si| !self.queues[si].is_empty())
+                .collect();
+            let tasks: Vec<(&mut Cell<E>, &Queue<E>)> = self
+                .cells
+                .iter_mut()
+                .zip(&self.queues)
+                .filter(|(_, queue)| !queue.is_empty())
+                .collect();
+            let workers = executor::worker_count(tasks.len());
+            let results = executor::run_tasks_isolated(workers, tasks, |_, (cell, queue)| {
+                drain_resilient(cell, queue, arrival, deadline, rebuild_after)
+            });
+            for (si, result) in live.into_iter().zip(results) {
+                let (partials, newly_quarantined) = result.unwrap_or_else(|_| {
+                    // The task died mid-drain, so *all* its partials
+                    // were discarded with it; after quarantining,
+                    // re-draining its whole queue (now by scan) adds
+                    // each query's contribution exactly once.
+                    report.panics_isolated += 1;
+                    let cell = &mut self.cells[si];
+                    quarantine(cell, rebuild_after);
+                    let queue = &self.queues[si];
+                    let (partials, _) =
+                        drain_resilient(cell, queue, arrival, deadline, rebuild_after);
+                    (partials, true)
+                });
+                if newly_quarantined {
+                    report.quarantined.push(si);
+                }
+                for (qi, part) in partials {
+                    match part {
+                        Some((c, s)) => {
+                            acc[qi].0 += c;
+                            acc[qi].1 = acc[qi].1.wrapping_add(s);
                         }
-                        Err(_) => {
-                            // The task died mid-drain, so *all* its
-                            // partials were discarded with it; after
-                            // quarantining, re-answering its whole queue
-                            // by scan adds each query's contribution
-                            // exactly once.
-                            report.panics_isolated += 1;
-                            report.quarantined.push(si);
-                            let shard = &mut shards[si];
-                            shard.quarantine(rebuild_after);
-                            for &(qi, q) in &queues[si] {
-                                if deadline.is_some_and(|d| arrival.elapsed() > d) {
-                                    timed[qi] = true;
-                                } else {
-                                    let (c, s) = shard.select_scan(q);
-                                    acc[qi].0 += c;
-                                    acc[qi].1 = acc[qi].1.wrapping_add(s);
-                                }
-                            }
-                        }
+                        None => timed[qi] = true,
                     }
                 }
             }
@@ -813,16 +613,9 @@ impl<E: Element> BatchScheduler<E> {
 
         // End-of-batch quarantine clock: timers at zero rebuild now, the
         // rest tick down one batch.
-        for (si, shard) in self.shards.iter_mut().enumerate() {
-            if let ShardHealth::Quarantined { batches_left } = shard.health {
-                if batches_left == 0 {
-                    shard.rebuild();
-                    report.rebuilt.push(si);
-                } else {
-                    shard.health = ShardHealth::Quarantined {
-                        batches_left: batches_left - 1,
-                    };
-                }
+        for (si, (shard, _)) in self.cells.iter_mut().enumerate() {
+            if shard.tick() {
+                report.rebuilt.push(si);
             }
         }
 
@@ -856,7 +649,7 @@ impl<E: Element> BatchScheduler<E> {
     /// # Panics
     /// If `si` is out of range.
     pub fn quarantine_shard(&mut self, si: usize) {
-        self.shards[si].quarantine(0);
+        quarantine(&mut self.cells[si], 0);
         self.resilience.quarantines += 1;
     }
 
@@ -865,15 +658,15 @@ impl<E: Element> BatchScheduler<E> {
     /// # Panics
     /// If `si` is out of range.
     pub fn shard_health(&self, si: usize) -> ShardHealth {
-        self.shards[si].health
+        self.cells[si].0.health
     }
 
     /// Indices of currently quarantined shards, in shard order.
     pub fn quarantined_shards(&self) -> Vec<usize> {
-        self.shards
+        self.cells
             .iter()
             .enumerate()
-            .filter(|(_, s)| matches!(s.health, ShardHealth::Quarantined { .. }))
+            .filter(|(_, (s, _))| matches!(s.health, ShardHealth::Quarantined { .. }))
             .map(|(si, _)| si)
             .collect()
     }
@@ -883,25 +676,17 @@ impl<E: Element> BatchScheduler<E> {
         self.resilience
     }
 
-    /// Full integrity check (tests only; O(n)): every shard's cracker
-    /// invariants hold and every key lies in the shard updates of that
-    /// key are routed to — inside the shard's span, or the reserved
-    /// `u64::MAX` in the last shard.
+    /// Full integrity check (tests only; O(n)): the spans form a shard
+    /// map, every shard's cracker invariants hold and every key lies in
+    /// the shard updates of that key are routed to — inside the shard's
+    /// span, or the reserved `u64::MAX` in the last shard.
     pub fn check_integrity(&self) -> Result<(), String> {
-        let last = self.shards.len() - 1;
-        for (i, s) in self.shards.iter().enumerate() {
-            s.engine
-                .cracked()
-                .check_integrity()
+        shard::check_spans(&self.spans)?;
+        let last = self.cells.len() - 1;
+        for (i, (shard, _)) in self.cells.iter().enumerate() {
+            shard
+                .check_integrity(i == last)
                 .map_err(|e| format!("shard {i}: {e}"))?;
-            let owned = |key| s.span.contains(key) || (i == last && key == u64::MAX);
-            if let Some(e) = s.engine.data().iter().find(|e| !owned(e.key())) {
-                return Err(format!(
-                    "shard {i}: key {} outside span {}",
-                    e.key(),
-                    s.span
-                ));
-            }
         }
         Ok(())
     }
@@ -1039,25 +824,6 @@ mod tests {
         for (qi, q) in batch.iter().enumerate() {
             assert_eq!(rp[qi], oracle(&data, *q), "query {qi}");
         }
-    }
-
-    #[test]
-    fn route_covers_every_key_and_maps_the_unreachable_max() {
-        let sched = BatchScheduler::new(
-            permuted(10_000),
-            8,
-            ParallelStrategy::Crack,
-            CrackConfig::default(),
-            1,
-        );
-        let spans = sched.shard_spans();
-        for (si, span) in spans.iter().enumerate() {
-            assert_eq!(sched.route(span.low), si, "span.low routes to its shard");
-            assert_eq!(sched.route(span.high - 1), si, "span end routes to its shard");
-        }
-        // `u64::MAX` is the one key no half-open span can contain; it
-        // belongs to the last (open-ended) shard by convention.
-        assert_eq!(sched.route(u64::MAX), spans.len() - 1);
     }
 
     #[test]
@@ -1402,6 +1168,34 @@ mod tests {
         assert!(report2.rebuilt.is_empty());
         let stats = sched.resilience_stats();
         assert_eq!((stats.quarantines, stats.rebuilds), (1, 1));
+    }
+
+    #[test]
+    fn every_entry_point_serves_a_quarantined_shard_by_scan() {
+        // One drain for all entries: the plain paths follow the health
+        // ladder too, so a quarantined shard answers exactly but cracks
+        // nothing until a resilient batch's clock rebuilds it.
+        let n = 20_000u64;
+        let data = permuted(n);
+        let mut sched = BatchScheduler::new(
+            data.clone(),
+            4,
+            ParallelStrategy::Stochastic,
+            CrackConfig::default(),
+            7,
+        );
+        sched.quarantine_shard(2);
+        let span = sched.shard_spans()[2];
+        let batch: Vec<QueryRange> = (0..16u64)
+            .map(|i| QueryRange::new(span.low + i * 50, span.low + i * 50 + 400))
+            .collect();
+        for (qi, q) in batch.iter().enumerate() {
+            assert_eq!(sched.execute(&batch)[qi], oracle(&data, *q), "query {qi}");
+        }
+        let ops: Vec<BatchOp<u64>> = batch.iter().map(|q| BatchOp::Select(*q)).collect();
+        assert_eq!(sched.execute_ops_serial(&ops), sched.execute_serial(&batch));
+        assert_eq!(sched.stats().cracks, 0, "scans crack nothing");
+        assert_eq!(sched.shard_health(2), ShardHealth::Quarantined { batches_left: 0 });
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Parallel-chunked cracking with refined partition-merge.
 
-use crate::executor;
-use crate::ParallelStrategy;
-use scrack_core::{CrackConfig, CrackedColumn, CrackerEngine, Engine};
-use scrack_partition::select_nth_key;
+use crate::batch::{fold, BatchScheduler};
+use crate::resilience::ServingConfig;
+use crate::shard::{self, Shard};
+use crate::{executor, ParallelStrategy};
+use scrack_core::{CrackConfig, CrackedColumn, Engine, FaultPlan};
 use scrack_types::{Element, QueryRange, Stats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -15,20 +16,16 @@ const DEFAULT_MERGE_AFTER: usize = 1_024;
 /// sample of the chunks' crack-key union inside the shard's span).
 const MERGE_CRACK_SAMPLE: usize = 64;
 
-/// The executor's post-merge work list: each live shard paired with its
-/// non-empty queue of `(submission index, clipped query)` entries.
-type MergedTasks<'a, E> = Vec<(&'a mut CrackerEngine<E>, &'a Vec<(usize, QueryRange)>)>;
-
-/// Drains a `(query_index, range)` queue through one chunk (or merged
-/// shard) in order; returns `(query_index, count, key_sum)` partials.
+/// Drains a `(query_index, range)` queue through one chunk in order;
+/// returns `(query_index, count, key_sum)` partials.
 fn drain<E: Element>(
-    chunk: &mut CrackerEngine<E>,
+    chunk: &mut Shard<E>,
     queue: &[(usize, QueryRange)],
 ) -> Vec<(usize, usize, u64)> {
     queue
         .iter()
         .map(|&(qi, q)| {
-            let (count, sum) = chunk.select_aggregate(q);
+            let (count, sum) = chunk.aggregate(q);
             (qi, count, sum)
         })
         .collect()
@@ -37,13 +34,14 @@ fn drain<E: Element>(
 /// Which layout the column is currently in.
 #[derive(Debug)]
 enum Phase<E: Element> {
-    /// Row-partitioned chunks, each an independent cracker (column plus
-    /// RNG stream) — no coordination of any kind while cracking. Every
-    /// query visits every chunk; partials sum.
-    Chunked(Vec<CrackerEngine<E>>),
-    /// Key-disjoint shards (post partition-merge): queries clip against
-    /// shard spans, narrow queries land on exactly one shard.
-    Merged(Vec<(QueryRange, CrackerEngine<E>)>),
+    /// Row-partitioned chunks, each a [`Shard`] spanning the whole key
+    /// domain — no coordination of any kind while cracking. Every query
+    /// visits every chunk; partials sum.
+    Chunked(Vec<Shard<E>>),
+    /// Key-disjoint shards (post partition-merge) behind a
+    /// [`BatchScheduler`]: queries clip against shard spans, narrow
+    /// queries land on exactly one shard.
+    Merged(BatchScheduler<E>),
 }
 
 /// Parallel-chunked cracking with refined partition-merge (Alvarez et
@@ -110,8 +108,6 @@ pub struct ChunkedCracker<E: Element> {
     /// Costs of retired chunk columns (accumulated at merge time so
     /// [`ChunkedCracker::stats`] stays cumulative across the merge).
     retired: Stats,
-    /// Reusable per-shard queues for the merged phase.
-    queues: Vec<Vec<(usize, QueryRange)>>,
     /// Worker panics caught on the resilient path
     /// ([`ChunkedCracker::execute_resilient`]); each one quarantined and
     /// rebuilt a chunk/shard index.
@@ -119,7 +115,8 @@ pub struct ChunkedCracker<E: Element> {
 }
 
 impl<E: Element> ChunkedCracker<E> {
-    /// Splits `data` into `chunk_count` near-equal private chunks.
+    /// Splits `data` into `chunk_count` near-equal private chunks, chunk
+    /// `i` on RNG stream `seed + i`.
     ///
     /// # Panics
     /// If `chunk_count` is zero.
@@ -132,24 +129,15 @@ impl<E: Element> ChunkedCracker<E> {
     ) -> Self {
         assert!(chunk_count > 0, "need at least one chunk");
         let per = data.len().div_ceil(chunk_count).max(1);
+        let everything = QueryRange::new(0, u64::MAX);
         let mut chunks = Vec::with_capacity(chunk_count);
-        let mut i = 0u64;
-        while !data.is_empty() {
+        loop {
             let tail = data.split_off(per.min(data.len()));
-            // Scope any planned fault to this chunk, so a targeted plan
-            // arms exactly one chunk.
-            let scoped = config.fault.scoped_to(i as usize);
-            chunks.push(CrackerEngine::new(
-                strategy.into(),
-                data,
-                config.with_fault(scoped),
-                seed.wrapping_add(i),
-            ));
+            chunks.push(Shard::build(everything, data, strategy, config, seed, chunks.len()));
             data = tail;
-            i += 1;
-        }
-        if chunks.is_empty() {
-            chunks.push(CrackerEngine::new(strategy.into(), Vec::new(), config, seed));
+            if data.is_empty() {
+                break;
+            }
         }
         Self {
             phase: Phase::Chunked(chunks),
@@ -159,23 +147,13 @@ impl<E: Element> ChunkedCracker<E> {
             queries_seen: 0,
             merge_after: DEFAULT_MERGE_AFTER,
             retired: Stats::new(),
-            queues: Vec::new(),
             panics_isolated: 0,
         }
     }
 
-    /// [`ChunkedCracker::new`] under [`CrackConfig::default`].
-    pub fn new_default(
-        data: Vec<E>,
-        chunk_count: usize,
-        strategy: ParallelStrategy,
-        seed: u64,
-    ) -> Self {
-        Self::new(data, chunk_count, strategy, CrackConfig::default(), seed)
-    }
-
     /// Sets the query volume after which the chunks partition-merge into
-    /// key-disjoint shards (default 1024). The merge fires at the start
+    /// key-disjoint shards (default 1024; `usize::MAX` keeps the chunk
+    /// phase forever). The merge fires at the start
     /// of the first batch where the threshold has been reached, so a
     /// given query stream merges at the same point on every path.
     pub fn with_merge_after(mut self, merge_after: usize) -> Self {
@@ -187,7 +165,7 @@ impl<E: Element> ChunkedCracker<E> {
     pub fn chunk_count(&self) -> usize {
         match &self.phase {
             Phase::Chunked(chunks) => chunks.len(),
-            Phase::Merged(shards) => shards.len(),
+            Phase::Merged(sched) => sched.shard_count(),
         }
     }
 
@@ -200,22 +178,21 @@ impl<E: Element> ChunkedCracker<E> {
     /// stealing keeps skewed chunks/shards from idling the rest);
     /// returns per-query `(count, key_sum)` in submission order.
     pub fn execute(&mut self, batch: &[QueryRange]) -> Vec<(usize, u64)> {
-        let workers = executor::worker_count(self.chunk_count());
-        self.dispatch(batch, workers, false)
+        self.dispatch(batch, false, false)
     }
 
     /// [`ChunkedCracker::execute`] on the calling thread. Answers and
     /// [`Stats`] are bit-identical to the parallel path — the
     /// determinism oracle.
     pub fn execute_serial(&mut self, batch: &[QueryRange]) -> Vec<(usize, u64)> {
-        self.dispatch(batch, 1, false)
+        self.dispatch(batch, true, false)
     }
 
     /// [`ChunkedCracker::execute`] with **panic isolation**: a worker
     /// panic mid-crack quarantines just that chunk/shard — its cracker
     /// index is discarded (the data multiset survives, cracking only
     /// swaps), rebuilt fresh with fault injection disarmed, and its whole
-    /// queue replayed, so answers stay oracle-correct while every other
+    /// queue re-answered, so answers stay oracle-correct while every other
     /// chunk's work is kept. Each recovery bumps
     /// [`ChunkedCracker::panics_isolated`].
     ///
@@ -223,8 +200,7 @@ impl<E: Element> ChunkedCracker<E> {
     /// fail-loud paths, so this entry point is *not* part of the
     /// bit-identical determinism contract.
     pub fn execute_resilient(&mut self, batch: &[QueryRange]) -> Vec<(usize, u64)> {
-        let workers = executor::worker_count(self.chunk_count());
-        self.dispatch(batch, workers, true)
+        self.dispatch(batch, false, true)
     }
 
     /// Worker panics caught and recovered on the resilient path.
@@ -232,107 +208,58 @@ impl<E: Element> ChunkedCracker<E> {
         self.panics_isolated
     }
 
-    fn dispatch(&mut self, batch: &[QueryRange], workers: usize, isolate: bool) -> Vec<(usize, u64)> {
+    fn dispatch(&mut self, batch: &[QueryRange], serial: bool, isolate: bool) -> Vec<(usize, u64)> {
         if !self.has_merged() && self.queries_seen >= self.merge_after {
             self.partition_merge(isolate);
         }
         self.queries_seen += batch.len();
-        let partials: Vec<Vec<(usize, usize, u64)>> = match &mut self.phase {
-            Phase::Chunked(chunks) => {
-                // Row partitioning: every chunk answers every query.
-                let queue: Vec<(usize, QueryRange)> = batch
+        let chunks = match &mut self.phase {
+            Phase::Chunked(chunks) => chunks,
+            // Key partitioning is the scheduler's whole job.
+            Phase::Merged(sched) if isolate => {
+                let report = sched.execute_resilient(batch, &ServingConfig::default());
+                self.panics_isolated += report.panics_isolated as u64;
+                return report
+                    .outcomes
                     .iter()
-                    .enumerate()
-                    .filter(|(_, q)| !q.is_empty())
-                    .map(|(qi, q)| (qi, *q))
+                    .map(|o| o.answer().expect("unbounded admission without deadlines answers"))
                     .collect();
-                let tasks: Vec<&mut CrackerEngine<E>> = chunks.iter_mut().collect();
-                if isolate {
-                    let results =
-                        executor::run_tasks_isolated(workers, tasks, |_, chunk| drain(chunk, &queue));
-                    let mut partials = Vec::with_capacity(results.len());
-                    for (k, r) in results.into_iter().enumerate() {
-                        partials.push(match r {
-                            Ok(p) => p,
-                            Err(_) => {
-                                // The chunk may be mid-reorganization;
-                                // discard its index (multiset intact),
-                                // rebuild disarmed, replay its queue.
-                                self.panics_isolated += 1;
-                                chunks[k].quarantine_rebuild();
-                                drain(&mut chunks[k], &queue)
-                            }
-                        });
-                    }
-                    partials
-                } else {
-                    executor::run_tasks(workers, tasks, |_, chunk| drain(chunk, &queue))
-                }
             }
-            Phase::Merged(shards) => {
-                // Key partitioning: clip each query against the shard
-                // spans; shards with empty queues spawn no task.
-                let queues = &mut self.queues;
-                queues.resize(shards.len(), Vec::new());
-                for queue in queues.iter_mut() {
-                    queue.clear();
-                }
-                for (qi, q) in batch.iter().enumerate() {
-                    if q.is_empty() {
-                        continue;
-                    }
-                    for (si, (span, _)) in shards.iter().enumerate() {
-                        let clipped = q.intersect(span);
-                        if !clipped.is_empty() {
-                            queues[si].push((qi, clipped));
-                        }
-                    }
-                }
-                for queue in queues.iter_mut() {
-                    queue.sort_by_key(|&(qi, q)| (q.low, q.high, qi));
-                }
-                let mut task_sis: Vec<usize> = Vec::new();
-                let tasks: MergedTasks<'_, E> = shards
-                    .iter_mut()
-                    .map(|(_, shard)| shard)
-                    .zip(queues.iter())
-                    .enumerate()
-                    .filter(|(_, (_, queue))| !queue.is_empty())
-                    .map(|(si, t)| {
-                        task_sis.push(si);
-                        t
-                    })
-                    .collect();
-                if isolate {
-                    let results = executor::run_tasks_isolated(workers, tasks, |_, (shard, queue)| {
-                        drain(shard, queue)
-                    });
-                    let mut partials = Vec::with_capacity(results.len());
-                    for (k, r) in results.into_iter().enumerate() {
-                        partials.push(match r {
-                            Ok(p) => p,
-                            Err(_) => {
-                                self.panics_isolated += 1;
-                                let si = task_sis[k];
-                                shards[si].1.quarantine_rebuild();
-                                drain(&mut shards[si].1, &queues[si])
-                            }
-                        });
-                    }
-                    partials
-                } else {
-                    executor::run_tasks(workers, tasks, |_, (shard, queue)| drain(shard, queue))
-                }
-            }
+            Phase::Merged(sched) if serial => return sched.execute_serial(batch),
+            Phase::Merged(sched) => return sched.execute(batch),
         };
-        let mut results = vec![(0usize, 0u64); batch.len()];
-        for part in partials {
-            for (qi, count, sum) in part {
-                results[qi].0 += count;
-                results[qi].1 = results[qi].1.wrapping_add(sum);
+        // Row partitioning: every chunk answers every query.
+        let queue: Vec<(usize, QueryRange)> = batch
+            .iter()
+            .enumerate()
+            .filter(|(_, q)| !q.is_empty())
+            .map(|(qi, q)| (qi, *q))
+            .collect();
+        let workers = if serial {
+            1
+        } else {
+            executor::worker_count(chunks.len())
+        };
+        let tasks: Vec<&mut Shard<E>> = chunks.iter_mut().collect();
+        let partials = if isolate {
+            let results =
+                executor::run_tasks_isolated(workers, tasks, |_, chunk| drain(chunk, &queue));
+            let mut partials = Vec::with_capacity(results.len());
+            for (chunk, r) in chunks.iter_mut().zip(results) {
+                partials.push(r.unwrap_or_else(|_| {
+                    // The chunk may be mid-reorganization; discard its
+                    // index (multiset intact), rebuild disarmed, replay
+                    // its queue.
+                    self.panics_isolated += 1;
+                    chunk.engine.quarantine_rebuild();
+                    drain(chunk, &queue)
+                }));
             }
-        }
-        results
+            partials
+        } else {
+            executor::run_tasks(workers, tasks, |_, chunk| drain(chunk, &queue))
+        };
+        fold(batch.len(), partials)
     }
 
     /// Convenience single-query select (one-element [`ChunkedCracker::execute`]).
@@ -343,7 +270,7 @@ impl<E: Element> ChunkedCracker<E> {
     /// The refined partition-merge: chunks → key-disjoint shards.
     ///
     /// 1. Quantile bounds over all tuples (introselect on a scratch
-    ///    copy), one per chunk — the [`BatchScheduler`](crate::BatchScheduler)
+    ///    copy), one per chunk — the [`BatchScheduler`]
     ///    partitioning, computed adaptively from the already-cracked data.
     /// 2. Every chunk cuts itself at each bound through its own crack
     ///    index — [`CrackedColumn::crack_on`] only reorganizes the piece
@@ -360,26 +287,13 @@ impl<E: Element> ChunkedCracker<E> {
         let Phase::Chunked(chunks) = &mut self.phase else {
             return;
         };
-        let shard_count = chunks.len();
 
         // 1. Quantile bounds on a scratch copy of the full column.
         let mut scratch: Vec<E> = Vec::new();
         for chunk in chunks.iter() {
-            scratch.extend_from_slice(chunk.data());
+            scratch.extend_from_slice(chunk.engine.data());
         }
-        let n = scratch.len();
-        let mut bounds: Vec<u64> = Vec::new();
-        if shard_count > 1 && n > 1 {
-            let mut scratch_stats = Stats::default();
-            for i in 1..shard_count {
-                let k = i * n / shard_count;
-                if k > 0 && k < n {
-                    bounds.push(select_nth_key(&mut scratch, k, &mut scratch_stats));
-                }
-            }
-            bounds.dedup();
-            bounds.retain(|b| *b > 0);
-        }
+        let bounds = shard::quantile_bounds(&mut scratch, chunks.len());
         drop(scratch);
 
         // 2. Cut every chunk at every bound via its crack index; collect
@@ -387,7 +301,7 @@ impl<E: Element> ChunkedCracker<E> {
         //    its stats.
         let mut crack_keys: Vec<u64> = Vec::new();
         let mut segments: Vec<Vec<Vec<E>>> = Vec::with_capacity(chunks.len());
-        for chunk in chunks.iter_mut() {
+        for chunk in chunks.iter_mut().map(|c| &mut c.engine) {
             crack_keys.extend(chunk.cracked().index().crack_arrays().0);
             let cut_all = |col: &mut CrackedColumn<E>| -> Vec<usize> {
                 bounds.iter().map(|&b| col.crack_on(b)).collect()
@@ -420,45 +334,42 @@ impl<E: Element> ChunkedCracker<E> {
         crack_keys.sort_unstable();
         crack_keys.dedup();
 
-        // 3 + 4. Assemble each shard interval-major chunk-minor, then
-        //        re-crack the sampled key union into it.
-        let spans: Vec<QueryRange> = {
-            let mut spans = Vec::with_capacity(bounds.len() + 1);
-            let mut lo = 0u64;
-            for &b in &bounds {
-                spans.push(QueryRange::new(lo, b));
-                lo = b;
-            }
-            spans.push(QueryRange::new(lo, u64::MAX));
-            spans
-        };
-        let mut shards: Vec<(QueryRange, CrackerEngine<E>)> = Vec::with_capacity(spans.len());
-        for (j, &span) in spans.iter().enumerate() {
-            let mut data = Vec::new();
-            for segs in &mut segments {
-                data.append(&mut segs[j]);
-            }
-            // Merged shards build disarmed: fault plans describe faults
-            // in the columns armed at construction, and the merge itself
-            // re-cracks into these columns (an armed plan would fire
-            // inside the merge, not during serving).
-            let disarmed = self.config.with_fault(scrack_core::FaultPlan::disabled());
-            let seed = self.seed.wrapping_add(0x6D65_7267).wrapping_add(j as u64);
-            let mut shard = CrackerEngine::new(self.strategy.into(), data, disarmed, seed);
-            // Sample the earned crack keys strictly inside the span
-            // (span edges are already piece boundaries by construction).
-            let lo_i = crack_keys.partition_point(|k| *k <= span.low);
-            let hi_i = crack_keys.partition_point(|k| *k < span.high);
+        // 3. Assemble each shard interval-major chunk-minor. Merged
+        //    shards build disarmed: fault plans describe faults in the
+        //    columns armed at construction, and the merge itself
+        //    re-cracks into these columns (an armed plan would fire
+        //    inside the merge, not during serving).
+        let parts = shard::chain_spans(&bounds)
+            .into_iter()
+            .enumerate()
+            .map(|(j, span)| {
+                let mut data = Vec::new();
+                for segs in &mut segments {
+                    data.append(&mut segs[j]);
+                }
+                (span, data)
+            })
+            .collect();
+        let disarmed = self.config.with_fault(FaultPlan::disabled());
+        let seed = self.seed.wrapping_add(0x6D65_7267);
+        let mut shards = shard::build_shards(parts, self.strategy, disarmed, seed);
+
+        // 4. Re-crack the sampled key union into each shard: the earned
+        //    crack keys strictly inside its span (span edges are already
+        //    piece boundaries by construction).
+        for shard in &mut shards {
+            let lo_i = crack_keys.partition_point(|k| *k <= shard.span.low);
+            let hi_i = crack_keys.partition_point(|k| *k < shard.span.high);
             let inside = &crack_keys[lo_i..hi_i];
             let take = inside.len().min(MERGE_CRACK_SAMPLE);
             for t in 0..take {
                 shard
+                    .engine
                     .cracked_mut()
                     .crack_on(inside[t * inside.len() / take.max(1)]);
             }
-            shards.push((span, shard));
         }
-        self.phase = Phase::Merged(shards);
+        self.phase = Phase::Merged(BatchScheduler::from_shards(shards));
     }
 
     /// Cumulative physical costs: retired chunk columns plus the live
@@ -466,20 +377,12 @@ impl<E: Element> ChunkedCracker<E> {
     /// included; the construction-time split is not, matching the other
     /// wrappers).
     pub fn stats(&self) -> Stats {
-        let mut s = self.retired;
         match &self.phase {
-            Phase::Chunked(chunks) => {
-                for c in chunks {
-                    s += c.stats();
-                }
-            }
-            Phase::Merged(shards) => {
-                for (_, c) in shards {
-                    s += c.stats();
-                }
-            }
+            Phase::Chunked(chunks) => chunks
+                .iter()
+                .fold(self.retired, |s, c| s + c.engine.stats()),
+            Phase::Merged(sched) => self.retired + sched.stats(),
         }
-        s
     }
 
     /// Full integrity check (tests only; O(n)): every column's cracker
@@ -489,31 +392,13 @@ impl<E: Element> ChunkedCracker<E> {
         match &self.phase {
             Phase::Chunked(chunks) => {
                 for (i, c) in chunks.iter().enumerate() {
-                    c.cracked()
-                        .check_integrity()
+                    c.check_integrity(true)
                         .map_err(|e| format!("chunk {i}: {e}"))?;
                 }
+                Ok(())
             }
-            Phase::Merged(shards) => {
-                let mut expect_lo = 0u64;
-                for (i, (span, c)) in shards.iter().enumerate() {
-                    c.cracked()
-                        .check_integrity()
-                        .map_err(|e| format!("shard {i}: {e}"))?;
-                    if span.low != expect_lo {
-                        return Err(format!("shard {i}: span gap at {expect_lo}"));
-                    }
-                    expect_lo = span.high;
-                    if let Some(e) = c.data().iter().find(|e| !span.contains(e.key())) {
-                        return Err(format!("shard {i}: key {} outside {span}", e.key()));
-                    }
-                }
-                if expect_lo != u64::MAX {
-                    return Err("shard spans do not cover the key space".into());
-                }
-            }
+            Phase::Merged(sched) => sched.check_integrity(),
         }
-        Ok(())
     }
 }
 
@@ -629,12 +514,14 @@ mod tests {
         // The carried sample must leave the shards warm: answering a
         // fresh query stream post-merge touches far less than n per
         // query would suggest for a cold start.
-        let Phase::Merged(shards) = &cc.phase else {
+        let Phase::Merged(sched) = &cc.phase else {
             unreachable!()
         };
-        let carried: usize = shards.iter().map(|(_, c)| c.cracked().index().crack_count()).sum();
+        // The merged shards are fresh engines: every crack they count
+        // was carried over by the merge.
+        let carried = sched.stats().cracks;
         assert!(
-            carried > shards.len(),
+            carried > sched.shard_count() as u64,
             "merged shards must inherit sampled cracks, got {carried}"
         );
     }
@@ -653,6 +540,54 @@ mod tests {
         .with_merge_after(0); // merge before the very first batch
         let results = cc.execute(&[QueryRange::new(0, n)]);
         assert_eq!(results[0], oracle(&data, QueryRange::new(0, n)));
+        assert!(cc.has_merged());
+        cc.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn merge_disabled_keeps_the_intra_query_fan_out_and_its_robustness() {
+        // Plain intra-query parallelism: every query visits every chunk,
+        // forever, and the stochastic advantage on a sequential workload
+        // survives the split.
+        let data = permuted(40_000);
+        let build = |strategy| {
+            ChunkedCracker::new(data.clone(), 4, strategy, CrackConfig::default(), 3)
+                .with_merge_after(usize::MAX)
+        };
+        let mut crack = build(ParallelStrategy::Crack);
+        let mut scrack = build(ParallelStrategy::Stochastic);
+        for i in 0..400u64 {
+            let q = QueryRange::new(i * 99, i * 99 + 10);
+            assert_eq!(crack.select_aggregate(q), oracle(&data, q), "crack query {i}");
+            assert_eq!(scrack.select_aggregate(q), oracle(&data, q), "scrack query {i}");
+        }
+        assert!(!crack.has_merged() && !scrack.has_merged());
+        assert_eq!(scrack.chunk_count(), 4);
+        assert_eq!(scrack.stats().queries, 4 * 400, "every chunk saw every query");
+        let (c, s) = (crack.stats().touched, scrack.stats().touched);
+        assert!(c > 3 * s, "chunked stochastic must stay robust: {c} vs {s}");
+        scrack.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn merge_keeps_the_reserved_max_key_in_the_last_shard() {
+        // No half-open span can hold `u64::MAX`; the partitioning puts it
+        // in the last shard, and the integrity check must agree.
+        let mut data = permuted(10_000);
+        data.extend([u64::MAX, u64::MAX]);
+        let mut cc = ChunkedCracker::new(
+            data.clone(),
+            4,
+            ParallelStrategy::Stochastic,
+            CrackConfig::default(),
+            5,
+        )
+        .with_merge_after(8);
+        let batch = mixed_batch(10_000, 8, 3);
+        cc.execute(&batch);
+        cc.check_integrity().unwrap();
+        let q = QueryRange::new(9_000, u64::MAX);
+        assert_eq!(cc.execute(&[q])[0], oracle(&data, q));
         assert!(cc.has_merged());
         cc.check_integrity().unwrap();
     }

@@ -3,12 +3,33 @@
 //! §6 of Halim et al. 2012 lists concurrency control as open cracking
 //! work: "the physical reorganizations [of concurrent queries] have to be
 //! synchronized, possibly with proper fine grained locking". This crate
-//! prototypes the two standard answers on top of the stochastic engines:
+//! gives two families of answers on top of the stochastic engines.
 //!
-//! * [`ShardedCracker`] — partition-level parallelism: the column splits
-//!   into independent shards, each its own cracker; a select cracks all
-//!   shards concurrently (scoped threads) and merges the results. Shards
-//!   never contend: reorganization is embarrassingly parallel.
+//! **Shared nothing** — split the column so reorganizations never meet.
+//! Both multi-core designs of Alvarez et al. (DaMoN 2014) reduce to one
+//! object, an independent cracker over a key span, and [`shard`] is its
+//! only definition: [`Shard`] (engine, health ladder, fault scope) plus
+//! the shard map (`quantile_bounds`, [`key_disjoint_partitions`],
+//! `owner`, `clip`). Two serving shapes are built on it:
+//!
+//! * [`BatchScheduler`] — throughput execution: batches of queries are
+//!   grouped by key region and run partition-parallel over key-disjoint
+//!   shards with per-shard work queues.
+//!   Batches may interleave update ops ([`BatchOp`]): inserts/deletes
+//!   key-route to their owning shard and merge on demand through
+//!   `scrack_updates`' pending queues.
+//! * [`ChunkedCracker`] — parallel-chunked cracking with refined
+//!   partition-merge: each worker cracks a private contiguous chunk (a
+//!   [`Shard`] spanning the whole key domain — no coordination at all
+//!   while cracking), every query fans out over all chunks, and once
+//!   query volume accumulates the chunks partition-merge into
+//!   key-disjoint shards behind a [`BatchScheduler`], carrying the crack
+//!   structure already earned. With the merge disabled
+//!   (`with_merge_after(usize::MAX)`) it is plain intra-query
+//!   parallelism.
+//!
+//! **One shared column** — synchronize the reorganizations instead.
+//!
 //! * [`SharedCracker`] — an epoch-published cracker column for
 //!   concurrent query streams against *one* physical column. Writers
 //!   reorganize the live column and periodically publish an immutable
@@ -20,27 +41,14 @@
 //! * [`PieceLockedCracker`] — §6's "proper fine grained locking": one
 //!   lock per piece, so queries in different key regions crack
 //!   concurrently, with contention shrinking as the index converges.
-//! * [`BatchScheduler`] — throughput execution: batches of queries are
-//!   grouped by key region and run partition-parallel over key-disjoint
-//!   shards with per-shard work queues (Alvarez et al., DaMoN 2014).
-//!   Batches may interleave update ops ([`BatchOp`]): inserts/deletes
-//!   key-route to their owning shard and merge on demand through
-//!   `scrack_updates`' pending queues.
-//! * [`ChunkedCracker`] — parallel-chunked cracking with refined
-//!   partition-merge (Alvarez et al., DaMoN 2014): each worker cracks a
-//!   private contiguous chunk under its own chunk-local cracker index
-//!   (no coordination at all while cracking), reads merge over
-//!   chunk-local views, and once query volume accumulates the chunks
-//!   partition-merge into key-disjoint shards — converging onto the
-//!   [`ShardedCracker`]/[`BatchScheduler`] layout while carrying the
-//!   crack structure already earned.
 //!
 //! Cross-session concurrency control lives in [`lock`]: a
 //! shared/exclusive range-[`LockManager`] with FIFO anti-starvation
 //! grants, deadline-budgeted waits (timeout-wound deadlock resolution),
 //! and RAII guards. [`PieceLockedCracker`] runs its piece latches
-//! through it, and the `scrack_txn` session layer uses it for
-//! per-key write locks — one locking story.
+//! through it, and the `scrack_txn` session layer — a third policy over
+//! the same [`Shard`]s — uses it for per-key write locks: one locking
+//! story.
 //!
 //! Threaded paths run on [`executor`], a small work-stealing pool that
 //! caps live workers at available parallelism and lets idle workers
@@ -53,8 +61,7 @@
 //!
 //! Every wrapper takes a [`scrack_core::CrackConfig`], so the concurrent
 //! paths run the same branchy/branchless reorganization kernels
-//! ([`scrack_core::KernelPolicy`]) as the single-threaded engines;
-//! `new_default` shims keep the pre-config constructor signatures. All
+//! ([`scrack_core::KernelPolicy`]) as the single-threaded engines. All
 //! preserve the workspace-wide invariant: results equal the scan oracle
 //! under any interleaving.
 
@@ -67,7 +74,7 @@ pub mod executor;
 pub mod lock;
 mod piecelock;
 pub mod resilience;
-mod sharded;
+pub mod shard;
 mod shared;
 
 pub use batch::{BatchOp, BatchScheduler};
@@ -77,7 +84,7 @@ pub use piecelock::PieceLockedCracker;
 pub use resilience::{
     AdmissionPolicy, BatchReport, QueryOutcome, ResilienceStats, ServingConfig, ShardHealth,
 };
-pub use sharded::{key_disjoint_partitions, ShardedCracker};
+pub use shard::{key_disjoint_partitions, Shard};
 pub use shared::SharedCracker;
 
 /// Reorganization strategy run inside the concurrent wrappers.

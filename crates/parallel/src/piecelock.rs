@@ -157,12 +157,6 @@ impl<E: Element> PieceLockedCracker<E> {
         }
     }
 
-    /// [`PieceLockedCracker::new`] under [`CrackConfig::default`] — the
-    /// pre-config constructor signature, kept as a shim.
-    pub fn new_default(data: Vec<E>, strategy: ParallelStrategy, seed: u64) -> Self {
-        Self::new(data, strategy, CrackConfig::default(), seed)
-    }
-
     /// Handle (and immutable lower bound — the lock resource key) of the
     /// piece whose key range contains `key`.
     fn lookup(&self, key: u64) -> (u64, PieceCell<E>) {

@@ -225,12 +225,6 @@ impl<E: Element> SharedCracker<E> {
         }
     }
 
-    /// [`SharedCracker::new`] under [`CrackConfig::default`] — the
-    /// pre-config constructor signature, kept as a shim.
-    pub fn new_default(data: Vec<E>, strategy: ParallelStrategy, seed: u64) -> Self {
-        Self::new(data, strategy, CrackConfig::default(), seed)
-    }
-
     /// The latest published epoch (a cheap `Arc` clone).
     fn epoch(&self) -> Arc<Snapshot<E>> {
         Arc::clone(&self.published.read())

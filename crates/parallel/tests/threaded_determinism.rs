@@ -12,8 +12,9 @@
 //!    queues) vs `execute_serial` — per-shard queues are drained in a
 //!    fixed order with per-shard RNG streams, so scheduling cannot
 //!    matter.
-//! 2. [`ShardedCracker`]: the scoped fan-out vs a hand-rolled serial
-//!    replay of the same shard split and RNG streams.
+//! 2. Intra-query fan-out over row-partitioned chunks: covered by
+//!    pillar 4's chunk phase (the split and the `seed + i` streams
+//!    themselves are pinned by `tests/golden.rs`).
 //! 3. [`PieceLockedCracker`]: threads confined to key-disjoint regions
 //!    (after a deterministic boundary warmup) vs a serial replay of the
 //!    same regions — piece locks partition the work, so per-region cost
@@ -28,12 +29,9 @@
 //! path: readers on published ranges run concurrently with a cracking
 //! writer and must only ever observe oracle-exact views.
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use scrack_core::{CrackConfig, CrackedColumn, IndexPolicy, KernelPolicy, UpdatePolicy};
+use scrack_core::{CrackConfig, IndexPolicy, KernelPolicy, UpdatePolicy};
 use scrack_parallel::{
-    BatchOp, BatchScheduler, ChunkedCracker, ParallelStrategy, PieceLockedCracker, ShardedCracker,
-    SharedCracker,
+    BatchOp, BatchScheduler, ChunkedCracker, ParallelStrategy, PieceLockedCracker, SharedCracker,
 };
 use scrack_types::{QueryRange, Stats};
 use std::sync::Arc;
@@ -347,74 +345,6 @@ fn shared_cracker_readers_never_observe_torn_views_under_writer_contention() {
             }
         });
         sc.check_integrity().unwrap();
-    }
-}
-
-#[test]
-fn sharded_cracker_threads_match_serial_replay_bitwise() {
-    let n = 32_000u64;
-    let shards = 4usize;
-    let data = column(n);
-    for kernel in POLICIES {
-        for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
-            let config = CrackConfig::default().with_kernel(kernel);
-            let queries = mixed_batch(0, n, 120, 7);
-
-            // Threaded run: every select fans out over `shards` scoped
-            // threads inside ShardedCracker.
-            let mut sc = ShardedCracker::new(data.clone(), shards, strategy, config, SEED);
-            let threaded_answers: Vec<(usize, u64)> =
-                queries.iter().map(|q| sc.select_aggregate(*q)).collect();
-
-            // Serial replay: the same chunk split (ShardedCracker's
-            // contract: near-equal front-to-back chunks, shard i seeded
-            // SEED + i), each shard drained on this thread.
-            let per = data.len().div_ceil(shards);
-            let mut cols: Vec<(CrackedColumn<u64>, SmallRng)> = data
-                .chunks(per)
-                .enumerate()
-                .map(|(i, chunk)| {
-                    (
-                        CrackedColumn::new(chunk.to_vec(), config),
-                        SmallRng::seed_from_u64(SEED.wrapping_add(i as u64)),
-                    )
-                })
-                .collect();
-            let serial_answers: Vec<(usize, u64)> = queries
-                .iter()
-                .map(|q| {
-                    let mut count = 0usize;
-                    let mut sum = 0u64;
-                    for (col, rng) in &mut cols {
-                        let out = match strategy {
-                            ParallelStrategy::Crack => col.select_original(*q),
-                            ParallelStrategy::Stochastic => col.mdd1r_select(*q, rng),
-                        };
-                        for e in out.resolve(col.data()) {
-                            count += 1;
-                            sum = sum.wrapping_add(e);
-                        }
-                    }
-                    (count, sum)
-                })
-                .collect();
-
-            assert_eq!(
-                threaded_answers, serial_answers,
-                "{kernel:?}/{strategy:?}: answers diverged"
-            );
-            for (qi, q) in queries.iter().enumerate() {
-                assert_eq!(threaded_answers[qi], oracle(&data, *q), "query {qi}");
-            }
-            let serial_stats = cols.iter().fold(Stats::new(), |acc, (col, _)| {
-                acc + col.stats()
-            });
-            assert_eq!(
-                sc.stats(),
-                serial_stats,
-                "{kernel:?}/{strategy:?}: Stats must be bit-identical"
-            );
-        }
     }
 }
 

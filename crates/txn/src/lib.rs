@@ -5,9 +5,9 @@
 //! visibility: a client has no state it can hold while merge-ripple
 //! flushes and quarantine-rebuilds run underneath it. This crate adds
 //! that state. A [`TxnManager`] owns the same key-disjoint quantile
-//! shards as `BatchScheduler` (built by the shared
-//! [`scrack_parallel::key_disjoint_partitions`] helper), each carrying a
-//! cracked column plus an epoch-stamped committed-update log
+//! shards as `BatchScheduler` (the same [`scrack_parallel::Shard`] type,
+//! built and routed by the one shard map in [`scrack_parallel::shard`]),
+//! each beside an epoch-stamped committed-update log
 //! ([`scrack_updates::EpochLog`]); a [`Session`] is one transaction
 //! against that state.
 //!

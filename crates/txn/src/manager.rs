@@ -4,11 +4,11 @@
 use crate::session::{Session, TxnOutcome};
 use parking_lot::Mutex;
 use scrack_core::fault::fire_panic;
-use scrack_core::{CrackConfig, CrackerEngine, Engine, FaultInjector, FaultKind};
+use scrack_core::{CrackConfig, FaultInjector, FaultKind};
 use scrack_parallel::lock::{LockManager, LockStats};
+use scrack_parallel::shard::{build_shards, key_disjoint_partitions, owner, Shard};
 use scrack_parallel::{
-    key_disjoint_partitions, AdmissionPolicy, ParallelStrategy, ResilienceStats, ServingConfig,
-    ShardHealth,
+    AdmissionPolicy, ParallelStrategy, ResilienceStats, ServingConfig, ShardHealth,
 };
 use scrack_types::{Element, QueryRange};
 use scrack_updates::{EpochLog, LoggedOp};
@@ -18,57 +18,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Instant;
 
-/// One key-range shard: cracker engine (column plus RNG stream) +
-/// committed-update log + the shard-scoped fault sites and health ladder.
-pub(crate) struct TxnShard<E: Element> {
-    pub(crate) span: QueryRange,
-    pub(crate) engine: CrackerEngine<E>,
-    pub(crate) log: EpochLog<E>,
-    pub(crate) health: ShardHealth,
-    pub(crate) fault: FaultInjector,
-}
-
-impl<E: Element> TxnShard<E> {
-    /// `(count, key_sum)` of the **physical column** (merged prefix)
-    /// over `q`: adaptive select while healthy, exact scan while
-    /// quarantined. Cracking preserves the multiset, so the aggregate is
-    /// layout-independent.
-    fn physical_aggregate(&mut self, q: QueryRange) -> (usize, u64) {
-        match self.health {
-            ShardHealth::Healthy => self.engine.select_aggregate(q),
-            ShardHealth::Quarantined { .. } => self
-                .engine
-                .data()
-                .iter()
-                .filter(|e| q.contains(e.key()))
-                .fold((0usize, 0u64), |(c, s), e| (c + 1, s.wrapping_add(e.key()))),
-        }
-    }
-
-    /// Enters quarantine: discard index state (data multiset survives,
-    /// so every published snapshot is preserved), serve scans for
-    /// `batches_left` reads.
-    fn quarantine(&mut self, batches_left: u32) {
-        self.engine.quarantine_rebuild();
-        self.health = ShardHealth::Quarantined { batches_left };
-    }
-
-    /// One quarantined read served; at zero the shard resumes adaptive
-    /// serving (it re-learns its index query by query). Returns whether
-    /// this call completed a rebuild.
-    fn tick_quarantine(&mut self) -> bool {
-        if let ShardHealth::Quarantined { batches_left } = self.health {
-            if batches_left == 0 {
-                self.health = ShardHealth::Healthy;
-                return true;
-            }
-            self.health = ShardHealth::Quarantined {
-                batches_left: batches_left - 1,
-            };
-        }
-        false
-    }
-}
+/// One key-range [`Shard`] beside its committed-update log, under the
+/// shard latch.
+type Cell<E> = Mutex<(Shard<E>, EpochLog<E>)>;
 
 /// The epoch clock plus session admission state, under one mutex.
 ///
@@ -88,10 +40,10 @@ struct Clock {
 /// A session-facing transactional front end over key-disjoint cracked
 /// shards (see the crate docs for the visibility rules).
 ///
-/// Construction partitions the data exactly as
-/// [`scrack_parallel::BatchScheduler`] does — quantile bounds via the
-/// shared [`key_disjoint_partitions`] helper — so both layers route keys
-/// over the identical shard map. The [`ServingConfig`] carries the
+/// Construction partitions the data and builds the shards exactly as
+/// [`scrack_parallel::BatchScheduler`] does ([`key_disjoint_partitions`],
+/// [`build_shards`]), so both layers route keys over the identical
+/// shard map. The [`ServingConfig`] carries the
 /// admission surface: `queue_capacity` bounds concurrently active
 /// sessions, `admission` picks what happens at the bound
 /// ([`AdmissionPolicy::Shed`] refuses, [`AdmissionPolicy::Block`] waits
@@ -100,7 +52,7 @@ struct Clock {
 /// [`TxnManager::begin`], and `rebuild_after` is the quarantine ladder
 /// length, all exactly as in `execute_resilient`.
 pub struct TxnManager<E: Element> {
-    pub(crate) shards: Vec<Mutex<TxnShard<E>>>,
+    pub(crate) shards: Vec<Cell<E>>,
     pub(crate) spans: Vec<QueryRange>,
     pub(crate) locks: Arc<LockManager>,
     clock: StdMutex<Clock>,
@@ -132,27 +84,13 @@ impl<E: Element> TxnManager<E> {
             data.iter().all(|e| e.key() < u64::MAX),
             "u64::MAX keys are reserved"
         );
-        let mut shards = Vec::new();
-        let mut spans = Vec::new();
-        for (i, (span, part)) in key_disjoint_partitions(data, shard_count, config.kernel)
+        let parts = key_disjoint_partitions(data, shard_count, config.kernel);
+        let shards = build_shards(parts, strategy, config, seed);
+        let spans = shards.iter().map(|s| s.span).collect();
+        let shards = shards
             .into_iter()
-            .enumerate()
-        {
-            let scoped = config.fault.scoped_to(i);
-            spans.push(span);
-            shards.push(Mutex::new(TxnShard {
-                span,
-                engine: CrackerEngine::new(
-                    strategy.into(),
-                    part,
-                    config.with_fault(scoped),
-                    seed.wrapping_add(i as u64),
-                ),
-                log: EpochLog::new(),
-                health: ShardHealth::Healthy,
-                fault: FaultInjector::new(scoped),
-            }));
-        }
+            .map(|s| Mutex::new((s, EpochLog::new())))
+            .collect();
         Arc::new(Self {
             shards,
             spans,
@@ -243,7 +181,7 @@ impl<E: Element> TxnManager<E> {
 
     /// The shard index owning `key`.
     pub(crate) fn shard_of(&self, key: u64) -> usize {
-        self.spans.partition_point(|s| s.low <= key) - 1
+        owner(&self.spans, key)
     }
 
     /// Snapshot read of one shard: physical aggregate + the log's delta
@@ -257,7 +195,8 @@ impl<E: Element> TxnManager<E> {
         clip: QueryRange,
         snapshot: u64,
     ) -> Result<(i64, u64), ()> {
-        let mut shard = self.shards[si].lock();
+        let mut cell = self.shards[si].lock();
+        let (shard, log) = &mut *cell;
         if shard.health == ShardHealth::Healthy && shard.fault.poll(FaultKind::PoisonShard) {
             shard.quarantine(self.serving.rebuild_after);
             let mut stats = self.stats.lock();
@@ -265,13 +204,15 @@ impl<E: Element> TxnManager<E> {
             return Err(());
         }
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let (c, s) = shard.physical_aggregate(clip);
-            let (dc, ds) = shard.log.delta(clip, snapshot);
+            let (c, s) = shard.aggregate(clip);
+            let (dc, ds) = log.delta(clip, snapshot);
             (c as i64 + dc, s.wrapping_add(ds))
         }));
         match result {
             Ok(ans) => {
-                if shard.tick_quarantine() {
+                // One quarantined read served; at zero the shard resumes
+                // adaptive serving (it re-learns its index query by query).
+                if shard.tick() {
                     self.stats.lock().rebuilds += 1;
                 }
                 Ok(ans)
@@ -316,8 +257,7 @@ impl<E: Element> TxnManager<E> {
         written.dedup();
         // Phase 1a: validation (no mutation).
         for &si in &written {
-            let shard = self.shards[si].lock();
-            let conflict = shard.log.conflicts_after(snapshot, |k| {
+            let conflict = self.shards[si].lock().1.conflicts_after(snapshot, |k| {
                 writes
                     .iter()
                     .any(|(wsi, op)| *wsi == si && op_key(op) == k)
@@ -329,7 +269,8 @@ impl<E: Element> TxnManager<E> {
         }
         // Phase 1b: the commit fault site, still before any append.
         for &si in &written {
-            let mut shard = self.shards[si].lock();
+            let mut cell = self.shards[si].lock();
+            let shard = &mut cell.0;
             let fired = shard.fault.poll(FaultKind::PanicInCommit);
             let panicked = catch_unwind(AssertUnwindSafe(|| {
                 if fired {
@@ -349,12 +290,11 @@ impl<E: Element> TxnManager<E> {
         // Phase 2: infallible appends, one epoch across all shards.
         let epoch = clock.current + 1;
         for &si in &written {
-            let mut shard = self.shards[si].lock();
             let ops = writes
                 .iter()
                 .filter(|(wsi, _)| *wsi == si)
                 .map(|(_, op)| *op);
-            shard.log.append(epoch, ops);
+            self.shards[si].lock().1.append(epoch, ops);
         }
         clock.current = epoch;
         self.stats.lock().committed += 1;
@@ -385,9 +325,9 @@ impl<E: Element> TxnManager<E> {
         // clock: future pins are at `current >= watermark`, so no reader
         // can ever need an epoch below it.
         for cell in &self.shards {
-            let mut shard = cell.lock();
-            let TxnShard { engine, log, .. } = &mut *shard;
-            log.merge_through(engine.cracked_mut(), watermark);
+            let mut cell = cell.lock();
+            let (shard, log) = &mut *cell;
+            log.merge_through(shard.engine.cracked_mut(), watermark);
         }
     }
 
@@ -413,7 +353,7 @@ impl<E: Element> TxnManager<E> {
         self.shards
             .iter()
             .enumerate()
-            .filter(|(_, s)| matches!(s.lock().health, ShardHealth::Quarantined { .. }))
+            .filter(|(_, s)| matches!(s.lock().0.health, ShardHealth::Quarantined { .. }))
             .map(|(i, _)| i)
             .collect()
     }
@@ -434,23 +374,14 @@ impl<E: Element> TxnManager<E> {
     /// returns the total physical element count.
     pub fn check_integrity(&self) -> Result<usize, String> {
         let mut total = 0usize;
+        let last = self.shards.len() - 1;
         for (i, cell) in self.shards.iter().enumerate() {
-            let shard = cell.lock();
+            let cell = cell.lock();
+            let shard = &cell.0;
             shard
-                .engine
-                .cracked()
-                .check_integrity()
+                .check_integrity(i == last)
                 .map_err(|e| format!("shard {i}: {e}"))?;
-            for e in shard.engine.data() {
-                if !shard.span.contains(e.key()) {
-                    return Err(format!(
-                        "shard {i}: key {} outside span {}",
-                        e.key(),
-                        shard.span
-                    ));
-                }
-            }
-            total += shard.engine.data().len();
+            total += shard.engine.cracked().data().len();
         }
         Ok(total)
     }

@@ -3,6 +3,7 @@
 
 use crate::manager::TxnManager;
 use scrack_parallel::lock::{LockError, LockGuard, LockMode};
+use scrack_parallel::shard::clip;
 use scrack_types::{Element, QueryRange};
 use scrack_updates::LoggedOp;
 use std::sync::Arc;
@@ -140,21 +141,13 @@ impl<E: Element> Session<E> {
     /// merges, or rebuilds.
     pub fn read(&mut self, q: QueryRange) -> Result<(usize, u64), TxnError> {
         self.check_alive()?;
-        let mut count = 0i64;
-        let mut sum = 0u64;
-        for si in 0..self.mgr.spans.len() {
-            let clip = q.intersect(&self.mgr.spans[si]);
-            if clip.is_empty() {
-                continue;
-            }
-            match self.mgr.shard_read(si, clip, self.snapshot) {
-                Ok((c, s)) => {
-                    count += c;
-                    sum = sum.wrapping_add(s);
-                }
-                Err(()) => return Err(self.doom(TxnError::ShardPanic)),
-            }
-        }
+        let physical = clip(&self.mgr.spans, q).try_fold((0i64, 0u64), |(c, s), (si, clipped)| {
+            let (dc, ds) = self.mgr.shard_read(si, clipped, self.snapshot)?;
+            Ok::<_, ()>((c + dc, s.wrapping_add(ds)))
+        });
+        let Ok((mut count, mut sum)) = physical else {
+            return Err(self.doom(TxnError::ShardPanic));
+        };
         // Read-your-own-writes overlay.
         for (_, op) in &self.writes {
             match op {

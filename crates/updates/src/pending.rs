@@ -63,6 +63,16 @@ impl<E: Element> PendingUpdates<E> {
         self.ops.push(PendingOp::Delete(key));
     }
 
+    /// Number of pending updates, inserts and deletes together.
+    pub fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// Whether nothing is pending.
+    pub fn is_empty(&self) -> bool {
+        self.ops.is_empty()
+    }
+
     /// Number of pending inserts.
     pub fn pending_inserts(&self) -> usize {
         self.ops
@@ -205,6 +215,7 @@ mod tests {
             assert_eq!(applied, 2, "{policy}: only the in-range insert and delete");
             assert_eq!(pending.pending_inserts(), 1);
             assert_eq!(pending.pending_deletes(), 1);
+            assert_eq!(pending.len(), 2);
             col.check_integrity().unwrap();
             // 50 inserted (now twice), 60 gone.
             let out = col.select_original(QueryRange::new(50, 51));
@@ -226,6 +237,7 @@ mod tests {
             assert_eq!(pending.merge_all(&mut col), 4, "{policy}");
             assert_eq!(pending.pending_inserts(), 0);
             assert_eq!(pending.pending_deletes(), 0);
+            assert!(pending.is_empty());
             assert_eq!(col.data().len(), 102, "{policy}");
             col.check_integrity().unwrap();
         }

@@ -70,7 +70,7 @@ impl<E: Element> Updatable<E> {
 
     /// Pending updates not yet merged.
     pub fn pending_len(&self) -> usize {
-        self.pending.pending_inserts() + self.pending.pending_deletes()
+        self.pending.len()
     }
 
     /// Merges every pending update now (a checkpoint), returning how many

@@ -2,8 +2,9 @@
 //!
 //! Three concurrency shapes over the same data:
 //!
-//! 1. a sharded cracker — one query fans out over independently cracked
-//!    shards (intra-query parallelism);
+//! 1. chunked cracking with its partition-merge disabled — one query
+//!    fans out over independently cracked chunks (intra-query
+//!    parallelism);
 //! 2. a shared cracker — eight threads fire their own query streams at
 //!    one locked column; repeated ranges take a read-only fast path
 //!    because cracking is self-stabilizing;
@@ -21,16 +22,17 @@ fn main() {
     let n: u64 = 4_000_000;
     let data: Vec<u64> = unique_permutation(n, 17);
 
-    // --- Intra-query parallelism: sharded cracking -----------------
-    println!("Sharded cracking ({} tuples):", n);
-    for shards in [1usize, 2, 4, 8] {
-        let mut sc = ShardedCracker::new(
+    // --- Intra-query parallelism: the chunk phase, never merged ----
+    println!("Chunked cracking, merge disabled ({} tuples):", n);
+    for chunks in [1usize, 2, 4, 8] {
+        let mut sc = ChunkedCracker::new(
             data.clone(),
-            shards,
+            chunks,
             ParallelStrategy::Stochastic,
             CrackConfig::default(),
             17,
-        );
+        )
+        .with_merge_after(usize::MAX);
         let t0 = Instant::now();
         let mut total = 0usize;
         for i in 0..200u64 {
@@ -39,7 +41,7 @@ fn main() {
             total += count;
         }
         println!(
-            "  {shards} shard(s): 200 queries in {:>8.2?} ({total} tuples matched)",
+            "  {chunks} chunk(s): 200 queries in {:>8.2?} ({total} tuples matched)",
             t0.elapsed()
         );
     }
@@ -111,7 +113,7 @@ fn main() {
         );
     }
     println!(
-        "\nShards parallelize one query's reorganization; the shared \
+        "\nChunks parallelize one query's reorganization; the shared \
          column serves many query streams,\nwith reorganization naturally \
          fading into read-only access as the index converges; piece \
          locks\nlet disjoint regions reorganize truly concurrently."

@@ -32,7 +32,7 @@
 //! | [`hybrids`] | `scrack_hybrids` | hybrid crack/sort engines |
 //! | [`sideways`] | `scrack_sideways` | sideways cracking under storage budgets |
 //! | [`updates`] | `scrack_updates` | Ripple merge of pending updates |
-//! | [`parallel`] | `scrack_parallel` | sharded / shared / piece-locked / chunked cracking |
+//! | [`parallel`] | `scrack_parallel` | the one `Shard` + shard map behind batch-scheduled / chunked cracking; shared / piece-locked columns; lock manager |
 //! | [`txn`] | `scrack_txn` | transactional sessions: snapshot isolation, lock manager |
 
 #![forbid(unsafe_code)]
@@ -101,27 +101,12 @@ pub mod updates {
 
 /// Parallel cracking ([`scrack_parallel`]).
 ///
-/// Five concurrency shapes, all config-aware (the [`CrackConfig`]
+/// Four concurrency shapes, all config-aware (the [`CrackConfig`]
 /// kernel policy selects the branchy/branchless reorganization kernels
 /// on the concurrent paths too) and all oracle-equal under any
 /// interleaving. The threaded paths share one work-stealing executor
 /// ([`scrack_parallel::executor`]) that caps live workers at available
 /// parallelism.
-///
-/// [`ShardedCracker`] — one query fans out over independently cracked
-/// shards:
-///
-/// ```
-/// use stochastic_cracking::prelude::*;
-///
-/// let data: Vec<u64> = unique_permutation(2_000, 3);
-/// let mut sc = ShardedCracker::new(
-///     data.clone(), 4, ParallelStrategy::Stochastic, CrackConfig::default(), 3,
-/// );
-/// let q = QueryRange::new(250, 750);
-/// let oracle = Oracle::new(&data);
-/// assert_eq!(sc.select_aggregate(q), (oracle.count(q), oracle.checksum(q)));
-/// ```
 ///
 /// [`SharedCracker`] — many threads share one column; writers publish
 /// immutable layout snapshots (epochs), and any query resolvable against
@@ -182,9 +167,11 @@ pub mod updates {
 /// }
 /// ```
 ///
-/// [`ChunkedCracker`] — parallel-chunked cracking: workers crack
-/// private chunks with zero coordination, then partition-merge into
-/// key-disjoint shards once query volume accumulates:
+/// [`ChunkedCracker`] — parallel-chunked cracking: every query fans out
+/// over private chunks cracked with zero coordination, which
+/// partition-merge into key-disjoint shards (the [`BatchScheduler`]
+/// layout) once query volume accumulates; `with_merge_after(usize::MAX)`
+/// keeps the intra-query fan-out forever:
 ///
 /// ```
 /// use stochastic_cracking::prelude::*;
@@ -230,7 +217,6 @@ pub mod updates {
 /// assert!(sched.quarantined_shards().is_empty()); // rebuilt, back to cracking
 /// ```
 ///
-/// [`ShardedCracker`]: scrack_parallel::ShardedCracker
 /// [`BatchScheduler::execute_resilient`]: scrack_parallel::BatchScheduler::execute_resilient
 /// [`FaultPlan`]: scrack_core::FaultPlan
 /// [`SharedCracker`]: scrack_parallel::SharedCracker
@@ -304,8 +290,8 @@ pub mod prelude {
     pub use scrack_hybrids::{HybridEngine, HybridKind};
     pub use scrack_parallel::{
         AdmissionPolicy, BatchOp, BatchReport, BatchScheduler, ChunkedCracker, ParallelStrategy,
-        PieceLockedCracker, QueryOutcome, ResilienceStats, ServingConfig, ShardedCracker,
-        SharedCracker, ShardHealth,
+        PieceLockedCracker, QueryOutcome, ResilienceStats, ServingConfig, SharedCracker,
+        ShardHealth,
     };
     pub use scrack_txn::{
         LockError, LockManager, LockMode, LockStats, Session, TxnError, TxnManager, TxnOutcome,

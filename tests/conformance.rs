@@ -1,7 +1,10 @@
-//! Edge-case conformance over the one cracker engine.
+//! Edge-case conformance over the one cracker engine and the one shard.
 //!
-//! One table instead of a test per engine struct: every update-capable
-//! [`EngineKind`] × {bare [`CrackerEngine`], [`Updatable`]} × every
+//! One table instead of a test per engine struct or per wrapper: every
+//! update-capable [`EngineKind`] × {bare [`CrackerEngine`],
+//! [`Updatable`]}, then the shard-backed serving shapes
+//! ([`BatchScheduler`] at 1 and 4 shards, [`ChunkedCracker`] across its
+//! merge, [`TxnManager`] sessions) × every
 //! [`IndexPolicy`], on the degenerate columns (empty, single element,
 //! all-duplicate keys, a column holding the unselectable key `u64::MAX`)
 //! against the degenerate ranges (zero-width, inverted, full-domain,
@@ -86,52 +89,198 @@ fn bare_engine_answers_every_edge_range_on_every_edge_column() {
     }
 }
 
+/// One row of the serving table: a shape that answers selects and, where
+/// it takes writes, single-key updates.
+trait Served {
+    fn select(&mut self, q: QueryRange) -> (usize, u64);
+    /// Whether the shape took the write (`false`: read-only shape, or a
+    /// key it reserves — the model then skips it too).
+    fn insert(&mut self, key: u64) -> bool;
+    fn delete(&mut self, key: u64) -> bool;
+    /// Checkpoints every buffered write; returns what is still pending.
+    fn flush(&mut self) -> usize;
+    fn integrity(&self) -> Result<(), String>;
+    /// Physical tuple count, where the shape can tell.
+    fn physical_len(&self) -> Option<usize> {
+        None
+    }
+}
+
+impl Served for Updatable<u64> {
+    fn select(&mut self, q: QueryRange) -> (usize, u64) {
+        let out = Engine::select(self, q);
+        (out.len(), out.key_checksum(self.data()))
+    }
+    fn insert(&mut self, key: u64) -> bool {
+        Updatable::insert(self, key);
+        true
+    }
+    fn delete(&mut self, key: u64) -> bool {
+        Updatable::delete(self, key);
+        true
+    }
+    fn flush(&mut self) -> usize {
+        Updatable::flush(self);
+        self.pending_len()
+    }
+    fn integrity(&self) -> Result<(), String> {
+        self.check_integrity()
+    }
+    fn physical_len(&self) -> Option<usize> {
+        Some(self.data().len())
+    }
+}
+
+/// One-op batches through the serial entry point.
+impl Served for BatchScheduler<u64> {
+    fn select(&mut self, q: QueryRange) -> (usize, u64) {
+        self.execute_ops_serial(&[BatchOp::Select(q)])[0]
+    }
+    fn insert(&mut self, key: u64) -> bool {
+        self.execute_ops_serial(&[BatchOp::Insert(key)]);
+        true
+    }
+    fn delete(&mut self, key: u64) -> bool {
+        self.execute_ops_serial(&[BatchOp::Delete(key)]);
+        true
+    }
+    fn flush(&mut self) -> usize {
+        self.flush_updates();
+        self.pending_updates()
+    }
+    fn integrity(&self) -> Result<(), String> {
+        self.check_integrity()
+    }
+}
+
+/// Read-only; the table's 33 selects cross its partition-merge.
+impl Served for ChunkedCracker<u64> {
+    fn select(&mut self, q: QueryRange) -> (usize, u64) {
+        self.execute_serial(&[q])[0]
+    }
+    fn insert(&mut self, _: u64) -> bool {
+        false
+    }
+    fn delete(&mut self, _: u64) -> bool {
+        false
+    }
+    fn flush(&mut self) -> usize {
+        assert!(self.has_merged(), "the table must run past the merge");
+        0
+    }
+    fn integrity(&self) -> Result<(), String> {
+        self.check_integrity()
+    }
+}
+
+/// Every op is its own committed session; a select is a fresh session's
+/// re-read. `u64::MAX` is reserved by the session layer.
+impl Served for std::sync::Arc<TxnManager<u64>> {
+    fn select(&mut self, q: QueryRange) -> (usize, u64) {
+        let mut session = self.begin().unwrap();
+        let answer = session.read(q).unwrap();
+        assert!(matches!(session.commit(), TxnOutcome::Committed { .. }));
+        answer
+    }
+    fn insert(&mut self, key: u64) -> bool {
+        if key == u64::MAX {
+            return false;
+        }
+        let mut session = self.begin().unwrap();
+        session.insert(key).unwrap();
+        assert!(matches!(session.commit(), TxnOutcome::Committed { .. }));
+        true
+    }
+    fn delete(&mut self, key: u64) -> bool {
+        let mut session = self.begin().unwrap();
+        session.delete(key).unwrap();
+        assert!(matches!(session.commit(), TxnOutcome::Committed { .. }));
+        true
+    }
+    fn flush(&mut self) -> usize {
+        self.lock_residue()
+    }
+    fn integrity(&self) -> Result<(), String> {
+        self.check_integrity().map(drop)
+    }
+    fn physical_len(&self) -> Option<usize> {
+        self.check_integrity().ok()
+    }
+}
+
+/// The rows: `Updatable` over every update-capable kind, then the
+/// shard-backed shapes under both of their strategies.
+fn shapes(column: &[u64], index: IndexPolicy) -> Vec<(String, Box<dyn Served>)> {
+    let cfg = config(index);
+    let mut rows: Vec<(String, Box<dyn Served>)> = update_capable_kinds()
+        .into_iter()
+        .map(|kind| -> (String, Box<dyn Served>) {
+            let engine = build_update_engine(kind, column.to_vec(), cfg, 11);
+            (format!("Updatable {}", kind.label()), Box::new(engine))
+        })
+        .collect();
+    for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
+        for shards in [1, 4] {
+            let sched = BatchScheduler::new(column.to_vec(), shards, strategy, cfg, 11);
+            rows.push((format!("BatchScheduler x{shards} {strategy:?}"), Box::new(sched)));
+        }
+        let chunked =
+            ChunkedCracker::new(column.to_vec(), 3, strategy, cfg, 11).with_merge_after(RANGES.len());
+        rows.push((format!("ChunkedCracker {strategy:?}"), Box::new(chunked)));
+        if !column.contains(&u64::MAX) {
+            let serving = ServingConfig::default();
+            let mgr = TxnManager::new(column.to_vec(), 4, strategy, cfg, serving, 11);
+            rows.push((format!("TxnManager {strategy:?}"), Box::new(mgr)));
+        }
+    }
+    rows
+}
+
 #[test]
-fn updatable_answers_every_edge_range_around_edge_updates() {
-    for kind in update_capable_kinds() {
-        for index in IndexPolicy::ALL {
-            for (name, column) in columns() {
-                let what = format!("{} / {index:?} / {name}", kind.label());
+fn every_serving_shape_answers_every_edge_range_around_edge_updates() {
+    for index in IndexPolicy::ALL {
+        for (name, column) in columns() {
+            for (shape, mut served) in shapes(&column, index) {
+                let what = format!("{shape} / {index:?} / {name}");
                 let mut model = column.clone();
-                let mut engine = build_update_engine(kind, column, config(index), 11);
-                let ranges = |what: &str, model: &[u64], engine: &mut Updatable<u64>| {
-                    check_ranges(what, model, |q| {
-                        let out = engine.select(q);
-                        let answer = (out.len(), out.key_checksum(engine.data()));
-                        (answer, engine.check_integrity())
-                    })
+                let ranges = |what: &str, model: &[u64], served: &mut dyn Served| {
+                    check_ranges(what, model, |q| (served.select(q), served.integrity()))
                 };
 
                 // Insert-then-delete of one key before any select: a net
                 // no-op, whether or not the key was already present.
                 for key in [50, 7, u64::MAX - 1] {
-                    engine.insert(key);
-                    engine.delete(key);
+                    if served.insert(key) {
+                        served.delete(key);
+                    }
                 }
-                engine.check_integrity().unwrap();
-                ranges(&format!("{what} / after insert+delete"), &model, &mut engine);
+                served.integrity().unwrap();
+                ranges(&format!("{what} / after insert+delete"), &model, served.as_mut());
 
                 // Real updates at the edges: below the minimum, a
                 // duplicate, far above the maximum, the last selectable
                 // key and the unselectable one (it merges only at the
                 // flush); deletes of a present and of an absent key.
                 for key in [0, 7, 5_000_000, u64::MAX - 1, u64::MAX] {
-                    engine.insert(key);
-                    model.push(key);
-                }
-                for key in [7, 123_456_789] {
-                    engine.delete(key);
-                    if let Some(at) = model.iter().position(|k| *k == key) {
-                        model.swap_remove(at);
+                    if served.insert(key) {
+                        model.push(key);
                     }
                 }
-                ranges(&format!("{what} / after updates"), &model, &mut engine);
+                for key in [7, 123_456_789] {
+                    if served.delete(key) {
+                        if let Some(at) = model.iter().position(|k| *k == key) {
+                            model.swap_remove(at);
+                        }
+                    }
+                }
+                ranges(&format!("{what} / after updates"), &model, served.as_mut());
 
-                engine.flush();
-                assert_eq!(engine.pending_len(), 0, "{what}: flush leaves nothing pending");
-                engine.check_integrity().unwrap();
-                assert_eq!(engine.data().len(), model.len(), "{what}: physical size");
-                ranges(&format!("{what} / after flush"), &model, &mut engine);
+                assert_eq!(served.flush(), 0, "{what}: flush leaves nothing pending");
+                served.integrity().unwrap();
+                if let Some(len) = served.physical_len() {
+                    assert_eq!(len, model.len(), "{what}: physical size");
+                }
+                ranges(&format!("{what} / after flush"), &model, served.as_mut());
             }
         }
     }
