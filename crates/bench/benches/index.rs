@@ -1,4 +1,4 @@
-//! Criterion benches for the cracker index, AVL vs flat representation.
+//! Criterion benches for the cracker index, across its representations.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use scrack_index::{AvlTree, CrackerIndex, FlatIndex, IndexPolicy};
@@ -28,32 +28,53 @@ fn built_index(n: usize, policy: IndexPolicy) -> CrackerIndex<()> {
     idx
 }
 
-fn bench_insert(c: &mut Criterion) {
-    let cracks = crack_positions(10_000);
-    c.bench_function("avl/insert_10k", |b| {
-        b.iter_batched_ref(
-            AvlTree::<()>::new,
-            |t| {
-                for (k, p) in &cracks {
-                    t.insert(*k, *p, ());
-                }
-                t.len()
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    c.bench_function("flat/insert_10k", |b| {
-        b.iter_batched_ref(
-            FlatIndex::<()>::new,
-            |f| {
-                for (k, p) in &cracks {
-                    f.insert(*k, *p, ());
-                }
-                f.len()
-            },
-            BatchSize::SmallInput,
-        )
-    });
+/// The index traffic of a random workload, at the two scales the repo
+/// benchmark serves: pseudo-random bounds, each one `piece_containing`
+/// and one `add_crack` into an index that grows from empty. Time per
+/// iteration ÷ bounds is the cost of one lookup + one insert averaged
+/// over the whole growth.
+///
+/// * `replay_500k` — `rand_warm` ends near 559k cracks; the figure that
+///   decides the index axis (ROADMAP item 2).
+/// * `replay_4k` — the young indexes of a set-up phase (`txn_sessions`
+///   warms four shards to a few thousand cracks each): the regime where
+///   one small sorted array is at its best.
+fn bench_replay(c: &mut Criterion) {
+    // A permutation column, as the benchmark's: key k cracks at
+    // position k. Keys from xorshift64, not `crack_positions`' Weyl
+    // sequence, whose evenly spaced keys flatter the trie.
+    const COLUMN: usize = 4_000_000;
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let bounds: Vec<(u64, usize)> = (0..500_000)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let k = state % COLUMN as u64;
+            (k, k as usize)
+        })
+        .collect();
+    let mut group = c.benchmark_group("cracker_index");
+    for (name, count, samples) in [("replay_4k", 4_000, 500), ("replay_500k", 500_000, 3)] {
+        group.sample_size(samples);
+        for policy in IndexPolicy::ALL {
+            group.bench_function(format!("{policy}/{name}"), |b| {
+                b.iter_batched_ref(
+                    || CrackerIndex::<()>::with_policy(COLUMN, policy),
+                    |idx| {
+                        let mut acc = 0usize;
+                        for (k, p) in &bounds[..count] {
+                            acc ^= idx.piece_containing(*k).start;
+                            idx.add_crack(*k, *p);
+                        }
+                        (acc, idx.crack_count())
+                    },
+                    BatchSize::LargeInput,
+                )
+            });
+        }
+    }
+    group.finish();
 }
 
 fn bench_piece_lookup(c: &mut Criterion) {
@@ -122,7 +143,7 @@ fn bench_neighbor_queries(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_insert,
+    bench_replay,
     bench_piece_lookup,
     bench_piece_iteration,
     bench_neighbor_queries

@@ -253,9 +253,11 @@ fn crack_position_shifts_are_policy_invariant() {
         let (data, index, _) = col.parts_mut();
         data.push(700);
         index.set_column_len(data.len());
-        let id = index.find_crack(1_500).unwrap();
-        let p = index.crack_pos(id);
-        index.set_crack_pos(id, p + 1);
+        let c = index.cursor_at(index.find_crack(1_500).unwrap());
+        let p = index.cursor_pos(c);
+        index.set_cursor_pos(c, p + 1);
+        assert_eq!(index.cursor_prev(c).map(|b| index.cursor_key(b)), Some(500), "{policy}");
+        assert_eq!(index.cursor_next(c), None, "{policy}");
         let hole = data.len() - 1;
         data[hole] = data[p];
         data[p] = 700;

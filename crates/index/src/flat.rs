@@ -1,5 +1,5 @@
-//! A cache-conscious flat cracker index: sorted parallel arrays with an
-//! insert-absorbing delta buffer.
+//! A cache-conscious flat cracker index: fixed-capacity sorted blocks
+//! under a fence-key array.
 //!
 //! The AVL representation ([`crate::AvlTree`]) navigates by pointer
 //! chasing: every `predecessor/successor` walk hops `O(log n)` nodes
@@ -7,77 +7,76 @@
 //! cracking converges, that navigation — not data movement — bounds
 //! per-query latency (Halim et al. §3's cost analysis; Alvarez et al.,
 //! DaMoN 2014). The standard fix is a **flat piece directory**: crack
-//! keys in one contiguous sorted array, positions in a parallel array,
-//! and a lower-bound search over the dense keys. A lookup then touches a
-//! handful of cache lines in one small array instead of a pointer chain.
+//! keys contiguous and sorted, positions parallel to them, and a
+//! lower-bound search over the dense keys.
 //!
-//! Two measured design decisions, both pinned by `BENCH_4.json`:
-//!
-//! * **Search variant.** The lower-bound search runs through
-//!   `partition_point` (the classic branchy halving). The predicated
-//!   ("branch-free", conditional-move) variant was measured 4–5× slower
-//!   here: its loads form a serial dependency chain, while the branchy
-//!   search speculates — the CPU issues the probable next load before
-//!   the compare resolves, which at binary-search branch entropy still
-//!   wins decisively on out-of-order cores ([`count_le`] keeps both; the
-//!   predicated twin survives as [`count_le_predicated`] for A/B runs).
-//! * **Delta buffer.** A plain sorted array pays an `O(n)` tail
-//!   `memmove` per insert — at the ~20k cracks a 10k-query sequence
-//!   creates, that is ~200 KB per crack and dominates random-workload
-//!   latency. Inserts therefore land in a small sorted **delta** (at
-//!   most [`DELTA_CAP`] entries, so the shift stays within a few KB) and
-//!   bulk-merge into the main arrays when the delta fills — one linear
-//!   backward merge amortized over [`DELTA_CAP`] inserts. Lookups search
-//!   main + delta (both contiguous, the delta L1-resident) and combine
-//!   neighbors.
-//!
-//! Layout:
+//! One sorted array pays an `O(n)` tail `memmove` per insert, and a
+//! random workload keeps inserting (≈ 1.2 cracks per query, half a
+//! million cracks on a 4M column). So the directory is **two levels**,
+//! in effect B⁺-tree leaves without pointers:
 //!
 //! ```text
-//! main   keys  [ 50 |  80 | 120 | … ]   sorted, contiguous — the big search array
-//!        pos   [ 48 |  75 | 110 | … ]   parallel crack positions
-//!        slots [  2 |  0  |  1  | … ]   parallel handles into the arena
-//! delta  keys  [ 64 | 97 ]              sorted, ≤ DELTA_CAP, absorbs inserts
-//!        pos/slots parallel             (merged into main when full)
-//! arena  [ {80,M} {120,M} {50,M} {64,M} {97,M} ]   stable per-crack metadata
+//! fences [  50 | 300 | 720 ]            smallest key of each block, in key order
+//! order  [ b2:3 | b0:2 | b1:4 ]         block id : live entries, parallel to fences
+//!
+//! pools  keys  [ 300 320  ·  · | 720 800 810 990 |  50  80 120  · ]
+//!        pos   [ 290 311  ·  · | 700 790 805 985 |  48  75 110  · ]
+//!        slots [   4   7  ·  · |   1   8   3   6 |   2   0   5  · ]
+//!                  block 0          block 1           block 2       (BLOCK_CAP = 4 here)
+//! arena  [ {80,M} {720,M} {50,M} … ]    stable per-crack metadata, indexed by `slots`
 //! ```
+//!
+//! * **Lookup** is two [`count_le`]s: one over the fences picks the
+//!   block, one over that block's keys picks the entry. Both piece edges
+//!   fall out of the same pair (the successor is the next entry, or the
+//!   first entry of the next block).
+//! * **Insert** shifts the tail of one block — at most `BLOCK_CAP`
+//!   entries, whatever the crack count. A full block first moves its
+//!   upper half into a fresh block and inserts one fence.
+//! * **Remove** shifts within one block; a block that empties leaves
+//!   `order` and goes on a free list that later splits draw from.
+//!   Underfull blocks are not merged: cracking only ever adds cracks.
+//! * Blocks are ranges of three pooled `Vec`s, never `Vec`s of their
+//!   own: one allocation per array, no per-block heap header, and a
+//!   block id is an offset.
+//!
+//! The search runs through `partition_point` (the classic branchy
+//! halving). A predicated conditional-move search was measured 4–5×
+//! slower here (`BENCH_4.json`): its loads form a serial dependency
+//! chain, while the branchy search speculates — the CPU issues the
+//! probable next load before the compare resolves.
 //!
 //! Handles ([`NodeId`]) index the **arena**, whose slots never move while
 //! the entry lives — the same stability contract the AVL arena gives,
-//! which the Ripple update path and the selective engines' piece-meta
-//! access rely on. A handle resolves back to its sorted location by
-//! re-searching its immutable key (`O(log n)`), which keeps inserts and
-//! merges free of back-pointer fixups.
+//! which the selective engines' piece-meta access relies on. A handle
+//! carries no back-pointer into the blocks (splits would have to fix
+//! them up); it resolves to its sorted location by re-searching its
+//! immutable key. Code that walks crack after crack — the Ripple update
+//! path — resolves once and then steps a [`CrackCursor`], which is O(1)
+//! per boundary.
 
 use crate::avl::NodeId;
+use crate::index::CrackCursor;
 
-/// Maximum delta-buffer entries before a bulk merge into the main
-/// arrays. Small enough that the per-insert shift stays a few cache
-/// lines; large enough to amortize the `O(n)` merge well below the cost
-/// of the reorganization work that accompanies a crack.
-pub const DELTA_CAP: usize = 256;
+/// Entries per block. An insert shifts on average a quarter of this many
+/// entries of each pooled array, a lookup halves over this many keys
+/// after halving over `cracks / (0.7 · BLOCK_CAP)` fences; 128 keeps a
+/// block's keys in 16 cache lines and the fences of a million cracks
+/// inside L2. Not a knob: it is re-exported (hidden, as
+/// `FLAT_BLOCK_CAP`) only so that the seam-crossing cases of
+/// `tests/prop.rs` here and in `scrack_updates` size their crack sets
+/// from it.
+#[doc(hidden)]
+pub const BLOCK_CAP: usize = 128;
+
+/// Entries that stay in a full block when it splits.
+const SPLIT_AT: usize = BLOCK_CAP / 2;
 
 /// Count of elements `<= probe` in the sorted slice `a` (the rank the
-/// piece lookup needs). Runs through `partition_point` — measured faster
-/// than the predicated variant on out-of-order cores (see module docs).
+/// piece lookup needs).
 #[inline]
 pub fn count_le(a: &[u64], probe: u64) -> usize {
     a.partition_point(|k| *k <= probe)
-}
-
-/// The predicated (conditional-move) twin of [`count_le`]: the classic
-/// multiplicative branch-free binary search. Kept for differential
-/// testing and A/B measurement; the hot paths use [`count_le`].
-#[inline]
-pub fn count_le_predicated(a: &[u64], probe: u64) -> usize {
-    let mut off = 0usize;
-    let mut n = a.len();
-    while n > 1 {
-        let half = n / 2;
-        off += usize::from(a[off + half - 1] <= probe) * half;
-        n -= half;
-    }
-    off + usize::from(n == 1 && a[off] <= probe)
 }
 
 #[derive(Debug, Clone)]
@@ -86,35 +85,51 @@ struct Entry<M> {
     meta: M,
 }
 
-/// Where a key lives inside the two-level structure.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Loc {
-    Main(usize),
-    Delta(usize),
+/// One block of the directory: which pool range it owns and how much of
+/// it is live.
+#[derive(Clone, Copy, Debug)]
+struct BlockRef {
+    /// The block owns `[id * BLOCK_CAP, (id + 1) * BLOCK_CAP)` of each pool.
+    id: u32,
+    /// Live entries, `1..=BLOCK_CAP` (an emptied block leaves `order`).
+    len: u32,
+}
+
+impl BlockRef {
+    #[inline]
+    fn base(self) -> usize {
+        self.id as usize * BLOCK_CAP
+    }
+
+    #[inline]
+    fn len(self) -> usize {
+        self.len as usize
+    }
 }
 
 /// A flat cracker index: crack keys, positions and metadata handles in
-/// sorted parallel arrays plus a small insert-absorbing delta (see the
-/// module docs for layout and costs).
+/// fixed-capacity sorted blocks under a fence-key array (see the module
+/// docs for layout and costs).
 ///
 /// API-compatible with [`crate::AvlTree`] where the two overlap, so
 /// [`crate::CrackerIndex`] can dispatch between the representations and
 /// property tests can pin them against each other entry for entry.
 #[derive(Debug, Clone)]
 pub struct FlatIndex<M> {
-    /// Main crack keys, strictly increasing; the big search array.
+    /// `fences[r]` is the smallest key of the block at rank `r`;
+    /// strictly increasing.
+    fences: Vec<u64>,
+    /// The blocks in key order, parallel to `fences`.
+    order: Vec<BlockRef>,
+    /// Pooled crack keys; strictly increasing inside a block's live range.
     keys: Vec<u64>,
-    /// `pos[r]` is the crack position of `keys[r]`.
+    /// `pos[i]` is the crack position of `keys[i]`.
     pos: Vec<usize>,
-    /// `slots[r]` is the arena slot of `keys[r]`'s metadata.
+    /// `slots[i]` is the arena slot of `keys[i]`'s metadata.
     slots: Vec<u32>,
-    /// Delta keys, strictly increasing, disjoint from `keys`, length
-    /// at most [`DELTA_CAP`].
-    dkeys: Vec<u64>,
-    /// Delta positions, parallel to `dkeys`.
-    dpos: Vec<usize>,
-    /// Delta arena slots, parallel to `dkeys`.
-    dslots: Vec<u32>,
+    /// Pool ids of emptied blocks, reused before the pools grow.
+    free_blocks: Vec<u32>,
+    len: usize,
     /// Stable metadata storage; slots are recycled via `free`.
     arena: Vec<Entry<M>>,
     free: Vec<u32>,
@@ -130,12 +145,13 @@ impl<M> FlatIndex<M> {
     /// Creates an empty index.
     pub fn new() -> Self {
         Self {
+            fences: Vec::new(),
+            order: Vec::new(),
             keys: Vec::new(),
             pos: Vec::new(),
             slots: Vec::new(),
-            dkeys: Vec::new(),
-            dpos: Vec::new(),
-            dslots: Vec::new(),
+            free_blocks: Vec::new(),
+            len: 0,
             arena: Vec::new(),
             free: Vec::new(),
         }
@@ -144,67 +160,32 @@ impl<M> FlatIndex<M> {
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.keys.len() + self.dkeys.len()
+        self.len
     }
 
     /// Whether the index holds no entries.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty() && self.dkeys.is_empty()
+        self.len == 0
     }
 
     /// Removes every entry.
     pub fn clear(&mut self) {
+        self.fences.clear();
+        self.order.clear();
         self.keys.clear();
         self.pos.clear();
         self.slots.clear();
-        self.dkeys.clear();
-        self.dpos.clear();
-        self.dslots.clear();
+        self.free_blocks.clear();
+        self.len = 0;
         self.arena.clear();
         self.free.clear();
-    }
-
-    /// Sorted location of the entry behind `id`: re-search by its
-    /// (immutable) key.
-    #[inline]
-    fn loc_of(&self, id: NodeId) -> Loc {
-        let key = self.arena[id.0 as usize].key;
-        let r = count_le(&self.keys, key);
-        if r > 0 && self.keys[r - 1] == key {
-            return Loc::Main(r - 1);
-        }
-        let d = count_le(&self.dkeys, key);
-        debug_assert!(d > 0 && self.dkeys[d - 1] == key, "stale handle");
-        Loc::Delta(d - 1)
     }
 
     /// Key of the entry behind `id`.
     #[inline]
     pub fn key(&self, id: NodeId) -> u64 {
         self.arena[id.0 as usize].key
-    }
-
-    /// Position of the entry behind `id` (`O(log n)`: key re-search).
-    #[inline]
-    pub fn pos(&self, id: NodeId) -> usize {
-        match self.loc_of(id) {
-            Loc::Main(i) => self.pos[i],
-            Loc::Delta(i) => self.dpos[i],
-        }
-    }
-
-    /// Overwrites the position of the entry behind `id`.
-    ///
-    /// As with the AVL representation, positions carry no ordering
-    /// obligation inside the index; the cracker invariant that positions
-    /// are monotone in key order is the caller's to maintain.
-    #[inline]
-    pub fn set_pos(&mut self, id: NodeId, pos: usize) {
-        match self.loc_of(id) {
-            Loc::Main(i) => self.pos[i] = pos,
-            Loc::Delta(i) => self.dpos[i] = pos,
-        }
     }
 
     /// Metadata of the entry behind `id`.
@@ -219,77 +200,83 @@ impl<M> FlatIndex<M> {
         &mut self.arena[id.0 as usize].meta
     }
 
-    /// The `(key, pos, handle)` triple at main rank `i` / delta rank `i`.
+    /// The rank of the block whose key range covers `probe`, and the
+    /// count of that block's keys `<= probe`. The count is 0 only for a
+    /// probe below every key (rank 0). Must not be called when empty.
     #[inline]
-    fn triple(&self, loc: Loc) -> (u64, usize, NodeId) {
-        match loc {
-            Loc::Main(i) => (self.keys[i], self.pos[i], NodeId(self.slots[i])),
-            Loc::Delta(i) => (self.dkeys[i], self.dpos[i], NodeId(self.dslots[i])),
+    fn locate(&self, probe: u64) -> (usize, usize) {
+        let r = count_le(&self.fences, probe);
+        if r == 0 {
+            return (0, 0);
         }
+        let block = self.order[r - 1];
+        let base = block.base();
+        (r - 1, count_le(&self.keys[base..base + block.len()], probe))
+    }
+
+    /// `(rank, offset)` of the greatest entry with key `<= probe`.
+    #[inline]
+    fn floor(&self, probe: u64) -> Option<(usize, usize)> {
+        if self.order.is_empty() {
+            return None;
+        }
+        let (rank, c) = self.locate(probe);
+        (c > 0).then(|| (rank, c - 1))
+    }
+
+    /// Pool index of the entry at `(rank, off)`.
+    #[inline]
+    fn slot_of(&self, rank: usize, off: usize) -> usize {
+        let block = self.order[rank];
+        debug_assert!(off < block.len(), "offset beyond the block's live range");
+        block.base() + off
+    }
+
+    /// The `(key, pos, handle)` triple at `(rank, off)`.
+    #[inline]
+    fn triple(&self, rank: usize, off: usize) -> (u64, usize, NodeId) {
+        let i = self.slot_of(rank, off);
+        (self.keys[i], self.pos[i], NodeId(self.slots[i]))
     }
 
     /// Both neighbors of `probe` in one pass: the greatest entry with
     /// key `<= probe` and the smallest with key `> probe`, as
     /// `(key, pos, handle)` triples. This is the piece lookup: one
-    /// search per level (main + delta), everything else O(1).
+    /// search over the fences, one inside a block, everything else O(1).
     #[inline]
     #[allow(clippy::type_complexity)]
     pub fn neighbors(
         &self,
         probe: u64,
     ) -> (Option<(u64, usize, NodeId)>, Option<(u64, usize, NodeId)>) {
-        let rm = count_le(&self.keys, probe);
-        let rd = count_le(&self.dkeys, probe);
-        // Predecessor-or-equal: the larger of the two candidates (keys
-        // are disjoint across levels, so strict comparison decides).
-        let pred = match (rm > 0, rd > 0) {
-            (true, true) => Some(if self.keys[rm - 1] >= self.dkeys[rd - 1] {
-                Loc::Main(rm - 1)
-            } else {
-                Loc::Delta(rd - 1)
-            }),
-            (true, false) => Some(Loc::Main(rm - 1)),
-            (false, true) => Some(Loc::Delta(rd - 1)),
-            (false, false) => None,
+        if self.order.is_empty() {
+            return (None, None);
+        }
+        let (rank, c) = self.locate(probe);
+        let pred = (c > 0).then(|| self.triple(rank, c - 1));
+        let succ = if c < self.order[rank].len() {
+            Some(self.triple(rank, c))
+        } else if rank + 1 < self.order.len() {
+            Some(self.triple(rank + 1, 0))
+        } else {
+            None
         };
-        // Strict successor: the smaller of the two candidates.
-        let succ = match (rm < self.keys.len(), rd < self.dkeys.len()) {
-            (true, true) => Some(if self.keys[rm] <= self.dkeys[rd] {
-                Loc::Main(rm)
-            } else {
-                Loc::Delta(rd)
-            }),
-            (true, false) => Some(Loc::Main(rm)),
-            (false, true) => Some(Loc::Delta(rd)),
-            (false, false) => None,
-        };
-        (pred.map(|l| self.triple(l)), succ.map(|l| self.triple(l)))
+        (pred, succ)
     }
 
     /// Looks up the entry with exactly `key`.
     #[inline]
     pub fn find(&self, key: u64) -> Option<NodeId> {
-        let r = count_le(&self.keys, key);
-        if r > 0 && self.keys[r - 1] == key {
-            return Some(NodeId(self.slots[r - 1]));
-        }
-        let d = count_le(&self.dkeys, key);
-        (d > 0 && self.dkeys[d - 1] == key).then(|| NodeId(self.dslots[d - 1]))
+        let (rank, off) = self.floor(key)?;
+        let i = self.slot_of(rank, off);
+        (self.keys[i] == key).then(|| NodeId(self.slots[i]))
     }
 
     /// Greatest entry with key `<= key`.
     #[inline]
     pub fn predecessor_or_equal(&self, key: u64) -> Option<NodeId> {
-        self.neighbors(key).0.map(|(_, _, id)| id)
-    }
-
-    /// Greatest entry with key `< key`.
-    #[inline]
-    pub fn predecessor_strict(&self, key: u64) -> Option<NodeId> {
-        if key == 0 {
-            return None;
-        }
-        self.predecessor_or_equal(key - 1)
+        let (rank, off) = self.floor(key)?;
+        Some(NodeId(self.slots[self.slot_of(rank, off)]))
     }
 
     /// Smallest entry with key `> key`.
@@ -298,36 +285,86 @@ impl<M> FlatIndex<M> {
         self.neighbors(key).1.map(|(_, _, id)| id)
     }
 
-    /// Smallest entry with key `>= key`.
-    #[inline]
-    pub fn successor_or_equal(&self, key: u64) -> Option<NodeId> {
-        if key == 0 {
-            return self.min();
-        }
-        self.successor_strict(key - 1)
-    }
-
     /// Entry with the smallest key.
     #[inline]
     pub fn min(&self) -> Option<NodeId> {
-        match (self.keys.first(), self.dkeys.first()) {
-            (Some(m), Some(d)) if d < m => Some(NodeId(self.dslots[0])),
-            (Some(_), _) => Some(NodeId(self.slots[0])),
-            (None, Some(_)) => Some(NodeId(self.dslots[0])),
-            (None, None) => None,
-        }
+        (!self.order.is_empty()).then(|| self.triple(0, 0).2)
     }
 
     /// Entry with the greatest key.
     #[inline]
     pub fn max(&self) -> Option<NodeId> {
-        match (self.keys.last(), self.dkeys.last()) {
-            (Some(m), Some(d)) if d > m => Some(NodeId(*self.dslots.last().expect("parallel"))),
-            (Some(_), _) => Some(NodeId(*self.slots.last().expect("parallel"))),
-            (None, Some(_)) => Some(NodeId(*self.dslots.last().expect("parallel"))),
-            (None, None) => None,
+        let last = self.order.last()?;
+        Some(self.triple(self.order.len() - 1, last.len() - 1).2)
+    }
+
+    // ------------------------------------------------------------------
+    // Cursor: O(1) stepping for walks over consecutive cracks. Here a
+    // `CrackCursor` is `major` = the block's rank in key order, `minor` =
+    // the offset inside the block; any `insert` / `remove` invalidates it.
+    // ------------------------------------------------------------------
+
+    /// The cursor on the entry behind `id` (`O(log n)`: key re-search).
+    #[inline]
+    pub(crate) fn cursor_at(&self, id: NodeId) -> CrackCursor {
+        let key = self.arena[id.0 as usize].key;
+        let (rank, off) = self.floor(key).expect("a live handle's key is indexed");
+        debug_assert_eq!(self.keys[self.slot_of(rank, off)], key, "stale handle");
+        CrackCursor {
+            major: rank as u32,
+            minor: off as u32,
         }
     }
+
+    /// The cursor one entry down in key order.
+    #[inline]
+    pub(crate) fn cursor_prev(&self, c: CrackCursor) -> Option<CrackCursor> {
+        if c.minor > 0 {
+            return Some(CrackCursor { minor: c.minor - 1, ..c });
+        }
+        let major = c.major.checked_sub(1)?;
+        Some(CrackCursor {
+            major,
+            minor: self.order[major as usize].len - 1,
+        })
+    }
+
+    /// The cursor one entry up in key order.
+    #[inline]
+    pub(crate) fn cursor_next(&self, c: CrackCursor) -> Option<CrackCursor> {
+        if c.minor + 1 < self.order[c.major as usize].len {
+            return Some(CrackCursor { minor: c.minor + 1, ..c });
+        }
+        let major = c.major + 1;
+        ((major as usize) < self.order.len()).then_some(CrackCursor { major, minor: 0 })
+    }
+
+    /// Key of the entry under the cursor.
+    #[inline]
+    pub(crate) fn cursor_key(&self, c: CrackCursor) -> u64 {
+        self.keys[self.slot_of(c.major as usize, c.minor as usize)]
+    }
+
+    /// Position of the entry under the cursor.
+    #[inline]
+    pub(crate) fn cursor_pos(&self, c: CrackCursor) -> usize {
+        self.pos[self.slot_of(c.major as usize, c.minor as usize)]
+    }
+
+    /// Overwrites the position of the entry under the cursor.
+    ///
+    /// As with the AVL representation, positions carry no ordering
+    /// obligation inside the index; the cracker invariant that positions
+    /// are monotone in key order is the caller's to maintain.
+    #[inline]
+    pub(crate) fn set_cursor_pos(&mut self, c: CrackCursor, pos: usize) {
+        let i = self.slot_of(c.major as usize, c.minor as usize);
+        self.pos[i] = pos;
+    }
+
+    // ------------------------------------------------------------------
+    // Mutation
+    // ------------------------------------------------------------------
 
     fn alloc(&mut self, key: u64, meta: M) -> u32 {
         let entry = Entry { key, meta };
@@ -340,65 +377,83 @@ impl<M> FlatIndex<M> {
         }
     }
 
+    /// A block id with no live entries: a recycled one, or a fresh
+    /// `BLOCK_CAP` range at the end of every pool.
+    fn alloc_block(&mut self) -> u32 {
+        if let Some(id) = self.free_blocks.pop() {
+            return id;
+        }
+        let id = (self.keys.len() / BLOCK_CAP) as u32;
+        let grown = self.keys.len() + BLOCK_CAP;
+        self.keys.resize(grown, 0);
+        self.pos.resize(grown, 0);
+        self.slots.resize(grown, 0);
+        id
+    }
+
+    /// Moves the upper half of the full block at `rank` into a fresh
+    /// block at `rank + 1` and fences it.
+    fn split(&mut self, rank: usize) {
+        let upper = BlockRef {
+            id: self.alloc_block(),
+            len: (BLOCK_CAP - SPLIT_AT) as u32,
+        };
+        let src = self.order[rank].base() + SPLIT_AT;
+        let (src, dst) = (src..src + upper.len(), upper.base());
+        self.keys.copy_within(src.clone(), dst);
+        self.pos.copy_within(src.clone(), dst);
+        self.slots.copy_within(src, dst);
+        self.order[rank].len = SPLIT_AT as u32;
+        self.fences.insert(rank + 1, self.keys[dst]);
+        self.order.insert(rank + 1, upper);
+    }
+
     /// Inserts `(key, pos, meta)`.
     ///
     /// Returns `(id, true)` for a fresh entry, or `(existing_id, false)`
     /// if the key was already present (the existing entry is left
     /// untouched — a crack at an existing value is the same crack). The
-    /// entry lands in the delta buffer; when the delta reaches
-    /// [`DELTA_CAP`] it bulk-merges into the main arrays.
+    /// cost is two searches and a shift inside one block, independent of
+    /// the number of entries.
     pub fn insert(&mut self, key: u64, pos: usize, meta: M) -> (NodeId, bool) {
-        // Inline dedupe instead of find(): the delta search doubles as
-        // the insertion rank, so a fresh insert costs two searches.
-        let r = count_le(&self.keys, key);
-        if r > 0 && self.keys[r - 1] == key {
-            return (NodeId(self.slots[r - 1]), false);
+        if self.order.is_empty() {
+            // An empty first block, for the shift below to fill.
+            let id = self.alloc_block();
+            self.fences.push(key);
+            self.order.push(BlockRef { id, len: 0 });
         }
-        let d = count_le(&self.dkeys, key);
-        if d > 0 && self.dkeys[d - 1] == key {
-            return (NodeId(self.dslots[d - 1]), false);
+        let (mut rank, mut c) = self.locate(key);
+        if c > 0 {
+            let i = self.slot_of(rank, c - 1);
+            if self.keys[i] == key {
+                return (NodeId(self.slots[i]), false);
+            }
+        }
+        if self.order[rank].len() == BLOCK_CAP {
+            self.split(rank);
+            // A key between the halves stays at the end of the lower
+            // one, so the new fence never moves.
+            if c > SPLIT_AT {
+                rank += 1;
+                c -= SPLIT_AT;
+            }
         }
         let slot = self.alloc(key, meta);
-        self.dkeys.insert(d, key);
-        self.dpos.insert(d, pos);
-        self.dslots.insert(d, slot);
-        if self.dkeys.len() >= DELTA_CAP {
-            self.merge_delta();
+        let block = self.order[rank];
+        let (at, end) = (block.base() + c, block.base() + block.len());
+        self.keys.copy_within(at..end, at + 1);
+        self.pos.copy_within(at..end, at + 1);
+        self.slots.copy_within(at..end, at + 1);
+        self.keys[at] = key;
+        self.pos[at] = pos;
+        self.slots[at] = slot;
+        self.order[rank].len += 1;
+        if c == 0 {
+            // Only a new global minimum lands at the front of a block.
+            self.fences[rank] = key;
         }
+        self.len += 1;
         (NodeId(slot), true)
-    }
-
-    /// Merges the delta into the main arrays: one backward in-place
-    /// linear merge, no extra allocation beyond the `Vec` growth.
-    fn merge_delta(&mut self) {
-        let (m, d) = (self.keys.len(), self.dkeys.len());
-        if d == 0 {
-            return;
-        }
-        self.keys.resize(m + d, 0);
-        self.pos.resize(m + d, 0);
-        self.slots.resize(m + d, 0);
-        let (mut i, mut j) = (m, d);
-        for w in (0..m + d).rev() {
-            let take_delta = i == 0 || (j > 0 && self.dkeys[j - 1] > self.keys[i - 1]);
-            if take_delta {
-                j -= 1;
-                self.keys[w] = self.dkeys[j];
-                self.pos[w] = self.dpos[j];
-                self.slots[w] = self.dslots[j];
-            } else {
-                i -= 1;
-                self.keys[w] = self.keys[i];
-                self.pos[w] = self.pos[i];
-                self.slots[w] = self.slots[i];
-            }
-            if j == 0 {
-                break; // the untouched prefix is already in place
-            }
-        }
-        self.dkeys.clear();
-        self.dpos.clear();
-        self.dslots.clear();
     }
 
     /// Removes the entry with `key`, returning its `(pos, meta)`.
@@ -406,33 +461,40 @@ impl<M> FlatIndex<M> {
     where
         M: Default,
     {
-        let r = count_le(&self.keys, key);
-        let (pos, slot) = if r > 0 && self.keys[r - 1] == key {
-            self.keys.remove(r - 1);
-            let pos = self.pos.remove(r - 1);
-            (pos, self.slots.remove(r - 1))
+        let (rank, off) = self.floor(key)?;
+        let block = self.order[rank];
+        let (at, end) = (block.base() + off, block.base() + block.len());
+        if self.keys[at] != key {
+            return None;
+        }
+        let (pos, slot) = (self.pos[at], self.slots[at]);
+        self.keys.copy_within(at + 1..end, at);
+        self.pos.copy_within(at + 1..end, at);
+        self.slots.copy_within(at + 1..end, at);
+        self.len -= 1;
+        if block.len == 1 {
+            self.fences.remove(rank);
+            self.order.remove(rank);
+            self.free_blocks.push(block.id);
         } else {
-            let d = count_le(&self.dkeys, key);
-            if d == 0 || self.dkeys[d - 1] != key {
-                return None;
+            self.order[rank].len -= 1;
+            if off == 0 {
+                self.fences[rank] = self.keys[block.base()];
             }
-            self.dkeys.remove(d - 1);
-            let pos = self.dpos.remove(d - 1);
-            (pos, self.dslots.remove(d - 1))
-        };
+        }
         let meta = std::mem::take(&mut self.arena[slot as usize].meta);
         self.free.push(slot);
         Some((pos, meta))
     }
 
+    // ------------------------------------------------------------------
+    // Iteration
+    // ------------------------------------------------------------------
+
     /// Ascending iterator over `(key, pos, &meta)` — allocation-free (a
-    /// two-cursor merge over the main and delta arrays).
+    /// cursor stepping block by block).
     pub fn iter_asc(&self) -> FlatAscIter<'_, M> {
-        FlatAscIter {
-            flat: self,
-            main: 0,
-            delta: 0,
-        }
+        FlatAscIter(self.iter_triples())
     }
 
     /// Ascending `(key, pos, handle)` cursor, allocation-free; the
@@ -440,84 +502,82 @@ impl<M> FlatIndex<M> {
     pub fn iter_triples(&self) -> FlatTripleIter<'_, M> {
         FlatTripleIter {
             flat: self,
-            main: 0,
-            delta: 0,
+            next: (!self.order.is_empty()).then_some(CrackCursor { major: 0, minor: 0 }),
         }
     }
 
-    /// The next `(key, pos, handle)` in key order across both levels,
-    /// advancing whichever cursor supplied it.
-    #[inline]
-    fn next_merged(&self, main: &mut usize, delta: &mut usize) -> Option<(u64, usize, NodeId)> {
-        let take_main = match (self.keys.get(*main), self.dkeys.get(*delta)) {
-            (Some(m), Some(d)) => m < d,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        let loc = if take_main {
-            let l = Loc::Main(*main);
-            *main += 1;
-            l
-        } else {
-            let l = Loc::Delta(*delta);
-            *delta += 1;
-            l
-        };
-        Some(self.triple(loc))
-    }
-
-    /// Checks the structural invariants: both levels strictly
-    /// increasing and mutually disjoint, parallel arrays in lockstep,
-    /// slot/arena keys consistent, free list disjoint from live slots,
-    /// delta within capacity.
+    /// Checks the structural invariants: fences and `order` in lockstep,
+    /// every ranked block non-empty, within capacity, strictly
+    /// increasing and fenced by its first key; keys increasing across
+    /// blocks; every pool block either ranked or free, exactly once;
+    /// slot/arena keys consistent; every arena slot live or free.
     pub fn check_invariants(&self) -> Result<(), String> {
+        if self.fences.len() != self.order.len() {
+            return Err("fences and order out of lockstep".into());
+        }
         if self.pos.len() != self.keys.len() || self.slots.len() != self.keys.len() {
-            return Err("main arrays out of lockstep".into());
+            return Err("pools out of lockstep".into());
         }
-        if self.dpos.len() != self.dkeys.len() || self.dslots.len() != self.dkeys.len() {
-            return Err("delta arrays out of lockstep".into());
+        let pool_blocks = self.order.len() + self.free_blocks.len();
+        if self.keys.len() != pool_blocks * BLOCK_CAP {
+            return Err(format!(
+                "pools hold {} entries, {pool_blocks} blocks are ranked or free",
+                self.keys.len()
+            ));
         }
-        if self.dkeys.len() >= DELTA_CAP {
-            return Err(format!("delta holds {} >= cap {}", self.dkeys.len(), DELTA_CAP));
+        let mut block_seen = vec![false; pool_blocks];
+        let ranked = self.order.iter().map(|b| b.id);
+        for id in ranked.chain(self.free_blocks.iter().copied()) {
+            match block_seen.get_mut(id as usize) {
+                None => return Err(format!("block {id} beyond the pools")),
+                Some(seen) if *seen => return Err(format!("block {id} ranked or freed twice")),
+                Some(seen) => *seen = true,
+            }
         }
-        for (name, keys) in [("main", &self.keys), ("delta", &self.dkeys)] {
-            for w in keys.windows(2) {
-                if w[0] >= w[1] {
-                    return Err(format!("{name} keys not strictly increasing: {} >= {}", w[0], w[1]));
+        let mut slot_free = vec![false; self.arena.len()];
+        for slot in &self.free {
+            match slot_free.get_mut(*slot as usize) {
+                None => return Err(format!("free slot {slot} out of arena bounds")),
+                Some(f) => *f = true,
+            }
+        }
+        let mut live = 0usize;
+        let mut prev: Option<u64> = None;
+        for (rank, block) in self.order.iter().enumerate() {
+            if block.len() == 0 || block.len() > BLOCK_CAP {
+                return Err(format!("block at rank {rank} holds {} entries", block.len));
+            }
+            let range = block.base()..block.base() + block.len();
+            if self.fences[rank] != self.keys[range.start] {
+                return Err(format!(
+                    "fence {} != first key {} at rank {rank}",
+                    self.fences[rank], self.keys[range.start]
+                ));
+            }
+            for i in range {
+                let key = self.keys[i];
+                if prev.is_some_and(|p| p >= key) {
+                    return Err(format!("keys not strictly increasing at {key} (rank {rank})"));
+                }
+                prev = Some(key);
+                let slot = self.slots[i];
+                let entry = self
+                    .arena
+                    .get(slot as usize)
+                    .ok_or_else(|| format!("slot {slot} out of arena bounds"))?;
+                if entry.key != key {
+                    return Err(format!("slot {slot}: arena key {} != sorted key {key}", entry.key));
+                }
+                if slot_free[slot as usize] {
+                    return Err(format!("slot {slot} is live and on the free list"));
                 }
             }
+            live += block.len();
         }
-        for k in &self.dkeys {
-            let r = count_le(&self.keys, *k);
-            if r > 0 && self.keys[r - 1] == *k {
-                return Err(format!("key {k} present in both levels"));
-            }
+        if live != self.len {
+            return Err(format!("blocks hold {live} entries, len says {}", self.len));
         }
-        let live = self
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(r, s)| (*s, self.keys[r]))
-            .chain(
-                self.dslots
-                    .iter()
-                    .enumerate()
-                    .map(|(r, s)| (*s, self.dkeys[r])),
-            );
-        for (slot, key) in live {
-            let entry = self
-                .arena
-                .get(slot as usize)
-                .ok_or_else(|| format!("slot {slot} out of arena bounds"))?;
-            if entry.key != key {
-                return Err(format!("slot {slot}: arena key {} != sorted key {key}", entry.key));
-            }
-            if self.free.contains(&slot) {
-                return Err(format!("slot {slot} is live and on the free list"));
-            }
-        }
-        if self.keys.len() + self.dkeys.len() + self.free.len() != self.arena.len() {
+        if live + self.free.len() != self.arena.len() {
             return Err("arena slots neither live nor free".into());
         }
         Ok(())
@@ -525,35 +585,30 @@ impl<M> FlatIndex<M> {
 }
 
 /// Ascending iterator over a [`FlatIndex`], see [`FlatIndex::iter_asc`].
-pub struct FlatAscIter<'a, M> {
-    flat: &'a FlatIndex<M>,
-    main: usize,
-    delta: usize,
-}
+pub struct FlatAscIter<'a, M>(FlatTripleIter<'a, M>);
 
 impl<'a, M> Iterator for FlatAscIter<'a, M> {
     type Item = (u64, usize, &'a M);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let (k, p, id) = self
-            .flat
-            .next_merged(&mut self.main, &mut self.delta)?;
-        Some((k, p, &self.flat.arena[id.0 as usize].meta))
+        let (k, p, id) = self.0.next()?;
+        Some((k, p, &self.0.flat.arena[id.0 as usize].meta))
     }
 }
 
 /// Ascending handle cursor, see [`FlatIndex::iter_triples`].
 pub struct FlatTripleIter<'a, M> {
     flat: &'a FlatIndex<M>,
-    main: usize,
-    delta: usize,
+    next: Option<CrackCursor>,
 }
 
 impl<M> Iterator for FlatTripleIter<'_, M> {
     type Item = (u64, usize, NodeId);
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.flat.next_merged(&mut self.main, &mut self.delta)
+        let c = self.next?;
+        self.next = self.flat.cursor_next(c);
+        Some(self.flat.triple(c.major as usize, c.minor as usize))
     }
 }
 
@@ -561,19 +616,18 @@ impl<M> Iterator for FlatTripleIter<'_, M> {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
+    use std::ops::Bound::{Excluded, Unbounded};
 
     #[test]
     fn count_le_variants_match_partition_point() {
         let a: Vec<u64> = vec![2, 4, 4, 7, 10, 10, 10, 15];
         for probe in 0..20u64 {
-            let expect = a.partition_point(|x| *x <= probe);
+            let expect = a.iter().filter(|x| **x <= probe).count();
             assert_eq!(count_le(&a, probe), expect, "probe {probe}");
-            assert_eq!(count_le_predicated(&a, probe), expect, "predicated {probe}");
         }
-        for a in [vec![], vec![3u64]] {
-            for probe in [0u64, 2, 3, 4, u64::MAX] {
-                assert_eq!(count_le(&a, probe), count_le_predicated(&a, probe));
-            }
+        for probe in [0u64, 2, 3, 4, u64::MAX] {
+            assert_eq!(count_le(&[], probe), 0);
+            assert_eq!(count_le(&[3], probe), usize::from(probe >= 3));
         }
     }
 
@@ -586,6 +640,41 @@ mod tests {
         f
     }
 
+    /// `blocks` full blocks' worth of keys `10, 20, 30, …` inserted in
+    /// ascending order, with `pos = key`. Ascending inserts split every
+    /// full block into a `SPLIT_AT` lower half and keep filling the upper.
+    fn ascending(blocks: usize) -> FlatIndex<u32> {
+        let mut f = FlatIndex::new();
+        for k in 1..=(blocks * BLOCK_CAP) as u64 {
+            f.insert(k * 10, (k * 10) as usize, 0);
+        }
+        f.check_invariants().unwrap();
+        f
+    }
+
+    fn keys_of(f: &FlatIndex<u32>) -> Vec<u64> {
+        f.iter_asc().map(|(k, _, _)| k).collect()
+    }
+
+    fn pos_of(f: &FlatIndex<u32>, key: u64) -> usize {
+        f.cursor_pos(f.cursor_at(f.find(key).expect("key present")))
+    }
+
+    /// Every neighbor query against the model, for one probe.
+    fn assert_probe<V>(f: &FlatIndex<u32>, model: &BTreeMap<u64, V>, probe: u64) {
+        let pred = model.range(..=probe).next_back().map(|(k, _)| *k);
+        let succ = model.range((Excluded(probe), Unbounded)).next().map(|(k, _)| *k);
+        let (np, ns) = f.neighbors(probe);
+        assert_eq!(np.map(|(k, _, _)| k), pred, "neighbors({probe}).pred");
+        assert_eq!(ns.map(|(k, _, _)| k), succ, "neighbors({probe}).succ");
+        let got = f.predecessor_or_equal(probe).map(|id| f.key(id));
+        assert_eq!(got, pred, "pred_or_eq({probe})");
+        let got = f.successor_strict(probe).map(|id| f.key(id));
+        assert_eq!(got, succ, "succ_strict({probe})");
+        let got = f.find(probe).map(|id| f.key(id));
+        assert_eq!(got, model.contains_key(&probe).then_some(probe), "find({probe})");
+    }
+
     #[test]
     fn empty_index_queries() {
         let f: FlatIndex<()> = FlatIndex::new();
@@ -596,6 +685,7 @@ mod tests {
         assert!(f.min().is_none());
         assert!(f.max().is_none());
         assert_eq!(f.neighbors(5), (None, None));
+        assert_eq!(f.iter_triples().count(), 0);
     }
 
     #[test]
@@ -606,49 +696,21 @@ mod tests {
         assert!(fresh_a);
         assert!(!fresh_b);
         assert_eq!(a, b);
-        assert_eq!(f.pos(a), 1, "existing entry untouched");
+        assert_eq!(f.cursor_pos(f.cursor_at(a)), 1, "existing entry untouched");
         assert_eq!(f.len(), 1);
     }
 
     #[test]
     fn neighbor_queries_match_btreemap_across_merges() {
-        // 500 keys > DELTA_CAP: several bulk merges happen, and at the
-        // end entries live in both levels.
+        // 500 scattered keys: several splits happen, and every probe in
+        // the domain — on a fence, just below one, between blocks, below
+        // the minimum, above the maximum — agrees with the model.
         let keys: Vec<u64> = (0..500).map(|i| (i * 977) % 1000).collect();
         let f = build(&keys);
+        assert!(f.order.len() >= 500 / BLOCK_CAP, "splits must have fired");
         let model: BTreeMap<u64, ()> = keys.iter().map(|k| (*k, ())).collect();
         for probe in 0..1001 {
-            let pred = f.predecessor_or_equal(probe).map(|id| f.key(id));
-            assert_eq!(
-                pred,
-                model.range(..=probe).next_back().map(|(k, _)| *k),
-                "pred_or_eq({probe})"
-            );
-            let succ = f.successor_strict(probe).map(|id| f.key(id));
-            assert_eq!(
-                succ,
-                model
-                    .range((std::ops::Bound::Excluded(probe), std::ops::Bound::Unbounded))
-                    .next()
-                    .map(|(k, _)| *k),
-                "succ_strict({probe})"
-            );
-            let spred = f.predecessor_strict(probe).map(|id| f.key(id));
-            assert_eq!(
-                spred,
-                model.range(..probe).next_back().map(|(k, _)| *k),
-                "pred_strict({probe})"
-            );
-            let seq = f.successor_or_equal(probe).map(|id| f.key(id));
-            assert_eq!(
-                seq,
-                model.range(probe..).next().map(|(k, _)| *k),
-                "succ_or_eq({probe})"
-            );
-            // The combined neighbors call agrees with the individual ones.
-            let (np, ns) = f.neighbors(probe);
-            assert_eq!(np.map(|(k, _, _)| k), pred);
-            assert_eq!(ns.map(|(k, _, _)| k), succ);
+            assert_probe(&f, &model, probe);
         }
     }
 
@@ -656,15 +718,21 @@ mod tests {
     fn handles_stay_valid_across_inserts_and_merges() {
         let mut f = FlatIndex::new();
         let (id50, _) = f.insert(50_000, 500, 0u32);
-        // Enough inserts on both sides to trigger multiple delta merges.
+        // Enough inserts on both sides that the entry's block splits
+        // more than once and the entry changes block and offset.
+        let before = f.cursor_at(id50);
         for i in 0..1_000u64 {
             f.insert((i * 7_919) % 100_000, i as usize, 0u32);
         }
+        assert!(f.order.len() > 2);
+        assert_ne!(f.cursor_at(id50), before, "the entry must have moved");
         assert_eq!(f.key(id50), 50_000);
-        assert_eq!(f.pos(id50), 500);
-        f.set_pos(id50, 501);
+        let c = f.cursor_at(id50);
+        assert_eq!((f.cursor_key(c), f.cursor_pos(c)), (50_000, 500));
+        f.set_cursor_pos(c, 501);
         *f.meta_mut(id50) += 7;
-        assert_eq!(f.pos(id50), 501);
+        assert_eq!(pos_of(&f, 50_000), 501);
+        assert_eq!(f.neighbors(50_000).0, Some((50_000, 501, id50)));
         assert_eq!(*f.meta(id50), 7);
         f.check_invariants().unwrap();
     }
@@ -673,17 +741,16 @@ mod tests {
     fn iter_asc_is_sorted_and_complete() {
         let keys: Vec<u64> = (0..300).map(|i| (i * 613) % 997).collect();
         let f = build(&keys);
-        let got: Vec<u64> = f.iter_asc().map(|(k, _, _)| k).collect();
         let triples: Vec<u64> = f.iter_triples().map(|(k, _, _)| k).collect();
         let mut expect = keys.clone();
         expect.sort_unstable();
         expect.dedup();
-        assert_eq!(got, expect);
+        assert_eq!(keys_of(&f), expect);
         assert_eq!(triples, expect);
         // Triples resolve back to consistent key/pos via the handle.
         for (k, p, id) in f.iter_triples() {
             assert_eq!(f.key(id), k);
-            assert_eq!(f.pos(id), p);
+            assert_eq!(f.cursor_pos(f.cursor_at(id)), p);
         }
     }
 
@@ -700,9 +767,7 @@ mod tests {
             );
             f.check_invariants().unwrap();
         }
-        let got: Vec<u64> = f.iter_asc().map(|(k, _, _)| k).collect();
-        let expect: Vec<u64> = model.keys().copied().collect();
-        assert_eq!(got, expect);
+        assert_eq!(keys_of(&f), model.keys().copied().collect::<Vec<u64>>());
         // Re-inserts reuse freed arena slots.
         let arena_len = f.arena.len();
         for k in 1000..1010u64 {
@@ -714,18 +779,194 @@ mod tests {
 
     #[test]
     fn min_max_across_levels() {
-        let mut f: FlatIndex<()> = FlatIndex::new();
-        // Fill past a merge so main holds the middle, then plant fresh
-        // delta entries at both extremes.
-        for i in 0..DELTA_CAP as u64 {
-            f.insert(1_000 + i, 0, ());
-        }
-        assert!(f.dkeys.is_empty(), "merge must have fired");
-        f.insert(5, 0, ());
-        f.insert(9_999, 0, ());
+        // The extremes live in the first and the last block, and a new
+        // global minimum — the only insert that lands in front of a
+        // block — rewrites fence 0.
+        let mut f = ascending(3);
+        assert!(f.order.len() >= 3);
+        assert_eq!(f.key(f.min().unwrap()), 10);
+        assert_eq!(f.key(f.max().unwrap()), 3 * BLOCK_CAP as u64 * 10);
+        assert_eq!(f.fences[0], 10);
+        f.insert(5, 5, 0);
+        f.insert(99_999, 99_999, 0);
+        assert_eq!(f.fences[0], 5);
         assert_eq!(f.key(f.min().unwrap()), 5);
-        assert_eq!(f.key(f.max().unwrap()), 9_999);
+        assert_eq!(f.key(f.max().unwrap()), 99_999);
+        assert_eq!(f.neighbors(7), (f.neighbors(5).0, f.neighbors(9).1));
         f.check_invariants().unwrap();
+        // Removing it hands fence 0 back to the old minimum.
+        assert_eq!(f.remove(5), Some((5, 0)));
+        assert_eq!(f.fences[0], 10);
+        assert_eq!(f.key(f.min().unwrap()), 10);
+        f.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn split_places_the_insert_in_either_half() {
+        // One exactly full block: keys 10, 20, …, BLOCK_CAP * 10.
+        let full = ascending(1);
+        assert_eq!(full.order.len(), 1);
+        assert_eq!(full.order[0].len(), BLOCK_CAP);
+        let seam = (SPLIT_AT as u64 + 1) * 10; // first key of the upper half
+        for (key, lower_len, upper_len) in [
+            (15, SPLIT_AT + 1, BLOCK_CAP - SPLIT_AT),       // lower half
+            (5, SPLIT_AT + 1, BLOCK_CAP - SPLIT_AT),        // front of the lower half
+            (seam - 5, SPLIT_AT + 1, BLOCK_CAP - SPLIT_AT), // between the halves: stays low
+            (seam + 5, SPLIT_AT, BLOCK_CAP - SPLIT_AT + 1), // upper half
+            (99_999, SPLIT_AT, BLOCK_CAP - SPLIT_AT + 1),   // end of the upper half
+        ] {
+            let mut f = full.clone();
+            let (id, fresh) = f.insert(key, 7, 0);
+            assert!(fresh);
+            f.check_invariants().unwrap();
+            assert_eq!(f.order.len(), 2, "key {key}");
+            assert_eq!((f.order[0].len(), f.order[1].len()), (lower_len, upper_len), "key {key}");
+            assert_eq!(f.fences, vec![10.min(key), seam], "key {key}");
+            assert_eq!(f.find(key), Some(id));
+            assert_eq!(pos_of(&f, key), 7);
+            assert_eq!(f.len(), BLOCK_CAP + 1);
+            let mut expect: Vec<u64> = (1..=BLOCK_CAP as u64).map(|k| k * 10).collect();
+            expect.push(key);
+            expect.sort_unstable();
+            assert_eq!(keys_of(&f), expect, "key {key}");
+        }
+    }
+
+    #[test]
+    fn queries_and_iteration_cross_block_seams() {
+        let f = ascending(3);
+        let model: BTreeMap<u64, ()> = keys_of(&f).into_iter().map(|k| (k, ())).collect();
+        assert!(f.order.len() >= 3);
+        for rank in 1..f.order.len() {
+            let fence = f.fences[rank];
+            let below = f.cursor_key(f.cursor_prev(CrackCursor { major: rank as u32, minor: 0 }).unwrap());
+            assert_eq!(below, fence - 10, "the seam separates adjacent keys");
+            // On the fence, just under it (successor in the next block),
+            // and on the last key of the lower block.
+            for probe in [fence, fence - 1, below, below - 1] {
+                assert_probe(&f, &model, probe);
+            }
+            let (pred, succ) = f.neighbors(fence - 1);
+            assert_eq!((pred.unwrap().0, succ.unwrap().0), (below, fence));
+        }
+        // Iterators and the cursor agree across every seam, both ways.
+        let asc: Vec<(u64, usize)> = f.iter_triples().map(|(k, p, _)| (k, p)).collect();
+        assert_eq!(asc.len(), f.len());
+        assert!(asc.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut up = Vec::new();
+        let mut cur = f.min().map(|id| f.cursor_at(id));
+        while let Some(c) = cur {
+            up.push((f.cursor_key(c), f.cursor_pos(c)));
+            cur = f.cursor_next(c);
+        }
+        assert_eq!(up, asc);
+        let mut down = Vec::new();
+        let mut cur = f.max().map(|id| f.cursor_at(id));
+        while let Some(c) = cur {
+            down.push((f.cursor_key(c), f.cursor_pos(c)));
+            cur = f.cursor_prev(c);
+        }
+        down.reverse();
+        assert_eq!(down, asc);
+    }
+
+    #[test]
+    fn removing_a_blocks_first_key_refreshes_its_fence() {
+        let mut f = ascending(3);
+        let rank = 1;
+        let (fence, second) = (f.fences[rank], f.fences[rank] + 10);
+        assert_eq!(f.remove(fence), Some((fence as usize, 0)));
+        assert_eq!(f.fences[rank], second);
+        f.check_invariants().unwrap();
+        // The removed key now resolves into the block below the seam.
+        let (pred, succ) = f.neighbors(fence);
+        assert_eq!((pred.unwrap().0, succ.unwrap().0), (fence - 10, second));
+        assert!(f.find(fence).is_none());
+        // Re-inserting it lands at the end of the lower block, not in
+        // front of the upper one: the fence stays.
+        f.insert(fence, 1, 0);
+        assert_eq!(f.fences[rank], second);
+        f.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn an_emptied_block_is_recycled_and_reused_by_a_later_split() {
+        let mut f = ascending(3);
+        let blocks = f.order.len();
+        let pool = f.keys.len();
+        // Drain the middle block key by key; its last key takes the
+        // block out of `order`.
+        let victim = f.order[1];
+        let doomed: Vec<u64> = f.keys[victim.base()..victim.base() + victim.len()].to_vec();
+        for k in &doomed {
+            assert!(f.remove(*k).is_some());
+            f.check_invariants().unwrap();
+        }
+        assert_eq!(f.order.len(), blocks - 1);
+        assert_eq!(f.free_blocks, vec![victim.id]);
+        assert!(!f.fences.contains(&doomed[0]));
+        let (pred, succ) = f.neighbors(doomed[0]);
+        assert_eq!(pred.unwrap().0, doomed[0] - 10, "the seam closes over the gap");
+        assert_eq!(succ.unwrap().0, doomed[doomed.len() - 1] + 10);
+        // Fill block 0 until it splits: the split must take the freed
+        // block instead of growing the pools.
+        let mut k = 1;
+        while f.free_blocks.len() == 1 {
+            f.insert(k, 0, 0);
+            k += 10;
+            assert!(k < 10 * BLOCK_CAP as u64, "block 0 must split before its gaps run out");
+        }
+        assert!(f.free_blocks.is_empty());
+        assert_eq!(f.order.len(), blocks);
+        assert_eq!(f.order[1].id, victim.id);
+        assert_eq!(f.keys.len(), pool, "no pool growth while a free block exists");
+        f.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn ten_thousand_random_inserts_and_removes_match_the_model() {
+        let mut f: FlatIndex<u32> = FlatIndex::new();
+        let mut model: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for i in 0..10_000usize {
+            // Inserts lead 2:1 until the index holds several blocks; then
+            // every remove hits until the index drains to nothing, block
+            // by block; then it regrows out of the recycled blocks.
+            let r = next();
+            let draining = (5_000..7_500).contains(&i);
+            let key = match model.range((r >> 8) % 2_000..).next() {
+                Some((k, _)) if draining => *k,
+                _ => (r >> 8) % 2_000,
+            };
+            if r % 3 != 0 && !draining {
+                let fresh = !model.contains_key(&key);
+                model.entry(key).or_insert(i);
+                assert_eq!(f.insert(key, i, 0).1, fresh, "op {i}: insert({key})");
+            } else {
+                assert_eq!(f.remove(key).map(|(p, _)| p), model.remove(&key), "op {i}: remove({key})");
+            }
+            if i == 7_499 {
+                assert!(f.is_empty() && f.order.is_empty(), "the drain must empty every block");
+                assert_eq!(f.free_blocks.len() * BLOCK_CAP, f.keys.len());
+            }
+            f.check_invariants().unwrap_or_else(|e| panic!("op {i}: {e}"));
+            assert_eq!(f.len(), model.len());
+            assert_probe(&f, &model, (next() >> 8) % 2_100);
+            assert_eq!(f.min().map(|id| f.key(id)), model.keys().next().copied());
+            assert_eq!(f.max().map(|id| f.key(id)), model.keys().next_back().copied());
+            if i % 500 == 0 {
+                let got: Vec<(u64, usize)> = f.iter_asc().map(|(k, p, _)| (k, p)).collect();
+                let expect: Vec<(u64, usize)> = model.iter().map(|(k, p)| (*k, *p)).collect();
+                assert_eq!(got, expect, "op {i}");
+            }
+        }
+        assert!(f.order.len() > 2, "the index must have regrown over several blocks");
     }
 
     #[test]

@@ -11,12 +11,12 @@ use crate::radix::{RadixAscIter, RadixIndex, RadixTripleIter};
 /// contract pinned by the cross-policy property tests); the policy is a
 /// pure wall-clock knob:
 ///
-/// * [`IndexPolicy::Flat`] (the default) — two parallel sorted arrays
-///   (`keys`, `pos`) plus an arena of per-crack metadata, searched with a
-///   branch-free binary search. Lookups touch a handful of contiguous
-///   cache lines; inserts shift array tails (`memmove` of dense words).
-///   Fastest once cracking converges, which is exactly when index
-///   navigation dominates per-query latency.
+/// * [`IndexPolicy::Flat`] (the default) — crack keys and positions in
+///   fixed-capacity sorted blocks under a fence-key array, plus an arena
+///   of per-crack metadata. A lookup is two lower-bound searches over
+///   contiguous `u64`s; an insert shifts inside one block, whatever the
+///   crack count. Fastest once cracking converges, which is exactly when
+///   index navigation dominates per-query latency.
 /// * [`IndexPolicy::Avl`] — the paper's AVL tree ("original cracking
 ///   uses AVL-trees", §3). `O(log n)` pointer-chasing everywhere; kept
 ///   as the reference representation for differential testing.
@@ -117,6 +117,32 @@ impl Piece {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.start >= self.end
+    }
+}
+
+/// A position in an index's key-ordered crack sequence, for code that
+/// visits crack after crack (the Ripple update walks).
+///
+/// Obtained from [`CrackerIndex::cursor_at`] and meaningful only to the
+/// index that issued it. Unlike a [`NodeId`] it is **not** stable: adding
+/// or removing a crack invalidates it (overwriting positions does not).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CrackCursor {
+    /// Flat: the block's rank in key order. Avl / Radix: the handle.
+    pub(crate) major: u32,
+    /// Flat: the offset inside the block. Avl / Radix: unused.
+    pub(crate) minor: u32,
+}
+
+impl CrackCursor {
+    #[inline]
+    fn from_handle(id: NodeId) -> Self {
+        Self { major: id.0, minor: 0 }
+    }
+
+    #[inline]
+    fn handle(self) -> NodeId {
+        NodeId(self.major)
     }
 }
 
@@ -237,9 +263,10 @@ impl<M: PieceMeta> CrackerIndex<M> {
     /// The piece whose key range contains `key`.
     ///
     /// The flat representation resolves both piece edges from one
-    /// lower-bound search per array level; the AVL representation
-    /// performs the paper's two tree walks (`predecessor_or_equal` +
-    /// `successor_strict`). Identical results by construction.
+    /// lower-bound search per level (fences, then a block); the AVL
+    /// representation performs the paper's two tree walks
+    /// (`predecessor_or_equal` + `successor_strict`). Identical results
+    /// by construction.
     #[inline]
     pub fn piece_containing(&self, key: u64) -> Piece {
         let piece = match &self.repr {
@@ -304,21 +331,21 @@ impl<M: PieceMeta> CrackerIndex<M> {
             Repr::Flat(f) => f.insert(key, pos, parent_meta),
             Repr::Radix(r) => r.insert(key, pos, parent_meta),
         };
-        if fresh {
-            // O(1) neighbor check (not the O(n) full walk): the fresh
-            // crack must sit between its neighbors' positions.
-            debug_assert!(
-                self.crack_before(key).is_none_or(|p| self.crack_pos(p) <= pos)
-                    && self.crack_after(key).is_none_or(|s| pos <= self.crack_pos(s)),
-                "crack ({key},{pos}) broke position monotonicity"
-            );
-        } else {
-            debug_assert_eq!(
-                self.crack_pos(id),
-                pos,
-                "crack at existing value {key} must agree on position"
-            );
-        }
+        // O(1) neighbor check (not the O(n) full walk): a fresh crack
+        // must sit between its neighbors' positions, a repeated one must
+        // agree with the crack it found.
+        debug_assert!(
+            {
+                let c = self.cursor_at(id);
+                if fresh {
+                    self.cursor_prev(c).is_none_or(|p| self.cursor_pos(p) <= pos)
+                        && self.cursor_next(c).is_none_or(|s| pos <= self.cursor_pos(s))
+                } else {
+                    self.cursor_pos(c) == pos
+                }
+            },
+            "crack ({key},{pos}) broke position monotonicity (fresh: {fresh})"
+        );
         id
     }
 
@@ -341,8 +368,8 @@ impl<M: PieceMeta> CrackerIndex<M> {
     }
 
     // ------------------------------------------------------------------
-    // Handle-oriented access (representation-agnostic; used by the
-    // Ripple update path, which shifts crack positions through handles)
+    // Handle-oriented access (representation-agnostic; handles stay
+    // valid across later cracks)
     // ------------------------------------------------------------------
 
     /// Key of the crack behind `id`.
@@ -352,31 +379,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
             Repr::Avl(t) => t.key(id),
             Repr::Flat(f) => f.key(id),
             Repr::Radix(r) => r.key(id),
-        }
-    }
-
-    /// Position of the crack behind `id`.
-    #[inline]
-    pub fn crack_pos(&self, id: NodeId) -> usize {
-        match &self.repr {
-            Repr::Avl(t) => t.pos(id),
-            Repr::Flat(f) => f.pos(id),
-            Repr::Radix(r) => r.pos(id),
-        }
-    }
-
-    /// Overwrites the position of the crack behind `id`.
-    ///
-    /// Positions carry no ordering obligation inside the index (only keys
-    /// do); the cracker invariant that positions are monotone in key
-    /// order is the caller's to maintain (Ripple shifts them in lockstep
-    /// with element moves).
-    #[inline]
-    pub fn set_crack_pos(&mut self, id: NodeId, pos: usize) {
-        match &mut self.repr {
-            Repr::Avl(t) => t.set_pos(id, pos),
-            Repr::Flat(f) => f.set_pos(id, pos),
-            Repr::Radix(r) => r.set_pos(id, pos),
         }
     }
 
@@ -420,26 +422,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         }
     }
 
-    /// Greatest crack with value `< key`.
-    #[inline]
-    pub fn crack_before(&self, key: u64) -> Option<NodeId> {
-        match &self.repr {
-            Repr::Avl(t) => t.predecessor_strict(key),
-            Repr::Flat(f) => f.predecessor_strict(key),
-            Repr::Radix(r) => r.predecessor_strict(key),
-        }
-    }
-
-    /// Smallest crack with value `> key`.
-    #[inline]
-    pub fn crack_after(&self, key: u64) -> Option<NodeId> {
-        match &self.repr {
-            Repr::Avl(t) => t.successor_strict(key),
-            Repr::Flat(f) => f.successor_strict(key),
-            Repr::Radix(r) => r.successor_strict(key),
-        }
-    }
-
     /// The crack with the smallest value.
     #[inline]
     pub fn min_crack(&self) -> Option<NodeId> {
@@ -461,6 +443,88 @@ impl<M: PieceMeta> CrackerIndex<M> {
     }
 
     // ------------------------------------------------------------------
+    // Cursor-oriented access (the Ripple update path: walk consecutive
+    // cracks and shift their positions, O(1) per boundary)
+    // ------------------------------------------------------------------
+
+    /// The walk cursor on the crack behind `id`.
+    ///
+    /// Resolving costs one key search on the flat representation; every
+    /// step and access from there is O(1) on it. The AVL and radix
+    /// representations wrap the handle and step with their own
+    /// predecessor / successor navigation.
+    #[inline]
+    pub fn cursor_at(&self, id: NodeId) -> CrackCursor {
+        match &self.repr {
+            Repr::Avl(_) | Repr::Radix(_) => CrackCursor::from_handle(id),
+            Repr::Flat(f) => f.cursor_at(id),
+        }
+    }
+
+    /// The cursor on the crack with the next smaller value.
+    #[inline]
+    pub fn cursor_prev(&self, c: CrackCursor) -> Option<CrackCursor> {
+        match &self.repr {
+            Repr::Avl(t) => t
+                .predecessor_strict(t.key(c.handle()))
+                .map(CrackCursor::from_handle),
+            Repr::Flat(f) => f.cursor_prev(c),
+            Repr::Radix(r) => r
+                .predecessor_strict(r.key(c.handle()))
+                .map(CrackCursor::from_handle),
+        }
+    }
+
+    /// The cursor on the crack with the next greater value.
+    #[inline]
+    pub fn cursor_next(&self, c: CrackCursor) -> Option<CrackCursor> {
+        match &self.repr {
+            Repr::Avl(t) => t
+                .successor_strict(t.key(c.handle()))
+                .map(CrackCursor::from_handle),
+            Repr::Flat(f) => f.cursor_next(c),
+            Repr::Radix(r) => r
+                .successor_strict(r.key(c.handle()))
+                .map(CrackCursor::from_handle),
+        }
+    }
+
+    /// Value of the crack under the cursor.
+    #[inline]
+    pub fn cursor_key(&self, c: CrackCursor) -> u64 {
+        match &self.repr {
+            Repr::Avl(t) => t.key(c.handle()),
+            Repr::Flat(f) => f.cursor_key(c),
+            Repr::Radix(r) => r.key(c.handle()),
+        }
+    }
+
+    /// Position of the crack under the cursor.
+    #[inline]
+    pub fn cursor_pos(&self, c: CrackCursor) -> usize {
+        match &self.repr {
+            Repr::Avl(t) => t.pos(c.handle()),
+            Repr::Flat(f) => f.cursor_pos(c),
+            Repr::Radix(r) => r.pos(c.handle()),
+        }
+    }
+
+    /// Overwrites the position of the crack under the cursor.
+    ///
+    /// Positions carry no ordering obligation inside the index (only keys
+    /// do); the cracker invariant that positions are monotone in key
+    /// order is the caller's to maintain (Ripple shifts them in lockstep
+    /// with element moves).
+    #[inline]
+    pub fn set_cursor_pos(&mut self, c: CrackCursor, pos: usize) {
+        match &mut self.repr {
+            Repr::Avl(t) => t.set_pos(c.handle(), pos),
+            Repr::Flat(f) => f.set_cursor_pos(c, pos),
+            Repr::Radix(r) => r.set_pos(c.handle(), pos),
+        }
+    }
+
+    // ------------------------------------------------------------------
     // Iteration
     // ------------------------------------------------------------------
 
@@ -478,8 +542,8 @@ impl<M: PieceMeta> CrackerIndex<M> {
     /// All pieces in position order, without allocating the piece list.
     ///
     /// This is the hot-path replacement for [`CrackerIndex::pieces`]: the
-    /// flat representation iterates with a two-cursor merge over its
-    /// arrays (zero allocation), the AVL representation with its
+    /// flat representation steps a cursor through its blocks (zero
+    /// allocation), the AVL representation with its
     /// in-order traversal (one `O(log n)` stack allocation for the whole
     /// iteration).
     pub fn iter_pieces(&self) -> PieceIter<'_, M> {
@@ -750,7 +814,7 @@ mod tests {
                 idx.add_crack(k, p);
             }
             assert_eq!(idx.crack_key(id), 500, "{policy}");
-            assert_eq!(idx.crack_pos(id), 480, "{policy}");
+            assert_eq!(idx.cursor_pos(idx.cursor_at(id)), 480, "{policy}");
             assert_eq!(idx.crack_meta(id).count, 3, "{policy}");
         }
     }
@@ -784,9 +848,9 @@ mod tests {
             idx.add_crack(10, 20);
             idx.add_crack(20, 40);
             assert!(idx.check_positions_monotone(), "{policy}");
-            // Force a violation through the raw handle.
-            let id = idx.find_crack(20).unwrap();
-            idx.set_crack_pos(id, 5);
+            // Force a violation through the cursor.
+            let c = idx.cursor_at(idx.find_crack(20).unwrap());
+            idx.set_cursor_pos(c, 5);
             assert!(!idx.check_positions_monotone(), "{policy}");
         }
     }
@@ -799,21 +863,25 @@ mod tests {
                 idx.add_crack(k, p);
             }
             // Right-to-left, as ripple_insert walks.
-            let mut keys = Vec::new();
-            let mut cur = idx.max_crack();
-            while let Some(id) = cur {
-                keys.push(idx.crack_key(id));
-                cur = idx.crack_before(idx.crack_key(id));
+            let mut seen = Vec::new();
+            let mut cur = idx.max_crack().map(|id| idx.cursor_at(id));
+            while let Some(c) = cur {
+                seen.push((idx.cursor_key(c), idx.cursor_pos(c)));
+                cur = idx.cursor_prev(c);
             }
-            assert_eq!(keys, vec![60, 30, 10], "{policy}");
-            // Left-to-right, as ripple_delete walks.
-            let mut keys = Vec::new();
-            let mut cur = idx.crack_after(0);
-            while let Some(id) = cur {
-                keys.push(idx.crack_key(id));
-                cur = idx.crack_after(idx.crack_key(id));
+            assert_eq!(seen, vec![(60, 60), (30, 30), (10, 10)], "{policy}");
+            // Left-to-right, as ripple_delete walks from the crack that
+            // ends the target piece.
+            let mut seen = Vec::new();
+            let mut cur = idx.piece_containing(0).right_crack.map(|id| idx.cursor_at(id));
+            while let Some(c) = cur {
+                seen.push(idx.cursor_key(c));
+                idx.set_cursor_pos(c, idx.cursor_pos(c) - 1);
+                cur = idx.cursor_next(c);
             }
-            assert_eq!(keys, vec![10, 30, 60], "{policy}");
+            assert_eq!(seen, vec![10, 30, 60], "{policy}");
+            let shifted: Vec<(u64, usize)> = idx.iter_cracks().map(|(k, p, _)| (k, p)).collect();
+            assert_eq!(shifted, vec![(10, 9), (30, 29), (60, 59)], "{policy}");
             assert_eq!(idx.min_crack().map(|id| idx.crack_key(id)), Some(10));
             assert_eq!(idx.crack_at_or_before(30).map(|id| idx.crack_key(id)), Some(30));
         }

@@ -11,18 +11,21 @@
 //! * [`AvlTree`] — the paper's structure: a from-scratch, arena-based AVL
 //!   tree mapping crack values (`u64`) to array positions;
 //! * [`FlatIndex`] — the cache-conscious default: crack keys and
-//!   positions in sorted parallel arrays (with a small insert-absorbing
-//!   delta buffer), lower-bound searched over contiguous memory,
-//!   metadata in a stable arena;
+//!   positions in fixed-capacity sorted blocks under a fence-key array,
+//!   lower-bound searched over contiguous memory, inserts shifting
+//!   inside one block; metadata in a stable arena;
 //! * [`RadixIndex`] — a path-compressed 16-ary radix trie (after the
 //!   ART-cracking study of Wu et al.): `O(min(16, log16 n))` lookups
 //!   independent of the crack count, free key-space midpoints for the
 //!   data-driven engine family.
 //!
-//! All three representations produce bit-identical piece semantics; the
-//! flat one wins on lookup locality at low-to-mid crack counts, the
-//! radix trie once crack counts grow past the point where binary-search
-//! depth dominates.
+//! All three representations produce bit-identical piece semantics. The
+//! flat one wins on lookup locality at every crack count a query
+//! sequence produces; the radix trie draws level with it on a replay of
+//! half a million interleaved lookups and inserts
+//! (`crates/bench/benches/index.rs`, `replay_500k`) and trails it end to
+//! end; the AVL tree is the paper's structure and the differential
+//! reference.
 //!
 //! A crack `(v, p)` asserts: positions `< p` hold keys `< v`, positions
 //! `>= p` hold keys `>= v`. Pieces are the gaps between consecutive cracks.
@@ -39,6 +42,8 @@ mod index;
 mod radix;
 
 pub use avl::{AscIter, AvlTree, IdIter, NodeId};
-pub use flat::{count_le, count_le_predicated, FlatAscIter, FlatIndex, FlatTripleIter, DELTA_CAP};
-pub use index::{CrackIter, CrackerIndex, IndexPolicy, Piece, PieceIter, PieceMeta};
+#[doc(hidden)]
+pub use flat::BLOCK_CAP as FLAT_BLOCK_CAP;
+pub use flat::{count_le, FlatAscIter, FlatIndex, FlatTripleIter};
+pub use index::{CrackCursor, CrackIter, CrackerIndex, IndexPolicy, Piece, PieceIter, PieceMeta};
 pub use radix::{RadixAscIter, RadixIndex, RadixTripleIter};

@@ -3,7 +3,7 @@
 //! three-way Avl/Flat/Radix cross-policy equivalence contract.
 
 use proptest::prelude::*;
-use scrack_index::{AvlTree, CrackerIndex, FlatIndex, IndexPolicy, RadixIndex};
+use scrack_index::{AvlTree, CrackerIndex, FlatIndex, IndexPolicy, RadixIndex, FLAT_BLOCK_CAP};
 use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
@@ -207,6 +207,76 @@ proptest! {
                 .next()
                 .map(|(k, _)| *k);
             prop_assert_eq!(got, expect, "succ_strict({:#x})", probe);
+        }
+    }
+
+    /// The walk cursor, three-way: over crack sets several flat blocks
+    /// wide, `cursor_prev` from `max_crack` and `cursor_next` from
+    /// `min_crack` visit the same `(key, pos)` sequence under every
+    /// representation, and positions written through the cursor read
+    /// back through `piece_containing` and `iter_cracks`.
+    #[test]
+    fn cursor_walks_and_writes_are_policy_invariant(
+        keys in proptest::collection::vec(0u64..1_000_000, 5 * FLAT_BLOCK_CAP..10 * FLAT_BLOCK_CAP),
+        shift in 1usize..50,
+        from in 0usize..5 * FLAT_BLOCK_CAP,
+    ) {
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        // At least three times the flat block capacity, so both walks
+        // cross block seams.
+        prop_assert!(sorted.len() >= 3 * FLAT_BLOCK_CAP);
+        let from = from % sorted.len();
+        let pos_of = |k: u64| sorted.partition_point(|x| *x < k) * 3;
+        let column_len = sorted.len() * 3 + shift;
+        let mut expect: Vec<(u64, usize)> = sorted.iter().map(|k| (*k, pos_of(*k))).collect();
+        let mut walks = Vec::new();
+        for policy in IndexPolicy::ALL {
+            let mut idx: CrackerIndex<()> = CrackerIndex::with_policy(column_len, policy);
+            // Arrival order, duplicates included: splits land mid-stream.
+            for k in &keys {
+                idx.add_crack(*k, pos_of(*k));
+            }
+            let mut down = Vec::new();
+            let mut cur = idx.max_crack().map(|id| idx.cursor_at(id));
+            while let Some(c) = cur {
+                down.push((idx.cursor_key(c), idx.cursor_pos(c)));
+                cur = idx.cursor_prev(c);
+            }
+            let mut up = Vec::new();
+            let mut cur = idx.min_crack().map(|id| idx.cursor_at(id));
+            while let Some(c) = cur {
+                up.push((idx.cursor_key(c), idx.cursor_pos(c)));
+                cur = idx.cursor_next(c);
+            }
+            prop_assert_eq!(&up, &expect, "{}: upward walk", policy);
+            down.reverse();
+            prop_assert_eq!(&down, &expect, "{}: downward walk", policy);
+            // A ripple-insert-shaped write: every crack from rank `from`
+            // up shifts right, walking down from the top.
+            let mut cur = idx.max_crack().map(|id| idx.cursor_at(id));
+            while let Some(c) = cur {
+                if idx.cursor_key(c) < sorted[from] {
+                    break;
+                }
+                idx.set_cursor_pos(c, idx.cursor_pos(c) + shift);
+                cur = idx.cursor_prev(c);
+            }
+            walks.push(idx);
+        }
+        for (_, p) in &mut expect[from..] {
+            *p += shift;
+        }
+        for idx in &walks {
+            let got: Vec<(u64, usize)> = idx.iter_cracks().map(|(k, p, _)| (k, p)).collect();
+            prop_assert_eq!(&got, &expect, "{}: iter_cracks after the shift", idx.policy());
+            prop_assert!(idx.check_positions_monotone());
+            for (i, (k, p)) in expect.iter().enumerate() {
+                let piece = idx.piece_containing(*k);
+                let end = expect.get(i + 1).map_or(column_len, |(_, p)| *p);
+                prop_assert_eq!((piece.start, piece.end), (*p, end), "{}: piece of {}", idx.policy(), k);
+            }
         }
     }
 

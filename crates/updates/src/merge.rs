@@ -3,14 +3,14 @@
 //! The per-element Ripple ([`crate::ripple_insert`] /
 //! [`crate::ripple_delete`]) pays one full boundary walk per update —
 //! with `U` qualifying updates and `B` crack boundaries that is
-//! `O(U · B)` index hops (each a binary search on the flat
-//! representation). The merge-ripple sorts the qualifying batch once and
-//! applies it in a **single pass over the boundaries**: every crossed
-//! crack is visited exactly once and shifted by the batch's cumulative
-//! size delta, so the index cost drops to `O(U log U + B)` while the
-//! element moves stay bounded by the per-element count (at each boundary
-//! the merge moves `min(holes, piece len)` elements where per-element
-//! Ripple moves `holes`).
+//! `O(U · B)` index hops. The merge-ripple sorts the qualifying batch
+//! once and applies it in a **single pass over the boundaries**: every
+//! crossed crack is visited exactly once (one cursor step) and shifted by
+//! the batch's cumulative size delta, so the index cost drops to
+//! `O(U log U + B)` while the element moves stay bounded by the
+//! per-element count (at each boundary the merge moves
+//! `min(holes, piece len)` elements where per-element Ripple moves
+//! `holes`).
 //!
 //! Both passes preserve the cracker invariant piece by piece — piece
 //! interiors are unordered, so a piece may donate *any* of its elements
@@ -60,9 +60,9 @@ pub fn merge_ripple_inserts<E: Element>(col: &mut CrackedColumn<E>, mut ins: Vec
     index.set_column_len(data.len());
     let mut hole_start = old_len; // hole block spans [hole_start, hole_start + h)
     let mut h = ins.len(); // unplaced inserts == holes
-    let mut cur = index.max_crack();
-    while let Some(id) = cur {
-        let ckey = index.crack_key(id);
+    let mut cur = index.max_crack().map(|id| index.cursor_at(id));
+    while let Some(c) = cur {
+        let ckey = index.cursor_key(c);
         // Inserts with key >= ckey belong to the piece right of this
         // crack (higher cracks were already handled); drop them into the
         // top of the hole block, which sits at that piece's end.
@@ -76,7 +76,7 @@ pub fn merge_ripple_inserts<E: Element>(col: &mut CrackedColumn<E>, mut ins: Vec
         if h == 0 {
             break; // no inserts below this crack: nothing left to shift
         }
-        let p = index.crack_pos(id);
+        let p = index.cursor_pos(c);
         // Shift the boundary right by the remaining holes: the right
         // piece (currently [p, hole_start)) donates leading elements to
         // the hole block; the vacated/remaining slots become the new
@@ -89,9 +89,9 @@ pub fn merge_ripple_inserts<E: Element>(col: &mut CrackedColumn<E>, mut ins: Vec
         }
         stats.touched += m as u64;
         stats.swaps += m as u64;
-        index.set_crack_pos(id, p + h);
+        index.set_cursor_pos(c, p + h);
         hole_start = p;
-        cur = index.crack_before(ckey);
+        cur = index.cursor_prev(c);
     }
     // Inserts below every crack land in the bottom piece's hole block.
     data[hole_start..hole_start + h].copy_from_slice(&ins[..h]);
@@ -127,11 +127,11 @@ pub fn merge_ripple_deletes<E: Element>(col: &mut CrackedColumn<E>, mut del: Vec
     let mut want: Vec<(u64, usize)> = Vec::new();
 
     // Seed at the piece containing the smallest delete key.
-    let first = col.index().piece_containing(del[0]);
-    let (mut start, mut end, mut hi_key, mut right) =
-        (first.start, first.end, first.hi_key, first.right_crack);
+    let (data, index, stats) = col.parts_mut();
+    let first = index.piece_containing(del[0]);
+    let (mut start, mut end, mut hi_key) = (first.start, first.end, first.hi_key);
+    let mut right = first.right_crack.map(|id| index.cursor_at(id));
     loop {
-        let (data, index, stats) = col.parts_mut();
         // Delete keys targeting this piece: del[di..dj).
         let dj = di + del[di..].partition_point(|k| hi_key.is_none_or(|hi| *k < hi));
         if dj > di {
@@ -180,20 +180,20 @@ pub fn merge_ripple_deletes<E: Element>(col: &mut CrackedColumn<E>, mut del: Vec
             Some(_) if g == 0 && di < del.len() => {
                 // No holes in flight: jump straight to the next targeted
                 // piece instead of walking the boundaries between.
-                let next = col.index().piece_containing(del[di]);
-                (start, end, hi_key, right) = (next.start, next.end, next.hi_key, next.right_crack);
+                let next = index.piece_containing(del[di]);
+                (start, end, hi_key) = (next.start, next.end, next.hi_key);
+                right = next.right_crack.map(|id| index.cursor_at(id));
             }
             Some(_) if g == 0 => break, // nothing left to do anywhere
-            Some(id) => {
+            Some(c) => {
                 // Shift this boundary left over the holes; the next piece
                 // donates trailing elements to refill them, re-forming
                 // the hole block at its own end.
-                let p = index.crack_pos(id);
+                let p = index.cursor_pos(c);
                 debug_assert_eq!(p, end);
-                index.set_crack_pos(id, p - g);
-                let ckey = index.crack_key(id);
-                let next_right = index.crack_after(ckey);
-                let next_end = next_right.map_or(data.len(), |nid| index.crack_pos(nid));
+                index.set_cursor_pos(c, p - g);
+                let next_right = index.cursor_next(c);
+                let next_end = next_right.map_or(data.len(), |n| index.cursor_pos(n));
                 let s = next_end - p;
                 let m = g.min(s);
                 for i in 0..m {
@@ -201,7 +201,7 @@ pub fn merge_ripple_deletes<E: Element>(col: &mut CrackedColumn<E>, mut del: Vec
                 }
                 stats.touched += m as u64;
                 stats.swaps += m as u64;
-                let next_hi = next_right.map(|nid| index.crack_key(nid));
+                let next_hi = next_right.map(|n| index.cursor_key(n));
                 (start, end, hi_key, right) = (p - g, next_end, next_hi, next_right);
             }
         }

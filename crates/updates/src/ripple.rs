@@ -40,21 +40,20 @@ pub fn ripple_insert<E: Element>(col: &mut CrackedColumn<E>, elem: E) {
     index.set_column_len(data.len());
     let mut hole = data.len() - 1;
     // Walk cracks right-to-left while they exceed the new key.
-    let mut cur = index.max_crack();
-    while let Some(id) = cur {
-        let ckey = index.crack_key(id);
-        if ckey <= key {
+    let mut cur = index.max_crack().map(|id| index.cursor_at(id));
+    while let Some(c) = cur {
+        if index.cursor_key(c) <= key {
             break;
         }
-        let p = index.crack_pos(id);
+        let p = index.cursor_pos(c);
         // The piece right of this crack donates its first element to its
         // own end (the hole), and the boundary moves right over the hole.
         data[hole] = data[p];
-        index.set_crack_pos(id, p + 1);
+        index.set_cursor_pos(c, p + 1);
         stats.touched += 1;
         stats.swaps += 1;
         hole = p;
-        cur = index.crack_before(ckey);
+        cur = index.cursor_prev(c);
     }
     data[hole] = elem;
     stats.touched += 1;
@@ -87,13 +86,13 @@ pub fn ripple_delete<E: Element>(col: &mut CrackedColumn<E>, key: u64) -> Option
     stats.swaps += 1;
     // Walk cracks left-to-right above the key; each boundary moves left
     // over the hole and its right piece donates its last element.
-    let mut cur = index.crack_after(key);
-    while let Some(id) = cur {
-        let p = index.crack_pos(id);
+    let mut cur = piece.right_crack.map(|id| index.cursor_at(id));
+    while let Some(c) = cur {
+        let p = index.cursor_pos(c);
         debug_assert_eq!(hole, p - 1, "hole must sit just left of the boundary");
-        index.set_crack_pos(id, p - 1);
-        let next = index.crack_after(index.crack_key(id));
-        let end = next.map_or(data.len(), |nid| index.crack_pos(nid));
+        index.set_cursor_pos(c, p - 1);
+        let next = index.cursor_next(c);
+        let end = next.map_or(data.len(), |n| index.cursor_pos(n));
         data[hole] = data[end - 1];
         stats.touched += 1;
         stats.swaps += 1;

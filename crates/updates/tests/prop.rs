@@ -15,6 +15,7 @@
 
 use proptest::prelude::*;
 use scrack_core::{CrackConfig, Engine, EngineKind, IndexPolicy, UpdatePolicy};
+use scrack_index::FLAT_BLOCK_CAP;
 use scrack_types::QueryRange;
 use scrack_updates::{build_update_engine, update_capable_kinds};
 
@@ -135,10 +136,23 @@ fn replay(
     update: UpdatePolicy,
     seed: u64,
 ) -> Vec<(usize, u64)> {
+    replay_with(ops, kind, config(index, update), seed).0
+}
+
+/// [`replay`] under an explicit config; also returns the crack count
+/// after every step.
+fn replay_with(
+    ops: &[Op],
+    kind: EngineKind,
+    config: CrackConfig,
+    seed: u64,
+) -> (Vec<(usize, u64)>, Vec<usize>) {
+    let (index, update) = (config.index, config.update);
     let data = column(seed);
     let mut model = Model::new(&data);
-    let mut eng = build_update_engine(kind, data, config(index, update), seed);
+    let mut eng = build_update_engine(kind, data, config, seed);
     let mut answers = Vec::new();
+    let mut cracks = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         match *op {
             Op::Query(a, w) => {
@@ -164,8 +178,9 @@ fn replay(
         }
         eng.check_integrity()
             .unwrap_or_else(|e| panic!("{kind:?} / {index} / {update}: step {i}: {e}"));
+        cracks.push(eng.inner().cracked().index().crack_count());
     }
-    answers
+    (answers, cracks)
 }
 
 proptest! {
@@ -210,36 +225,65 @@ proptest! {
     }
 }
 
-/// The deterministic full matrix: every update-capable engine × both
-/// index policies × both update policies on one fixed mixed stream, with
-/// cross-policy bit-identity on the answers.
-#[test]
-fn full_matrix_policies_are_bit_identical() {
+/// A deterministic stream: `warm` queries first, then `mixed` steps of
+/// 3 queries : 2 inserts : 2 deletes.
+fn fixed_stream(warm: usize, mixed: usize, max_width: u64) -> Vec<Op> {
     let mut state = 0xD1B5_4A32_D192_ED03u64;
-    let ops: Vec<Op> = (0..60)
+    (0..warm + mixed)
         .map(|i| {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            match i % 7 {
-                0..=2 => Op::Query(state % N, 1 + state % 250),
+            match i.saturating_sub(warm) % 7 {
+                0..=2 => Op::Query(state % N, 1 + state % max_width),
                 3 | 4 => Op::Insert(state % KEY_SPAN),
                 _ => Op::Delete(state % KEY_SPAN),
             }
         })
-        .collect();
-    for kind in update_capable_kinds() {
-        let mut traces = Vec::new();
-        for index in IndexPolicy::ALL {
-            for update in UpdatePolicy::ALL {
-                traces.push(replay(&ops, kind, index, update, 42));
+        .collect()
+}
+
+/// The deterministic full matrix: every update-capable engine × every
+/// index policy × both update policies, with cross-policy bit-identity
+/// on the answers, on two fixed streams:
+///
+/// * 60 mixed steps under the suite's config — a few dozen cracks;
+/// * `4 * FLAT_BLOCK_CAP` narrow warm-up queries under a crack size of 2,
+///   then 210 mixed steps. Every kind enters the mixed phase holding more
+///   than twice the flat index's block capacity in cracks and adds more
+///   than half a block, so every insert and delete walk crosses block
+///   seams and the blocks keep splitting between the walks (asserted: a
+///   retuned capacity that outgrows this column fails here, it does not
+///   silently stop crossing seams).
+#[test]
+fn full_matrix_policies_are_bit_identical() {
+    const WARM: usize = 4 * FLAT_BLOCK_CAP;
+    let small = (fixed_stream(0, 60, 250), None);
+    let seams = (fixed_stream(WARM, 210, 12), Some(2));
+    for (ops, crack_size) in [small, seams] {
+        for kind in update_capable_kinds() {
+            let mut traces = Vec::new();
+            for index in IndexPolicy::ALL {
+                for update in UpdatePolicy::ALL {
+                    let mut config = config(index, update);
+                    if let Some(elems) = crack_size {
+                        config = config.with_crack_size(elems);
+                    }
+                    let (answers, cracks) = replay_with(&ops, kind, config, 42);
+                    if crack_size.is_some() {
+                        let (warm, end) = (cracks[WARM - 1], cracks[cracks.len() - 1]);
+                        assert!(warm > 2 * FLAT_BLOCK_CAP, "{kind:?} / {index}: only {warm} cracks after the warm-up");
+                        assert!(end > warm + FLAT_BLOCK_CAP / 2, "{kind:?} / {index}: {warm} -> {end} cracks in the mixed phase");
+                    }
+                    traces.push(answers);
+                }
             }
-        }
-        for t in &traces[1..] {
-            assert_eq!(
-                t, &traces[0],
-                "{kind:?}: answers must be identical across all policy combinations"
-            );
+            for t in &traces[1..] {
+                assert_eq!(
+                    t, &traces[0],
+                    "{kind:?}: answers must be identical across all policy combinations"
+                );
+            }
         }
     }
 }
