@@ -35,14 +35,14 @@ fn built_index(n: usize, policy: IndexPolicy) -> CrackerIndex<()> {
 /// over the whole growth.
 ///
 /// * `replay_500k` — `rand_warm` ends near 559k cracks; the figure that
-///   decides the index axis (ROADMAP item 2).
+///   decided the index axis (ROADMAP item 2).
 /// * `replay_4k` — the young indexes of a set-up phase (`txn_sessions`
 ///   warms four shards to a few thousand cracks each): the regime where
 ///   one small sorted array is at its best.
 fn bench_replay(c: &mut Criterion) {
     // A permutation column, as the benchmark's: key k cracks at
     // position k. Keys from xorshift64, not `crack_positions`' Weyl
-    // sequence, whose evenly spaced keys flatter the trie.
+    // sequence, whose even spacing no random workload has.
     const COLUMN: usize = 4_000_000;
     let mut state = 0x2545_F491_4F6C_DD1Du64;
     let bounds: Vec<(u64, usize)> = (0..500_000)

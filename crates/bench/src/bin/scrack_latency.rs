@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! scrack_latency [--n N] [--queries Q] [--samples K]
-//!                [--index avl|flat|radix] [--smoke] [--json PATH] [--check]
+//!                [--index avl|flat] [--smoke] [--json PATH] [--check]
 //! ```
 //!
 //! Sweeps `engine × workload × index policy` over single-threaded query
@@ -46,7 +46,7 @@ fn main() {
             "--index" => {
                 i += 1;
                 let policy = IndexPolicy::parse(value_of(&args, i, "--index")).unwrap_or_else(|| {
-                    eprintln!("--index takes avl|flat|radix, got {}", args[i]);
+                    eprintln!("--index takes avl|flat, got {}", args[i]);
                     std::process::exit(2);
                 });
                 cfg.policies = vec![policy];
@@ -67,7 +67,7 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: scrack_latency [--n N] [--queries Q] [--samples K] \
-                     [--index avl|flat|radix] [--smoke] [--json PATH] [--check]"
+                     [--index avl|flat] [--smoke] [--json PATH] [--check]"
                 );
                 return;
             }

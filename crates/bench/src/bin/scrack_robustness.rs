@@ -3,7 +3,7 @@
 //! ```text
 //! scrack_robustness [--n N] [--queries Q] [--batch B] [--shards S]
 //!                   [--capacity C] [--loads F,F,...] [--samples K]
-//!                   [--index avl|flat|radix] [--min-recovery R]
+//!                   [--index avl|flat] [--min-recovery R]
 //!                   [--smoke] [--json PATH] [--check]
 //! ```
 //!
@@ -101,7 +101,7 @@ fn main() {
                 i += 1;
                 cfg.index = scrack_core::IndexPolicy::parse(value_of(&args, i, "--index"))
                     .unwrap_or_else(|| {
-                        eprintln!("--index takes avl|flat|radix, got {}", args[i]);
+                        eprintln!("--index takes avl|flat, got {}", args[i]);
                         std::process::exit(2);
                     });
             }
@@ -109,7 +109,7 @@ fn main() {
                 eprintln!(
                     "usage: scrack_robustness [--n N] [--queries Q] [--batch B] \
                      [--shards S] [--capacity C] [--loads F,F,...] \
-                     [--samples K] [--index avl|flat|radix] [--min-recovery R] \
+                     [--samples K] [--index avl|flat] [--min-recovery R] \
                      [--smoke] [--json PATH] [--check]"
                 );
                 return;

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! scrack_throughput [--threads N,N,...] [--n N] [--queries Q]
-//!                   [--batch B] [--samples K] [--index avl|flat|radix]
+//!                   [--batch B] [--samples K] [--index avl|flat]
 //!                   [--smoke] [--json PATH] [--check]
 //! ```
 //!
@@ -72,7 +72,7 @@ fn main() {
                 i += 1;
                 cfg.index = scrack_core::IndexPolicy::parse(value_of(&args, i, "--index"))
                     .unwrap_or_else(|| {
-                        eprintln!("--index takes avl|flat|radix, got {}", args[i]);
+                        eprintln!("--index takes avl|flat, got {}", args[i]);
                         std::process::exit(2);
                     });
             }
@@ -80,7 +80,7 @@ fn main() {
                 eprintln!(
                     "usage: scrack_throughput [--threads N,N,...] [--n N] \
                      [--queries Q] [--batch B] [--samples K] \
-                     [--index avl|flat|radix] [--smoke] [--json PATH] [--check]"
+                     [--index avl|flat] [--smoke] [--json PATH] [--check]"
                 );
                 return;
             }

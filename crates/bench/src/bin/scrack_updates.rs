@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! scrack_updates [--n N] [--queries Q] [--rate R] [--samples K]
-//!                [--threads N,N,...] [--batch B] [--index avl|flat|radix]
+//!                [--threads N,N,...] [--batch B] [--index avl|flat]
 //!                [--smoke] [--json PATH] [--check]
 //! ```
 //!
@@ -66,7 +66,7 @@ fn main() {
                 i += 1;
                 cfg.index = scrack_core::IndexPolicy::parse(value_of(&args, i, "--index"))
                     .unwrap_or_else(|| {
-                        eprintln!("--index takes avl|flat|radix, got {}", args[i]);
+                        eprintln!("--index takes avl|flat, got {}", args[i]);
                         std::process::exit(2);
                     });
             }
@@ -90,7 +90,7 @@ fn main() {
                 eprintln!(
                     "usage: scrack_updates [--n N] [--queries Q] [--rate R] \
                      [--samples K] [--threads N,N,...] [--batch B] \
-                     [--index avl|flat|radix] [--smoke] [--json PATH] [--check]"
+                     [--index avl|flat] [--smoke] [--json PATH] [--check]"
                 );
                 return;
             }

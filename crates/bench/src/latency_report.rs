@@ -1,5 +1,5 @@
 //! The end-to-end query-latency harness: the paper's central figure, as
-//! data, under all three cracker-index representations.
+//! data, under both cracker-index representations.
 //!
 //! The kernel harness ([`crate::kernels_report`]) tracks ns/element of
 //! the reorganization primitives and the throughput harness
@@ -21,10 +21,8 @@
 //! harness asserts bit-identical answers across every index policy —
 //! the cross-policy contract checked at bench time on real scales.
 //!
-//! PR 10 widened both axes: the radix trie joins the policy sweep (its
-//! crossover vs the flat index is what the `65536`-crack lookup point
-//! exists to expose), and the deterministic MDD1M midpoint engine joins
-//! the engine sweep.
+//! PR 10 added the deterministic MDD1M midpoint engine to the engine
+//! sweep and the `65536`-crack lookup point.
 
 use scrack_core::{CrackConfig, CrackerEngine, Engine, EngineKind, IndexPolicy};
 use scrack_index::CrackerIndex;
@@ -43,8 +41,8 @@ pub const WORKLOADS: [&str; 3] = ["random", "sequential", "skew"];
 
 /// The crack counts the piece-lookup microbench measures at. The
 /// acceptance target for the flat index is defined at `>= 1k` cracks —
-/// the post-convergence regime; the `65536` point exists to expose the
-/// radix trie's crossover against binary-search depth.
+/// the post-convergence regime; the `65536` point shows how each
+/// representation's search depth grows past it.
 pub const LOOKUP_CRACKS: [usize; 4] = [1_024, 4_096, 16_384, 65_536];
 
 /// Scale and sweep settings for one harness run.
@@ -57,7 +55,7 @@ pub struct LatencyConfig {
     pub queries: usize,
     /// Runs per cell; reported numbers are medians across samples.
     pub samples: usize,
-    /// Index policies to sweep (default: both).
+    /// Index policies to sweep (default: every one, [`IndexPolicy::ALL`]).
     pub policies: Vec<IndexPolicy>,
     /// RNG seed for data and workloads.
     pub seed: u64,
@@ -82,7 +80,7 @@ pub struct LatencyCell {
     pub engine: &'static str,
     /// Workload pattern (one of [`WORKLOADS`]).
     pub workload: &'static str,
-    /// Index policy label (`avl`, `flat` or `radix`).
+    /// Index policy label (`avl` or `flat`).
     pub policy: &'static str,
     /// Cumulative wall-clock seconds for the whole query sequence
     /// (median across samples).
@@ -320,31 +318,12 @@ impl LatencyReport {
             .find(|c| c.policy == policy && c.cracks == cracks)
     }
 
-    /// Piece-lookup speedup of `contender` over `baseline` at `cracks`,
-    /// when both were measured (`baseline_ns / contender_ns`; > 1 means
-    /// the contender is faster).
-    pub fn lookup_speedup_over(
-        &self,
-        baseline: &str,
-        contender: &str,
-        cracks: usize,
-    ) -> Option<f64> {
-        let base = self.lookup_cell(baseline, cracks)?.ns_per_lookup;
-        let cont = self.lookup_cell(contender, cracks)?.ns_per_lookup;
-        (cont > 0.0).then(|| base / cont)
-    }
-
     /// Flat-over-AVL piece-lookup speedup at `cracks`, when both were
     /// measured (`avl_ns / flat_ns`; > 1 means flat is faster).
     pub fn lookup_speedup(&self, cracks: usize) -> Option<f64> {
-        self.lookup_speedup_over("avl", "flat", cracks)
-    }
-
-    /// Radix-over-flat piece-lookup speedup at `cracks` (> 1 means the
-    /// radix trie is faster) — the crossover measurement the radix
-    /// representation is judged by.
-    pub fn radix_lookup_speedup(&self, cracks: usize) -> Option<f64> {
-        self.lookup_speedup_over("flat", "radix", cracks)
+        let avl = self.lookup_cell("avl", cracks)?.ns_per_lookup;
+        let flat = self.lookup_cell("flat", cracks)?.ns_per_lookup;
+        (flat > 0.0).then(|| avl / flat)
     }
 
     /// Every engine/workload/policy combination (and lookup cell) missing
@@ -448,18 +427,15 @@ impl LatencyReport {
                 c.cracks
             ));
         }
-        s.push_str("\n| index | cracks | ns/lookup | flat speedup | radix speedup |\n");
-        s.push_str("|---|---|---|---|---|\n");
+        s.push_str("\n| index | cracks | ns/lookup | flat speedup |\n");
+        s.push_str("|---|---|---|---|\n");
         for c in &self.lookup {
             let speedup = self
                 .lookup_speedup(c.cracks)
                 .map_or("—".to_string(), |x| format!("{x:.2}x"));
-            let radix = self
-                .radix_lookup_speedup(c.cracks)
-                .map_or("—".to_string(), |x| format!("{x:.2}x"));
             s.push_str(&format!(
-                "| {} | {} | {:.1} | {} | {} |\n",
-                c.policy, c.cracks, c.ns_per_lookup, speedup, radix
+                "| {} | {} | {:.1} | {} |\n",
+                c.policy, c.cracks, c.ns_per_lookup, speedup
             ));
         }
         s
@@ -499,7 +475,6 @@ mod tests {
         }
         for cracks in LOOKUP_CRACKS {
             assert!(r.lookup_speedup(cracks).unwrap() > 0.0);
-            assert!(r.radix_lookup_speedup(cracks).unwrap() > 0.0);
         }
     }
 
@@ -529,7 +504,7 @@ mod tests {
         for name in ENGINES
             .iter()
             .chain(WORKLOADS.iter())
-            .chain(["avl", "flat", "radix"].iter())
+            .chain(["avl", "flat"].iter())
         {
             assert!(json.contains(name), "missing {name}");
         }

@@ -2,7 +2,7 @@
 //!
 //! PRs 2–5 grew three orthogonal config axes next to the engine choice —
 //! [`KernelPolicy`] (branchy/branchless reorganization kernels),
-//! [`IndexPolicy`] (AVL vs flat vs radix cracker index) and [`UpdatePolicy`]
+//! [`IndexPolicy`] (AVL vs flat cracker index) and [`UpdatePolicy`]
 //! (per-element vs batched merge-ripple) — and the chooser, written
 //! before any of them, could only pick among four per-query crack paths.
 //! A [`ConfigArm`] names one point of the full cross-product and a
@@ -141,7 +141,7 @@ impl ConfigSpace {
     }
 
     /// The entire cross-product: every update-capable engine × every
-    /// kernel × every index × every update policy (18 × 3 × 3 × 2 = 324
+    /// kernel × every index × every update policy (18 × 3 × 2 × 2 = 216
     /// arms).
     pub fn full() -> Self {
         let kernels = [
@@ -247,10 +247,6 @@ mod tests {
         assert_eq!(
             full.len(),
             update_capable_kinds().len() * 3 * IndexPolicy::ALL.len() * UpdatePolicy::ALL.len()
-        );
-        assert!(
-            full.arms().iter().any(|a| a.index == IndexPolicy::Radix),
-            "the radix representation must be in the full space"
         );
         // No duplicate arms.
         for (i, a) in full.arms().iter().enumerate() {

@@ -1,8 +1,8 @@
-//! Cross-policy equivalence: the flat, AVL and radix cracker indexes
+//! Cross-policy equivalence: the flat and AVL cracker indexes
 //! must be observationally identical through every engine.
 //!
 //! `IndexPolicy` promises more than "same answers": for any operation
-//! sequence, all three representations must produce the *same crack
+//! sequence, both representations must produce the *same crack
 //! boundaries* (key and position, entry for entry), the *same piece
 //! metadata* (ScrackMon counters, progressive-job presence), the *same
 //! physical column order*, and *bit-identical [`Stats`]*. That contract

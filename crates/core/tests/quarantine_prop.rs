@@ -5,7 +5,7 @@
 //! over the preserved base data, then re-crack adaptively. Two things
 //! make that safe, and both are pinned here across every factory engine
 //! (including the data-driven midpoint family) and every index policy —
-//! AVL, flat and radix:
+//! AVL and flat:
 //!
 //! 1. **Answers never change.** A run that quarantines mid-stream
 //!    returns bit-identical per-query answers (count + key checksum) to

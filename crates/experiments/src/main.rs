@@ -3,7 +3,7 @@
 //! ```text
 //! experiments [FIGURES...] [--n N] [--queries Q] [--seed S]
 //!             [--out DIR] [--verify] [--quick]
-//!             [--kernel branchy|branchless|auto] [--index avl|flat|radix]
+//!             [--kernel branchy|branchless|auto] [--index avl|flat]
 //!             [--update per-element|batched]
 //!             [--threads N,N,...] [--batch B]
 //!
@@ -57,11 +57,11 @@ fn main() {
             "--index" => {
                 i += 1;
                 let value = args.get(i).map(String::as_str).unwrap_or_else(|| {
-                    eprintln!("--index requires a value (avl|flat|radix)");
+                    eprintln!("--index requires a value (avl|flat)");
                     std::process::exit(2);
                 });
                 cfg.index = scrack_core::IndexPolicy::parse(value).unwrap_or_else(|| {
-                    eprintln!("--index takes avl|flat|radix, got {value}");
+                    eprintln!("--index takes avl|flat, got {value}");
                     std::process::exit(2);
                 });
             }
@@ -94,7 +94,7 @@ fn main() {
                      ext-io|ext-chooser|ext-parallel|ext-resilience|all]... \
                      [--n N] [--queries Q] [--seed S] [--out DIR] \
                      [--verify] [--quick] [--kernel branchy|branchless|auto] \
-                     [--index avl|flat|radix] [--update per-element|batched] \
+                     [--index avl|flat] [--update per-element|batched] \
                      [--threads N,N,...] [--batch B]"
                 );
                 return;

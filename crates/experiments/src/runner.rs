@@ -26,8 +26,8 @@ pub struct ExpConfig {
     /// regenerated per kernel and compared.
     pub kernel: KernelPolicy,
     /// Cracker-index representation the engines navigate
-    /// (`--index avl|flat|radix`). Like the kernel policy, a pure
-    /// wall-clock knob: results are bit-identical under all three.
+    /// (`--index avl|flat`). Like the kernel policy, a pure
+    /// wall-clock knob: results are bit-identical under both.
     pub index: IndexPolicy,
     /// How the update experiments merge pending updates
     /// (`--update per-element|batched`). Answers are bit-identical under

@@ -1,9 +1,10 @@
 //! An arena-based AVL tree keyed by crack value.
 //!
-//! Nodes live in a `Vec` arena and reference each other by index; removed
-//! nodes go on a free list. Heights are maintained per node; the classic
-//! single/double rotations keep the balance factor within ±1, so lookups,
-//! predecessor/successor queries, inserts and removals are `O(log n)`.
+//! Nodes live in a `Vec` arena and reference each other by index; a node
+//! never leaves its slot (a cracker index never un-cracks, so there is no
+//! removal). Heights are maintained per node; the classic single/double
+//! rotations keep the balance factor within ±1, so lookups,
+//! predecessor/successor queries and inserts are `O(log n)`.
 //!
 //! The tree deliberately exposes *handles* ([`NodeId`]) so that callers —
 //! notably the Ripple update algorithm, which shifts crack positions one by
@@ -12,13 +13,13 @@
 /// Sentinel for "no node".
 const NIL: u32 = u32::MAX;
 
-/// A stable handle to an index entry, valid until that entry is removed.
+/// A stable handle to an index entry, valid until the index is cleared.
 ///
 /// Both representations of the cracker index hand these out: the AVL tree
 /// ([`AvlTree`]) and the flat index ([`crate::FlatIndex`]) each back a
-/// handle by an arena slot that never moves while the entry lives, so a
-/// handle taken before an insert stays valid after it. A handle is only
-/// meaningful to the structure that minted it.
+/// handle by an arena slot that never moves, so a handle taken before an
+/// insert stays valid after it. A handle is only meaningful to the
+/// structure that minted it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct NodeId(pub(crate) u32);
 
@@ -37,8 +38,6 @@ struct Node<M> {
 pub struct AvlTree<M> {
     nodes: Vec<Node<M>>,
     root: u32,
-    free: Vec<u32>,
-    len: usize,
 }
 
 impl<M> Default for AvlTree<M> {
@@ -53,27 +52,23 @@ impl<M> AvlTree<M> {
         Self {
             nodes: Vec::new(),
             root: NIL,
-            free: Vec::new(),
-            len: 0,
         }
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.nodes.len()
     }
 
     /// Whether the tree holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.nodes.is_empty()
     }
 
     /// Removes every entry.
     pub fn clear(&mut self) {
         self.nodes.clear();
-        self.free.clear();
         self.root = NIL;
-        self.len = 0;
     }
 
     #[inline]
@@ -176,24 +171,6 @@ impl<M> AvlTree<M> {
         }
     }
 
-    fn alloc(&mut self, key: u64, pos: usize, meta: M) -> u32 {
-        let node = Node {
-            key,
-            pos,
-            meta,
-            left: NIL,
-            right: NIL,
-            height: 1,
-        };
-        if let Some(id) = self.free.pop() {
-            self.nodes[id as usize] = node;
-            id
-        } else {
-            self.nodes.push(node);
-            (self.nodes.len() - 1) as u32
-        }
-    }
-
     /// Inserts `(key, pos, meta)`.
     ///
     /// Returns `(id, true)` for a fresh entry, or `(existing_id, false)` if
@@ -203,9 +180,16 @@ impl<M> AvlTree<M> {
         if let Some(id) = self.find(key) {
             return (id, false);
         }
-        let fresh = self.alloc(key, pos, meta);
+        let fresh = self.nodes.len() as u32;
+        self.nodes.push(Node {
+            key,
+            pos,
+            meta,
+            left: NIL,
+            right: NIL,
+            height: 1,
+        });
         self.root = self.insert_rec(self.root, fresh, key);
-        self.len += 1;
         (NodeId(fresh), true)
     }
 
@@ -238,52 +222,63 @@ impl<M> AvlTree<M> {
         None
     }
 
-    /// Greatest entry with key `<= key`.
-    pub fn predecessor_or_equal(&self, key: u64) -> Option<NodeId> {
-        let mut cur = self.root;
-        let mut best = NIL;
+    /// The one root-to-leaf walk both neighbor queries share: the last
+    /// node passed on the right (greatest key `<= key`) and the last
+    /// passed on the left (smallest key `> key`), `NIL` where none.
+    #[inline]
+    fn descend(&self, key: u64) -> (u32, u32) {
+        let (mut cur, mut pred, mut succ) = (self.root, NIL, NIL);
         while cur != NIL {
             let n = self.node(cur);
             if n.key <= key {
-                best = cur;
+                pred = cur;
                 cur = n.right;
             } else {
+                succ = cur;
                 cur = n.left;
             }
         }
-        (best != NIL).then_some(NodeId(best))
+        (pred, succ)
+    }
+
+    /// The `(key, pos, handle)` triple of node `id`, `None` for `NIL`.
+    #[inline]
+    fn triple(&self, id: u32) -> Option<(u64, usize, NodeId)> {
+        (id != NIL).then(|| {
+            let n = self.node(id);
+            (n.key, n.pos, NodeId(id))
+        })
+    }
+
+    /// Both neighbors of `key` in one walk: the greatest entry with key
+    /// `<= key` and the smallest with key `> key`, as `(key, pos, handle)`
+    /// triples — the piece lookup, in the shape
+    /// [`crate::FlatIndex::neighbors`] answers it.
+    #[inline]
+    #[allow(clippy::type_complexity)]
+    pub fn neighbors(
+        &self,
+        key: u64,
+    ) -> (Option<(u64, usize, NodeId)>, Option<(u64, usize, NodeId)>) {
+        let (pred, succ) = self.descend(key);
+        (self.triple(pred), self.triple(succ))
+    }
+
+    /// Greatest entry with key `<= key`.
+    pub fn predecessor_or_equal(&self, key: u64) -> Option<NodeId> {
+        let (pred, _) = self.descend(key);
+        (pred != NIL).then_some(NodeId(pred))
     }
 
     /// Greatest entry with key `< key`.
     pub fn predecessor_strict(&self, key: u64) -> Option<NodeId> {
-        if key == 0 {
-            return None;
-        }
-        self.predecessor_or_equal(key - 1)
+        self.predecessor_or_equal(key.checked_sub(1)?)
     }
 
     /// Smallest entry with key `> key`.
     pub fn successor_strict(&self, key: u64) -> Option<NodeId> {
-        let mut cur = self.root;
-        let mut best = NIL;
-        while cur != NIL {
-            let n = self.node(cur);
-            if n.key > key {
-                best = cur;
-                cur = n.left;
-            } else {
-                cur = n.right;
-            }
-        }
-        (best != NIL).then_some(NodeId(best))
-    }
-
-    /// Smallest entry with key `>= key`.
-    pub fn successor_or_equal(&self, key: u64) -> Option<NodeId> {
-        if key == 0 {
-            return self.min();
-        }
-        self.successor_strict(key - 1)
+        let (_, succ) = self.descend(key);
+        (succ != NIL).then_some(NodeId(succ))
     }
 
     /// Entry with the smallest key.
@@ -310,95 +305,24 @@ impl<M> AvlTree<M> {
         Some(NodeId(cur))
     }
 
-    /// Removes the entry with `key`, returning its `(pos, meta)`.
-    pub fn remove(&mut self, key: u64) -> Option<(usize, M)>
-    where
-        M: Default,
-    {
-        self.find(key)?;
-        let mut removed = NIL;
-        self.root = self.remove_rec(self.root, key, &mut removed);
-        debug_assert_ne!(removed, NIL);
-        self.len -= 1;
-        let node = &mut self.nodes[removed as usize];
-        let pos = node.pos;
-        let meta = std::mem::take(&mut node.meta);
-        self.free.push(removed);
-        Some((pos, meta))
-    }
-
-    fn remove_rec(&mut self, at: u32, key: u64, removed: &mut u32) -> u32 {
-        if at == NIL {
-            return NIL;
-        }
-        match key.cmp(&self.node(at).key) {
-            std::cmp::Ordering::Less => {
-                let nl = self.remove_rec(self.node(at).left, key, removed);
-                self.node_mut(at).left = nl;
-            }
-            std::cmp::Ordering::Greater => {
-                let nr = self.remove_rec(self.node(at).right, key, removed);
-                self.node_mut(at).right = nr;
-            }
-            std::cmp::Ordering::Equal => {
-                let (l, r) = (self.node(at).left, self.node(at).right);
-                if l == NIL || r == NIL {
-                    *removed = at;
-                    return if l == NIL { r } else { l };
-                }
-                // Two children: splice out the in-order successor (min of
-                // the right subtree) and move its payload into `at`; report
-                // the spliced arena slot as the removed one.
-                let mut succ = r;
-                while self.node(succ).left != NIL {
-                    succ = self.node(succ).left;
-                }
-                let succ_key = self.node(succ).key;
-                let nr = self.remove_rec(r, succ_key, removed);
-                debug_assert_eq!(*removed, succ);
-                // Swap payloads so `at` carries the successor's entry and
-                // the freed slot carries the deleted entry's payload.
-                let (a, b) = if (at as usize) < (succ as usize) {
-                    let (lo, hi) = self.nodes.split_at_mut(succ as usize);
-                    (&mut lo[at as usize], &mut hi[0])
-                } else {
-                    let (lo, hi) = self.nodes.split_at_mut(at as usize);
-                    (&mut hi[0], &mut lo[succ as usize])
-                };
-                std::mem::swap(&mut a.key, &mut b.key);
-                std::mem::swap(&mut a.pos, &mut b.pos);
-                std::mem::swap(&mut a.meta, &mut b.meta);
-                self.node_mut(at).right = nr;
-            }
-        }
-        self.rebalance(at)
-    }
-
-    /// In-order ascending iterator over `(key, pos)` pairs.
+    /// In-order ascending iterator over `(key, pos, &meta)`.
     pub fn iter_asc(&self) -> AscIter<'_, M> {
-        let mut stack = Vec::new();
-        let mut cur = self.root;
-        while cur != NIL {
-            stack.push(cur);
-            cur = self.node(cur).left;
-        }
-        AscIter { tree: self, stack }
+        AscIter(self.iter_triples())
     }
 
-    /// In-order ascending iterator over entry handles.
-    ///
-    /// The handle form of [`AvlTree::iter_asc`], for callers that need to
-    /// carry entries around ([`crate::CrackerIndex`]'s piece iterator).
-    /// Allocates its traversal stack (`O(log n)`); the flat representation
-    /// iterates allocation-free.
-    pub fn iter_ids(&self) -> IdIter<'_, M> {
+    /// In-order ascending iterator over `(key, pos, handle)` triples, the
+    /// shape [`crate::FlatIndex::iter_triples`] yields; the piece iterator
+    /// of [`crate::CrackerIndex`] drives this. Allocates its traversal
+    /// stack (`O(log n)`); the flat representation iterates
+    /// allocation-free.
+    pub fn iter_triples(&self) -> AvlTripleIter<'_, M> {
         let mut stack = Vec::new();
         let mut cur = self.root;
         while cur != NIL {
             stack.push(cur);
             cur = self.node(cur).left;
         }
-        IdIter { tree: self, stack }
+        AvlTripleIter { tree: self, stack }
     }
 
     /// Checks all AVL invariants; used by tests and debug assertions.
@@ -438,42 +362,33 @@ impl<M> AvlTree<M> {
         }
         let mut count = 0usize;
         walk(self, self.root, None, None, &mut count)?;
-        if count != self.len {
-            return Err(format!("len {} but {} reachable nodes", self.len, count));
+        if count != self.nodes.len() {
+            return Err(format!("{} arena nodes but {} reachable", self.nodes.len(), count));
         }
         Ok(())
     }
 }
 
 /// Ascending in-order iterator, see [`AvlTree::iter_asc`].
-pub struct AscIter<'a, M> {
-    tree: &'a AvlTree<M>,
-    stack: Vec<u32>,
-}
+pub struct AscIter<'a, M>(AvlTripleIter<'a, M>);
 
 impl<'a, M> Iterator for AscIter<'a, M> {
     type Item = (u64, usize, &'a M);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let id = self.stack.pop()?;
-        let n = self.tree.node(id);
-        let mut cur = n.right;
-        while cur != NIL {
-            self.stack.push(cur);
-            cur = self.tree.node(cur).left;
-        }
-        Some((n.key, n.pos, &n.meta))
+        let (k, p, id) = self.0.next()?;
+        Some((k, p, &self.0.tree.node(id.0).meta))
     }
 }
 
-/// Ascending in-order handle iterator, see [`AvlTree::iter_ids`].
-pub struct IdIter<'a, M> {
+/// Ascending in-order handle iterator, see [`AvlTree::iter_triples`].
+pub struct AvlTripleIter<'a, M> {
     tree: &'a AvlTree<M>,
     stack: Vec<u32>,
 }
 
-impl<M> Iterator for IdIter<'_, M> {
-    type Item = NodeId;
+impl<M> Iterator for AvlTripleIter<'_, M> {
+    type Item = (u64, usize, NodeId);
 
     fn next(&mut self) -> Option<Self::Item> {
         let id = self.stack.pop()?;
@@ -482,7 +397,7 @@ impl<M> Iterator for IdIter<'_, M> {
             self.stack.push(cur);
             cur = self.tree.node(cur).left;
         }
-        Some(NodeId(id))
+        self.tree.triple(id)
     }
 }
 
@@ -557,10 +472,6 @@ mod tests {
             let spred = t.predecessor_strict(probe).map(|id| t.key(id));
             let model_spred = model.range(..probe).next_back().map(|(k, _)| *k);
             assert_eq!(spred, model_spred, "pred_strict({probe})");
-
-            let seq = t.successor_or_equal(probe).map(|id| t.key(id));
-            let model_seq = model.range(probe..).next().map(|(k, _)| *k);
-            assert_eq!(seq, model_seq, "succ_or_eq({probe})");
         }
     }
 
@@ -573,39 +484,6 @@ mod tests {
         expect.sort_unstable();
         expect.dedup();
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn remove_keeps_balance_and_content() {
-        let keys: Vec<u64> = (0..400).map(|i| (i * 31) % 401).collect();
-        let mut t = build(&keys);
-        let mut model: BTreeMap<u64, ()> = keys.iter().map(|k| (*k, ())).collect();
-        for probe in (0..401).step_by(3) {
-            let got = t.remove(probe).is_some();
-            let expect = model.remove(&probe).is_some();
-            assert_eq!(got, expect, "remove({probe})");
-            t.check_invariants().unwrap();
-        }
-        let got: Vec<u64> = t.iter_asc().map(|(k, _, _)| k).collect();
-        let expect: Vec<u64> = model.keys().copied().collect();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn remove_reuses_arena_slots() {
-        let mut t = AvlTree::new();
-        for k in 0..100u64 {
-            t.insert(k, 0, ());
-        }
-        let slots = t.nodes.len();
-        for k in 0..50u64 {
-            t.remove(k);
-        }
-        for k in 100..150u64 {
-            t.insert(k, 0, ());
-        }
-        assert_eq!(t.nodes.len(), slots, "free list must recycle slots");
-        t.check_invariants().unwrap();
     }
 
     #[test]
@@ -630,7 +508,7 @@ mod tests {
     fn predecessor_strict_at_zero() {
         let t = build(&[0, 5]);
         assert!(t.predecessor_strict(0).is_none());
-        assert_eq!(t.key(t.successor_or_equal(0).unwrap()), 0);
+        assert_eq!(t.key(t.predecessor_strict(1).unwrap()), 0);
     }
 
     #[test]

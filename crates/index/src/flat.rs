@@ -33,9 +33,8 @@
 //! * **Insert** shifts the tail of one block — at most `BLOCK_CAP`
 //!   entries, whatever the crack count. A full block first moves its
 //!   upper half into a fresh block and inserts one fence.
-//! * **Remove** shifts within one block; a block that empties leaves
-//!   `order` and goes on a free list that later splits draw from.
-//!   Underfull blocks are not merged: cracking only ever adds cracks.
+//! * There is no remove, and underfull blocks are never merged:
+//!   cracking only ever adds cracks.
 //! * Blocks are ranges of three pooled `Vec`s, never `Vec`s of their
 //!   own: one allocation per array, no per-block heap header, and a
 //!   block id is an offset.
@@ -46,14 +45,13 @@
 //! chain, while the branchy search speculates — the CPU issues the
 //! probable next load before the compare resolves.
 //!
-//! Handles ([`NodeId`]) index the **arena**, whose slots never move while
-//! the entry lives — the same stability contract the AVL arena gives,
-//! which the selective engines' piece-meta access relies on. A handle
-//! carries no back-pointer into the blocks (splits would have to fix
-//! them up); it resolves to its sorted location by re-searching its
-//! immutable key. Code that walks crack after crack — the Ripple update
-//! path — resolves once and then steps a [`CrackCursor`], which is O(1)
-//! per boundary.
+//! Handles ([`NodeId`]) index the **arena**, whose slots never move —
+//! the same stability contract the AVL arena gives, which the selective
+//! engines' piece-meta access relies on. A handle carries no
+//! back-pointer into the blocks (splits would have to fix them up); it
+//! resolves to its sorted location by re-searching its immutable key.
+//! Code that walks crack after crack — the Ripple update path — resolves
+//! once and then steps a [`CrackCursor`], which is O(1) per boundary.
 
 use crate::avl::NodeId;
 use crate::index::CrackCursor;
@@ -75,7 +73,7 @@ const SPLIT_AT: usize = BLOCK_CAP / 2;
 /// Count of elements `<= probe` in the sorted slice `a` (the rank the
 /// piece lookup needs).
 #[inline]
-pub fn count_le(a: &[u64], probe: u64) -> usize {
+pub(crate) fn count_le(a: &[u64], probe: u64) -> usize {
     a.partition_point(|k| *k <= probe)
 }
 
@@ -91,7 +89,7 @@ struct Entry<M> {
 struct BlockRef {
     /// The block owns `[id * BLOCK_CAP, (id + 1) * BLOCK_CAP)` of each pool.
     id: u32,
-    /// Live entries, `1..=BLOCK_CAP` (an emptied block leaves `order`).
+    /// Live entries, `1..=BLOCK_CAP`.
     len: u32,
 }
 
@@ -127,12 +125,8 @@ pub struct FlatIndex<M> {
     pos: Vec<usize>,
     /// `slots[i]` is the arena slot of `keys[i]`'s metadata.
     slots: Vec<u32>,
-    /// Pool ids of emptied blocks, reused before the pools grow.
-    free_blocks: Vec<u32>,
-    len: usize,
-    /// Stable metadata storage; slots are recycled via `free`.
+    /// Stable metadata storage, one slot per entry.
     arena: Vec<Entry<M>>,
-    free: Vec<u32>,
 }
 
 impl<M> Default for FlatIndex<M> {
@@ -150,23 +144,20 @@ impl<M> FlatIndex<M> {
             keys: Vec::new(),
             pos: Vec::new(),
             slots: Vec::new(),
-            free_blocks: Vec::new(),
-            len: 0,
             arena: Vec::new(),
-            free: Vec::new(),
         }
     }
 
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.arena.len()
     }
 
     /// Whether the index holds no entries.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.arena.is_empty()
     }
 
     /// Removes every entry.
@@ -176,10 +167,7 @@ impl<M> FlatIndex<M> {
         self.keys.clear();
         self.pos.clear();
         self.slots.clear();
-        self.free_blocks.clear();
-        self.len = 0;
         self.arena.clear();
-        self.free.clear();
     }
 
     /// Key of the entry behind `id`.
@@ -301,7 +289,7 @@ impl<M> FlatIndex<M> {
     // ------------------------------------------------------------------
     // Cursor: O(1) stepping for walks over consecutive cracks. Here a
     // `CrackCursor` is `major` = the block's rank in key order, `minor` =
-    // the offset inside the block; any `insert` / `remove` invalidates it.
+    // the offset inside the block; any `insert` invalidates it.
     // ------------------------------------------------------------------
 
     /// The cursor on the entry behind `id` (`O(log n)`: key re-search).
@@ -366,23 +354,9 @@ impl<M> FlatIndex<M> {
     // Mutation
     // ------------------------------------------------------------------
 
-    fn alloc(&mut self, key: u64, meta: M) -> u32 {
-        let entry = Entry { key, meta };
-        if let Some(slot) = self.free.pop() {
-            self.arena[slot as usize] = entry;
-            slot
-        } else {
-            self.arena.push(entry);
-            (self.arena.len() - 1) as u32
-        }
-    }
-
-    /// A block id with no live entries: a recycled one, or a fresh
-    /// `BLOCK_CAP` range at the end of every pool.
+    /// A block id with no live entries: a fresh `BLOCK_CAP` range at the
+    /// end of every pool.
     fn alloc_block(&mut self) -> u32 {
-        if let Some(id) = self.free_blocks.pop() {
-            return id;
-        }
         let id = (self.keys.len() / BLOCK_CAP) as u32;
         let grown = self.keys.len() + BLOCK_CAP;
         self.keys.resize(grown, 0);
@@ -438,7 +412,8 @@ impl<M> FlatIndex<M> {
                 c -= SPLIT_AT;
             }
         }
-        let slot = self.alloc(key, meta);
+        let slot = self.arena.len() as u32;
+        self.arena.push(Entry { key, meta });
         let block = self.order[rank];
         let (at, end) = (block.base() + c, block.base() + block.len());
         self.keys.copy_within(at..end, at + 1);
@@ -452,39 +427,7 @@ impl<M> FlatIndex<M> {
             // Only a new global minimum lands at the front of a block.
             self.fences[rank] = key;
         }
-        self.len += 1;
         (NodeId(slot), true)
-    }
-
-    /// Removes the entry with `key`, returning its `(pos, meta)`.
-    pub fn remove(&mut self, key: u64) -> Option<(usize, M)>
-    where
-        M: Default,
-    {
-        let (rank, off) = self.floor(key)?;
-        let block = self.order[rank];
-        let (at, end) = (block.base() + off, block.base() + block.len());
-        if self.keys[at] != key {
-            return None;
-        }
-        let (pos, slot) = (self.pos[at], self.slots[at]);
-        self.keys.copy_within(at + 1..end, at);
-        self.pos.copy_within(at + 1..end, at);
-        self.slots.copy_within(at + 1..end, at);
-        self.len -= 1;
-        if block.len == 1 {
-            self.fences.remove(rank);
-            self.order.remove(rank);
-            self.free_blocks.push(block.id);
-        } else {
-            self.order[rank].len -= 1;
-            if off == 0 {
-                self.fences[rank] = self.keys[block.base()];
-            }
-        }
-        let meta = std::mem::take(&mut self.arena[slot as usize].meta);
-        self.free.push(slot);
-        Some((pos, meta))
     }
 
     // ------------------------------------------------------------------
@@ -509,8 +452,8 @@ impl<M> FlatIndex<M> {
     /// Checks the structural invariants: fences and `order` in lockstep,
     /// every ranked block non-empty, within capacity, strictly
     /// increasing and fenced by its first key; keys increasing across
-    /// blocks; every pool block either ranked or free, exactly once;
-    /// slot/arena keys consistent; every arena slot live or free.
+    /// blocks; every pool block ranked exactly once; slot/arena keys
+    /// consistent; every arena slot live.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.fences.len() != self.order.len() {
             return Err("fences and order out of lockstep".into());
@@ -518,27 +461,19 @@ impl<M> FlatIndex<M> {
         if self.pos.len() != self.keys.len() || self.slots.len() != self.keys.len() {
             return Err("pools out of lockstep".into());
         }
-        let pool_blocks = self.order.len() + self.free_blocks.len();
-        if self.keys.len() != pool_blocks * BLOCK_CAP {
+        if self.keys.len() != self.order.len() * BLOCK_CAP {
             return Err(format!(
-                "pools hold {} entries, {pool_blocks} blocks are ranked or free",
-                self.keys.len()
+                "pools hold {} entries, {} blocks are ranked",
+                self.keys.len(),
+                self.order.len()
             ));
         }
-        let mut block_seen = vec![false; pool_blocks];
-        let ranked = self.order.iter().map(|b| b.id);
-        for id in ranked.chain(self.free_blocks.iter().copied()) {
-            match block_seen.get_mut(id as usize) {
-                None => return Err(format!("block {id} beyond the pools")),
-                Some(seen) if *seen => return Err(format!("block {id} ranked or freed twice")),
+        let mut block_seen = vec![false; self.order.len()];
+        for block in &self.order {
+            match block_seen.get_mut(block.id as usize) {
+                None => return Err(format!("block {} beyond the pools", block.id)),
+                Some(seen) if *seen => return Err(format!("block {} ranked twice", block.id)),
                 Some(seen) => *seen = true,
-            }
-        }
-        let mut slot_free = vec![false; self.arena.len()];
-        for slot in &self.free {
-            match slot_free.get_mut(*slot as usize) {
-                None => return Err(format!("free slot {slot} out of arena bounds")),
-                Some(f) => *f = true,
             }
         }
         let mut live = 0usize;
@@ -568,17 +503,11 @@ impl<M> FlatIndex<M> {
                 if entry.key != key {
                     return Err(format!("slot {slot}: arena key {} != sorted key {key}", entry.key));
                 }
-                if slot_free[slot as usize] {
-                    return Err(format!("slot {slot} is live and on the free list"));
-                }
             }
             live += block.len();
         }
-        if live != self.len {
-            return Err(format!("blocks hold {live} entries, len says {}", self.len));
-        }
-        if live + self.free.len() != self.arena.len() {
-            return Err("arena slots neither live nor free".into());
+        if live != self.arena.len() {
+            return Err(format!("blocks hold {live} entries, the arena {}", self.arena.len()));
         }
         Ok(())
     }
@@ -755,29 +684,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_matches_model_and_recycles_slots() {
-        let keys: Vec<u64> = (0..400).map(|i| (i * 31) % 401).collect();
-        let mut f = build(&keys);
-        let mut model: BTreeMap<u64, ()> = keys.iter().map(|k| (*k, ())).collect();
-        for probe in (0..401).step_by(3) {
-            assert_eq!(
-                f.remove(probe).is_some(),
-                model.remove(&probe).is_some(),
-                "remove({probe})"
-            );
-            f.check_invariants().unwrap();
-        }
-        assert_eq!(keys_of(&f), model.keys().copied().collect::<Vec<u64>>());
-        // Re-inserts reuse freed arena slots.
-        let arena_len = f.arena.len();
-        for k in 1000..1010u64 {
-            f.insert(k, 0, 0);
-        }
-        assert!(f.arena.len() <= arena_len + 10);
-        f.check_invariants().unwrap();
-    }
-
-    #[test]
     fn min_max_across_levels() {
         // The extremes live in the first and the last block, and a new
         // global minimum — the only insert that lands in front of a
@@ -793,11 +699,6 @@ mod tests {
         assert_eq!(f.key(f.min().unwrap()), 5);
         assert_eq!(f.key(f.max().unwrap()), 99_999);
         assert_eq!(f.neighbors(7), (f.neighbors(5).0, f.neighbors(9).1));
-        f.check_invariants().unwrap();
-        // Removing it hands fence 0 back to the old minimum.
-        assert_eq!(f.remove(5), Some((5, 0)));
-        assert_eq!(f.fences[0], 10);
-        assert_eq!(f.key(f.min().unwrap()), 10);
         f.check_invariants().unwrap();
     }
 
@@ -871,60 +772,7 @@ mod tests {
     }
 
     #[test]
-    fn removing_a_blocks_first_key_refreshes_its_fence() {
-        let mut f = ascending(3);
-        let rank = 1;
-        let (fence, second) = (f.fences[rank], f.fences[rank] + 10);
-        assert_eq!(f.remove(fence), Some((fence as usize, 0)));
-        assert_eq!(f.fences[rank], second);
-        f.check_invariants().unwrap();
-        // The removed key now resolves into the block below the seam.
-        let (pred, succ) = f.neighbors(fence);
-        assert_eq!((pred.unwrap().0, succ.unwrap().0), (fence - 10, second));
-        assert!(f.find(fence).is_none());
-        // Re-inserting it lands at the end of the lower block, not in
-        // front of the upper one: the fence stays.
-        f.insert(fence, 1, 0);
-        assert_eq!(f.fences[rank], second);
-        f.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn an_emptied_block_is_recycled_and_reused_by_a_later_split() {
-        let mut f = ascending(3);
-        let blocks = f.order.len();
-        let pool = f.keys.len();
-        // Drain the middle block key by key; its last key takes the
-        // block out of `order`.
-        let victim = f.order[1];
-        let doomed: Vec<u64> = f.keys[victim.base()..victim.base() + victim.len()].to_vec();
-        for k in &doomed {
-            assert!(f.remove(*k).is_some());
-            f.check_invariants().unwrap();
-        }
-        assert_eq!(f.order.len(), blocks - 1);
-        assert_eq!(f.free_blocks, vec![victim.id]);
-        assert!(!f.fences.contains(&doomed[0]));
-        let (pred, succ) = f.neighbors(doomed[0]);
-        assert_eq!(pred.unwrap().0, doomed[0] - 10, "the seam closes over the gap");
-        assert_eq!(succ.unwrap().0, doomed[doomed.len() - 1] + 10);
-        // Fill block 0 until it splits: the split must take the freed
-        // block instead of growing the pools.
-        let mut k = 1;
-        while f.free_blocks.len() == 1 {
-            f.insert(k, 0, 0);
-            k += 10;
-            assert!(k < 10 * BLOCK_CAP as u64, "block 0 must split before its gaps run out");
-        }
-        assert!(f.free_blocks.is_empty());
-        assert_eq!(f.order.len(), blocks);
-        assert_eq!(f.order[1].id, victim.id);
-        assert_eq!(f.keys.len(), pool, "no pool growth while a free block exists");
-        f.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn ten_thousand_random_inserts_and_removes_match_the_model() {
+    fn ten_thousand_random_inserts_match_the_model() {
         let mut f: FlatIndex<u32> = FlatIndex::new();
         let mut model: BTreeMap<u64, usize> = BTreeMap::new();
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -935,29 +783,15 @@ mod tests {
             state
         };
         for i in 0..10_000usize {
-            // Inserts lead 2:1 until the index holds several blocks; then
-            // every remove hits until the index drains to nothing, block
-            // by block; then it regrows out of the recycled blocks.
-            let r = next();
-            let draining = (5_000..7_500).contains(&i);
-            let key = match model.range((r >> 8) % 2_000..).next() {
-                Some((k, _)) if draining => *k,
-                _ => (r >> 8) % 2_000,
-            };
-            if r % 3 != 0 && !draining {
-                let fresh = !model.contains_key(&key);
-                model.entry(key).or_insert(i);
-                assert_eq!(f.insert(key, i, 0).1, fresh, "op {i}: insert({key})");
-            } else {
-                assert_eq!(f.remove(key).map(|(p, _)| p), model.remove(&key), "op {i}: remove({key})");
-            }
-            if i == 7_499 {
-                assert!(f.is_empty() && f.order.is_empty(), "the drain must empty every block");
-                assert_eq!(f.free_blocks.len() * BLOCK_CAP, f.keys.len());
-            }
+            // A domain a little under half the op count: early inserts are
+            // nearly all fresh, late ones mostly repeats into full blocks.
+            let key = (next() >> 8) % 4_000;
+            let fresh = !model.contains_key(&key);
+            model.entry(key).or_insert(i);
+            assert_eq!(f.insert(key, i, 0).1, fresh, "op {i}: insert({key})");
             f.check_invariants().unwrap_or_else(|e| panic!("op {i}: {e}"));
             assert_eq!(f.len(), model.len());
-            assert_probe(&f, &model, (next() >> 8) % 2_100);
+            assert_probe(&f, &model, (next() >> 8) % 4_100);
             assert_eq!(f.min().map(|id| f.key(id)), model.keys().next().copied());
             assert_eq!(f.max().map(|id| f.key(id)), model.keys().next_back().copied());
             if i % 500 == 0 {
@@ -966,7 +800,7 @@ mod tests {
                 assert_eq!(got, expect, "op {i}");
             }
         }
-        assert!(f.order.len() > 2, "the index must have regrown over several blocks");
+        assert!(f.order.len() > 20, "the index must have grown over many blocks");
     }
 
     #[test]

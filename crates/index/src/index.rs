@@ -1,12 +1,11 @@
 //! The piece-oriented cracker index, over a selectable representation.
 
-use crate::avl::{AscIter, AvlTree, IdIter, NodeId};
+use crate::avl::{AscIter, AvlTree, AvlTripleIter, NodeId};
 use crate::flat::{FlatAscIter, FlatIndex, FlatTripleIter};
-use crate::radix::{RadixAscIter, RadixIndex, RadixTripleIter};
 
 /// Which physical representation a [`CrackerIndex`] runs on.
 ///
-/// All representations expose the identical piece semantics and produce
+/// Both representations expose the identical piece semantics and produce
 /// bit-identical crack boundaries, piece metadata and engine `Stats` (a
 /// contract pinned by the cross-policy property tests); the policy is a
 /// pure wall-clock knob:
@@ -20,10 +19,6 @@ use crate::radix::{RadixAscIter, RadixIndex, RadixTripleIter};
 /// * [`IndexPolicy::Avl`] — the paper's AVL tree ("original cracking
 ///   uses AVL-trees", §3). `O(log n)` pointer-chasing everywhere; kept
 ///   as the reference representation for differential testing.
-/// * [`IndexPolicy::Radix`] — a path-compressed 16-ary radix trie (after
-///   the ART-cracking study of Wu et al.): `O(min(16, log16 n))` descent
-///   bounded by the key length, so lookup cost stops growing with the
-///   crack count, and handle dereferences are single arena loads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum IndexPolicy {
     /// The arena-based AVL tree (the paper's structure).
@@ -31,8 +26,6 @@ pub enum IndexPolicy {
     /// The cache-conscious flat sorted-array directory.
     #[default]
     Flat,
-    /// The path-compressed radix trie (key-length-bounded descent).
-    Radix,
 }
 
 impl IndexPolicy {
@@ -41,7 +34,6 @@ impl IndexPolicy {
         match self {
             IndexPolicy::Avl => "avl",
             IndexPolicy::Flat => "flat",
-            IndexPolicy::Radix => "radix",
         }
     }
 
@@ -50,13 +42,12 @@ impl IndexPolicy {
         match s.to_ascii_lowercase().as_str() {
             "avl" => Some(IndexPolicy::Avl),
             "flat" => Some(IndexPolicy::Flat),
-            "radix" => Some(IndexPolicy::Radix),
             _ => None,
         }
     }
 
     /// Every policy, for sweeps and differential tests.
-    pub const ALL: [IndexPolicy; 3] = [IndexPolicy::Avl, IndexPolicy::Flat, IndexPolicy::Radix];
+    pub const ALL: [IndexPolicy; 2] = [IndexPolicy::Avl, IndexPolicy::Flat];
 }
 
 impl std::fmt::Display for IndexPolicy {
@@ -125,12 +116,12 @@ impl Piece {
 ///
 /// Obtained from [`CrackerIndex::cursor_at`] and meaningful only to the
 /// index that issued it. Unlike a [`NodeId`] it is **not** stable: adding
-/// or removing a crack invalidates it (overwriting positions does not).
+/// a crack invalidates it (overwriting positions does not).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrackCursor {
-    /// Flat: the block's rank in key order. Avl / Radix: the handle.
+    /// Flat: the block's rank in key order. Avl: the handle.
     pub(crate) major: u32,
-    /// Flat: the offset inside the block. Avl / Radix: unused.
+    /// Flat: the offset inside the block. Avl: unused.
     pub(crate) minor: u32,
 }
 
@@ -151,7 +142,6 @@ impl CrackCursor {
 enum Repr<M> {
     Avl(AvlTree<M>),
     Flat(FlatIndex<M>),
-    Radix(RadixIndex<M>),
 }
 
 /// The cracker index: crack values mapped to positions, seen as pieces.
@@ -161,7 +151,7 @@ enum Repr<M> {
 /// representation is chosen at construction via [`IndexPolicy`]
 /// ([`CrackerIndex::with_policy`]; [`CrackerIndex::new`] takes the
 /// default, [`IndexPolicy::Flat`]) and is invisible to callers: every
-/// method below behaves identically under both.
+/// method below behaves identically under either.
 ///
 /// ```
 /// use scrack_index::{CrackerIndex, IndexPolicy};
@@ -203,7 +193,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         let repr = match policy {
             IndexPolicy::Avl => Repr::Avl(AvlTree::new()),
             IndexPolicy::Flat => Repr::Flat(FlatIndex::new()),
-            IndexPolicy::Radix => Repr::Radix(RadixIndex::new()),
         };
         Self {
             repr,
@@ -217,7 +206,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &self.repr {
             Repr::Avl(_) => IndexPolicy::Avl,
             Repr::Flat(_) => IndexPolicy::Flat,
-            Repr::Radix(_) => IndexPolicy::Radix,
         }
     }
 
@@ -227,7 +215,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &self.repr {
             Repr::Avl(t) => t.len(),
             Repr::Flat(f) => f.len(),
-            Repr::Radix(r) => r.len(),
         }
     }
 
@@ -255,55 +242,28 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &mut self.repr {
             Repr::Avl(t) => t.clear(),
             Repr::Flat(f) => f.clear(),
-            Repr::Radix(r) => r.clear(),
         }
         self.head_meta = M::default();
     }
 
     /// The piece whose key range contains `key`.
     ///
-    /// The flat representation resolves both piece edges from one
-    /// lower-bound search per level (fences, then a block); the AVL
-    /// representation performs the paper's two tree walks
-    /// (`predecessor_or_equal` + `successor_strict`). Identical results
-    /// by construction.
+    /// Either representation resolves both piece edges in one search:
+    /// the flat one with a lower bound per level (fences, then a block),
+    /// the AVL one with a single root-to-leaf walk.
     #[inline]
     pub fn piece_containing(&self, key: u64) -> Piece {
-        let piece = match &self.repr {
-            Repr::Avl(t) => {
-                let pred = t.predecessor_or_equal(key);
-                let succ = t.successor_strict(key);
-                Piece {
-                    start: pred.map_or(0, |id| t.pos(id)),
-                    end: succ.map_or(self.column_len, |id| t.pos(id)),
-                    lo_key: pred.map(|id| t.key(id)),
-                    hi_key: succ.map(|id| t.key(id)),
-                    left_crack: pred,
-                    right_crack: succ,
-                }
-            }
-            Repr::Flat(f) => {
-                let (pred, succ) = f.neighbors(key);
-                Piece {
-                    start: pred.map_or(0, |(_, p, _)| p),
-                    end: succ.map_or(self.column_len, |(_, p, _)| p),
-                    lo_key: pred.map(|(k, _, _)| k),
-                    hi_key: succ.map(|(k, _, _)| k),
-                    left_crack: pred.map(|(_, _, id)| id),
-                    right_crack: succ.map(|(_, _, id)| id),
-                }
-            }
-            Repr::Radix(r) => {
-                let (pred, succ) = r.neighbors(key);
-                Piece {
-                    start: pred.map_or(0, |(_, p, _)| p),
-                    end: succ.map_or(self.column_len, |(_, p, _)| p),
-                    lo_key: pred.map(|(k, _, _)| k),
-                    hi_key: succ.map(|(k, _, _)| k),
-                    left_crack: pred.map(|(_, _, id)| id),
-                    right_crack: succ.map(|(_, _, id)| id),
-                }
-            }
+        let (pred, succ) = match &self.repr {
+            Repr::Avl(t) => t.neighbors(key),
+            Repr::Flat(f) => f.neighbors(key),
+        };
+        let piece = Piece {
+            start: pred.map_or(0, |(_, p, _)| p),
+            end: succ.map_or(self.column_len, |(_, p, _)| p),
+            lo_key: pred.map(|(k, _, _)| k),
+            hi_key: succ.map(|(k, _, _)| k),
+            left_crack: pred.map(|(_, _, id)| id),
+            right_crack: succ.map(|(_, _, id)| id),
         };
         // O(1) sanity only — the O(n) monotonicity walk must never run
         // here, even in debug builds (this is the hottest index path).
@@ -329,7 +289,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         let (id, fresh) = match &mut self.repr {
             Repr::Avl(t) => t.insert(key, pos, parent_meta),
             Repr::Flat(f) => f.insert(key, pos, parent_meta),
-            Repr::Radix(r) => r.insert(key, pos, parent_meta),
         };
         // O(1) neighbor check (not the O(n) full walk): a fresh crack
         // must sit between its neighbors' positions, a repeated one must
@@ -378,7 +337,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &self.repr {
             Repr::Avl(t) => t.key(id),
             Repr::Flat(f) => f.key(id),
-            Repr::Radix(r) => r.key(id),
         }
     }
 
@@ -388,7 +346,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &self.repr {
             Repr::Avl(t) => t.meta(id),
             Repr::Flat(f) => f.meta(id),
-            Repr::Radix(r) => r.meta(id),
         }
     }
 
@@ -398,7 +355,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &mut self.repr {
             Repr::Avl(t) => t.meta_mut(id),
             Repr::Flat(f) => f.meta_mut(id),
-            Repr::Radix(r) => r.meta_mut(id),
         }
     }
 
@@ -408,7 +364,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &self.repr {
             Repr::Avl(t) => t.find(key),
             Repr::Flat(f) => f.find(key),
-            Repr::Radix(r) => r.find(key),
         }
     }
 
@@ -418,7 +373,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &self.repr {
             Repr::Avl(t) => t.predecessor_or_equal(key),
             Repr::Flat(f) => f.predecessor_or_equal(key),
-            Repr::Radix(r) => r.predecessor_or_equal(key),
         }
     }
 
@@ -428,7 +382,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &self.repr {
             Repr::Avl(t) => t.min(),
             Repr::Flat(f) => f.min(),
-            Repr::Radix(r) => r.min(),
         }
     }
 
@@ -438,7 +391,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &self.repr {
             Repr::Avl(t) => t.max(),
             Repr::Flat(f) => f.max(),
-            Repr::Radix(r) => r.max(),
         }
     }
 
@@ -450,13 +402,12 @@ impl<M: PieceMeta> CrackerIndex<M> {
     /// The walk cursor on the crack behind `id`.
     ///
     /// Resolving costs one key search on the flat representation; every
-    /// step and access from there is O(1) on it. The AVL and radix
-    /// representations wrap the handle and step with their own
-    /// predecessor / successor navigation.
+    /// step and access from there is O(1) on it. The AVL representation
+    /// wraps the handle and steps with its predecessor / successor walks.
     #[inline]
     pub fn cursor_at(&self, id: NodeId) -> CrackCursor {
         match &self.repr {
-            Repr::Avl(_) | Repr::Radix(_) => CrackCursor::from_handle(id),
+            Repr::Avl(_) => CrackCursor::from_handle(id),
             Repr::Flat(f) => f.cursor_at(id),
         }
     }
@@ -469,9 +420,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
                 .predecessor_strict(t.key(c.handle()))
                 .map(CrackCursor::from_handle),
             Repr::Flat(f) => f.cursor_prev(c),
-            Repr::Radix(r) => r
-                .predecessor_strict(r.key(c.handle()))
-                .map(CrackCursor::from_handle),
         }
     }
 
@@ -483,9 +431,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
                 .successor_strict(t.key(c.handle()))
                 .map(CrackCursor::from_handle),
             Repr::Flat(f) => f.cursor_next(c),
-            Repr::Radix(r) => r
-                .successor_strict(r.key(c.handle()))
-                .map(CrackCursor::from_handle),
         }
     }
 
@@ -495,7 +440,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &self.repr {
             Repr::Avl(t) => t.key(c.handle()),
             Repr::Flat(f) => f.cursor_key(c),
-            Repr::Radix(r) => r.key(c.handle()),
         }
     }
 
@@ -505,7 +449,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &self.repr {
             Repr::Avl(t) => t.pos(c.handle()),
             Repr::Flat(f) => f.cursor_pos(c),
-            Repr::Radix(r) => r.pos(c.handle()),
         }
     }
 
@@ -520,7 +463,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &mut self.repr {
             Repr::Avl(t) => t.set_pos(c.handle(), pos),
             Repr::Flat(f) => f.set_cursor_pos(c, pos),
-            Repr::Radix(r) => r.set_pos(c.handle(), pos),
         }
     }
 
@@ -534,7 +476,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
             inner: match &self.repr {
                 Repr::Avl(t) => CrackIterRepr::Avl(t.iter_asc()),
                 Repr::Flat(f) => CrackIterRepr::Flat(f.iter_asc()),
-                Repr::Radix(r) => CrackIterRepr::Radix(r.iter_asc()),
             },
         }
     }
@@ -549,12 +490,13 @@ impl<M: PieceMeta> CrackerIndex<M> {
     pub fn iter_pieces(&self) -> PieceIter<'_, M> {
         PieceIter {
             cracks: match &self.repr {
-                Repr::Avl(t) => TripleIter::Avl(t, t.iter_ids()),
+                Repr::Avl(t) => TripleIter::Avl(t.iter_triples()),
                 Repr::Flat(f) => TripleIter::Flat(f.iter_triples()),
-                Repr::Radix(r) => TripleIter::Radix(r.iter_triples()),
             },
             column_len: self.column_len,
-            prev: None,
+            start: 0,
+            lo_key: None,
+            left: None,
             done: false,
         }
     }
@@ -601,7 +543,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
 enum CrackIterRepr<'a, M> {
     Avl(AscIter<'a, M>),
     Flat(FlatAscIter<'a, M>),
-    Radix(RadixAscIter<'a, M>),
 }
 
 /// Ascending crack iterator, see [`CrackerIndex::iter_cracks`].
@@ -616,27 +557,21 @@ impl<'a, M> Iterator for CrackIter<'a, M> {
         match &mut self.inner {
             CrackIterRepr::Avl(it) => it.next(),
             CrackIterRepr::Flat(it) => it.next(),
-            CrackIterRepr::Radix(it) => it.next(),
         }
     }
 }
 
 /// Handle/key/pos stream over either representation, in key order.
 enum TripleIter<'a, M> {
-    Avl(&'a AvlTree<M>, IdIter<'a, M>),
+    Avl(AvlTripleIter<'a, M>),
     Flat(FlatTripleIter<'a, M>),
-    Radix(RadixTripleIter<'a, M>),
 }
 
 impl<M> TripleIter<'_, M> {
     fn next_triple(&mut self) -> Option<(u64, usize, NodeId)> {
         match self {
-            TripleIter::Avl(tree, ids) => {
-                let id = ids.next()?;
-                Some((tree.key(id), tree.pos(id), id))
-            }
+            TripleIter::Avl(triples) => triples.next(),
             TripleIter::Flat(triples) => triples.next(),
-            TripleIter::Radix(triples) => triples.next(),
         }
     }
 }
@@ -645,7 +580,16 @@ impl<M> TripleIter<'_, M> {
 pub struct PieceIter<'a, M> {
     cracks: TripleIter<'a, M>,
     column_len: usize,
-    prev: Option<(u64, usize, NodeId)>,
+    /// Left edge of the piece to yield next: the last crack seen, as
+    /// three scalars. Kept as the `Option` triple the crack stream
+    /// returns, it is copied out of that call's return slot with wide
+    /// loads that cannot be store-forwarded; each such stall waits behind
+    /// the metadata cache miss of the piece before, and the walk every
+    /// update merge makes over all pieces (`settle_all_jobs`) serializes:
+    /// `mixed_updates` `req_p99_us` +27 % (ten benchmark pairs).
+    start: usize,
+    lo_key: Option<u64>,
+    left: Option<NodeId>,
     done: bool,
 }
 
@@ -656,34 +600,22 @@ impl<M> Iterator for PieceIter<'_, M> {
         if self.done {
             return None;
         }
-        let (start, lo_key, left) = match self.prev {
-            Some((k, p, id)) => (p, Some(k), Some(id)),
-            None => (0, None, None),
+        let mut piece = Piece {
+            start: self.start,
+            end: self.column_len,
+            lo_key: self.lo_key,
+            hi_key: None,
+            left_crack: self.left,
+            right_crack: None,
         };
         match self.cracks.next_triple() {
             Some((k, p, id)) => {
-                self.prev = Some((k, p, id));
-                Some(Piece {
-                    start,
-                    end: p,
-                    lo_key,
-                    hi_key: Some(k),
-                    left_crack: left,
-                    right_crack: Some(id),
-                })
+                (piece.end, piece.hi_key, piece.right_crack) = (p, Some(k), Some(id));
+                (self.start, self.lo_key, self.left) = (p, Some(k), Some(id));
             }
-            None => {
-                self.done = true;
-                Some(Piece {
-                    start,
-                    end: self.column_len,
-                    lo_key,
-                    hi_key: None,
-                    left_crack: left,
-                    right_crack: None,
-                })
-            }
+            None => self.done = true,
         }
+        Some(piece)
     }
 }
 
@@ -749,6 +681,8 @@ mod tests {
         }
         assert_eq!(IndexPolicy::parse("AVL"), Some(IndexPolicy::Avl));
         assert_eq!(IndexPolicy::parse("btree"), None);
+        assert_eq!(IndexPolicy::parse("radix"), None);
+        assert_eq!(IndexPolicy::ALL, [IndexPolicy::Avl, IndexPolicy::Flat]);
         let d: CrackerIndex<()> = CrackerIndex::default();
         assert_eq!(d.policy(), IndexPolicy::Flat);
         assert_eq!(d.column_len(), 0);
@@ -924,9 +858,9 @@ mod tests {
 
     #[test]
     fn cross_policy_piece_equivalence_on_random_cracks() {
-        // The structural core of the cross-policy contract, three-way:
-        // identical cracks in, identical pieces out — for every probe
-        // key, under every representation.
+        // The structural core of the cross-policy contract: identical
+        // cracks in, identical pieces out — for every probe key, under
+        // every representation.
         let mut indexes: Vec<CrackerIndex<()>> = IndexPolicy::ALL
             .iter()
             .map(|p| CrackerIndex::with_policy(10_000, *p))

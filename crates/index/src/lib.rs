@@ -13,19 +13,14 @@
 //! * [`FlatIndex`] — the cache-conscious default: crack keys and
 //!   positions in fixed-capacity sorted blocks under a fence-key array,
 //!   lower-bound searched over contiguous memory, inserts shifting
-//!   inside one block; metadata in a stable arena;
-//! * [`RadixIndex`] — a path-compressed 16-ary radix trie (after the
-//!   ART-cracking study of Wu et al.): `O(min(16, log16 n))` lookups
-//!   independent of the crack count, free key-space midpoints for the
-//!   data-driven engine family.
+//!   inside one block; metadata in a stable arena.
 //!
-//! All three representations produce bit-identical piece semantics. The
-//! flat one wins on lookup locality at every crack count a query
-//! sequence produces; the radix trie draws level with it on a replay of
-//! half a million interleaved lookups and inserts
-//! (`crates/bench/benches/index.rs`, `replay_500k`) and trails it end to
-//! end; the AVL tree is the paper's structure and the differential
-//! reference.
+//! Both representations produce bit-identical piece semantics. The flat
+//! one wins on lookup locality at every crack count a query sequence
+//! produces and serves every workload; the AVL tree is the paper's
+//! structure and the differential reference the cross-policy suites
+//! compare against (`crates/bench/benches/index.rs`, `replay_500k`, is
+//! the measurement).
 //!
 //! A crack `(v, p)` asserts: positions `< p` hold keys `< v`, positions
 //! `>= p` hold keys `>= v`. Pieces are the gaps between consecutive cracks.
@@ -39,11 +34,9 @@
 mod avl;
 mod flat;
 mod index;
-mod radix;
 
-pub use avl::{AscIter, AvlTree, IdIter, NodeId};
+pub use avl::{AscIter, AvlTree, AvlTripleIter, NodeId};
 #[doc(hidden)]
 pub use flat::BLOCK_CAP as FLAT_BLOCK_CAP;
-pub use flat::{count_le, FlatAscIter, FlatIndex, FlatTripleIter};
+pub use flat::{FlatAscIter, FlatIndex, FlatTripleIter};
 pub use index::{CrackCursor, CrackIter, CrackerIndex, IndexPolicy, Piece, PieceIter, PieceMeta};
-pub use radix::{RadixAscIter, RadixIndex, RadixTripleIter};

@@ -1,15 +1,14 @@
-//! Property tests: every index representation against a BTreeMap model,
+//! Property tests: both index representations against a BTreeMap model,
 //! cracker-index piece consistency under random crack sequences, and the
-//! three-way Avl/Flat/Radix cross-policy equivalence contract.
+//! Avl/Flat cross-policy equivalence contract.
 
 use proptest::prelude::*;
-use scrack_index::{AvlTree, CrackerIndex, FlatIndex, IndexPolicy, RadixIndex, FLAT_BLOCK_CAP};
+use scrack_index::{AvlTree, CrackerIndex, FlatIndex, IndexPolicy, FLAT_BLOCK_CAP};
 use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
 enum Op {
     Insert(u64),
-    Remove(u64),
     QueryPred(u64),
     QuerySucc(u64),
 }
@@ -17,7 +16,6 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u64..200).prop_map(Op::Insert),
-        (0u64..200).prop_map(Op::Remove),
         (0u64..200).prop_map(Op::QueryPred),
         (0u64..200).prop_map(Op::QuerySucc),
     ]
@@ -36,11 +34,6 @@ proptest! {
                     let (_, fresh) = tree.insert(k, i, k);
                     prop_assert_eq!(fresh, fresh_expected);
                 }
-                Op::Remove(k) => {
-                    let expect = model.remove(&k);
-                    let got = tree.remove(k);
-                    prop_assert_eq!(got.map(|(p, _)| p), expect);
-                }
                 Op::QueryPred(k) => {
                     let got = tree.predecessor_or_equal(k).map(|id| tree.key(id));
                     let expect = model.range(..=k).next_back().map(|(k, _)| *k);
@@ -53,6 +46,11 @@ proptest! {
                         .next()
                         .map(|(k, _)| *k);
                     prop_assert_eq!(got, expect);
+                    // The composite read is the two walks above, with
+                    // each entry's key and position alongside its handle.
+                    let triple = |id| (tree.key(id), tree.pos(id), id);
+                    let walks = (tree.predecessor_or_equal(k).map(triple), tree.successor_strict(k).map(triple));
+                    prop_assert_eq!(tree.neighbors(k), walks);
                 }
             }
             tree.check_invariants().map_err(TestCaseError::fail)?;
@@ -60,6 +58,15 @@ proptest! {
         let got: Vec<u64> = tree.iter_asc().map(|(k, _, _)| k).collect();
         let expect: Vec<u64> = model.keys().copied().collect();
         prop_assert_eq!(got, expect);
+        // The handle stream carries the model's entries, each handle
+        // resolving back to its own key and position.
+        let mut triples = Vec::new();
+        for (k, p, id) in tree.iter_triples() {
+            prop_assert_eq!((tree.key(id), tree.pos(id)), (k, p));
+            triples.push((k, p));
+        }
+        let expect: Vec<(u64, usize)> = model.iter().map(|(k, p)| (*k, *p)).collect();
+        prop_assert_eq!(triples, expect);
         prop_assert_eq!(tree.len(), model.len());
     }
 
@@ -114,11 +121,6 @@ proptest! {
                     let (_, fresh) = flat.insert(k, i, k);
                     prop_assert_eq!(fresh, fresh_expected);
                 }
-                Op::Remove(k) => {
-                    let expect = model.remove(&k);
-                    let got = flat.remove(k);
-                    prop_assert_eq!(got.map(|(p, _)| p), expect);
-                }
                 Op::QueryPred(k) => {
                     let got = flat.predecessor_or_equal(k).map(|id| flat.key(id));
                     let expect = model.range(..=k).next_back().map(|(k, _)| *k);
@@ -141,80 +143,11 @@ proptest! {
         prop_assert_eq!(flat.len(), model.len());
     }
 
-    /// The radix trie against the same BTreeMap model the AVL and flat
-    /// tests use: identical neighbor-query semantics, entry for entry.
-    #[test]
-    fn radix_matches_btreemap_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        let mut trie: RadixIndex<u64> = RadixIndex::new();
-        let mut model: BTreeMap<u64, usize> = BTreeMap::new();
-        for (i, op) in ops.into_iter().enumerate() {
-            match op {
-                Op::Insert(k) => {
-                    let fresh_expected = !model.contains_key(&k);
-                    model.entry(k).or_insert(i);
-                    let (_, fresh) = trie.insert(k, i, k);
-                    prop_assert_eq!(fresh, fresh_expected);
-                }
-                Op::Remove(k) => {
-                    let expect = model.remove(&k);
-                    let got = trie.remove(k);
-                    prop_assert_eq!(got.map(|(p, _)| p), expect);
-                }
-                Op::QueryPred(k) => {
-                    let got = trie.predecessor_or_equal(k).map(|id| trie.key(id));
-                    let expect = model.range(..=k).next_back().map(|(k, _)| *k);
-                    prop_assert_eq!(got, expect);
-                }
-                Op::QuerySucc(k) => {
-                    let got = trie.successor_strict(k).map(|id| trie.key(id));
-                    let expect = model
-                        .range((std::ops::Bound::Excluded(k), std::ops::Bound::Unbounded))
-                        .next()
-                        .map(|(k, _)| *k);
-                    prop_assert_eq!(got, expect);
-                }
-            }
-            trie.check_invariants().map_err(TestCaseError::fail)?;
-        }
-        let got: Vec<u64> = trie.iter_asc().map(|(k, _, _)| k).collect();
-        let expect: Vec<u64> = model.keys().copied().collect();
-        prop_assert_eq!(got, expect);
-        prop_assert_eq!(trie.len(), model.len());
-    }
-
-    /// The radix model test again, over the full u64 domain: deep splits,
-    /// shared prefixes and extreme keys, where nibble arithmetic could go
-    /// wrong in ways small keys never exercise.
-    #[test]
-    fn radix_matches_btreemap_model_on_wide_keys(
-        keys in proptest::collection::vec(any::<u64>(), 1..150),
-        probes in proptest::collection::vec(any::<u64>(), 1..60),
-    ) {
-        let mut trie: RadixIndex<()> = RadixIndex::new();
-        let mut model: BTreeMap<u64, ()> = BTreeMap::new();
-        for (i, k) in keys.iter().enumerate() {
-            trie.insert(*k, i, ());
-            model.insert(*k, ());
-        }
-        trie.check_invariants().map_err(TestCaseError::fail)?;
-        for probe in probes {
-            let got = trie.predecessor_or_equal(probe).map(|id| trie.key(id));
-            let expect = model.range(..=probe).next_back().map(|(k, _)| *k);
-            prop_assert_eq!(got, expect, "pred_or_eq({:#x})", probe);
-            let got = trie.successor_strict(probe).map(|id| trie.key(id));
-            let expect = model
-                .range((std::ops::Bound::Excluded(probe), std::ops::Bound::Unbounded))
-                .next()
-                .map(|(k, _)| *k);
-            prop_assert_eq!(got, expect, "succ_strict({:#x})", probe);
-        }
-    }
-
-    /// The walk cursor, three-way: over crack sets several flat blocks
-    /// wide, `cursor_prev` from `max_crack` and `cursor_next` from
-    /// `min_crack` visit the same `(key, pos)` sequence under every
-    /// representation, and positions written through the cursor read
-    /// back through `piece_containing` and `iter_cracks`.
+    /// The walk cursor: over crack sets several flat blocks wide,
+    /// `cursor_prev` from `max_crack` and `cursor_next` from `min_crack`
+    /// visit the same `(key, pos)` sequence under every representation,
+    /// and positions written through the cursor read back through
+    /// `piece_containing` and `iter_cracks`.
     #[test]
     fn cursor_walks_and_writes_are_policy_invariant(
         keys in proptest::collection::vec(0u64..1_000_000, 5 * FLAT_BLOCK_CAP..10 * FLAT_BLOCK_CAP),

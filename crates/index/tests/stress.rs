@@ -57,27 +57,6 @@ fn bit_reversed_insertions() {
 }
 
 #[test]
-fn interleaved_insert_remove_waves() {
-    let mut tree: AvlTree<()> = AvlTree::new();
-    // Wave 1: evens in. Wave 2: odds in, evens out. Wave 3: evens back.
-    for k in (0..N).step_by(2) {
-        tree.insert(k, k as usize, ());
-    }
-    for k in (1..N).step_by(2) {
-        tree.insert(k, k as usize, ());
-    }
-    for k in (0..N).step_by(2) {
-        assert!(tree.remove(k).is_some(), "remove {k}");
-    }
-    tree.check_invariants().expect("after removals");
-    assert_eq!(tree.len(), (N / 2) as usize);
-    for k in (0..N).step_by(2) {
-        tree.insert(k, k as usize, ());
-    }
-    check_sorted_iteration(&tree, N as usize);
-}
-
-#[test]
 fn duplicate_inserts_update_not_grow() {
     let mut tree: AvlTree<()> = AvlTree::new();
     for k in 0..1000u64 {

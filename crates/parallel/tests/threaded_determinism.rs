@@ -79,14 +79,13 @@ fn mixed_batch(lo: u64, hi: u64, count: usize, salt: u64) -> Vec<QueryRange> {
 }
 
 const POLICIES: [KernelPolicy; 2] = [KernelPolicy::Branchy, KernelPolicy::Branchless];
-const INDEXES: [IndexPolicy; 3] = IndexPolicy::ALL;
 
 #[test]
 fn batch_scheduler_threads_match_serial_replay_bitwise() {
     let n = 40_000u64;
     let data = column(n);
     for kernel in POLICIES {
-        for index in INDEXES {
+        for index in IndexPolicy::ALL {
             for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
                 let config = CrackConfig::default().with_kernel(kernel).with_index(index);
                 let mut threaded = BatchScheduler::new(data.clone(), 4, strategy, config, SEED);
@@ -143,7 +142,7 @@ fn batch_scheduler_mixed_ops_match_serial_replay_bitwise() {
     let n = 30_000u64;
     let data = column(n);
     for kernel in POLICIES {
-        for index in INDEXES {
+        for index in IndexPolicy::ALL {
             for update in UpdatePolicy::ALL {
                 let config = CrackConfig::default()
                     .with_kernel(kernel)
@@ -198,14 +197,14 @@ fn batch_scheduler_mixed_ops_answers_are_update_policy_invariant() {
 #[test]
 fn batch_scheduler_stats_are_index_policy_invariant() {
     // The PR-4 contract lifted to the concurrent layer: the same batched
-    // run under `Avl`, `Flat` and `Radix` must produce bit-identical
+    // run under `Avl` and `Flat` must produce bit-identical
     // answers AND bit-identical Stats — the index representation is a
     // pure wall-clock knob even across threads.
     let n = 30_000u64;
     let data = column(n);
     for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
         let mut runs = Vec::new();
-        for index in INDEXES {
+        for index in IndexPolicy::ALL {
             let config = CrackConfig::default().with_index(index);
             let mut sched = BatchScheduler::new(data.clone(), 4, strategy, config, SEED);
             let mut answers = Vec::new();
@@ -220,12 +219,12 @@ fn batch_scheduler_stats_are_index_policy_invariant() {
             assert_eq!(
                 runs[0].0, run.0,
                 "{strategy:?}/{}: answers diverged across index policies",
-                INDEXES[i]
+                IndexPolicy::ALL[i]
             );
             assert_eq!(
                 runs[0].1, run.1,
                 "{strategy:?}/{}: Stats diverged across index policies",
-                INDEXES[i]
+                IndexPolicy::ALL[i]
             );
         }
     }
@@ -240,7 +239,7 @@ fn chunked_cracker_threads_match_serial_replay_bitwise() {
     let n = 30_000u64;
     let data = column(n);
     for kernel in POLICIES {
-        for index in INDEXES {
+        for index in IndexPolicy::ALL {
             for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
                 let config = CrackConfig::default().with_kernel(kernel).with_index(index);
                 let mut threaded = ChunkedCracker::new(data.clone(), 4, strategy, config, SEED)

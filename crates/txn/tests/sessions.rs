@@ -327,10 +327,10 @@ fn watermark_merge_folds_committed_epochs_into_the_column() {
 #[test]
 fn watermark_preserves_pinned_snapshots_under_every_index_policy() {
     // The PR-9 merge-watermark contract, re-pinned per index
-    // representation (the radix trie regression this exists for: the
-    // watermark ripples committed epochs into the physical columns, and
-    // a representation bug in crack-position bookkeeping would surface
-    // as a pinned reader seeing the merge happen).
+    // representation as a merge check: the watermark ripples committed
+    // epochs into the physical columns, and a representation bug in
+    // crack-position bookkeeping would surface as a pinned reader
+    // seeing the merge happen.
     for policy in scrack_core::IndexPolicy::ALL {
         let config = CrackConfig::default().with_index(policy);
         let mgr = manager(2_000, 2, config, ServingConfig::default());

@@ -22,7 +22,7 @@
 //! |---|---|---|
 //! | [`types`] | `scrack_types` | `Element`, `QueryRange`, `Stats`, `CacheProfile` |
 //! | [`columnstore`] | `scrack_columnstore` | `Column`, `QueryOutput`, `Table` |
-//! | [`index`] | `scrack_index` | cracker index: flat directory (default) + AVL + radix, `IndexPolicy` |
+//! | [`index`] | `scrack_index` | cracker index: flat directory (default) + AVL reference, `IndexPolicy` |
 //! | [`partition`] | `scrack_partition` | crack-in-two/three, MDD1R split, introselect |
 //! | [`core`] | `scrack_core` | every engine: Crack, DDC/DDR, DD1C/DD1R, MDD1R, DDM/MDD1M, … |
 //! | [`query`] | `scrack_query` | multi-column tables, predicates, aggregates |
@@ -48,7 +48,7 @@ pub mod columnstore {
     pub use scrack_columnstore::*;
 }
 
-/// The cracker index: flat, AVL and radix representations
+/// The cracker index: flat (serving) and AVL (reference) representations
 /// ([`scrack_index`]).
 pub mod index {
     pub use scrack_index::*;
