@@ -9,8 +9,12 @@
 //! Sweeps `scenario × engine × update-policy` over `Updatable` engines
 //! plus a `BatchScheduler::execute_ops` thread sweep, prints a summary
 //! table, and with `--json PATH` writes the machine-readable report
-//! committed as `BENCH_5.json`. `--check` exits nonzero if any cell is
-//! missing — the CI updates-smoke gate (coverage only, never a perf
+//! committed as `BENCH_5.json` (left as recorded: it predates the
+//! per-cell `swaps` field and the displacement merge, and re-recording
+//! it is a measurement of its own). `--check` exits nonzero if any cell
+//! is missing, or if on a `uniform` / `hotspot` cell the batched policy's
+//! `Stats.swaps` exceeds the per-element reference's — the CI
+//! updates-smoke gate (deterministic counters only, never a perf
 //! threshold: CI boxes are too noisy to gate on ops/sec). Cross-policy
 //! answer checksums and threaded-vs-serial replay are asserted during
 //! measurement itself.
@@ -135,10 +139,16 @@ fn main() {
             eprintln!("coverage check FAILED; missing cells: {missing:?}");
             std::process::exit(1);
         }
+        let worse = report.swap_regressions();
+        if !worse.is_empty() {
+            eprintln!("swap check FAILED; batched moved more than per-element: {worse:?}");
+            std::process::exit(1);
+        }
         let _ = writeln!(
             lock,
             "coverage check passed: {} cells + {} scheduler cells, all \
-             scenario/engine/policy combinations present",
+             scenario/engine/policy combinations present; batched swaps <= \
+             per-element swaps on every uniform/hotspot cell",
             report.cells.len(),
             report.scheduler.len()
         );

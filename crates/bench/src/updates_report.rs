@@ -23,8 +23,10 @@
 //!
 //! The headline number is `speedup`: per-element wall time over batched
 //! wall time for the same cell — the measured payoff of the
-//! merge-ripple. CI runs `--smoke --check` as a coverage gate (cells
-//! only; never a perf threshold on shared runners).
+//! merge-ripple. Each cell also records its `Stats.swaps`, the element
+//! moves of cracking and merging together: a deterministic counter, so
+//! CI's `--smoke --check` gates on it beside cell coverage
+//! ([`UpdatesReport::swap_regressions`]) and never on wall time.
 
 use scrack_core::{EngineKind, IndexPolicy, UpdatePolicy};
 use scrack_parallel::{BatchOp, BatchScheduler, ParallelStrategy};
@@ -91,6 +93,9 @@ pub struct UpdatesCell {
     pub ops_per_sec: f64,
     /// Updates the stream carried (all merge by stream end via a flush).
     pub updates: usize,
+    /// `Stats.swaps` of the whole run, final flush included (the same in
+    /// every sample).
+    pub swaps: u64,
     /// Order-independent answer fingerprint, equal across policies.
     pub checksum: u64,
 }
@@ -167,7 +172,7 @@ fn engine_kind(name: &str) -> EngineKind {
     }
 }
 
-/// One timed interleaved run; returns `(wall_seconds, checksum)`.
+/// One timed interleaved run; returns `(wall_seconds, checksum, swaps)`.
 ///
 /// The checksum folds every query's `(count, key_sum)` plus the final
 /// flushed column length, so policies must agree on every answer *and*
@@ -178,7 +183,7 @@ fn run_once(
     data: &[u64],
     ops: &[MixedOp],
     cfg: &UpdatesConfig,
-) -> (f64, u64) {
+) -> (f64, u64, u64) {
     let config = scrack_core::CrackConfig::default()
         .with_index(cfg.index)
         .with_update(policy);
@@ -199,7 +204,8 @@ fn run_once(
     }
     eng.flush();
     let wall = t0.elapsed().as_secs_f64();
-    (wall, checksum.wrapping_add(scrack_core::Engine::data(&eng).len() as u64))
+    let checksum = checksum.wrapping_add(scrack_core::Engine::data(&eng).len() as u64);
+    (wall, checksum, scrack_core::Engine::stats(&eng).swaps)
 }
 
 /// One timed scheduler run over batched mixed ops; returns the
@@ -275,11 +281,11 @@ impl UpdatesReport {
                 let mut checksum_seen: Option<u64> = None;
                 for policy in UpdatePolicy::ALL {
                     let mut walls = Vec::with_capacity(config.samples);
-                    let mut checksum = 0u64;
+                    let (mut checksum, mut swaps) = (0u64, 0u64);
                     for _ in 0..config.samples {
-                        let (wall, sum) = run_once(engine, policy, &data, &ops, config);
+                        let (wall, sum, moved) = run_once(engine, policy, &data, &ops, config);
                         walls.push(wall);
-                        checksum = sum;
+                        (checksum, swaps) = (sum, moved);
                         // Answers must agree across update policies —
                         // any divergence is a correctness bug, caught
                         // at bench time.
@@ -298,6 +304,7 @@ impl UpdatesReport {
                         wall_s,
                         ops_per_sec: ops.len() as f64 / wall_s.max(1e-12),
                         updates,
+                        swaps,
                         checksum,
                     });
                 }
@@ -360,6 +367,30 @@ impl UpdatesReport {
         missing
     }
 
+    /// The `uniform` / `hotspot` cells where the batched policy moved
+    /// more elements than the per-element reference (empty = the merge
+    /// still pays for itself). `append-lfhv` is left out: appends cross
+    /// no crack under either policy, so its counters are equal by
+    /// construction. Missing cells are [`Self::missing_cells`]' to report.
+    pub fn swap_regressions(&self) -> Vec<String> {
+        let mut worse = Vec::new();
+        for scenario in ["uniform", "hotspot"] {
+            for engine in ENGINES {
+                let swaps = |policy: UpdatePolicy| {
+                    self.cell(scenario, engine, policy.label()).map(|c| c.swaps)
+                };
+                if let (Some(reference), Some(batched)) =
+                    (swaps(UpdatePolicy::PerElement), swaps(UpdatePolicy::Batched))
+                {
+                    if batched > reference {
+                        worse.push(format!("{scenario}/{engine}: {batched} > {reference}"));
+                    }
+                }
+            }
+        }
+        worse
+    }
+
     /// Serializes the report as JSON (hand-rolled, as the workspace
     /// builds offline without serde).
     pub fn to_json(&self) -> String {
@@ -380,13 +411,14 @@ impl UpdatesReport {
             s.push_str(&format!(
                 "    {{\"scenario\": \"{}\", \"engine\": \"{}\", \"update_policy\": \"{}\", \
                  \"wall_s\": {:.4}, \"ops_per_sec\": {:.1}, \"updates\": {}, \
-                 \"checksum\": {}}}{}\n",
+                 \"swaps\": {}, \"checksum\": {}}}{}\n",
                 c.scenario,
                 c.engine,
                 c.update_policy,
                 c.wall_s,
                 c.ops_per_sec,
                 c.updates,
+                c.swaps,
                 c.checksum,
                 if i + 1 < self.cells.len() { "," } else { "" }
             ));
@@ -416,12 +448,12 @@ impl UpdatesReport {
     /// A human-readable summary (markdown).
     pub fn render_table(&self) -> String {
         let mut s = String::new();
-        s.push_str("| scenario | engine | update policy | wall (s) | ops/sec | updates |\n");
-        s.push_str("|---|---|---|---|---|---|\n");
+        s.push_str("| scenario | engine | update policy | wall (s) | ops/sec | updates | swaps |\n");
+        s.push_str("|---|---|---|---|---|---|---|\n");
         for c in &self.cells {
             s.push_str(&format!(
-                "| {} | {} | {} | {:.3} | {:.0} | {} |\n",
-                c.scenario, c.engine, c.update_policy, c.wall_s, c.ops_per_sec, c.updates
+                "| {} | {} | {} | {:.3} | {:.0} | {} | {} |\n",
+                c.scenario, c.engine, c.update_policy, c.wall_s, c.ops_per_sec, c.updates, c.swaps
             ));
         }
         s.push_str("\n| cell | batched speedup |\n|---|---|\n");
@@ -468,6 +500,20 @@ mod tests {
         }
         assert_eq!(r.speedups.len(), SCENARIOS.len() * ENGINES.len());
         assert_eq!(r.scheduler.len(), 2);
+    }
+
+    #[test]
+    fn the_swap_gate_compares_batched_with_the_reference() {
+        let mut r = UpdatesReport::measure(&tiny_config());
+        assert_eq!(r.swap_regressions(), Vec::<String>::new());
+        let reference = r.cell("hotspot", "mdd1r", "per-element").unwrap().swaps;
+        for c in &mut r.cells {
+            if (c.scenario, c.engine, c.update_policy) == ("hotspot", "mdd1r", "batched") {
+                c.swaps = reference + 1;
+            }
+        }
+        assert_eq!(r.swap_regressions().len(), 1, "{:?}", r.swap_regressions());
+        assert!(r.to_json().contains("\"swaps\": "));
     }
 
     #[test]

@@ -52,6 +52,9 @@ pub struct CrackedColumn<E: Element> {
     /// of midpoint splits, never their validity, and
     /// [`CrackedColumn::quarantine_rebuild`] recomputes it.
     domain: Option<(u64, u64)>,
+    /// Pieces holding an in-flight progressive partition job: `+1` where
+    /// [`Self::progressive_fringe`] parks one, `-1` where one is taken.
+    active_jobs: usize,
 }
 
 impl<E: Element> CrackedColumn<E> {
@@ -66,6 +69,7 @@ impl<E: Element> CrackedColumn<E> {
             config,
             fault: FaultInjector::new(config.fault),
             domain: None,
+            active_jobs: 0,
         }
     }
 
@@ -132,10 +136,19 @@ impl<E: Element> CrackedColumn<E> {
     /// invalidate job cursors; updates therefore require this to be false
     /// (it always is for `Crack` and `MDD1R`, the engines the paper's
     /// update experiment uses).
+    ///
+    /// A field read: the column counts its jobs as they are parked and
+    /// taken (debug builds cross-check the count against the pieces).
     pub fn has_active_jobs(&self) -> bool {
-        self.index
-            .iter_pieces()
-            .any(|p| self.index.piece_meta(&p).job.is_some())
+        debug_assert_eq!(
+            self.active_jobs,
+            self.index
+                .iter_pieces()
+                .filter(|p| self.index.piece_meta(p).job.is_some())
+                .count(),
+            "job counter out of step with the piece directory"
+        );
+        self.active_jobs > 0
     }
 
     /// Full-column invariant check: every piece's keys lie within its
@@ -225,10 +238,14 @@ impl<E: Element> CrackedColumn<E> {
     /// that created it), which also registers its crack. No-op for pieces
     /// without a job — the common case for every non-progressive engine.
     fn settle_job_at(&mut self, key: u64) {
+        if self.active_jobs == 0 {
+            return; // no index lookup to find that out
+        }
         let piece = self.index.piece_containing(key);
         let Some(mut job) = self.index.piece_meta_mut(&piece).job.take() else {
             return;
         };
+        self.active_jobs -= 1;
         let mut sink = Vec::new();
         match advance_job(
             &mut self.data,
@@ -251,10 +268,13 @@ impl<E: Element> CrackedColumn<E> {
     ///
     /// The Ripple update paths shift elements across piece boundaries,
     /// which would invalidate job cursors; merging pending updates into a
-    /// progressive engine therefore settles all jobs first. Cheap when no
-    /// jobs exist (one pass over the piece directory, the common case for
-    /// every non-progressive engine).
+    /// progressive engine therefore settles all jobs first. Returns at
+    /// once when no jobs exist (the common case for every
+    /// non-progressive engine).
     pub fn settle_all_jobs(&mut self) {
+        if !self.has_active_jobs() {
+            return;
+        }
         // Collect one in-range key per job-holding piece first: settling
         // registers cracks, which would invalidate a live piece iterator.
         let keys: Vec<u64> = self
@@ -830,7 +850,10 @@ impl<E: Element> CrackedColumn<E> {
         }
         let budget = ((piece.len() as f64 * swap_pct / 100.0).ceil() as u64).max(1);
         let mut job = match self.index.piece_meta_mut(piece).job.take() {
-            Some(job) => job,
+            Some(job) => {
+                self.active_jobs -= 1;
+                job
+            }
             None => {
                 let pivot = self.data[piece.start + rng.gen_range(0..piece.len())].key();
                 PartitionJob::new(pivot, piece.start, piece.end)
@@ -879,6 +902,7 @@ impl<E: Element> CrackedColumn<E> {
                     &mut self.stats,
                 );
                 self.index.piece_meta_mut(piece).job = Some(job);
+                self.active_jobs += 1;
             }
         }
     }
@@ -1130,6 +1154,48 @@ mod tests {
         assert!(!b.has_active_jobs(), "P100% always completes in one query");
         a.check_integrity().unwrap();
         b.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn active_jobs_counts_the_jobs_in_the_piece_directory() {
+        fn counted(col: &CrackedColumn<u64>) -> usize {
+            let index = col.index();
+            index
+                .iter_pieces()
+                .filter(|p| index.piece_meta(p).job.is_some())
+                .count()
+        }
+        let mut col = CrackedColumn::new(
+            permuted(100_000),
+            CrackConfig::default()
+                .with_crack_size(64)
+                .with_progressive_threshold(1_000),
+        );
+        let mut rng = SmallRng::seed_from_u64(11);
+        let far_apart = QueryRange::new(20_000, 80_000);
+        let mut peak = 0;
+        for round in 0..40 {
+            // Start (round 0), advance, and finish jobs a few at a time:
+            // a done job splits its piece, and both halves restart.
+            let _ = col.pmdd1r_select(far_apart, 5.0, &mut rng);
+            assert_eq!(col.active_jobs, counted(&col), "round {round}");
+            peak = peak.max(col.active_jobs);
+        }
+        assert!(peak >= 2, "both fringe pieces hold a job at some point");
+        while col.active_jobs == 0 {
+            let _ = col.pmdd1r_select(far_apart, 1.0, &mut rng);
+        }
+        col.crack_on(far_apart.low); // settles at most the one piece it cracks
+        assert_eq!(col.active_jobs, counted(&col));
+        let _ = col.pmdd1r_select(QueryRange::new(100, 90_000), 1.0, &mut rng);
+        assert!(col.active_jobs > 0);
+        col.settle_all_jobs();
+        assert_eq!((col.active_jobs, counted(&col)), (0, 0));
+        let _ = col.pmdd1r_select(QueryRange::new(5, 99_000), 1.0, &mut rng);
+        assert!(col.active_jobs > 0);
+        col.quarantine_rebuild();
+        assert_eq!((col.active_jobs, counted(&col)), (0, 0));
+        col.check_integrity().unwrap();
     }
 
     #[test]

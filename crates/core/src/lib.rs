@@ -54,8 +54,9 @@ mod oracle;
 pub use baseline::{ScanEngine, SortEngine};
 pub use config::{CrackConfig, UpdatePolicy};
 // Re-exported so engine construction sites can name the kernel and index
-// policies without depending on the substrate crates directly.
-pub use scrack_index::IndexPolicy;
+// policies, and the update walks the index and its cursor, without
+// depending on the substrate crates directly.
+pub use scrack_index::{CrackCursor, CrackerIndex, IndexPolicy};
 pub use scrack_partition::KernelPolicy;
 pub use cracked::CrackedColumn;
 pub use cracker::CrackerEngine;

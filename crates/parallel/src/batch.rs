@@ -360,14 +360,16 @@ impl<E: Element> BatchScheduler<E> {
         self.run(ops.iter().copied(), true, false)
     }
 
-    /// Updates queued across all shards but not yet merged into a
-    /// cracker column.
+    /// Entries in the shards' pending stores: updates queued but not yet
+    /// merged into a cracker column, plus the column tuples displacement
+    /// merges have parked there ([`PendingUpdates::len`]). Zero after
+    /// [`Self::flush_updates`].
     pub fn pending_updates(&self) -> usize {
         self.cells.iter().map(|(_, pending)| pending.len()).sum()
     }
 
-    /// Merges every pending update in every shard now (a checkpoint),
-    /// returning how many were applied.
+    /// Merges everything in every shard's pending store now (a
+    /// checkpoint), returning how many entries were applied.
     pub fn flush_updates(&mut self) -> usize {
         self.cells
             .iter_mut()

@@ -18,18 +18,34 @@
 //! [`scrack_core::UpdatePolicy`]:
 //!
 //! * **per-element** ([`ripple_insert`] / [`ripple_delete`]) — one full
-//!   boundary walk per update, the reference implementation;
-//! * **batched merge-ripple** ([`merge_ripple_inserts`] /
-//!   [`merge_ripple_deletes`], the default) — the qualifying batch is
-//!   sorted once and applied in a single boundary walk.
+//!   boundary walk per update from the target piece to the array end,
+//!   the differential reference;
+//! * **batched merge-ripple** (the default) — the qualifying batch is
+//!   sorted once and applied in a single boundary walk. It comes in two
+//!   reaches that share their walk bodies (`merge.rs`):
+//!   * the **global Ripple** ([`merge_ripple_inserts`] /
+//!     [`merge_ripple_deletes`]) walks to the array end like the
+//!     reference. It serves everything that empties the store:
+//!     [`Updatable::flush`], quarantine, reconfiguration and the
+//!     [`EpochLog`] watermark merge of a commit;
+//!   * the **displacement merge** serves the query
+//!     ([`PendingUpdates::merge_qualifying`]) and stops at it — the
+//!     merge-ripple of Idreos et al. (SIGMOD 2007) that §5 cites: slots
+//!     for the qualifying inserts are vacated just above the query's
+//!     range and their tuples go *back to the pending store*, holes of
+//!     the qualifying deletes are refilled from the store piece by
+//!     piece. The walk is `O(pieces inside the query range)` plus a few,
+//!     whatever the column's crack count, and the array keeps its length.
 //!
-//! [`PendingUpdates`] holds the queued inserts/deletes; [`Updatable`]
+//! [`PendingUpdates`] holds the queued inserts/deletes (and the column
+//! tuples a displacement merge parked) ordered by key, so a read beside
+//! writes finds its qualifying updates with a range probe; [`Updatable`]
 //! wraps a [`scrack_core::CrackerEngine`] of any kind (build one with
 //! [`build_update_engine`]) with on-demand merging. [`EpochLog`] adds
 //! the committed, epoch-stamped form of the same queues: snapshot
 //! readers combine the physical column with the log's per-epoch delta,
 //! and a watermark merge (gated on the oldest live snapshot) folds aged
-//! epochs into the column through the same ripple paths.
+//! epochs into the column through the global ripple paths.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

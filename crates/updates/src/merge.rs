@@ -16,8 +16,8 @@
 //! interiors are unordered, so a piece may donate *any* of its elements
 //! to a neighboring slot:
 //!
-//! * **Inserts** walk boundaries right-to-left. The array grows by the
-//!   batch size, opening a hole block at the end; at each crack, the
+//! * **Inserts** walk boundaries right-to-left. A hole block as large as
+//!   the batch opens at the end of some piece; at each crack, the
 //!   pending inserts belonging to the piece right of it drop into the top
 //!   of the hole block, then the crack shifts right over the remaining
 //!   holes while its right piece donates leading elements to refill them.
@@ -25,16 +25,33 @@
 //!   are swapped out against the piece's tail, growing a hole block at
 //!   the piece end; at each crack, the boundary shifts left over the
 //!   holes while the next piece donates trailing elements, until the
-//!   block reaches the array end and is truncated.
+//!   block is used up or truncated.
+//!
+//! Where the hole block starts and ends is what tells the two merges
+//! apart, and the one walk body per kind serves both:
+//!
+//! * the **global** merge ([`merge_ripple_inserts`] /
+//!   [`merge_ripple_deletes`]: checkpoints, commits, the reference) grows
+//!   the array for the inserts' holes and carries the deletes' holes to
+//!   the array end — `B` is every crack above the lowest key;
+//! * the **displacement** merge a query drives (the merge-ripple of
+//!   Idreos et al., SIGMOD 2007, that the paper's §5 builds on) stops at
+//!   the query: the inserts' holes are the first slots above the piece
+//!   holding the query's upper bound, whose tuples go *back to the
+//!   pending store*, and the deletes' holes are refilled from the store
+//!   piece by piece until none is left — `B` is the cracks inside the
+//!   query range plus a few, and the array length does not change.
 //!
 //! Answers are bit-identical to the per-element reference (the merged
 //! multiset is the same); physical interior order and `Stats` counters
 //! may differ — that difference *is* the optimization.
 
-use scrack_core::CrackedColumn;
-use scrack_types::Element;
+use crate::pending::{PendingUpdates, Slot};
+use scrack_core::{CrackCursor, CrackedColumn, CrackerIndex, PieceState};
+use scrack_types::{Element, Stats};
 
-/// Inserts a sorted batch of elements in one right-to-left boundary walk.
+/// Inserts a batch of elements in one right-to-left boundary walk from
+/// the array end, growing the array by the batch size.
 ///
 /// Equivalent in effect to calling [`crate::ripple_insert`] once per
 /// element: every insert lands in the piece whose key range contains it,
@@ -43,7 +60,20 @@ use scrack_types::Element;
 /// # Panics
 /// Debug builds panic if a progressive partition job is active (settle
 /// with [`CrackedColumn::settle_all_jobs`] first).
-pub fn merge_ripple_inserts<E: Element>(col: &mut CrackedColumn<E>, mut ins: Vec<E>) {
+pub fn merge_ripple_inserts<E: Element>(col: &mut CrackedColumn<E>, ins: Vec<E>) {
+    insert_merge(col, ins, None);
+}
+
+/// [`merge_ripple_inserts`], or with `local = (top, store)` the
+/// displacement merge for a query whose greatest qualifying key is `top`
+/// (every key in `ins` is at most `top`): the hole block is vacated just
+/// above the piece containing `top`, its tuples parked in `store`. Falls
+/// back to growing the array when that block would pass the array end.
+pub(crate) fn insert_merge<E: Element>(
+    col: &mut CrackedColumn<E>,
+    mut ins: Vec<E>,
+    local: Option<(u64, &mut PendingUpdates<E>)>,
+) {
     if ins.is_empty() {
         return;
     }
@@ -53,14 +83,65 @@ pub fn merge_ripple_inserts<E: Element>(col: &mut CrackedColumn<E>, mut ins: Vec
     );
     ins.sort_unstable_by_key(Element::key);
     let (data, index, stats) = col.parts_mut();
-    let old_len = data.len();
-    // Grow by the batch size; the tail is a hole block (placeholder
-    // values, overwritten before the pass ends).
-    data.resize(old_len + ins.len(), ins[0]);
-    index.set_column_len(data.len());
-    let mut hole_start = old_len; // hole block spans [hole_start, hole_start + h)
+    let h = ins.len();
+    let vacated = local.and_then(|(top, store)| vacate_above(data, index, stats, top, h, store));
+    let (hole_start, top_crack) = vacated.unwrap_or_else(|| {
+        // Grow by the batch size; the tail is the hole block (placeholder
+        // values, overwritten before the walk ends).
+        let old_len = data.len();
+        data.resize(old_len + h, ins[0]);
+        index.set_column_len(data.len());
+        (old_len, index.max_crack().map(|id| index.cursor_at(id)))
+    });
+    insert_walk(data, index, stats, &ins, hole_start, top_crack);
+}
+
+/// Vacates the `h` slots just above the piece containing `top`, parking
+/// their tuples in `store`; returns the hole block's start and the crack
+/// below it, or `None` when the block would pass the array end.
+fn vacate_above<E: Element>(
+    data: &[E],
+    index: &mut CrackerIndex<PieceState>,
+    stats: &mut Stats,
+    top: u64,
+    h: usize,
+    store: &mut PendingUpdates<E>,
+) -> Option<(usize, Option<CrackCursor>)> {
+    let piece = index.piece_containing(top);
+    let block_end = piece.end + h;
+    if block_end > data.len() {
+        return None; // the topmost piece, or too close to it
+    }
+    let mut above = index.cursor_at(piece.right_crack?);
+    for e in &data[piece.end..block_end] {
+        store.park_displaced(*e);
+    }
+    stats.touched += h as u64;
+    // Every crack inside the vacated block moves to its end: the pieces
+    // between them are empty now.
+    while index.cursor_pos(above) < block_end {
+        index.set_cursor_pos(above, block_end);
+        match index.cursor_next(above) {
+            Some(next) => above = next,
+            None => break,
+        }
+    }
+    Some((piece.end, piece.left_crack.map(|id| index.cursor_at(id))))
+}
+
+/// The insert walk: `ins` (sorted by key) drops into the hole block
+/// `[hole_start, hole_start + ins.len())`, which sits at the end of the
+/// piece right of `cur`, and the unplaced rest ripples down crack by
+/// crack from `cur`.
+fn insert_walk<E: Element>(
+    data: &mut [E],
+    index: &mut CrackerIndex<PieceState>,
+    stats: &mut Stats,
+    ins: &[E],
+    mut hole_start: usize, // hole block spans [hole_start, hole_start + h)
+    mut cur: Option<CrackCursor>,
+) {
     let mut h = ins.len(); // unplaced inserts == holes
-    let mut cur = index.max_crack().map(|id| index.cursor_at(id));
     while let Some(c) = cur {
         let ckey = index.cursor_key(c);
         // Inserts with key >= ckey belong to the piece right of this
@@ -99,8 +180,8 @@ pub fn merge_ripple_inserts<E: Element>(col: &mut CrackedColumn<E>, mut ins: Vec
 }
 
 /// Deletes one element per key in `del` (keys that match nothing
-/// evaporate) in one left-to-right boundary walk; returns how many
-/// elements were actually removed.
+/// evaporate) in one left-to-right boundary walk that carries the holes
+/// to the array end; returns how many elements were actually removed.
 ///
 /// Equivalent in effect to calling [`crate::ripple_delete`] once per
 /// key. Pieces between delete clusters with no holes in flight are
@@ -109,7 +190,20 @@ pub fn merge_ripple_inserts<E: Element>(col: &mut CrackedColumn<E>, mut ins: Vec
 /// # Panics
 /// Debug builds panic if a progressive partition job is active (settle
 /// with [`CrackedColumn::settle_all_jobs`] first).
-pub fn merge_ripple_deletes<E: Element>(col: &mut CrackedColumn<E>, mut del: Vec<u64>) -> usize {
+pub fn merge_ripple_deletes<E: Element>(col: &mut CrackedColumn<E>, del: Vec<u64>) -> usize {
+    delete_merge(col, del, None)
+}
+
+/// [`merge_ripple_deletes`], or with a `store` the displacement merge:
+/// before the hole block crosses a boundary, pending inserts of the piece
+/// it sits in fill it from `store` ([`PendingUpdates::next_filler`]), and
+/// the walk stops where no hole is left. No key in `del` may have an op
+/// left in `store`.
+pub(crate) fn delete_merge<E: Element>(
+    col: &mut CrackedColumn<E>,
+    mut del: Vec<u64>,
+    mut store: Option<&mut PendingUpdates<E>>,
+) -> usize {
     if del.is_empty() {
         return 0;
     }
@@ -125,11 +219,15 @@ pub fn merge_ripple_deletes<E: Element>(col: &mut CrackedColumn<E>, mut del: Vec
     // (key, remaining) pairs: O(log d) lookup and O(1) decrement per
     // scanned element, so a large batch on one piece stays linear.
     let mut want: Vec<(u64, usize)> = Vec::new();
+    // The nearest pending insert the holes in flight may take, once
+    // looked up (displacement merge only).
+    let mut filler: Option<Option<Slot>> = None;
 
     // Seed at the piece containing the smallest delete key.
     let (data, index, stats) = col.parts_mut();
     let first = index.piece_containing(del[0]);
-    let (mut start, mut end, mut hi_key) = (first.start, first.end, first.hi_key);
+    let (mut start, mut end) = (first.start, first.end);
+    let (mut lo_key, mut hi_key) = (first.lo_key, first.hi_key);
     let mut right = first.right_crack.map(|id| index.cursor_at(id));
     loop {
         // Delete keys targeting this piece: del[di..dj).
@@ -169,6 +267,21 @@ pub fn merge_ripple_deletes<E: Element>(col: &mut CrackedColumn<E>, mut del: Vec
             }
             // Unmatched keys evaporate (absent from the column).
         }
+        // Not in the topmost piece: truncating its holes is free.
+        if let (Some(store), Some(hi)) = (store.as_deref_mut(), hi_key) {
+            while g > 0 {
+                // The store is key-ordered: one probe says how far the
+                // holes must travel, the pieces before that cost none.
+                let found = *filler.get_or_insert_with(|| store.next_filler(lo_key.unwrap_or(0)));
+                let Some(slot) = found.filter(|(key, _)| *key < hi) else {
+                    break;
+                };
+                data[end - g] = store.take_filler(slot);
+                stats.touched += 1;
+                g -= 1;
+                filler = None;
+            }
+        }
         match right {
             None => {
                 // Topmost piece: the hole block sits at the array end.
@@ -181,8 +294,9 @@ pub fn merge_ripple_deletes<E: Element>(col: &mut CrackedColumn<E>, mut del: Vec
                 // No holes in flight: jump straight to the next targeted
                 // piece instead of walking the boundaries between.
                 let next = index.piece_containing(del[di]);
-                (start, end, hi_key) = (next.start, next.end, next.hi_key);
+                (start, end, lo_key, hi_key) = (next.start, next.end, next.lo_key, next.hi_key);
                 right = next.right_crack.map(|id| index.cursor_at(id));
+                filler = None;
             }
             Some(_) if g == 0 => break, // nothing left to do anywhere
             Some(c) => {
@@ -201,8 +315,9 @@ pub fn merge_ripple_deletes<E: Element>(col: &mut CrackedColumn<E>, mut del: Vec
                 }
                 stats.touched += m as u64;
                 stats.swaps += m as u64;
-                let next_hi = next_right.map(|n| index.cursor_key(n));
-                (start, end, hi_key, right) = (p - g, next_end, next_hi, next_right);
+                lo_key = hi_key;
+                hi_key = next_right.map(|n| index.cursor_key(n));
+                (start, end, right) = (p - g, next_end, next_right);
             }
         }
     }

@@ -68,13 +68,17 @@ impl<E: Element> Updatable<E> {
         self.pending.queue_delete(key);
     }
 
-    /// Pending updates not yet merged.
+    /// Entries in the pending store: updates not yet merged plus, under
+    /// [`scrack_core::UpdatePolicy::Batched`], column tuples a
+    /// displacement merge parked there ([`PendingUpdates::len`]). Zero
+    /// after [`Self::flush`] under either policy.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
     }
 
-    /// Merges every pending update now (a checkpoint), returning how many
-    /// were applied.
+    /// Merges everything in the pending store now (a checkpoint),
+    /// returning how many entries were applied ([`Self::pending_len`]
+    /// just before).
     pub fn flush(&mut self) -> usize {
         self.pending.merge_all(self.engine.cracked_mut())
     }

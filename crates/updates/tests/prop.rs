@@ -11,7 +11,10 @@
 //! * **policy invariance** — the per-element ripple and the batched
 //!   merge-ripple produce *bit-identical answers* (count + checksum per
 //!   query) under both index representations, with `check_integrity`
-//!   holding after every step.
+//!   holding after every step;
+//! * **checkpoint** — `flush()` at the end of every stream empties the
+//!   store (displaced column tuples included) and leaves exactly the
+//!   oracle's multiset in the column.
 
 use proptest::prelude::*;
 use scrack_core::{CrackConfig, Engine, EngineKind, IndexPolicy, UpdatePolicy};
@@ -42,12 +45,32 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Reads beside one kind of write only.
+fn one_sided_strategy(write: fn(u64) -> Op) -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0u64..N, 1u64..300).prop_map(|(a, w)| Op::Query(a, w)),
+        (0u64..KEY_SPAN).prop_map(write),
+    ]
+}
+
+/// Every write lands on one of 16 keys, every read overlaps them: the
+/// store holds long per-key op sequences, deletes outnumber instances.
+fn narrow_domain_strategy() -> impl Strategy<Value = Op> {
+    const LOW: u64 = N / 2;
+    prop_oneof![
+        (LOW - 8..LOW + 16, 1u64..24).prop_map(|(a, w)| Op::Query(a, w)),
+        (LOW..LOW + 16).prop_map(Op::Insert),
+        (LOW..LOW + 16).prop_map(Op::Delete),
+        (LOW..LOW + 16).prop_map(Op::Delete),
+    ]
+}
+
 /// The sorted-vec oracle: the multiset of keys the column must hold once
 /// all pending updates are merged.
 struct Model {
     keys: Vec<u64>, // sorted
-    pending_inserts: Vec<u64>,
-    pending_deletes: Vec<u64>,
+    /// `(is_insert, key)` in submission order.
+    pending: Vec<(bool, u64)>,
 }
 
 impl Model {
@@ -56,49 +79,33 @@ impl Model {
         keys.sort_unstable();
         Self {
             keys,
-            pending_inserts: Vec::new(),
-            pending_deletes: Vec::new(),
+            pending: Vec::new(),
         }
     }
 
-    fn insert(&mut self, k: u64) {
-        self.pending_inserts.push(k);
-    }
-
-    fn delete(&mut self, k: u64) {
-        self.pending_deletes.push(k);
-    }
-
-    /// Merges pending updates qualifying for `q` (inserts before
-    /// deletes, mirroring the documented ordering invariant), then
-    /// returns the range's `(count, key_sum)`.
-    fn query(&mut self, q: QueryRange) -> (usize, u64) {
-        let mut ins = Vec::new();
-        self.pending_inserts.retain(|k| {
-            let take = q.contains(*k);
-            if take {
-                ins.push(*k);
+    /// Applies the pending updates `take` accepts, in submission order
+    /// (the documented ordering invariant): an insert adds, a delete
+    /// removes one instance or evaporates.
+    fn merge(&mut self, take: impl Fn(u64) -> bool) {
+        let pending = std::mem::take(&mut self.pending);
+        for (is_insert, k) in pending {
+            if !take(k) {
+                self.pending.push((is_insert, k));
+                continue;
             }
-            !take
-        });
-        for k in ins {
             let at = self.keys.partition_point(|x| *x < k);
-            self.keys.insert(at, k);
-        }
-        let mut del = Vec::new();
-        self.pending_deletes.retain(|k| {
-            let take = q.contains(*k);
-            if take {
-                del.push(*k);
-            }
-            !take
-        });
-        for k in del {
-            let at = self.keys.partition_point(|x| *x < k);
-            if self.keys.get(at) == Some(&k) {
+            if is_insert {
+                self.keys.insert(at, k);
+            } else if self.keys.get(at) == Some(&k) {
                 self.keys.remove(at);
             }
         }
+    }
+
+    /// Merges pending updates qualifying for `q`, then returns the
+    /// range's `(count, key_sum)`.
+    fn query(&mut self, q: QueryRange) -> (usize, u64) {
+        self.merge(|k| q.contains(k));
         let lo = self.keys.partition_point(|x| *x < q.low);
         let hi = self.keys.partition_point(|x| *x < q.high);
         let sum = self.keys[lo..hi].iter().fold(0u64, |s, k| s.wrapping_add(*k));
@@ -169,18 +176,50 @@ fn replay_with(
             }
             Op::Insert(k) => {
                 eng.insert(k);
-                model.insert(k);
+                model.pending.push((true, k));
             }
             Op::Delete(k) => {
                 eng.delete(k);
-                model.delete(k);
+                model.pending.push((false, k));
             }
         }
         eng.check_integrity()
             .unwrap_or_else(|e| panic!("{kind:?} / {index} / {update}: step {i}: {e}"));
+        // A displacement merge moves tuples between column and store
+        // (parked tuples one way, early fillers the other), never in or
+        // out of their union.
+        assert_eq!(
+            eng.data().len() + eng.pending_len(),
+            model.keys.len() + model.pending.len(),
+            "{kind:?} / {index} / {update}: step {i}: column + store size"
+        );
         cracks.push(eng.inner().cracked().index().crack_count());
     }
+    // The checkpoint: everything stored is applied, displaced column
+    // tuples included, and the column is the oracle's multiset again.
+    let stored = eng.pending_len();
+    assert_eq!(eng.flush(), stored, "flush applies everything stored");
+    assert_eq!(eng.pending_len(), 0);
+    model.merge(|_| true);
+    let mut keys = eng.data().to_vec();
+    keys.sort_unstable();
+    assert_eq!(keys, model.keys, "{kind:?} / {index} / {update}: column after flush");
+    eng.check_integrity().unwrap();
     (answers, cracks)
+}
+
+/// Both update policies on the paper's two headline engines: oracle
+/// equality, the checkpoint, bit-identical answers.
+fn policies_agree(ops: &[Op], seed: u64, index: IndexPolicy) -> Result<(), TestCaseError> {
+    for kind in [EngineKind::Crack, EngineKind::Mdd1r] {
+        let per_elem = replay(ops, kind, index, UpdatePolicy::PerElement, seed);
+        let batched = replay(ops, kind, index, UpdatePolicy::Batched, seed);
+        prop_assert_eq!(
+            &per_elem, &batched,
+            "{:?}/{}: answers diverged across update policies", kind, index
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -194,16 +233,41 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..80),
         seed in 0u64..1_000,
     ) {
-        for kind in [EngineKind::Crack, EngineKind::Mdd1r] {
-            for index in IndexPolicy::ALL {
-                let per_elem = replay(&ops, kind, index, UpdatePolicy::PerElement, seed);
-                let batched = replay(&ops, kind, index, UpdatePolicy::Batched, seed);
-                prop_assert_eq!(
-                    &per_elem, &batched,
-                    "{:?}/{}: answers diverged across update policies", kind, index
-                );
-            }
+        for index in IndexPolicy::ALL {
+            policies_agree(&ops, seed, index)?;
         }
+    }
+
+    /// Inserts only: under the batched policy every merged insert parks
+    /// a column tuple (or, where the block would pass the array end,
+    /// grows the array), so the store empties only at the checkpoint.
+    #[test]
+    fn insert_only_streams_grow_the_store_by_displacement(
+        ops in proptest::collection::vec(one_sided_strategy(Op::Insert), 1..80),
+        seed in 0u64..1_000,
+    ) {
+        policies_agree(&ops, seed, IndexPolicy::default())?;
+    }
+
+    /// Deletes only: no filler is ever found, every hole block walks to
+    /// the array end as the global merge's does.
+    #[test]
+    fn delete_only_streams_find_no_filler(
+        ops in proptest::collection::vec(one_sided_strategy(Op::Delete), 1..80),
+        seed in 0u64..1_000,
+    ) {
+        policies_agree(&ops, seed, IndexPolicy::default())?;
+    }
+
+    /// Many ops per key: the per-key order of the store is what is
+    /// tested (deletes that evaporate before a later insert of their
+    /// key, inserts a delete of their key must not be jumped by).
+    #[test]
+    fn duplicate_heavy_narrow_domain_streams_keep_per_key_order(
+        ops in proptest::collection::vec(narrow_domain_strategy(), 1..120),
+        seed in 0u64..1_000,
+    ) {
+        policies_agree(&ops, seed, IndexPolicy::default())?;
     }
 
     /// A rotating single-engine deep run so every update-capable kind in

@@ -62,7 +62,8 @@ fn main() {
         oracle_keys.len()
     );
     println!(
-        "Pending (never queried, never paid for): {} updates still queued.",
+        "Pending store: {} entries — updates no query has asked for yet, and \
+         column tuples the merges parked there to make room.",
         engine.pending_len()
     );
     println!(

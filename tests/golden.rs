@@ -206,46 +206,43 @@ fn updated(kind: EngineKind, index: IndexPolicy) -> (String, u64, Counters, usiz
 }
 
 const UPDATED_ANSWERS: u64 = 0xaaac2c23db19f486;
-const UPDATED_PENDING: usize = 81;
-const UPDATED_FLUSHED: usize = 81;
 
-const UPDATED: [(&str, Counters); 18] = [
-    ("Crack", [1045346, 828453, 1020924, 323, 0, 204]),
-    ("DDC", [914523, 669866, 884472, 750, 0, 204]),
-    ("DDR", [348375, 107174, 283172, 854, 0, 204]),
-    ("DD1C", [850864, 590441, 825470, 544, 0, 204]),
-    ("DD1R", [333769, 80257, 291475, 540, 0, 204]),
-    ("MDD1R", [250373, 52982, 434008, 303, 28602, 204]),
-    ("P1%", [412621, 52982, 596256, 303, 28602, 204]),
-    ("P10%", [315306, 52982, 498941, 303, 28602, 204]),
-    ("P50%", [250373, 52982, 434008, 303, 28602, 204]),
-    ("P100%", [250373, 52982, 434008, 303, 28602, 204]),
-    ("FiftyFifty", [319987, 125962, 438227, 286, 11105, 204]),
-    ("FlipCoin", [382554, 169832, 502612, 327, 11613, 204]),
-    ("ScrackMon10", [666148, 483874, 682893, 319, 1423, 204]),
-    ("L1Switch", [281986, 133296, 351081, 321, 1696, 204]),
-    ("R2crack", [381702, 307554, 340357, 517, 0, 306]),
-    ("DDM", [239028, 92940, 189999, 634, 0, 204]),
-    ("DD1M", [271965, 81451, 231392, 519, 0, 204]),
-    ("MDD1M", [204895, 60510, 343485, 331, 24835, 204]),
+/// `(name, Stats, entries in the pending store after the stream)`. The
+/// store count is per kind: a displacement merge parks column tuples in
+/// the store and refills holes from it, and where a hole block instead
+/// runs off the array end depends on the kind's cracks. `flush` applies
+/// exactly that many.
+const UPDATED: [(&str, Counters, usize); 18] = [
+    ("Crack", [1022059, 805061, 1020845, 323, 0, 204], 128),
+    ("DDC", [871107, 622950, 893947, 744, 0, 204], 133),
+    ("DDR", [287340, 44414, 284230, 827, 0, 204], 128),
+    ("DD1C", [878222, 619331, 892094, 544, 0, 204], 133),
+    ("DD1R", [302133, 39886, 299966, 548, 0, 204], 128),
+    ("MDD1R", [224855, 35298, 420049, 304, 28108, 204], 130),
+    ("P1%", [384600, 35298, 579794, 304, 28108, 204], 130),
+    ("P10%", [291924, 35298, 487118, 304, 28108, 204], 130),
+    ("P50%", [224855, 35298, 420049, 304, 28108, 204], 130),
+    ("P100%", [224855, 35298, 420049, 304, 28108, 204], 130),
+    ("FiftyFifty", [292655, 100629, 423995, 284, 10914, 204], 129),
+    ("FlipCoin", [318099, 127452, 441267, 307, 10494, 204], 131),
+    ("ScrackMon10", [675803, 479477, 718167, 320, 1385, 204], 129),
+    ("L1Switch", [256903, 114097, 336272, 322, 1264, 204], 131),
+    ("R2crack", [343147, 267982, 341189, 517, 0, 306], 130),
+    ("DDM", [192268, 46015, 189846, 634, 0, 204], 127),
+    ("DD1M", [233255, 42594, 231173, 519, 0, 204], 129),
+    ("MDD1M", [185073, 40442, 343390, 331, 24835, 204], 128),
 ];
 
 #[test]
 fn every_update_capable_kind_matches_under_interleaved_writes() {
     let kinds = update_capable_kinds();
     assert_eq!(kinds.len(), UPDATED.len());
-    for (kind, (name, stats)) in kinds.into_iter().zip(UPDATED) {
+    for (kind, (name, stats, pending)) in kinds.into_iter().zip(UPDATED) {
         for index in POLICIES {
             let got = updated(kind, index);
             assert_eq!(
                 got,
-                (
-                    name.to_string(),
-                    UPDATED_ANSWERS,
-                    stats,
-                    UPDATED_PENDING,
-                    UPDATED_FLUSHED
-                ),
+                (name.to_string(), UPDATED_ANSWERS, stats, pending, pending),
                 "{kind:?} / {index:?}"
             );
         }
@@ -280,13 +277,13 @@ fn batch_served(strategy: ParallelStrategy) -> (u64, Counters, usize) {
 const BATCH_SERVED: [(u64, Counters, usize); 2] = [
     (
         0xaaac2c23db19f486,
-        [334945, 236044, 327842, 326, 0, 215],
-        81,
+        [328828, 229778, 327762, 326, 0, 215],
+        135,
     ),
     (
         0xaaac2c23db19f486,
-        [184661, 31832, 328092, 317, 28810, 215],
-        81,
+        [177847, 27252, 324672, 318, 28088, 215],
+        130,
     ),
 ];
 
@@ -455,7 +452,7 @@ fn self_driving() -> (u64, Counters, usize, Vec<usize>) {
     )
 }
 
-const SELF_DRIVING_STATS: Counters = [4083564, 1781397, 4863096, 717, 17214, 208];
+const SELF_DRIVING_STATS: Counters = [4170752, 1868056, 4944492, 714, 17182, 208];
 const SELF_DRIVING_SWITCHES: usize = 25;
 
 #[test]
@@ -485,13 +482,11 @@ fn record() {
         let (name, _, stats) = bare(kind, flat);
         println!("    ({name:?}, {stats:?}),");
     }
-    let (_, answers, _, pending, flushed) = updated(EngineKind::Crack, flat);
+    let answers = updated(EngineKind::Crack, flat).1;
     println!("const UPDATED_ANSWERS: u64 = {answers:#x};");
-    println!("const UPDATED_PENDING: usize = {pending};");
-    println!("const UPDATED_FLUSHED: usize = {flushed};");
     for kind in update_capable_kinds() {
-        let (name, _, stats, _, _) = updated(kind, flat);
-        println!("    ({name:?}, {stats:?}),");
+        let (name, _, stats, pending, _) = updated(kind, flat);
+        println!("    ({name:?}, {stats:?}, {pending}),");
     }
     println!("BATCH_SERVED");
     for strategy in STRATEGIES {
