@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md calls out.
+//! Ablation benches for the design choices docs/ARCHITECTURE.md calls out.
 //!
 //! Each group pits an implemented choice against the alternative it
 //! replaced, so the decisions stay justified by numbers:

@@ -9,9 +9,9 @@
 //! Sweeps `threads × strategy × workload` over the `scrack_parallel`
 //! wrappers and prints a summary table; `--json PATH` also writes the
 //! machine-readable report committed as `BENCH_6.json`. `--check` exits
-//! nonzero if any threads/strategy/workload cell is missing **or** the
-//! chunked strategy's threaded replay diverges from its serial twin on
-//! a 1/2/4-thread sweep — the CI throughput-smoke gate (coverage and
+//! nonzero if any threads/strategy/workload cell is missing (or lacks
+//! its `build_ms`) **or** the chunked strategy's threaded replay
+//! diverges from its serial twin on a 1/2/4-thread sweep — the CI throughput-smoke gate (coverage and
 //! determinism only, never a perf threshold: CI boxes are too noisy to
 //! gate on queries/sec).
 

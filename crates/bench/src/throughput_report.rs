@@ -17,6 +17,10 @@
 //!   work* in microseconds. For the `batch` and `chunked` strategies the
 //!   unit is one batch (one `execute` call); for `piecelock` and
 //!   `shared` it is one query;
+//! * `build_ms` — median wall time of the wrapper's constructor, which
+//!   the two figures above leave out: `batch` range-partitions the
+//!   column up front, `chunked` only splits it, the shared-column
+//!   wrappers take it as is;
 //! * `scaling_efficiency` — `qps(T) / (T * qps(1))` against the same
 //!   strategy/workload's single-thread cell (1.0 = perfect scaling;
 //!   absent when the sweep has no `T = 1` baseline). Recorded together
@@ -99,6 +103,9 @@ pub struct ThroughputCell {
     /// Median (across samples) of the per-run p99 unit-of-work latency,
     /// in microseconds (see module docs for the unit per strategy).
     pub p99_latency_us: f64,
+    /// Median (across samples) constructor wall time in milliseconds —
+    /// outside the `qps_median` clock.
+    pub build_ms: f64,
     /// `qps(T) / (T * qps(1))` against this strategy/workload's
     /// single-thread cell; `None` when the sweep has no `T = 1` baseline.
     pub scaling_efficiency: Option<f64>,
@@ -124,14 +131,9 @@ fn workload_kind(name: &str) -> WorkloadKind {
     }
 }
 
-/// Query volume after which the harness's chunked columns
-/// partition-merge: a quarter of the stream, so every measured run
-/// exercises both the chunk phase and the merged (sharded) phase.
-fn chunked_merge_after(queries: usize) -> usize {
-    (queries / 4).max(1)
-}
-
-/// One timed run; returns `(wall_seconds, unit_latencies_ns, checksum)`.
+/// One timed run; returns `(build_seconds, wall_seconds,
+/// unit_latencies_ns, checksum)` — the wall clock starts once the
+/// wrapper is built.
 fn run_once(
     strategy: &str,
     threads: usize,
@@ -140,72 +142,58 @@ fn run_once(
     batch: usize,
     seed: u64,
     index: IndexPolicy,
-) -> (f64, Vec<f64>, u64) {
+) -> (f64, f64, Vec<f64>, u64) {
     let config = CrackConfig::default().with_index(index);
-    match strategy {
+    let column = data.to_vec();
+    let b0 = Instant::now();
+    let (build, (wall, latencies, checksum)) = match strategy {
         "batch" => {
-            let mut sched = BatchScheduler::new(
-                data.to_vec(),
-                threads,
-                ParallelStrategy::Stochastic,
-                config,
-                seed,
-            );
-            let mut latencies = Vec::with_capacity(queries.len().div_ceil(batch));
-            let mut checksum = 0u64;
-            let t0 = Instant::now();
-            for chunk in queries.chunks(batch) {
-                let b0 = Instant::now();
-                let results = sched.execute(chunk);
-                latencies.push(b0.elapsed().as_nanos() as f64);
-                for (c, s) in results {
-                    checksum = checksum.wrapping_add(c as u64).wrapping_add(s);
-                }
-            }
-            (t0.elapsed().as_secs_f64(), latencies, checksum)
+            let mut sched =
+                BatchScheduler::new(column, threads, ParallelStrategy::Stochastic, config, seed);
+            let build = b0.elapsed().as_secs_f64();
+            (build, run_batches(queries, batch, |chunk| sched.execute(chunk)))
         }
         "chunked" => {
-            let mut cc = ChunkedCracker::new(
-                data.to_vec(),
-                threads,
-                ParallelStrategy::Stochastic,
-                config,
-                seed,
-            )
-            .with_merge_after(chunked_merge_after(queries.len()));
-            let mut latencies = Vec::with_capacity(queries.len().div_ceil(batch));
-            let mut checksum = 0u64;
-            let t0 = Instant::now();
-            for chunk in queries.chunks(batch) {
-                let b0 = Instant::now();
-                let results = cc.execute(chunk);
-                latencies.push(b0.elapsed().as_nanos() as f64);
-                for (c, s) in results {
-                    checksum = checksum.wrapping_add(c as u64).wrapping_add(s);
-                }
-            }
-            (t0.elapsed().as_secs_f64(), latencies, checksum)
+            let mut cc =
+                ChunkedCracker::new(column, threads, ParallelStrategy::Stochastic, config, seed);
+            let build = b0.elapsed().as_secs_f64();
+            (build, run_batches(queries, batch, |chunk| cc.execute(chunk)))
         }
         "piecelock" => {
-            let plc = Arc::new(PieceLockedCracker::new(
-                data.to_vec(),
-                ParallelStrategy::Stochastic,
-                config,
-                seed,
-            ));
-            run_query_threads(threads, queries, move |q| plc.select_aggregate(q))
+            let plc =
+                Arc::new(PieceLockedCracker::new(column, ParallelStrategy::Stochastic, config, seed));
+            let build = b0.elapsed().as_secs_f64();
+            (build, run_query_threads(threads, queries, move |q| plc.select_aggregate(q)))
         }
         "shared" => {
-            let sc = Arc::new(SharedCracker::new(
-                data.to_vec(),
-                ParallelStrategy::Stochastic,
-                config,
-                seed,
-            ));
-            run_query_threads(threads, queries, move |q| sc.select_aggregate(q))
+            let sc = Arc::new(SharedCracker::new(column, ParallelStrategy::Stochastic, config, seed));
+            let build = b0.elapsed().as_secs_f64();
+            (build, run_query_threads(threads, queries, move |q| sc.select_aggregate(q)))
         }
         other => panic!("unknown strategy {other}"),
+    };
+    (build, wall, latencies, checksum)
+}
+
+/// Drives `execute` over `queries` in `batch`-sized calls on the calling
+/// thread, timing each call.
+fn run_batches(
+    queries: &[QueryRange],
+    batch: usize,
+    mut execute: impl FnMut(&[QueryRange]) -> Vec<(usize, u64)>,
+) -> (f64, Vec<f64>, u64) {
+    let mut latencies = Vec::with_capacity(queries.len().div_ceil(batch));
+    let mut checksum = 0u64;
+    let t0 = Instant::now();
+    for chunk in queries.chunks(batch) {
+        let b0 = Instant::now();
+        let results = execute(chunk);
+        latencies.push(b0.elapsed().as_nanos() as f64);
+        for (c, s) in results {
+            checksum = checksum.wrapping_add(c as u64).wrapping_add(s);
+        }
     }
+    (t0.elapsed().as_secs_f64(), latencies, checksum)
 }
 
 /// Drives `select` from `threads` workers over a strided split of
@@ -273,8 +261,9 @@ impl ThroughputReport {
                 for &threads in &config.threads {
                     let mut qps_runs = Vec::with_capacity(config.samples);
                     let mut p99_runs = Vec::with_capacity(config.samples);
+                    let mut build_runs = Vec::with_capacity(config.samples);
                     for sample in 0..config.samples {
-                        let (wall, mut latencies, checksum) = run_once(
+                        let (build, wall, mut latencies, checksum) = run_once(
                             strategy,
                             threads,
                             &data,
@@ -293,6 +282,7 @@ impl ThroughputReport {
                         );
                         qps_runs.push(queries.len() as f64 / wall.max(1e-12));
                         p99_runs.push(percentile(&mut latencies, 99.0) / 1_000.0);
+                        build_runs.push(build * 1_000.0);
                     }
                     cells.push(ThroughputCell {
                         threads,
@@ -300,6 +290,7 @@ impl ThroughputReport {
                         workload,
                         qps_median: median(qps_runs),
                         p99_latency_us: median(p99_runs),
+                        build_ms: median(build_runs),
                         scaling_efficiency: None,
                     });
                 }
@@ -334,14 +325,15 @@ impl ThroughputReport {
     }
 
     /// Every threads/strategy/workload combination missing from the
-    /// report (empty = full coverage). The CI throughput-smoke step
-    /// gates on this.
+    /// report or carrying no usable `build_ms` (empty = full coverage).
+    /// The CI throughput-smoke step gates on this.
     pub fn missing_cells(&self) -> Vec<String> {
         let mut missing = Vec::new();
         for workload in WORKLOADS {
             for strategy in STRATEGIES {
                 for &threads in &self.config.threads {
-                    if self.cell(threads, strategy, workload).is_none() {
+                    let cell = self.cell(threads, strategy, workload);
+                    if !cell.is_some_and(|c| c.build_ms.is_finite() && c.build_ms >= 0.0) {
                         missing.push(format!("{workload}/{strategy}/t={threads}"));
                     }
                 }
@@ -374,6 +366,7 @@ impl ThroughputReport {
                 ("threads", Json::UInt(c.threads as u64)),
                 ("qps_median", Json::fixed(c.qps_median, 1)),
                 ("p99_latency_us", Json::fixed(c.p99_latency_us, 2)),
+                ("build_ms", Json::fixed(c.build_ms, 2)),
                 (
                     "scaling_efficiency",
                     Json::opt(c.scaling_efficiency.map(|e| Json::fixed(e, 3))),
@@ -387,16 +380,22 @@ impl ThroughputReport {
     pub fn render_table(&self) -> String {
         let mut s = String::new();
         s.push_str(
-            "| workload | strategy | threads | queries/sec | p99 latency (µs) | scaling eff. |\n",
+            "| workload | strategy | threads | queries/sec | p99 latency (µs) | build (ms) | scaling eff. |\n",
         );
-        s.push_str("|---|---|---|---|---|---|\n");
+        s.push_str("|---|---|---|---|---|---|---|\n");
         for c in &self.cells {
             let efficiency = c
                 .scaling_efficiency
                 .map_or_else(|| "—".to_string(), |e| format!("{e:.2}"));
             s.push_str(&format!(
-                "| {} | {} | {} | {:.0} | {:.1} | {} |\n",
-                c.workload, c.strategy, c.threads, c.qps_median, c.p99_latency_us, efficiency
+                "| {} | {} | {} | {:.0} | {:.1} | {:.1} | {} |\n",
+                c.workload,
+                c.strategy,
+                c.threads,
+                c.qps_median,
+                c.p99_latency_us,
+                c.build_ms,
+                efficiency
             ));
         }
         s
@@ -406,13 +405,13 @@ impl ThroughputReport {
 /// Thread counts [`verify_chunked_identity`] sweeps.
 pub const IDENTITY_SWEEP: [usize; 3] = [1, 2, 4];
 
-/// The determinism gate for the chunked strategy: for each thread count
+/// The determinism gate for the chunked strategy: for each chunk count
 /// in [`IDENTITY_SWEEP`], replays the random workload through a
 /// work-stealing [`ChunkedCracker`] and a serial twin (same chunk count,
-/// same seed, same merge point) batch by batch, asserting answers and
-/// [`Stats`](scrack_types::Stats) stay **bit-identical** across the
-/// partition-merge. Returns every divergence found (empty = pass); the
-/// CI `scrack_throughput --smoke --check` step gates on this.
+/// same seed) batch by batch, asserting answers and
+/// [`Stats`](scrack_types::Stats) stay **bit-identical**. Returns every
+/// divergence found (empty = pass); the CI `scrack_throughput --smoke
+/// --check` step gates on this.
 pub fn verify_chunked_identity(config: &ThroughputConfig) -> Vec<String> {
     let data = unique_permutation::<u64>(config.n, config.seed);
     let queries = WorkloadSpec::new(WorkloadKind::Random, config.n, config.queries, config.seed)
@@ -421,22 +420,16 @@ pub fn verify_chunked_identity(config: &ThroughputConfig) -> Vec<String> {
     let crack_config = CrackConfig::default().with_index(config.index);
     let mut failures = Vec::new();
     for threads in IDENTITY_SWEEP {
-        let mut par = ChunkedCracker::new(
-            data.clone(),
-            threads,
-            ParallelStrategy::Stochastic,
-            crack_config,
-            config.seed,
-        )
-        .with_merge_after(chunked_merge_after(queries.len()));
-        let mut ser = ChunkedCracker::new(
-            data.clone(),
-            threads,
-            ParallelStrategy::Stochastic,
-            crack_config,
-            config.seed,
-        )
-        .with_merge_after(chunked_merge_after(queries.len()));
+        let build = || {
+            ChunkedCracker::new(
+                data.clone(),
+                threads,
+                ParallelStrategy::Stochastic,
+                crack_config,
+                config.seed,
+            )
+        };
+        let (mut par, mut ser) = (build(), build());
         for (bi, chunk) in queries.chunks(config.batch).enumerate() {
             if par.execute(chunk) != ser.execute_serial(chunk) {
                 failures.push(format!("chunked t={threads} batch {bi}: answers diverged"));
@@ -444,9 +437,6 @@ pub fn verify_chunked_identity(config: &ThroughputConfig) -> Vec<String> {
         }
         if par.stats() != ser.stats() {
             failures.push(format!("chunked t={threads}: Stats diverged"));
-        }
-        if par.has_merged() != ser.has_merged() {
-            failures.push(format!("chunked t={threads}: merge points diverged"));
         }
     }
     failures
@@ -476,6 +466,7 @@ mod tests {
         for c in &r.cells {
             assert!(c.qps_median.is_finite() && c.qps_median > 0.0, "{c:?}");
             assert!(c.p99_latency_us.is_finite() && c.p99_latency_us >= 0.0, "{c:?}");
+            assert!(c.build_ms.is_finite() && c.build_ms >= 0.0, "{c:?}");
         }
     }
 
@@ -497,6 +488,7 @@ mod tests {
             "strategies",
             "workloads",
             "cells",
+            "build_ms",
             "scaling_efficiency",
         ] {
             assert!(json.contains(&format!("\"{key}\"")), "missing {key}");

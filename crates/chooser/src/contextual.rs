@@ -88,11 +88,6 @@ impl ContextualEpsGreedy {
         }
     }
 
-    /// Estimates for one bucket (reports and tests).
-    pub fn bucket_estimates(&self, bucket: usize) -> &[ArmEstimate] {
-        &self.tables[bucket]
-    }
-
     fn ensure_arms(&mut self, bucket: usize, arms: usize) {
         let table = &mut self.tables[bucket];
         if table.len() < arms {
@@ -229,7 +224,7 @@ mod tests {
         let arm = p.choose(&c2, 3, &mut rng);
         p.observe(arm, &c2, &c2, 100.0);
         assert_eq!(
-            p.bucket_estimates(ContextualEpsGreedy::bucket_of(&c2))
+            p.tables[ContextualEpsGreedy::bucket_of(&c2)]
                 .iter()
                 .map(|a| a.pulls)
                 .sum::<u64>(),

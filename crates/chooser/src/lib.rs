@@ -59,7 +59,6 @@ mod context;
 pub mod contextual;
 mod engine;
 pub mod policy;
-mod scheduler;
 mod self_driving;
 
 pub use config_space::{ConfigArm, ConfigSpace};
@@ -67,5 +66,4 @@ pub use context::QueryContext;
 pub use contextual::ContextualEpsGreedy;
 pub use engine::{ChooserEngine, PolicyKind, DEFAULT_MENU};
 pub use policy::ChoicePolicy;
-pub use scheduler::{scheduler_space, SelfDrivingScheduler};
 pub use self_driving::{switch_seed, SelfDrivingEngine, SwitchEvent};

@@ -69,11 +69,6 @@ impl<E: Element> SortEngine<E> {
             stats: Stats::new(),
         }
     }
-
-    /// Whether the one-off sort has happened yet.
-    pub fn is_sorted(&self) -> bool {
-        self.sorted
-    }
 }
 
 impl<E: Element> Engine<E> for SortEngine<E> {
@@ -135,10 +130,10 @@ mod tests {
         let data = keys(1000);
         let oracle = Oracle::new(&data);
         let mut eng = SortEngine::new(data);
-        assert!(!eng.is_sorted());
+        assert!(!eng.sorted);
         let q = QueryRange::new(100, 120);
         let out = eng.select(q);
-        assert!(eng.is_sorted());
+        assert!(eng.sorted);
         assert_eq!(out.keys_sorted(eng.data()), oracle.keys(q));
         let touched_after_first = eng.stats().touched;
         // Subsequent queries only binary-search: few touches.

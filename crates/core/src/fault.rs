@@ -279,11 +279,6 @@ impl FaultInjector {
         h >= self.plan.trigger && h - self.plan.trigger < self.plan.repeat
     }
 
-    /// Whether the firing window has been entered at least once.
-    pub fn has_fired(&self) -> bool {
-        self.plan.is_armed() && self.hits.load(Ordering::Relaxed) >= self.plan.trigger
-    }
-
     /// Site hits counted so far.
     pub fn hits(&self) -> u32 {
         self.hits.load(Ordering::Relaxed)
@@ -330,7 +325,6 @@ mod tests {
             assert!(!inj.poll(FaultKind::PanicInKernel));
             assert!(!inj.poll(FaultKind::QueueOverload));
         }
-        assert!(!inj.has_fired());
         assert_eq!(inj.hits(), 0, "disabled plans do not even count hits");
     }
 
@@ -341,7 +335,6 @@ mod tests {
         assert!(!inj.poll(FaultKind::PanicInKernel));
         assert!(inj.poll(FaultKind::PanicInKernel), "third hit fires");
         assert!(!inj.poll(FaultKind::PanicInKernel), "fires once by default");
-        assert!(inj.has_fired());
     }
 
     #[test]

@@ -4,16 +4,15 @@
 //! reorganizations have to be synchronized, possibly with proper fine
 //! grained locking"); Alvarez et al. (DaMoN 2014) show partition-parallel
 //! and batched execution are how adaptive indexes scale on multi-core.
-//! This experiment sweeps thread counts over two `scrack_parallel`
+//! This experiment sweeps thread counts over three `scrack_parallel`
 //! execution shapes on the robust stochastic engine:
 //!
 //! * `batch` — [`BatchScheduler`]: queries grouped by key region, run
 //!   partition-parallel over key-disjoint shards (`--batch` sets the
 //!   batch size, `--threads` the shard counts);
-//! * `chunked` — [`ChunkedCracker`]: parallel-chunked cracking over
-//!   private chunks that partition-merge into key-disjoint shards a
-//!   quarter of the way into the stream (Alvarez et al.'s adaptive
-//!   route to the same layout `batch` builds up front);
+//! * `chunked` — [`ChunkedCracker`]: parallel-chunked cracking, every
+//!   query fanned out over private chunks that crack with no
+//!   coordination (and no partitioning at construction);
 //! * `piecelock` — [`PieceLockedCracker`]: per-piece locks, one query
 //!   stream per thread.
 //!
@@ -49,8 +48,7 @@ fn run_batched(cfg: &ExpConfig, data: &[u64], queries: &[QueryRange], threads: u
     (queries.len() as f64 / t0.elapsed().as_secs_f64().max(1e-12), checksum)
 }
 
-/// Parallel-chunked run (chunks partition-merge a quarter of the way
-/// into the stream); returns (queries/sec, result checksum).
+/// Parallel-chunked run; returns (queries/sec, result checksum).
 fn run_chunked(cfg: &ExpConfig, data: &[u64], queries: &[QueryRange], threads: usize) -> (f64, u64) {
     let mut cc = ChunkedCracker::new(
         data.to_vec(),
@@ -58,8 +56,7 @@ fn run_chunked(cfg: &ExpConfig, data: &[u64], queries: &[QueryRange], threads: u
         ParallelStrategy::Stochastic,
         cfg.crack_config(),
         cfg.seed_for("ext-parallel-chunked"),
-    )
-    .with_merge_after((queries.len() / 4).max(1));
+    );
     let mut checksum = 0u64;
     let t0 = Instant::now();
     for chunk in queries.chunks(cfg.batch.max(1)) {

@@ -22,7 +22,7 @@ pub fn run(cfg: &ExpConfig) -> String {
     let queries = trace(cfg);
     let mut out = heading(
         cfg,
-        "Fig. 16 — SkyServer workload (synthetic trace, see DESIGN.md)",
+        "Fig. 16 — SkyServer workload (synthetic trace, see docs/ARCHITECTURE.md)",
         "Paper: Scrack answers all 160K queries in 25s; Crack needs >2000s; \
          full indexing 70s; plain scan >8000s. Check the ordering Scrack < \
          Sort << Crack << Scan and the ~2 orders of magnitude Crack/Scrack \

@@ -112,11 +112,6 @@ pub fn by_time(r: &RunResult) -> Vec<f64> {
     r.per_query_ns.iter().map(|ns| *ns as f64).collect()
 }
 
-/// The deterministic tuples-touched cost selector.
-pub fn by_touched(r: &RunResult) -> Vec<f64> {
-    r.per_query_touched.iter().map(|t| *t as f64).collect()
-}
-
 fn median(xs: &[f64]) -> f64 {
     assert!(!xs.is_empty());
     let mut v = xs.to_vec();
@@ -165,7 +160,7 @@ mod tests {
         let q = 20;
         let series: Vec<u64> = (0..q).map(|i| (100u64 >> i).max(1)).collect();
         let (scan, sort) = goalposts(q);
-        let m = analyze(&run("Crack", series), &scan, &sort, by_touched, 2.0, 3);
+        let m = analyze(&run("Crack", series), &scan, &sort, by_time, 2.0, 3);
         assert!((m.first_query_vs_scan - 1.0).abs() < 1e-9, "init ≈ scan");
         assert_eq!(m.convergence_query, Some(6), "100>>6 = 1 <= 2·1");
         // Query 0 ties with Scan (100 = 100); strictly below from query 1.
@@ -180,7 +175,7 @@ mod tests {
         let q = 50;
         let series = vec![100u64; q];
         let (scan, sort) = goalposts(q);
-        let m = analyze(&run("Stuck", series), &scan, &sort, by_touched, 2.0, 3);
+        let m = analyze(&run("Stuck", series), &scan, &sort, by_time, 2.0, 3);
         assert_eq!(m.convergence_query, None);
         assert_eq!(m.payoff_vs_scan, None, "never sustainedly below scan");
         assert_eq!(m.payoff_vs_sort, None, "sort overtakes at query 10");
@@ -194,7 +189,7 @@ mod tests {
         let mut series = vec![1u64; q];
         series[0] = 500;
         let (scan, sort) = goalposts(q);
-        let m = analyze(&run("Heavy", series), &scan, &sort, by_touched, 2.0, 3);
+        let m = analyze(&run("Heavy", series), &scan, &sort, by_time, 2.0, 3);
         assert!((m.first_query_vs_scan - 5.0).abs() < 1e-9);
         assert_eq!(m.convergence_query, Some(1));
         // Cumulative after q0: 500 vs scan 100 — pays off once the scan
@@ -212,7 +207,7 @@ mod tests {
         series[10] = 1;
         series[11] = 1;
         let (scan, sort) = goalposts(q);
-        let m = analyze(&run("Lucky", series), &scan, &sort, by_touched, 2.0, 3);
+        let m = analyze(&run("Lucky", series), &scan, &sort, by_time, 2.0, 3);
         assert_eq!(m.convergence_query, Some(9), "only the sustained tail counts");
     }
 
@@ -221,7 +216,7 @@ mod tests {
         let q = 5;
         let zero = run("Zero", vec![0; q]);
         let (scan, sort) = goalposts(q);
-        let m = analyze(&zero, &scan, &sort, by_touched, 1.0, 2);
+        let m = analyze(&zero, &scan, &sort, by_time, 1.0, 2);
         assert_eq!(m.first_query_vs_scan, 0.0);
         assert!(m.total_vs_sort < 1.0);
     }
@@ -230,7 +225,7 @@ mod tests {
     #[should_panic(expected = "aligned")]
     fn misaligned_series_rejected() {
         let (scan, sort) = goalposts(5);
-        analyze(&run("Bad", vec![1; 4]), &scan, &sort, by_touched, 2.0, 2);
+        analyze(&run("Bad", vec![1; 4]), &scan, &sort, by_time, 2.0, 2);
     }
 
     mod prop_based {
@@ -286,7 +281,7 @@ mod tests {
                 let engine = run("E", e.clone());
                 let scan = run("Scan", scan_series.clone());
                 let sort = run("Sort", sort_series.clone());
-                let m = analyze(&engine, &scan, &sort, by_touched, alpha, window);
+                let m = analyze(&engine, &scan, &sort, by_time, alpha, window);
                 let (conv, payoff) = brute(&e, &scan_series, &sort_series, alpha, window);
                 prop_assert_eq!(m.convergence_query, conv);
                 prop_assert_eq!(m.payoff_vs_scan, payoff);

@@ -105,11 +105,6 @@ impl<E: Element> HybridEngine<E> {
         }
     }
 
-    /// Number of initial partitions (0 before the first query).
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
     /// Key ranges migrated into the final store so far.
     pub fn merged_ranges(&self) -> &IntervalSet {
         &self.merged
@@ -274,7 +269,7 @@ mod tests {
                     kind.label()
                 );
             }
-            assert!(eng.partition_count() > 1, "config must force >1 partition");
+            assert!(eng.partitions.len() > 1, "config must force >1 partition");
         }
     }
 

@@ -331,15 +331,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
     // valid across later cracks)
     // ------------------------------------------------------------------
 
-    /// Key of the crack behind `id`.
-    #[inline]
-    pub fn crack_key(&self, id: NodeId) -> u64 {
-        match &self.repr {
-            Repr::Avl(t) => t.key(id),
-            Repr::Flat(f) => f.key(id),
-        }
-    }
-
     /// Metadata of the crack behind `id` (i.e. of its right-hand piece).
     #[inline]
     pub fn crack_meta(&self, id: NodeId) -> &M {
@@ -747,7 +738,7 @@ mod tests {
             for (k, p) in [(100u64, 90usize), (900, 910), (300, 280), (700, 690)] {
                 idx.add_crack(k, p);
             }
-            assert_eq!(idx.crack_key(id), 500, "{policy}");
+            assert_eq!(idx.cursor_key(idx.cursor_at(id)), 500, "{policy}");
             assert_eq!(idx.cursor_pos(idx.cursor_at(id)), 480, "{policy}");
             assert_eq!(idx.crack_meta(id).count, 3, "{policy}");
         }
@@ -816,8 +807,9 @@ mod tests {
             assert_eq!(seen, vec![10, 30, 60], "{policy}");
             let shifted: Vec<(u64, usize)> = idx.iter_cracks().map(|(k, p, _)| (k, p)).collect();
             assert_eq!(shifted, vec![(10, 9), (30, 29), (60, 59)], "{policy}");
-            assert_eq!(idx.min_crack().map(|id| idx.crack_key(id)), Some(10));
-            assert_eq!(idx.crack_at_or_before(30).map(|id| idx.crack_key(id)), Some(30));
+            let key_of = |id| idx.cursor_key(idx.cursor_at(id));
+            assert_eq!(idx.min_crack().map(key_of), Some(10));
+            assert_eq!(idx.crack_at_or_before(30).map(key_of), Some(30));
         }
     }
 

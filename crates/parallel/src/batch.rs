@@ -234,13 +234,7 @@ impl<E: Element> BatchScheduler<E> {
         seed: u64,
     ) -> Self {
         let parts = shard::key_disjoint_partitions(data, shard_count, config.kernel);
-        Self::from_shards(shard::build_shards(parts, strategy, config, seed))
-    }
-
-    /// A scheduler over already-built shards forming a shard map (the
-    /// [`ChunkedCracker`](crate::ChunkedCracker) partition-merge hands
-    /// its merged shards over this way).
-    pub(crate) fn from_shards(shards: Vec<Shard<E>>) -> Self {
+        let shards = shard::build_shards(parts, strategy, config, seed);
         Self {
             spans: shards.iter().map(|s| s.span).collect(),
             queues: vec![Vec::new(); shards.len()],
@@ -385,37 +379,6 @@ impl<E: Element> BatchScheduler<E> {
             s += shard.engine.stats();
         }
         s
-    }
-
-    /// Switches the scheduler's live configuration online: the serving
-    /// strategy changes immediately and every shard's column is rebuilt
-    /// from its current physical data under `config` — the per-shard
-    /// analogue of [`scrack_core::CrackedColumn::quarantine_rebuild`], except the new
-    /// config takes effect. Pending updates flush into the data first so
-    /// the tuple multiset (and therefore every later answer) transfers
-    /// exactly; earned cracks are discarded; shard key spans are
-    /// unchanged.
-    ///
-    /// Per-shard RNG streams and fault scoping re-derive from `seed` and
-    /// `config` exactly as at construction, shard health resets to
-    /// healthy, and the remembered rebuild bounds clear. Each shard's
-    /// [`Stats`] restart at zero; the counters accumulated so far are
-    /// returned so callers tracking cumulative cost across
-    /// reconfigurations (the self-driving layer) can retire them.
-    pub fn reconfigure(
-        &mut self,
-        strategy: ParallelStrategy,
-        config: CrackConfig,
-        seed: u64,
-    ) -> Stats {
-        let mut retired = Stats::new();
-        for (i, (shard, pending)) in self.cells.iter_mut().enumerate() {
-            pending.merge_all(shard.engine.cracked_mut());
-            retired += shard.engine.stats();
-            let data = std::mem::take(shard.engine.cracked_mut().parts_mut().0);
-            *shard = Shard::build(shard.span, data, strategy, config, seed, i);
-        }
-        retired
     }
 
     /// Executes `batch` under the fault-hardened serving path: bounded
@@ -644,13 +607,10 @@ impl<E: Element> BatchScheduler<E> {
         report
     }
 
-    /// Force-quarantines shard `si` (operator kill switch / tests): its
-    /// index is discarded and it serves scans until the rebuild at the
-    /// end of the next resilient batch.
-    ///
-    /// # Panics
-    /// If `si` is out of range.
-    pub fn quarantine_shard(&mut self, si: usize) {
+    /// Force-quarantines shard `si`: its index is discarded and it serves
+    /// scans until the rebuild at the end of the next resilient batch.
+    #[cfg(test)]
+    pub(crate) fn quarantine_shard(&mut self, si: usize) {
         quarantine(&mut self.cells[si], 0);
         self.resilience.quarantines += 1;
     }

@@ -18,15 +18,12 @@
 //!   Batches may interleave update ops ([`BatchOp`]): inserts/deletes
 //!   key-route to their owning shard and merge on demand through
 //!   `scrack_updates`' pending queues.
-//! * [`ChunkedCracker`] — parallel-chunked cracking with refined
-//!   partition-merge: each worker cracks a private contiguous chunk (a
-//!   [`Shard`] spanning the whole key domain — no coordination at all
-//!   while cracking), every query fans out over all chunks, and once
-//!   query volume accumulates the chunks partition-merge into
-//!   key-disjoint shards behind a [`BatchScheduler`], carrying the crack
-//!   structure already earned. With the merge disabled
-//!   (`with_merge_after(usize::MAX)`) it is plain intra-query
-//!   parallelism.
+//! * [`ChunkedCracker`] — parallel-chunked cracking: each worker cracks
+//!   a private contiguous chunk (a [`Shard`] spanning the whole key
+//!   domain — no coordination at all while cracking, no partitioning at
+//!   construction) and every query fans out over all chunks: plain
+//!   intra-query parallelism, the fastest way from a raw column to its
+//!   first few thousand answers.
 //!
 //! **One shared column** — synchronize the reorganizations instead.
 //!

@@ -243,11 +243,6 @@ impl LockManager {
         self.table().entries.len()
     }
 
-    /// Entries (granted or queued) belonging to `owner`.
-    pub fn held_by(&self, owner: u64) -> usize {
-        self.table().entries.iter().filter(|e| e.owner == owner).count()
-    }
-
     /// Snapshot of the grant/wait/timeout counters.
     pub fn stats(&self) -> LockStats {
         self.table().stats

@@ -5,7 +5,7 @@
 //! parallel-chunked cracking — reduce to the same object: an independent
 //! cracker over a key span. [`Shard`] is that object;
 //! [`BatchScheduler`](crate::BatchScheduler),
-//! [`ChunkedCracker`](crate::ChunkedCracker) (both phases) and the
+//! [`ChunkedCracker`](crate::ChunkedCracker) and the
 //! `scrack_txn` session layer all serve from it, each keeping its write
 //! buffer (`PendingUpdates` / `EpochLog`) beside the shard.
 //!
@@ -146,7 +146,7 @@ impl<E: Element> Shard<E> {
 /// is reordered). Heavily duplicated keys can collapse adjacent
 /// quantiles; equal bounds merge, so fewer than `shard_count - 1` may
 /// come back — key-disjointness is never violated.
-pub(crate) fn quantile_bounds<E: Element>(scratch: &mut [E], shard_count: usize) -> Vec<u64> {
+fn quantile_bounds<E: Element>(scratch: &mut [E], shard_count: usize) -> Vec<u64> {
     let n = scratch.len();
     let mut scratch_stats = Stats::default();
     let mut bounds: Vec<u64> = (1..shard_count)
@@ -161,7 +161,7 @@ pub(crate) fn quantile_bounds<E: Element>(scratch: &mut [E], shard_count: usize)
 
 /// The shard map over `bounds`: contiguous spans `[0, b0), [b0, b1), …,
 /// [b_last, u64::MAX)`.
-pub(crate) fn chain_spans(bounds: &[u64]) -> Vec<QueryRange> {
+fn chain_spans(bounds: &[u64]) -> Vec<QueryRange> {
     let lows = std::iter::once(0).chain(bounds.iter().copied());
     let highs = bounds.iter().copied().chain(std::iter::once(u64::MAX));
     lows.zip(highs).map(|(lo, hi)| QueryRange::new(lo, hi)).collect()

@@ -349,12 +349,6 @@ impl<E: Element> SharedCracker<E> {
         self.inner.read().engine.cracked().index().crack_count()
     }
 
-    /// Number of cracks in the published epoch (grows in publication
-    /// steps, trailing [`SharedCracker::crack_count`]).
-    pub fn published_crack_count(&self) -> usize {
-        self.published.read().crack_keys.len()
-    }
-
     /// Full integrity check (tests only; takes the read lock, O(n)):
     /// validates the live column *and* the published epoch (crack
     /// directory sorted and monotone, every frozen element inside its
@@ -566,7 +560,7 @@ mod tests {
             assert_eq!(sc.select_aggregate(q), oracle(&data, q));
         }
         let live = sc.crack_count();
-        let published = sc.published_crack_count();
+        let published = sc.published.read().crack_keys.len();
         assert!(live > 0 && published > 0);
         assert!(published <= live, "published epoch can only trail the live index");
         // The geometric schedule keeps the lag within one 12.5% step.
@@ -652,7 +646,7 @@ mod tests {
         // Recovery re-published a clean epoch and cracking resumed: the
         // live index regrew past the rebuild.
         assert!(sc.crack_count() > 0, "post-recovery queries crack again");
-        assert!(sc.published_crack_count() <= sc.crack_count());
+        assert!(sc.published.read().crack_keys.len() <= sc.crack_count());
     }
 
     #[test]

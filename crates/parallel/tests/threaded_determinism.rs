@@ -12,18 +12,16 @@
 //!    queues) vs `execute_serial` — per-shard queues are drained in a
 //!    fixed order with per-shard RNG streams, so scheduling cannot
 //!    matter.
-//! 2. Intra-query fan-out over row-partitioned chunks: covered by
-//!    pillar 4's chunk phase (the split and the `seed + i` streams
-//!    themselves are pinned by `tests/golden.rs`).
+//! 2. Intra-query fan-out over row-partitioned chunks: pillar 4 (the
+//!    split and the `seed + i` streams themselves are pinned by
+//!    `tests/golden.rs`).
 //! 3. [`PieceLockedCracker`]: threads confined to key-disjoint regions
 //!    (after a deterministic boundary warmup) vs a serial replay of the
 //!    same regions — piece locks partition the work, so per-region cost
 //!    is interleaving-invariant.
 //! 4. [`ChunkedCracker`]: `execute` (work-stealing workers over private
-//!    chunks, then merged shards) vs `execute_serial`, with the
-//!    partition-merge firing mid-stream on both paths — per-chunk RNG
-//!    streams and a query-count merge trigger keep the whole lifecycle
-//!    scheduling-invariant.
+//!    chunks) vs `execute_serial` at 1 / 2 / 4 chunks — per-chunk RNG
+//!    streams keep the fan-out scheduling-invariant.
 //!
 //! Plus a liveness/atomicity stress for [`SharedCracker`]'s epoch read
 //! path: readers on published ranges run concurrently with a cracking
@@ -232,40 +230,40 @@ fn batch_scheduler_stats_are_index_policy_invariant() {
 
 #[test]
 fn chunked_cracker_threads_match_serial_replay_bitwise() {
-    // The fourth pillar: parallel-chunked cracking must be
-    // scheduling-invariant through its whole lifecycle — chunk phase,
-    // the partition-merge (fires mid-stream at a fixed query count on
-    // both paths), and the merged shard phase.
+    // The fourth pillar: every query fans out over private chunks, one
+    // task per chunk, at 1 / 2 / 4 chunks (= intended workers); per-chunk
+    // RNG streams keep the work scheduling-invariant.
     let n = 30_000u64;
     let data = column(n);
     for kernel in POLICIES {
         for index in IndexPolicy::ALL {
             for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
-                let config = CrackConfig::default().with_kernel(kernel).with_index(index);
-                let mut threaded = ChunkedCracker::new(data.clone(), 4, strategy, config, SEED)
-                    .with_merge_after(150);
-                let mut serial = ChunkedCracker::new(data.clone(), 4, strategy, config, SEED)
-                    .with_merge_after(150);
-                for round in 0..5u64 {
-                    let batch = mixed_batch(0, n, 80, round);
-                    let got = threaded.execute(&batch);
-                    assert_eq!(
-                        got,
-                        serial.execute_serial(&batch),
-                        "{kernel:?}/{index}/{strategy:?} round {round}: answers diverged"
-                    );
-                    for (qi, q) in batch.iter().enumerate() {
-                        assert_eq!(got[qi], oracle(&data, *q), "round {round} query {qi}");
+                for chunks in [1, 2, 4] {
+                    let config = CrackConfig::default().with_kernel(kernel).with_index(index);
+                    let label = format!("{kernel:?}/{index}/{strategy:?}/{chunks} chunks");
+                    let mut threaded =
+                        ChunkedCracker::new(data.clone(), chunks, strategy, config, SEED);
+                    let mut serial =
+                        ChunkedCracker::new(data.clone(), chunks, strategy, config, SEED);
+                    for round in 0..5u64 {
+                        let batch = mixed_batch(0, n, 80, round);
+                        let got = threaded.execute(&batch);
+                        assert_eq!(
+                            got,
+                            serial.execute_serial(&batch),
+                            "{label} round {round}: answers diverged"
+                        );
+                        for (qi, q) in batch.iter().enumerate() {
+                            assert_eq!(got[qi], oracle(&data, *q), "round {round} query {qi}");
+                        }
                     }
+                    assert_eq!(
+                        threaded.stats(),
+                        serial.stats(),
+                        "{label}: Stats must be bit-identical"
+                    );
+                    threaded.check_integrity().unwrap();
                 }
-                assert!(threaded.has_merged(), "merge must fire mid-stream");
-                assert_eq!(threaded.has_merged(), serial.has_merged());
-                assert_eq!(
-                    threaded.stats(),
-                    serial.stats(),
-                    "{kernel:?}/{index}/{strategy:?}: Stats must be bit-identical"
-                );
-                threaded.check_integrity().unwrap();
             }
         }
     }

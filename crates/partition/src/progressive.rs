@@ -33,12 +33,6 @@ impl PartitionJob {
             r: end,
         }
     }
-
-    /// Whether no unprocessed middle remains.
-    #[inline]
-    pub fn is_done(&self) -> bool {
-        self.l >= self.r
-    }
 }
 
 /// Outcome of [`advance_job`].

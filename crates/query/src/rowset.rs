@@ -24,15 +24,6 @@ impl RowIdSet {
         Self { rows }
     }
 
-    /// Builds from a list the caller guarantees is sorted and unique.
-    ///
-    /// # Panics
-    /// In debug builds, if the guarantee is violated.
-    pub fn from_sorted(rows: Vec<u32>) -> Self {
-        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "not sorted/unique");
-        Self { rows }
-    }
-
     /// Number of rowids.
     pub fn len(&self) -> usize {
         self.rows.len()

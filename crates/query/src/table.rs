@@ -158,17 +158,6 @@ impl CrackedTable {
         RowIdSet::intersect_all(sets)
     }
 
-    /// Answers a disjunction of predicates (`OR`): each predicate cracks
-    /// its column, and the rowid sets are unioned.
-    ///
-    /// An empty predicate list selects no rows (the identity of `OR`).
-    pub fn query_any(&mut self, preds: &[Predicate]) -> RowIdSet {
-        preds
-            .iter()
-            .map(|p| self.select_rows(p))
-            .fold(RowIdSet::empty(), |acc, s| acc.union(&s))
-    }
-
     /// Disjunctive normal form: `OR` over groups, `AND` within a group —
     /// enough structure for the exploratory multi-range queries the
     /// paper's intro motivates (e.g. several sky regions at once).
@@ -184,16 +173,6 @@ impl CrackedTable {
     pub fn project(&self, rows: &RowIdSet, column: &str) -> Vec<u64> {
         let col = self.column(column);
         rows.iter().map(|r| col.base[r as usize]).collect()
-    }
-
-    /// Convenience select-project: qualifying rows' values for several
-    /// columns, column-major.
-    pub fn query_project(&mut self, preds: &[Predicate], projections: &[&str]) -> Vec<Vec<u64>> {
-        let rows = self.query(preds);
-        projections
-            .iter()
-            .map(|name| self.project(&rows, name))
-            .collect()
     }
 
     /// Aggregated physical-cost counters over all column engines.
@@ -312,25 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn disjunction_matches_naive_oracle() {
-        let mut t = table();
-        let rows = t.query_any(&[
-            Predicate::below("a", 50),
-            Predicate::at_least("a", 950),
-            Predicate::eq("c", 7),
-        ]);
-        let expect: Vec<u32> = (0..1000u32)
-            .filter(|&r| {
-                let a = r as u64;
-                let c = r as u64 % 10;
-                !(50..950).contains(&a) || c == 7
-            })
-            .collect();
-        assert_eq!(rows.as_slice(), expect.as_slice());
-        assert!(t.query_any(&[]).is_empty(), "empty OR selects nothing");
-    }
-
-    #[test]
     fn dnf_combines_and_within_or_across() {
         let mut t = table();
         // (a < 100 AND c == 3) OR (a >= 900 AND c == 7)
@@ -346,14 +306,5 @@ mod tests {
             })
             .collect();
         assert_eq!(rows.as_slice(), expect.as_slice());
-    }
-
-    #[test]
-    fn query_project_shapes() {
-        let mut t = table();
-        let cols = t.query_project(&[Predicate::range("a", 10, 20)], &["b", "c"]);
-        assert_eq!(cols.len(), 2);
-        assert_eq!(cols[0].len(), 10);
-        assert_eq!(cols[1], (10..20).map(|i| i % 10).collect::<Vec<u64>>());
     }
 }

@@ -21,24 +21,6 @@ impl QueryRange {
         Self { low, high }
     }
 
-    /// Normalizes the paper's `low < A < high` (both exclusive) form.
-    #[inline]
-    pub fn open_open(low: u64, high: u64) -> Self {
-        Self::new(low.saturating_add(1), high)
-    }
-
-    /// Normalizes the paper's `low < A <= high` form.
-    #[inline]
-    pub fn open_closed(low: u64, high: u64) -> Self {
-        Self::new(low.saturating_add(1), high.saturating_add(1))
-    }
-
-    /// Normalizes the `low <= A <= high` (both inclusive) form.
-    #[inline]
-    pub fn closed_closed(low: u64, high: u64) -> Self {
-        Self::new(low, high.saturating_add(1))
-    }
-
     /// Whether the range selects no keys.
     #[inline]
     pub fn is_empty(&self) -> bool {
@@ -85,13 +67,6 @@ mod tests {
     }
 
     #[test]
-    fn normalized_forms() {
-        assert_eq!(QueryRange::open_open(10, 14), QueryRange::new(11, 14));
-        assert_eq!(QueryRange::open_closed(7, 16), QueryRange::new(8, 17));
-        assert_eq!(QueryRange::closed_closed(7, 16), QueryRange::new(7, 17));
-    }
-
-    #[test]
     fn empty_and_width() {
         assert!(QueryRange::new(5, 5).is_empty());
         assert!(QueryRange::new(6, 5).is_empty());
@@ -106,11 +81,5 @@ mod tests {
         assert_eq!(a.intersect(&b), QueryRange::new(5, 10));
         let c = QueryRange::new(12, 15);
         assert!(a.intersect(&c).is_empty());
-    }
-
-    #[test]
-    fn open_open_saturates_at_max() {
-        let q = QueryRange::open_open(u64::MAX, u64::MAX);
-        assert!(q.is_empty());
     }
 }

@@ -102,26 +102,6 @@ impl<E: Element> EpochLog<E> {
         self.merged_through
     }
 
-    /// Entries still in the log (not yet merged).
-    pub fn unmerged_len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Net live instances of `key` contributed by logged (unmerged) ops
-    /// up to and including `through_epoch` — the commit-time input for
-    /// resolving a new delete's fate on top of the physical count.
-    pub fn net_count(&self, key: u64, through_epoch: u64) -> i64 {
-        self.entries
-            .iter()
-            .take_while(|(ep, _)| *ep <= through_epoch)
-            .map(|(_, op)| match op {
-                LoggedOp::Insert(e) if e.key() == key => 1,
-                LoggedOp::Delete { key: k, hits: true } if *k == key => -1,
-                _ => 0,
-            })
-            .sum()
-    }
-
     /// Whether any logged op with epoch strictly after `snapshot`
     /// touches a key accepted by `in_write_set` — the first-committer-
     /// wins validation a committing transaction runs against each shard
@@ -245,7 +225,7 @@ mod tests {
         let merged = log.merge_through(&mut col, 2);
         assert_eq!(merged, 3, "two inserts + one hitting delete");
         assert_eq!(log.merged_through(), 2);
-        assert_eq!(log.unmerged_len(), 1);
+        assert_eq!(log.entries.len(), 1);
         col.check_integrity().unwrap();
         assert_eq!(snapshot(&col, &log, q, 2), at2, "snapshot 2 unchanged by merge");
         assert_eq!(snapshot(&col, &log, q, 3), at3, "snapshot 3 unchanged by merge");
@@ -261,18 +241,6 @@ mod tests {
         assert_eq!(snapshot(&col, &log, q, 1), before);
         assert_eq!(log.merge_through(&mut col, 1), 0, "nothing to ripple");
         assert_eq!(col.data().len(), 100);
-    }
-
-    #[test]
-    fn net_count_tracks_per_key_liveness() {
-        let mut log = EpochLog::<u64>::new();
-        log.append(1, [LoggedOp::Insert(7u64), LoggedOp::Insert(7u64)]);
-        log.append(2, [LoggedOp::Delete { key: 7, hits: true }]);
-        log.append(3, [LoggedOp::Delete { key: 7, hits: false }]);
-        assert_eq!(log.net_count(7, 1), 2);
-        assert_eq!(log.net_count(7, 2), 1);
-        assert_eq!(log.net_count(7, 3), 1, "evaporated delete contributes 0");
-        assert_eq!(log.net_count(8, 3), 0);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! suite the robustness evaluation runs on; [`WorkloadKind`] and
 //! [`WorkloadSpec`] reproduce every pattern (plus the `Mixed` rotation of
 //! §5). [`skyserver_trace`] generates a synthetic stand-in for the
-//! SkyServer query log of Fig. 16 (see DESIGN.md for the substitution
-//! rationale), and [`data`] provides the column contents: the paper's
+//! SkyServer query log of Fig. 16 (see docs/ARCHITECTURE.md, "Paper
+//! section → module map", for the substitution rationale), and [`data`] provides the column contents: the paper's
 //! "N unique integers in range \[0, N)" as a seeded random permutation.
 
 #![forbid(unsafe_code)]

@@ -93,16 +93,6 @@ impl PhasedWorkload {
         &self.phases
     }
 
-    /// Total queries across all phases.
-    pub fn query_count(&self) -> usize {
-        self.phases.iter().map(|p| p.read.queries).sum()
-    }
-
-    /// Total updates across all phases.
-    pub fn update_count(&self) -> usize {
-        self.phases.iter().map(|p| p.total_updates()).sum()
-    }
-
     /// Cumulative query counts at which each phase ends — the regret
     /// curves and phase-aware assertions anchor on these.
     pub fn boundaries(&self) -> Vec<usize> {
@@ -162,10 +152,10 @@ mod tests {
     #[test]
     fn flip_counts_and_boundary() {
         let w = PhasedWorkload::flip(N, Q, 7);
-        assert_eq!(w.query_count(), Q);
-        assert_eq!(w.update_count(), 0);
         assert_eq!(w.boundaries(), vec![Q / 2, Q]);
-        let qs = queries_of(&w.generate());
+        let ops = w.generate();
+        assert_eq!(ops.len(), Q, "read-only: every op is a query");
+        let qs = queries_of(&ops);
         assert_eq!(qs.len(), Q);
         // Region sanity: the second half is the sequential walk — low
         // bounds non-decreasing, covering the domain.
@@ -203,8 +193,6 @@ mod tests {
     fn update_burst_onset_is_read_only_then_bursty() {
         let w = PhasedWorkload::update_burst(WorkloadKind::Random, N, Q, 13);
         let ops = w.generate();
-        assert_eq!(w.query_count(), Q);
-        assert_eq!(w.update_count(), Q); // rate 2.0 over the second half
         // Locate the phase boundary: count queries.
         let mut seen_queries = 0usize;
         let mut first_update_at = None;
@@ -220,11 +208,12 @@ mod tests {
         }
         let at = first_update_at.expect("phase 2 carries updates");
         assert!(at >= Q / 2, "no updates before the onset (first at {at})");
+        assert_eq!(seen_queries, Q);
         // Both inserts and deletes appear at 0.7 insert fraction.
         let inserts = ops.iter().filter(|o| matches!(o, MixedOp::Insert(_))).count();
         let deletes = ops.iter().filter(|o| matches!(o, MixedOp::Delete(_))).count();
         assert!(inserts > 0 && deletes > 0);
-        assert_eq!(inserts + deletes, Q);
+        assert_eq!(inserts + deletes, Q); // rate 2.0 over the second half
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! Because the robustness pathology depends only on this access shape —
 //! focused phases leave large unindexed areas that later phases crash
 //! into — who wins (Scrack vs Crack), and by how much, is preserved; see
-//! DESIGN.md's substitution table.
+//! the paper-to-code table in docs/ARCHITECTURE.md.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -4,8 +4,8 @@
 //! attribute value domain `[0, N)`. The formulas follow Fig. 7 verbatim
 //! where the paper fixes them, with the jump factors (`J`) and initial
 //! widths (`W`) derived from `N` and `Q` so every pattern stays within the
-//! domain at any scale (the concrete choices are documented per variant
-//! and in DESIGN.md §4).
+//! domain at any scale (the concrete choices are documented per variant;
+//! docs/ARCHITECTURE.md maps each paper section to its module).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

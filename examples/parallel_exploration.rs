@@ -2,9 +2,8 @@
 //!
 //! Three concurrency shapes over the same data:
 //!
-//! 1. chunked cracking with its partition-merge disabled — one query
-//!    fans out over independently cracked chunks (intra-query
-//!    parallelism);
+//! 1. chunked cracking — one query fans out over independently cracked
+//!    chunks (intra-query parallelism);
 //! 2. a shared cracker — eight threads fire their own query streams at
 //!    one locked column; repeated ranges take a read-only fast path
 //!    because cracking is self-stabilizing;
@@ -22,8 +21,8 @@ fn main() {
     let n: u64 = 4_000_000;
     let data: Vec<u64> = unique_permutation(n, 17);
 
-    // --- Intra-query parallelism: the chunk phase, never merged ----
-    println!("Chunked cracking, merge disabled ({} tuples):", n);
+    // --- Intra-query parallelism: every chunk answers every query ---
+    println!("Chunked cracking ({} tuples):", n);
     for chunks in [1usize, 2, 4, 8] {
         let mut sc = ChunkedCracker::new(
             data.clone(),
@@ -31,8 +30,7 @@ fn main() {
             ParallelStrategy::Stochastic,
             CrackConfig::default(),
             17,
-        )
-        .with_merge_after(usize::MAX);
+        );
         let t0 = Instant::now();
         let mut total = 0usize;
         for i in 0..200u64 {

@@ -167,11 +167,10 @@ pub mod updates {
 /// }
 /// ```
 ///
-/// [`ChunkedCracker`] — parallel-chunked cracking: every query fans out
-/// over private chunks cracked with zero coordination, which
-/// partition-merge into key-disjoint shards (the [`BatchScheduler`]
-/// layout) once query volume accumulates; `with_merge_after(usize::MAX)`
-/// keeps the intra-query fan-out forever:
+/// [`ChunkedCracker`] — parallel-chunked cracking: the column is split
+/// into private chunks with no partitioning at all, every query fans
+/// out over every chunk, and chunks crack with zero coordination — the
+/// shortest path from a raw column to its first answers:
 ///
 /// ```
 /// use stochastic_cracking::prelude::*;
@@ -180,15 +179,12 @@ pub mod updates {
 /// let oracle = Oracle::new(&data);
 /// let mut cc = ChunkedCracker::new(
 ///     data, 4, ParallelStrategy::Stochastic, CrackConfig::default(), 3,
-/// )
-/// .with_merge_after(8); // partition-merge early for the demo
+/// );
 /// let batch: Vec<QueryRange> = (0..16u64).map(|i| QueryRange::new(i * 120, i * 120 + 60)).collect();
-/// for half in batch.chunks(8) {
-///     for (q, got) in half.iter().zip(cc.execute(half)) {
-///         assert_eq!(got, (oracle.count(*q), oracle.checksum(*q)));
-///     }
+/// for (q, got) in batch.iter().zip(cc.execute(&batch)) {
+///     assert_eq!(got, (oracle.count(*q), oracle.checksum(*q)));
 /// }
-/// assert!(cc.has_merged()); // the second batch dispatched post-merge
+/// assert_eq!(cc.stats().queries, 4 * 16); // every chunk saw every query
 /// ```
 ///
 /// **Fault-hardened serving** — [`BatchScheduler::execute_resilient`]
@@ -279,8 +275,7 @@ pub mod txn {
 /// The working vocabulary: everything the examples and most users need.
 pub mod prelude {
     pub use scrack_chooser::{
-        scheduler_space, ChooserEngine, ConfigArm, ConfigSpace, PolicyKind, SelfDrivingEngine,
-        SelfDrivingScheduler,
+        ChooserEngine, ConfigArm, ConfigSpace, PolicyKind, SelfDrivingEngine,
     };
     pub use scrack_columnstore::{Column, QueryOutput, Table};
     pub use scrack_core::{

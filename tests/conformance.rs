@@ -3,8 +3,9 @@
 //! One table instead of a test per engine struct or per wrapper: every
 //! update-capable [`EngineKind`] × {bare [`CrackerEngine`],
 //! [`Updatable`]}, then the shard-backed serving shapes
-//! ([`BatchScheduler`] at 1 and 4 shards, [`ChunkedCracker`] across its
-//! merge, [`TxnManager`] sessions) × every
+//! ([`BatchScheduler`] at 1 and 4 shards, [`TxnManager`] sessions) and
+//! the read-only wrappers ([`ChunkedCracker`], [`SharedCracker`],
+//! [`PieceLockedCracker`]) × every
 //! [`IndexPolicy`], on the degenerate columns (empty, single element,
 //! all-duplicate keys, a column holding the unselectable key `u64::MAX`)
 //! against the degenerate ranges (zero-width, inverted, full-domain,
@@ -90,15 +91,22 @@ fn bare_engine_answers_every_edge_range_on_every_edge_column() {
 }
 
 /// One row of the serving table: a shape that answers selects and, where
-/// it takes writes, single-key updates.
+/// it takes writes, single-key updates (the defaults are a read-only
+/// shape's).
 trait Served {
     fn select(&mut self, q: QueryRange) -> (usize, u64);
     /// Whether the shape took the write (`false`: read-only shape, or a
     /// key it reserves — the model then skips it too).
-    fn insert(&mut self, key: u64) -> bool;
-    fn delete(&mut self, key: u64) -> bool;
+    fn insert(&mut self, _key: u64) -> bool {
+        false
+    }
+    fn delete(&mut self, _key: u64) -> bool {
+        false
+    }
     /// Checkpoints every buffered write; returns what is still pending.
-    fn flush(&mut self) -> usize;
+    fn flush(&mut self) -> usize {
+        0
+    }
     fn integrity(&self) -> Result<(), String>;
     /// Physical tuple count, where the shape can tell.
     fn physical_len(&self) -> Option<usize> {
@@ -153,23 +161,34 @@ impl Served for BatchScheduler<u64> {
     }
 }
 
-/// Read-only; the table's 33 selects cross its partition-merge.
 impl Served for ChunkedCracker<u64> {
     fn select(&mut self, q: QueryRange) -> (usize, u64) {
         self.execute_serial(&[q])[0]
     }
-    fn insert(&mut self, _: u64) -> bool {
-        false
+    fn integrity(&self) -> Result<(), String> {
+        self.check_integrity()
     }
-    fn delete(&mut self, _: u64) -> bool {
-        false
-    }
-    fn flush(&mut self) -> usize {
-        assert!(self.has_merged(), "the table must run past the merge");
-        0
+}
+
+impl Served for SharedCracker<u64> {
+    fn select(&mut self, q: QueryRange) -> (usize, u64) {
+        self.select_aggregate(q)
     }
     fn integrity(&self) -> Result<(), String> {
         self.check_integrity()
+    }
+}
+
+/// `u64::MAX` is reserved as the open upper piece bound.
+impl Served for PieceLockedCracker<u64> {
+    fn select(&mut self, q: QueryRange) -> (usize, u64) {
+        self.select_aggregate(q)
+    }
+    fn integrity(&self) -> Result<(), String> {
+        self.check_integrity().map(drop)
+    }
+    fn physical_len(&self) -> Option<usize> {
+        self.check_integrity().ok()
     }
 }
 
@@ -209,7 +228,8 @@ impl Served for std::sync::Arc<TxnManager<u64>> {
 }
 
 /// The rows: `Updatable` over every update-capable kind, then the
-/// shard-backed shapes under both of their strategies.
+/// shard-backed shapes and the read-only wrappers under both of their
+/// strategies.
 fn shapes(column: &[u64], index: IndexPolicy) -> Vec<(String, Box<dyn Served>)> {
     let cfg = config(index);
     let mut rows: Vec<(String, Box<dyn Served>)> = update_capable_kinds()
@@ -224,13 +244,16 @@ fn shapes(column: &[u64], index: IndexPolicy) -> Vec<(String, Box<dyn Served>)> 
             let sched = BatchScheduler::new(column.to_vec(), shards, strategy, cfg, 11);
             rows.push((format!("BatchScheduler x{shards} {strategy:?}"), Box::new(sched)));
         }
-        let chunked =
-            ChunkedCracker::new(column.to_vec(), 3, strategy, cfg, 11).with_merge_after(RANGES.len());
+        let chunked = ChunkedCracker::new(column.to_vec(), 3, strategy, cfg, 11);
         rows.push((format!("ChunkedCracker {strategy:?}"), Box::new(chunked)));
+        let shared = SharedCracker::new(column.to_vec(), strategy, cfg, 11);
+        rows.push((format!("SharedCracker {strategy:?}"), Box::new(shared)));
         if !column.contains(&u64::MAX) {
             let serving = ServingConfig::default();
             let mgr = TxnManager::new(column.to_vec(), 4, strategy, cfg, serving, 11);
             rows.push((format!("TxnManager {strategy:?}"), Box::new(mgr)));
+            let piecelock = PieceLockedCracker::new(column.to_vec(), strategy, cfg, 11);
+            rows.push((format!("PieceLockedCracker {strategy:?}"), Box::new(piecelock)));
         }
     }
     rows

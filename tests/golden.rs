@@ -298,7 +298,7 @@ fn batch_scheduler_serial_ops_match_the_recording() {
 }
 
 /// The read-only wrappers on the read stream: `Stats` per wrapper.
-fn read_wrappers(strategy: ParallelStrategy) -> [Counters; 4] {
+fn read_wrappers(strategy: ParallelStrategy) -> [Counters; 3] {
     let cfg = config(IndexPolicy::Flat);
     let qs = queries();
     let map_strategy = match strategy {
@@ -306,54 +306,42 @@ fn read_wrappers(strategy: ParallelStrategy) -> [Counters; 4] {
         ParallelStrategy::Stochastic => MapStrategy::Stochastic,
     };
 
-    // Plain intra-query fan-out: the chunk phase with the merge disabled.
-    let mut sharded =
-        ChunkedCracker::new(column(), 3, strategy, cfg, SEED).with_merge_after(usize::MAX);
+    let mut chunked = ChunkedCracker::new(column(), 3, strategy, cfg, SEED);
     let shared = SharedCracker::new(column(), strategy, cfg, SEED);
-    let mut chunked = ChunkedCracker::new(column(), 3, strategy, cfg, SEED).with_merge_after(96);
     let tails: Vec<u64> = (0..N).collect();
     let mut map = CrackerMap::from_columns(&column(), &tails, map_strategy, cfg, SEED);
 
-    let mut hashes = [HASH_SEED; 4];
+    let mut hashes = [HASH_SEED; 3];
     for q in &qs {
-        hashes[0] = mix(hashes[0], sharded.select_aggregate(*q));
+        hashes[0] = mix(hashes[0], chunked.select_aggregate(*q));
         hashes[1] = mix(hashes[1], shared.select_aggregate(*q));
         let out = map.select(*q);
         let sum = out
             .resolve(map.data())
             .fold(0u64, |s, p| s.wrapping_add(p.head));
-        hashes[3] = mix(hashes[3], (out.len(), sum));
+        hashes[2] = mix(hashes[2], (out.len(), sum));
     }
-    for batch in qs.chunks(32) {
-        for ans in chunked.execute_serial(batch) {
-            hashes[2] = mix(hashes[2], ans);
-        }
-    }
-    assert!(chunked.has_merged());
-    assert_eq!(hashes, [BARE_ANSWERS; 4], "{strategy:?}: wrapper answers");
+    assert_eq!(hashes, [BARE_ANSWERS; 3], "{strategy:?}: wrapper answers");
     [
-        counters(sharded.stats()),
-        counters(shared.stats()),
         counters(chunked.stats()),
+        counters(shared.stats()),
         counters(map.stats()),
     ]
 }
 
-// Row 0 was recorded from `ShardedCracker` (deleted: it was the chunk
-// phase below with the merge off). Its `queries` cell moved 612 -> 609:
-// the chunk dispatch drops the stream's one empty range before the
-// 3-way fan-out; the other five counters reproduce the recording.
-const READ_WRAPPERS: [[Counters; 4]; 2] = [
+// Row 0 was recorded from `ShardedCracker` (deleted: it was what
+// `ChunkedCracker` is now). Its `queries` cell moved 612 -> 609: the
+// chunk dispatch drops the stream's one empty range before the 3-way
+// fan-out; the other five counters reproduce the recording.
+const READ_WRAPPERS: [[Counters; 3]; 2] = [
     [
         [832252, 803752, 832252, 969, 0, 609],
         [832242, 804130, 832242, 321, 0, 161],
-        [1460884, 822498, 1460884, 896, 0, 399],
         [872252, 804130, 832252, 323, 0, 204],
     ],
     [
         [206117, 34574, 412232, 895, 27337, 609],
         [198242, 34936, 396484, 312, 28269, 202],
-        [825544, 50403, 1019627, 760, 24705, 399],
         [238148, 35040, 396296, 314, 28139, 204],
     ],
 ];
