@@ -38,9 +38,9 @@
 //! [`BatchScheduler::execute_ops`] generalizes the batch to interleaved
 //! [`BatchOp`]s: selects route as above, inserts and deletes are
 //! **key-routed** to the single shard owning their key and queue into
-//! that shard's [`PendingUpdates`] set (the paper's §5 update model,
-//! per shard). A select merges the qualifying pending updates of its
-//! shard — under the column's configured
+//! that shard's pending store ([`Shard::pending`], the paper's §5 update
+//! model, per shard). A select merges the qualifying pending updates of
+//! its shard — under the column's configured
 //! [`scrack_core::UpdatePolicy`], batched merge-ripple by default —
 //! before answering. Op queues preserve submission order (no key-region
 //! sort), so each select observes exactly the updates submitted before
@@ -64,7 +64,6 @@ use crate::shard::{self, Shard};
 use crate::{executor, ParallelStrategy};
 use scrack_core::{CrackConfig, Engine, FaultKind};
 use scrack_types::{Element, QueryRange, Stats};
-use scrack_updates::PendingUpdates;
 use std::time::{Duration, Instant};
 
 /// One resilient wave's per-query partial aggregates, keyed by query
@@ -90,50 +89,36 @@ pub enum BatchOp<E> {
     Delete(u64),
 }
 
-/// A shard beside its write buffer (the paper's §5 pending-update set).
-type Cell<E> = (Shard<E>, PendingUpdates<E>);
-
 /// One shard's work queue: `(submission index, op)` entries, selects
 /// already clipped to the shard's span.
 type Queue<E> = Vec<(usize, BatchOp<E>)>;
 
-/// Answers one clipped query: the qualifying pending updates merge
-/// first, then the shard's health ladder picks select or scan.
-fn answer<E: Element>((shard, pending): &mut Cell<E>, q: QueryRange) -> (usize, u64) {
-    pending.merge_qualifying(shard.engine.cracked_mut(), q);
-    shard.aggregate(q)
-}
-
-/// Quarantines a shard for `batches_left` more batches; its pending
-/// updates fold into the base data the scans will serve from.
-fn quarantine<E: Element>((shard, pending): &mut Cell<E>, batches_left: u32) {
-    shard.quarantine(batches_left);
-    pending.merge_all(shard.engine.cracked_mut());
-}
-
 /// Drains `queue` in order: selects produce `(query_index, count,
-/// key_sum)` partials, updates queue into the shard's pending set.
-fn drain<E: Element>(cell: &mut Cell<E>, queue: &[(usize, BatchOp<E>)]) -> Vec<(usize, usize, u64)> {
+/// key_sum)` partials, updates queue into the shard's pending store.
+fn drain<E: Element>(
+    shard: &mut Shard<E>,
+    queue: &[(usize, BatchOp<E>)],
+) -> Vec<(usize, usize, u64)> {
     let mut partials = Vec::with_capacity(queue.len());
     for &(qi, op) in queue {
         match op {
             BatchOp::Select(q) => {
-                let (count, sum) = answer(cell, q);
+                let (count, sum) = shard.aggregate(q);
                 partials.push((qi, count, sum));
             }
-            BatchOp::Insert(e) => cell.1.queue_insert(e),
-            BatchOp::Delete(k) => cell.1.queue_delete(k),
+            BatchOp::Insert(e) => shard.pending.queue_insert(e),
+            BatchOp::Delete(k) => shard.pending.queue_delete(k),
         }
     }
     partials
 }
 
 /// Drains one resilient wave's queue: per query, deadline check, then
-/// the poison fault site (→ quarantine), then [`answer`]. Returns
-/// per-query partials (`None` = deadline expired) and whether this drain
-/// entered quarantine.
+/// the poison fault site (→ quarantine), then [`Shard::aggregate`].
+/// Returns per-query partials (`None` = deadline expired) and whether
+/// this drain entered quarantine.
 fn drain_resilient<E: Element>(
-    cell: &mut Cell<E>,
+    shard: &mut Shard<E>,
     queue: &[(usize, BatchOp<E>)],
     arrival: Instant,
     deadline: Option<Duration>,
@@ -149,15 +134,15 @@ fn drain_resilient<E: Element>(
             if deadline.is_some_and(|d| arrival.elapsed() > d) {
                 return (qi, None);
             }
-            if cell.0.health == ShardHealth::Healthy {
-                if cell.0.fault.poll(FaultKind::PoisonShard) {
-                    quarantine(cell, rebuild_after);
+            if shard.health == ShardHealth::Healthy {
+                if shard.fault.poll(FaultKind::PoisonShard) {
+                    shard.quarantine(rebuild_after);
                     newly_quarantined = true;
                 } else {
-                    cell.0.note_bounds(q);
+                    shard.note_bounds(q);
                 }
             }
-            (qi, Some(answer(cell, q)))
+            (qi, Some(shard.aggregate(q)))
         })
         .collect();
     (partials, newly_quarantined)
@@ -196,8 +181,8 @@ pub(crate) fn fold(batch_len: usize, partials: Vec<Vec<(usize, usize, u64)>>) ->
 /// ```
 #[derive(Debug)]
 pub struct BatchScheduler<E: Element> {
-    cells: Vec<Cell<E>>,
-    /// The shard map: `cells[i]`'s span, in key order.
+    shards: Vec<Shard<E>>,
+    /// The shard map: `shards[i]`'s span, in key order.
     spans: Vec<QueryRange>,
     /// Per-shard work queues, kept across batches and refilled in place:
     /// steady-state batches route without allocating.
@@ -238,14 +223,14 @@ impl<E: Element> BatchScheduler<E> {
         Self {
             spans: shards.iter().map(|s| s.span).collect(),
             queues: vec![Vec::new(); shards.len()],
-            cells: shards.into_iter().map(|s| (s, PendingUpdates::new())).collect(),
+            shards,
             resilience: ResilienceStats::default(),
         }
     }
 
     /// Number of shards (may be lower than asked; see [`BatchScheduler::new`]).
     pub fn shard_count(&self) -> usize {
-        self.cells.len()
+        self.shards.len()
     }
 
     /// The key span `[low, high)` of every shard, in key order. Spans are
@@ -302,8 +287,8 @@ impl<E: Element> BatchScheduler<E> {
         if sort {
             self.sort_queues();
         }
-        let tasks: Vec<(&mut Cell<E>, &Queue<E>)> = self
-            .cells
+        let tasks: Vec<(&mut Shard<E>, &Queue<E>)> = self
+            .shards
             .iter_mut()
             .zip(&self.queues)
             .filter(|(_, queue)| !queue.is_empty())
@@ -313,7 +298,7 @@ impl<E: Element> BatchScheduler<E> {
         } else {
             executor::worker_count(tasks.len())
         };
-        let partials = executor::run_tasks(workers, tasks, |_, (cell, queue)| drain(cell, queue));
+        let partials = executor::run_tasks(workers, tasks, |_, (s, queue)| drain(s, queue));
         fold(len, partials)
     }
 
@@ -356,18 +341,19 @@ impl<E: Element> BatchScheduler<E> {
 
     /// Entries in the shards' pending stores: updates queued but not yet
     /// merged into a cracker column, plus the column tuples displacement
-    /// merges have parked there ([`PendingUpdates::len`]). Zero after
+    /// merges have parked there
+    /// ([`scrack_updates::PendingUpdates::len`]). Zero after
     /// [`Self::flush_updates`].
     pub fn pending_updates(&self) -> usize {
-        self.cells.iter().map(|(_, pending)| pending.len()).sum()
+        self.shards.iter().map(|s| s.pending.len()).sum()
     }
 
     /// Merges everything in every shard's pending store now (a
     /// checkpoint), returning how many entries were applied.
     pub fn flush_updates(&mut self) -> usize {
-        self.cells
+        self.shards
             .iter_mut()
-            .map(|(shard, pending)| pending.merge_all(shard.engine.cracked_mut()))
+            .map(|s| s.pending.merge_all(s.engine.cracked_mut()))
             .sum()
     }
 
@@ -375,7 +361,7 @@ impl<E: Element> BatchScheduler<E> {
     /// construction is not included).
     pub fn stats(&self) -> Stats {
         let mut s = Stats::new();
-        for (shard, _) in &self.cells {
+        for shard in &self.shards {
             s += shard.engine.stats();
         }
         s
@@ -425,9 +411,9 @@ impl<E: Element> BatchScheduler<E> {
         // An overload fault clamps the shard's admission capacity for
         // this whole batch; polled once per shard per batch.
         let caps: Vec<usize> = self
-            .cells
+            .shards
             .iter()
-            .map(|(s, _)| {
+            .map(|s| {
                 if s.fault.poll(FaultKind::QueueOverload) {
                     s.fault.plan().overload_capacity().unwrap_or(1).max(1)
                 } else {
@@ -510,15 +496,15 @@ impl<E: Element> BatchScheduler<E> {
             let live: Vec<usize> = (0..self.queues.len())
                 .filter(|&si| !self.queues[si].is_empty())
                 .collect();
-            let tasks: Vec<(&mut Cell<E>, &Queue<E>)> = self
-                .cells
+            let tasks: Vec<(&mut Shard<E>, &Queue<E>)> = self
+                .shards
                 .iter_mut()
                 .zip(&self.queues)
                 .filter(|(_, queue)| !queue.is_empty())
                 .collect();
             let workers = executor::worker_count(tasks.len());
-            let results = executor::run_tasks_isolated(workers, tasks, |_, (cell, queue)| {
-                drain_resilient(cell, queue, arrival, deadline, rebuild_after)
+            let results = executor::run_tasks_isolated(workers, tasks, |_, (shard, queue)| {
+                drain_resilient(shard, queue, arrival, deadline, rebuild_after)
             });
             for (si, result) in live.into_iter().zip(results) {
                 let (partials, newly_quarantined) = result.unwrap_or_else(|_| {
@@ -527,11 +513,11 @@ impl<E: Element> BatchScheduler<E> {
                     // re-draining its whole queue (now by scan) adds
                     // each query's contribution exactly once.
                     report.panics_isolated += 1;
-                    let cell = &mut self.cells[si];
-                    quarantine(cell, rebuild_after);
+                    let shard = &mut self.shards[si];
+                    shard.quarantine(rebuild_after);
                     let queue = &self.queues[si];
                     let (partials, _) =
-                        drain_resilient(cell, queue, arrival, deadline, rebuild_after);
+                        drain_resilient(shard, queue, arrival, deadline, rebuild_after);
                     (partials, true)
                 });
                 if newly_quarantined {
@@ -578,7 +564,7 @@ impl<E: Element> BatchScheduler<E> {
 
         // End-of-batch quarantine clock: timers at zero rebuild now, the
         // rest tick down one batch.
-        for (si, (shard, _)) in self.cells.iter_mut().enumerate() {
+        for (si, shard) in self.shards.iter_mut().enumerate() {
             if shard.tick() {
                 report.rebuilt.push(si);
             }
@@ -611,7 +597,7 @@ impl<E: Element> BatchScheduler<E> {
     /// scans until the rebuild at the end of the next resilient batch.
     #[cfg(test)]
     pub(crate) fn quarantine_shard(&mut self, si: usize) {
-        quarantine(&mut self.cells[si], 0);
+        self.shards[si].quarantine(0);
         self.resilience.quarantines += 1;
     }
 
@@ -620,15 +606,15 @@ impl<E: Element> BatchScheduler<E> {
     /// # Panics
     /// If `si` is out of range.
     pub fn shard_health(&self, si: usize) -> ShardHealth {
-        self.cells[si].0.health
+        self.shards[si].health
     }
 
     /// Indices of currently quarantined shards, in shard order.
     pub fn quarantined_shards(&self) -> Vec<usize> {
-        self.cells
+        self.shards
             .iter()
             .enumerate()
-            .filter(|(_, (s, _))| matches!(s.health, ShardHealth::Quarantined { .. }))
+            .filter(|(_, s)| matches!(s.health, ShardHealth::Quarantined { .. }))
             .map(|(si, _)| si)
             .collect()
     }
@@ -644,8 +630,8 @@ impl<E: Element> BatchScheduler<E> {
     /// span, or the reserved `u64::MAX` in the last shard.
     pub fn check_integrity(&self) -> Result<(), String> {
         shard::check_spans(&self.spans)?;
-        let last = self.cells.len() - 1;
-        for (i, (shard, _)) in self.cells.iter().enumerate() {
+        let last = self.shards.len() - 1;
+        for (i, shard) in self.shards.iter().enumerate() {
             shard
                 .check_integrity(i == last)
                 .map_err(|e| format!("shard {i}: {e}"))?;

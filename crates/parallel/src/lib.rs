@@ -8,16 +8,17 @@
 //! **Shared nothing** — split the column so reorganizations never meet.
 //! Both multi-core designs of Alvarez et al. (DaMoN 2014) reduce to one
 //! object, an independent cracker over a key span, and [`shard`] is its
-//! only definition: [`Shard`] (engine, health ladder, fault scope) plus
-//! the shard map (`quantile_bounds`, [`key_disjoint_partitions`],
-//! `owner`, `clip`). Two serving shapes are built on it:
+//! only definition: [`Shard`] (engine, pending store, health ladder,
+//! fault scope) plus the shard map (`quantile_bounds`,
+//! [`key_disjoint_partitions`], `owner`, `clip`). Two serving shapes are
+//! built on it:
 //!
 //! * [`BatchScheduler`] — throughput execution: batches of queries are
 //!   grouped by key region and run partition-parallel over key-disjoint
 //!   shards with per-shard work queues.
 //!   Batches may interleave update ops ([`BatchOp`]): inserts/deletes
-//!   key-route to their owning shard and merge on demand through
-//!   `scrack_updates`' pending queues.
+//!   key-route to their owning shard's pending store and merge on
+//!   demand.
 //! * [`ChunkedCracker`] — parallel-chunked cracking: each worker cracks
 //!   a private contiguous chunk (a [`Shard`] spanning the whole key
 //!   domain — no coordination at all while cracking, no partitioning at

@@ -3,11 +3,10 @@
 //! Both multi-core answers of Alvarez et al. (*Main Memory Adaptive
 //! Indexing for Multi-core Systems*, DaMoN 2014) — range-partitioned and
 //! parallel-chunked cracking — reduce to the same object: an independent
-//! cracker over a key span. [`Shard`] is that object;
-//! [`BatchScheduler`](crate::BatchScheduler),
-//! [`ChunkedCracker`](crate::ChunkedCracker) and the
-//! `scrack_txn` session layer all serve from it, each keeping its write
-//! buffer (`PendingUpdates` / `EpochLog`) beside the shard.
+//! cracker over a key span, with its own pending-update store.
+//! [`Shard`] is that object; [`BatchScheduler`](crate::BatchScheduler),
+//! [`ChunkedCracker`](crate::ChunkedCracker) and the `scrack_txn`
+//! session layer all serve from it.
 //!
 //! The **shard map** is a key-ordered `&[QueryRange]` of contiguous
 //! spans chaining from `0` to `u64::MAX`: [`key_disjoint_partitions`]
@@ -19,6 +18,7 @@ use crate::ParallelStrategy;
 use scrack_core::{CrackConfig, CrackerEngine, Engine, FaultInjector, KernelPolicy};
 use scrack_partition::{crack_in_two_policy, select_nth_key};
 use scrack_types::{Element, QueryRange, Stats};
+use scrack_updates::PendingUpdates;
 
 /// Recently served crack bounds a shard remembers for its post-
 /// quarantine rebuild (enough to re-warm the hot key regions, small
@@ -26,8 +26,8 @@ use scrack_types::{Element, QueryRange, Stats};
 const RECENT_BOUNDS_CAP: usize = 32;
 
 /// An independent cracker over one key span: the engine (cracker column
-/// plus its own RNG stream), its place on the degradation ladder and
-/// its shard-level fault sites.
+/// plus its own RNG stream), its pending-update store, its place on the
+/// degradation ladder and its shard-level fault sites.
 #[derive(Debug)]
 pub struct Shard<E: Element> {
     /// Keys `k` of this shard satisfy `span.low <= k < span.high`; the
@@ -35,6 +35,10 @@ pub struct Shard<E: Element> {
     pub span: QueryRange,
     /// The cracker serving this span.
     pub engine: CrackerEngine<E>,
+    /// Updates routed to this span and not yet merged into the column
+    /// (the paper's §5 pending set): every read merges the ones its
+    /// range covers first.
+    pub pending: PendingUpdates<E>,
     /// Position in the degradation ladder (see [`ShardHealth`]).
     pub health: ShardHealth,
     /// Shard-level fault sites (poison, overload, commit), scoped to
@@ -62,17 +66,20 @@ impl<E: Element> Shard<E> {
         Shard {
             span,
             engine: CrackerEngine::new(strategy.into(), data, config.with_fault(scoped), seed),
+            pending: PendingUpdates::new(),
             health: ShardHealth::Healthy,
             fault: FaultInjector::new(scoped),
             recent_bounds: Vec::new(),
         }
     }
 
-    /// `(count, key_sum)` of the physical column over `q` — the health
-    /// ladder: adaptive select while healthy, exact scan (no cracking, no
-    /// index) while quarantined. Cracking preserves the multiset, so the
-    /// aggregate is layout-independent.
+    /// `(count, key_sum)` of the shard over `q`: the pending updates `q`
+    /// covers merge into the column first, then the health ladder
+    /// answers — adaptive select while healthy, exact scan (no cracking,
+    /// no index) while quarantined. Cracking preserves the multiset, so
+    /// the aggregate is layout-independent.
     pub fn aggregate(&mut self, q: QueryRange) -> (usize, u64) {
+        self.pending.merge_qualifying(self.engine.cracked_mut(), q);
         match self.health {
             ShardHealth::Healthy => self.engine.select_aggregate(q),
             ShardHealth::Quarantined { .. } => self
@@ -85,10 +92,12 @@ impl<E: Element> Shard<E> {
     }
 
     /// Enters quarantine: the cracker index is discarded (the data
-    /// multiset survives — cracking only swaps) and the shard serves
+    /// multiset survives — cracking only swaps), the pending store folds
+    /// into the data the scans will serve from, and the shard serves
     /// scans until [`Shard::tick`] has counted `batches_left` down.
     pub fn quarantine(&mut self, batches_left: u32) {
         self.engine.quarantine_rebuild();
+        self.pending.merge_all(self.engine.cracked_mut());
         self.health = ShardHealth::Quarantined { batches_left };
     }
 
@@ -129,13 +138,15 @@ impl<E: Element> Shard<E> {
     }
 
     /// Full integrity check (tests only; O(n)): the cracker invariants
-    /// hold and every key lies where [`owner`] routes it — inside the
-    /// span, or the reserved `u64::MAX` in the map's last shard.
+    /// hold and every key, in the column or the store, lies where
+    /// [`owner`] routes it — inside the span, or the reserved `u64::MAX`
+    /// in the map's last shard.
     pub fn check_integrity(&self, is_last: bool) -> Result<(), String> {
         self.engine.cracked().check_integrity()?;
         let owned = |key| self.span.contains(key) || (is_last && key == u64::MAX);
-        match self.engine.data().iter().find(|e| !owned(e.key())) {
-            Some(e) => Err(format!("key {} outside span {}", e.key(), self.span)),
+        let keys = self.engine.data().iter().map(|e| e.key());
+        match keys.chain(self.pending.keys()).find(|k| !owned(*k)) {
+            Some(key) => Err(format!("key {key} outside span {}", self.span)),
             None => Ok(()),
         }
     }
@@ -333,5 +344,31 @@ mod tests {
         assert_eq!(shard.engine.cracked().index().crack_count(), 2, "noted bounds re-cracked");
         assert!(!shard.tick(), "healthy shards do not tick");
         shard.check_integrity(true).unwrap();
+    }
+
+    #[test]
+    fn quarantine_folds_the_store_into_the_column_the_scans_serve() {
+        let span = QueryRange::new(0, 10_000);
+        let (strategy, config) = (ParallelStrategy::Stochastic, CrackConfig::default());
+        let mut shard = Shard::build(span, permuted(5_000), strategy, config, 3, 0);
+        let q = QueryRange::new(1_000, 2_000);
+        let (count, sum) = shard.aggregate(q);
+        shard.pending.queue_insert(1_500);
+        shard.pending.queue_insert(7_000);
+        shard.pending.queue_delete(1_200);
+        shard.quarantine(1);
+        assert!(shard.pending.is_empty(), "the store folded into the column");
+        assert_eq!(shard.aggregate(q), (count, sum + 1_500 - 1_200));
+        assert_eq!(shard.aggregate(QueryRange::new(7_000, 7_001)), (1, 7_000));
+        // Writes queued while quarantined merge into the scan covering them.
+        shard.pending.queue_insert(1_999);
+        shard.pending.queue_delete(1_001);
+        assert_eq!(shard.aggregate(q), (count, sum + 1_500 - 1_200 + 1_999 - 1_001));
+        assert!(shard.pending.is_empty());
+        shard.check_integrity(false).unwrap();
+        // A stored key outside the span is a routing bug.
+        shard.pending.queue_delete(10_000);
+        let err = shard.check_integrity(false).unwrap_err();
+        assert!(err.contains("key 10000 outside"), "{err}");
     }
 }

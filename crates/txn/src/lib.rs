@@ -7,7 +7,7 @@
 //! that state. A [`TxnManager`] owns the same key-disjoint quantile
 //! shards as `BatchScheduler` (the same [`scrack_parallel::Shard`] type,
 //! built and routed by the one shard map in [`scrack_parallel::shard`]),
-//! each beside an epoch-stamped committed-update log
+//! each beside an epoch-stamped log of its recent commits
 //! ([`scrack_updates::EpochLog`]); a [`Session`] is one transaction
 //! against that state.
 //!
@@ -16,16 +16,19 @@
 //! * [`TxnManager::begin`] pins a **snapshot epoch**: the manager's
 //!   current committed epoch at begin time. Every read in the session
 //!   answers against exactly the updates committed at or before that
-//!   epoch — the physical column (merged prefix) plus the log's delta
-//!   for the slice up to the snapshot — no matter how many commits,
-//!   merges, or rebuilds happen concurrently.
+//!   epoch — the shard (column plus pending store: the merged prefix)
+//!   plus the log's delta for the slice up to the snapshot — no matter
+//!   how many commits, merges, or rebuilds happen concurrently.
 //! * A session **reads its own writes**: uncommitted inserts and
 //!   deletes overlay the snapshot, with delete fate (hit vs evaporate)
 //!   resolved at write time against snapshot + own prior writes.
-//! * The **merge watermark** trails the oldest live snapshot, so the
-//!   physical column never runs ahead of any reader; quarantine-rebuild
-//!   discards only index state (the data multiset survives) and thus
-//!   preserves every published snapshot.
+//! * The **merge watermark** trails the oldest live snapshot. A commit
+//!   only appends to the log; as the watermark passes an epoch its ops
+//!   move to the shard's own pending store, and the first read covering
+//!   a key merges it into the column — the shard never runs ahead of any
+//!   reader. Quarantine-rebuild discards only index state (the data
+//!   multiset survives; the store folds into it) and thus preserves
+//!   every published snapshot.
 //! * Writers take per-key exclusive locks from the shared
 //!   [`LockManager`] at write time and hold them to commit; commit
 //!   validates **first-committer-wins** (any committed op after the

@@ -18,8 +18,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Instant;
 
-/// One key-range [`Shard`] beside its committed-update log, under the
-/// shard latch.
+/// One key-range [`Shard`] (its pending store holds the ops at or below
+/// the merge watermark) beside its log of the newer committed ops, under
+/// the shard latch.
 type Cell<E> = Mutex<(Shard<E>, EpochLog<E>)>;
 
 /// The epoch clock plus session admission state, under one mutex.
@@ -184,8 +185,9 @@ impl<E: Element> TxnManager<E> {
         owner(&self.spans, key)
     }
 
-    /// Snapshot read of one shard: physical aggregate + the log's delta
-    /// up to `snapshot`, under the shard latch with panic isolation. A
+    /// Snapshot read of one shard: [`Shard::aggregate`] (which merges the
+    /// stored ops `clip` covers first) + the log's delta up to
+    /// `snapshot`, under the shard latch with panic isolation. A
     /// caught panic (or a poison fault) quarantines the shard and
     /// reports `Err` — the caller's session aborts; other sessions are
     /// untouched.
@@ -230,7 +232,7 @@ impl<E: Element> TxnManager<E> {
         }
     }
 
-    /// Live instances of `key` visible at `snapshot` (physical count
+    /// Live instances of `key` visible at `snapshot` (the shard's count
     /// plus the log's net, not counting the session's own writes), with
     /// the same panic isolation as [`TxnManager::shard_read`].
     pub(crate) fn key_live_count(&self, si: usize, key: u64, snapshot: u64) -> Result<i64, ()> {
@@ -321,13 +323,13 @@ impl<E: Element> TxnManager<E> {
             .unwrap_or(clock.current);
         drop(clock);
         self.admit_cv.notify_all();
-        // Merge aged epochs into the physical columns. Safe without the
-        // clock: future pins are at `current >= watermark`, so no reader
-        // can ever need an epoch below it.
+        // Hand aged epochs to the shards' stores, whose reads merge them.
+        // Safe without the clock: future pins are at `current >=
+        // watermark`, so no reader can ever need an epoch below it.
         for cell in &self.shards {
             let mut cell = cell.lock();
             let (shard, log) = &mut *cell;
-            log.merge_through(shard.engine.cracked_mut(), watermark);
+            log.merge_through(&mut shard.pending, watermark);
         }
     }
 
@@ -371,7 +373,9 @@ impl<E: Element> TxnManager<E> {
 
     /// Full integrity check (tests; assumes no concurrent sessions).
     /// Verifies every shard's column invariants and span containment;
-    /// returns the total physical element count.
+    /// returns the total logical element count: column lengths plus the
+    /// stores' inserts (parked column tuples included) minus their
+    /// deletes.
     pub fn check_integrity(&self) -> Result<usize, String> {
         let mut total = 0usize;
         let last = self.shards.len() - 1;
@@ -381,7 +385,8 @@ impl<E: Element> TxnManager<E> {
             shard
                 .check_integrity(i == last)
                 .map_err(|e| format!("shard {i}: {e}"))?;
-            total += shard.engine.cracked().data().len();
+            let (column, pending) = (shard.engine.cracked().data(), &shard.pending);
+            total += column.len() + pending.pending_inserts() - pending.pending_deletes();
         }
         Ok(total)
     }
@@ -392,5 +397,52 @@ fn op_key<E: Element>(op: &LoggedOp<E>) -> u64 {
     match op {
         LoggedOp::Insert(e) => e.key(),
         LoggedOp::Delete { key, .. } => *key,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scrack_core::{Engine, UpdatePolicy};
+
+    #[test]
+    fn a_commit_leaves_the_columns_alone_and_the_next_read_merges_locally() {
+        let n = 200_000u64;
+        for policy in UpdatePolicy::ALL {
+            let data: Vec<u64> = (0..n).map(|i| (i * 7_919) % n).collect();
+            let config = CrackConfig::default().with_update(policy);
+            let serving = ServingConfig::default();
+            let mgr = TxnManager::new(data, 2, ParallelStrategy::Crack, config, serving, 1);
+            // A crack every 64 keys: well over 1 000 per shard.
+            for (cell, span) in mgr.shards.iter().zip(&mgr.spans) {
+                let engine = &mut cell.lock().0.engine;
+                for k in (span.low..span.high.min(n)).step_by(64).skip(1) {
+                    engine.cracked_mut().crack_on(k);
+                }
+                assert!(engine.cracked().index().crack_count() >= 1_000);
+            }
+            let costs = || -> Vec<(u64, u64)> {
+                let stats = mgr.shards.iter().map(|c| c.lock().0.engine.stats());
+                stats.map(|s| (s.touched, s.swaps)).collect()
+            };
+            let mut writer = mgr.begin().unwrap();
+            writer.insert(70).unwrap();
+            assert!(writer.delete(71).unwrap());
+            let before = costs();
+            assert!(matches!(writer.commit(), TxnOutcome::Committed { epoch: 1 }));
+            assert_eq!(costs(), before, "{policy}: commit + watermark touch no column");
+
+            let q = QueryRange::new(64, 128);
+            let mut reader = mgr.begin().unwrap();
+            let answer = reader.read(q).unwrap();
+            assert_eq!(answer, (64, (64..128u64).sum::<u64>() + 70 - 71), "{policy}");
+            let swaps = costs()[0].1 - before[0].1;
+            match policy {
+                UpdatePolicy::Batched => assert!(swaps <= 8, "read merge swaps {swaps}"),
+                UpdatePolicy::PerElement => assert!(swaps >= 1_000, "global walk {swaps}"),
+            }
+            reader.commit();
+            assert_eq!(mgr.check_integrity(), Ok(n as usize), "{policy}");
+        }
     }
 }

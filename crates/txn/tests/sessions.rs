@@ -318,8 +318,9 @@ fn watermark_merge_folds_committed_epochs_into_the_column() {
         s.insert(100 + i).unwrap();
         assert!(matches!(s.commit(), TxnOutcome::Committed { .. }));
     }
-    // No session is live: the watermark reached the current epoch and
-    // every op rippled into the physical columns.
+    // No session is live: the watermark reached the current epoch, every
+    // op moved out of the log into its shard's store, and the logical
+    // count (columns plus stores) holds all five.
     assert_eq!(mgr.check_integrity().unwrap(), 1_005);
     assert_eq!(mgr.current_epoch(), 5);
 }
@@ -327,10 +328,10 @@ fn watermark_merge_folds_committed_epochs_into_the_column() {
 #[test]
 fn watermark_preserves_pinned_snapshots_under_every_index_policy() {
     // The PR-9 merge-watermark contract, re-pinned per index
-    // representation as a merge check: the watermark ripples committed
-    // epochs into the physical columns, and a representation bug in
-    // crack-position bookkeeping would surface as a pinned reader
-    // seeing the merge happen.
+    // representation as a merge check: the watermark hands committed
+    // epochs to the shards' stores, reads merge them into the columns,
+    // and a representation bug in crack-position bookkeeping would
+    // surface as a pinned reader seeing a merge happen.
     for policy in scrack_core::IndexPolicy::ALL {
         let config = CrackConfig::default().with_index(policy);
         let mgr = manager(2_000, 2, config, ServingConfig::default());
@@ -354,7 +355,7 @@ fn watermark_preserves_pinned_snapshots_under_every_index_policy() {
         }
         pinned.commit();
         // No live session: the watermark catches up and every committed
-        // op folds into the columns.
+        // op moves to its shard's store; the fresh read merges them.
         assert_eq!(mgr.check_integrity().unwrap(), 2_004, "{policy}");
         let mut fresh = mgr.begin().unwrap();
         assert_eq!(

@@ -26,8 +26,8 @@
 //!   * the **global Ripple** ([`merge_ripple_inserts`] /
 //!     [`merge_ripple_deletes`]) walks to the array end like the
 //!     reference. It serves everything that empties the store:
-//!     [`Updatable::flush`], quarantine, reconfiguration and the
-//!     [`EpochLog`] watermark merge of a commit;
+//!     [`Updatable::flush`], `BatchScheduler::flush_updates` and
+//!     quarantine;
 //!   * the **displacement merge** serves the query
 //!     ([`PendingUpdates::merge_qualifying`]) and stops at it — the
 //!     merge-ripple of Idreos et al. (SIGMOD 2007) that §5 cites: slots
@@ -43,9 +43,10 @@
 //! wraps a [`scrack_core::CrackerEngine`] of any kind (build one with
 //! [`build_update_engine`]) with on-demand merging. [`EpochLog`] adds
 //! the committed, epoch-stamped form of the same queues: snapshot
-//! readers combine the physical column with the log's per-epoch delta,
-//! and a watermark merge (gated on the oldest live snapshot) folds aged
-//! epochs into the column through the global ripple paths.
+//! readers combine the shard (column plus store) with the log's
+//! per-epoch delta, and a watermark merge (gated on the oldest live
+//! snapshot) moves aged epochs into the store, where reads merge them
+//! like any other pending update — a commit never walks the column.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

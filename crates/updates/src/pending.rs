@@ -128,6 +128,11 @@ impl<E: Element> PendingUpdates<E> {
         self.len() - self.pending_inserts()
     }
 
+    /// The key of every stored entry, in key order.
+    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.ops.keys().map(|(key, _)| *key)
+    }
+
     /// The store's slots for keys inside `q`, or `None` when there can be
     /// none: an empty store (the whole per-read cost beside no writes) or
     /// a zero-width / inverted range, which `BTreeMap::range` rejects.

@@ -4,7 +4,7 @@
 # "State of play"; choosing-metrics: >= 10 pairs, alternate which side
 # runs first, report every row).
 #
-#   scripts/bench_pairs.sh <parent-ref> [pairs=10]
+#   scripts/bench_pairs.sh <parent-ref> [pairs=10] [workload ...]
 #
 # 1. exports <parent-ref> (`git archive`, committed files only) into
 #    target/bench_pairs/parent and builds its benchmark/ offline, the way
@@ -13,14 +13,17 @@
 # 2. for seed 1..pairs and every workload runs both binaries back to
 #    back, the parent first on odd seeds and the change first on even
 #    ones, at the benchmark's run length (`run_seconds` of
-#    BENCHMARK.json; for a quick look run one pair);
+#    BENCHMARK.json; for a quick look run one pair). Workload names after
+#    the pair count limit the run to those workloads, so a claim on one
+#    workload can be sized in minutes; the default is all of them, which
+#    is what a claim's final evidence uses;
 # 3. writes the two run sets to target/bench_pairs/{parent,change}.json,
 #    prints per workload x metric how many pairs the change won, then the
 #    benchmark's own `compare` (exit 1 if any row is worse than its bound).
 #
 # Nothing under benchmark/ is edited; ten pairs take about an hour.
 set -euo pipefail
-[ $# -ge 1 ] || { echo "usage: $0 <parent-ref> [pairs=10]" >&2; exit 2; }
+[ $# -ge 1 ] || { echo "usage: $0 <parent-ref> [pairs=10] [workload ...]" >&2; exit 2; }
 cd "$(dirname "$0")/.."
 parent_ref=$1
 pairs=${2:-10}
@@ -37,6 +40,12 @@ build .
 parent_bin=$work/parent/benchmark/target/release/scrack_benchmark
 change_bin=benchmark/target/release/scrack_benchmark
 workloads=$("$change_bin" list | awk '$1 == "workload" { print $2 }')
+if [ $# -gt 2 ]; then
+    for w in "${@:3}"; do
+        grep -qx "$w" <<< "$workloads" || { echo "unknown workload: $w" >&2; exit 2; }
+    done
+    workloads="${*:3}"
+fi
 
 run() { # side binary workload seed
     "$2" --workload "$3" --seed "$4" --seconds "$seconds" --trace 0 | tail -n 1 \
