@@ -119,17 +119,14 @@ impl<E: Element> HybridEngine<E> {
         // columns don't drown in partition bookkeeping.
         let min_size = self.source.len().div_ceil(256).max(1);
         let part_elems = self.config.cache.l2_elems(elem).max(min_size);
+        // Each partition copies its own chunk (exact capacity); the source
+        // is freed once all are out.
         let source = std::mem::take(&mut self.source);
-        let n = source.len();
-        let mut rest = source;
-        while !rest.is_empty() {
-            let take = part_elems.min(rest.len());
-            let tail = rest.split_off(take);
-            self.partitions.push(CrackedColumn::new(rest, self.config));
-            rest = tail;
-        }
+        self.partitions.extend(
+            source.chunks(part_elems).map(|c| CrackedColumn::new(c.to_vec(), self.config)),
+        );
         // The split pass touches every tuple once (run generation).
-        self.stats.touched += n as u64;
+        self.stats.touched += source.len() as u64;
     }
 
     /// Extracts one gap from every partition into the staging buffer.
@@ -295,6 +292,23 @@ mod tests {
         assert_eq!(eng.merged_ranges().covered_keys(), 1_000);
         eng.select(QueryRange::new(400, 1_100));
         assert!(eng.merged_ranges().covers(QueryRange::new(0, 1_500)));
+    }
+
+    #[test]
+    fn partitions_are_the_source_chunks_in_order() {
+        // 512-key (L2-sized) partitions at 5 000 keys; at 200 000 the
+        // 256-partition cap raises the size to 782.
+        for (n, count, size) in [(5_000u64, 10, 512), (200_000, 256, 782)] {
+            let data = permuted(n);
+            let mut eng = HybridEngine::new(HybridKind::CrackCrack, data.clone(), small_config(), 4);
+            eng.ensure_partitioned();
+            assert!(eng.source.is_empty());
+            assert_eq!(eng.partitions.len(), count, "n = {n}");
+            for (part, chunk) in eng.partitions.iter().zip(data.chunks(size)) {
+                assert_eq!(part.data(), chunk, "n = {n}");
+            }
+            assert_eq!(eng.stats().touched, n, "the split touches every tuple once");
+        }
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!
 //! At construction the column is split into `shard_count` **key-disjoint
 //! shards** on quantile bounds
-//! ([`key_disjoint_partitions`](crate::key_disjoint_partitions)). Each is
+//! ([`key_disjoint_partitions`](crate::key_disjoint_partitions)), in
+//! place: a read-only radix select finds the bounds, each bound is
+//! cracked out of the one column, and the parts are cut off at exact
+//! capacity, so the shards together hold one copy of the column. Each is
 //! a [`Shard`]: an independent cracker over its key span, with its own
 //! seeded RNG stream.
 //!

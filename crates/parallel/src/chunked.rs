@@ -1,7 +1,7 @@
 //! Parallel-chunked cracking: the coordination-free chunk phase.
 
 use crate::batch::fold;
-use crate::shard::Shard;
+use crate::shard::{build_shards, split_exact, Shard};
 use crate::{executor, ParallelStrategy};
 use scrack_core::{CrackConfig, Engine};
 use scrack_types::{Element, QueryRange, Stats};
@@ -29,10 +29,11 @@ fn drain<E: Element>(
 /// batch fans every query out to every chunk, each chunk cracks its own
 /// data under its own chunk-local cracker index and RNG stream, and
 /// per-chunk partial aggregates sum. Cracking is perfectly parallel —
-/// chunks share *nothing*, not even a lock — and construction is a plain
-/// `split_off` per chunk, with none of the quantile search and
-/// partitioning a [`BatchScheduler`](crate::BatchScheduler) pays up
-/// front; the price is that every query visits every chunk forever.
+/// chunks share *nothing*, not even a lock — and construction only cuts
+/// the column into exact-capacity chunks (the shard map's back-to-front
+/// split, one copy of the column in all), with none of the quantile
+/// search and cracking a [`BatchScheduler`](crate::BatchScheduler) pays
+/// up front; the price is that every query visits every chunk forever.
 /// Alvarez et al. follow the chunk phase with a *refined partition-merge*
 /// into key-disjoint shards; docs/ARCHITECTURE.md records why that is
 /// not implemented here (it costs more than partitioning up front).
@@ -70,7 +71,7 @@ impl<E: Element> ChunkedCracker<E> {
     /// # Panics
     /// If `chunk_count` is zero.
     pub fn new(
-        mut data: Vec<E>,
+        data: Vec<E>,
         chunk_count: usize,
         strategy: ParallelStrategy,
         config: CrackConfig,
@@ -78,17 +79,12 @@ impl<E: Element> ChunkedCracker<E> {
     ) -> Self {
         assert!(chunk_count > 0, "need at least one chunk");
         let per = data.len().div_ceil(chunk_count).max(1);
+        let cuts: Vec<usize> = (per..data.len()).step_by(per).collect();
         let everything = QueryRange::new(0, u64::MAX);
-        let mut chunks = Vec::with_capacity(chunk_count);
-        loop {
-            let tail = data.split_off(per.min(data.len()));
-            chunks.push(Shard::build(everything, data, strategy, config, seed, chunks.len()));
-            data = tail;
-            if data.is_empty() {
-                break;
-            }
+        let parts = split_exact(data, &cuts).into_iter().map(|c| (everything, c)).collect();
+        Self {
+            chunks: build_shards(parts, strategy, config, seed),
         }
-        Self { chunks }
     }
 
     /// Number of chunks.

@@ -16,7 +16,7 @@
 use crate::resilience::ShardHealth;
 use crate::ParallelStrategy;
 use scrack_core::{CrackConfig, CrackerEngine, Engine, FaultInjector, KernelPolicy};
-use scrack_partition::{crack_in_two_policy, select_nth_key};
+use scrack_partition::crack_in_two_policy;
 use scrack_types::{Element, QueryRange, Stats};
 use scrack_updates::PendingUpdates;
 
@@ -152,22 +152,88 @@ impl<E: Element> Shard<E> {
     }
 }
 
+/// Bits per digit of the radix select in [`kth_keys`]: six passes cover
+/// a full 64-bit key, and a 2 048-counter histogram stays in L1.
+const DIGIT_BITS: u32 = 11;
+const RADIX: usize = 1 << DIGIT_BITS;
+
+/// The `k`-th smallest key (0-based, duplicates counted) of `data` for
+/// every `k` of `ranks` (ascending, each `< data.len()`), without copying
+/// or reordering `data`: an MSD radix select, one read pass per 11-bit
+/// digit from just below the largest key's leading zeros. Every rank
+/// narrows its own key prefix on the same passes.
+fn kth_keys<E: Element>(data: &[E], ranks: &[usize]) -> Vec<u64> {
+    if ranks.is_empty() {
+        return Vec::new();
+    }
+    let max = data.iter().map(|e| e.key()).max().unwrap_or(0);
+    let mut shift = (u64::BITS - max.leading_zeros()).div_ceil(DIGIT_BITS) * DIGIT_BITS;
+    // Per rank: the digits fixed so far, and its rank among the keys
+    // that share them.
+    let mut prefix = vec![0u64; ranks.len()];
+    let mut rest = ranks.to_vec();
+    while shift > 0 {
+        shift -= DIGIT_BITS;
+        // Ascending ranks have ascending prefixes: one histogram per
+        // distinct prefix.
+        let mut groups = prefix.clone();
+        groups.dedup();
+        let mut hist = vec![0usize; groups.len() * RADIX];
+        for e in data {
+            let k = e.key() >> shift;
+            if let Ok(g) = groups.binary_search(&(k >> DIGIT_BITS)) {
+                hist[g * RADIX + (k as usize & (RADIX - 1))] += 1;
+            }
+        }
+        for (p, r) in prefix.iter_mut().zip(&mut rest) {
+            let g = groups.partition_point(|x| x < p);
+            let mut digit = 0;
+            for &count in &hist[g * RADIX..(g + 1) * RADIX] {
+                if *r < count {
+                    break;
+                }
+                *r -= count;
+                digit += 1;
+            }
+            *p = (*p << DIGIT_BITS) | digit;
+        }
+    }
+    prefix
+}
+
 /// The quantile split keys of a shard map: the k-th smallest key at
-/// every `1/shard_count` position of `scratch` (introselect; `scratch`
-/// is reordered). Heavily duplicated keys can collapse adjacent
-/// quantiles; equal bounds merge, so fewer than `shard_count - 1` may
-/// come back — key-disjointness is never violated.
-fn quantile_bounds<E: Element>(scratch: &mut [E], shard_count: usize) -> Vec<u64> {
-    let n = scratch.len();
-    let mut scratch_stats = Stats::default();
-    let mut bounds: Vec<u64> = (1..shard_count)
+/// every `1/shard_count` position of `data` ([`kth_keys`], read-only).
+/// Heavily duplicated keys can collapse adjacent quantiles; equal bounds
+/// merge, so fewer than `shard_count - 1` may come back —
+/// key-disjointness is never violated.
+fn quantile_bounds<E: Element>(data: &[E], shard_count: usize) -> Vec<u64> {
+    let n = data.len();
+    let ranks: Vec<usize> = (1..shard_count)
         .map(|i| i * n / shard_count)
         .filter(|&k| k > 0 && k < n)
-        .map(|k| select_nth_key(scratch, k, &mut scratch_stats))
         .collect();
+    let mut bounds = kth_keys(data, &ranks);
     bounds.dedup();
     bounds.retain(|b| *b > 0);
     bounds
+}
+
+/// Cuts `column` at the ascending positions `cuts` into
+/// `cuts.len() + 1` parts, back to front: each part is copied out of the
+/// column's tail and the column shrinks behind it, so the column's own
+/// allocation becomes part 0, every part has `capacity() == len()`, and
+/// at most one part is held twice at any moment.
+pub(crate) fn split_exact<E: Element>(mut column: Vec<E>, cuts: &[usize]) -> Vec<Vec<E>> {
+    let mut parts = Vec::with_capacity(cuts.len() + 1);
+    for &cut in cuts.iter().rev() {
+        parts.push(column[cut..].to_vec());
+        column.truncate(cut);
+        column.shrink_to_fit();
+    }
+    column.shrink_to_fit(); // an uncut column may arrive with spare capacity
+    parts.push(column);
+    parts.reverse();
+    parts
 }
 
 /// The shard map over `bounds`: contiguous spans `[0, b0), [b0, b1), …,
@@ -179,12 +245,15 @@ fn chain_spans(bounds: &[u64]) -> Vec<QueryRange> {
 }
 
 /// Range-partitions `data` into (up to) `shard_count` key-disjoint
-/// spans on quantile bounds (introselect over a scratch copy picks the
-/// k-th smallest key at every `1/shard_count` position); the physical
-/// split runs the configured [`KernelPolicy`] kernel, peeling one
-/// partition off the front per bound. Equal bounds merge, so fewer
-/// partitions than asked may come back. This construction-time cost is
-/// deliberately not charged to any query [`Stats`].
+/// spans on quantile bounds, in place. A read-only radix select picks
+/// the k-th smallest key at every `1/shard_count` position; the
+/// configured [`KernelPolicy`] kernel then cracks each bound out of the
+/// column's remaining suffix, front to back; and the parts are cut off
+/// back to front at exact capacity, so the shards together hold one
+/// copy of the column (the first in `data`'s own allocation). Equal
+/// bounds merge, so fewer partitions than asked may come back. This
+/// construction-time cost is deliberately not charged to any query
+/// [`Stats`].
 ///
 /// # Panics
 /// If `shard_count` is zero.
@@ -194,20 +263,15 @@ pub fn key_disjoint_partitions<E: Element>(
     kernel: KernelPolicy,
 ) -> Vec<(QueryRange, Vec<E>)> {
     assert!(shard_count > 0, "need at least one shard");
-    let bounds = if shard_count > 1 {
-        quantile_bounds(&mut data.clone(), shard_count)
-    } else {
-        Vec::new()
-    };
-    let mut parts = Vec::with_capacity(bounds.len() + 1);
+    let bounds = quantile_bounds(&data, shard_count);
+    let mut cuts = Vec::with_capacity(bounds.len());
+    let mut start = 0;
     let mut split_stats = Stats::default();
     for &b in &bounds {
-        let pos = crack_in_two_policy(&mut data, b, kernel, &mut split_stats);
-        let tail = data.split_off(pos);
-        parts.push(std::mem::replace(&mut data, tail));
+        start += crack_in_two_policy(&mut data[start..], b, kernel, &mut split_stats);
+        cuts.push(start);
     }
-    parts.push(data);
-    chain_spans(&bounds).into_iter().zip(parts).collect()
+    chain_spans(&bounds).into_iter().zip(split_exact(data, &cuts)).collect()
 }
 
 /// One [`Shard`] per `(span, data)` part, in map order (see
@@ -280,6 +344,96 @@ mod tests {
         }
         // The reserved key is only acceptable in the last shard.
         assert!(shards[last].check_integrity(false).is_err());
+    }
+
+    /// Full-width 64-bit keys, so every radix digit is exercised.
+    fn wide(n: usize, seed: u64) -> Vec<u64> {
+        let mut s = seed | 1;
+        (0..n)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s
+            })
+            .collect()
+    }
+
+    /// Columns the shard map must split: duplicate-heavy (2, 16 and
+    /// 1 000 distinct keys, narrow and spread over the whole domain),
+    /// all-equal, with both domain edges, tiny and empty.
+    fn columns() -> Vec<Vec<u64>> {
+        let mut edges = wide(3_000, 7);
+        edges.extend([0, 0, u64::MAX, 1, u64::MAX - 1, u64::MAX]);
+        let mut columns = vec![permuted(10_000), wide(10_000, 3), edges];
+        for distinct in [2u64, 16, 1_000] {
+            columns.push(permuted(10_000).into_iter().map(|k| k % distinct).collect());
+            let spread = u64::MAX / distinct;
+            columns.push(permuted(10_000).into_iter().map(|k| k % distinct * spread).collect());
+        }
+        columns.extend([vec![42; 1_000], vec![0; 1_000], vec![u64::MAX; 50]]);
+        columns.extend([vec![9, 3, 5], vec![u64::MAX, 0], vec![]]);
+        columns
+    }
+
+    #[test]
+    fn radix_bounds_match_a_sorting_oracle() {
+        for data in columns() {
+            let mut sorted = data.clone();
+            sorted.sort_unstable();
+            let n = data.len();
+            for shard_count in [1, 2, 3, 4, 8] {
+                let mut expect: Vec<u64> = (1..shard_count)
+                    .map(|i| i * n / shard_count)
+                    .filter(|&k| k > 0 && k < n)
+                    .map(|k| sorted[k])
+                    .collect();
+                expect.dedup();
+                expect.retain(|b| *b > 0);
+                let got = quantile_bounds(&data, shard_count);
+                assert_eq!(got, expect, "n = {n}, {shard_count} shards");
+            }
+        }
+        // Every rank at once, sharing the passes.
+        let mut data = wide(500, 11);
+        data.extend(data.clone()[..100].iter().map(|k| k >> 40));
+        let mut sorted = data.clone();
+        sorted.sort_unstable();
+        let ranks: Vec<usize> = (0..data.len()).collect();
+        assert_eq!(kth_keys(&data, &ranks), sorted);
+    }
+
+    #[test]
+    fn partitions_are_exact_capacity_disjoint_and_keep_the_multiset() {
+        for data in columns() {
+            let mut sorted = data.clone();
+            sorted.sort_unstable();
+            for shard_count in [1, 2, 3, 4, 8] {
+                let parts = key_disjoint_partitions(data.clone(), shard_count, KernelPolicy::Auto);
+                let last = parts.len() - 1;
+                for (i, (span, part)) in parts.iter().enumerate() {
+                    assert_eq!(part.capacity(), part.len(), "part {i} of {shard_count}");
+                    let owned = |k: &u64| span.contains(*k) || (i == last && *k == u64::MAX);
+                    assert!(part.iter().all(owned), "part {i} of {shard_count} outside {span}");
+                }
+                let mut all: Vec<u64> = parts.into_iter().flat_map(|(_, p)| p).collect();
+                all.sort_unstable();
+                assert_eq!(all, sorted, "{shard_count} shards: the multiset survives");
+            }
+        }
+    }
+
+    #[test]
+    fn split_exact_keeps_order_and_trims_every_part() {
+        let mut column = Vec::with_capacity(64);
+        column.extend(0..10u64);
+        let parts = split_exact(column, &[3, 6, 9]);
+        assert_eq!(parts, vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7, 8], vec![9]]);
+        assert!(parts.iter().all(|p| p.capacity() == p.len()));
+        let mut spare = Vec::with_capacity(64);
+        spare.extend(0..10u64);
+        let uncut = split_exact(spare, &[]);
+        assert_eq!(uncut[0].capacity(), 10, "an uncut column is trimmed too");
     }
 
     #[test]

@@ -41,10 +41,11 @@ struct Clock {
 /// A session-facing transactional front end over key-disjoint cracked
 /// shards (see the crate docs for the visibility rules).
 ///
-/// Construction partitions the data and builds the shards exactly as
-/// [`scrack_parallel::BatchScheduler`] does ([`key_disjoint_partitions`],
-/// [`build_shards`]), so both layers route keys over the identical
-/// shard map. The [`ServingConfig`] carries the
+/// Construction partitions the data in place and builds the shards
+/// exactly as [`scrack_parallel::BatchScheduler`] does
+/// ([`key_disjoint_partitions`], [`build_shards`]), so both layers route
+/// keys over the identical shard map and the shards hold one copy of the
+/// column between them. The [`ServingConfig`] carries the
 /// admission surface: `queue_capacity` bounds concurrently active
 /// sessions, `admission` picks what happens at the bound
 /// ([`AdmissionPolicy::Shed`] refuses, [`AdmissionPolicy::Block`] waits
