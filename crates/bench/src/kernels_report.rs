@@ -1,24 +1,34 @@
 //! The kernel perf-trajectory harness: branchy vs branchless, as data.
 //!
 //! Criterion benches print to a terminal; later PRs need the numbers as a
-//! machine-readable baseline. This module measures the three
+//! machine-readable baseline. This module measures the four
 //! reorganization primitives in both kernel variants across piece sizes
 //! and emits a stable JSON document (`BENCH_<pr>.json` in the repo root,
 //! regenerated via `cargo run --release -p scrack_bench --bin
 //! scrack_bench -- --json BENCH_2.json`). Each cell is the **median**
 //! ns/element over a fixed number of samples — medians because a shared
 //! CI box's tail noise would otherwise dominate a mean.
+//!
+//! `BENCH_2.json` is left as recorded: it predates the fused
+//! `split_and_materialize` cells, and re-recording it is a measurement of
+//! its own. A regenerated report carries all four primitives.
 
 use crate::bench_data;
 use scrack_partition::{
     crack_in_three, crack_in_three_branchless, crack_in_two, crack_in_two_branchless,
-    scan_filter, scan_filter_branchless, Fringe,
+    scan_filter, scan_filter_branchless, split_and_materialize, split_and_materialize_branchless,
+    Fringe,
 };
 use scrack_types::{QueryRange, Stats};
 use std::time::Instant;
 
 /// The measured primitives, in report order.
-pub const KERNELS: [&str; 3] = ["crack_in_two", "crack_in_three", "scan_filter"];
+pub const KERNELS: [&str; 4] = [
+    "crack_in_two",
+    "crack_in_three",
+    "scan_filter",
+    "split_and_materialize",
+];
 
 /// The kernel variants every primitive is measured in.
 pub const VARIANTS: [&str; 2] = ["branchy", "branchless"];
@@ -122,6 +132,17 @@ impl KernelReport {
                 out.clear();
                 scan_filter_branchless(d, Fringe::Both(q), &mut out, &mut Stats::new())
             });
+            // The fused MDD1R pass: crack on the median while
+            // materializing the same 50 % range.
+            let split_branchy = time_kernel(&data, &mut scratch, samples, |d| {
+                out.clear();
+                split_and_materialize(d, pivot, Fringe::Both(q), &mut out, &mut Stats::new())
+            });
+            let split_branchless = time_kernel(&data, &mut scratch, samples, |d| {
+                out.clear();
+                let fringe = Fringe::Both(q);
+                split_and_materialize_branchless(d, pivot, fringe, &mut out, &mut Stats::new())
+            });
 
             for (kernel, variant, ns) in [
                 ("crack_in_two", "branchy", two_branchy),
@@ -130,6 +151,8 @@ impl KernelReport {
                 ("crack_in_three", "branchless", three_branchless),
                 ("scan_filter", "branchy", scan_branchy),
                 ("scan_filter", "branchless", scan_branchless),
+                ("split_and_materialize", "branchy", split_branchy),
+                ("split_and_materialize", "branchless", split_branchless),
             ] {
                 cells.push(KernelCell {
                     kernel,

@@ -76,10 +76,15 @@ impl std::fmt::Display for UpdatePolicy {
 ///   in L2.
 ///
 /// The **kernel policy** selects between the branchy and branchless
-/// implementations of the reorganization primitives per touched piece.
-/// Both produce bit-identical results and cost counters, so this is a
-/// pure wall-clock knob; the default `Auto` takes the branchless path for
-/// pieces past `scrack_partition::AUTO_BRANCHLESS_THRESHOLD`.
+/// implementations of the reorganization primitives per touched piece:
+/// the two-way and three-way partitions, the filter scan, and the fused
+/// split-and-materialize pass of MDD1R, MDD1M and the selective kinds.
+/// Both produce bit-identical results and cost counters (the fused pass
+/// may order a materialized result differently, never change it), so
+/// this is a pure wall-clock knob; the default `Auto` takes the
+/// branchless path for pieces past
+/// `scrack_partition::AUTO_BRANCHLESS_THRESHOLD`. Progressive's budgeted
+/// partition job stays branchy under every policy.
 ///
 /// The **index policy** selects the cracker-index representation the
 /// engines navigate: the cache-conscious flat sorted-array directory

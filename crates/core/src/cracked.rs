@@ -27,7 +27,7 @@ use scrack_columnstore::QueryOutput;
 use scrack_index::{CrackerIndex, Piece};
 use scrack_partition::{
     advance_job, crack_in_three_policy, crack_in_two_policy, median_partition_policy,
-    scan_filter_policy, split_and_materialize, Fringe, JobStatus, PartitionJob,
+    scan_filter_policy, split_and_materialize_policy, Fringe, JobStatus, PartitionJob,
 };
 use scrack_types::{Element, QueryRange, Stats};
 
@@ -534,10 +534,11 @@ impl<E: Element> CrackedColumn<E> {
             return;
         }
         let pivot = self.data[piece.start + rng.gen_range(0..piece.len())].key();
-        let rel = split_and_materialize(
+        let rel = split_and_materialize_policy(
             &mut self.data[piece.start..piece.end],
             pivot,
             fringe,
+            self.config.kernel,
             out.mat_mut(),
             &mut self.stats,
         );
@@ -707,10 +708,11 @@ impl<E: Element> CrackedColumn<E> {
                 return;
             }
         };
-        let rel = split_and_materialize(
+        let rel = split_and_materialize_policy(
             &mut self.data[piece.start..piece.end],
             pivot,
             fringe,
+            self.config.kernel,
             out.mat_mut(),
             &mut self.stats,
         );

@@ -1,13 +1,13 @@
 //! Determinism: the whole point of seeded stochastic cracking is that a
 //! run is reproducible. The same `EngineKind` + seed over the same data
 //! and query sequence must produce identical select results, identical
-//! physical column orders, and identical crack-piece counts across runs.
+//! physical column orders, and identical cost counters across runs.
 //!
 //! This guards the randomized engines' seeding paths (DDR and MDD1R draw
 //! their pivots from the seeded RNG) as much as the deterministic ones.
 
 use scrack_core::{build_engine, CrackConfig, EngineKind, KernelPolicy};
-use scrack_types::QueryRange;
+use scrack_types::{QueryRange, Stats};
 
 const N: u64 = 50_000;
 const QUERIES: usize = 200;
@@ -42,13 +42,14 @@ fn column(n: u64) -> Vec<u64> {
 }
 
 /// One full run: per-query (result length, key checksum), then the final
-/// crack count and the final physical order's checksum.
-fn run(kind: EngineKind, seed: u64) -> (Vec<(usize, u64)>, u64, u64) {
+/// cost counters (every `Stats` field) and the final physical order's
+/// checksum.
+fn run(kind: EngineKind, seed: u64) -> (Vec<(usize, u64)>, Stats, u64) {
     run_with(kind, seed, CrackConfig::default())
 }
 
 /// [`run`] under an explicit config (kernel-policy sweeps).
-fn run_with(kind: EngineKind, seed: u64, config: CrackConfig) -> (Vec<(usize, u64)>, u64, u64) {
+fn run_with(kind: EngineKind, seed: u64, config: CrackConfig) -> (Vec<(usize, u64)>, Stats, u64) {
     let data = column(N);
     let mut engine = build_engine(kind, data, config, seed);
     let mut per_query = Vec::with_capacity(QUERIES);
@@ -63,19 +64,19 @@ fn run_with(kind: EngineKind, seed: u64, config: CrackConfig) -> (Vec<(usize, u6
         .fold(0u64, |acc, (i, k)| {
             acc.wrapping_mul(31).wrapping_add(k ^ i as u64)
         });
-    (per_query, engine.stats().cracks, order_checksum)
+    (per_query, engine.stats(), order_checksum)
 }
 
 fn assert_deterministic(kind: EngineKind) {
-    let (results_a, cracks_a, order_a) = run(kind, SEED);
-    let (results_b, cracks_b, order_b) = run(kind, SEED);
+    let (results_a, stats_a, order_a) = run(kind, SEED);
+    let (results_b, stats_b, order_b) = run(kind, SEED);
     assert_eq!(
         results_a, results_b,
         "{kind:?}: same seed must give identical per-query results"
     );
     assert_eq!(
-        cracks_a, cracks_b,
-        "{kind:?}: same seed must give identical crack counts"
+        stats_a, stats_b,
+        "{kind:?}: same seed must give identical cost counters"
     );
     assert_eq!(
         order_a, order_b,
@@ -114,14 +115,19 @@ fn progressive_is_deterministic() {
 }
 
 /// The engines under test for the kernel-policy sweeps: every strategy
-/// family that reaches the reorganization kernels.
-fn kernel_sensitive_kinds() -> [EngineKind; 6] {
+/// family that reaches the reorganization kernels — the two-way and
+/// three-way passes (Crack, DDC, DDR, DD1R), the fused
+/// split-and-materialize pass (MDD1R, MDD1M, the selective FiftyFifty)
+/// and progressive's budgeted jobs.
+fn kernel_sensitive_kinds() -> [EngineKind; 8] {
     [
         EngineKind::Crack,
         EngineKind::Ddc,
         EngineKind::Ddr,
         EngineKind::Dd1r,
         EngineKind::Mdd1r,
+        EngineKind::Mdd1m,
+        EngineKind::EveryX { x: 2 },
         EngineKind::Progressive { swap_pct: 10 },
     ]
 }
@@ -133,21 +139,22 @@ fn kernel_sensitive_kinds() -> [EngineKind; 6] {
 fn branchless_policy_is_deterministic() {
     let cfg = CrackConfig::default().with_kernel(KernelPolicy::Branchless);
     for kind in kernel_sensitive_kinds() {
-        let (results_a, cracks_a, order_a) = run_with(kind, SEED, cfg);
-        let (results_b, cracks_b, order_b) = run_with(kind, SEED, cfg);
+        let (results_a, stats_a, order_a) = run_with(kind, SEED, cfg);
+        let (results_b, stats_b, order_b) = run_with(kind, SEED, cfg);
         assert_eq!(
             results_a, results_b,
             "{kind:?}: branchless run must give identical per-query results"
         );
-        assert_eq!(cracks_a, cracks_b, "{kind:?}: branchless crack counts");
+        assert_eq!(stats_a, stats_b, "{kind:?}: branchless cost counters");
         assert_eq!(order_a, order_b, "{kind:?}: branchless physical order");
     }
 }
 
 /// Stronger still: the kernels are bit-identical, so the *same seed under
-/// different kernel policies* must agree on every result, crack count and
-/// the final physical order. This pins the equivalence contract at full
-/// engine scale.
+/// different kernel policies* must agree on every result, every `Stats`
+/// counter (a kernel that drops one swap or one materialized tuple turns
+/// this red) and the final physical order. This pins the equivalence
+/// contract at full engine scale.
 #[test]
 fn kernel_policy_does_not_change_any_result() {
     for kind in kernel_sensitive_kinds() {

@@ -1,14 +1,15 @@
 //! Branchless / predicated variants of the reorganization primitives, and
 //! the kernel-selection policy that picks between them.
 //!
-//! Every engine in the paper bottoms out in the same three primitives —
-//! [`crack_in_two`], [`crack_in_three`], [`scan_filter`] — whose classic
-//! implementations branch on a comparison against the pivot for every
-//! element. On random data that branch is taken ~50% of the time, i.e. it
-//! is unpredictable, and the resulting mispredictions dominate the cost of
-//! the pass. The multi-core adaptive-indexing follow-up (Alvarez et al.)
-//! identifies predication as the prerequisite for making cracking kernels
-//! run at memory speed; this module provides those predicated variants:
+//! Every engine in the paper bottoms out in the same four primitives —
+//! [`crack_in_two`], [`crack_in_three`], [`scan_filter`] and MDD1R's fused
+//! [`split_and_materialize`] — whose classic implementations branch on a
+//! comparison against the pivot for every element. On random data that
+//! branch is taken ~50% of the time, i.e. it is unpredictable, and the
+//! resulting mispredictions dominate the cost of the pass. The multi-core
+//! adaptive-indexing follow-up (Alvarez et al.) identifies predication as
+//! the prerequisite for making cracking kernels run at memory speed; this
+//! module provides those predicated variants:
 //!
 //! * [`crack_in_two_branchless`] — a blockwise two-ended partition in the
 //!   style of BlockQuicksort: misplaced-element offsets are collected with
@@ -16,6 +17,12 @@
 //!   chunks from both ends, then exchanged pairwise. The exchange pairing
 //!   replicates the Hoare pass exactly, so the result (boundary, physical
 //!   order, swap count) is **bit-identical** to [`crack_in_two`].
+//! * [`split_and_materialize_branchless`] — the same blockwise loop, which
+//!   also filters each freshly scanned chunk into a chunk-sized buffer
+//!   with a branch-free cursor before any exchange can move an element.
+//!   Boundary, physical order, `Stats` and the materialized multiset are
+//!   identical to [`split_and_materialize`]; only the order *inside* the
+//!   output may differ, and every consumer aggregates it.
 //! * [`crack_in_three_branchless`] — the Dutch-national-flag pass with the
 //!   per-element three-way branch replaced by an arithmetically selected
 //!   swap target; state evolution is identical to [`crack_in_three`].
@@ -30,10 +37,11 @@
 //! passes), and `swaps` counts the same exchanges in the same order.
 //!
 //! [`KernelPolicy`] selects a variant per call; [`crack_in_two_policy`],
-//! [`crack_in_three_policy`] and [`scan_filter_policy`] are the dispatch
-//! points the engines route through.
+//! [`split_and_materialize_policy`], [`crack_in_three_policy`] and
+//! [`scan_filter_policy`] are the dispatch points the engines route
+//! through.
 
-use crate::materialize::{scan_filter, Fringe};
+use crate::materialize::{scan_filter, split_and_materialize, Fringe, RESERVE_CAP};
 use crate::three_way::crack_in_three;
 use crate::two_way::{crack_in_two, hoare_partition};
 use scrack_types::{Element, Stats};
@@ -44,7 +52,7 @@ use scrack_types::{Element, Stats};
 pub const KERNEL_BLOCK: usize = 128;
 
 /// Piece size (in elements) above which [`KernelPolicy::Auto`] picks the
-/// branchless two-way and filter kernels.
+/// branchless two-way, fused split-and-materialize and filter kernels.
 ///
 /// A fixed, bench-measured crossover (not derived from
 /// `CacheProfile` — the switch point is set by branch-misprediction
@@ -80,7 +88,7 @@ pub enum KernelPolicy {
 
 impl KernelPolicy {
     /// Whether a piece of `len` elements should take the branchless path
-    /// (two-way and filter kernels).
+    /// (two-way, fused split-and-materialize and filter kernels).
     #[inline(always)]
     pub fn use_branchless(self, len: usize) -> bool {
         self.use_branchless_above(len, AUTO_BRANCHLESS_THRESHOLD)
@@ -130,7 +138,7 @@ impl std::fmt::Display for KernelPolicy {
 }
 
 // ---------------------------------------------------------------------
-// Two-way
+// Two-way, and the fused MDD1R pass on the same loop
 // ---------------------------------------------------------------------
 
 /// Blockwise predicated two-way partition: same contract, result and
@@ -148,10 +156,103 @@ pub fn crack_in_two_branchless<E: Element>(
     pivot: u64,
     stats: &mut Stats,
 ) -> usize {
+    // The filter-free instance: `keep` is constant false, so the filter
+    // writes and the (never-grown) output compile out.
+    let (p, swaps) = blockwise_split(data, pivot, |_| false, &mut Vec::new());
     stats.touched += data.len() as u64;
     stats.comparisons += data.len() as u64;
+    stats.swaps += swaps;
+    p
+}
+
+/// Policy dispatch for the two-way partition.
+#[inline]
+pub fn crack_in_two_policy<E: Element>(
+    data: &mut [E],
+    pivot: u64,
+    policy: KernelPolicy,
+    stats: &mut Stats,
+) -> usize {
+    if policy.use_branchless(data.len()) {
+        crack_in_two_branchless(data, pivot, stats)
+    } else {
+        crack_in_two(data, pivot, stats)
+    }
+}
+
+/// Blockwise predicated `split_and_materialize`: same boundary, physical
+/// order and [`Stats`] delta as [`split_and_materialize`], and the same
+/// multiset appended to `out` — only the order *inside* the appended run
+/// may differ.
+///
+/// This is [`crack_in_two_branchless`]'s loop plus one step: each freshly
+/// scanned chunk is also tested against `fringe` and its qualifying
+/// elements are gathered with a branch-free cursor into a chunk-sized
+/// buffer, then appended to `out`. A chunk is scanned before any exchange
+/// touches it, so every element is filtered exactly once, as it stood in
+/// the input.
+// Out of line: inlined, its filter instances and their chunk buffers land
+// in the code and stack frame of every caller, including the small-piece
+// (branchy) path of `split_and_materialize_policy`; on the pieces this
+// kernel serves, a call is noise.
+#[inline(never)]
+pub fn split_and_materialize_branchless<E: Element>(
+    data: &mut [E],
+    pivot: u64,
+    fringe: Fringe,
+    out: &mut Vec<E>,
+    stats: &mut Stats,
+) -> usize {
+    // The branchy kernel's capped up-front reservation: no mid-scan
+    // reallocation up to RESERVE_CAP, and the same peak footprint.
+    out.reserve(data.len().min(RESERVE_CAP));
+    let before = out.len();
+    // Monomorphize per filter shape, as the branchy kernel does.
+    let (p, swaps) = match fringe {
+        Fringe::Both(q) => blockwise_split(data, pivot, |k| q.contains(k), out),
+        Fringe::Low(a) => blockwise_split(data, pivot, |k| k >= a, out),
+        Fringe::High(b) => blockwise_split(data, pivot, |k| k < b, out),
+        Fringe::None => blockwise_split(data, pivot, |_| false, out),
+    };
+    stats.touched += data.len() as u64;
+    stats.comparisons += 2 * data.len() as u64; // pivot test + filter test
+    stats.swaps += swaps;
+    stats.materialized += (out.len() - before) as u64;
+    p
+}
+
+/// Policy dispatch for the fused split-and-materialize pass.
+#[inline]
+pub fn split_and_materialize_policy<E: Element>(
+    data: &mut [E],
+    pivot: u64,
+    fringe: Fringe,
+    policy: KernelPolicy,
+    out: &mut Vec<E>,
+    stats: &mut Stats,
+) -> usize {
+    if policy.use_branchless(data.len()) {
+        split_and_materialize_branchless(data, pivot, fringe, out, stats)
+    } else {
+        split_and_materialize(data, pivot, fringe, out, stats)
+    }
+}
+
+/// The blockwise Hoare pass behind both two-way branchless kernels:
+/// boundary plus exchange count, no stats. Appends every element passing
+/// `keep` to `out`, testing each exactly once.
+#[inline(always)]
+fn blockwise_split<E: Element>(
+    data: &mut [E],
+    pivot: u64,
+    keep: impl Fn(u64) -> bool,
+    out: &mut Vec<E>,
+) -> (usize, u64) {
     let mut offs_l = [0u8; KERNEL_BLOCK];
     let mut offs_r = [0u8; KERNEL_BLOCK];
+    // Qualifying elements of the chunk being scanned; the filler is never
+    // read (only `buf[..w]` is, and every slot below `w` is written first).
+    let mut buf = [E::from_key_row(0, 0); KERNEL_BLOCK];
     let mut l = 0usize; // data[..l] settled < pivot
     let mut r = data.len(); // data[r..] settled >= pivot
     let (mut num_l, mut start_l) = (0usize, 0usize);
@@ -161,21 +262,32 @@ pub fn crack_in_two_branchless<E: Element>(
         if num_l == 0 {
             // Scan a fresh left chunk: record offsets of keys >= pivot.
             start_l = 0;
+            let mut w = 0usize;
             let block = &data[l..l + KERNEL_BLOCK];
             for (i, e) in block.iter().enumerate() {
+                let k = e.key();
                 offs_l[num_l] = i as u8;
-                num_l += (e.key() >= pivot) as usize;
+                num_l += (k >= pivot) as usize;
+                buf[w] = *e;
+                w += keep(k) as usize;
             }
+            out.extend_from_slice(&buf[..w]);
         }
         if num_r == 0 {
             // Scan a fresh right chunk from the outside in: record offsets
             // (as distance from r-1) of keys < pivot.
             start_r = 0;
+            let mut w = 0usize;
             let block = &data[r - KERNEL_BLOCK..r];
             for i in 0..KERNEL_BLOCK {
+                let e = block[KERNEL_BLOCK - 1 - i];
+                let k = e.key();
                 offs_r[num_r] = i as u8;
-                num_r += (block[KERNEL_BLOCK - 1 - i].key() < pivot) as usize;
+                num_r += (k < pivot) as usize;
+                buf[w] = e;
+                w += keep(k) as usize;
             }
+            out.extend_from_slice(&buf[..w]);
         }
         // Exchange pairs outside-in: k-th misplaced-from-the-left with
         // k-th misplaced-from-the-right — the Hoare pairing.
@@ -200,26 +312,22 @@ pub fn crack_in_two_branchless<E: Element>(
         }
     }
     // Tail: at most one side still has pending offsets, and they lie
-    // inside [l, r); the scalar Hoare pass re-derives and finishes the
-    // identical exchange sequence over the remaining window.
-    let (rel, tail_swaps) = hoare_partition(&mut data[l..r], pivot);
-    stats.swaps += swaps + tail_swaps;
-    l + rel
-}
-
-/// Policy dispatch for the two-way partition.
-#[inline]
-pub fn crack_in_two_policy<E: Element>(
-    data: &mut [E],
-    pivot: u64,
-    policy: KernelPolicy,
-    stats: &mut Stats,
-) -> usize {
-    if policy.use_branchless(data.len()) {
-        crack_in_two_branchless(data, pivot, stats)
-    } else {
-        crack_in_two(data, pivot, stats)
+    // inside [l, r). A chunk with pending offsets was filtered when it
+    // was scanned; filter the window no scan has visited before the
+    // scalar Hoare pass re-derives and finishes the identical exchange
+    // sequence over [l, r).
+    let lo = l + KERNEL_BLOCK * usize::from(num_l > 0);
+    let hi = r - KERNEL_BLOCK * usize::from(num_r > 0);
+    for chunk in data[lo..hi].chunks(KERNEL_BLOCK) {
+        let mut w = 0usize;
+        for e in chunk {
+            buf[w] = *e;
+            w += keep(e.key()) as usize;
+        }
+        out.extend_from_slice(&buf[..w]);
     }
+    let (rel, tail_swaps) = hoare_partition(&mut data[l..r], pivot);
+    (l + rel, swaps + tail_swaps)
 }
 
 // ---------------------------------------------------------------------
@@ -516,6 +624,22 @@ mod tests {
                 &mut stats,
             );
             assert_eq!(kept, out.len(), "{policy}");
+            // The fused pass: every policy reaches the branchy reference's
+            // boundary, order, stats and materialized multiset.
+            let fringe = Fringe::Both(QueryRange::new(1000, 6000));
+            let (mut want_d, mut want_out) = (base.clone(), Vec::new());
+            let mut want_stats = Stats::new();
+            let want_p =
+                split_and_materialize(&mut want_d, 5000, fringe, &mut want_out, &mut want_stats);
+            let (mut d, mut out, mut stats) = (base.clone(), Vec::new(), Stats::new());
+            let p =
+                split_and_materialize_policy(&mut d, 5000, fringe, policy, &mut out, &mut stats);
+            assert_eq!(p, want_p, "{policy}");
+            assert_eq!(d, want_d, "{policy}");
+            assert_eq!(stats, want_stats, "{policy}");
+            out.sort_unstable();
+            want_out.sort_unstable();
+            assert_eq!(out, want_out, "{policy}");
         }
     }
 }

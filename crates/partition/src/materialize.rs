@@ -56,6 +56,11 @@ impl Fringe {
 /// Each element is inspected exactly once; exchanged elements are filter-
 /// checked at exchange time rather than re-visited (an equivalent, slightly
 /// tighter formulation of the paper's loop).
+///
+/// This is the `Branchy` kernel and the differential reference of the
+/// blockwise [`split_and_materialize_branchless`](crate::split_and_materialize_branchless);
+/// engines reach both through
+/// [`split_and_materialize_policy`](crate::split_and_materialize_policy).
 #[inline]
 pub fn split_and_materialize<E: Element>(
     data: &mut [E],

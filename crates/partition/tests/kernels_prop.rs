@@ -9,14 +9,20 @@
 //!
 //! Sizes deliberately straddle `2 * KERNEL_BLOCK` so both the blockwise
 //! main loop and the scalar tail are exercised.
+//!
+//! The fused `split_and_materialize` pair is held to the same contract
+//! with one relaxation: the materialized output is compared as a multiset
+//! (sorted), because the blockwise kernel gathers qualifiers chunk by
+//! chunk and every consumer aggregates the output.
 
 use proptest::prelude::*;
 use scrack_partition::{
     crack_in_three, crack_in_three_branchless, crack_in_three_policy, crack_in_two,
     crack_in_two_branchless, crack_in_two_policy, scan_filter, scan_filter_branchless,
-    scan_filter_policy, Fringe, KernelPolicy,
+    scan_filter_policy, split_and_materialize, split_and_materialize_branchless,
+    split_and_materialize_policy, Fringe, KernelPolicy, KERNEL_BLOCK,
 };
-use scrack_types::{QueryRange, Stats};
+use scrack_types::{Element, QueryRange, Stats, Tuple};
 
 fn fringe_strategy() -> impl Strategy<Value = Fringe> {
     (0u64..1000, 0u64..1000, 0u8..4).prop_map(|(a, w, shape)| match shape {
@@ -25,6 +31,56 @@ fn fringe_strategy() -> impl Strategy<Value = Fringe> {
         2 => Fringe::High(a),
         _ => Fringe::None,
     })
+}
+
+/// Piece sizes for the fused kernels: empty, singleton, either side of the
+/// blockwise loop's `2 * KERNEL_BLOCK` entry, odd sizes, and sizes that
+/// run many chunks from both ends.
+fn fused_len_strategy() -> impl Strategy<Value = usize> {
+    let b2 = 2 * KERNEL_BLOCK;
+    prop_oneof![
+        prop_oneof![Just(0), Just(1), Just(b2 - 1), Just(b2), Just(b2 + 1)],
+        (0usize..1500).prop_map(|n| 2 * n + 1),
+        0usize..FUSED_MAX_LEN,
+    ]
+}
+
+const FUSED_MAX_LEN: usize = 3001;
+
+/// Runs both fused kernels on copies of `input`, each appending to a
+/// one-element `out`, and checks boundary, physical order, the full
+/// `Stats` delta, the untouched prefix of `out` and the materialized
+/// multiset (ranked by `rank`) against the branchy kernel and the filter.
+fn fused_kernels_agree<E: Element + PartialEq>(
+    input: &[E],
+    pivot: u64,
+    fringe: Fringe,
+    rank: impl Fn(&E) -> (u64, u32),
+) -> Result<(), TestCaseError> {
+    let sentinel = E::from_key_row(u64::MAX, u32::MAX);
+    let (mut branchy, mut branchless) = (input.to_vec(), input.to_vec());
+    let (mut out_a, mut out_b) = (vec![sentinel], vec![sentinel]);
+    let (mut sa, mut sb) = (Stats::new(), Stats::new());
+    let pa = split_and_materialize(&mut branchy, pivot, fringe, &mut out_a, &mut sa);
+    let pb = split_and_materialize_branchless(&mut branchless, pivot, fringe, &mut out_b, &mut sb);
+    prop_assert_eq!(pa, pb, "boundary positions differ");
+    prop_assert_eq!(&branchy, &branchless, "physical orders differ");
+    prop_assert_eq!(sa, sb, "stats deltas differ");
+    prop_assert_eq!(out_b[0], sentinel, "out must be appended to, not replaced");
+    let sorted = |out: &[E]| {
+        let mut v: Vec<(u64, u32)> = out.iter().map(&rank).collect();
+        v.sort_unstable();
+        v
+    };
+    let (got, reference) = (sorted(&out_b[1..]), sorted(&out_a[1..]));
+    prop_assert_eq!(&got, &reference, "materialized multisets differ");
+    let expect: Vec<E> = input
+        .iter()
+        .copied()
+        .filter(|e| fringe.keeps(e.key()))
+        .collect();
+    prop_assert_eq!(&got, &sorted(&expect), "filter semantics drifted");
+    Ok(())
 }
 
 proptest! {
@@ -90,6 +146,49 @@ proptest! {
     }
 
     #[test]
+    fn split_and_materialize_kernels_are_equivalent(
+        raw in proptest::collection::vec(any::<u64>(), FUSED_MAX_LEN),
+        len in fused_len_strategy(),
+        domain in prop_oneof![Just(2u64), Just(16), Just(1000)],
+        pivot_rule in 0u8..5,
+        (pivot_draw, a, w, shape) in (any::<u64>(), any::<u64>(), any::<u64>(), 0u8..4),
+    ) {
+        // Keys are multiples of 3 over a 2-, 16- or 1000-key domain, so
+        // `3r + 1` is a pivot absent from the piece; a 2-key domain is
+        // the duplicate-heavy case.
+        let keys: Vec<u64> = raw[..len].iter().map(|x| 3 * (x % domain)).collect();
+        let (min, max) = (keys.iter().min().copied(), keys.iter().max().copied());
+        let pivot = match pivot_rule {
+            0 => min.unwrap_or(0),
+            1 => max.unwrap_or(0),
+            2 => 3 * (pivot_draw % domain) + 1,
+            3 => max.map_or(0, |m| m + 1),
+            _ => 3 * (pivot_draw % domain),
+        };
+        let span = 3 * domain + 2;
+        let (a, w) = (a % span, w % span);
+        let fringe = match shape {
+            0 => Fringe::Both(QueryRange::new(a, a + w)),
+            1 => Fringe::Low(a),
+            2 => Fringe::High(a),
+            _ => Fringe::None,
+        };
+        fused_kernels_agree(&keys, pivot, fringe, |k| (*k, 0))?;
+        // Tuples: rowid = input position, so a rowid detached from its key
+        // shows up both as an order mismatch and in the check below.
+        let tuples: Vec<Tuple> =
+            keys.iter().enumerate().map(|(i, k)| Tuple::new(*k, i as u32)).collect();
+        fused_kernels_agree(&tuples, pivot, fringe, |t| (t.key, t.row))?;
+        let mut d = tuples.clone();
+        let mut out = Vec::new();
+        split_and_materialize_branchless(&mut d, pivot, fringe, &mut out, &mut Stats::new());
+        prop_assert!(
+            d.iter().chain(&out).all(|t| keys[t.row as usize] == t.key),
+            "rowids detached from their keys"
+        );
+    }
+
+    #[test]
     fn policy_dispatch_is_result_transparent(
         data in proptest::collection::vec(0u64..1000, 0..1200),
         pivot in 0u64..1000,
@@ -123,6 +222,20 @@ proptest! {
                 &mut sf,
             );
             prop_assert_eq!(kept, out.len(), "{} scan_filter", policy);
+
+            let fringe = Fringe::Both(QueryRange::new(lo, pivot));
+            let (mut want_d, mut want_out, mut want_s) = (data.clone(), Vec::new(), Stats::new());
+            let want_p =
+                split_and_materialize(&mut want_d, pivot, fringe, &mut want_out, &mut want_s);
+            let (mut dm, mut mat, mut sm) = (data.clone(), Vec::new(), Stats::new());
+            let pm =
+                split_and_materialize_policy(&mut dm, pivot, fringe, policy, &mut mat, &mut sm);
+            prop_assert_eq!(pm, want_p, "{} fused boundary", policy);
+            prop_assert_eq!(&dm, &want_d, "{} fused order", policy);
+            prop_assert_eq!(sm, want_s, "{} fused stats", policy);
+            mat.sort_unstable();
+            want_out.sort_unstable();
+            prop_assert_eq!(&mat, &want_out, "{} fused output", policy);
         }
     }
 }
