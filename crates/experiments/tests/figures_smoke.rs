@@ -177,3 +177,23 @@ fn fig07_renders_every_pattern_panel() {
         assert!(s.contains(needle), "missing {needle:?}");
     }
 }
+
+#[test]
+fn ext_resilience_answers_exactly_under_every_fault() {
+    let s = figures::ext_resilience::run(&cfg());
+    // Table columns: fault, answered, shed, wrong, panics, quarantines,
+    // rebuilds.
+    let row = |fault: &str| -> Vec<String> {
+        let line = s
+            .lines()
+            .find(|l| l.starts_with(&format!("| {fault} ")))
+            .unwrap_or_else(|| panic!("no {fault:?} row in:\n{s}"));
+        line.split('|').map(|c| c.trim().to_string()).filter(|c| !c.is_empty()).collect()
+    };
+    for fault in ["none", "panic", "poison", "overload"] {
+        assert_eq!(row(fault)[3], "0", "{fault}: wrong answers in:\n{s}");
+    }
+    for fault in ["panic", "poison"] {
+        assert_eq!(row(fault)[5..7], ["1", "1"], "{fault}: quarantines/rebuilds in:\n{s}");
+    }
+}

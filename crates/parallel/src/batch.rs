@@ -22,19 +22,26 @@
 //! a [`Shard`]: an independent cracker over its key span, with its own
 //! seeded RNG stream.
 //!
-//! [`BatchScheduler::execute`] takes a batch of [`QueryRange`]s and
+//! Every entry point — [`BatchScheduler::execute`] and its serial and
+//! mixed-batch siblings, [`BatchScheduler::execute_resilient`], and
+//! [`ChunkedCracker`](crate::ChunkedCracker) over its whole-domain
+//! chunks — serves through one loop of admission waves. A wave
 //! 1. **routes**: each query is [clipped](crate::shard::clip) against
 //!    every overlapping shard's key span — the group-by-key-region step;
 //!    narrow queries land on exactly one shard;
 //! 2. **sorts** each shard's queue by clipped bound (queries touching
 //!    the same key region run back to back, cache-warm);
-//! 3. **executes** shard queues in parallel on the work-stealing
-//!    [`executor`](crate::executor) — shards share nothing, so
-//!    reorganization never contends; shards with empty queues spawn no
-//!    task, live workers cap at available parallelism, and idle workers
-//!    steal queued shards so a skewed batch cannot idle cores;
-//! 4. **merges** the per-shard partial aggregates back into one
-//!    `(count, key_sum)` per query, in submission order.
+//! 3. **drains** shard queues in parallel on the work-stealing
+//!    [`executor`](crate::executor), each task under panic isolation —
+//!    shards share nothing, so reorganization never contends; shards
+//!    with empty queues spawn no task, live workers cap at available
+//!    parallelism, and idle workers steal queued shards so a skewed
+//!    batch cannot idle cores;
+//! 4. **folds** the per-shard partial aggregates back into one
+//!    [`QueryOutcome`] per query, in submission order.
+//!
+//! The plain entry points run it under [`ServingConfig::default`] — one
+//! wave, every query answered — and return `(count, key_sum)` per query.
 //!
 //! # Mixed read/write batches
 //!
@@ -49,16 +56,27 @@
 //! sort), so each select observes exactly the updates submitted before
 //! it, on every shard, under every interleaving.
 //!
+//! # The degradation ladder
+//!
+//! The ladder belongs to the loop, so every entry point follows it. A
+//! worker panic is caught per shard task: the answers the task produced
+//! stand, the shard is quarantined (index discarded, serving scans), and
+//! its queue resumes by scan at the op that raised the panic. A poisoned
+//! shard quarantines at the select that finds it. At the end of every
+//! batch the quarantine clock ticks, and a shard whose timer ran out
+//! re-cracks the bounds it noted while healthy and serves adaptively
+//! again. With no [`FaultPlan`](scrack_core::FaultPlan) armed none of
+//! this fires, and answers and [`Stats`] are those of the plain drain.
+//!
 //! # Determinism
 //!
 //! Each shard drains its queue in a fixed order with its own RNG, so the
-//! work a shard performs is independent of thread scheduling. All four
-//! entry points are one route → sort → drain → fold path;
+//! work a shard performs is independent of thread scheduling.
 //! [`BatchScheduler::execute_serial`] (and
-//! [`BatchScheduler::execute_ops_serial`] for mixed batches) run it with
-//! one worker, on the calling thread. Results *and* [`Stats`] are
-//! bit-identical to the parallel path under any interleaving (pinned by
-//! `tests/threaded_determinism.rs`).
+//! [`BatchScheduler::execute_ops_serial`] for mixed batches) run the
+//! loop with one worker, on the calling thread. Results *and* [`Stats`]
+//! are bit-identical to the parallel path under any interleaving (pinned
+//! by `tests/threaded_determinism.rs`).
 
 use crate::resilience::{
     AdmissionPolicy, BatchReport, QueryOutcome, ResilienceStats, ServingConfig, ShardHealth,
@@ -67,11 +85,7 @@ use crate::shard::{self, Shard};
 use crate::{executor, ParallelStrategy};
 use scrack_core::{CrackConfig, Engine, FaultKind};
 use scrack_types::{Element, QueryRange, Stats};
-use std::time::{Duration, Instant};
-
-/// One resilient wave's per-query partial aggregates, keyed by query
-/// index (`None` = the query's deadline expired before it started).
-type WavePartials = Vec<(usize, Option<(usize, u64)>)>;
+use std::time::Instant;
 
 /// One operation of a mixed read/write batch.
 ///
@@ -96,71 +110,70 @@ pub enum BatchOp<E> {
 /// already clipped to the shard's span.
 type Queue<E> = Vec<(usize, BatchOp<E>)>;
 
-/// Drains `queue` in order: selects produce `(query_index, count,
-/// key_sum)` partials, updates queue into the shard's pending store.
+/// One queue entry's answer: its `(count, key_sum)` share (`(0, 0)` for
+/// an update), or `None` when its deadline expired before it started.
+type Partial = Option<(usize, u64)>;
+
+/// The shards `op` queues on, with the op as each one queues it: a
+/// select clipped against every span it overlaps, an update on the one
+/// shard owning its key.
+fn route<E: Element>(
+    spans: &[QueryRange],
+    op: BatchOp<E>,
+) -> impl Iterator<Item = (usize, BatchOp<E>)> + '_ {
+    let (select, key) = match op {
+        BatchOp::Select(q) => (q, None),
+        BatchOp::Insert(e) => (QueryRange::new(0, 0), Some(e.key())),
+        BatchOp::Delete(k) => (QueryRange::new(0, 0), Some(k)),
+    };
+    let clipped = shard::clip(spans, select).map(|(si, q)| (si, BatchOp::Select(q)));
+    clipped.chain(key.map(|k| (shard::owner(spans, k), op)))
+}
+
+/// Drains `queue` through `shard` in order, pushing one [`Partial`] per
+/// entry onto `out`. Per entry: the deadline check; for a select on a
+/// healthy shard, the poison fault site (→ quarantine) or
+/// [`Shard::note_bounds`], then [`Shard::aggregate`]; an update queues
+/// into the shard's pending store. A panic leaves `out` holding exactly
+/// the entries before the one that raised it. Returns whether this drain
+/// quarantined the shard.
 fn drain<E: Element>(
     shard: &mut Shard<E>,
     queue: &[(usize, BatchOp<E>)],
-) -> Vec<(usize, usize, u64)> {
-    let mut partials = Vec::with_capacity(queue.len());
-    for &(qi, op) in queue {
-        match op {
-            BatchOp::Select(q) => {
-                let (count, sum) = shard.aggregate(q);
-                partials.push((qi, count, sum));
-            }
-            BatchOp::Insert(e) => shard.pending.queue_insert(e),
-            BatchOp::Delete(k) => shard.pending.queue_delete(k),
-        }
-    }
-    partials
-}
-
-/// Drains one resilient wave's queue: per query, deadline check, then
-/// the poison fault site (→ quarantine), then [`Shard::aggregate`].
-/// Returns per-query partials (`None` = deadline expired) and whether
-/// this drain entered quarantine.
-fn drain_resilient<E: Element>(
-    shard: &mut Shard<E>,
-    queue: &[(usize, BatchOp<E>)],
+    out: &mut Vec<Partial>,
     arrival: Instant,
-    deadline: Option<Duration>,
-    rebuild_after: u32,
-) -> (WavePartials, bool) {
-    let mut newly_quarantined = false;
-    let partials = queue
-        .iter()
-        .map(|&(qi, op)| {
-            let BatchOp::Select(q) = op else {
-                unreachable!("resilient waves route selects only")
-            };
-            if deadline.is_some_and(|d| arrival.elapsed() > d) {
-                return (qi, None);
-            }
-            if shard.health == ShardHealth::Healthy {
-                if shard.fault.poll(FaultKind::PoisonShard) {
-                    shard.quarantine(rebuild_after);
-                    newly_quarantined = true;
-                } else {
-                    shard.note_bounds(q);
+    serving: &ServingConfig,
+) -> bool {
+    let mut quarantined = false;
+    for &(_, op) in queue {
+        if serving.deadline.is_some_and(|d| arrival.elapsed() > d) {
+            out.push(None);
+            continue;
+        }
+        let answer = match op {
+            BatchOp::Select(q) => {
+                if shard.health == ShardHealth::Healthy {
+                    if shard.fault.poll(FaultKind::PoisonShard) {
+                        shard.quarantine(serving.rebuild_after);
+                        quarantined = true;
+                    } else {
+                        shard.note_bounds(q);
+                    }
                 }
+                shard.aggregate(q)
             }
-            (qi, Some(shard.aggregate(q)))
-        })
-        .collect();
-    (partials, newly_quarantined)
-}
-
-/// Folds per-shard partials into per-query `(count, key_sum)` results in
-/// submission order. Queries with no qualifying tuples (or empty ranges)
-/// come back as `(0, 0)`.
-pub(crate) fn fold(batch_len: usize, partials: Vec<Vec<(usize, usize, u64)>>) -> Vec<(usize, u64)> {
-    let mut results = vec![(0usize, 0u64); batch_len];
-    for (qi, count, sum) in partials.into_iter().flatten() {
-        results[qi].0 += count;
-        results[qi].1 = results[qi].1.wrapping_add(sum);
+            BatchOp::Insert(e) => {
+                shard.pending.queue_insert(e);
+                (0, 0)
+            }
+            BatchOp::Delete(k) => {
+                shard.pending.queue_delete(k);
+                (0, 0)
+            }
+        };
+        out.push(Some(answer));
     }
-    results
+    quarantined
 }
 
 /// A batch scheduler over key-range partitioned shards (see module docs).
@@ -184,22 +197,28 @@ pub(crate) fn fold(batch_len: usize, partials: Vec<Vec<(usize, usize, u64)>>) ->
 /// ```
 #[derive(Debug)]
 pub struct BatchScheduler<E: Element> {
-    shards: Vec<Shard<E>>,
+    pub(crate) shards: Vec<Shard<E>>,
     /// The shard map: `shards[i]`'s span, in key order.
     spans: Vec<QueryRange>,
-    /// Per-shard work queues, kept across batches and refilled in place:
-    /// steady-state batches route without allocating.
+    /// Per-shard work queues and drain outputs, kept across batches and
+    /// refilled in place: steady-state batches route without allocating.
     queues: Vec<Queue<E>>,
-    /// Cumulative counters over every resilient batch served.
+    partials: Vec<Vec<Partial>>,
+    /// Cumulative counters over every batch served.
     resilience: ResilienceStats,
 }
 
-/// Per-query progress through [`BatchScheduler::execute_resilient`]'s
-/// admission waves.
+/// Per-query progress through [`BatchScheduler::run`]'s admission waves.
 #[derive(Clone, Copy, Debug)]
 enum Slot {
     /// Waiting for admission; `retries` shed-retry waves so far.
     Pending { retries: u32 },
+    /// Admitted to the current wave; `sum` folds its partials (`None`
+    /// once one of them timed out).
+    Admitted {
+        retries: u32,
+        sum: Option<(usize, u64)>,
+    },
     /// Final verdict reached.
     Done(QueryOutcome),
 }
@@ -222,10 +241,15 @@ impl<E: Element> BatchScheduler<E> {
         seed: u64,
     ) -> Self {
         let parts = shard::key_disjoint_partitions(data, shard_count, config.kernel);
-        let shards = shard::build_shards(parts, strategy, config, seed);
+        Self::from_shards(shard::build_shards(parts, strategy, config, seed))
+    }
+
+    /// A scheduler serving `shards`, routing by their spans.
+    pub(crate) fn from_shards(shards: Vec<Shard<E>>) -> Self {
         Self {
             spans: shards.iter().map(|s| s.span).collect(),
             queues: vec![Vec::new(); shards.len()],
+            partials: vec![Vec::new(); shards.len()],
             shards,
             resilience: ResilienceStats::default(),
         }
@@ -257,52 +281,227 @@ impl<E: Element> BatchScheduler<E> {
         }
     }
 
-    /// The one serving path behind the four `execute*` entry points.
+    /// The one serving loop: admission waves under `serving` until every
+    /// op has its [`QueryOutcome`], then one tick of the quarantine clock
+    /// on every shard.
     ///
-    /// **Route** into the reusable per-shard queues (cleared, not
-    /// reallocated, between batches): selects are clipped against every
-    /// overlapping shard span, inserts and deletes are key-routed to the
-    /// single shard owning their key. **Sort** (query-only entries).
-    /// **Drain** every non-empty queue on the work-stealing
-    /// [`executor`] — one worker when `serial`, else capped at available
-    /// parallelism. **Fold** the partials per op, in submission order.
+    /// A wave **routes** the ops still pending, in submission order, into
+    /// the reusable per-shard queues: selects clipped against every
+    /// overlapping span, inserts and deletes key-routed to the shard
+    /// owning their key. Under [`AdmissionPolicy::Admit`] everything is
+    /// admitted; otherwise an op is admitted only if every shard it
+    /// touches has queue room, and the rest are shed with bounded retries
+    /// ([`AdmissionPolicy::Shed`]) or deferred to the next wave
+    /// ([`AdmissionPolicy::Block`]). A capacity of at least one admits
+    /// the first pending op of every wave, so the loop terminates. The
+    /// wave then **sorts** (query-only entries), **drains** every
+    /// non-empty queue on the work-stealing [`executor`] under panic
+    /// isolation — one worker when `serial`, else capped at available
+    /// parallelism — and **folds** the partials per op.
+    ///
+    /// Only the default config may carry updates: it admits everything
+    /// in a single wave, so every shard drains its ops in submission
+    /// order. A later wave would run a deferred update after selects
+    /// submitted behind it.
+    ///
+    /// # Panics
+    /// If `serving.queue_capacity` is zero.
     fn run(
         &mut self,
-        ops: impl ExactSizeIterator<Item = BatchOp<E>>,
+        ops: impl Iterator<Item = BatchOp<E>> + Clone,
+        serving: &ServingConfig,
+        serial: bool,
+        sort: bool,
+    ) -> BatchReport {
+        assert!(
+            serving.queue_capacity >= 1,
+            "admission queue capacity must be at least 1"
+        );
+        let arrival = Instant::now();
+        // An overload fault clamps the shard's admission capacity for
+        // this whole batch; polled once per shard per batch.
+        let caps: Vec<usize> = self
+            .shards
+            .iter()
+            .map(|s| {
+                if s.fault.poll(FaultKind::QueueOverload) {
+                    s.fault.plan().overload_capacity().unwrap_or(1).max(1)
+                } else {
+                    serving.queue_capacity
+                }
+            })
+            .collect();
+        let mut slots: Vec<Slot> = ops
+            .clone()
+            .map(|op| match op {
+                BatchOp::Select(q) if q.is_empty() => Slot::Done(QueryOutcome::Answered {
+                    count: 0,
+                    key_sum: 0,
+                    retries: 0,
+                }),
+                _ => Slot::Pending { retries: 0 },
+            })
+            .collect();
+        let mut report = BatchReport {
+            outcomes: Vec::new(),
+            answered: 0,
+            shed: 0,
+            timed_out: 0,
+            panics_isolated: 0,
+            quarantined: Vec::new(),
+            rebuilt: Vec::new(),
+            waves: 0,
+            max_queue_depth: 0,
+        };
+
+        while slots.iter().any(|s| matches!(s, Slot::Pending { .. })) {
+            report.waves += 1;
+            // Ops still waiting for admission past their budget time out
+            // as a group — they were never started, so no partials.
+            if serving.deadline.is_some_and(|d| arrival.elapsed() > d) {
+                for slot in &mut slots {
+                    if matches!(slot, Slot::Pending { .. }) {
+                        *slot = Slot::Done(QueryOutcome::TimedOut);
+                    }
+                }
+                break;
+            }
+
+            for queue in &mut self.queues {
+                queue.clear();
+            }
+            for (qi, op) in ops.clone().enumerate() {
+                let Slot::Pending { retries } = slots[qi] else {
+                    continue;
+                };
+                let fits = serving.admission == AdmissionPolicy::Admit
+                    || route(&self.spans, op).all(|(si, _)| self.queues[si].len() < caps[si]);
+                if fits {
+                    for (si, routed) in route(&self.spans, op) {
+                        self.queues[si].push((qi, routed));
+                        report.max_queue_depth =
+                            report.max_queue_depth.max(self.queues[si].len());
+                    }
+                    slots[qi] = Slot::Admitted {
+                        retries,
+                        sum: Some((0, 0)),
+                    };
+                } else if serving.admission == AdmissionPolicy::Shed {
+                    slots[qi] = if retries >= serving.max_retries {
+                        Slot::Done(QueryOutcome::Shed { retries })
+                    } else {
+                        Slot::Pending {
+                            retries: retries + 1,
+                        }
+                    };
+                } // Block: next wave.
+            }
+            if sort {
+                self.sort_queues();
+            }
+
+            let tasks: Vec<_> = self
+                .shards
+                .iter_mut()
+                .zip(&self.queues)
+                .zip(&mut self.partials)
+                .filter(|((_, queue), _)| !queue.is_empty())
+                .map(|((shard, queue), out)| {
+                    out.clear();
+                    (shard, queue, out)
+                })
+                .collect();
+            let workers = if serial {
+                1
+            } else {
+                executor::worker_count(tasks.len())
+            };
+            let results = executor::run_tasks_isolated(workers, tasks, |_, (shard, queue, out)| {
+                drain(shard, queue, out, arrival, serving)
+            });
+            let live = (0..self.queues.len()).filter(|&si| !self.queues[si].is_empty());
+            for (si, result) in live.zip(results) {
+                let shard = &mut self.shards[si];
+                let (queue, out) = (&self.queues[si], &mut self.partials[si]);
+                let quarantined = result.unwrap_or_else(|_| {
+                    // The panic unwound out of entry `out.len()`: the
+                    // answers before it stand. Quarantine, then resume
+                    // the queue there by scan, so no op runs twice.
+                    report.panics_isolated += 1;
+                    shard.quarantine(serving.rebuild_after);
+                    drain(shard, &queue[out.len()..], out, arrival, serving);
+                    true
+                });
+                if quarantined {
+                    report.quarantined.push(si);
+                }
+                for (&(qi, _), part) in queue.iter().zip(out.iter()) {
+                    if let Slot::Admitted { sum, .. } = &mut slots[qi] {
+                        *sum = sum.zip(*part).map(|((c, s), (pc, ps))| {
+                            (c + pc, s.wrapping_add(ps))
+                        });
+                    }
+                }
+            }
+            for slot in &mut slots {
+                if let Slot::Admitted { retries, sum } = *slot {
+                    *slot = Slot::Done(match sum {
+                        Some((count, key_sum)) => QueryOutcome::Answered {
+                            count,
+                            key_sum,
+                            retries,
+                        },
+                        None => QueryOutcome::TimedOut,
+                    });
+                }
+            }
+        }
+
+        // End-of-batch quarantine clock: timers at zero rebuild now, the
+        // rest tick down one batch.
+        for (si, shard) in self.shards.iter_mut().enumerate() {
+            if shard.tick() {
+                report.rebuilt.push(si);
+            }
+        }
+        report.outcomes = slots
+            .iter()
+            .map(|s| match s {
+                Slot::Done(o) => *o,
+                _ => unreachable!("the wave loop resolves every op"),
+            })
+            .collect();
+        for o in &report.outcomes {
+            match o {
+                QueryOutcome::Answered { .. } => report.answered += 1,
+                QueryOutcome::Shed { .. } => report.shed += 1,
+                QueryOutcome::TimedOut => report.timed_out += 1,
+            }
+        }
+        self.resilience.panics_isolated += report.panics_isolated as u64;
+        self.resilience.quarantines += report.quarantined.len() as u64;
+        self.resilience.rebuilds += report.rebuilt.len() as u64;
+        self.resilience.shed += report.shed as u64;
+        self.resilience.timed_out += report.timed_out as u64;
+        self.resilience.answered += report.answered as u64;
+        report
+    }
+
+    /// [`BatchScheduler::run`] under [`ServingConfig::default`], which
+    /// answers every op: one `(count, key_sum)` per op, in submission
+    /// order.
+    pub(crate) fn serve(
+        &mut self,
+        ops: impl Iterator<Item = BatchOp<E>> + Clone,
         serial: bool,
         sort: bool,
     ) -> Vec<(usize, u64)> {
-        let len = ops.len();
-        for queue in &mut self.queues {
-            queue.clear();
-        }
-        for (qi, op) in ops.enumerate() {
-            match op {
-                BatchOp::Select(q) => {
-                    for (si, clipped) in shard::clip(&self.spans, q) {
-                        self.queues[si].push((qi, BatchOp::Select(clipped)));
-                    }
-                }
-                BatchOp::Insert(e) => self.queues[shard::owner(&self.spans, e.key())].push((qi, op)),
-                BatchOp::Delete(k) => self.queues[shard::owner(&self.spans, k)].push((qi, op)),
-            }
-        }
-        if sort {
-            self.sort_queues();
-        }
-        let tasks: Vec<(&mut Shard<E>, &Queue<E>)> = self
-            .shards
-            .iter_mut()
-            .zip(&self.queues)
-            .filter(|(_, queue)| !queue.is_empty())
-            .collect();
-        let workers = if serial {
-            1
-        } else {
-            executor::worker_count(tasks.len())
-        };
-        let partials = executor::run_tasks(workers, tasks, |_, (s, queue)| drain(s, queue));
-        fold(len, partials)
+        let report = self.run(ops, &ServingConfig::default(), serial, sort);
+        report
+            .outcomes
+            .iter()
+            .map(|o| o.answer().expect("the default config answers every op"))
+            .collect()
     }
 
     /// Executes `batch` partition-parallel on the work-stealing
@@ -312,14 +511,14 @@ impl<E: Element> BatchScheduler<E> {
     /// merge into per-query `(count, key_sum)` results in submission
     /// order.
     pub fn execute(&mut self, batch: &[QueryRange]) -> Vec<(usize, u64)> {
-        self.run(batch.iter().map(|q| BatchOp::Select(*q)), false, true)
+        self.serve(batch.iter().map(|q| BatchOp::Select(*q)), false, true)
     }
 
     /// [`BatchScheduler::execute`] on the calling thread: identical
     /// queues drained in shard order. Answers and [`Stats`] are
     /// bit-identical to the parallel path — the determinism oracle.
     pub fn execute_serial(&mut self, batch: &[QueryRange]) -> Vec<(usize, u64)> {
-        self.run(batch.iter().map(|q| BatchOp::Select(*q)), true, true)
+        self.serve(batch.iter().map(|q| BatchOp::Select(*q)), true, true)
     }
 
     /// Executes a mixed read/write batch partition-parallel (see
@@ -331,7 +530,7 @@ impl<E: Element> BatchScheduler<E> {
     /// first later qualifying select (possibly in a later batch — call
     /// [`BatchScheduler::flush_updates`] to force a checkpoint).
     pub fn execute_ops(&mut self, ops: &[BatchOp<E>]) -> Vec<(usize, u64)> {
-        self.run(ops.iter().copied(), false, false)
+        self.serve(ops.iter().copied(), false, false)
     }
 
     /// [`BatchScheduler::execute_ops`] on the calling thread: identical
@@ -339,7 +538,7 @@ impl<E: Element> BatchScheduler<E> {
     /// bit-identical to the parallel path — the determinism oracle for
     /// mixed batches.
     pub fn execute_ops_serial(&mut self, ops: &[BatchOp<E>]) -> Vec<(usize, u64)> {
-        self.run(ops.iter().copied(), true, false)
+        self.serve(ops.iter().copied(), true, false)
     }
 
     /// Entries in the shards' pending stores: updates queued but not yet
@@ -370,31 +569,17 @@ impl<E: Element> BatchScheduler<E> {
         s
     }
 
-    /// Executes `batch` under the fault-hardened serving path: bounded
-    /// admission queues, per-query deadlines, per-task panic isolation,
-    /// and the quarantine→scan→rebuild degradation ladder.
+    /// Executes `batch` under `serving`: bounded admission queues,
+    /// per-query deadlines and retry budgets, on the one loop the plain
+    /// entry points serve through, with its panic isolation and
+    /// quarantine→scan→rebuild ladder. Keeps the two
+    /// contracts of [`crate::resilience`]: every submitted query gets
+    /// exactly one [`QueryOutcome`], and every `Answered` outcome is
+    /// oracle-correct no matter which faults fired.
     ///
-    /// The plain [`BatchScheduler::execute`] is the trusted closed-loop
-    /// path (unbounded `Admit`, fail-loud on panics) and stays the
-    /// determinism oracle; this entry point trades bit-identical `Stats`
-    /// for survival, while keeping the two contracts of
-    /// [`crate::resilience`]: every submitted query gets exactly one
-    /// [`QueryOutcome`], and every `Answered` outcome is oracle-correct
-    /// no matter which faults fired.
-    ///
-    /// Admission runs in **waves**: pending queries route in submission
-    /// order, and a query is admitted only if every shard it touches has
-    /// queue room (under [`AdmissionPolicy::Admit`] it is admitted
-    /// regardless). Non-fitting queries are shed with bounded retries
-    /// ([`AdmissionPolicy::Shed`]) or deferred to the next wave
-    /// ([`AdmissionPolicy::Block`]). Capacity of at least one guarantees
-    /// each wave admits at least the first pending query, so the loop
-    /// always terminates.
-    ///
-    /// A worker panic loses all of that shard's partials for the wave
-    /// (its whole task result is discarded), so after quarantining the
-    /// shard its *entire* queue is re-answered by scan — each query's
-    /// contribution is added exactly once, never double-counted.
+    /// Selects only: a bounded config may spread the batch over several
+    /// admission waves, and a deferred update would then run after
+    /// selects submitted behind it.
     ///
     /// # Panics
     /// If `serving.queue_capacity` is zero.
@@ -403,201 +588,11 @@ impl<E: Element> BatchScheduler<E> {
         batch: &[QueryRange],
         serving: &ServingConfig,
     ) -> BatchReport {
-        assert!(
-            serving.queue_capacity >= 1,
-            "admission queue capacity must be at least 1"
-        );
-        let arrival = Instant::now();
-        let deadline = serving.deadline;
-        let rebuild_after = serving.rebuild_after;
-
-        // An overload fault clamps the shard's admission capacity for
-        // this whole batch; polled once per shard per batch.
-        let caps: Vec<usize> = self
-            .shards
-            .iter()
-            .map(|s| {
-                if s.fault.poll(FaultKind::QueueOverload) {
-                    s.fault.plan().overload_capacity().unwrap_or(1).max(1)
-                } else {
-                    serving.queue_capacity
-                }
-            })
-            .collect();
-
-        let mut slots: Vec<Slot> = batch
-            .iter()
-            .map(|q| {
-                if q.is_empty() {
-                    Slot::Done(QueryOutcome::Answered {
-                        count: 0,
-                        key_sum: 0,
-                        retries: 0,
-                    })
-                } else {
-                    Slot::Pending { retries: 0 }
-                }
-            })
-            .collect();
-        let mut report = BatchReport {
-            outcomes: Vec::new(),
-            answered: 0,
-            shed: 0,
-            timed_out: 0,
-            panics_isolated: 0,
-            quarantined: Vec::new(),
-            rebuilt: Vec::new(),
-            waves: 0,
-            max_queue_depth: 0,
-        };
-
-        while slots.iter().any(|s| matches!(s, Slot::Pending { .. })) {
-            report.waves += 1;
-            // Queries still waiting for admission past their budget time
-            // out as a group — they were never started, so no partials.
-            if deadline.is_some_and(|d| arrival.elapsed() > d) {
-                for slot in &mut slots {
-                    if matches!(slot, Slot::Pending { .. }) {
-                        *slot = Slot::Done(QueryOutcome::TimedOut);
-                    }
-                }
-                break;
-            }
-
-            // Route this wave: pending queries in submission order; a
-            // query needs room on *every* shard it touches.
-            for queue in &mut self.queues {
-                queue.clear();
-            }
-            let mut admitted: Vec<usize> = Vec::new();
-            let mut shed_this_wave: Vec<usize> = Vec::new();
-            for (qi, q) in batch.iter().enumerate() {
-                if !matches!(slots[qi], Slot::Pending { .. }) {
-                    continue;
-                }
-                let targets: Vec<(usize, QueryRange)> = shard::clip(&self.spans, *q).collect();
-                let fits = targets.iter().all(|&(si, _)| self.queues[si].len() < caps[si]);
-                match (fits, serving.admission) {
-                    (true, _) | (false, AdmissionPolicy::Admit) => {
-                        for (si, clipped) in targets {
-                            self.queues[si].push((qi, BatchOp::Select(clipped)));
-                            report.max_queue_depth =
-                                report.max_queue_depth.max(self.queues[si].len());
-                        }
-                        admitted.push(qi);
-                    }
-                    (false, AdmissionPolicy::Shed) => shed_this_wave.push(qi),
-                    (false, AdmissionPolicy::Block) => {} // next wave
-                }
-            }
-            self.sort_queues();
-
-            // Execute the wave with panic isolation; fold partials per
-            // query and remember deadline expiries.
-            let mut acc: Vec<(usize, u64)> = vec![(0, 0); batch.len()];
-            let mut timed: Vec<bool> = vec![false; batch.len()];
-            let live: Vec<usize> = (0..self.queues.len())
-                .filter(|&si| !self.queues[si].is_empty())
-                .collect();
-            let tasks: Vec<(&mut Shard<E>, &Queue<E>)> = self
-                .shards
-                .iter_mut()
-                .zip(&self.queues)
-                .filter(|(_, queue)| !queue.is_empty())
-                .collect();
-            let workers = executor::worker_count(tasks.len());
-            let results = executor::run_tasks_isolated(workers, tasks, |_, (shard, queue)| {
-                drain_resilient(shard, queue, arrival, deadline, rebuild_after)
-            });
-            for (si, result) in live.into_iter().zip(results) {
-                let (partials, newly_quarantined) = result.unwrap_or_else(|_| {
-                    // The task died mid-drain, so *all* its partials
-                    // were discarded with it; after quarantining,
-                    // re-draining its whole queue (now by scan) adds
-                    // each query's contribution exactly once.
-                    report.panics_isolated += 1;
-                    let shard = &mut self.shards[si];
-                    shard.quarantine(rebuild_after);
-                    let queue = &self.queues[si];
-                    let (partials, _) =
-                        drain_resilient(shard, queue, arrival, deadline, rebuild_after);
-                    (partials, true)
-                });
-                if newly_quarantined {
-                    report.quarantined.push(si);
-                }
-                for (qi, part) in partials {
-                    match part {
-                        Some((c, s)) => {
-                            acc[qi].0 += c;
-                            acc[qi].1 = acc[qi].1.wrapping_add(s);
-                        }
-                        None => timed[qi] = true,
-                    }
-                }
-            }
-
-            // Verdicts: admitted queries resolve now; shed queries retry
-            // until the budget runs out.
-            for qi in admitted {
-                if let Slot::Pending { retries } = slots[qi] {
-                    slots[qi] = Slot::Done(if timed[qi] {
-                        QueryOutcome::TimedOut
-                    } else {
-                        QueryOutcome::Answered {
-                            count: acc[qi].0,
-                            key_sum: acc[qi].1,
-                            retries,
-                        }
-                    });
-                }
-            }
-            for qi in shed_this_wave {
-                if let Slot::Pending { retries } = slots[qi] {
-                    slots[qi] = if retries >= serving.max_retries {
-                        Slot::Done(QueryOutcome::Shed { retries })
-                    } else {
-                        Slot::Pending {
-                            retries: retries + 1,
-                        }
-                    };
-                }
-            }
-        }
-
-        // End-of-batch quarantine clock: timers at zero rebuild now, the
-        // rest tick down one batch.
-        for (si, shard) in self.shards.iter_mut().enumerate() {
-            if shard.tick() {
-                report.rebuilt.push(si);
-            }
-        }
-
-        report.outcomes = slots
-            .iter()
-            .map(|s| match s {
-                Slot::Done(o) => *o,
-                Slot::Pending { .. } => unreachable!("wave loop resolves every query"),
-            })
-            .collect();
-        for o in &report.outcomes {
-            match o {
-                QueryOutcome::Answered { .. } => report.answered += 1,
-                QueryOutcome::Shed { .. } => report.shed += 1,
-                QueryOutcome::TimedOut => report.timed_out += 1,
-            }
-        }
-        self.resilience.panics_isolated += report.panics_isolated as u64;
-        self.resilience.quarantines += report.quarantined.len() as u64;
-        self.resilience.rebuilds += report.rebuilt.len() as u64;
-        self.resilience.shed += report.shed as u64;
-        self.resilience.timed_out += report.timed_out as u64;
-        self.resilience.answered += report.answered as u64;
-        report
+        self.run(batch.iter().map(|q| BatchOp::Select(*q)), serving, false, true)
     }
 
     /// Force-quarantines shard `si`: its index is discarded and it serves
-    /// scans until the rebuild at the end of the next resilient batch.
+    /// scans until the rebuild at the end of the next batch.
     #[cfg(test)]
     pub(crate) fn quarantine_shard(&mut self, si: usize) {
         self.shards[si].quarantine(0);
@@ -622,7 +617,8 @@ impl<E: Element> BatchScheduler<E> {
             .collect()
     }
 
-    /// Cumulative resilience counters over this scheduler's lifetime.
+    /// Cumulative resilience counters over every batch this scheduler
+    /// served, through any entry point.
     pub fn resilience_stats(&self) -> ResilienceStats {
         self.resilience
     }
@@ -646,7 +642,8 @@ impl<E: Element> BatchScheduler<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scrack_core::KernelPolicy;
+    use scrack_core::{FaultPlan, KernelPolicy};
+    use std::time::Duration;
 
     fn permuted(n: u64) -> Vec<u64> {
         (0..n).map(|i| (i * 48_271) % n).collect()
@@ -1002,21 +999,29 @@ mod tests {
         for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
             let mut sched =
                 BatchScheduler::new(data.clone(), 4, strategy, CrackConfig::default(), 11);
+            // The plain twin serves through the same loop: same answers,
+            // same Stats, same counters.
+            let mut twin =
+                BatchScheduler::new(data.clone(), 4, strategy, CrackConfig::default(), 11);
             for round in 0..3u64 {
                 let batch = mixed_batch(n, 64, round);
                 let report = sched.execute_resilient(&batch, &ServingConfig::default());
                 assert!(report.fully_answered(), "{strategy:?} round {round}");
                 assert_eq!(report.waves, 1, "unbounded Admit fits in one wave");
                 assert_eq!(report.outcomes.len(), batch.len());
+                let plain = twin.execute(&batch);
                 for (qi, q) in batch.iter().enumerate() {
                     assert_eq!(
                         report.outcomes[qi].answer(),
                         Some(oracle(&data, *q)),
                         "{strategy:?} round {round} query {qi} ({q})"
                     );
+                    assert_eq!(Some(plain[qi]), report.outcomes[qi].answer(), "twin {qi}");
                 }
             }
+            assert_eq!(sched.stats(), twin.stats(), "{strategy:?}: Stats");
             let stats = sched.resilience_stats();
+            assert_eq!(stats, twin.resilience_stats());
             assert_eq!(stats.answered, 3 * 64);
             assert_eq!(stats.shed + stats.timed_out + stats.panics_isolated, 0);
         }
@@ -1123,30 +1128,73 @@ mod tests {
 
     #[test]
     fn every_entry_point_serves_a_quarantined_shard_by_scan() {
-        // One drain for all entries: the plain paths follow the health
-        // ladder too, so a quarantined shard answers exactly but cracks
-        // nothing until a resilient batch's clock rebuilds it.
+        // One loop for all entries: a quarantined shard answers a plain
+        // batch exactly by scan, cracking nothing, and the clock at the
+        // end of that batch rebuilds it, so the next batch cracks again.
+        type Entry = fn(&mut BatchScheduler<u64>, &[QueryRange]) -> Vec<(usize, u64)>;
+        fn selects(batch: &[QueryRange]) -> Vec<BatchOp<u64>> {
+            batch.iter().map(|q| BatchOp::Select(*q)).collect()
+        }
+        let entries: [(&str, Entry); 4] = [
+            ("execute", |s, b| s.execute(b)),
+            ("execute_serial", |s, b| s.execute_serial(b)),
+            ("execute_ops", |s, b| s.execute_ops(&selects(b))),
+            ("execute_ops_serial", |s, b| s.execute_ops_serial(&selects(b))),
+        ];
         let n = 20_000u64;
         let data = permuted(n);
-        let mut sched = BatchScheduler::new(
-            data.clone(),
-            4,
-            ParallelStrategy::Stochastic,
-            CrackConfig::default(),
-            7,
-        );
-        sched.quarantine_shard(2);
-        let span = sched.shard_spans()[2];
-        let batch: Vec<QueryRange> = (0..16u64)
-            .map(|i| QueryRange::new(span.low + i * 50, span.low + i * 50 + 400))
-            .collect();
-        for (qi, q) in batch.iter().enumerate() {
-            assert_eq!(sched.execute(&batch)[qi], oracle(&data, *q), "query {qi}");
+        for (name, entry) in entries {
+            let mut sched = BatchScheduler::new(
+                data.clone(),
+                4,
+                ParallelStrategy::Stochastic,
+                CrackConfig::default(),
+                7,
+            );
+            sched.quarantine_shard(2);
+            let span = sched.shard_spans()[2];
+            let batch: Vec<QueryRange> = (0..16u64)
+                .map(|i| QueryRange::new(span.low + i * 50, span.low + i * 50 + 400))
+                .collect();
+            let answers = entry(&mut sched, &batch);
+            for (qi, q) in batch.iter().enumerate() {
+                assert_eq!(answers[qi], oracle(&data, *q), "{name}: query {qi}");
+            }
+            assert_eq!(sched.stats().cracks, 0, "{name}: scans crack nothing");
+            assert_eq!(sched.shard_health(2), ShardHealth::Healthy, "{name}");
+            assert_eq!(sched.resilience_stats().rebuilds, 1, "{name}");
+            assert_eq!(entry(&mut sched, &batch), answers, "{name}: after the rebuild");
+            assert!(sched.stats().cracks > 0, "{name}: the rebuilt shard cracks again");
         }
-        let ops: Vec<BatchOp<u64>> = batch.iter().map(|q| BatchOp::Select(*q)).collect();
-        assert_eq!(sched.execute_ops_serial(&ops), sched.execute_serial(&batch));
-        assert_eq!(sched.stats().cracks, 0, "scans crack nothing");
-        assert_eq!(sched.shard_health(2), ShardHealth::Quarantined { batches_left: 0 });
+    }
+
+    #[test]
+    fn a_panic_mid_mixed_batch_resumes_without_reapplying_updates() {
+        // The panicking shard keeps the answers it produced and resumes
+        // its queue by scan at the op that raised the panic: re-draining
+        // the whole queue would queue its updates twice and let earlier
+        // selects see later writes.
+        let n = 20_000u64;
+        let data = permuted(n);
+        let ops = mixed_ops(n, 400, 21);
+        let full = BatchOp::Select(QueryRange::new(0, u64::MAX));
+        let expect = ops_oracle(&data, &[ops.as_slice(), &[full]].concat());
+        for trigger in [1, 7, 40] {
+            for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
+                let what = format!("{strategy:?} trigger {trigger}");
+                let plan = FaultPlan::panic_in_kernel(trigger).on_target(1);
+                let config = CrackConfig::default().with_fault(plan);
+                let mut sched = BatchScheduler::new(data.clone(), 4, strategy, config, 11);
+                let answers = sched.execute_ops_serial(&ops);
+                for (qi, op) in ops.iter().enumerate() {
+                    assert_eq!(answers[qi], expect[qi], "{what}: op {qi} ({op:?})");
+                }
+                assert_eq!(sched.resilience_stats().panics_isolated, 1, "{what}");
+                sched.flush_updates();
+                sched.check_integrity().unwrap();
+                assert_eq!(sched.execute_ops_serial(&[full]), [expect[ops.len()]], "{what}");
+            }
+        }
     }
 
     #[test]

@@ -1,42 +1,30 @@
 //! Parallel-chunked cracking: the coordination-free chunk phase.
 
-use crate::batch::fold;
-use crate::shard::{build_shards, split_exact, Shard};
-use crate::{executor, ParallelStrategy};
-use scrack_core::{CrackConfig, Engine};
+use crate::shard::{build_shards, split_exact};
+use crate::{BatchOp, BatchScheduler, ParallelStrategy};
+use scrack_core::CrackConfig;
 use scrack_types::{Element, QueryRange, Stats};
-
-/// Drains a `(query_index, range)` queue through one chunk in order;
-/// returns `(query_index, count, key_sum)` partials.
-fn drain<E: Element>(
-    chunk: &mut Shard<E>,
-    queue: &[(usize, QueryRange)],
-) -> Vec<(usize, usize, u64)> {
-    queue
-        .iter()
-        .map(|&(qi, q)| {
-            let (count, sum) = chunk.aggregate(q);
-            (qi, count, sum)
-        })
-        .collect()
-}
 
 /// Parallel-chunked cracking (the chunk phase of Alvarez et al., *Main
 /// Memory Adaptive Indexing for Multi-core Systems*, DaMoN 2014).
 ///
 /// The column is **row-partitioned** into private chunks, one per
-/// intended worker, each a [`Shard`] spanning the whole key domain: a
+/// intended worker, each a [`Shard`](crate::Shard) spanning the whole key domain: a
 /// batch fans every query out to every chunk, each chunk cracks its own
 /// data under its own chunk-local cracker index and RNG stream, and
 /// per-chunk partial aggregates sum. Cracking is perfectly parallel —
 /// chunks share *nothing*, not even a lock — and construction only cuts
 /// the column into exact-capacity chunks (the shard map's back-to-front
 /// split, one copy of the column in all), with none of the quantile
-/// search and cracking a [`BatchScheduler`](crate::BatchScheduler) pays
+/// search and cracking a [`BatchScheduler`] pays
 /// up front; the price is that every query visits every chunk forever.
 /// Alvarez et al. follow the chunk phase with a *refined partition-merge*
 /// into key-disjoint shards; docs/ARCHITECTURE.md records why that is
 /// not implemented here (it costs more than partitioning up front).
+///
+/// The chunks are served by a [`BatchScheduler`] over whole-domain
+/// spans: clipping a query against them fans it out to every chunk, in
+/// submission order, through the scheduler's one serving loop.
 ///
 /// Execution is **deterministic**: per-chunk work depends only on the
 /// query stream and the chunk's own RNG, never on thread scheduling, so
@@ -61,7 +49,7 @@ fn drain<E: Element>(
 /// ```
 #[derive(Debug)]
 pub struct ChunkedCracker<E: Element> {
-    chunks: Vec<Shard<E>>,
+    chunks: BatchScheduler<E>,
 }
 
 impl<E: Element> ChunkedCracker<E> {
@@ -83,41 +71,27 @@ impl<E: Element> ChunkedCracker<E> {
         let everything = QueryRange::new(0, u64::MAX);
         let parts = split_exact(data, &cuts).into_iter().map(|c| (everything, c)).collect();
         Self {
-            chunks: build_shards(parts, strategy, config, seed),
+            chunks: BatchScheduler::from_shards(build_shards(parts, strategy, config, seed)),
         }
     }
 
     /// Number of chunks.
     pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
+        self.chunks.shard_count()
     }
 
     /// Executes `batch` on up to one worker per available core (work
     /// stealing keeps skewed chunks from idling the rest); returns
     /// per-query `(count, key_sum)` in submission order.
     pub fn execute(&mut self, batch: &[QueryRange]) -> Vec<(usize, u64)> {
-        let workers = executor::worker_count(self.chunks.len());
-        self.run(batch, workers)
+        self.chunks.serve(batch.iter().map(|q| BatchOp::Select(*q)), false, false)
     }
 
     /// [`ChunkedCracker::execute`] on the calling thread. Answers and
     /// [`Stats`] are bit-identical to the parallel path — the
     /// determinism oracle.
     pub fn execute_serial(&mut self, batch: &[QueryRange]) -> Vec<(usize, u64)> {
-        self.run(batch, 1)
-    }
-
-    /// Row partitioning: every chunk answers every query.
-    fn run(&mut self, batch: &[QueryRange], workers: usize) -> Vec<(usize, u64)> {
-        let queue: Vec<(usize, QueryRange)> = batch
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(qi, q)| (qi, *q))
-            .collect();
-        let tasks: Vec<&mut Shard<E>> = self.chunks.iter_mut().collect();
-        let partials = executor::run_tasks(workers, tasks, |_, chunk| drain(chunk, &queue));
-        fold(batch.len(), partials)
+        self.chunks.serve(batch.iter().map(|q| BatchOp::Select(*q)), true, false)
     }
 
     /// Convenience single-query select (one-element [`ChunkedCracker::execute`]).
@@ -128,15 +102,13 @@ impl<E: Element> ChunkedCracker<E> {
     /// Cumulative physical costs over the chunks (the construction-time
     /// split is not included, matching the other wrappers).
     pub fn stats(&self) -> Stats {
-        self.chunks
-            .iter()
-            .fold(Stats::new(), |s, c| s + c.engine.stats())
+        self.chunks.stats()
     }
 
     /// Full integrity check (tests only; O(n)): every chunk's cracker
     /// invariants hold.
     pub fn check_integrity(&self) -> Result<(), String> {
-        for (i, c) in self.chunks.iter().enumerate() {
+        for (i, c) in self.chunks.shards.iter().enumerate() {
             c.check_integrity(true)
                 .map_err(|e| format!("chunk {i}: {e}"))?;
         }

@@ -62,8 +62,9 @@ pub fn worker_count(tasks: usize) -> usize {
         .max(1)
 }
 
-/// Runs `items` through `f` on up to `workers` work-stealing threads and
-/// returns the results in item order.
+/// Runs `items` through `f` on up to `workers` work-stealing threads,
+/// each task under **panic isolation**, and returns the results in item
+/// order.
 ///
 /// Each item becomes one task; tasks are dealt round-robin onto
 /// per-worker deques, workers pop their own deque from the front and
@@ -72,36 +73,24 @@ pub fn worker_count(tasks: usize) -> usize {
 /// (or a single item) everything runs inline on the calling thread — no
 /// spawn cost on the serial path.
 ///
-/// ```
-/// let squares = scrack_parallel::executor::run_tasks(4, (0u64..8).collect(), |_, x| x * x);
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-/// ```
-pub fn run_tasks<T, R, F>(workers: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    run_tasks_isolated(workers, items, f)
-        .into_iter()
-        .map(|r| match r {
-            Ok(r) => r,
-            Err(p) => panic!("executor task {} panicked: {}", p.task, p.message),
-        })
-        .collect()
-}
-
-/// [`run_tasks`] with **panic isolation**: each task runs under
-/// `catch_unwind`, so a panicking task yields `Err(TaskPanic)` in its
-/// result slot while every other task — including later tasks on the
-/// same worker — still runs to completion. The serial (`workers <= 1`)
-/// path catches identically, so isolation semantics don't depend on the
-/// thread count.
+/// Each task runs under `catch_unwind`, so a panicking task yields
+/// `Err(TaskPanic)` in its result slot while every other task —
+/// including later tasks on the same worker — still runs to completion.
+/// The serial path catches identically, so isolation semantics don't
+/// depend on the thread count.
 ///
 /// Callers own the unwind-safety judgement: a task that panicked may
-/// have left its `&mut` state half-reorganized, and the schedulers that
-/// use this entry point quarantine that state (discard the cracker
-/// index, degrade to scans) rather than trusting it.
+/// have left its `&mut` state half-reorganized, and the scheduler
+/// quarantines that state (discards the cracker index, degrades to
+/// scans) rather than trusting it.
+///
+/// ```
+/// use scrack_parallel::executor::run_tasks_isolated;
+///
+/// let squares = run_tasks_isolated(4, (0u64..8).collect(), |_, x| x * x);
+/// let squares: Vec<u64> = squares.into_iter().map(Result::unwrap).collect();
+/// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
+/// ```
 pub fn run_tasks_isolated<T, R, F>(workers: usize, items: Vec<T>, f: F) -> Vec<Result<R, TaskPanic>>
 where
     T: Send,
@@ -207,10 +196,11 @@ mod tests {
     fn results_come_back_in_item_order() {
         for workers in [1, 2, 3, 8, 64] {
             let items: Vec<u64> = (0..37).collect();
-            let out = run_tasks(workers, items, |i, x| {
+            let out = run_tasks_isolated(workers, items, |i, x| {
                 assert_eq!(i as u64, x);
                 x * 3
             });
+            let out: Vec<u64> = out.into_iter().map(Result::unwrap).collect();
             assert_eq!(out, (0..37).map(|x| x * 3).collect::<Vec<u64>>());
         }
     }
@@ -218,12 +208,13 @@ mod tests {
     #[test]
     fn every_task_runs_exactly_once() {
         let ran = AtomicUsize::new(0);
-        let out = run_tasks(4, (0..100).collect::<Vec<usize>>(), |_, x| {
+        let out = run_tasks_isolated(4, (0..100).collect::<Vec<usize>>(), |_, x| {
             ran.fetch_add(1, Ordering::Relaxed);
             x
         });
         assert_eq!(ran.load(Ordering::Relaxed), 100);
-        assert_eq!(out.len(), 100);
+        let out: Vec<usize> = out.into_iter().map(Result::unwrap).collect();
+        assert_eq!(out, (0..100).collect::<Vec<usize>>());
     }
 
     #[test]
@@ -231,38 +222,18 @@ mod tests {
         // One task 1000x the cost of the rest: stealing (or at worst
         // patience) must still finish everything with correct results.
         let items: Vec<usize> = (0..16).collect();
-        let out = run_tasks(4, items, |_, x| {
+        let out = run_tasks_isolated(4, items, |_, x| {
             let reps = if x == 0 { 100_000 } else { 100 };
             (0..reps).fold(x as u64, |acc, i| acc.wrapping_add(i as u64 ^ acc.rotate_left(7)))
         });
         assert_eq!(out.len(), 16);
+        assert!(out.iter().all(Result::is_ok));
     }
 
     #[test]
     fn empty_and_single_item() {
-        let none: Vec<u64> = run_tasks(4, Vec::<u64>::new(), |_, x| x);
-        assert!(none.is_empty());
-        assert_eq!(run_tasks(4, vec![9u64], |_, x| x + 1), vec![10]);
-    }
-
-    /// PR 7 regression pin (satellite): a panicking task still aborts
-    /// the *plain* `run_tasks` call — the legacy contract callers that
-    /// haven't opted into isolation rely on (fail loud, never return
-    /// partial results silently).
-    #[test]
-    fn run_tasks_propagates_a_task_panic() {
-        for workers in [1, 4] {
-            let caught = std::panic::catch_unwind(|| {
-                run_tasks(workers, (0..8).collect::<Vec<usize>>(), |_, x| {
-                    if x == 3 {
-                        panic!("boom in task 3");
-                    }
-                    x
-                })
-            });
-            let msg = panic_message(caught.expect_err("must propagate"));
-            assert!(msg.contains("task 3"), "workers={workers}: {msg}");
-        }
+        assert!(run_tasks_isolated(4, Vec::<u64>::new(), |_, x| x).is_empty());
+        assert_eq!(run_tasks_isolated(4, vec![9u64], |_, x| x + 1), vec![Ok(10)]);
     }
 
     #[test]

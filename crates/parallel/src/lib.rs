@@ -51,11 +51,13 @@
 //! Threaded paths run on [`executor`], a small work-stealing pool that
 //! caps live workers at available parallelism and lets idle workers
 //! steal queued tasks, so skewed shards or chunks don't idle cores.
-//! Tasks can run with per-task panic isolation
-//! ([`executor::run_tasks_isolated`]); [`BatchScheduler`]'s
-//! fault-hardened entry point (`execute_resilient`, policy surface in
-//! [`resilience`]) builds admission control, deadlines, and the
-//! quarantine→scan→rebuild degradation ladder on top of it.
+//! Every task runs with panic isolation
+//! ([`executor::run_tasks_isolated`]). [`BatchScheduler`] serves every
+//! entry point, and [`ChunkedCracker`]'s chunks, through one loop of
+//! admission waves on top of it: admission control and deadlines
+//! (policy surface in [`resilience`], set per call by
+//! `execute_resilient`) and the quarantine→scan→rebuild degradation
+//! ladder, which every batch follows.
 //!
 //! Every wrapper takes a [`scrack_core::CrackConfig`], so the concurrent
 //! paths run the same branchy/branchless reorganization kernels

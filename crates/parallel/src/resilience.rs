@@ -1,9 +1,17 @@
 //! Serving-resilience policy types: admission control, deadlines,
 //! shard health, and per-batch outcome accounting.
 //!
-//! The scheduler machinery lives in [`BatchScheduler`](crate::BatchScheduler)
-//! (`execute_resilient`); this module defines the policy surface it is
-//! driven by and the report it returns. The contract across all of it:
+//! The machinery is [`BatchScheduler`](crate::BatchScheduler)'s one
+//! serving loop. Every entry point runs it: `execute_resilient` under
+//! the caller's [`ServingConfig`], the plain ones and
+//! [`ChunkedCracker`](crate::ChunkedCracker) under
+//! [`ServingConfig::default`] (one admission wave, everything answered).
+//! So the ladder below is the loop's, not one entry point's: every
+//! batch isolates worker panics, every batch ticks the quarantine clock,
+//! and [`BatchScheduler::resilience_stats`](crate::BatchScheduler::resilience_stats)
+//! counts every batch. This module defines the policy surface the loop
+//! is driven by and the report it returns. The contract across all of
+//! it:
 //!
 //! * **No silent drops.** Every submitted query gets exactly one
 //!   [`QueryOutcome`] — answered, shed (with its retry count), or timed
@@ -26,8 +34,9 @@ use std::time::Duration;
 /// What to do with a query whose target shard queues are full.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum AdmissionPolicy {
-    /// Admit everything (unbounded queues — the legacy behavior, and
-    /// the right choice for closed-loop trusted batches).
+    /// Admit everything (unbounded queues — the default the plain entry
+    /// points serve under, and the right choice for closed-loop trusted
+    /// batches).
     #[default]
     Admit,
     /// Reject the query now; it retries on later admission waves until
@@ -74,7 +83,7 @@ impl std::fmt::Display for AdmissionPolicy {
     }
 }
 
-/// The serving policy for one resilient batch execution.
+/// The serving policy for one batch execution.
 #[derive(Clone, Copy, Debug)]
 pub struct ServingConfig {
     /// Per-shard admission-queue capacity, in queries per wave.

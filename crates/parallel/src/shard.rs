@@ -19,6 +19,7 @@ use scrack_core::{CrackConfig, CrackerEngine, Engine, FaultInjector, KernelPolic
 use scrack_partition::crack_in_two_policy;
 use scrack_types::{Element, QueryRange, Stats};
 use scrack_updates::PendingUpdates;
+use std::collections::VecDeque;
 
 /// Recently served crack bounds a shard remembers for its post-
 /// quarantine rebuild (enough to re-warm the hot key regions, small
@@ -44,9 +45,10 @@ pub struct Shard<E: Element> {
     /// Shard-level fault sites (poison, overload, commit), scoped to
     /// this shard.
     pub fault: FaultInjector,
-    /// Ring of bounds [`Shard::note_bounds`] was told about, re-cracked
-    /// when the shard leaves quarantine.
-    recent_bounds: Vec<u64>,
+    /// Ring of the last `RECENT_BOUNDS_CAP` bounds
+    /// [`Shard::note_bounds`] was told about, re-cracked when the shard
+    /// leaves quarantine.
+    recent_bounds: VecDeque<u64>,
 }
 
 impl<E: Element> Shard<E> {
@@ -69,7 +71,7 @@ impl<E: Element> Shard<E> {
             pending: PendingUpdates::new(),
             health: ShardHealth::Healthy,
             fault: FaultInjector::new(scoped),
-            recent_bounds: Vec::new(),
+            recent_bounds: VecDeque::with_capacity(RECENT_BOUNDS_CAP),
         }
     }
 
@@ -101,13 +103,14 @@ impl<E: Element> Shard<E> {
         self.health = ShardHealth::Quarantined { batches_left };
     }
 
-    /// Remembers a served query's bounds for the rebuild re-crack.
+    /// Remembers a served query's bounds for the rebuild re-crack, in
+    /// O(1): the oldest bound drops off the ring's front.
     pub fn note_bounds(&mut self, q: QueryRange) {
         for b in [q.low, q.high] {
             if self.recent_bounds.len() == RECENT_BOUNDS_CAP {
-                self.recent_bounds.remove(0);
+                self.recent_bounds.pop_front();
             }
-            self.recent_bounds.push(b);
+            self.recent_bounds.push_back(b);
         }
     }
 

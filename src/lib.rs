@@ -188,11 +188,15 @@ pub mod updates {
 /// ```
 ///
 /// **Fault-hardened serving** — [`BatchScheduler::execute_resilient`]
-/// runs the same batches behind admission control, per-query deadlines,
-/// and panic isolation. A worker panic (here injected deterministically
-/// via [`FaultPlan`]) quarantines its shard — queries degrade to exact
-/// scans over the preserved data, the index is rebuilt, and every
-/// admitted answer stays oracle-correct throughout:
+/// runs the same batches behind admission control and per-query
+/// deadlines. It is the scheduler's one serving loop under the caller's
+/// config; `execute` and the other plain entry points run that loop
+/// under the default config, so every batch isolates worker panics and
+/// follows the same ladder. A worker panic (here injected
+/// deterministically via [`FaultPlan`]) quarantines its shard — queries
+/// degrade to exact scans over the preserved data, the index is rebuilt
+/// at the end of the batch, and every admitted answer stays
+/// oracle-correct throughout:
 ///
 /// ```
 /// use stochastic_cracking::prelude::*;

@@ -3,7 +3,8 @@
 //! One table instead of a test per engine struct or per wrapper: every
 //! update-capable [`EngineKind`] × {bare [`CrackerEngine`],
 //! [`Updatable`]}, then the shard-backed serving shapes
-//! ([`BatchScheduler`] at 1 and 4 shards, [`TxnManager`] sessions) and
+//! ([`BatchScheduler`] at 1 and 4 shards and through its resilient
+//! entry point, [`TxnManager`] sessions) and
 //! the read-only wrappers ([`ChunkedCracker`], [`SharedCracker`],
 //! [`PieceLockedCracker`]) × every
 //! [`IndexPolicy`], on the degenerate columns (empty, single element,
@@ -161,6 +162,21 @@ impl Served for BatchScheduler<u64> {
     }
 }
 
+/// The fault-hardened entry point under its tightest admission: one
+/// select per batch, queue capacity 1, blocking.
+struct Resilient(BatchScheduler<u64>);
+
+impl Served for Resilient {
+    fn select(&mut self, q: QueryRange) -> (usize, u64) {
+        let serving = ServingConfig::bounded(1, AdmissionPolicy::Block);
+        let report = self.0.execute_resilient(&[q], &serving);
+        report.outcomes[0].answer().expect("Block answers every select")
+    }
+    fn integrity(&self) -> Result<(), String> {
+        self.0.check_integrity()
+    }
+}
+
 impl Served for ChunkedCracker<u64> {
     fn select(&mut self, q: QueryRange) -> (usize, u64) {
         self.execute_serial(&[q])[0]
@@ -244,6 +260,8 @@ fn shapes(column: &[u64], index: IndexPolicy) -> Vec<(String, Box<dyn Served>)> 
             let sched = BatchScheduler::new(column.to_vec(), shards, strategy, cfg, 11);
             rows.push((format!("BatchScheduler x{shards} {strategy:?}"), Box::new(sched)));
         }
+        let resilient = Resilient(BatchScheduler::new(column.to_vec(), 4, strategy, cfg, 11));
+        rows.push((format!("BatchScheduler resilient {strategy:?}"), Box::new(resilient)));
         let chunked = ChunkedCracker::new(column.to_vec(), 3, strategy, cfg, 11);
         rows.push((format!("ChunkedCracker {strategy:?}"), Box::new(chunked)));
         let shared = SharedCracker::new(column.to_vec(), strategy, cfg, 11);
