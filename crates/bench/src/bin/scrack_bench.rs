@@ -41,7 +41,7 @@ fn main() {
             "--quick" => {
                 // Smoke scale: small pieces, few samples — seconds, not
                 // minutes, and still one cell per kernel/variant/size.
-                sizes = vec![4_096, 65_536];
+                sizes = vec![1_024, 4_096, 65_536];
                 samples = 3;
             }
             "--json" => {

@@ -13,13 +13,13 @@
 //! `split_and_materialize` cells, and re-recording it is a measurement of
 //! its own. A regenerated report carries all four primitives.
 
-use crate::bench_data;
 use scrack_partition::{
     crack_in_three, crack_in_three_branchless, crack_in_two, crack_in_two_branchless,
     scan_filter, scan_filter_branchless, split_and_materialize, split_and_materialize_branchless,
     Fringe,
 };
 use scrack_types::{QueryRange, Stats};
+use scrack_workloads::data::unique_permutation;
 use std::time::Instant;
 
 /// The measured primitives, in report order.
@@ -33,9 +33,10 @@ pub const KERNELS: [&str; 4] = [
 /// The kernel variants every primitive is measured in.
 pub const VARIANTS: [&str; 2] = ["branchy", "branchless"];
 
-/// Default piece sizes: L2-ish, the paper's piece scale, and a
+/// Default piece sizes: a piece inside `KernelPolicy::Auto`'s branchless
+/// band but far below L1, L2-ish, the paper's piece scale, and a
 /// several-×-LLC piece where memory behavior dominates.
-pub const DEFAULT_SIZES: [usize; 3] = [65_536, 1_048_576, 4_194_304];
+pub const DEFAULT_SIZES: [usize; 4] = [1_024, 65_536, 1_048_576, 4_194_304];
 
 /// One (kernel, variant, size) measurement.
 #[derive(Clone, Debug)]
@@ -71,18 +72,26 @@ fn median(mut xs: Vec<f64>) -> f64 {
     }
 }
 
+/// Distinct inputs per piece size, up to [`POOL_ELEMS`] elements in all:
+/// a small piece re-run on the same keys lets the branch predictor learn
+/// them, which flatters the branchy kernels far below what a fresh piece
+/// costs.
+const POOL_ELEMS: usize = 1 << 20;
+
 /// Times `op` over `samples` runs (plus one warmup), restoring `scratch`
-/// from `data` before each run, and returns the median ns/element.
+/// from the next of `inputs` before each run, and returns the median
+/// ns/element.
 fn time_kernel<R>(
-    data: &[u64],
+    inputs: &[Vec<u64>],
     scratch: &mut Vec<u64>,
     samples: usize,
     mut op: impl FnMut(&mut [u64]) -> R,
 ) -> f64 {
+    let n = inputs[0].len();
     let mut runs = Vec::with_capacity(samples);
     for i in 0..=samples {
         scratch.clear();
-        scratch.extend_from_slice(data);
+        scratch.extend_from_slice(&inputs[i % inputs.len()]);
         let t0 = Instant::now();
         let out = op(scratch.as_mut_slice());
         let ns = t0.elapsed().as_nanos() as f64;
@@ -90,7 +99,7 @@ fn time_kernel<R>(
         if i > 0 {
             // Run 0 is the warmup: page-faults the scratch buffer in and
             // warms the branch predictor tables.
-            runs.push(ns / data.len().max(1) as f64);
+            runs.push(ns / n.max(1) as f64);
         }
     }
     median(runs)
@@ -103,7 +112,10 @@ impl KernelReport {
         assert!(samples > 0, "need at least one sample");
         let mut cells = Vec::new();
         for &n in sizes {
-            let data = bench_data(n as u64);
+            let pool = (samples + 1).min((POOL_ELEMS / n.max(1)).max(1));
+            let data: Vec<Vec<u64>> = (0..pool as u64)
+                .map(|s| unique_permutation(n as u64, 0xBE7C + s))
+                .collect();
             let mut scratch: Vec<u64> = Vec::with_capacity(n + 1);
             let pivot = n as u64 / 2;
             let (a, b) = (n as u64 / 3, 2 * n as u64 / 3);

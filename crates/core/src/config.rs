@@ -81,10 +81,12 @@ impl std::fmt::Display for UpdatePolicy {
 /// split-and-materialize pass of MDD1R, MDD1M and the selective kinds.
 /// Both produce bit-identical results and cost counters (the fused pass
 /// may order a materialized result differently, never change it), so
-/// this is a pure wall-clock knob; the default `Auto` takes the
-/// branchless path for pieces past
-/// `scrack_partition::AUTO_BRANCHLESS_THRESHOLD`. Progressive's budgeted
-/// partition job stays branchy under every policy.
+/// this is a pure wall-clock knob. The default `Auto` takes the
+/// branchless path wherever the blockwise loop runs: pieces of more than
+/// two 128-element chunks for the two-way, fused and filter kernels
+/// (`scrack_partition::AUTO_BRANCHLESS_THRESHOLD`), and from 8K elements
+/// for the three-way pass. Progressive's budgeted partition job stays
+/// branchy under every policy.
 ///
 /// The **index policy** selects the cracker-index representation the
 /// engines navigate: the cache-conscious flat sorted-array directory

@@ -15,11 +15,14 @@
 //!   style of BlockQuicksort: misplaced-element offsets are collected with
 //!   pure `(key < pivot) as usize` cursor arithmetic over fixed-width
 //!   chunks from both ends, then exchanged pairwise. The exchange pairing
-//!   replicates the Hoare pass exactly, so the result (boundary, physical
-//!   order, swap count) is **bit-identical** to [`crack_in_two`].
+//!   replicates the Hoare pass exactly at any block width, so the window
+//!   the [`KERNEL_BLOCK`]-wide loop leaves is finished by the same loop at
+//!   a narrow width, and the result (boundary, physical order, swap
+//!   count) is **bit-identical** to [`crack_in_two`].
 //! * [`split_and_materialize_branchless`] — the same blockwise loop, which
 //!   also filters each freshly scanned chunk into a chunk-sized buffer
 //!   with a branch-free cursor before any exchange can move an element.
+//!   A two-sided range is tested with one compare (`key - low < width`).
 //!   Boundary, physical order, `Stats` and the materialized multiset are
 //!   identical to [`split_and_materialize`]; only the order *inside* the
 //!   output may differ, and every consumer aggregates it.
@@ -39,7 +42,10 @@
 //! [`KernelPolicy`] selects a variant per call; [`crack_in_two_policy`],
 //! [`split_and_materialize_policy`], [`crack_in_three_policy`] and
 //! [`scan_filter_policy`] are the dispatch points the engines route
-//! through.
+//! through. The default, `Auto`, takes the branchless two-way, fused and
+//! filter kernels wherever the blockwise loop runs — pieces of more than
+//! `2 * KERNEL_BLOCK` elements ([`AUTO_BRANCHLESS_THRESHOLD`]) — and the
+//! branchless three-way kernel from [`AUTO_BRANCHLESS_THREE_WAY_THRESHOLD`].
 
 use crate::materialize::{scan_filter, split_and_materialize, Fringe, RESERVE_CAP};
 use crate::three_way::crack_in_three;
@@ -51,22 +57,22 @@ use scrack_types::{Element, Stats};
 /// registers/L1 while amortizing the loop bookkeeping.
 pub const KERNEL_BLOCK: usize = 128;
 
-/// Piece size (in elements) above which [`KernelPolicy::Auto`] picks the
+/// Piece size (in elements) from which [`KernelPolicy::Auto`] picks the
 /// branchless two-way, fused split-and-materialize and filter kernels.
 ///
-/// A fixed, bench-measured crossover (not derived from
-/// `CacheProfile` — the switch point is set by branch-misprediction
-/// economics, which the `kernels` bench measures directly, rather than
-/// by cache geometry): below it the scalar loop's mispredictions are
-/// cheap relative to the blockwise bookkeeping; above it the predicated
-/// kernels win (see `BENCH_2.json`). Retune by rerunning
-/// `scrack_bench --sizes ...` on the target machine.
-pub const AUTO_BRANCHLESS_THRESHOLD: usize = 4096;
+/// The blockwise loop's own entry condition: a piece of `2 * KERNEL_BLOCK`
+/// or fewer elements never runs a [`KERNEL_BLOCK`]-wide chunk, so below
+/// this size the branchless kernels would only repeat the branchy pass by
+/// another route. From this size on they run the block loop and win on
+/// random keys: on a 2-vCPU x86-64 host, hot cache, `u64` keys, the fused
+/// pass over a 50 % range runs ~3.7× faster blockwise than branchy at 300
+/// elements and ~4.8× at 1 800 (`scrack_bench --sizes 300,1800`).
+pub const AUTO_BRANCHLESS_THRESHOLD: usize = 2 * KERNEL_BLOCK + 1;
 
 /// [`KernelPolicy::Auto`]'s threshold for the *three-way* kernel, whose
 /// predicated variant pays an unconditional exchange per element and only
-/// overtakes the branchy pass on pieces too big for L1 (measured
-/// crossover ≈ 8K elements on x86-64; see `BENCH_2.json`).
+/// overtakes the branchy pass on pieces too big for L1. The 8K value is
+/// the original crossover estimate and has not been re-measured.
 pub const AUTO_BRANCHLESS_THREE_WAY_THRESHOLD: usize = 8192;
 
 /// Which implementation of the reorganization primitives to run.
@@ -150,7 +156,8 @@ impl std::fmt::Display for KernelPolicy {
 /// misplaced left element with the rightmost misplaced right element,
 /// pairwise — exactly the exchange sequence of the Hoare pass, so the
 /// physical outcome is bit-identical to the branchy kernel. The final
-/// sub-2-chunk window falls back to the shared scalar Hoare tail.
+/// sub-2-chunk window runs the same loop with 16-wide chunks, and only
+/// its last 32 or fewer elements the shared scalar Hoare pass.
 pub fn crack_in_two_branchless<E: Element>(
     data: &mut [E],
     pivot: u64,
@@ -158,7 +165,7 @@ pub fn crack_in_two_branchless<E: Element>(
 ) -> usize {
     // The filter-free instance: `keep` is constant false, so the filter
     // writes and the (never-grown) output compile out.
-    let (p, swaps) = blockwise_split(data, pivot, |_| false, &mut Vec::new());
+    let (p, swaps) = blockwise_split::<E, KERNEL_BLOCK>(data, pivot, |_| false, &mut Vec::new());
     stats.touched += data.len() as u64;
     stats.comparisons += data.len() as u64;
     stats.swaps += swaps;
@@ -209,10 +216,16 @@ pub fn split_and_materialize_branchless<E: Element>(
     let before = out.len();
     // Monomorphize per filter shape, as the branchy kernel does.
     let (p, swaps) = match fringe {
-        Fringe::Both(q) => blockwise_split(data, pivot, |k| q.contains(k), out),
-        Fringe::Low(a) => blockwise_split(data, pivot, |k| k >= a, out),
-        Fringe::High(b) => blockwise_split(data, pivot, |k| k < b, out),
-        Fringe::None => blockwise_split(data, pivot, |_| false, out),
+        // One compare instead of `contains`' two: `k - low` wraps past
+        // `width` below the range, and the saturating width of an
+        // inverted range keeps nothing.
+        Fringe::Both(q) => {
+            let (low, width) = (q.low, q.width());
+            blockwise_split::<E, KERNEL_BLOCK>(data, pivot, |k| k.wrapping_sub(low) < width, out)
+        }
+        Fringe::Low(a) => blockwise_split::<E, KERNEL_BLOCK>(data, pivot, |k| k >= a, out),
+        Fringe::High(b) => blockwise_split::<E, KERNEL_BLOCK>(data, pivot, |k| k < b, out),
+        Fringe::None => blockwise_split::<E, KERNEL_BLOCK>(data, pivot, |_| false, out),
     };
     stats.touched += data.len() as u64;
     stats.comparisons += 2 * data.len() as u64; // pivot test + filter test
@@ -238,32 +251,39 @@ pub fn split_and_materialize_policy<E: Element>(
     }
 }
 
-/// The blockwise Hoare pass behind both two-way branchless kernels:
-/// boundary plus exchange count, no stats. Appends every element passing
-/// `keep` to `out`, testing each exactly once.
+/// Block width of the blockwise tail: the window of fewer than
+/// `2 * KERNEL_BLOCK` elements the main loop leaves is finished by the
+/// same loop at this width, and only the last `2 * TAIL_BLOCK` or fewer
+/// by the scalar Hoare pass. The Hoare pairing is the same at any block
+/// width, so the result is too.
+const TAIL_BLOCK: usize = 16;
+
+/// The blockwise Hoare pass behind both two-way branchless kernels, at
+/// block width `B`: boundary plus exchange count, no stats. Appends every
+/// element passing `keep` to `out`, testing each exactly once.
 #[inline(always)]
-fn blockwise_split<E: Element>(
+fn blockwise_split<E: Element, const B: usize>(
     data: &mut [E],
     pivot: u64,
     keep: impl Fn(u64) -> bool,
     out: &mut Vec<E>,
 ) -> (usize, u64) {
-    let mut offs_l = [0u8; KERNEL_BLOCK];
-    let mut offs_r = [0u8; KERNEL_BLOCK];
+    let mut offs_l = [0u8; B];
+    let mut offs_r = [0u8; B];
     // Qualifying elements of the chunk being scanned; the filler is never
     // read (only `buf[..w]` is, and every slot below `w` is written first).
-    let mut buf = [E::from_key_row(0, 0); KERNEL_BLOCK];
+    let mut buf = [E::from_key_row(0, 0); B];
     let mut l = 0usize; // data[..l] settled < pivot
     let mut r = data.len(); // data[r..] settled >= pivot
     let (mut num_l, mut start_l) = (0usize, 0usize);
     let (mut num_r, mut start_r) = (0usize, 0usize);
     let mut swaps = 0u64;
-    while r - l > 2 * KERNEL_BLOCK {
+    while r - l > 2 * B {
         if num_l == 0 {
             // Scan a fresh left chunk: record offsets of keys >= pivot.
             start_l = 0;
             let mut w = 0usize;
-            let block = &data[l..l + KERNEL_BLOCK];
+            let block = &data[l..l + B];
             for (i, e) in block.iter().enumerate() {
                 let k = e.key();
                 offs_l[num_l] = i as u8;
@@ -278,9 +298,9 @@ fn blockwise_split<E: Element>(
             // (as distance from r-1) of keys < pivot.
             start_r = 0;
             let mut w = 0usize;
-            let block = &data[r - KERNEL_BLOCK..r];
-            for i in 0..KERNEL_BLOCK {
-                let e = block[KERNEL_BLOCK - 1 - i];
+            let block = &data[r - B..r];
+            for i in 0..B {
+                let e = block[B - 1 - i];
                 let k = e.key();
                 offs_r[num_r] = i as u8;
                 num_r += (k < pivot) as usize;
@@ -305,20 +325,20 @@ fn blockwise_split<E: Element>(
         start_r += m;
         // A chunk whose misplaced elements are all fixed is fully settled.
         if num_l == 0 {
-            l += KERNEL_BLOCK;
+            l += B;
         }
         if num_r == 0 {
-            r -= KERNEL_BLOCK;
+            r -= B;
         }
     }
     // Tail: at most one side still has pending offsets, and they lie
     // inside [l, r). A chunk with pending offsets was filtered when it
-    // was scanned; filter the window no scan has visited before the
-    // scalar Hoare pass re-derives and finishes the identical exchange
-    // sequence over [l, r).
-    let lo = l + KERNEL_BLOCK * usize::from(num_l > 0);
-    let hi = r - KERNEL_BLOCK * usize::from(num_r > 0);
-    for chunk in data[lo..hi].chunks(KERNEL_BLOCK) {
+    // was scanned; filter the window no scan has visited, then re-derive
+    // and finish the identical exchange sequence over [l, r) without a
+    // filter — blockwise at the tail width, scalar below it.
+    let lo = l + B * usize::from(num_l > 0);
+    let hi = r - B * usize::from(num_r > 0);
+    for chunk in data[lo..hi].chunks(B) {
         let mut w = 0usize;
         for e in chunk {
             buf[w] = *e;
@@ -326,8 +346,20 @@ fn blockwise_split<E: Element>(
         }
         out.extend_from_slice(&buf[..w]);
     }
-    let (rel, tail_swaps) = hoare_partition(&mut data[l..r], pivot);
+    let (rel, tail_swaps) = if B > TAIL_BLOCK {
+        blockwise_tail(&mut data[l..r], pivot)
+    } else {
+        hoare_partition(&mut data[l..r], pivot)
+    };
     (l + rel, swaps + tail_swaps)
+}
+
+/// The filter-free [`TAIL_BLOCK`]-wide pass that finishes every
+/// [`KERNEL_BLOCK`]-wide one. Out of line: one instance per element type
+/// instead of a copy in each filter instance's main loop.
+#[inline(never)]
+fn blockwise_tail<E: Element>(data: &mut [E], pivot: u64) -> (usize, u64) {
+    blockwise_split::<E, TAIL_BLOCK>(data, pivot, |_| false, &mut Vec::new())
 }
 
 // ---------------------------------------------------------------------
@@ -490,9 +522,9 @@ mod tests {
 
     #[test]
     fn two_way_is_bit_identical_to_branchy() {
-        // Cross the 2-chunk boundary in both directions, with pivots at
-        // the extremes and the middle.
-        for n in [0, 1, 5, 255, 256, 257, 400, 1000, 5000] {
+        // Cross the 2-chunk boundaries of the main and the tail loop in
+        // both directions, with pivots at the extremes and the middle.
+        for n in [0, 1, 5, 31, 32, 33, 255, 256, 257, 289, 400, 1000, 5000] {
             for pivot_frac in [0u64, 1, 2, 4] {
                 let base = xorshift_data(n, 0x5EED + n as u64);
                 let pivot = (n as u64).checked_div(pivot_frac).unwrap_or(0);

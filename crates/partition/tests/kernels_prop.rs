@@ -7,8 +7,9 @@
 //! `KernelPolicy` be a pure performance knob — engines can switch kernels
 //! per piece without perturbing any result, checksum, or cost counter.
 //!
-//! Sizes deliberately straddle `2 * KERNEL_BLOCK` so both the blockwise
-//! main loop and the scalar tail are exercised.
+//! Sizes deliberately straddle `2 * KERNEL_BLOCK` and `2 * TAIL_BLOCK` so
+//! the blockwise main loop, the narrow blockwise tail and the scalar
+//! Hoare pass below it are all exercised.
 //!
 //! The fused `split_and_materialize` pair is held to the same contract
 //! with one relaxation: the materialized output is compared as a multiset
@@ -24,22 +25,43 @@ use scrack_partition::{
 };
 use scrack_types::{Element, QueryRange, Stats, Tuple};
 
+/// The block width of the kernels' blockwise tail (private to
+/// `kernels.rs`): windows of `2 * TAIL_BLOCK` or fewer elements finish on
+/// the scalar Hoare pass.
+const TAIL_BLOCK: usize = 16;
+
+/// Keys over a small domain plus the extremes `0` and `u64::MAX - 1`.
+fn key_strategy() -> impl Strategy<Value = u64> {
+    (0u64..1001).prop_map(|k| if k == 1000 { u64::MAX - 1 } else { k })
+}
+
+/// Range bounds: the key domain, and the extreme keys themselves.
+fn bound_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0), Just(u64::MAX - 1), 0u64..1000, 0u64..1000]
+}
+
+/// Every filter shape, with two-sided ranges that are ordered, empty
+/// (`low == high`) or inverted (`low > high`); the last two keep nothing.
 fn fringe_strategy() -> impl Strategy<Value = Fringe> {
-    (0u64..1000, 0u64..1000, 0u8..4).prop_map(|(a, w, shape)| match shape {
-        0 => Fringe::Both(QueryRange::new(a, a.saturating_add(w))),
-        1 => Fringe::Low(a),
-        2 => Fringe::High(a),
+    (bound_strategy(), bound_strategy(), 0u8..6).prop_map(|(a, b, shape)| match shape {
+        0 => Fringe::Both(QueryRange::new(a.min(b), a.max(b))),
+        1 => Fringe::Both(QueryRange::new(a, a)),
+        2 => Fringe::Both(QueryRange::new(a.max(b), a.min(b))),
+        3 => Fringe::Low(a),
+        4 => Fringe::High(a),
         _ => Fringe::None,
     })
 }
 
 /// Piece sizes for the fused kernels: empty, singleton, either side of the
-/// blockwise loop's `2 * KERNEL_BLOCK` entry, odd sizes, and sizes that
-/// run many chunks from both ends.
+/// blockwise loop's `2 * KERNEL_BLOCK` entry and of the tail loop's
+/// `2 * TAIL_BLOCK` entry, odd sizes, and sizes that run many chunks from
+/// both ends.
 fn fused_len_strategy() -> impl Strategy<Value = usize> {
-    let b2 = 2 * KERNEL_BLOCK;
+    let (b2, t2) = (2 * KERNEL_BLOCK, 2 * TAIL_BLOCK);
     prop_oneof![
         prop_oneof![Just(0), Just(1), Just(b2 - 1), Just(b2), Just(b2 + 1)],
+        prop_oneof![Just(t2 - 1), Just(t2), Just(t2 + 1)],
         (0usize..1500).prop_map(|n| 2 * n + 1),
         0usize..FUSED_MAX_LEN,
     ]
@@ -127,7 +149,7 @@ proptest! {
 
     #[test]
     fn scan_filter_kernels_are_equivalent(
-        data in proptest::collection::vec(0u64..1000, 0..1200),
+        data in proptest::collection::vec(key_strategy(), 0..1200),
         fringe in fringe_strategy(),
     ) {
         // Start from a non-empty output to check append (not replace)
@@ -151,7 +173,7 @@ proptest! {
         len in fused_len_strategy(),
         domain in prop_oneof![Just(2u64), Just(16), Just(1000)],
         pivot_rule in 0u8..5,
-        (pivot_draw, a, w, shape) in (any::<u64>(), any::<u64>(), any::<u64>(), 0u8..4),
+        (pivot_draw, a, w, shape) in (any::<u64>(), any::<u64>(), any::<u64>(), 0u8..6),
     ) {
         // Keys are multiples of 3 over a 2-, 16- or 1000-key domain, so
         // `3r + 1` is a pivot absent from the piece; a 2-key domain is
@@ -171,7 +193,10 @@ proptest! {
             0 => Fringe::Both(QueryRange::new(a, a + w)),
             1 => Fringe::Low(a),
             2 => Fringe::High(a),
-            _ => Fringe::None,
+            3 => Fringe::None,
+            // Inverted and empty ranges keep nothing.
+            4 => Fringe::Both(QueryRange::new(a + w + 1, a)),
+            _ => Fringe::Both(QueryRange::new(a, a)),
         };
         fused_kernels_agree(&keys, pivot, fringe, |k| (*k, 0))?;
         // Tuples: rowid = input position, so a rowid detached from its key
@@ -186,6 +211,22 @@ proptest! {
             d.iter().chain(&out).all(|t| keys[t.row as usize] == t.key),
             "rowids detached from their keys"
         );
+    }
+
+    #[test]
+    fn split_and_materialize_filter_edges(
+        raw in proptest::collection::vec(key_strategy(), FUSED_MAX_LEN),
+        len in fused_len_strategy(),
+        pivot in key_strategy(),
+        fringe in fringe_strategy(),
+    ) {
+        // Filters at the key extremes, and empty or inverted ranges,
+        // through the fused kernels' filter.
+        let keys = &raw[..len];
+        fused_kernels_agree(keys, pivot, fringe, |k| (*k, 0))?;
+        let tuples: Vec<Tuple> =
+            keys.iter().enumerate().map(|(i, k)| Tuple::new(*k, i as u32)).collect();
+        fused_kernels_agree(&tuples, pivot, fringe, |t| (t.key, t.row))?;
     }
 
     #[test]
