@@ -9,9 +9,12 @@
 //! ns/element over a fixed number of samples — medians because a shared
 //! CI box's tail noise would otherwise dominate a mean.
 //!
-//! `BENCH_2.json` is left as recorded: it predates the fused
-//! `split_and_materialize` cells, and re-recording it is a measurement of
-//! its own. A regenerated report carries all four primitives.
+//! Every timed run starts from a fresh random permutation of the piece,
+//! so the branch predictor cannot learn a small piece's keys across
+//! runs. `BENCH_2.json` was recorded before that: it re-ran every sample
+//! on one input, which flatters the branchy kernels on small pieces, and
+//! it predates the fused `split_and_materialize` cells. It is left as
+//! recorded; a regenerated report carries all four primitives.
 
 use scrack_partition::{
     crack_in_three, crack_in_three_branchless, crack_in_two, crack_in_two_branchless,
@@ -98,7 +101,10 @@ fn time_kernel<R>(
         std::hint::black_box(out);
         if i > 0 {
             // Run 0 is the warmup: page-faults the scratch buffer in and
-            // warms the branch predictor tables.
+            // brings the kernel's code into cache. Where `inputs` holds
+            // one input per run it runs on its own; pieces too big for
+            // that cycle through fewer inputs, and no branch predictor
+            // learns a piece that big.
             runs.push(ns / n.max(1) as f64);
         }
     }

@@ -82,11 +82,12 @@ impl std::fmt::Display for UpdatePolicy {
 /// Both produce bit-identical results and cost counters (the fused pass
 /// may order a materialized result differently, never change it), so
 /// this is a pure wall-clock knob. The default `Auto` takes the
-/// branchless path wherever the blockwise loop runs: pieces of more than
-/// two 128-element chunks for the two-way, fused and filter kernels
-/// (`scrack_partition::AUTO_BRANCHLESS_THRESHOLD`), and from 8K elements
-/// for the three-way pass. Progressive's budgeted partition job stays
-/// branchy under every policy.
+/// branchless two-way, fused and filter kernels from 257 elements, the
+/// size at which their 128-wide block loop starts
+/// (`scrack_partition::AUTO_BRANCHLESS_THRESHOLD`, whose rustdoc gives
+/// the measured crossovers below it), and the branchless three-way pass
+/// from 8K elements. Progressive's budgeted partition job stays branchy
+/// under every policy.
 ///
 /// The **index policy** selects the cracker-index representation the
 /// engines navigate: the cache-conscious flat sorted-array directory

@@ -155,24 +155,24 @@ fn branchless_policy_is_deterministic() {
 /// counter (a kernel that drops one swap or one materialized tuple turns
 /// this red) and the final physical order. This pins the equivalence
 /// contract at full engine scale.
+///
+/// The last case runs progressive jobs on pieces past 1 024 elements with
+/// a 1 % swap budget, so its filter scans over settled and unvisited job
+/// regions land in the hundreds-to-thousands of elements where `Auto`
+/// switches kernels; at the default L2-sized threshold they rarely do.
 #[test]
 fn kernel_policy_does_not_change_any_result() {
-    for kind in kernel_sensitive_kinds() {
-        let branchy = run_with(
-            kind,
-            SEED,
-            CrackConfig::default().with_kernel(KernelPolicy::Branchy),
-        );
-        let branchless = run_with(
-            kind,
-            SEED,
-            CrackConfig::default().with_kernel(KernelPolicy::Branchless),
-        );
-        let auto = run_with(
-            kind,
-            SEED,
-            CrackConfig::default().with_kernel(KernelPolicy::Auto),
-        );
+    let cases = kernel_sensitive_kinds()
+        .map(|kind| (kind, CrackConfig::default()))
+        .into_iter()
+        .chain([(
+            EngineKind::Progressive { swap_pct: 1 },
+            CrackConfig::default().with_progressive_threshold(1_024),
+        )]);
+    for (kind, config) in cases {
+        let branchy = run_with(kind, SEED, config.with_kernel(KernelPolicy::Branchy));
+        let branchless = run_with(kind, SEED, config.with_kernel(KernelPolicy::Branchless));
+        let auto = run_with(kind, SEED, config.with_kernel(KernelPolicy::Auto));
         assert_eq!(
             branchy, branchless,
             "{kind:?}: branchy and branchless runs must be bit-identical"

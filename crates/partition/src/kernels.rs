@@ -43,9 +43,10 @@
 //! [`split_and_materialize_policy`], [`crack_in_three_policy`] and
 //! [`scan_filter_policy`] are the dispatch points the engines route
 //! through. The default, `Auto`, takes the branchless two-way, fused and
-//! filter kernels wherever the blockwise loop runs — pieces of more than
-//! `2 * KERNEL_BLOCK` elements ([`AUTO_BRANCHLESS_THRESHOLD`]) — and the
-//! branchless three-way kernel from [`AUTO_BRANCHLESS_THREE_WAY_THRESHOLD`].
+//! filter kernels from the size where the [`KERNEL_BLOCK`]-wide loop
+//! starts — pieces of more than `2 * KERNEL_BLOCK` elements
+//! ([`AUTO_BRANCHLESS_THRESHOLD`]) — and the branchless three-way kernel
+//! from [`AUTO_BRANCHLESS_THREE_WAY_THRESHOLD`].
 
 use crate::materialize::{scan_filter, split_and_materialize, Fringe, RESERVE_CAP};
 use crate::three_way::crack_in_three;
@@ -60,13 +61,17 @@ pub const KERNEL_BLOCK: usize = 128;
 /// Piece size (in elements) from which [`KernelPolicy::Auto`] picks the
 /// branchless two-way, fused split-and-materialize and filter kernels.
 ///
-/// The blockwise loop's own entry condition: a piece of `2 * KERNEL_BLOCK`
-/// or fewer elements never runs a [`KERNEL_BLOCK`]-wide chunk, so below
-/// this size the branchless kernels would only repeat the branchy pass by
-/// another route. From this size on they run the block loop and win on
-/// random keys: on a 2-vCPU x86-64 host, hot cache, `u64` keys, the fused
-/// pass over a 50 % range runs ~3.7× faster blockwise than branchy at 300
-/// elements and ~4.8× at 1 800 (`scrack_bench --sizes 300,1800`).
+/// `2 * KERNEL_BLOCK + 1` is the size at which the [`KERNEL_BLOCK`]-wide
+/// loop starts. It is *not* the size below which branchless stops paying:
+/// smaller pieces still run the 16-wide tail loop, and on fresh random
+/// `u64` keys (2-vCPU x86-64 host, hot cache, `scrack_bench --sizes
+/// 32,64,128,256,300,1800`) the branchless two-way pass wins from 64
+/// elements (1.3×; it loses 5–9 % at 32), and the fused pass (1.5× at 32)
+/// and the filter scan (2× or more) win at every size measured. The threshold stays at
+/// the loop's start because that is the value the end-to-end runs
+/// measured; lowering it moves the small-piece workloads and needs its
+/// own end-to-end measurement. From 300 elements on, the fused pass over
+/// a 50 % range runs 3.6–5.0× faster blockwise than branchy.
 pub const AUTO_BRANCHLESS_THRESHOLD: usize = 2 * KERNEL_BLOCK + 1;
 
 /// [`KernelPolicy::Auto`]'s threshold for the *three-way* kernel, whose
@@ -520,11 +525,19 @@ mod tests {
             .collect()
     }
 
+    /// Sizes either side of the 2-chunk entry of the main and of the tail
+    /// loop, one that leaves the main loop a window just past the tail
+    /// loop's entry, and sizes that run many chunks.
+    fn edge_sizes() -> Vec<usize> {
+        let (b2, t2) = (2 * KERNEL_BLOCK, 2 * TAIL_BLOCK);
+        vec![0, 1, 5, t2 - 1, t2, t2 + 1, b2 - 1, b2, b2 + 1, b2 + 1 + t2, 400, 1000, 5000]
+    }
+
     #[test]
     fn two_way_is_bit_identical_to_branchy() {
         // Cross the 2-chunk boundaries of the main and the tail loop in
         // both directions, with pivots at the extremes and the middle.
-        for n in [0, 1, 5, 31, 32, 33, 255, 256, 257, 289, 400, 1000, 5000] {
+        for n in edge_sizes() {
             for pivot_frac in [0u64, 1, 2, 4] {
                 let base = xorshift_data(n, 0x5EED + n as u64);
                 let pivot = (n as u64).checked_div(pivot_frac).unwrap_or(0);
@@ -539,6 +552,55 @@ mod tests {
                 assert_eq!(sa, sb, "stats n={n} pivot={pivot}");
             }
         }
+    }
+
+    #[test]
+    fn fused_pass_matches_branchy_at_the_loop_edges() {
+        let fringes = |n: u64| {
+            [
+                Fringe::Both(QueryRange::new(n / 4, 3 * n / 4)),
+                Fringe::Both(QueryRange::new(3 * n / 4, n / 4)), // inverted
+                Fringe::Low(n / 3),
+                Fringe::High(2 * n / 3),
+                Fringe::None,
+            ]
+        };
+        for n in edge_sizes() {
+            let keys = xorshift_data(n, 0xF05E + n as u64);
+            let tuples: Vec<Tuple> = (0..n).map(|i| Tuple::new(keys[i], i as u32)).collect();
+            for fringe in fringes(n as u64) {
+                for pivot in [0, n as u64 / 2, n as u64] {
+                    assert_fused_matches(&keys, pivot, fringe, |k| (*k, 0));
+                    assert_fused_matches(&tuples, pivot, fringe, |t| (t.key, t.row));
+                }
+            }
+        }
+    }
+
+    /// Both fused kernels on copies of `input`: same boundary, physical
+    /// order and `Stats`, and the same materialized multiset (ranked by
+    /// `rank`).
+    fn assert_fused_matches<E: Element + PartialEq>(
+        input: &[E],
+        pivot: u64,
+        fringe: Fringe,
+        rank: impl Fn(&E) -> (u64, u32),
+    ) {
+        let (mut da, mut db) = (input.to_vec(), input.to_vec());
+        let (mut oa, mut ob) = (Vec::new(), Vec::new());
+        let (mut sa, mut sb) = (Stats::new(), Stats::new());
+        let pa = split_and_materialize(&mut da, pivot, fringe, &mut oa, &mut sa);
+        let pb = split_and_materialize_branchless(&mut db, pivot, fringe, &mut ob, &mut sb);
+        let ctx = format!("n={} pivot={pivot} {fringe:?}", input.len());
+        assert_eq!(pa, pb, "boundary {ctx}");
+        assert_eq!(da, db, "order {ctx}");
+        assert_eq!(sa, sb, "stats {ctx}");
+        let sorted = |out: &[E]| {
+            let mut v: Vec<(u64, u32)> = out.iter().map(&rank).collect();
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(sorted(&oa), sorted(&ob), "materialized {ctx}");
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! `KernelPolicy` be a pure performance knob — engines can switch kernels
 //! per piece without perturbing any result, checksum, or cost counter.
 //!
-//! Sizes deliberately straddle `2 * KERNEL_BLOCK` and `2 * TAIL_BLOCK` so
-//! the blockwise main loop, the narrow blockwise tail and the scalar
-//! Hoare pass below it are all exercised.
+//! Sizes deliberately straddle `2 * KERNEL_BLOCK` and draw densely below
+//! it, so the blockwise main loop, the narrow blockwise tail and the
+//! scalar Hoare pass below it are all exercised. The tail's exact edges
+//! are pinned by the unit tests in `kernels.rs`, next to its private
+//! width.
 //!
 //! The fused `split_and_materialize` pair is held to the same contract
 //! with one relaxation: the materialized output is compared as a multiset
@@ -24,11 +26,6 @@ use scrack_partition::{
     split_and_materialize_policy, Fringe, KernelPolicy, KERNEL_BLOCK,
 };
 use scrack_types::{Element, QueryRange, Stats, Tuple};
-
-/// The block width of the kernels' blockwise tail (private to
-/// `kernels.rs`): windows of `2 * TAIL_BLOCK` or fewer elements finish on
-/// the scalar Hoare pass.
-const TAIL_BLOCK: usize = 16;
 
 /// Keys over a small domain plus the extremes `0` and `u64::MAX - 1`.
 fn key_strategy() -> impl Strategy<Value = u64> {
@@ -54,14 +51,14 @@ fn fringe_strategy() -> impl Strategy<Value = Fringe> {
 }
 
 /// Piece sizes for the fused kernels: empty, singleton, either side of the
-/// blockwise loop's `2 * KERNEL_BLOCK` entry and of the tail loop's
-/// `2 * TAIL_BLOCK` entry, odd sizes, and sizes that run many chunks from
-/// both ends.
+/// blockwise loop's `2 * KERNEL_BLOCK` entry, every size below it (the
+/// tail loop's whole range, whatever its width), odd sizes, and sizes
+/// that run many chunks from both ends.
 fn fused_len_strategy() -> impl Strategy<Value = usize> {
-    let (b2, t2) = (2 * KERNEL_BLOCK, 2 * TAIL_BLOCK);
+    let b2 = 2 * KERNEL_BLOCK;
     prop_oneof![
         prop_oneof![Just(0), Just(1), Just(b2 - 1), Just(b2), Just(b2 + 1)],
-        prop_oneof![Just(t2 - 1), Just(t2), Just(t2 + 1)],
+        0usize..=b2,
         (0usize..1500).prop_map(|n| 2 * n + 1),
         0usize..FUSED_MAX_LEN,
     ]
