@@ -10,21 +10,20 @@
 //! * `figures` — scaled-down regenerations of the paper's figures, so
 //!   `cargo bench` exercises every experiment path end to end.
 //!
-//! The `scrack_bench` binary (`src/bin/scrack_bench.rs`) runs the
-//! [`kernels_report`] harness, the `scrack_throughput` binary
-//! (`src/bin/scrack_throughput.rs`) the [`throughput_report`] harness,
-//! the `scrack_latency` binary (`src/bin/scrack_latency.rs`) the
-//! [`latency_report`] harness, the `scrack_updates` binary
-//! (`src/bin/scrack_updates.rs`) the [`updates_report`] mixed
-//! read/write harness, and the `scrack_robustness` binary
-//! (`src/bin/scrack_robustness.rs`) the [`robustness_report`]
-//! fault-injection gauntlet, and the `scrack_txn` binary
-//! (`src/bin/scrack_txn.rs`) the [`txn_report`] transactional chaos
-//! gauntlet; all write machine-readable `BENCH_*.json` perf baselines.
+//! Six reporter binaries (`src/bin/`), one per harness module, each
+//! writing a machine-readable `BENCH_*.json` baseline:
+//!
+//! * `scrack_bench` — [`kernels_report`], branchy vs branchless kernels;
+//! * `scrack_throughput` — [`throughput_report`], the concurrency
+//!   wrappers;
+//! * `scrack_latency` — [`latency_report`], end-to-end select latency;
+//! * `scrack_updates` — [`updates_report`], mixed reads and writes;
+//! * `scrack_robustness` — [`robustness_report`], the fault-injection
+//!   gauntlet;
+//! * `scrack_txn` — [`txn_report`], the transactional chaos gauntlet.
 
 #![forbid(unsafe_code)]
 
-pub mod gauntlet_report;
 pub mod kernels_report;
 pub mod latency_report;
 pub mod robustness_report;

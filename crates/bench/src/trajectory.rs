@@ -19,7 +19,7 @@
 //! * [`median`] / [`percentile`] — the nearest-rank order statistics the
 //!   timing harnesses share.
 //!
-//! The throughput, robustness, and gauntlet reporters emit
+//! The throughput, robustness, and txn reporters emit
 //! `scrack-trajectory/v1`; the older kernel/latency/updates reports
 //! predate the schema and keep their bespoke documents until their next
 //! regeneration.
@@ -153,7 +153,7 @@ pub struct TrajectoryDoc {
 
 impl TrajectoryDoc {
     /// A new document for the named report family
-    /// (`"throughput"`, `"robustness"`, `"gauntlet"`, …).
+    /// (`"throughput"`, `"robustness"`, `"txn"`).
     pub fn new(report: impl Into<String>) -> Self {
         Self {
             report: report.into(),

@@ -18,18 +18,17 @@
 //!   multi-armed bandits that *learn* the best action from the observed
 //!   per-query physical cost (tuples touched plus tuples materialized, the
 //!   paper's §3 cost measure), with no knowledge of the workload.
+//! * [`ContextualEpsGreedy`] — ε-greedy with one estimate per piece-size
+//!   bucket, so it can learn a size-conditional policy.
 //!
 //! The engine satisfies the same contract as every other engine in this
 //! repository: each `select` answers the query exactly (oracle-verified in
 //! the tests) while reorganizing the column as a side effect.
 //!
-//! [`SelfDrivingEngine`] lifts the same idea from crack paths to whole
-//! configurations: its arms are a [`ConfigSpace`] over the full live
-//! cross-product (engine × kernel × index × update policy), decisions run
-//! at epoch granularity, and switching arms rebuilds the engine over the
-//! current data under quarantine-rebuild semantics — so it can move
-//! along the config axes (kernel, index, update policy) that a chooser
-//! over one shared column under one fixed `CrackConfig` cannot reach.
+//! Switching is per query and free: every arm cracks the one shared
+//! column, so no switch discards an earned crack. docs/ARCHITECTURE.md
+//! ("Negative result: epoch-granular config switching") records why no
+//! chooser over kernel, index or update-policy arms sits beside it.
 //!
 //! # Example
 //!
@@ -54,16 +53,12 @@
 #![warn(missing_docs)]
 
 pub mod bandit;
-mod config_space;
 mod context;
 pub mod contextual;
 mod engine;
 pub mod policy;
-mod self_driving;
 
-pub use config_space::{ConfigArm, ConfigSpace};
 pub use context::QueryContext;
 pub use contextual::ContextualEpsGreedy;
 pub use engine::{ChooserEngine, PolicyKind, DEFAULT_MENU};
 pub use policy::ChoicePolicy;
-pub use self_driving::{switch_seed, SelfDrivingEngine, SwitchEvent};

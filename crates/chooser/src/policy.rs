@@ -47,43 +47,6 @@ impl ChoicePolicy for Fixed {
     }
 }
 
-/// Replays a fixed arm sequence, one entry per decision; once the script
-/// is exhausted the last entry repeats. The differential tests use this
-/// to drive a [`SelfDrivingEngine`](crate::SelfDrivingEngine) through an
-/// arbitrary switch schedule that a hand-replay on factory engines can
-/// reproduce exactly.
-#[derive(Clone, Debug)]
-pub struct Script {
-    arms: Vec<usize>,
-    next: usize,
-}
-
-impl Script {
-    /// A scripted policy over the given arm sequence.
-    ///
-    /// # Panics
-    /// If `arms` is empty.
-    pub fn new(arms: Vec<usize>) -> Self {
-        assert!(!arms.is_empty(), "a script needs at least one arm");
-        Self { arms, next: 0 }
-    }
-}
-
-impl ChoicePolicy for Script {
-    fn choose(&mut self, _ctx: &QueryContext, arms: usize, _rng: &mut SmallRng) -> usize {
-        let arm = self.arms[self.next.min(self.arms.len() - 1)];
-        self.next += 1;
-        assert!(arm < arms, "scripted arm {arm} out of range {arms}");
-        arm
-    }
-
-    fn observe(&mut self, _arm: usize, _ctx: &QueryContext, _post: &QueryContext, _cost: f64) {}
-
-    fn label(&self) -> String {
-        "Script".into()
-    }
-}
-
 /// The deterministic cost model: pick the action by the size of the largest
 /// piece the query must reorganize.
 ///
@@ -160,20 +123,6 @@ mod tests {
             l1_elems: 4096,
             l2_elems: 32768,
         }
-    }
-
-    #[test]
-    fn script_replays_and_repeats_its_tail() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut p = Script::new(vec![2, 0, 1]);
-        let picks: Vec<usize> = (0..5).map(|_| p.choose(&ctx(10), 4, &mut rng)).collect();
-        assert_eq!(picks, vec![2, 0, 1, 1, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one arm")]
-    fn empty_script_rejected() {
-        Script::new(vec![]);
     }
 
     #[test]

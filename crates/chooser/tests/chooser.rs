@@ -3,6 +3,7 @@
 
 use scrack_chooser::{ChooserEngine, PolicyKind};
 use scrack_core::{build_engine, CrackConfig, Engine, EngineKind, Oracle};
+use scrack_types::{QueryRange, Stats};
 use scrack_workloads::data::unique_permutation;
 use scrack_workloads::{WorkloadKind, WorkloadSpec};
 
@@ -164,9 +165,60 @@ fn custom_menu_progressive_only() {
     engine.column().check_integrity().unwrap();
 }
 
-/// Switching workload mid-run (Sequential → Random → ZoomIn) keeps the
-/// chooser exact and the EWMA bandits solvent — the non-stationary setting
-/// the forget factor exists for.
+const FLIP_N: u64 = 40_000;
+const FLIP_PHASE1: usize = 320;
+const FLIP_PHASE2: usize = 640;
+const FLIP_WIDTH: u64 = 40;
+
+/// A random → sequential flip: random lows confined to `[0, N/8)`, so
+/// the rest of the column stays uncracked, then a sequential walk of
+/// that untouched `[N/8, N)`. For original cracking the walk is the
+/// paper's §2 pathology arriving mid-run.
+fn flip_stream() -> Vec<QueryRange> {
+    let hot = FLIP_N / 8 - FLIP_WIDTH;
+    let mut state = SEED | 1;
+    let mut queries = Vec::with_capacity(FLIP_PHASE1 + FLIP_PHASE2);
+    for _ in 0..FLIP_PHASE1 {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let low = state % hot;
+        queries.push(QueryRange::new(low, low + FLIP_WIDTH));
+    }
+    let step = (FLIP_N - FLIP_N / 8 - FLIP_WIDTH) / FLIP_PHASE2 as u64;
+    for j in 0..FLIP_PHASE2 as u64 {
+        let low = FLIP_N / 8 + j * step;
+        queries.push(QueryRange::new(low, low + FLIP_WIDTH));
+    }
+    queries
+}
+
+/// Post-flip §3 cost (touched + materialized) of `engine` over
+/// [`flip_stream`], with every answer checked against the oracle.
+fn post_flip_cost(engine: &mut dyn Engine<u64>, oracle: &Oracle) -> u64 {
+    let cost = |s: Stats| s.touched + s.materialized;
+    let mut at_flip = 0;
+    for (i, q) in flip_stream().into_iter().enumerate() {
+        if i == FLIP_PHASE1 {
+            at_flip = cost(engine.stats());
+        }
+        let out = engine.select(q);
+        assert_eq!(
+            (out.len(), out.key_checksum(engine.data())),
+            (oracle.count(q), oracle.checksum(q)),
+            "{}: wrong answer at query {i}",
+            engine.name()
+        );
+    }
+    cost(engine.stats()) - at_flip
+}
+
+/// Switching workload mid-run keeps the chooser exact and the EWMA
+/// bandits solvent — the non-stationary setting the forget factor exists
+/// for. First Sequential → Random → ZoomIn on one engine; then the
+/// random → sequential flip, where the learning policies over
+/// `[Crack, MDD1R]` must leave the arm that turned pathological and stay
+/// within 2× of the best static engine's post-flip cost.
 #[test]
 fn workload_switch_mid_run() {
     let data: Vec<u64> = unique_permutation(N, SEED);
@@ -184,4 +236,36 @@ fn workload_switch_mid_run() {
         }
     }
     engine.column().check_integrity().unwrap();
+
+    let data: Vec<u64> = unique_permutation(FLIP_N, SEED);
+    let oracle = Oracle::new(&data);
+    let static_cost = |kind| {
+        let mut engine = build_engine(kind, data.clone(), CrackConfig::default(), SEED);
+        post_flip_cost(engine.as_mut(), &oracle)
+    };
+    let crack = static_cost(EngineKind::Crack);
+    let best = crack.min(static_cost(EngineKind::Mdd1r));
+    assert!(
+        crack > 10 * best,
+        "precondition: Crack must turn pathological after the flip ({crack} vs best {best})"
+    );
+    for kind in [
+        PolicyKind::EpsilonGreedy,
+        PolicyKind::Ucb1,
+        PolicyKind::Contextual,
+    ] {
+        let mut engine = ChooserEngine::with_menu(
+            data.clone(),
+            CrackConfig::default(),
+            SEED,
+            kind.build(),
+            vec![EngineKind::Crack, EngineKind::Mdd1r],
+        );
+        let cost = post_flip_cost(&mut engine, &oracle);
+        engine.column().check_integrity().unwrap();
+        assert!(
+            cost <= 2 * best,
+            "{kind:?}: post-flip cost {cost} exceeds 2x the best static engine's {best}"
+        );
+    }
 }

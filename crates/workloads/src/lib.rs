@@ -18,11 +18,9 @@
 
 pub mod data;
 mod mixed;
-mod phased;
 mod skyserver;
 mod synthetic;
 
 pub use mixed::{MixedOp, MixedWorkloadSpec, UpdateKeyDist};
-pub use phased::{read_phase, PhasedWorkload};
 pub use skyserver::{skyserver_trace, SkyServerConfig};
 pub use synthetic::{WorkloadKind, WorkloadSpec};

@@ -27,7 +27,7 @@
 //! | [`core`] | `scrack_core` | every engine: Crack, DDC/DDR, DD1C/DD1R, MDD1R, DDM/MDD1M, … |
 //! | [`query`] | `scrack_query` | multi-column tables, predicates, aggregates |
 //! | [`workloads`] | `scrack_workloads` | Fig. 7 workload suite, SkyServer trace, data gens |
-//! | [`chooser`] | `scrack_chooser` | bandit algorithm selection (§6), self-driving config switching |
+//! | [`chooser`] | `scrack_chooser` | per-query algorithm selection (§6) |
 //! | [`external`] | `scrack_external` | paged/disk-resident cracking (§6) |
 //! | [`hybrids`] | `scrack_hybrids` | hybrid crack/sort engines |
 //! | [`sideways`] | `scrack_sideways` | sideways cracking under storage budgets |
@@ -278,9 +278,7 @@ pub mod txn {
 
 /// The working vocabulary: everything the examples and most users need.
 pub mod prelude {
-    pub use scrack_chooser::{
-        ChooserEngine, ConfigArm, ConfigSpace, PolicyKind, SelfDrivingEngine,
-    };
+    pub use scrack_chooser::{ChooserEngine, PolicyKind};
     pub use scrack_columnstore::{Column, QueryOutput, Table};
     pub use scrack_core::{
         build_engine, CrackConfig, CrackedColumn, CrackerEngine, Engine, EngineKind, FaultKind,
@@ -300,7 +298,7 @@ pub mod prelude {
     pub use scrack_updates::{build_update_engine, Updatable};
     pub use scrack_workloads::data::unique_permutation;
     pub use scrack_workloads::{
-        skyserver_trace, MixedOp, MixedWorkloadSpec, PhasedWorkload, SkyServerConfig,
-        UpdateKeyDist, WorkloadKind, WorkloadSpec,
+        skyserver_trace, MixedOp, MixedWorkloadSpec, SkyServerConfig, UpdateKeyDist, WorkloadKind,
+        WorkloadSpec,
     };
 }

@@ -22,8 +22,6 @@
 //! `cargo test --release --test golden -- --ignored --nocapture record`
 //! and paste the printed tables over the constants.
 
-use rand::rngs::SmallRng;
-use stochastic_cracking::chooser::{ChoicePolicy, QueryContext};
 use stochastic_cracking::prelude::*;
 use stochastic_cracking::updates::update_capable_kinds;
 
@@ -391,69 +389,6 @@ fn chooser_engine_matches_the_recording_for_every_policy() {
     }
 }
 
-/// Walks the arms in order, one per decision: every epoch boundary is a
-/// `switch_to`, so the flush → retire → rebuild path runs for every
-/// update-capable kind.
-#[derive(Debug)]
-struct Cycle(usize);
-
-impl ChoicePolicy for Cycle {
-    fn choose(&mut self, _: &QueryContext, arms: usize, _: &mut SmallRng) -> usize {
-        self.0 = (self.0 + 1) % arms;
-        self.0
-    }
-
-    fn observe(&mut self, _: usize, _: &QueryContext, _: &QueryContext, _: f64) {}
-
-    fn label(&self) -> String {
-        "Cycle".into()
-    }
-}
-
-fn self_driving() -> (u64, Counters, usize, Vec<usize>) {
-    let mut engine = SelfDrivingEngine::new(
-        column(),
-        config(IndexPolicy::Flat),
-        SEED,
-        Box::new(Cycle(0)),
-        ConfigSpace::engine_sweep(),
-    )
-    .with_epoch_len(8)
-    .with_stop_factor(None);
-    let mut answers = HASH_SEED;
-    for op in mixed_ops() {
-        match op {
-            BatchOp::Insert(k) => engine.insert(k),
-            BatchOp::Delete(k) => engine.delete(k),
-            BatchOp::Select(q) => {
-                let out = engine.select(q);
-                answers = mix(answers, (out.len(), out.key_checksum(engine.data())));
-            }
-        }
-    }
-    engine.check_integrity().unwrap();
-    (
-        answers,
-        counters(engine.stats()),
-        engine.switch_log().len(),
-        engine.action_log().to_vec(),
-    )
-}
-
-const SELF_DRIVING_STATS: Counters = [4170752, 1868056, 4944492, 714, 17182, 208];
-const SELF_DRIVING_SWITCHES: usize = 25;
-
-#[test]
-fn self_driving_engine_switching_every_epoch_matches_the_recording() {
-    let (answers, stats, switches, actions) = self_driving();
-    assert_eq!(answers, UPDATED_ANSWERS);
-    assert_eq!(stats, SELF_DRIVING_STATS);
-    assert_eq!(switches, SELF_DRIVING_SWITCHES);
-    let arms = ConfigSpace::engine_sweep().len();
-    let want: Vec<usize> = (1..=actions.len()).map(|i| i % arms).collect();
-    assert_eq!(actions, want);
-}
-
 // ---------------------------------------------------------------------
 // Recorder
 // ---------------------------------------------------------------------
@@ -490,7 +425,4 @@ fn record() {
         let (name, _, stats, pulls) = chooser(kind);
         println!("    ({name:?}, {stats:?}, {pulls:?}),");
     }
-    let (_, stats, switches, _) = self_driving();
-    println!("const SELF_DRIVING_STATS: Counters = {stats:?};");
-    println!("const SELF_DRIVING_SWITCHES: usize = {switches};");
 }
