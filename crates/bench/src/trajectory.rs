@@ -8,9 +8,7 @@
 //! * [`TrajectoryDoc`] — a builder for the unified
 //!   **`scrack-trajectory/v1`** document (see `docs/TRAJECTORY.md`):
 //!   an envelope of `report` name, scalar `params`, named sweep `axes`,
-//!   one flat object per `cells` entry, and optional `curves` (label +
-//!   `[x, y]` points — regret trajectories, latency timelines). The
-//!   builder guarantees balanced brackets, no trailing commas, and
+//!   and one flat object per `cells` entry. The builder guarantees balanced brackets, no trailing commas, and
 //!   fixed float precision, so the shape tests every reporter carries
 //!   reduce to "did you put the right keys in".
 //! * [`CommonCli`] — the `--smoke --check --json PATH` triple every
@@ -134,13 +132,6 @@ pub fn obj(entries: Vec<(&str, Json)>) -> Json {
     Json::Obj(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// One named curve: a label and `[x, y]` sample points.
-#[derive(Clone, Debug)]
-pub struct Curve {
-    label: String,
-    points: Vec<(u64, f64)>,
-}
-
 /// Builder for a `scrack-trajectory/v1` document.
 #[derive(Clone, Debug)]
 pub struct TrajectoryDoc {
@@ -148,7 +139,6 @@ pub struct TrajectoryDoc {
     params: Vec<(String, Json)>,
     axes: Vec<(String, Json)>,
     cells: Vec<Json>,
-    curves: Vec<Curve>,
 }
 
 impl TrajectoryDoc {
@@ -160,7 +150,6 @@ impl TrajectoryDoc {
             params: Vec::new(),
             axes: Vec::new(),
             cells: Vec::new(),
-            curves: Vec::new(),
         }
     }
 
@@ -182,16 +171,8 @@ impl TrajectoryDoc {
         self.cells.push(cell);
     }
 
-    /// Appends one curve (omitted from the document when none exist).
-    pub fn curve(&mut self, label: impl Into<String>, points: Vec<(u64, f64)>) {
-        self.curves.push(Curve {
-            label: label.into(),
-            points,
-        });
-    }
-
-    /// Renders the document. Top-level keys one per line, each cell and
-    /// curve on its own line — the layout the committed `BENCH_*.json`
+    /// Renders the document. Top-level keys one per line, each cell on
+    /// its own line — the layout the committed `BENCH_*.json`
     /// baselines use, so regenerations diff line-per-cell.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
@@ -207,22 +188,7 @@ impl TrajectoryDoc {
             s.push_str(if i > 0 { ",\n    " } else { "\n    " });
             cell.render(&mut s);
         }
-        s.push_str("\n  ]");
-        if !self.curves.is_empty() {
-            s.push_str(",\n  \"curves\": [");
-            for (i, c) in self.curves.iter().enumerate() {
-                s.push_str(if i > 0 { ",\n    " } else { "\n    " });
-                let points = Json::Arr(
-                    c.points
-                        .iter()
-                        .map(|&(x, y)| Json::Arr(vec![Json::UInt(x), Json::fixed(y, 4)]))
-                        .collect(),
-                );
-                obj(vec![("label", Json::str(&c.label)), ("points", points)]).render(&mut s);
-            }
-            s.push_str("\n  ]");
-        }
-        s.push_str("\n}\n");
+        s.push_str("\n  ]\n}\n");
         s
     }
 }
@@ -337,7 +303,6 @@ mod tests {
             ("cost", Json::fixed(2.0, 3)),
             ("ratio", Json::fixed(0.5, 2)),
         ]));
-        doc.curve("regret", vec![(0, 1.0), (64, 1.5)]);
         doc
     }
 
@@ -353,16 +318,6 @@ mod tests {
         assert!(json.contains("\"cost\": 1.235"), "fixed precision rounds");
         assert!(json.contains("\"ratio\": null"));
         assert!(json.contains("a \\\"quoted\\\" name"), "strings escaped");
-        assert!(json.contains("[0, 1.0000], [64, 1.5000]"), "{json}");
-    }
-
-    #[test]
-    fn curves_are_omitted_when_absent() {
-        let mut doc = TrajectoryDoc::new("bare");
-        doc.cell(obj(vec![("k", Json::UInt(1))]));
-        let json = doc.to_json();
-        assert!(!json.contains("curves"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

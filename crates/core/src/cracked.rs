@@ -30,6 +30,7 @@ use scrack_partition::{
     scan_filter_policy, split_and_materialize_policy, Fringe, JobStatus, PartitionJob,
 };
 use scrack_types::{Element, QueryRange, Stats};
+use std::collections::BTreeMap;
 
 /// A column physically reorganized by cracking, plus its cracker index.
 ///
@@ -37,6 +38,11 @@ use scrack_types::{Element, QueryRange, Stats};
 /// `crack(C, v)`: they return the position `p` such that, afterwards,
 /// positions `< p` hold keys `< v` and positions `>= p` hold keys `>= v`,
 /// registering every crack they introduce in the index.
+///
+/// The index carries only a 4-byte [`PieceState`] per crack. The
+/// half-finished partitions of progressive cracking live beside it in a
+/// job table keyed by the owning piece's `lo_key`: only PMDD1R ever
+/// parks one, so no other engine pays for the room.
 #[derive(Debug, Clone)]
 pub struct CrackedColumn<E: Element> {
     data: Vec<E>,
@@ -52,9 +58,11 @@ pub struct CrackedColumn<E: Element> {
     /// of midpoint splits, never their validity, and
     /// [`CrackedColumn::quarantine_rebuild`] recomputes it.
     domain: Option<(u64, u64)>,
-    /// Pieces holding an in-flight progressive partition job: `+1` where
-    /// [`Self::progressive_fringe`] parks one, `-1` where one is taken.
-    active_jobs: usize,
+    /// In-flight progressive partition jobs, keyed by their piece's
+    /// `lo_key` (`None` is the head piece). A split keeps the left piece's
+    /// `lo_key`, and every reorganization of a piece settles its job
+    /// first, so a key never outlives its piece. Key order is piece order.
+    jobs: BTreeMap<Option<u64>, PartitionJob>,
 }
 
 impl<E: Element> CrackedColumn<E> {
@@ -69,7 +77,7 @@ impl<E: Element> CrackedColumn<E> {
             config,
             fault: FaultInjector::new(config.fault),
             domain: None,
-            active_jobs: 0,
+            jobs: BTreeMap::new(),
         }
     }
 
@@ -137,24 +145,36 @@ impl<E: Element> CrackedColumn<E> {
     /// (it always is for `Crack` and `MDD1R`, the engines the paper's
     /// update experiment uses).
     ///
-    /// A field read: the column counts its jobs as they are parked and
-    /// taken (debug builds cross-check the count against the pieces).
+    /// A field read: the job table is empty.
     pub fn has_active_jobs(&self) -> bool {
-        debug_assert_eq!(
-            self.active_jobs,
-            self.index
-                .iter_pieces()
-                .filter(|p| self.index.piece_meta(p).job.is_some())
-                .count(),
-            "job counter out of step with the piece directory"
-        );
-        self.active_jobs > 0
+        !self.jobs.is_empty()
+    }
+
+    /// Whether `piece` holds an in-flight progressive partition job.
+    pub fn piece_has_job(&self, piece: &Piece) -> bool {
+        self.jobs.contains_key(&piece.lo_key)
     }
 
     /// Full-column invariant check: every piece's keys lie within its
-    /// index bounds, and crack positions are monotone. O(n); for tests
-    /// and debug assertions only.
+    /// index bounds, crack positions are monotone, and every job belongs
+    /// to an existing piece and lies inside it. O(n); for tests and debug
+    /// assertions only.
     pub fn check_integrity(&self) -> Result<(), String> {
+        for (lo_key, job) in &self.jobs {
+            let piece = match *lo_key {
+                None => self.index.iter_pieces().next().expect("one piece at least"),
+                Some(k) if self.index.find_crack(k).is_some() => {
+                    self.index.piece_containing(k)
+                }
+                Some(k) => return Err(format!("job keyed by {k}, which is no crack")),
+            };
+            if !(piece.start <= job.l && job.l <= job.r && job.r <= piece.end) {
+                return Err(format!(
+                    "job {}..{} outside its piece {}..{}",
+                    job.l, job.r, piece.start, piece.end
+                ));
+            }
+        }
         if !self.index.check_positions_monotone() {
             return Err("crack positions not monotone".into());
         }
@@ -238,14 +258,17 @@ impl<E: Element> CrackedColumn<E> {
     /// that created it), which also registers its crack. No-op for pieces
     /// without a job — the common case for every non-progressive engine.
     fn settle_job_at(&mut self, key: u64) {
-        if self.active_jobs == 0 {
+        if self.jobs.is_empty() {
             return; // no index lookup to find that out
         }
         let piece = self.index.piece_containing(key);
-        let Some(mut job) = self.index.piece_meta_mut(&piece).job.take() else {
-            return;
-        };
-        self.active_jobs -= 1;
+        if let Some(job) = self.jobs.remove(&piece.lo_key) {
+            self.finish_job(job, &piece);
+        }
+    }
+
+    /// Runs `piece`'s job to completion and registers its crack.
+    fn finish_job(&mut self, mut job: PartitionJob, piece: &Piece) {
         let mut sink = Vec::new();
         match advance_job(
             &mut self.data,
@@ -272,21 +295,12 @@ impl<E: Element> CrackedColumn<E> {
     /// once when no jobs exist (the common case for every
     /// non-progressive engine).
     pub fn settle_all_jobs(&mut self) {
-        if !self.has_active_jobs() {
-            return;
+        // Ascending piece order: `None` (the head piece) sorts first. A
+        // settled job cracks only its own piece, so the later keys hold.
+        while let Some((lo_key, job)) = self.jobs.pop_first() {
+            let piece = self.index.piece_containing(lo_key.unwrap_or(0));
+            self.finish_job(job, &piece);
         }
-        // Collect one in-range key per job-holding piece first: settling
-        // registers cracks, which would invalidate a live piece iterator.
-        let keys: Vec<u64> = self
-            .index
-            .iter_pieces()
-            .filter(|p| self.index.piece_meta(p).job.is_some())
-            .map(|p| p.lo_key.unwrap_or(0))
-            .collect();
-        for key in keys {
-            self.settle_job_at(key);
-        }
-        debug_assert!(!self.has_active_jobs());
     }
 
     // ------------------------------------------------------------------
@@ -842,8 +856,7 @@ impl<E: Element> CrackedColumn<E> {
         out: &mut QueryOutput<E>,
     ) {
         let threshold = self.config.progressive_threshold(std::mem::size_of::<E>());
-        let has_job = self.index.piece_meta(piece).job.is_some();
-        if piece.len() <= threshold && !has_job {
+        if piece.len() <= threshold && !self.piece_has_job(piece) {
             // Small piece: full MDD1R takes over ("otherwise, we prefer to
             // perform cracking as usual so as to reap the benefits of fast
             // convergence", §4).
@@ -851,11 +864,8 @@ impl<E: Element> CrackedColumn<E> {
             return;
         }
         let budget = ((piece.len() as f64 * swap_pct / 100.0).ceil() as u64).max(1);
-        let mut job = match self.index.piece_meta_mut(piece).job.take() {
-            Some(job) => {
-                self.active_jobs -= 1;
-                job
-            }
+        let mut job = match self.jobs.remove(&piece.lo_key) {
+            Some(job) => job,
             None => {
                 let pivot = self.data[piece.start + rng.gen_range(0..piece.len())].key();
                 PartitionJob::new(pivot, piece.start, piece.end)
@@ -903,8 +913,7 @@ impl<E: Element> CrackedColumn<E> {
                     out.mat_mut(),
                     &mut self.stats,
                 );
-                self.index.piece_meta_mut(piece).job = Some(job);
-                self.active_jobs += 1;
+                self.jobs.insert(piece.lo_key, job);
             }
         }
     }
@@ -1160,12 +1169,13 @@ mod tests {
 
     #[test]
     fn active_jobs_counts_the_jobs_in_the_piece_directory() {
-        fn counted(col: &CrackedColumn<u64>) -> usize {
+        // Every step keeps the table valid and in step with the pieces.
+        fn jobs_in_step(col: &CrackedColumn<u64>, step: &str) -> usize {
+            col.check_integrity().unwrap_or_else(|e| panic!("{step}: {e}"));
             let index = col.index();
-            index
-                .iter_pieces()
-                .filter(|p| index.piece_meta(p).job.is_some())
-                .count()
+            let holding = index.iter_pieces().filter(|p| col.piece_has_job(p)).count();
+            assert_eq!(col.jobs.len(), holding, "{step}");
+            holding
         }
         let mut col = CrackedColumn::new(
             permuted(100_000),
@@ -1180,24 +1190,22 @@ mod tests {
             // Start (round 0), advance, and finish jobs a few at a time:
             // a done job splits its piece, and both halves restart.
             let _ = col.pmdd1r_select(far_apart, 5.0, &mut rng);
-            assert_eq!(col.active_jobs, counted(&col), "round {round}");
-            peak = peak.max(col.active_jobs);
+            peak = peak.max(jobs_in_step(&col, &format!("round {round}")));
         }
         assert!(peak >= 2, "both fringe pieces hold a job at some point");
-        while col.active_jobs == 0 {
+        while col.jobs.is_empty() {
             let _ = col.pmdd1r_select(far_apart, 1.0, &mut rng);
         }
         col.crack_on(far_apart.low); // settles at most the one piece it cracks
-        assert_eq!(col.active_jobs, counted(&col));
+        jobs_in_step(&col, "crack_on");
         let _ = col.pmdd1r_select(QueryRange::new(100, 90_000), 1.0, &mut rng);
-        assert!(col.active_jobs > 0);
+        assert!(jobs_in_step(&col, "wide select") > 0);
         col.settle_all_jobs();
-        assert_eq!((col.active_jobs, counted(&col)), (0, 0));
+        assert_eq!(jobs_in_step(&col, "settle_all_jobs"), 0);
         let _ = col.pmdd1r_select(QueryRange::new(5, 99_000), 1.0, &mut rng);
-        assert!(col.active_jobs > 0);
+        assert!(jobs_in_step(&col, "second wide select") > 0);
         col.quarantine_rebuild();
-        assert_eq!((col.active_jobs, counted(&col)), (0, 0));
-        col.check_integrity().unwrap();
+        assert_eq!(jobs_in_step(&col, "quarantine_rebuild"), 0);
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! Per-piece state carried in the cracker index.
 
 use scrack_index::PieceMeta;
-use scrack_partition::PartitionJob;
 
 /// State the stochastic engines attach to each piece of the cracker column.
+///
+/// One `u32`: the flat index's arena entry (crack key plus this) is 16
+/// bytes. Progressive cracking's in-flight partition jobs are not here;
+/// they live in [`crate::CrackedColumn`]'s job table, because only PMDD1R
+/// ever parks one.
 #[derive(Debug, Clone, Default)]
 pub struct PieceState {
     /// How many times this piece has been cracked by *original* cracking
@@ -11,18 +15,11 @@ pub struct PieceState {
     /// policy ("each piece has a crack counter … when a new piece is
     /// created it inherits the counter from its parent piece", §4).
     pub crack_count: u32,
-    /// The in-flight progressive partition of this piece, if any (PMDD1R).
-    pub job: Option<PartitionJob>,
 }
 
 impl PieceMeta for PieceState {
     fn inherit(&self) -> Self {
-        PieceState {
-            crack_count: self.crack_count,
-            // A partition job describes one concrete piece; it never
-            // survives a split of that piece.
-            job: None,
-        }
+        self.clone()
     }
 }
 
@@ -31,13 +28,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn inherit_keeps_counter_drops_job() {
-        let s = PieceState {
-            crack_count: 5,
-            job: Some(PartitionJob::new(10, 0, 100)),
-        };
-        let child = s.inherit();
+    fn inherit_keeps_the_counter_in_four_bytes() {
+        let child = PieceState { crack_count: 5 }.inherit();
         assert_eq!(child.crack_count, 5);
-        assert!(child.job.is_none());
+        assert!(std::mem::size_of::<PieceState>() <= 4);
+    }
+
+    #[test]
+    fn flat_index_stays_under_72_bytes_per_crack() {
+        // 140k random cracks on a 4M-key column (position = key): the
+        // flat index's arena entry is 16 bytes, and the pools, fences and
+        // growth slack bring the allocation to ~68 B per crack. A job slot
+        // in every entry (48-byte entries) reads ~128.
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use scrack_index::CrackerIndex;
+        let n = 4_000_000u64;
+        let mut index: CrackerIndex<PieceState> = CrackerIndex::new(n as usize);
+        let mut rng = SmallRng::seed_from_u64(7);
+        while index.crack_count() < 140_000 {
+            let key = rng.gen_range(1..n);
+            index.add_crack(key, key as usize);
+        }
+        let per_crack = index.footprint() as f64 / index.crack_count() as f64;
+        assert!(per_crack <= 72.0, "{per_crack:.1} B per crack");
     }
 }

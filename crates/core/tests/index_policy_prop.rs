@@ -46,10 +46,7 @@ fn observe(col: &CrackedColumn<u64>) -> Observation {
         piece_metas: col
             .index()
             .iter_pieces()
-            .map(|p| {
-                let m = col.index().piece_meta(&p);
-                (m.crack_count, m.job.is_some())
-            })
+            .map(|p| (col.index().piece_meta(&p).crack_count, col.piece_has_job(&p)))
             .collect(),
         data: col.data().to_vec(),
         stats: col.stats(),

@@ -71,6 +71,11 @@ impl<M> AvlTree<M> {
         self.root = NIL;
     }
 
+    /// Heap bytes allocated: the node arena's capacity × node size.
+    pub(crate) fn footprint(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<Node<M>>()
+    }
+
     #[inline]
     fn node(&self, id: u32) -> &Node<M> {
         &self.nodes[id as usize]

@@ -26,6 +26,14 @@
 //! arena  [ {80,M} {720,M} {50,M} … ]    stable per-crack metadata, indexed by `slots`
 //! ```
 //!
+//! An arena entry is the crack key plus the engine's per-piece `M`: `()`
+//! for the plain engines, a 4-byte crack counter for the stochastic ones
+//! (16-byte entries). Progressive cracking's in-flight partition jobs are
+//! not per-crack metadata: the column keeps them in a job table of its
+//! own. Counted as capacity × size, 140 000 random cracks allocate 67.6
+//! bytes per crack across fences, order, pools and arena
+//! ([`crate::CrackerIndex::footprint`]).
+//!
 //! * **Lookup** is two [`count_le`]s: one over the fences picks the
 //!   block, one over that block's keys picks the entry. Both piece edges
 //!   fall out of the same pair (the successor is the next entry, or the
@@ -168,6 +176,20 @@ impl<M> FlatIndex<M> {
         self.pos.clear();
         self.slots.clear();
         self.arena.clear();
+    }
+
+    /// Heap bytes allocated: capacity × element size over the fences,
+    /// the block order, the three pools and the arena.
+    pub(crate) fn footprint(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        bytes(&self.fences)
+            + bytes(&self.order)
+            + bytes(&self.keys)
+            + bytes(&self.pos)
+            + bytes(&self.slots)
+            + bytes(&self.arena)
     }
 
     /// Key of the entry behind `id`.

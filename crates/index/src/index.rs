@@ -147,7 +147,7 @@ enum Repr<M> {
 /// The cracker index: crack values mapped to positions, seen as pieces.
 ///
 /// Generic over per-piece metadata `M`; the plain engines use `()`,
-/// stochastic engines use counters/jobs (defined in `scrack-core`). The
+/// stochastic engines use crack counters (defined in `scrack-core`). The
 /// representation is chosen at construction via [`IndexPolicy`]
 /// ([`CrackerIndex::with_policy`]; [`CrackerIndex::new`] takes the
 /// default, [`IndexPolicy::Flat`]) and is invisible to callers: every
@@ -234,6 +234,17 @@ impl<M: PieceMeta> CrackerIndex<M> {
     /// or deleted at the physical end of the array).
     pub fn set_column_len(&mut self, len: usize) {
         self.column_len = len;
+    }
+
+    /// Heap bytes the representation has allocated, counted as capacity ×
+    /// `size_of` over its vectors (no allocator hook): for the flat index
+    /// the fences, block order, pools and arena; for the AVL tree its
+    /// node arena. The inline struct and the head metadata are not heap.
+    pub fn footprint(&self) -> usize {
+        match &self.repr {
+            Repr::Avl(t) => t.footprint(),
+            Repr::Flat(f) => f.footprint(),
+        }
     }
 
     /// Drops all cracks, returning to the single-piece state (the
@@ -575,9 +586,9 @@ pub struct PieceIter<'a, M> {
     /// three scalars. Kept as the `Option` triple the crack stream
     /// returns, it is copied out of that call's return slot with wide
     /// loads that cannot be store-forwarded; each such stall waits behind
-    /// the metadata cache miss of the piece before, and the walk every
-    /// update merge makes over all pieces (`settle_all_jobs`) serializes:
-    /// `mixed_updates` `req_p99_us` +27 % (ten benchmark pairs).
+    /// the metadata cache miss of the piece before, and a walk over all
+    /// pieces serializes (measured on an update merge that walked every
+    /// piece: `mixed_updates` `req_p99_us` +27 %, ten benchmark pairs).
     start: usize,
     lo_key: Option<u64>,
     left: Option<NodeId>,

@@ -25,8 +25,9 @@
 //! A crack `(v, p)` asserts: positions `< p` hold keys `< v`, positions
 //! `>= p` hold keys `>= v`. Pieces are the gaps between consecutive cracks.
 //! Per-piece metadata carries the crack counters of selective stochastic
-//! cracking (ScrackMon) and the in-flight partition jobs of progressive
-//! cracking; metadata is inherited across piece splits via [`PieceMeta`].
+//! cracking (ScrackMon); metadata is inherited across piece splits via
+//! [`PieceMeta`]. Progressive cracking's in-flight partition jobs are kept
+//! by the engines beside the index, keyed by their piece's `lo_key`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -18,8 +18,12 @@
 #    workload can be sized in minutes; the default is all of them, which
 #    is what a claim's final evidence uses;
 # 3. writes the two run sets to target/bench_pairs/{parent,change}.json,
-#    prints per workload x metric how many pairs the change won, then the
-#    benchmark's own `compare` (exit 1 if any row is worse than its bound).
+#    prints per workload x metric how many pairs the change won, both
+#    medians and their ratio, the parent's quartile spread (IQR) and a
+#    `gain` verdict: at least 9/10 pairs won and the medians apart by
+#    more than that IQR, the rule a claimed gain must pass. Then it runs
+#    the benchmark's own `compare` (exit 1 if any row is worse than its
+#    bound).
 #
 # Nothing under benchmark/ is edited; ten pairs take about an hour.
 set -euo pipefail
@@ -74,14 +78,26 @@ for side, runs in sets.items():
             runs.append({"workload": w, "seed": seed, "failed": r["failed"],
                          "metrics": {n: m["value"] for n, m in r["metrics"].items()}})
     json.dump({"host_cpus": os.cpu_count(), "runs": runs}, open(f"{work}/{side}.json", "w"))
-print(f"{'workload':<14} {'metric':<12} change wins / ties / pairs")
+def quartiles(xs):  # (q1, median, q3), linear interpolation
+    xs = sorted(xs)
+    at = lambda f: xs[int(f)] + (xs[min(int(f) + 1, len(xs) - 1)] - xs[int(f)]) * (f - int(f))
+    return tuple(at(q * (len(xs) - 1)) for q in (0.25, 0.5, 0.75))
+print(f"{'workload':<14} {'metric':<12} {'wins/ties/pairs':>15} {'parent':>11} "
+      f"{'change':>11} {'ratio':>6} {'parent IQR':>11}  verdict")
 for w in workloads:
     for m in manifest["end_to_end"]:
         better = (lambda a, b: b > a) if m["better"] == "higher" else (lambda a, b: b < a)
         pick = lambda side: [r["metrics"][m["name"]] for r in sets[side] if r["workload"] == w]
         both = list(zip(pick("parent"), pick("change")))
         wins, ties = sum(better(a, b) for a, b in both), sum(a == b for a, b in both)
-        print(f"{w:<14} {m['name']:<12} {wins:>2} / {ties} / {len(both)}")
+        (q1, parent_med, q3), change_med = quartiles(pick("parent")), quartiles(pick("change"))[1]
+        ratio = change_med / parent_med if parent_med else float("nan")
+        # A claimed gain: >= 9/10 of the pairs won, and the medians apart by
+        # more than the parent's own quartile spread.
+        gain = 10 * wins >= 9 * len(both) and abs(change_med - parent_med) > q3 - q1
+        print(f"{w:<14} {m['name']:<12} {f'{wins} / {ties} / {len(both)}':>15} "
+              f"{parent_med:>11.4g} {change_med:>11.4g} {ratio:>6.3f} {q3 - q1:>11.4g}  "
+              f"{'gain' if gain else '-'}")
 print("failed runs:", {s: sum(r["failed"] for r in runs) for s, runs in sets.items()})
 EOF
 "$change_bin" compare "$work/parent.json" "$work/change.json"
