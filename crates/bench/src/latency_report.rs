@@ -1,9 +1,8 @@
 //! The end-to-end query-latency harness: the paper's central figure, as
 //! data, under both cracker-index representations.
 //!
-//! The kernel harness ([`crate::kernels_report`]) tracks ns/element of
-//! the reorganization primitives and the throughput harness
-//! ([`crate::throughput_report`]) concurrent queries/sec; this module
+//! The throughput harness ([`crate::throughput_report`]) tracks
+//! concurrent queries/sec; this module
 //! tracks the figure the paper itself leads with — **per-query response
 //! time and cumulative time over a 10k-query sequence** — and uses it to
 //! baseline the PR-4 tentpole: the flat cracker index vs the AVL tree.

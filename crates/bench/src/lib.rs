@@ -3,17 +3,14 @@
 //! The benches live in `benches/`:
 //!
 //! * `partition` — the reorganization kernel primitives;
-//! * `kernels` — branchy vs branchless kernel variants, per size and
-//!   selectivity;
 //! * `index` — cracker-index operations, AVL vs flat representation;
 //! * `engines` — whole-select costs per strategy;
 //! * `figures` — scaled-down regenerations of the paper's figures, so
 //!   `cargo bench` exercises every experiment path end to end.
 //!
-//! Six reporter binaries (`src/bin/`), one per harness module, each
+//! Five reporter binaries (`src/bin/`), one per harness module, each
 //! writing a machine-readable `BENCH_*.json` baseline:
 //!
-//! * `scrack_bench` — [`kernels_report`], branchy vs branchless kernels;
 //! * `scrack_throughput` — [`throughput_report`], the concurrency
 //!   wrappers;
 //! * `scrack_latency` — [`latency_report`], end-to-end select latency;
@@ -24,7 +21,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod kernels_report;
 pub mod latency_report;
 pub mod robustness_report;
 pub mod throughput_report;

@@ -1,18 +1,17 @@
 //! The concurrency throughput harness: queries/sec vs threads, as data.
 //!
-//! The kernel harness ([`crate::kernels_report`]) tracks single-threaded
-//! ns/element; this module tracks the ROADMAP's other axis — sustained
-//! **query throughput** under concurrent execution. It sweeps
-//! `threads × strategy × workload` over the `scrack_parallel` wrappers
-//! and emits a stable [`scrack-trajectory/v1`](crate::trajectory)
-//! document (`BENCH_6.json` in the repo root, superseding PR 3's
-//! `BENCH_3.json`; regenerated via `cargo run --release -p scrack_bench
-//! --bin scrack_throughput -- --json BENCH_6.json`).
+//! This module tracks sustained **query throughput** under concurrent
+//! execution. It sweeps `threads × strategy × workload` over the
+//! `scrack_parallel` wrappers and emits a stable
+//! [`scrack-trajectory/v1`](crate::trajectory) document (`BENCH_6.json`
+//! in the repo root, superseding PR 3's `BENCH_3.json`; regenerated via
+//! `cargo run --release -p scrack_bench --bin scrack_throughput -- --json
+//! BENCH_6.json`).
 //!
 //! Per cell the harness reports:
 //!
-//! * `qps_median` — median queries/sec over the sample runs (medians for
-//!   the same reason as the kernel harness: shared-box tail noise);
+//! * `qps_median` — median queries/sec over the sample runs (medians
+//!   because a shared box has noisy tails);
 //! * `p99_latency_us` — the 99th-percentile latency of one *unit of
 //!   work* in microseconds. For the `batch` and `chunked` strategies the
 //!   unit is one batch (one `execute` call); for `piecelock` and

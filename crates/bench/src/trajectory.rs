@@ -18,7 +18,7 @@
 //!   timing harnesses share.
 //!
 //! The throughput, robustness, and txn reporters emit
-//! `scrack-trajectory/v1`; the older kernel/latency/updates reports
+//! `scrack-trajectory/v1`; the older latency/updates reports
 //! predate the schema and keep their bespoke documents until their next
 //! regeneration.
 

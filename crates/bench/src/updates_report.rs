@@ -1,7 +1,7 @@
 //! The mixed read/write harness: update-grade serving, as data.
 //!
-//! The kernel harness tracks ns/element, the throughput harness
-//! queries/sec, the latency harness per-query tails; this module tracks
+//! The throughput harness tracks queries/sec and the latency harness
+//! per-query tails; this module tracks
 //! the last unmeasured pillar — **sustained ops/sec under interleaved
 //! updates** (the paper's §5/Fig. 15 scenario at LFHV/HFLV scale). It
 //! sweeps `scenario × engine × update-policy` over

@@ -76,18 +76,14 @@ impl std::fmt::Display for UpdatePolicy {
 ///   in L2.
 ///
 /// The **kernel policy** selects between the branchy and branchless
-/// implementations of the reorganization primitives per touched piece:
-/// the two-way and three-way partitions, the filter scan, and the fused
+/// implementations of the reorganization primitives: the two-way and
+/// three-way partitions, the filter scan, and the fused
 /// split-and-materialize pass of MDD1R, MDD1M and the selective kinds.
 /// Both produce bit-identical results and cost counters (the fused pass
 /// may order a materialized result differently, never change it), so
-/// this is a pure wall-clock knob. The default `Auto` takes the
-/// branchless two-way, fused and filter kernels from 257 elements, the
-/// size at which their 128-wide block loop starts
-/// (`scrack_partition::AUTO_BRANCHLESS_THRESHOLD`, whose rustdoc gives
-/// the measured crossovers below it), and the branchless three-way pass
-/// from 8K elements. Progressive's budgeted partition job stays branchy
-/// under every policy.
+/// this is a pure wall-clock knob. The default `Auto` runs the branchless
+/// kernels on every piece; `Branchy` is the reference tests compare it
+/// with. Progressive's budgeted partition job stays branchy under both.
 ///
 /// The **index policy** selects the cracker-index representation the
 /// engines navigate: the cache-conscious flat sorted-array directory
@@ -189,8 +185,8 @@ mod tests {
     #[test]
     fn kernel_policy_defaults_to_auto_and_overrides() {
         assert_eq!(CrackConfig::default().kernel, KernelPolicy::Auto);
-        let c = CrackConfig::default().with_kernel(KernelPolicy::Branchless);
-        assert_eq!(c.kernel, KernelPolicy::Branchless);
+        let c = CrackConfig::default().with_kernel(KernelPolicy::Branchy);
+        assert_eq!(c.kernel, KernelPolicy::Branchy);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! ```text
 //! experiments [FIGURES...] [--n N] [--queries Q] [--seed S]
 //!             [--out DIR] [--verify] [--quick]
-//!             [--kernel branchy|branchless|auto] [--index avl|flat]
+//!             [--kernel branchy|auto] [--index avl|flat]
 //!             [--update per-element|batched]
 //!             [--threads N,N,...] [--batch B]
 //!
@@ -14,10 +14,32 @@
 //! --threads/--batch: the ext-parallel concurrency sweep's thread counts
 //!                    and BatchScheduler batch size
 //! ```
+//!
+//! A value flag with a missing or unparsable value, like an unknown
+//! argument, prints a usage error and exits 2.
 
+use scrack_core::{IndexPolicy, KernelPolicy, UpdatePolicy};
 use scrack_experiments::figures;
 use scrack_experiments::ExpConfig;
 use std::io::Write as _;
+
+/// The value after the flag at `args[*i]`, advancing `i` onto it. A
+/// missing value, or one `parse` rejects, prints the flag's usage and
+/// exits 2.
+fn flag_value<T>(
+    args: &[String],
+    i: &mut usize,
+    usage: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> T {
+    *i += 1;
+    let value = args.get(*i);
+    value.and_then(|v| parse(v)).unwrap_or_else(|| {
+        let got = value.map_or("nothing".to_string(), |v| format!("{v:?}"));
+        eprintln!("{} takes {usage}, got {got}", args[*i - 1]);
+        std::process::exit(2);
+    })
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -26,21 +48,13 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--n" => {
-                i += 1;
-                cfg.n = args[i].parse().expect("--n takes an integer");
-            }
+            "--n" => cfg.n = flag_value(&args, &mut i, "an integer", |v| v.parse().ok()),
             "--queries" | "-q" => {
-                i += 1;
-                cfg.queries = args[i].parse().expect("--queries takes an integer");
+                cfg.queries = flag_value(&args, &mut i, "an integer", |v| v.parse().ok());
             }
-            "--seed" => {
-                i += 1;
-                cfg.seed = args[i].parse().expect("--seed takes an integer");
-            }
+            "--seed" => cfg.seed = flag_value(&args, &mut i, "an integer", |v| v.parse().ok()),
             "--out" => {
-                i += 1;
-                cfg.out_dir = Some(args[i].clone().into());
+                cfg.out_dir = Some(flag_value(&args, &mut i, "a directory", |v| Some(v.into())))
             }
             "--verify" => cfg.verify = true,
             "--quick" => {
@@ -48,52 +62,24 @@ fn main() {
                 cfg.queries = 1_000;
             }
             "--kernel" => {
-                i += 1;
-                cfg.kernel = scrack_core::KernelPolicy::parse(&args[i]).unwrap_or_else(|| {
-                    eprintln!("--kernel takes branchy|branchless|auto, got {}", args[i]);
-                    std::process::exit(2);
-                });
+                cfg.kernel = flag_value(&args, &mut i, "branchy|auto", KernelPolicy::parse)
             }
-            "--index" => {
-                i += 1;
-                let value = args.get(i).map(String::as_str).unwrap_or_else(|| {
-                    eprintln!("--index requires a value (avl|flat)");
-                    std::process::exit(2);
-                });
-                cfg.index = scrack_core::IndexPolicy::parse(value).unwrap_or_else(|| {
-                    eprintln!("--index takes avl|flat, got {value}");
-                    std::process::exit(2);
-                });
-            }
+            "--index" => cfg.index = flag_value(&args, &mut i, "avl|flat", IndexPolicy::parse),
             "--update" => {
-                i += 1;
-                let value = args.get(i).map(String::as_str).unwrap_or_else(|| {
-                    eprintln!("--update requires a value (per-element|batched)");
-                    std::process::exit(2);
-                });
-                cfg.update = scrack_core::UpdatePolicy::parse(value).unwrap_or_else(|| {
-                    eprintln!("--update takes per-element|batched, got {value}");
-                    std::process::exit(2);
-                });
+                cfg.update = flag_value(&args, &mut i, "per-element|batched", UpdatePolicy::parse);
             }
             "--threads" => {
-                i += 1;
-                cfg.threads = args[i]
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--threads takes integers"))
-                    .collect();
-                assert!(!cfg.threads.is_empty(), "--threads needs at least one count");
+                cfg.threads = flag_value(&args, &mut i, "N,N,...", |v| {
+                    v.split(',').map(|s| s.trim().parse().ok()).collect()
+                });
             }
-            "--batch" => {
-                i += 1;
-                cfg.batch = args[i].parse().expect("--batch takes an integer");
-            }
+            "--batch" => cfg.batch = flag_value(&args, &mut i, "an integer", |v| v.parse().ok()),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: experiments [fig2|fig8|...|fig20|ext-updates|\
                      ext-io|ext-chooser|ext-parallel|ext-resilience|all]... \
                      [--n N] [--queries Q] [--seed S] [--out DIR] \
-                     [--verify] [--quick] [--kernel branchy|branchless|auto] \
+                     [--verify] [--quick] [--kernel branchy|auto] \
                      [--index avl|flat] [--update per-element|batched] \
                      [--threads N,N,...] [--batch B]"
                 );

@@ -21,7 +21,7 @@ pub struct ExpConfig {
     /// the *reported* times of view-based engines; off for timing runs).
     pub verify: bool,
     /// Reorganization-kernel implementation the in-memory engines run
-    /// (`--kernel branchy|branchless|auto`). Results are identical under
+    /// (`--kernel branchy|auto`). Results are identical under
     /// every policy; per-query wall-clock differs, so figures can be
     /// regenerated per kernel and compared.
     pub kernel: KernelPolicy,

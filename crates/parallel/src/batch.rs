@@ -711,7 +711,7 @@ mod tests {
         let n = 30_000u64;
         let data = permuted(n);
         for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
-            for kernel in [KernelPolicy::Branchy, KernelPolicy::Branchless] {
+            for kernel in [KernelPolicy::Branchy, KernelPolicy::Auto] {
                 let config = CrackConfig::default().with_kernel(kernel);
                 let mut par = BatchScheduler::new(data.clone(), 6, strategy, config, 3);
                 let mut ser = BatchScheduler::new(data.clone(), 6, strategy, config, 3);

@@ -453,7 +453,7 @@ mod tests {
         type Run = (Vec<(usize, u64)>, usize, Stats);
         for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
             let runs: Vec<Run> =
-                [KernelPolicy::Branchy, KernelPolicy::Branchless]
+                [KernelPolicy::Branchy, KernelPolicy::Auto]
                     .into_iter()
                     .map(|kernel| {
                         let plc = PieceLockedCracker::new(

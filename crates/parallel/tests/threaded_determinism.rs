@@ -5,8 +5,8 @@
 //! (`crates/core/tests/determinism.rs`) to the `scrack_parallel` layer:
 //! every run here executes real threads, then replays the identical work
 //! single-threaded and asserts **bit-identical final [`Stats`]** (and
-//! oracle-equal answers) under both the `Branchy` and `Branchless`
-//! kernel policies. The pillars:
+//! oracle-equal answers) under both the `Branchy` and `Auto` kernel
+//! policies. The pillars:
 //!
 //! 1. [`BatchScheduler`]: `execute` (work-stealing workers over shard
 //!    queues) vs `execute_serial` — per-shard queues are drained in a
@@ -76,7 +76,7 @@ fn mixed_batch(lo: u64, hi: u64, count: usize, salt: u64) -> Vec<QueryRange> {
         .collect()
 }
 
-const POLICIES: [KernelPolicy; 2] = [KernelPolicy::Branchy, KernelPolicy::Branchless];
+const POLICIES: [KernelPolicy; 2] = [KernelPolicy::Branchy, KernelPolicy::Auto];
 
 #[test]
 fn batch_scheduler_threads_match_serial_replay_bitwise() {

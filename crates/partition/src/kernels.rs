@@ -42,11 +42,10 @@
 //! [`KernelPolicy`] selects a variant per call; [`crack_in_two_policy`],
 //! [`split_and_materialize_policy`], [`crack_in_three_policy`] and
 //! [`scan_filter_policy`] are the dispatch points the engines route
-//! through. The default, `Auto`, takes the branchless two-way, fused and
-//! filter kernels from the size where the [`KERNEL_BLOCK`]-wide loop
-//! starts — pieces of more than `2 * KERNEL_BLOCK` elements
-//! ([`AUTO_BRANCHLESS_THRESHOLD`]) — and the branchless three-way kernel
-//! from [`AUTO_BRANCHLESS_THREE_WAY_THRESHOLD`].
+//! through. The default, `Auto`, runs the branchless kernels at every
+//! piece size (below `2 * KERNEL_BLOCK` elements the blockwise passes
+//! start in their 16-wide tail loop); `Branchy` is the differential
+//! reference the tests select.
 
 use crate::materialize::{scan_filter, split_and_materialize, Fringe, RESERVE_CAP};
 use crate::three_way::crack_in_three;
@@ -58,28 +57,6 @@ use scrack_types::{Element, Stats};
 /// registers/L1 while amortizing the loop bookkeeping.
 pub const KERNEL_BLOCK: usize = 128;
 
-/// Piece size (in elements) from which [`KernelPolicy::Auto`] picks the
-/// branchless two-way, fused split-and-materialize and filter kernels.
-///
-/// `2 * KERNEL_BLOCK + 1` is the size at which the [`KERNEL_BLOCK`]-wide
-/// loop starts. It is *not* the size below which branchless stops paying:
-/// smaller pieces still run the 16-wide tail loop, and on fresh random
-/// `u64` keys (2-vCPU x86-64 host, hot cache, `scrack_bench --sizes
-/// 32,64,128,256,300,1800`) the branchless two-way pass wins from 64
-/// elements (1.3×; it loses 5–9 % at 32), and the fused pass (1.5× at 32)
-/// and the filter scan (2× or more) win at every size measured. The threshold stays at
-/// the loop's start because that is the value the end-to-end runs
-/// measured; lowering it moves the small-piece workloads and needs its
-/// own end-to-end measurement. From 300 elements on, the fused pass over
-/// a 50 % range runs 3.6–5.0× faster blockwise than branchy.
-pub const AUTO_BRANCHLESS_THRESHOLD: usize = 2 * KERNEL_BLOCK + 1;
-
-/// [`KernelPolicy::Auto`]'s threshold for the *three-way* kernel, whose
-/// predicated variant pays an unconditional exchange per element and only
-/// overtakes the branchy pass on pieces too big for L1. The 8K value is
-/// the original crossover estimate and has not been re-measured.
-pub const AUTO_BRANCHLESS_THREE_WAY_THRESHOLD: usize = 8192;
-
 /// Which implementation of the reorganization primitives to run.
 ///
 /// Both variants produce bit-identical results (boundaries, physical
@@ -87,46 +64,20 @@ pub const AUTO_BRANCHLESS_THREE_WAY_THRESHOLD: usize = 8192;
 /// changed between queries without affecting any answer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum KernelPolicy {
-    /// The classic loops with data-dependent branches (the seed kernels).
+    /// The classic loops with data-dependent branches: the differential
+    /// reference the blockwise kernels are tested against.
     Branchy,
-    /// The predicated/blockwise kernels of this module.
-    Branchless,
-    /// Branchless for pieces of at least [`AUTO_BRANCHLESS_THRESHOLD`]
-    /// elements, branchy below.
+    /// The predicated/blockwise kernels of this module, at every piece
+    /// size.
     #[default]
     Auto,
 }
 
 impl KernelPolicy {
-    /// Whether a piece of `len` elements should take the branchless path
-    /// (two-way, fused split-and-materialize and filter kernels).
-    #[inline(always)]
-    pub fn use_branchless(self, len: usize) -> bool {
-        self.use_branchless_above(len, AUTO_BRANCHLESS_THRESHOLD)
-    }
-
-    /// Whether a piece of `len` elements should take the branchless
-    /// three-way path (higher `Auto` crossover; see
-    /// [`AUTO_BRANCHLESS_THREE_WAY_THRESHOLD`]).
-    #[inline(always)]
-    pub fn use_branchless_three_way(self, len: usize) -> bool {
-        self.use_branchless_above(len, AUTO_BRANCHLESS_THREE_WAY_THRESHOLD)
-    }
-
-    #[inline(always)]
-    fn use_branchless_above(self, len: usize, threshold: usize) -> bool {
-        match self {
-            KernelPolicy::Branchy => false,
-            KernelPolicy::Branchless => true,
-            KernelPolicy::Auto => len >= threshold,
-        }
-    }
-
-    /// Parses a CLI spelling (`branchy` | `branchless` | `auto`).
+    /// Parses a CLI spelling (`branchy` | `auto`).
     pub fn parse(s: &str) -> Option<KernelPolicy> {
         match s.to_ascii_lowercase().as_str() {
             "branchy" => Some(KernelPolicy::Branchy),
-            "branchless" => Some(KernelPolicy::Branchless),
             "auto" => Some(KernelPolicy::Auto),
             _ => None,
         }
@@ -136,7 +87,6 @@ impl KernelPolicy {
     pub fn label(&self) -> &'static str {
         match self {
             KernelPolicy::Branchy => "branchy",
-            KernelPolicy::Branchless => "branchless",
             KernelPolicy::Auto => "auto",
         }
     }
@@ -185,10 +135,9 @@ pub fn crack_in_two_policy<E: Element>(
     policy: KernelPolicy,
     stats: &mut Stats,
 ) -> usize {
-    if policy.use_branchless(data.len()) {
-        crack_in_two_branchless(data, pivot, stats)
-    } else {
-        crack_in_two(data, pivot, stats)
+    match policy {
+        KernelPolicy::Branchy => crack_in_two(data, pivot, stats),
+        KernelPolicy::Auto => crack_in_two_branchless(data, pivot, stats),
     }
 }
 
@@ -204,9 +153,8 @@ pub fn crack_in_two_policy<E: Element>(
 /// touches it, so every element is filtered exactly once, as it stood in
 /// the input.
 // Out of line: inlined, its filter instances and their chunk buffers land
-// in the code and stack frame of every caller, including the small-piece
-// (branchy) path of `split_and_materialize_policy`; on the pieces this
-// kernel serves, a call is noise.
+// in the code and stack frame of every caller, including the reference
+// path of `split_and_materialize_policy`.
 #[inline(never)]
 pub fn split_and_materialize_branchless<E: Element>(
     data: &mut [E],
@@ -249,10 +197,9 @@ pub fn split_and_materialize_policy<E: Element>(
     out: &mut Vec<E>,
     stats: &mut Stats,
 ) -> usize {
-    if policy.use_branchless(data.len()) {
-        split_and_materialize_branchless(data, pivot, fringe, out, stats)
-    } else {
-        split_and_materialize(data, pivot, fringe, out, stats)
+    match policy {
+        KernelPolicy::Branchy => split_and_materialize(data, pivot, fringe, out, stats),
+        KernelPolicy::Auto => split_and_materialize_branchless(data, pivot, fringe, out, stats),
     }
 }
 
@@ -424,10 +371,9 @@ pub fn crack_in_three_policy<E: Element>(
     policy: KernelPolicy,
     stats: &mut Stats,
 ) -> (usize, usize) {
-    if policy.use_branchless_three_way(data.len()) {
-        crack_in_three_branchless(data, a, b, stats)
-    } else {
-        crack_in_three(data, a, b, stats)
+    match policy {
+        KernelPolicy::Branchy => crack_in_three(data, a, b, stats),
+        KernelPolicy::Auto => crack_in_three_branchless(data, a, b, stats),
     }
 }
 
@@ -502,10 +448,9 @@ pub fn scan_filter_policy<E: Element>(
     out: &mut Vec<E>,
     stats: &mut Stats,
 ) -> usize {
-    if policy.use_branchless(data.len()) {
-        scan_filter_branchless(data, fringe, out, stats)
-    } else {
-        scan_filter(data, fringe, out, stats)
+    match policy {
+        KernelPolicy::Branchy => scan_filter(data, fringe, out, stats),
+        KernelPolicy::Auto => scan_filter_branchless(data, fringe, out, stats),
     }
 }
 
@@ -620,7 +565,7 @@ mod tests {
 
     #[test]
     fn three_way_matches_branchy_exactly() {
-        for n in [0, 1, 7, 300, 1024] {
+        for n in edge_sizes() {
             let base = xorshift_data(n, 0xC0FFEE + n as u64);
             let (a, b) = (n as u64 / 4, 3 * n as u64 / 4);
             let mut branchy = base.clone();
@@ -637,23 +582,25 @@ mod tests {
 
     #[test]
     fn scan_filter_matches_branchy_for_every_fringe() {
-        let data = xorshift_data(500, 0xF11);
-        let q = QueryRange::new(100, 300);
-        for fringe in [
-            Fringe::Both(q),
-            Fringe::Low(250),
-            Fringe::High(250),
-            Fringe::None,
-        ] {
-            let mut out_a = vec![7u64]; // non-empty: appends, not replaces
-            let mut out_b = vec![7u64];
-            let mut sa = Stats::new();
-            let mut sb = Stats::new();
-            let ka = scan_filter(&data, fringe, &mut out_a, &mut sa);
-            let kb = scan_filter_branchless(&data, fringe, &mut out_b, &mut sb);
-            assert_eq!(ka, kb, "{fringe:?}");
-            assert_eq!(out_a, out_b, "{fringe:?}");
-            assert_eq!(sa, sb, "{fringe:?}");
+        for n in edge_sizes() {
+            let data = xorshift_data(n, 0xF11 + n as u64);
+            let m = n as u64;
+            for fringe in [
+                Fringe::Both(QueryRange::new(m / 5, 3 * m / 5)),
+                Fringe::Low(m / 2),
+                Fringe::High(m / 2),
+                Fringe::None,
+            ] {
+                let mut out_a = vec![7u64]; // non-empty: appends, not replaces
+                let mut out_b = vec![7u64];
+                let mut sa = Stats::new();
+                let mut sb = Stats::new();
+                let ka = scan_filter(&data, fringe, &mut out_a, &mut sa);
+                let kb = scan_filter_branchless(&data, fringe, &mut out_b, &mut sb);
+                assert_eq!(ka, kb, "n={n} {fringe:?}");
+                assert_eq!(out_a, out_b, "n={n} {fringe:?}");
+                assert_eq!(sa, sb, "n={n} {fringe:?}");
+            }
         }
     }
 
@@ -668,41 +615,20 @@ mod tests {
     }
 
     #[test]
-    fn auto_policy_switches_on_threshold() {
-        assert!(!KernelPolicy::Auto.use_branchless(AUTO_BRANCHLESS_THRESHOLD - 1));
-        assert!(KernelPolicy::Auto.use_branchless(AUTO_BRANCHLESS_THRESHOLD));
-        assert!(KernelPolicy::Branchless.use_branchless(0));
-        assert!(!KernelPolicy::Branchy.use_branchless(usize::MAX));
-        // The three-way kernel crosses over later.
-        assert!(!KernelPolicy::Auto.use_branchless_three_way(AUTO_BRANCHLESS_THRESHOLD));
-        assert!(
-            KernelPolicy::Auto.use_branchless_three_way(AUTO_BRANCHLESS_THREE_WAY_THRESHOLD)
-        );
-        assert!(KernelPolicy::Branchless.use_branchless_three_way(0));
-    }
-
-    #[test]
     fn policy_parse_roundtrip() {
-        for p in [
-            KernelPolicy::Branchy,
-            KernelPolicy::Branchless,
-            KernelPolicy::Auto,
-        ] {
+        for p in [KernelPolicy::Branchy, KernelPolicy::Auto] {
             assert_eq!(KernelPolicy::parse(p.label()), Some(p));
             assert_eq!(p.to_string(), p.label());
         }
-        assert_eq!(KernelPolicy::parse("BRANCHLESS"), Some(KernelPolicy::Branchless));
+        assert_eq!(KernelPolicy::parse("AUTO"), Some(KernelPolicy::Auto));
+        assert_eq!(KernelPolicy::parse("branchless"), None);
         assert_eq!(KernelPolicy::parse("simd"), None);
     }
 
     #[test]
     fn dispatchers_honor_policy() {
         let base = xorshift_data(10_000, 0xD15);
-        for policy in [
-            KernelPolicy::Branchy,
-            KernelPolicy::Branchless,
-            KernelPolicy::Auto,
-        ] {
+        for policy in [KernelPolicy::Branchy, KernelPolicy::Auto] {
             let mut d = base.clone();
             let mut stats = Stats::new();
             let p = crack_in_two_policy(&mut d, 5000, policy, &mut stats);

@@ -25,11 +25,13 @@
 //! classic branchy loop and a predicated/blockwise branchless kernel (the
 //! `kernels` module). [`KernelPolicy`] selects between them per call via
 //! [`crack_in_two_policy`], [`split_and_materialize_policy`],
-//! [`crack_in_three_policy`] and [`scan_filter_policy`]; results are
-//! identical either way (the fused pass may order its materialized output
-//! differently, never its multiset), only the wall-clock cost differs.
-//! Progressive's budgeted [`advance_job`] stays branchy: its "unvisited at
-//! budget" cursor contract does not survive block scans.
+//! [`crack_in_three_policy`] and [`scan_filter_policy`]: `Auto` (the
+//! default) serves every piece blockwise, and `Branchy` is the reference.
+//! Results are identical either way (the fused pass may order its
+//! materialized output differently, never its multiset), only the
+//! wall-clock cost differs. Progressive's budgeted [`advance_job`] stays
+//! branchy: its "unvisited at budget" cursor contract does not survive
+//! block scans.
 //!
 //! [`Element`]: scrack_types::Element
 //! [`Stats`]: scrack_types::Stats
@@ -48,8 +50,7 @@ mod two_way;
 pub use kernels::{
     crack_in_three_branchless, crack_in_three_policy, crack_in_two_branchless,
     crack_in_two_policy, scan_filter_branchless, scan_filter_policy,
-    split_and_materialize_branchless, split_and_materialize_policy, KernelPolicy,
-    AUTO_BRANCHLESS_THREE_WAY_THRESHOLD, AUTO_BRANCHLESS_THRESHOLD, KERNEL_BLOCK,
+    split_and_materialize_branchless, split_and_materialize_policy, KernelPolicy, KERNEL_BLOCK,
 };
 pub use materialize::{scan_filter, split_and_materialize, Fringe, RESERVE_CAP};
 pub use progressive::{advance_job, JobStatus, PartitionJob};

@@ -143,8 +143,7 @@ pub mod updates {
 /// let data: Vec<u64> = unique_permutation(2_000, 3);
 /// let oracle = Oracle::new(&data);
 /// let plc = PieceLockedCracker::new(
-///     data, ParallelStrategy::Crack,
-///     CrackConfig::default().with_kernel(KernelPolicy::Branchless), 3,
+///     data, ParallelStrategy::Crack, CrackConfig::default(), 3,
 /// );
 /// let q = QueryRange::new(100, 900);
 /// assert_eq!(plc.select_aggregate(q), (oracle.count(q), oracle.checksum(q)));
