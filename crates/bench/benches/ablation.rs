@@ -134,11 +134,11 @@ fn ablate_avl_vs_btreemap(c: &mut Criterion) {
         bch.iter(|| {
             let mut acc = 0u64;
             for p in &probes {
-                if let Some(id) = avl.predecessor_or_equal(*p) {
-                    acc ^= avl.key(id);
+                if let Some(k) = avl.predecessor_or_equal(*p) {
+                    acc ^= k;
                 }
-                if let Some(id) = avl.successor_strict(*p) {
-                    acc ^= avl.key(id);
+                if let Some(k) = avl.successor_strict(*p) {
+                    acc ^= k;
                 }
             }
             acc

@@ -115,11 +115,11 @@ fn bench_neighbor_queries(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0u64;
             for p in &probes {
-                if let Some(id) = t.predecessor_or_equal(*p) {
-                    acc ^= t.key(id);
+                if let Some(k) = t.predecessor_or_equal(*p) {
+                    acc ^= k;
                 }
-                if let Some(id) = t.successor_strict(*p) {
-                    acc ^= t.key(id);
+                if let Some(k) = t.successor_strict(*p) {
+                    acc ^= k;
                 }
             }
             acc
@@ -129,11 +129,11 @@ fn bench_neighbor_queries(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0u64;
             for p in &probes {
-                if let Some(id) = f.predecessor_or_equal(*p) {
-                    acc ^= f.key(id);
+                if let Some(k) = f.predecessor_or_equal(*p) {
+                    acc ^= k;
                 }
-                if let Some(id) = f.successor_strict(*p) {
-                    acc ^= f.key(id);
+                if let Some(k) = f.successor_strict(*p) {
+                    acc ^= k;
                 }
             }
             acc

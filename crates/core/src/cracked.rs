@@ -106,6 +106,17 @@ impl<E: Element> CrackedColumn<E> {
         self.config
     }
 
+    /// Heap bytes the column holds, counted as capacity × `size_of` (no
+    /// allocator hook): the data array, the cracker index
+    /// ([`CrackerIndex::footprint`]) and the job table's entries. The
+    /// job table is a `BTreeMap`, which exposes no capacity, so its node
+    /// overhead is not counted; it is empty outside PMDD1R.
+    pub fn footprint(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<E>()
+            + self.index.footprint()
+            + self.jobs.len() * std::mem::size_of::<(Option<u64>, PartitionJob)>()
+    }
+
     /// Splits the column into its raw parts for the update machinery
     /// (Ripple needs to grow/shrink the array and shift crack positions in
     /// lockstep). The caller must uphold the cracker invariant.
@@ -240,9 +251,7 @@ impl<E: Element> CrackedColumn<E> {
         if self.fault.poll(FaultKind::DelayInCrack) {
             fault::spin_delay(self.fault.plan().delay_units());
         }
-        let before = self.index.crack_count();
-        self.index.add_crack(key, pos);
-        if self.index.crack_count() > before {
+        if self.index.add_crack(key, pos) {
             self.stats.cracks += 1;
         }
     }
@@ -951,6 +960,27 @@ mod tests {
         assert!(col.data()[p..].iter().all(|k| *k >= 400));
         assert_eq!(col.index().crack_count(), 1);
         col.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn footprint_sums_data_index_and_jobs() {
+        let n = 100_000u64;
+        let mut col = CrackedColumn::new(
+            permuted(n),
+            CrackConfig::default()
+                .with_crack_size(64)
+                .with_progressive_threshold(1_000),
+        );
+        let data = n as usize * std::mem::size_of::<u64>();
+        assert_eq!(col.footprint(), data, "an uncracked column is its data");
+        col.crack_on(500);
+        col.crack_on(90_000);
+        let mut rng = SmallRng::seed_from_u64(5);
+        let _ = col.pmdd1r_select(QueryRange::new(1_000, 1_100), 1.0, &mut rng);
+        assert_eq!(col.jobs.len(), 1, "a 1% budget parks the job");
+        let job = std::mem::size_of::<(Option<u64>, PartitionJob)>();
+        assert!(col.index().footprint() > 0);
+        assert_eq!(col.footprint(), data + col.index().footprint() + job);
     }
 
     #[test]

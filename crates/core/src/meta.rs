@@ -4,8 +4,8 @@ use scrack_index::PieceMeta;
 
 /// State the stochastic engines attach to each piece of the cracker column.
 ///
-/// One `u32`: the flat index's arena entry (crack key plus this) is 16
-/// bytes. Progressive cracking's in-flight partition jobs are not here;
+/// One `u32`, stored inline in the flat index beside each crack's key
+/// and position. Progressive cracking's in-flight partition jobs are not here;
 /// they live in [`crate::CrackedColumn`]'s job table, because only PMDD1R
 /// ever parks one.
 #[derive(Debug, Clone, Default)]
@@ -35,11 +35,13 @@ mod tests {
     }
 
     #[test]
-    fn flat_index_stays_under_72_bytes_per_crack() {
-        // 140k random cracks on a 4M-key column (position = key): the
-        // flat index's arena entry is 16 bytes, and the pools, fences and
-        // growth slack bring the allocation to ~68 B per crack. A job slot
-        // in every entry (48-byte entries) reads ~128.
+    fn flat_index_stays_under_40_bytes_per_crack() {
+        // 140k random cracks on a 4M-key column (position = key): a pool
+        // slot is 20 bytes (key, position, this meta), and the blocks'
+        // fill, the fences and the pools' growth slack bring the
+        // allocation to ~38 B per crack. A separate 16-byte metadata
+        // arena with 4-byte slot indices read ~68; a job slot in every
+        // arena entry, ~128.
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         use scrack_index::CrackerIndex;
@@ -51,6 +53,6 @@ mod tests {
             index.add_crack(key, key as usize);
         }
         let per_crack = index.footprint() as f64 / index.crack_count() as f64;
-        assert!(per_crack <= 72.0, "{per_crack:.1} B per crack");
+        assert!(per_crack <= 40.0, "{per_crack:.1} B per crack");
     }
 }

@@ -6,22 +6,15 @@
 //! rotations keep the balance factor within ±1, so lookups,
 //! predecessor/successor queries and inserts are `O(log n)`.
 //!
-//! The tree deliberately exposes *handles* ([`NodeId`]) so that callers —
-//! notably the Ripple update algorithm, which shifts crack positions one by
-//! one — can mutate a node's position or metadata without re-searching.
+//! Like the flat representation, the tree is addressed by key from
+//! outside: a node index never leaves this module except inside a
+//! [`CrackCursor`], which the Ripple walks step with the tree's own
+//! predecessor / successor navigation.
+
+use crate::index::CrackCursor;
 
 /// Sentinel for "no node".
 const NIL: u32 = u32::MAX;
-
-/// A stable handle to an index entry, valid until the index is cleared.
-///
-/// Both representations of the cracker index hand these out: the AVL tree
-/// ([`AvlTree`]) and the flat index ([`crate::FlatIndex`]) each back a
-/// handle by an arena slot that never moves, so a handle taken before an
-/// insert stays valid after it. A handle is only meaningful to the
-/// structure that minted it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct NodeId(pub(crate) u32);
 
 #[derive(Debug, Clone)]
 struct Node<M> {
@@ -86,35 +79,6 @@ impl<M> AvlTree<M> {
         &mut self.nodes[id as usize]
     }
 
-    /// Key of the entry behind `id`.
-    pub fn key(&self, id: NodeId) -> u64 {
-        self.node(id.0).key
-    }
-
-    /// Position of the entry behind `id`.
-    pub fn pos(&self, id: NodeId) -> usize {
-        self.node(id.0).pos
-    }
-
-    /// Overwrites the position of the entry behind `id`.
-    ///
-    /// Positions carry no ordering obligation inside the tree (only keys
-    /// do), so this is safe structurally; the *cracker* invariant that
-    /// positions are monotone in key order is the caller's to maintain.
-    pub fn set_pos(&mut self, id: NodeId, pos: usize) {
-        self.node_mut(id.0).pos = pos;
-    }
-
-    /// Metadata of the entry behind `id`.
-    pub fn meta(&self, id: NodeId) -> &M {
-        &self.node(id.0).meta
-    }
-
-    /// Mutable metadata of the entry behind `id`.
-    pub fn meta_mut(&mut self, id: NodeId) -> &mut M {
-        &mut self.node_mut(id.0).meta
-    }
-
     fn height(&self, id: u32) -> i32 {
         if id == NIL {
             0
@@ -176,15 +140,29 @@ impl<M> AvlTree<M> {
         }
     }
 
-    /// Inserts `(key, pos, meta)`.
+    /// Inserts `(key, pos, meta)`; see [`AvlTree::insert_with`].
+    pub fn insert(&mut self, key: u64, pos: usize, meta: M) -> bool {
+        self.insert_with(key, pos, |_| meta)
+    }
+
+    /// Inserts `key` at `pos`, its metadata made by `meta` from the
+    /// metadata of the greatest smaller key (`None` below every key).
     ///
-    /// Returns `(id, true)` for a fresh entry, or `(existing_id, false)` if
-    /// the key was already present (the existing entry is left untouched —
-    /// a crack at an existing value is the same crack).
-    pub fn insert(&mut self, key: u64, pos: usize, meta: M) -> (NodeId, bool) {
-        if let Some(id) = self.find(key) {
-            return (id, false);
-        }
+    /// Returns whether the entry is fresh: a key already present is left
+    /// untouched (a crack at an existing value is the same crack) and
+    /// `meta` is not called.
+    pub fn insert_with(
+        &mut self,
+        key: u64,
+        pos: usize,
+        meta: impl FnOnce(Option<&M>) -> M,
+    ) -> bool {
+        let (pred, _) = self.descend(key);
+        let meta = match (pred != NIL).then(|| self.node(pred)) {
+            Some(n) if n.key == key => return false,
+            Some(n) => meta(Some(&n.meta)),
+            None => meta(None),
+        };
         let fresh = self.nodes.len() as u32;
         self.nodes.push(Node {
             key,
@@ -195,7 +173,7 @@ impl<M> AvlTree<M> {
             height: 1,
         });
         self.root = self.insert_rec(self.root, fresh, key);
-        (NodeId(fresh), true)
+        true
     }
 
     fn insert_rec(&mut self, at: u32, fresh: u32, key: u64) -> u32 {
@@ -213,18 +191,40 @@ impl<M> AvlTree<M> {
         self.rebalance(at)
     }
 
-    /// Looks up the entry with exactly `key`.
-    pub fn find(&self, key: u64) -> Option<NodeId> {
+    /// The node with exactly `key`, `NIL` if none.
+    fn find_node(&self, key: u64) -> u32 {
         let mut cur = self.root;
         while cur != NIL {
             let n = self.node(cur);
             match key.cmp(&n.key) {
                 std::cmp::Ordering::Less => cur = n.left,
                 std::cmp::Ordering::Greater => cur = n.right,
-                std::cmp::Ordering::Equal => return Some(NodeId(cur)),
+                std::cmp::Ordering::Equal => return cur,
             }
         }
-        None
+        NIL
+    }
+
+    /// The node with exactly `key`, if any.
+    fn get(&self, key: u64) -> Option<&Node<M>> {
+        let id = self.find_node(key);
+        (id != NIL).then(|| self.node(id))
+    }
+
+    /// Position of the entry with exactly `key`.
+    pub fn find(&self, key: u64) -> Option<usize> {
+        self.get(key).map(|n| n.pos)
+    }
+
+    /// Metadata of the entry with exactly `key`.
+    pub fn meta(&self, key: u64) -> Option<&M> {
+        self.get(key).map(|n| &n.meta)
+    }
+
+    /// Mutable metadata of the entry with exactly `key`.
+    pub fn meta_mut(&mut self, key: u64) -> Option<&mut M> {
+        let id = self.find_node(key);
+        (id != NIL).then(|| &mut self.node_mut(id).meta)
     }
 
     /// The one root-to-leaf walk both neighbor queries share: the last
@@ -246,88 +246,119 @@ impl<M> AvlTree<M> {
         (pred, succ)
     }
 
-    /// The `(key, pos, handle)` triple of node `id`, `None` for `NIL`.
+    /// The `(key, pos)` pair of node `id`, `None` for `NIL`.
     #[inline]
-    fn triple(&self, id: u32) -> Option<(u64, usize, NodeId)> {
+    fn pair(&self, id: u32) -> Option<(u64, usize)> {
         (id != NIL).then(|| {
             let n = self.node(id);
-            (n.key, n.pos, NodeId(id))
+            (n.key, n.pos)
         })
     }
 
     /// Both neighbors of `key` in one walk: the greatest entry with key
-    /// `<= key` and the smallest with key `> key`, as `(key, pos, handle)`
-    /// triples — the piece lookup, in the shape
-    /// [`crate::FlatIndex::neighbors`] answers it.
+    /// `<= key` and the smallest with key `> key`, as `(key, pos)` pairs
+    /// — the piece lookup, in the shape [`crate::FlatIndex::neighbors`]
+    /// answers it.
     #[inline]
     #[allow(clippy::type_complexity)]
-    pub fn neighbors(
-        &self,
-        key: u64,
-    ) -> (Option<(u64, usize, NodeId)>, Option<(u64, usize, NodeId)>) {
+    pub fn neighbors(&self, key: u64) -> (Option<(u64, usize)>, Option<(u64, usize)>) {
         let (pred, succ) = self.descend(key);
-        (self.triple(pred), self.triple(succ))
+        (self.pair(pred), self.pair(succ))
     }
 
-    /// Greatest entry with key `<= key`.
-    pub fn predecessor_or_equal(&self, key: u64) -> Option<NodeId> {
-        let (pred, _) = self.descend(key);
-        (pred != NIL).then_some(NodeId(pred))
+    /// Greatest key `<= key`.
+    pub fn predecessor_or_equal(&self, key: u64) -> Option<u64> {
+        self.neighbors(key).0.map(|(k, _)| k)
     }
 
-    /// Greatest entry with key `< key`.
-    pub fn predecessor_strict(&self, key: u64) -> Option<NodeId> {
+    /// Greatest key `< key`.
+    pub fn predecessor_strict(&self, key: u64) -> Option<u64> {
         self.predecessor_or_equal(key.checked_sub(1)?)
     }
 
-    /// Smallest entry with key `> key`.
-    pub fn successor_strict(&self, key: u64) -> Option<NodeId> {
-        let (_, succ) = self.descend(key);
-        (succ != NIL).then_some(NodeId(succ))
+    /// Smallest key `> key`.
+    pub fn successor_strict(&self, key: u64) -> Option<u64> {
+        self.neighbors(key).1.map(|(k, _)| k)
     }
 
-    /// Entry with the smallest key.
-    pub fn min(&self) -> Option<NodeId> {
+    /// The node at the end of the walk that always takes `step`.
+    fn extreme(&self, step: impl Fn(&Node<M>) -> u32) -> Option<u64> {
         let mut cur = self.root;
         if cur == NIL {
             return None;
         }
-        while self.node(cur).left != NIL {
-            cur = self.node(cur).left;
+        while step(self.node(cur)) != NIL {
+            cur = step(self.node(cur));
         }
-        Some(NodeId(cur))
+        Some(self.node(cur).key)
     }
 
-    /// Entry with the greatest key.
-    pub fn max(&self) -> Option<NodeId> {
-        let mut cur = self.root;
-        if cur == NIL {
-            return None;
-        }
-        while self.node(cur).right != NIL {
-            cur = self.node(cur).right;
-        }
-        Some(NodeId(cur))
+    /// The smallest key.
+    pub fn min(&self) -> Option<u64> {
+        self.extreme(|n| n.left)
     }
 
-    /// In-order ascending iterator over `(key, pos, &meta)`.
+    /// The greatest key.
+    pub fn max(&self) -> Option<u64> {
+        self.extreme(|n| n.right)
+    }
+
+    // ------------------------------------------------------------------
+    // Cursor: a `CrackCursor` here is `major` = the node index; steps
+    // are the tree's own predecessor / successor walks.
+    // ------------------------------------------------------------------
+
+    /// The cursor on the entry with exactly `key`. Panics if there is
+    /// none.
+    pub(crate) fn cursor_at(&self, key: u64) -> CrackCursor {
+        let id = self.find_node(key);
+        assert!(id != NIL, "no crack at {key}");
+        CrackCursor { major: id, minor: 0 }
+    }
+
+    /// The cursor one entry down in key order.
+    pub(crate) fn cursor_prev(&self, c: CrackCursor) -> Option<CrackCursor> {
+        let below = self.node(c.major).key.checked_sub(1)?;
+        let (pred, _) = self.descend(below);
+        (pred != NIL).then_some(CrackCursor { major: pred, minor: 0 })
+    }
+
+    /// The cursor one entry up in key order.
+    pub(crate) fn cursor_next(&self, c: CrackCursor) -> Option<CrackCursor> {
+        let (_, succ) = self.descend(self.node(c.major).key);
+        (succ != NIL).then_some(CrackCursor { major: succ, minor: 0 })
+    }
+
+    /// Key of the entry under the cursor.
+    pub(crate) fn cursor_key(&self, c: CrackCursor) -> u64 {
+        self.node(c.major).key
+    }
+
+    /// Position of the entry under the cursor.
+    pub(crate) fn cursor_pos(&self, c: CrackCursor) -> usize {
+        self.node(c.major).pos
+    }
+
+    /// Overwrites the position of the entry under the cursor.
+    ///
+    /// Positions carry no ordering obligation inside the tree (only keys
+    /// do), so this is safe structurally; the *cracker* invariant that
+    /// positions are monotone in key order is the caller's to maintain.
+    pub(crate) fn set_cursor_pos(&mut self, c: CrackCursor, pos: usize) {
+        self.node_mut(c.major).pos = pos;
+    }
+
+    /// In-order ascending iterator over `(key, pos, &meta)`. Allocates
+    /// its traversal stack (`O(log n)`); the flat representation
+    /// iterates allocation-free.
     pub fn iter_asc(&self) -> AscIter<'_, M> {
-        AscIter(self.iter_triples())
-    }
-
-    /// In-order ascending iterator over `(key, pos, handle)` triples, the
-    /// shape [`crate::FlatIndex::iter_triples`] yields; the piece iterator
-    /// of [`crate::CrackerIndex`] drives this. Allocates its traversal
-    /// stack (`O(log n)`); the flat representation iterates
-    /// allocation-free.
-    pub fn iter_triples(&self) -> AvlTripleIter<'_, M> {
         let mut stack = Vec::new();
         let mut cur = self.root;
         while cur != NIL {
             stack.push(cur);
             cur = self.node(cur).left;
         }
-        AvlTripleIter { tree: self, stack }
+        AscIter { tree: self, stack }
     }
 
     /// Checks all AVL invariants; used by tests and debug assertions.
@@ -375,25 +406,13 @@ impl<M> AvlTree<M> {
 }
 
 /// Ascending in-order iterator, see [`AvlTree::iter_asc`].
-pub struct AscIter<'a, M>(AvlTripleIter<'a, M>);
-
-impl<'a, M> Iterator for AscIter<'a, M> {
-    type Item = (u64, usize, &'a M);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let (k, p, id) = self.0.next()?;
-        Some((k, p, &self.0.tree.node(id.0).meta))
-    }
-}
-
-/// Ascending in-order handle iterator, see [`AvlTree::iter_triples`].
-pub struct AvlTripleIter<'a, M> {
+pub struct AscIter<'a, M> {
     tree: &'a AvlTree<M>,
     stack: Vec<u32>,
 }
 
-impl<M> Iterator for AvlTripleIter<'_, M> {
-    type Item = (u64, usize, NodeId);
+impl<'a, M> Iterator for AscIter<'a, M> {
+    type Item = (u64, usize, &'a M);
 
     fn next(&mut self) -> Option<Self::Item> {
         let id = self.stack.pop()?;
@@ -402,7 +421,8 @@ impl<M> Iterator for AvlTripleIter<'_, M> {
             self.stack.push(cur);
             cur = self.tree.node(cur).left;
         }
-        self.tree.triple(id)
+        let n = self.tree.node(id);
+        Some((n.key, n.pos, &n.meta))
     }
 }
 
@@ -425,6 +445,7 @@ mod tests {
         let t: AvlTree<()> = AvlTree::new();
         assert!(t.is_empty());
         assert!(t.find(5).is_none());
+        assert!(t.meta(5).is_none());
         assert!(t.predecessor_or_equal(5).is_none());
         assert!(t.successor_strict(5).is_none());
         assert!(t.min().is_none());
@@ -434,12 +455,10 @@ mod tests {
     #[test]
     fn insert_dedupes_keys() {
         let mut t = AvlTree::new();
-        let (a, fresh_a) = t.insert(10, 1, ());
-        let (b, fresh_b) = t.insert(10, 99, ());
-        assert!(fresh_a);
-        assert!(!fresh_b);
-        assert_eq!(a, b);
-        assert_eq!(t.pos(a), 1, "existing entry untouched");
+        assert!(t.insert(10, 1, 3u32));
+        assert!(!t.insert(10, 99, 4));
+        assert_eq!(t.find(10), Some(1), "existing entry untouched");
+        assert_eq!(t.meta(10), Some(&3));
         assert_eq!(t.len(), 1);
     }
 
@@ -463,20 +482,17 @@ mod tests {
         let t = build(&keys);
         let model: BTreeMap<u64, ()> = keys.iter().map(|k| (*k, ())).collect();
         for probe in 0..1001 {
-            let pred = t.predecessor_or_equal(probe).map(|id| t.key(id));
             let model_pred = model.range(..=probe).next_back().map(|(k, _)| *k);
-            assert_eq!(pred, model_pred, "pred_or_eq({probe})");
+            assert_eq!(t.predecessor_or_equal(probe), model_pred, "pred_or_eq({probe})");
 
-            let succ = t.successor_strict(probe).map(|id| t.key(id));
             let model_succ = model
                 .range((std::ops::Bound::Excluded(probe), std::ops::Bound::Unbounded))
                 .next()
                 .map(|(k, _)| *k);
-            assert_eq!(succ, model_succ, "succ_strict({probe})");
+            assert_eq!(t.successor_strict(probe), model_succ, "succ_strict({probe})");
 
-            let spred = t.predecessor_strict(probe).map(|id| t.key(id));
             let model_spred = model.range(..probe).next_back().map(|(k, _)| *k);
-            assert_eq!(spred, model_spred, "pred_strict({probe})");
+            assert_eq!(t.predecessor_strict(probe), model_spred, "pred_strict({probe})");
         }
     }
 
@@ -493,27 +509,31 @@ mod tests {
 
     #[test]
     fn set_pos_and_meta_via_handle() {
+        // The cursor is the tree's one handle: it writes positions, the
+        // key reaches metadata.
         let mut t = AvlTree::new();
-        let (id, _) = t.insert(7, 3, 100u32);
-        t.set_pos(id, 9);
-        *t.meta_mut(id) += 1;
-        assert_eq!(t.pos(id), 9);
-        assert_eq!(*t.meta(id), 101);
-        assert_eq!(t.key(id), 7);
+        t.insert(7, 3, 100u32);
+        let c = t.cursor_at(7);
+        t.set_cursor_pos(c, 9);
+        *t.meta_mut(7).unwrap() += 1;
+        assert_eq!(t.find(7), Some(9));
+        assert_eq!(t.meta(7), Some(&101));
+        assert_eq!(t.cursor_key(c), 7);
+        assert!(t.meta_mut(8).is_none());
     }
 
     #[test]
     fn min_max() {
         let t = build(&[50, 10, 90, 30, 70]);
-        assert_eq!(t.key(t.min().unwrap()), 10);
-        assert_eq!(t.key(t.max().unwrap()), 90);
+        assert_eq!(t.min(), Some(10));
+        assert_eq!(t.max(), Some(90));
     }
 
     #[test]
     fn predecessor_strict_at_zero() {
         let t = build(&[0, 5]);
         assert!(t.predecessor_strict(0).is_none());
-        assert_eq!(t.key(t.predecessor_strict(1).unwrap()), 0);
+        assert_eq!(t.predecessor_strict(1), Some(0));
     }
 
     #[test]
@@ -522,8 +542,7 @@ mod tests {
         t.clear();
         assert!(t.is_empty());
         assert!(t.min().is_none());
-        let (id, fresh) = t.insert(9, 0, 0);
-        assert!(fresh);
-        assert_eq!(t.key(id), 9);
+        assert!(t.insert(9, 0, 0));
+        assert_eq!(t.min(), Some(9));
     }
 }

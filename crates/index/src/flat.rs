@@ -11,9 +11,9 @@
 //! lower-bound search over the dense keys.
 //!
 //! One sorted array pays an `O(n)` tail `memmove` per insert, and a
-//! random workload keeps inserting (≈ 1.2 cracks per query, half a
-//! million cracks on a 4M column). So the directory is **two levels**,
-//! in effect B⁺-tree leaves without pointers:
+//! random workload keeps inserting (≈ 1.2 cracks per query, over a
+//! third of a million cracks on a 4M column). So the directory is **two
+//! levels**, in effect B⁺-tree leaves without pointers:
 //!
 //! ```text
 //! fences [  50 | 300 | 720 ]            smallest key of each block, in key order
@@ -21,26 +21,29 @@
 //!
 //! pools  keys  [ 300 320  ·  · | 720 800 810 990 |  50  80 120  · ]
 //!        pos   [ 290 311  ·  · | 700 790 805 985 |  48  75 110  · ]
-//!        slots [   4   7  ·  · |   1   8   3   6 |   2   0   5  · ]
+//!        metas [  M   M   ·  · |  M   M   M   M  |  M   M   M   · ]
 //!                  block 0          block 1           block 2       (BLOCK_CAP = 4 here)
-//! arena  [ {80,M} {720,M} {50,M} … ]    stable per-crack metadata, indexed by `slots`
 //! ```
 //!
-//! An arena entry is the crack key plus the engine's per-piece `M`: `()`
-//! for the plain engines, a 4-byte crack counter for the stochastic ones
-//! (16-byte entries). Progressive cracking's in-flight partition jobs are
+//! The index is **key-addressed**: a crack is named by its key, and its
+//! metadata `M` sits inline in the third pool, beside its key and
+//! position — `()` for the plain engines, a 4-byte crack counter for the
+//! stochastic ones. Progressive cracking's in-flight partition jobs are
 //! not per-crack metadata: the column keeps them in a job table of its
-//! own. Counted as capacity × size, 140 000 random cracks allocate 67.6
-//! bytes per crack across fences, order, pools and arena
+//! own. Counted as capacity × size, 140 000 random cracks allocate 37.7
+//! bytes per crack across fences, order and pools
 //! ([`crate::CrackerIndex::footprint`]).
 //!
 //! * **Lookup** is two [`count_le`]s: one over the fences picks the
 //!   block, one over that block's keys picks the entry. Both piece edges
 //!   fall out of the same pair (the successor is the next entry, or the
 //!   first entry of the next block).
-//! * **Insert** shifts the tail of one block — at most `BLOCK_CAP`
-//!   entries, whatever the crack count. A full block first moves its
-//!   upper half into a fresh block and inserts one fence.
+//! * **Insert** is one such search. The new entry inherits its metadata
+//!   from the entry before it, which a key at or above a block's fence
+//!   always finds in the same block; then the tail of that one block
+//!   shifts — at most `BLOCK_CAP` entries, whatever the crack count. A
+//!   full block first moves its upper half into a fresh block and
+//!   inserts one fence.
 //! * There is no remove, and underfull blocks are never merged:
 //!   cracking only ever adds cracks.
 //! * Blocks are ranges of three pooled `Vec`s, never `Vec`s of their
@@ -53,15 +56,12 @@
 //! chain, while the branchy search speculates — the CPU issues the
 //! probable next load before the compare resolves.
 //!
-//! Handles ([`NodeId`]) index the **arena**, whose slots never move —
-//! the same stability contract the AVL arena gives, which the selective
-//! engines' piece-meta access relies on. A handle carries no
-//! back-pointer into the blocks (splits would have to fix them up); it
-//! resolves to its sorted location by re-searching its immutable key.
-//! Code that walks crack after crack — the Ripple update path — resolves
-//! once and then steps a [`CrackCursor`], which is O(1) per boundary.
+//! An entry moves when its block shifts or splits, so nothing outside
+//! the index holds its location: callers name cracks by key, and each
+//! key access is one search. Code that walks crack after crack — the
+//! Ripple update path — searches once and then steps a [`CrackCursor`],
+//! which is O(1) per boundary.
 
-use crate::avl::NodeId;
 use crate::index::CrackCursor;
 
 /// Entries per block. An insert shifts on average a quarter of this many
@@ -83,12 +83,6 @@ const SPLIT_AT: usize = BLOCK_CAP / 2;
 #[inline]
 pub(crate) fn count_le(a: &[u64], probe: u64) -> usize {
     a.partition_point(|k| *k <= probe)
-}
-
-#[derive(Debug, Clone)]
-struct Entry<M> {
-    key: u64,
-    meta: M,
 }
 
 /// One block of the directory: which pool range it owns and how much of
@@ -113,13 +107,13 @@ impl BlockRef {
     }
 }
 
-/// A flat cracker index: crack keys, positions and metadata handles in
+/// A flat cracker index: crack keys, positions and metadata in
 /// fixed-capacity sorted blocks under a fence-key array (see the module
 /// docs for layout and costs).
 ///
-/// API-compatible with [`crate::AvlTree`] where the two overlap, so
-/// [`crate::CrackerIndex`] can dispatch between the representations and
-/// property tests can pin them against each other entry for entry.
+/// API-compatible with [`crate::AvlTree`], so [`crate::CrackerIndex`]
+/// can dispatch between the representations and property tests can pin
+/// them against each other entry for entry.
 #[derive(Debug, Clone)]
 pub struct FlatIndex<M> {
     /// `fences[r]` is the smallest key of the block at rank `r`;
@@ -131,10 +125,10 @@ pub struct FlatIndex<M> {
     keys: Vec<u64>,
     /// `pos[i]` is the crack position of `keys[i]`.
     pos: Vec<usize>,
-    /// `slots[i]` is the arena slot of `keys[i]`'s metadata.
-    slots: Vec<u32>,
-    /// Stable metadata storage, one slot per entry.
-    arena: Vec<Entry<M>>,
+    /// `metas[i]` is the metadata of `keys[i]`'s crack.
+    metas: Vec<M>,
+    /// Live entries over all blocks.
+    len: usize,
 }
 
 impl<M> Default for FlatIndex<M> {
@@ -151,21 +145,21 @@ impl<M> FlatIndex<M> {
             order: Vec::new(),
             keys: Vec::new(),
             pos: Vec::new(),
-            slots: Vec::new(),
-            arena: Vec::new(),
+            metas: Vec::new(),
+            len: 0,
         }
     }
 
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.arena.len()
+        self.len
     }
 
     /// Whether the index holds no entries.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.arena.is_empty()
+        self.len == 0
     }
 
     /// Removes every entry.
@@ -174,12 +168,12 @@ impl<M> FlatIndex<M> {
         self.order.clear();
         self.keys.clear();
         self.pos.clear();
-        self.slots.clear();
-        self.arena.clear();
+        self.metas.clear();
+        self.len = 0;
     }
 
     /// Heap bytes allocated: capacity × element size over the fences,
-    /// the block order, the three pools and the arena.
+    /// the block order and the three pools.
     pub(crate) fn footprint(&self) -> usize {
         fn bytes<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>()
@@ -188,26 +182,7 @@ impl<M> FlatIndex<M> {
             + bytes(&self.order)
             + bytes(&self.keys)
             + bytes(&self.pos)
-            + bytes(&self.slots)
-            + bytes(&self.arena)
-    }
-
-    /// Key of the entry behind `id`.
-    #[inline]
-    pub fn key(&self, id: NodeId) -> u64 {
-        self.arena[id.0 as usize].key
-    }
-
-    /// Metadata of the entry behind `id`.
-    #[inline]
-    pub fn meta(&self, id: NodeId) -> &M {
-        &self.arena[id.0 as usize].meta
-    }
-
-    /// Mutable metadata of the entry behind `id`.
-    #[inline]
-    pub fn meta_mut(&mut self, id: NodeId) -> &mut M {
-        &mut self.arena[id.0 as usize].meta
+            + bytes(&self.metas)
     }
 
     /// The rank of the block whose key range covers `probe`, and the
@@ -224,14 +199,20 @@ impl<M> FlatIndex<M> {
         (r - 1, count_le(&self.keys[base..base + block.len()], probe))
     }
 
-    /// `(rank, offset)` of the greatest entry with key `<= probe`.
+    /// Pool index of the greatest entry with key `<= probe`.
     #[inline]
-    fn floor(&self, probe: u64) -> Option<(usize, usize)> {
+    fn floor(&self, probe: u64) -> Option<usize> {
         if self.order.is_empty() {
             return None;
         }
         let (rank, c) = self.locate(probe);
-        (c > 0).then(|| (rank, c - 1))
+        (c > 0).then(|| self.slot_of(rank, c - 1))
+    }
+
+    /// Pool index of the entry with exactly `key`.
+    #[inline]
+    fn slot(&self, key: u64) -> Option<usize> {
+        self.floor(key).filter(|&i| self.keys[i] == key)
     }
 
     /// Pool index of the entry at `(rank, off)`.
@@ -242,70 +223,76 @@ impl<M> FlatIndex<M> {
         block.base() + off
     }
 
-    /// The `(key, pos, handle)` triple at `(rank, off)`.
+    /// The `(key, pos)` pair at `(rank, off)`.
     #[inline]
-    fn triple(&self, rank: usize, off: usize) -> (u64, usize, NodeId) {
+    fn pair(&self, rank: usize, off: usize) -> (u64, usize) {
         let i = self.slot_of(rank, off);
-        (self.keys[i], self.pos[i], NodeId(self.slots[i]))
+        (self.keys[i], self.pos[i])
     }
 
     /// Both neighbors of `probe` in one pass: the greatest entry with
     /// key `<= probe` and the smallest with key `> probe`, as
-    /// `(key, pos, handle)` triples. This is the piece lookup: one
-    /// search over the fences, one inside a block, everything else O(1).
+    /// `(key, pos)` pairs. This is the piece lookup: one search over the
+    /// fences, one inside a block, everything else O(1).
     #[inline]
     #[allow(clippy::type_complexity)]
-    pub fn neighbors(
-        &self,
-        probe: u64,
-    ) -> (Option<(u64, usize, NodeId)>, Option<(u64, usize, NodeId)>) {
+    pub fn neighbors(&self, probe: u64) -> (Option<(u64, usize)>, Option<(u64, usize)>) {
         if self.order.is_empty() {
             return (None, None);
         }
         let (rank, c) = self.locate(probe);
-        let pred = (c > 0).then(|| self.triple(rank, c - 1));
+        let pred = (c > 0).then(|| self.pair(rank, c - 1));
         let succ = if c < self.order[rank].len() {
-            Some(self.triple(rank, c))
+            Some(self.pair(rank, c))
         } else if rank + 1 < self.order.len() {
-            Some(self.triple(rank + 1, 0))
+            Some(self.pair(rank + 1, 0))
         } else {
             None
         };
         (pred, succ)
     }
 
-    /// Looks up the entry with exactly `key`.
+    /// Position of the entry with exactly `key`.
     #[inline]
-    pub fn find(&self, key: u64) -> Option<NodeId> {
-        let (rank, off) = self.floor(key)?;
-        let i = self.slot_of(rank, off);
-        (self.keys[i] == key).then(|| NodeId(self.slots[i]))
+    pub fn find(&self, key: u64) -> Option<usize> {
+        self.slot(key).map(|i| self.pos[i])
     }
 
-    /// Greatest entry with key `<= key`.
+    /// Metadata of the entry with exactly `key`.
     #[inline]
-    pub fn predecessor_or_equal(&self, key: u64) -> Option<NodeId> {
-        let (rank, off) = self.floor(key)?;
-        Some(NodeId(self.slots[self.slot_of(rank, off)]))
+    pub fn meta(&self, key: u64) -> Option<&M> {
+        self.slot(key).map(|i| &self.metas[i])
     }
 
-    /// Smallest entry with key `> key`.
+    /// Mutable metadata of the entry with exactly `key`.
     #[inline]
-    pub fn successor_strict(&self, key: u64) -> Option<NodeId> {
-        self.neighbors(key).1.map(|(_, _, id)| id)
+    pub fn meta_mut(&mut self, key: u64) -> Option<&mut M> {
+        self.slot(key).map(|i| &mut self.metas[i])
     }
 
-    /// Entry with the smallest key.
+    /// Greatest key `<= key`.
     #[inline]
-    pub fn min(&self) -> Option<NodeId> {
-        (!self.order.is_empty()).then(|| self.triple(0, 0).2)
+    pub fn predecessor_or_equal(&self, key: u64) -> Option<u64> {
+        self.floor(key).map(|i| self.keys[i])
     }
 
-    /// Entry with the greatest key.
+    /// Smallest key `> key`.
     #[inline]
-    pub fn max(&self) -> Option<NodeId> {
+    pub fn successor_strict(&self, key: u64) -> Option<u64> {
+        self.neighbors(key).1.map(|(k, _)| k)
+    }
+
+    /// The smallest key.
+    #[inline]
+    pub fn min(&self) -> Option<u64> {
+        (!self.order.is_empty()).then(|| self.pair(0, 0).0)
+    }
+
+    /// The greatest key.
+    #[inline]
+    pub fn max(&self) -> Option<u64> {
         let last = self.order.last()?;
-        Some(self.triple(self.order.len() - 1, last.len() - 1).2)
+        Some(self.pair(self.order.len() - 1, last.len() - 1).0)
     }
 
     // ------------------------------------------------------------------
@@ -314,15 +301,19 @@ impl<M> FlatIndex<M> {
     // the offset inside the block; any `insert` invalidates it.
     // ------------------------------------------------------------------
 
-    /// The cursor on the entry behind `id` (`O(log n)`: key re-search).
+    /// The cursor on the entry with exactly `key` (`O(log n)`: one
+    /// search). Panics if there is none.
     #[inline]
-    pub(crate) fn cursor_at(&self, id: NodeId) -> CrackCursor {
-        let key = self.arena[id.0 as usize].key;
-        let (rank, off) = self.floor(key).expect("a live handle's key is indexed");
-        debug_assert_eq!(self.keys[self.slot_of(rank, off)], key, "stale handle");
+    pub(crate) fn cursor_at(&self, key: u64) -> CrackCursor {
+        let (rank, c) = if self.order.is_empty() {
+            (0, 0)
+        } else {
+            self.locate(key)
+        };
+        assert!(c > 0 && self.pair(rank, c - 1).0 == key, "no crack at {key}");
         CrackCursor {
             major: rank as u32,
-            minor: off as u32,
+            minor: c as u32 - 1,
         }
     }
 
@@ -373,114 +364,29 @@ impl<M> FlatIndex<M> {
     }
 
     // ------------------------------------------------------------------
-    // Mutation
-    // ------------------------------------------------------------------
-
-    /// A block id with no live entries: a fresh `BLOCK_CAP` range at the
-    /// end of every pool.
-    fn alloc_block(&mut self) -> u32 {
-        let id = (self.keys.len() / BLOCK_CAP) as u32;
-        let grown = self.keys.len() + BLOCK_CAP;
-        self.keys.resize(grown, 0);
-        self.pos.resize(grown, 0);
-        self.slots.resize(grown, 0);
-        id
-    }
-
-    /// Moves the upper half of the full block at `rank` into a fresh
-    /// block at `rank + 1` and fences it.
-    fn split(&mut self, rank: usize) {
-        let upper = BlockRef {
-            id: self.alloc_block(),
-            len: (BLOCK_CAP - SPLIT_AT) as u32,
-        };
-        let src = self.order[rank].base() + SPLIT_AT;
-        let (src, dst) = (src..src + upper.len(), upper.base());
-        self.keys.copy_within(src.clone(), dst);
-        self.pos.copy_within(src.clone(), dst);
-        self.slots.copy_within(src, dst);
-        self.order[rank].len = SPLIT_AT as u32;
-        self.fences.insert(rank + 1, self.keys[dst]);
-        self.order.insert(rank + 1, upper);
-    }
-
-    /// Inserts `(key, pos, meta)`.
-    ///
-    /// Returns `(id, true)` for a fresh entry, or `(existing_id, false)`
-    /// if the key was already present (the existing entry is left
-    /// untouched — a crack at an existing value is the same crack). The
-    /// cost is two searches and a shift inside one block, independent of
-    /// the number of entries.
-    pub fn insert(&mut self, key: u64, pos: usize, meta: M) -> (NodeId, bool) {
-        if self.order.is_empty() {
-            // An empty first block, for the shift below to fill.
-            let id = self.alloc_block();
-            self.fences.push(key);
-            self.order.push(BlockRef { id, len: 0 });
-        }
-        let (mut rank, mut c) = self.locate(key);
-        if c > 0 {
-            let i = self.slot_of(rank, c - 1);
-            if self.keys[i] == key {
-                return (NodeId(self.slots[i]), false);
-            }
-        }
-        if self.order[rank].len() == BLOCK_CAP {
-            self.split(rank);
-            // A key between the halves stays at the end of the lower
-            // one, so the new fence never moves.
-            if c > SPLIT_AT {
-                rank += 1;
-                c -= SPLIT_AT;
-            }
-        }
-        let slot = self.arena.len() as u32;
-        self.arena.push(Entry { key, meta });
-        let block = self.order[rank];
-        let (at, end) = (block.base() + c, block.base() + block.len());
-        self.keys.copy_within(at..end, at + 1);
-        self.pos.copy_within(at..end, at + 1);
-        self.slots.copy_within(at..end, at + 1);
-        self.keys[at] = key;
-        self.pos[at] = pos;
-        self.slots[at] = slot;
-        self.order[rank].len += 1;
-        if c == 0 {
-            // Only a new global minimum lands at the front of a block.
-            self.fences[rank] = key;
-        }
-        (NodeId(slot), true)
-    }
-
-    // ------------------------------------------------------------------
     // Iteration
     // ------------------------------------------------------------------
 
     /// Ascending iterator over `(key, pos, &meta)` — allocation-free (a
-    /// cursor stepping block by block).
+    /// cursor stepping block by block); the piece iterator of
+    /// [`crate::CrackerIndex`] drives it.
     pub fn iter_asc(&self) -> FlatAscIter<'_, M> {
-        FlatAscIter(self.iter_triples())
-    }
-
-    /// Ascending `(key, pos, handle)` cursor, allocation-free; the
-    /// piece iterator of [`crate::CrackerIndex`] drives this.
-    pub fn iter_triples(&self) -> FlatTripleIter<'_, M> {
-        FlatTripleIter {
+        FlatAscIter {
             flat: self,
             next: (!self.order.is_empty()).then_some(CrackCursor { major: 0, minor: 0 }),
         }
     }
 
     /// Checks the structural invariants: fences and `order` in lockstep,
-    /// every ranked block non-empty, within capacity, strictly
-    /// increasing and fenced by its first key; keys increasing across
-    /// blocks; every pool block ranked exactly once; slot/arena keys
-    /// consistent; every arena slot live.
+    /// pools in lockstep, every ranked block non-empty, within capacity,
+    /// strictly increasing and fenced by its first key; keys increasing
+    /// across blocks; every pool block ranked exactly once; the entry
+    /// count matches the blocks.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.fences.len() != self.order.len() {
             return Err("fences and order out of lockstep".into());
         }
-        if self.pos.len() != self.keys.len() || self.slots.len() != self.keys.len() {
+        if self.pos.len() != self.keys.len() || self.metas.len() != self.keys.len() {
             return Err("pools out of lockstep".into());
         }
         if self.keys.len() != self.order.len() * BLOCK_CAP {
@@ -511,55 +417,129 @@ impl<M> FlatIndex<M> {
                     self.fences[rank], self.keys[range.start]
                 ));
             }
-            for i in range {
-                let key = self.keys[i];
+            for &key in &self.keys[range] {
                 if prev.is_some_and(|p| p >= key) {
                     return Err(format!("keys not strictly increasing at {key} (rank {rank})"));
                 }
                 prev = Some(key);
-                let slot = self.slots[i];
-                let entry = self
-                    .arena
-                    .get(slot as usize)
-                    .ok_or_else(|| format!("slot {slot} out of arena bounds"))?;
-                if entry.key != key {
-                    return Err(format!("slot {slot}: arena key {} != sorted key {key}", entry.key));
-                }
             }
             live += block.len();
         }
-        if live != self.arena.len() {
-            return Err(format!("blocks hold {live} entries, the arena {}", self.arena.len()));
+        if live != self.len {
+            return Err(format!("blocks hold {live} entries, the count says {}", self.len));
         }
         Ok(())
     }
 }
 
+impl<M: Default> FlatIndex<M> {
+    // ------------------------------------------------------------------
+    // Mutation
+    // ------------------------------------------------------------------
+
+    /// A block id with no live entries: a fresh `BLOCK_CAP` range at the
+    /// end of every pool.
+    fn alloc_block(&mut self) -> u32 {
+        let id = (self.keys.len() / BLOCK_CAP) as u32;
+        let grown = self.keys.len() + BLOCK_CAP;
+        self.keys.resize(grown, 0);
+        self.pos.resize(grown, 0);
+        self.metas.resize_with(grown, M::default);
+        id
+    }
+
+    /// Moves the upper half of the full block at `rank` into a fresh
+    /// block at `rank + 1` and fences it.
+    fn split(&mut self, rank: usize) {
+        let upper = BlockRef {
+            id: self.alloc_block(),
+            len: (BLOCK_CAP - SPLIT_AT) as u32,
+        };
+        let src = self.order[rank].base() + SPLIT_AT;
+        let (src, dst) = (src..src + upper.len(), upper.base());
+        self.keys.copy_within(src.clone(), dst);
+        self.pos.copy_within(src.clone(), dst);
+        // The fresh block sits above every other in the pools.
+        let (below, fresh) = self.metas.split_at_mut(dst);
+        below[src].swap_with_slice(&mut fresh[..upper.len()]);
+        self.order[rank].len = SPLIT_AT as u32;
+        self.fences.insert(rank + 1, self.keys[dst]);
+        self.order.insert(rank + 1, upper);
+    }
+
+    /// Inserts `(key, pos, meta)`; see [`FlatIndex::insert_with`].
+    pub fn insert(&mut self, key: u64, pos: usize, meta: M) -> bool {
+        self.insert_with(key, pos, |_| meta)
+    }
+
+    /// Inserts `key` at `pos`, its metadata made by `meta` from the
+    /// metadata of the greatest smaller key (`None` below every key).
+    ///
+    /// Returns whether the entry is fresh: a key already present is left
+    /// untouched (a crack at an existing value is the same crack) and
+    /// `meta` is not called. The cost is one search and a shift inside
+    /// one block, independent of the number of entries.
+    pub fn insert_with(
+        &mut self,
+        key: u64,
+        pos: usize,
+        meta: impl FnOnce(Option<&M>) -> M,
+    ) -> bool {
+        if self.order.is_empty() {
+            // An empty first block, for the shift below to fill.
+            let id = self.alloc_block();
+            self.fences.push(key);
+            self.order.push(BlockRef { id, len: 0 });
+        }
+        let (mut rank, mut c) = self.locate(key);
+        // A key at or above a block's fence has its predecessor in that
+        // block; only a new global minimum has none.
+        let meta = match c.checked_sub(1).map(|off| self.slot_of(rank, off)) {
+            Some(i) if self.keys[i] == key => return false,
+            Some(i) => meta(Some(&self.metas[i])),
+            None => meta(None),
+        };
+        if self.order[rank].len() == BLOCK_CAP {
+            self.split(rank);
+            // A key between the halves stays at the end of the lower
+            // one, so the new fence never moves.
+            if c > SPLIT_AT {
+                rank += 1;
+                c -= SPLIT_AT;
+            }
+        }
+        let block = self.order[rank];
+        let (at, end) = (block.base() + c, block.base() + block.len());
+        self.keys.copy_within(at..end, at + 1);
+        self.pos.copy_within(at..end, at + 1);
+        self.metas[at..=end].rotate_right(1);
+        self.keys[at] = key;
+        self.pos[at] = pos;
+        self.metas[at] = meta;
+        self.order[rank].len += 1;
+        self.len += 1;
+        if c == 0 {
+            // Only a new global minimum lands at the front of a block.
+            self.fences[rank] = key;
+        }
+        true
+    }
+}
+
 /// Ascending iterator over a [`FlatIndex`], see [`FlatIndex::iter_asc`].
-pub struct FlatAscIter<'a, M>(FlatTripleIter<'a, M>);
+pub struct FlatAscIter<'a, M> {
+    flat: &'a FlatIndex<M>,
+    next: Option<CrackCursor>,
+}
 
 impl<'a, M> Iterator for FlatAscIter<'a, M> {
     type Item = (u64, usize, &'a M);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let (k, p, id) = self.0.next()?;
-        Some((k, p, &self.0.flat.arena[id.0 as usize].meta))
-    }
-}
-
-/// Ascending handle cursor, see [`FlatIndex::iter_triples`].
-pub struct FlatTripleIter<'a, M> {
-    flat: &'a FlatIndex<M>,
-    next: Option<CrackCursor>,
-}
-
-impl<M> Iterator for FlatTripleIter<'_, M> {
-    type Item = (u64, usize, NodeId);
-
-    fn next(&mut self) -> Option<Self::Item> {
         let c = self.next?;
         self.next = self.flat.cursor_next(c);
-        Some(self.flat.triple(c.major as usize, c.minor as usize))
+        let i = self.flat.slot_of(c.major as usize, c.minor as usize);
+        Some((self.flat.keys[i], self.flat.pos[i], &self.flat.metas[i]))
     }
 }
 
@@ -608,7 +588,7 @@ mod tests {
     }
 
     fn pos_of(f: &FlatIndex<u32>, key: u64) -> usize {
-        f.cursor_pos(f.cursor_at(f.find(key).expect("key present")))
+        f.find(key).expect("key present")
     }
 
     /// Every neighbor query against the model, for one probe.
@@ -616,14 +596,11 @@ mod tests {
         let pred = model.range(..=probe).next_back().map(|(k, _)| *k);
         let succ = model.range((Excluded(probe), Unbounded)).next().map(|(k, _)| *k);
         let (np, ns) = f.neighbors(probe);
-        assert_eq!(np.map(|(k, _, _)| k), pred, "neighbors({probe}).pred");
-        assert_eq!(ns.map(|(k, _, _)| k), succ, "neighbors({probe}).succ");
-        let got = f.predecessor_or_equal(probe).map(|id| f.key(id));
-        assert_eq!(got, pred, "pred_or_eq({probe})");
-        let got = f.successor_strict(probe).map(|id| f.key(id));
-        assert_eq!(got, succ, "succ_strict({probe})");
-        let got = f.find(probe).map(|id| f.key(id));
-        assert_eq!(got, model.contains_key(&probe).then_some(probe), "find({probe})");
+        assert_eq!(np.map(|(k, _)| k), pred, "neighbors({probe}).pred");
+        assert_eq!(ns.map(|(k, _)| k), succ, "neighbors({probe}).succ");
+        assert_eq!(f.predecessor_or_equal(probe), pred, "pred_or_eq({probe})");
+        assert_eq!(f.successor_strict(probe), succ, "succ_strict({probe})");
+        assert_eq!(f.find(probe).is_some(), model.contains_key(&probe), "find({probe})");
     }
 
     #[test]
@@ -631,23 +608,22 @@ mod tests {
         let f: FlatIndex<()> = FlatIndex::new();
         assert!(f.is_empty());
         assert!(f.find(5).is_none());
+        assert!(f.meta(5).is_none());
         assert!(f.predecessor_or_equal(5).is_none());
         assert!(f.successor_strict(5).is_none());
         assert!(f.min().is_none());
         assert!(f.max().is_none());
         assert_eq!(f.neighbors(5), (None, None));
-        assert_eq!(f.iter_triples().count(), 0);
+        assert_eq!(f.iter_asc().count(), 0);
     }
 
     #[test]
     fn insert_dedupes_keys() {
         let mut f = FlatIndex::new();
-        let (a, fresh_a) = f.insert(10, 1, ());
-        let (b, fresh_b) = f.insert(10, 99, ());
-        assert!(fresh_a);
-        assert!(!fresh_b);
-        assert_eq!(a, b);
-        assert_eq!(f.cursor_pos(f.cursor_at(a)), 1, "existing entry untouched");
+        assert!(f.insert(10, 1, 3u32));
+        assert!(!f.insert(10, 99, 4));
+        assert_eq!(f.find(10), Some(1), "existing entry untouched");
+        assert_eq!(f.meta(10), Some(&3));
         assert_eq!(f.len(), 1);
     }
 
@@ -667,41 +643,60 @@ mod tests {
 
     #[test]
     fn handles_stay_valid_across_inserts_and_merges() {
+        // A crack's key is its handle: after its entry has moved block
+        // and offset, the key still reaches its position and metadata.
         let mut f = FlatIndex::new();
-        let (id50, _) = f.insert(50_000, 500, 0u32);
+        f.insert(50_000, 500, 0u32);
         // Enough inserts on both sides that the entry's block splits
         // more than once and the entry changes block and offset.
-        let before = f.cursor_at(id50);
+        let before = f.cursor_at(50_000);
         for i in 0..1_000u64 {
             f.insert((i * 7_919) % 100_000, i as usize, 0u32);
         }
         assert!(f.order.len() > 2);
-        assert_ne!(f.cursor_at(id50), before, "the entry must have moved");
-        assert_eq!(f.key(id50), 50_000);
-        let c = f.cursor_at(id50);
+        assert_ne!(f.cursor_at(50_000), before, "the entry must have moved");
+        let c = f.cursor_at(50_000);
         assert_eq!((f.cursor_key(c), f.cursor_pos(c)), (50_000, 500));
         f.set_cursor_pos(c, 501);
-        *f.meta_mut(id50) += 7;
+        *f.meta_mut(50_000).unwrap() += 7;
         assert_eq!(pos_of(&f, 50_000), 501);
-        assert_eq!(f.neighbors(50_000).0, Some((50_000, 501, id50)));
-        assert_eq!(*f.meta(id50), 7);
+        assert_eq!(f.neighbors(50_000).0, Some((50_000, 501)));
+        assert_eq!(f.meta(50_000), Some(&7));
+        assert!(f.meta_mut(50_001).is_none());
         f.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn insert_with_inherits_from_the_predecessor() {
+        // Each new key's meta is its predecessor's plus one (`None` below
+        // every key starts at 0), across splits and new minima.
+        let mut f: FlatIndex<u32> = FlatIndex::new();
+        let mut model: BTreeMap<u64, u32> = BTreeMap::new();
+        for i in 0..3 * BLOCK_CAP as u64 {
+            let key = (i * 7_919) % 10_007;
+            let expect = model.range(..key).next_back().map_or(0, |(_, m)| m + 1);
+            model.insert(key, expect);
+            assert!(f.insert_with(key, key as usize, |pred| pred.map_or(0, |m| m + 1)));
+        }
+        assert!(f.order.len() > 3, "splits must have fired");
+        let got: Vec<(u64, u32)> = f.iter_asc().map(|(k, _, m)| (k, *m)).collect();
+        let expect: Vec<(u64, u32)> = model.into_iter().collect();
+        assert_eq!(got, expect);
+        assert!(!f.insert_with(0, 0, |_| unreachable!("a present key makes no meta")));
     }
 
     #[test]
     fn iter_asc_is_sorted_and_complete() {
         let keys: Vec<u64> = (0..300).map(|i| (i * 613) % 997).collect();
         let f = build(&keys);
-        let triples: Vec<u64> = f.iter_triples().map(|(k, _, _)| k).collect();
         let mut expect = keys.clone();
         expect.sort_unstable();
         expect.dedup();
         assert_eq!(keys_of(&f), expect);
-        assert_eq!(triples, expect);
-        // Triples resolve back to consistent key/pos via the handle.
-        for (k, p, id) in f.iter_triples() {
-            assert_eq!(f.key(id), k);
-            assert_eq!(f.cursor_pos(f.cursor_at(id)), p);
+        // Every entry resolves back to its position by key.
+        for (k, p, _) in f.iter_asc() {
+            assert_eq!(f.find(k), Some(p));
+            assert_eq!(f.cursor_pos(f.cursor_at(k)), p);
         }
     }
 
@@ -712,22 +707,26 @@ mod tests {
         // block — rewrites fence 0.
         let mut f = ascending(3);
         assert!(f.order.len() >= 3);
-        assert_eq!(f.key(f.min().unwrap()), 10);
-        assert_eq!(f.key(f.max().unwrap()), 3 * BLOCK_CAP as u64 * 10);
+        assert_eq!(f.min(), Some(10));
+        assert_eq!(f.max(), Some(3 * BLOCK_CAP as u64 * 10));
         assert_eq!(f.fences[0], 10);
         f.insert(5, 5, 0);
         f.insert(99_999, 99_999, 0);
         assert_eq!(f.fences[0], 5);
-        assert_eq!(f.key(f.min().unwrap()), 5);
-        assert_eq!(f.key(f.max().unwrap()), 99_999);
+        assert_eq!(f.min(), Some(5));
+        assert_eq!(f.max(), Some(99_999));
         assert_eq!(f.neighbors(7), (f.neighbors(5).0, f.neighbors(9).1));
         f.check_invariants().unwrap();
     }
 
     #[test]
     fn split_places_the_insert_in_either_half() {
-        // One exactly full block: keys 10, 20, …, BLOCK_CAP * 10.
-        let full = ascending(1);
+        // One exactly full block: keys 10, 20, …, BLOCK_CAP * 10, each
+        // with its key as meta; the meta must move with its key.
+        let mut full = FlatIndex::new();
+        for k in 1..=BLOCK_CAP as u64 {
+            full.insert(k * 10, (k * 10) as usize, k * 10);
+        }
         assert_eq!(full.order.len(), 1);
         assert_eq!(full.order[0].len(), BLOCK_CAP);
         let seam = (SPLIT_AT as u64 + 1) * 10; // first key of the upper half
@@ -739,19 +738,19 @@ mod tests {
             (99_999, SPLIT_AT, BLOCK_CAP - SPLIT_AT + 1),   // end of the upper half
         ] {
             let mut f = full.clone();
-            let (id, fresh) = f.insert(key, 7, 0);
-            assert!(fresh);
+            assert!(f.insert(key, 7, key));
             f.check_invariants().unwrap();
             assert_eq!(f.order.len(), 2, "key {key}");
             assert_eq!((f.order[0].len(), f.order[1].len()), (lower_len, upper_len), "key {key}");
             assert_eq!(f.fences, vec![10.min(key), seam], "key {key}");
-            assert_eq!(f.find(key), Some(id));
-            assert_eq!(pos_of(&f, key), 7);
+            assert_eq!(f.find(key), Some(7));
             assert_eq!(f.len(), BLOCK_CAP + 1);
             let mut expect: Vec<u64> = (1..=BLOCK_CAP as u64).map(|k| k * 10).collect();
             expect.push(key);
             expect.sort_unstable();
-            assert_eq!(keys_of(&f), expect, "key {key}");
+            let entries: Vec<(u64, u64)> = f.iter_asc().map(|(k, _, m)| (k, *m)).collect();
+            let expect: Vec<(u64, u64)> = expect.into_iter().map(|k| (k, k)).collect();
+            assert_eq!(entries, expect, "key {key}");
         }
     }
 
@@ -772,19 +771,19 @@ mod tests {
             let (pred, succ) = f.neighbors(fence - 1);
             assert_eq!((pred.unwrap().0, succ.unwrap().0), (below, fence));
         }
-        // Iterators and the cursor agree across every seam, both ways.
-        let asc: Vec<(u64, usize)> = f.iter_triples().map(|(k, p, _)| (k, p)).collect();
+        // The iterator and the cursor agree across every seam, both ways.
+        let asc: Vec<(u64, usize)> = f.iter_asc().map(|(k, p, _)| (k, p)).collect();
         assert_eq!(asc.len(), f.len());
         assert!(asc.windows(2).all(|w| w[0].0 < w[1].0));
         let mut up = Vec::new();
-        let mut cur = f.min().map(|id| f.cursor_at(id));
+        let mut cur = f.min().map(|k| f.cursor_at(k));
         while let Some(c) = cur {
             up.push((f.cursor_key(c), f.cursor_pos(c)));
             cur = f.cursor_next(c);
         }
         assert_eq!(up, asc);
         let mut down = Vec::new();
-        let mut cur = f.max().map(|id| f.cursor_at(id));
+        let mut cur = f.max().map(|k| f.cursor_at(k));
         while let Some(c) = cur {
             down.push((f.cursor_key(c), f.cursor_pos(c)));
             cur = f.cursor_prev(c);
@@ -795,7 +794,7 @@ mod tests {
 
     #[test]
     fn ten_thousand_random_inserts_match_the_model() {
-        let mut f: FlatIndex<u32> = FlatIndex::new();
+        let mut f: FlatIndex<u64> = FlatIndex::new();
         let mut model: BTreeMap<u64, usize> = BTreeMap::new();
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
@@ -810,15 +809,20 @@ mod tests {
             let key = (next() >> 8) % 4_000;
             let fresh = !model.contains_key(&key);
             model.entry(key).or_insert(i);
-            assert_eq!(f.insert(key, i, 0).1, fresh, "op {i}: insert({key})");
+            assert_eq!(f.insert(key, i, key), fresh, "op {i}: insert({key})");
             f.check_invariants().unwrap_or_else(|e| panic!("op {i}: {e}"));
             assert_eq!(f.len(), model.len());
-            assert_probe(&f, &model, (next() >> 8) % 4_100);
-            assert_eq!(f.min().map(|id| f.key(id)), model.keys().next().copied());
-            assert_eq!(f.max().map(|id| f.key(id)), model.keys().next_back().copied());
+            let probe = (next() >> 8) % 4_100;
+            let pred = model.range(..=probe).next_back().map(|(k, _)| *k);
+            let succ = model.range((Excluded(probe), Unbounded)).next().map(|(k, _)| *k);
+            assert_eq!((f.predecessor_or_equal(probe), f.successor_strict(probe)), (pred, succ));
+            assert_eq!(f.find(probe), model.get(&probe).copied(), "find({probe})");
+            assert_eq!(f.min(), model.keys().next().copied());
+            assert_eq!(f.max(), model.keys().next_back().copied());
             if i % 500 == 0 {
-                let got: Vec<(u64, usize)> = f.iter_asc().map(|(k, p, _)| (k, p)).collect();
-                let expect: Vec<(u64, usize)> = model.iter().map(|(k, p)| (*k, *p)).collect();
+                // Each entry kept its position and its meta (its key).
+                let got: Vec<_> = f.iter_asc().map(|(k, p, m)| (k, p, *m)).collect();
+                let expect: Vec<_> = model.iter().map(|(k, p)| (*k, *p, *k)).collect();
                 assert_eq!(got, expect, "op {i}");
             }
         }
@@ -831,9 +835,8 @@ mod tests {
         f.clear();
         assert!(f.is_empty());
         assert!(f.min().is_none());
-        let (id, fresh) = f.insert(9, 0, 0);
-        assert!(fresh);
-        assert_eq!(f.key(id), 9);
+        assert!(f.insert(9, 0, 0));
+        assert_eq!(f.min(), Some(9));
         f.check_invariants().unwrap();
     }
 }

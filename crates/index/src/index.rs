@@ -1,7 +1,7 @@
 //! The piece-oriented cracker index, over a selectable representation.
 
-use crate::avl::{AscIter, AvlTree, AvlTripleIter, NodeId};
-use crate::flat::{FlatAscIter, FlatIndex, FlatTripleIter};
+use crate::avl::{AscIter, AvlTree};
+use crate::flat::{FlatAscIter, FlatIndex};
 
 /// Which physical representation a [`CrackerIndex`] runs on.
 ///
@@ -10,9 +10,9 @@ use crate::flat::{FlatAscIter, FlatIndex, FlatTripleIter};
 /// contract pinned by the cross-policy property tests); the policy is a
 /// pure wall-clock knob:
 ///
-/// * [`IndexPolicy::Flat`] (the default) — crack keys and positions in
-///   fixed-capacity sorted blocks under a fence-key array, plus an arena
-///   of per-crack metadata. A lookup is two lower-bound searches over
+/// * [`IndexPolicy::Flat`] (the default) — crack keys, positions and
+///   per-crack metadata in fixed-capacity sorted blocks under a
+///   fence-key array. A lookup is two lower-bound searches over
 ///   contiguous `u64`s; an insert shifts inside one block, whatever the
 ///   crack count. Fastest once cracking converges, which is exactly when
 ///   index navigation dominates per-query latency.
@@ -77,8 +77,9 @@ impl PieceMeta for () {
 ///
 /// The piece spans positions `[start, end)`. Its keys `k` satisfy
 /// `lo_key <= k < hi_key`, where `None` bounds mean "unbounded" (the first
-/// and last pieces). `left_crack`/`right_crack` are the index entries that
-/// delimit the piece, when they exist.
+/// and last pieces). The bounds are also the keys of the cracks that
+/// delimit the piece, and a crack's key is how the index addresses it
+/// ([`CrackerIndex::piece_meta`], [`CrackerIndex::cursor_at`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Piece {
     /// First position of the piece.
@@ -91,10 +92,6 @@ pub struct Piece {
     /// Smallest crack value `>` every key in the piece (`None` for the
     /// rightmost piece).
     pub hi_key: Option<u64>,
-    /// Handle of the crack at `start`, if any.
-    pub left_crack: Option<NodeId>,
-    /// Handle of the crack at `end`, if any.
-    pub right_crack: Option<NodeId>,
 }
 
 impl Piece {
@@ -115,26 +112,14 @@ impl Piece {
 /// visits crack after crack (the Ripple update walks).
 ///
 /// Obtained from [`CrackerIndex::cursor_at`] and meaningful only to the
-/// index that issued it. Unlike a [`NodeId`] it is **not** stable: adding
+/// index that issued it. Unlike a crack key it is **not** stable: adding
 /// a crack invalidates it (overwriting positions does not).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrackCursor {
-    /// Flat: the block's rank in key order. Avl: the handle.
+    /// Flat: the block's rank in key order. Avl: the node index.
     pub(crate) major: u32,
     /// Flat: the offset inside the block. Avl: unused.
     pub(crate) minor: u32,
-}
-
-impl CrackCursor {
-    #[inline]
-    fn from_handle(id: NodeId) -> Self {
-        Self { major: id.0, minor: 0 }
-    }
-
-    #[inline]
-    fn handle(self) -> NodeId {
-        NodeId(self.major)
-    }
 }
 
 /// The physical representation behind a [`CrackerIndex`].
@@ -151,7 +136,8 @@ enum Repr<M> {
 /// representation is chosen at construction via [`IndexPolicy`]
 /// ([`CrackerIndex::with_policy`]; [`CrackerIndex::new`] takes the
 /// default, [`IndexPolicy::Flat`]) and is invisible to callers: every
-/// method below behaves identically under either.
+/// method below behaves identically under either. Cracks are addressed
+/// by key: a crack's value names it for as long as the index lives.
 ///
 /// ```
 /// use scrack_index::{CrackerIndex, IndexPolicy};
@@ -238,8 +224,8 @@ impl<M: PieceMeta> CrackerIndex<M> {
 
     /// Heap bytes the representation has allocated, counted as capacity ×
     /// `size_of` over its vectors (no allocator hook): for the flat index
-    /// the fences, block order, pools and arena; for the AVL tree its
-    /// node arena. The inline struct and the head metadata are not heap.
+    /// the fences, block order and pools; for the AVL tree its node
+    /// arena. The inline struct and the head metadata are not heap.
     pub fn footprint(&self) -> usize {
         match &self.repr {
             Repr::Avl(t) => t.footprint(),
@@ -269,12 +255,10 @@ impl<M: PieceMeta> CrackerIndex<M> {
             Repr::Flat(f) => f.neighbors(key),
         };
         let piece = Piece {
-            start: pred.map_or(0, |(_, p, _)| p),
-            end: succ.map_or(self.column_len, |(_, p, _)| p),
-            lo_key: pred.map(|(k, _, _)| k),
-            hi_key: succ.map(|(k, _, _)| k),
-            left_crack: pred.map(|(_, _, id)| id),
-            right_crack: succ.map(|(_, _, id)| id),
+            start: pred.map_or(0, |(_, p)| p),
+            end: succ.map_or(self.column_len, |(_, p)| p),
+            lo_key: pred.map(|(k, _)| k),
+            hi_key: succ.map(|(k, _)| k),
         };
         // O(1) sanity only — the O(n) monotonicity walk must never run
         // here, even in debug builds (this is the hottest index path).
@@ -287,26 +271,24 @@ impl<M: PieceMeta> CrackerIndex<M> {
     /// `< key`, positions `>= pos` hold keys `>= key`.
     ///
     /// The new right-hand piece inherits metadata from the piece being
-    /// split. Returns the crack's handle; inserting a crack at an existing
-    /// value is a no-op returning the existing handle.
+    /// split, found by the same search that places the crack. Returns
+    /// whether the crack is new; inserting a crack at an existing value
+    /// is a no-op.
     #[inline]
-    pub fn add_crack(&mut self, key: u64, pos: usize) -> NodeId {
+    pub fn add_crack(&mut self, key: u64, pos: usize) -> bool {
         debug_assert!(pos <= self.column_len);
-        // Inherit from the piece that `key` currently falls in.
-        let parent_meta = match self.crack_at_or_before(key) {
-            Some(id) => self.crack_meta(id).inherit(),
-            None => self.head_meta.inherit(),
-        };
-        let (id, fresh) = match &mut self.repr {
-            Repr::Avl(t) => t.insert(key, pos, parent_meta),
-            Repr::Flat(f) => f.insert(key, pos, parent_meta),
+        let head = &self.head_meta;
+        let inherit = |parent: Option<&M>| parent.unwrap_or(head).inherit();
+        let fresh = match &mut self.repr {
+            Repr::Avl(t) => t.insert_with(key, pos, inherit),
+            Repr::Flat(f) => f.insert_with(key, pos, inherit),
         };
         // O(1) neighbor check (not the O(n) full walk): a fresh crack
         // must sit between its neighbors' positions, a repeated one must
         // agree with the crack it found.
         debug_assert!(
             {
-                let c = self.cursor_at(id);
+                let c = self.cursor_at(key);
                 if fresh {
                     self.cursor_prev(c).is_none_or(|p| self.cursor_pos(p) <= pos)
                         && self.cursor_next(c).is_none_or(|s| pos <= self.cursor_pos(s))
@@ -316,14 +298,15 @@ impl<M: PieceMeta> CrackerIndex<M> {
             },
             "crack ({key},{pos}) broke position monotonicity (fresh: {fresh})"
         );
-        id
+        fresh
     }
 
-    /// Metadata of `piece` (its left crack's, or the head metadata).
+    /// Metadata of `piece`: its left crack's (the one at `lo_key`), or
+    /// the head metadata.
     #[inline]
     pub fn piece_meta(&self, piece: &Piece) -> &M {
-        match piece.left_crack {
-            Some(id) => self.crack_meta(id),
+        match piece.lo_key {
+            Some(key) => self.crack_meta(key),
             None => &self.head_meta,
         }
     }
@@ -331,65 +314,68 @@ impl<M: PieceMeta> CrackerIndex<M> {
     /// Mutable metadata of `piece`.
     #[inline]
     pub fn piece_meta_mut(&mut self, piece: &Piece) -> &mut M {
-        match piece.left_crack {
-            Some(id) => self.crack_meta_mut(id),
+        match piece.lo_key {
+            Some(key) => self.crack_meta_mut(key),
             None => &mut self.head_meta,
         }
     }
 
     // ------------------------------------------------------------------
-    // Handle-oriented access (representation-agnostic; handles stay
-    // valid across later cracks)
+    // Key-addressed access (representation-agnostic; each call is one
+    // search)
     // ------------------------------------------------------------------
 
-    /// Metadata of the crack behind `id` (i.e. of its right-hand piece).
+    /// Metadata of the crack at `key` (i.e. of its right-hand piece).
+    /// Panics if there is no crack at `key`.
     #[inline]
-    pub fn crack_meta(&self, id: NodeId) -> &M {
-        match &self.repr {
-            Repr::Avl(t) => t.meta(id),
-            Repr::Flat(f) => f.meta(id),
-        }
+    pub fn crack_meta(&self, key: u64) -> &M {
+        let meta = match &self.repr {
+            Repr::Avl(t) => t.meta(key),
+            Repr::Flat(f) => f.meta(key),
+        };
+        meta.unwrap_or_else(|| panic!("no crack at {key}"))
     }
 
-    /// Mutable metadata of the crack behind `id`.
+    /// Mutable metadata of the crack at `key`. Panics if there is none.
     #[inline]
-    pub fn crack_meta_mut(&mut self, id: NodeId) -> &mut M {
-        match &mut self.repr {
-            Repr::Avl(t) => t.meta_mut(id),
-            Repr::Flat(f) => f.meta_mut(id),
-        }
+    pub fn crack_meta_mut(&mut self, key: u64) -> &mut M {
+        let meta = match &mut self.repr {
+            Repr::Avl(t) => t.meta_mut(key),
+            Repr::Flat(f) => f.meta_mut(key),
+        };
+        meta.unwrap_or_else(|| panic!("no crack at {key}"))
     }
 
-    /// The crack at exactly `key`, if one exists.
+    /// Position of the crack at exactly `key`, if one exists.
     #[inline]
-    pub fn find_crack(&self, key: u64) -> Option<NodeId> {
+    pub fn find_crack(&self, key: u64) -> Option<usize> {
         match &self.repr {
             Repr::Avl(t) => t.find(key),
             Repr::Flat(f) => f.find(key),
         }
     }
 
-    /// Greatest crack with value `<= key`.
+    /// Greatest crack value `<= key`.
     #[inline]
-    pub fn crack_at_or_before(&self, key: u64) -> Option<NodeId> {
+    pub fn crack_at_or_before(&self, key: u64) -> Option<u64> {
         match &self.repr {
             Repr::Avl(t) => t.predecessor_or_equal(key),
             Repr::Flat(f) => f.predecessor_or_equal(key),
         }
     }
 
-    /// The crack with the smallest value.
+    /// The smallest crack value.
     #[inline]
-    pub fn min_crack(&self) -> Option<NodeId> {
+    pub fn min_crack(&self) -> Option<u64> {
         match &self.repr {
             Repr::Avl(t) => t.min(),
             Repr::Flat(f) => f.min(),
         }
     }
 
-    /// The crack with the greatest value.
+    /// The greatest crack value.
     #[inline]
-    pub fn max_crack(&self) -> Option<NodeId> {
+    pub fn max_crack(&self) -> Option<u64> {
         match &self.repr {
             Repr::Avl(t) => t.max(),
             Repr::Flat(f) => f.max(),
@@ -401,16 +387,16 @@ impl<M: PieceMeta> CrackerIndex<M> {
     // cracks and shift their positions, O(1) per boundary)
     // ------------------------------------------------------------------
 
-    /// The walk cursor on the crack behind `id`.
+    /// The walk cursor on the crack at `key`. Panics if there is none.
     ///
-    /// Resolving costs one key search on the flat representation; every
-    /// step and access from there is O(1) on it. The AVL representation
-    /// wraps the handle and steps with its predecessor / successor walks.
+    /// Resolving costs one key search; every step and access from there
+    /// is O(1) on the flat representation. The AVL representation steps
+    /// with its predecessor / successor walks.
     #[inline]
-    pub fn cursor_at(&self, id: NodeId) -> CrackCursor {
+    pub fn cursor_at(&self, key: u64) -> CrackCursor {
         match &self.repr {
-            Repr::Avl(_) => CrackCursor::from_handle(id),
-            Repr::Flat(f) => f.cursor_at(id),
+            Repr::Avl(t) => t.cursor_at(key),
+            Repr::Flat(f) => f.cursor_at(key),
         }
     }
 
@@ -418,9 +404,7 @@ impl<M: PieceMeta> CrackerIndex<M> {
     #[inline]
     pub fn cursor_prev(&self, c: CrackCursor) -> Option<CrackCursor> {
         match &self.repr {
-            Repr::Avl(t) => t
-                .predecessor_strict(t.key(c.handle()))
-                .map(CrackCursor::from_handle),
+            Repr::Avl(t) => t.cursor_prev(c),
             Repr::Flat(f) => f.cursor_prev(c),
         }
     }
@@ -429,9 +413,7 @@ impl<M: PieceMeta> CrackerIndex<M> {
     #[inline]
     pub fn cursor_next(&self, c: CrackCursor) -> Option<CrackCursor> {
         match &self.repr {
-            Repr::Avl(t) => t
-                .successor_strict(t.key(c.handle()))
-                .map(CrackCursor::from_handle),
+            Repr::Avl(t) => t.cursor_next(c),
             Repr::Flat(f) => f.cursor_next(c),
         }
     }
@@ -440,7 +422,7 @@ impl<M: PieceMeta> CrackerIndex<M> {
     #[inline]
     pub fn cursor_key(&self, c: CrackCursor) -> u64 {
         match &self.repr {
-            Repr::Avl(t) => t.key(c.handle()),
+            Repr::Avl(t) => t.cursor_key(c),
             Repr::Flat(f) => f.cursor_key(c),
         }
     }
@@ -449,7 +431,7 @@ impl<M: PieceMeta> CrackerIndex<M> {
     #[inline]
     pub fn cursor_pos(&self, c: CrackCursor) -> usize {
         match &self.repr {
-            Repr::Avl(t) => t.pos(c.handle()),
+            Repr::Avl(t) => t.cursor_pos(c),
             Repr::Flat(f) => f.cursor_pos(c),
         }
     }
@@ -463,7 +445,7 @@ impl<M: PieceMeta> CrackerIndex<M> {
     #[inline]
     pub fn set_cursor_pos(&mut self, c: CrackCursor, pos: usize) {
         match &mut self.repr {
-            Repr::Avl(t) => t.set_pos(c.handle(), pos),
+            Repr::Avl(t) => t.set_cursor_pos(c, pos),
             Repr::Flat(f) => f.set_cursor_pos(c, pos),
         }
     }
@@ -491,14 +473,10 @@ impl<M: PieceMeta> CrackerIndex<M> {
     /// iteration).
     pub fn iter_pieces(&self) -> PieceIter<'_, M> {
         PieceIter {
-            cracks: match &self.repr {
-                Repr::Avl(t) => TripleIter::Avl(t.iter_triples()),
-                Repr::Flat(f) => TripleIter::Flat(f.iter_triples()),
-            },
+            cracks: self.iter_cracks(),
             column_len: self.column_len,
             start: 0,
             lo_key: None,
-            left: None,
             done: false,
         }
     }
@@ -563,35 +541,19 @@ impl<'a, M> Iterator for CrackIter<'a, M> {
     }
 }
 
-/// Handle/key/pos stream over either representation, in key order.
-enum TripleIter<'a, M> {
-    Avl(AvlTripleIter<'a, M>),
-    Flat(FlatTripleIter<'a, M>),
-}
-
-impl<M> TripleIter<'_, M> {
-    fn next_triple(&mut self) -> Option<(u64, usize, NodeId)> {
-        match self {
-            TripleIter::Avl(triples) => triples.next(),
-            TripleIter::Flat(triples) => triples.next(),
-        }
-    }
-}
-
 /// Borrowing piece iterator, see [`CrackerIndex::iter_pieces`].
 pub struct PieceIter<'a, M> {
-    cracks: TripleIter<'a, M>,
+    cracks: CrackIter<'a, M>,
     column_len: usize,
-    /// Left edge of the piece to yield next: the last crack seen, as
-    /// three scalars. Kept as the `Option` triple the crack stream
-    /// returns, it is copied out of that call's return slot with wide
-    /// loads that cannot be store-forwarded; each such stall waits behind
-    /// the metadata cache miss of the piece before, and a walk over all
-    /// pieces serializes (measured on an update merge that walked every
-    /// piece: `mixed_updates` `req_p99_us` +27 %, ten benchmark pairs).
+    /// Left edge of the piece to yield next: the last crack seen, as two
+    /// scalars. Kept as the `Option` tuple the crack stream returns, it
+    /// is copied out of that call's return slot with wide loads that
+    /// cannot be store-forwarded; each such stall waits behind the cache
+    /// miss of the piece before, and a walk over all pieces serializes
+    /// (measured on an update merge that walked every piece:
+    /// `mixed_updates` `req_p99_us` +27 %, ten benchmark pairs).
     start: usize,
     lo_key: Option<u64>,
-    left: Option<NodeId>,
     done: bool,
 }
 
@@ -607,13 +569,11 @@ impl<M> Iterator for PieceIter<'_, M> {
             end: self.column_len,
             lo_key: self.lo_key,
             hi_key: None,
-            left_crack: self.left,
-            right_crack: None,
         };
-        match self.cracks.next_triple() {
-            Some((k, p, id)) => {
-                (piece.end, piece.hi_key, piece.right_crack) = (p, Some(k), Some(id));
-                (self.start, self.lo_key, self.left) = (p, Some(k), Some(id));
+        match self.cracks.next() {
+            Some((k, p, _)) => {
+                (piece.end, piece.hi_key) = (p, Some(k));
+                (self.start, self.lo_key) = (p, Some(k));
             }
             None => self.done = true,
         }
@@ -633,7 +593,11 @@ mod tests {
         assert_eq!((p.start, p.end), (0, 100));
         assert_eq!(p.lo_key, None);
         assert_eq!(p.hi_key, None);
-        assert!(p.left_crack.is_none() && p.right_crack.is_none());
+    }
+
+    #[test]
+    fn a_piece_is_two_positions_and_two_bounds() {
+        assert_eq!(std::mem::size_of::<Piece>(), 48);
     }
 
     #[test]
@@ -667,10 +631,10 @@ mod tests {
     fn add_crack_at_existing_value_is_noop() {
         for policy in IndexPolicy::ALL {
             let mut idx: CrackerIndex<()> = CrackerIndex::with_policy(100, policy);
-            let a = idx.add_crack(50, 48);
-            let b = idx.add_crack(50, 48);
-            assert_eq!(a, b, "{policy}");
+            assert!(idx.add_crack(50, 48), "{policy}");
+            assert!(!idx.add_crack(50, 48), "{policy}");
             assert_eq!(idx.crack_count(), 1);
+            assert_eq!(idx.find_crack(50), Some(48));
         }
     }
 
@@ -740,18 +704,20 @@ mod tests {
 
     #[test]
     fn handles_survive_later_inserts() {
-        // The stability contract piece metadata access relies on: a piece
-        // handle taken before cracks land elsewhere must stay valid.
+        // The stability contract piece metadata access relies on: a
+        // crack's key is its handle, and it keeps reaching the crack's
+        // position and metadata after cracks land elsewhere.
         for policy in IndexPolicy::ALL {
             let mut idx: CrackerIndex<Counter> = CrackerIndex::with_policy(1000, policy);
-            let id = idx.add_crack(500, 480);
-            idx.crack_meta_mut(id).count = 3;
+            idx.add_crack(500, 480);
+            idx.crack_meta_mut(500).count = 3;
             for (k, p) in [(100u64, 90usize), (900, 910), (300, 280), (700, 690)] {
                 idx.add_crack(k, p);
             }
-            assert_eq!(idx.cursor_key(idx.cursor_at(id)), 500, "{policy}");
-            assert_eq!(idx.cursor_pos(idx.cursor_at(id)), 480, "{policy}");
-            assert_eq!(idx.crack_meta(id).count, 3, "{policy}");
+            assert_eq!(idx.cursor_key(idx.cursor_at(500)), 500, "{policy}");
+            assert_eq!(idx.cursor_pos(idx.cursor_at(500)), 480, "{policy}");
+            assert_eq!(idx.crack_meta(500).count, 3, "{policy}");
+            assert_eq!(idx.piece_meta(&idx.piece_containing(600)).count, 3, "{policy}");
         }
     }
 
@@ -785,7 +751,7 @@ mod tests {
             idx.add_crack(20, 40);
             assert!(idx.check_positions_monotone(), "{policy}");
             // Force a violation through the cursor.
-            let c = idx.cursor_at(idx.find_crack(20).unwrap());
+            let c = idx.cursor_at(20);
             idx.set_cursor_pos(c, 5);
             assert!(!idx.check_positions_monotone(), "{policy}");
         }
@@ -800,7 +766,7 @@ mod tests {
             }
             // Right-to-left, as ripple_insert walks.
             let mut seen = Vec::new();
-            let mut cur = idx.max_crack().map(|id| idx.cursor_at(id));
+            let mut cur = idx.max_crack().map(|k| idx.cursor_at(k));
             while let Some(c) = cur {
                 seen.push((idx.cursor_key(c), idx.cursor_pos(c)));
                 cur = idx.cursor_prev(c);
@@ -809,7 +775,7 @@ mod tests {
             // Left-to-right, as ripple_delete walks from the crack that
             // ends the target piece.
             let mut seen = Vec::new();
-            let mut cur = idx.piece_containing(0).right_crack.map(|id| idx.cursor_at(id));
+            let mut cur = idx.piece_containing(0).hi_key.map(|k| idx.cursor_at(k));
             while let Some(c) = cur {
                 seen.push(idx.cursor_key(c));
                 idx.set_cursor_pos(c, idx.cursor_pos(c) - 1);
@@ -818,9 +784,9 @@ mod tests {
             assert_eq!(seen, vec![10, 30, 60], "{policy}");
             let shifted: Vec<(u64, usize)> = idx.iter_cracks().map(|(k, p, _)| (k, p)).collect();
             assert_eq!(shifted, vec![(10, 9), (30, 29), (60, 59)], "{policy}");
-            let key_of = |id| idx.cursor_key(idx.cursor_at(id));
-            assert_eq!(idx.min_crack().map(key_of), Some(10));
-            assert_eq!(idx.crack_at_or_before(30).map(key_of), Some(30));
+            assert_eq!(idx.min_crack(), Some(10));
+            assert_eq!(idx.crack_at_or_before(30), Some(30));
+            assert_eq!(idx.crack_at_or_before(29), Some(10));
         }
     }
 

@@ -13,7 +13,7 @@
 //! * [`FlatIndex`] — the cache-conscious default: crack keys and
 //!   positions in fixed-capacity sorted blocks under a fence-key array,
 //!   lower-bound searched over contiguous memory, inserts shifting
-//!   inside one block; metadata in a stable arena.
+//!   inside one block; per-crack metadata inline beside each key.
 //!
 //! Both representations produce bit-identical piece semantics. The flat
 //! one wins on lookup locality at every crack count a query sequence
@@ -36,8 +36,8 @@ mod avl;
 mod flat;
 mod index;
 
-pub use avl::{AscIter, AvlTree, AvlTripleIter, NodeId};
+pub use avl::{AscIter, AvlTree};
 #[doc(hidden)]
 pub use flat::BLOCK_CAP as FLAT_BLOCK_CAP;
-pub use flat::{FlatAscIter, FlatIndex, FlatTripleIter};
+pub use flat::{FlatAscIter, FlatIndex};
 pub use index::{CrackCursor, CrackIter, CrackerIndex, IndexPolicy, Piece, PieceIter, PieceMeta};

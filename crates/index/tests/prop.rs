@@ -3,7 +3,7 @@
 //! Avl/Flat cross-policy equivalence contract.
 
 use proptest::prelude::*;
-use scrack_index::{AvlTree, CrackerIndex, FlatIndex, IndexPolicy, FLAT_BLOCK_CAP};
+use scrack_index::{AvlTree, CrackerIndex, FlatIndex, IndexPolicy, PieceMeta, FLAT_BLOCK_CAP};
 use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
@@ -31,25 +31,27 @@ proptest! {
                 Op::Insert(k) => {
                     let fresh_expected = !model.contains_key(&k);
                     model.entry(k).or_insert(i);
-                    let (_, fresh) = tree.insert(k, i, k);
-                    prop_assert_eq!(fresh, fresh_expected);
+                    prop_assert_eq!(tree.insert(k, i, k), fresh_expected);
                 }
                 Op::QueryPred(k) => {
-                    let got = tree.predecessor_or_equal(k).map(|id| tree.key(id));
+                    let got = tree.predecessor_or_equal(k);
                     let expect = model.range(..=k).next_back().map(|(k, _)| *k);
                     prop_assert_eq!(got, expect);
                 }
                 Op::QuerySucc(k) => {
-                    let got = tree.successor_strict(k).map(|id| tree.key(id));
+                    let got = tree.successor_strict(k);
                     let expect = model
                         .range((std::ops::Bound::Excluded(k), std::ops::Bound::Unbounded))
                         .next()
                         .map(|(k, _)| *k);
                     prop_assert_eq!(got, expect);
                     // The composite read is the two walks above, with
-                    // each entry's key and position alongside its handle.
-                    let triple = |id| (tree.key(id), tree.pos(id), id);
-                    let walks = (tree.predecessor_or_equal(k).map(triple), tree.successor_strict(k).map(triple));
+                    // each entry's position alongside its key.
+                    let pair = |k| (k, tree.find(k).unwrap());
+                    let walks = (
+                        tree.predecessor_or_equal(k).map(pair),
+                        tree.successor_strict(k).map(pair),
+                    );
                     prop_assert_eq!(tree.neighbors(k), walks);
                 }
             }
@@ -58,15 +60,16 @@ proptest! {
         let got: Vec<u64> = tree.iter_asc().map(|(k, _, _)| k).collect();
         let expect: Vec<u64> = model.keys().copied().collect();
         prop_assert_eq!(got, expect);
-        // The handle stream carries the model's entries, each handle
-        // resolving back to its own key and position.
-        let mut triples = Vec::new();
-        for (k, p, id) in tree.iter_triples() {
-            prop_assert_eq!((tree.key(id), tree.pos(id)), (k, p));
-            triples.push((k, p));
+        // The stream carries the model's entries, each key resolving
+        // back to its own position and metadata.
+        let mut pairs = Vec::new();
+        for (k, p, m) in tree.iter_asc() {
+            prop_assert_eq!((tree.find(k), tree.meta(k)), (Some(p), Some(m)));
+            prop_assert_eq!(*m, k);
+            pairs.push((k, p));
         }
         let expect: Vec<(u64, usize)> = model.iter().map(|(k, p)| (*k, *p)).collect();
-        prop_assert_eq!(triples, expect);
+        prop_assert_eq!(pairs, expect);
         prop_assert_eq!(tree.len(), model.len());
     }
 
@@ -118,16 +121,15 @@ proptest! {
                 Op::Insert(k) => {
                     let fresh_expected = !model.contains_key(&k);
                     model.entry(k).or_insert(i);
-                    let (_, fresh) = flat.insert(k, i, k);
-                    prop_assert_eq!(fresh, fresh_expected);
+                    prop_assert_eq!(flat.insert(k, i, k), fresh_expected);
                 }
                 Op::QueryPred(k) => {
-                    let got = flat.predecessor_or_equal(k).map(|id| flat.key(id));
+                    let got = flat.predecessor_or_equal(k);
                     let expect = model.range(..=k).next_back().map(|(k, _)| *k);
                     prop_assert_eq!(got, expect);
                 }
                 Op::QuerySucc(k) => {
-                    let got = flat.successor_strict(k).map(|id| flat.key(id));
+                    let got = flat.successor_strict(k);
                     let expect = model
                         .range((std::ops::Bound::Excluded(k), std::ops::Bound::Unbounded))
                         .next()
@@ -137,8 +139,8 @@ proptest! {
             }
             flat.check_invariants().map_err(TestCaseError::fail)?;
         }
-        let got: Vec<u64> = flat.iter_asc().map(|(k, _, _)| k).collect();
-        let expect: Vec<u64> = model.keys().copied().collect();
+        let got: Vec<(u64, usize, u64)> = flat.iter_asc().map(|(k, p, m)| (k, p, *m)).collect();
+        let expect: Vec<(u64, usize, u64)> = model.iter().map(|(k, p)| (*k, *p, *k)).collect();
         prop_assert_eq!(got, expect);
         prop_assert_eq!(flat.len(), model.len());
     }
@@ -172,13 +174,13 @@ proptest! {
                 idx.add_crack(*k, pos_of(*k));
             }
             let mut down = Vec::new();
-            let mut cur = idx.max_crack().map(|id| idx.cursor_at(id));
+            let mut cur = idx.max_crack().map(|k| idx.cursor_at(k));
             while let Some(c) = cur {
                 down.push((idx.cursor_key(c), idx.cursor_pos(c)));
                 cur = idx.cursor_prev(c);
             }
             let mut up = Vec::new();
-            let mut cur = idx.min_crack().map(|id| idx.cursor_at(id));
+            let mut cur = idx.min_crack().map(|k| idx.cursor_at(k));
             while let Some(c) = cur {
                 up.push((idx.cursor_key(c), idx.cursor_pos(c)));
                 cur = idx.cursor_next(c);
@@ -188,7 +190,7 @@ proptest! {
             prop_assert_eq!(&down, &expect, "{}: downward walk", policy);
             // A ripple-insert-shaped write: every crack from rank `from`
             // up shifts right, walking down from the top.
-            let mut cur = idx.max_crack().map(|id| idx.cursor_at(id));
+            let mut cur = idx.max_crack().map(|k| idx.cursor_at(k));
             while let Some(c) = cur {
                 if idx.cursor_key(c) < sorted[from] {
                     break;
@@ -262,5 +264,57 @@ proptest! {
                 .collect();
             prop_assert_eq!(&pr, &po, "{}: piece enumerations differ", other.policy());
         }
+    }
+
+    /// The fused inherit path against the reference: more than two flat
+    /// blocks of cracks, inserted in ascending, descending and arrival
+    /// order, with the split piece's counter bumped through
+    /// `piece_meta_mut` before every insert. Every piece's metadata —
+    /// inherited at a block seam, on either side of a split, or at a new
+    /// minimum — is identical under Flat and AVL.
+    #[test]
+    fn piece_metas_are_policy_invariant_across_block_seams(
+        keys in proptest::collection::vec(0u64..1_000_000, 3 * FLAT_BLOCK_CAP..5 * FLAT_BLOCK_CAP),
+        bumps in proptest::collection::vec(1u32..4, 1..16),
+    ) {
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        prop_assert!(sorted.len() > 2 * FLAT_BLOCK_CAP);
+        let pos_of = |k: u64| sorted.partition_point(|x| *x < k);
+        let descending: Vec<u64> = sorted.iter().rev().copied().collect();
+        let orders = [("ascending", &sorted), ("descending", &descending), ("arrival", &keys)];
+        for (order, arrivals) in orders {
+            let mut indexes: Vec<CrackerIndex<Counter>> = IndexPolicy::ALL
+                .iter()
+                .map(|p| CrackerIndex::with_policy(sorted.len(), *p))
+                .collect();
+            for (i, k) in arrivals.iter().enumerate() {
+                for idx in &mut indexes {
+                    let parent = idx.piece_containing(*k);
+                    idx.piece_meta_mut(&parent).0 += bumps[i % bumps.len()];
+                    idx.add_crack(*k, pos_of(*k));
+                }
+            }
+            let metas: Vec<Vec<(Option<u64>, u32)>> = indexes
+                .iter()
+                .map(|idx| idx.iter_pieces().map(|p| (p.lo_key, idx.piece_meta(&p).0)).collect())
+                .collect();
+            prop_assert_eq!(metas[0].len(), sorted.len() + 1);
+            prop_assert_eq!(&metas[0], &metas[1], "{} inserts", order);
+            let cracks: Vec<u32> = indexes[1].iter_cracks().map(|(_, _, m)| m.0).collect();
+            prop_assert_eq!(cracks, metas[1][1..].iter().map(|(_, m)| *m).collect::<Vec<_>>());
+        }
+    }
+}
+
+/// A ScrackMon-style crack counter, inherited whole by a split's new
+/// right-hand piece.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Counter(u32);
+
+impl PieceMeta for Counter {
+    fn inherit(&self) -> Self {
+        self.clone()
     }
 }

@@ -63,7 +63,7 @@ fn duplicate_inserts_update_not_grow() {
         tree.insert(k, k as usize, ());
     }
     for k in 0..1000u64 {
-        let (_, fresh) = tree.insert(k, (k + 7) as usize, ());
+        let fresh = tree.insert(k, (k + 7) as usize, ());
         assert!(!fresh, "re-insert of {k} must not create a node");
     }
     assert_eq!(tree.len(), 1000);
@@ -80,10 +80,10 @@ fn logarithmic_search_depth_after_adversarial_order() {
         tree.insert(k * 2, k as usize, ());
     }
     for probe in 0..N {
-        let id = tree
+        let key = tree
             .predecessor_or_equal(probe * 2 + 1)
             .expect("always a predecessor");
-        assert_eq!(tree.key(id), probe * 2);
+        assert_eq!(key, probe * 2);
     }
 }
 

@@ -140,6 +140,14 @@ impl<E: Element> Shard<E> {
         }
     }
 
+    /// Heap bytes the shard holds: its column's
+    /// ([`scrack_core::CrackedColumn::footprint`]) plus its pending
+    /// store's ([`PendingUpdates::footprint`]). A lower bound, as the
+    /// store's `BTreeMap` exposes no capacity.
+    pub fn footprint(&self) -> usize {
+        self.engine.cracked().footprint() + self.pending.footprint()
+    }
+
     /// Full integrity check (tests only; O(n)): the cracker invariants
     /// hold and every key, in the column or the store, lies where
     /// [`owner`] routes it — inside the span, or the reserved `u64::MAX`
@@ -510,9 +518,14 @@ mod tests {
         let mut shard = Shard::build(span, permuted(5_000), strategy, config, 3, 0);
         let q = QueryRange::new(1_000, 2_000);
         let (count, sum) = shard.aggregate(q);
+        let bare = shard.footprint();
+        assert_eq!(bare, shard.engine.cracked().footprint(), "an empty store adds nothing");
         shard.pending.queue_insert(1_500);
         shard.pending.queue_insert(7_000);
         shard.pending.queue_delete(1_200);
+        let stored = shard.pending.footprint();
+        assert!(stored > 0 && stored % 3 == 0, "three entries of one size: {stored}");
+        assert_eq!(shard.footprint(), bare + stored);
         shard.quarantine(1);
         assert!(shard.pending.is_empty(), "the store folded into the column");
         assert_eq!(shard.aggregate(q), (count, sum + 1_500 - 1_200));

@@ -186,12 +186,12 @@ impl<E: Element> TxnManager<E> {
         owner(&self.spans, key)
     }
 
-    /// Snapshot read of one shard: [`Shard::aggregate`] (which merges the
-    /// stored ops `clip` covers first) + the log's delta up to
-    /// `snapshot`, under the shard latch with panic isolation. A
-    /// caught panic (or a poison fault) quarantines the shard and
-    /// reports `Err` — the caller's session aborts; other sessions are
-    /// untouched.
+    /// Snapshot read of one shard: [`Shard::note_bounds`] while healthy,
+    /// then [`Shard::aggregate`] (which merges the stored ops `clip`
+    /// covers first) + the log's delta up to `snapshot`, under the shard
+    /// latch with panic isolation. A caught panic (or a poison fault)
+    /// quarantines the shard and reports `Err` — the caller's session
+    /// aborts; other sessions are untouched.
     pub(crate) fn shard_read(
         &self,
         si: usize,
@@ -200,11 +200,16 @@ impl<E: Element> TxnManager<E> {
     ) -> Result<(i64, u64), ()> {
         let mut cell = self.shards[si].lock();
         let (shard, log) = &mut *cell;
-        if shard.health == ShardHealth::Healthy && shard.fault.poll(FaultKind::PoisonShard) {
-            shard.quarantine(self.serving.rebuild_after);
-            let mut stats = self.stats.lock();
-            stats.quarantines += 1;
-            return Err(());
+        if shard.health == ShardHealth::Healthy {
+            if shard.fault.poll(FaultKind::PoisonShard) {
+                shard.quarantine(self.serving.rebuild_after);
+                let mut stats = self.stats.lock();
+                stats.quarantines += 1;
+                return Err(());
+            }
+            // Remembered for the re-crack that ends a later quarantine,
+            // as the batch serving loop does.
+            shard.note_bounds(clip);
         }
         let result = catch_unwind(AssertUnwindSafe(|| {
             let (c, s) = shard.aggregate(clip);
@@ -445,5 +450,42 @@ mod tests {
             reader.commit();
             assert_eq!(mgr.check_integrity(), Ok(n as usize), "{policy}");
         }
+    }
+
+    #[test]
+    fn a_rebuilt_shard_comes_back_warm_on_the_bounds_its_sessions_read() {
+        let n = 20_000u64;
+        let data: Vec<u64> = (0..n).map(|i| (i * 7_919) % n).collect();
+        let serving = ServingConfig {
+            rebuild_after: 2,
+            ..ServingConfig::default()
+        };
+        let config = CrackConfig::default();
+        let mgr = TxnManager::new(data, 2, ParallelStrategy::Crack, config, serving, 1);
+        let q = QueryRange::new(1_234, 2_345);
+        let si = mgr.shard_of(q.low);
+        assert_eq!(si, mgr.shard_of(q.high - 1), "one shard serves the whole read");
+        let read = || {
+            let mut session = mgr.begin().unwrap();
+            let answer = session.read(q).unwrap();
+            session.commit();
+            answer
+        };
+        let crack_at = |key| mgr.shards[si].lock().0.engine.cracked().index().find_crack(key);
+        let expect = read();
+        mgr.shards[si].lock().0.quarantine(serving.rebuild_after);
+        assert_eq!(crack_at(q.low), None, "quarantine discards the index");
+        let mut reads = 0;
+        while !mgr.quarantined_shards().is_empty() {
+            assert_eq!(read(), expect, "quarantined reads scan");
+            reads += 1;
+            assert!(reads <= 1 + serving.rebuild_after, "the clock must run out");
+        }
+        assert_eq!(mgr.resilience_stats().rebuilds, 1);
+        // The rebuild re-cracked the bounds the sessions read before the
+        // quarantine; no adaptive read has run since.
+        assert!(crack_at(q.low).is_some(), "the read's low bound is warm again");
+        assert!(crack_at(q.high).is_some(), "the read's high bound is warm again");
+        assert_eq!(mgr.check_integrity(), Ok(n as usize));
     }
 }

@@ -91,7 +91,7 @@ pub(crate) fn insert_merge<E: Element>(
         let old_len = data.len();
         data.resize(old_len + h, ins[0]);
         index.set_column_len(data.len());
-        (old_len, index.max_crack().map(|id| index.cursor_at(id)))
+        (old_len, index.max_crack().map(|k| index.cursor_at(k)))
     });
     insert_walk(data, index, stats, &ins, hole_start, top_crack);
 }
@@ -112,7 +112,7 @@ fn vacate_above<E: Element>(
     if block_end > data.len() {
         return None; // the topmost piece, or too close to it
     }
-    let mut above = index.cursor_at(piece.right_crack?);
+    let mut above = index.cursor_at(piece.hi_key?);
     for e in &data[piece.end..block_end] {
         store.park_displaced(*e);
     }
@@ -126,7 +126,7 @@ fn vacate_above<E: Element>(
             None => break,
         }
     }
-    Some((piece.end, piece.left_crack.map(|id| index.cursor_at(id))))
+    Some((piece.end, piece.lo_key.map(|k| index.cursor_at(k))))
 }
 
 /// The insert walk: `ins` (sorted by key) drops into the hole block
@@ -228,7 +228,7 @@ pub(crate) fn delete_merge<E: Element>(
     let first = index.piece_containing(del[0]);
     let (mut start, mut end) = (first.start, first.end);
     let (mut lo_key, mut hi_key) = (first.lo_key, first.hi_key);
-    let mut right = first.right_crack.map(|id| index.cursor_at(id));
+    let mut right = first.hi_key.map(|k| index.cursor_at(k));
     loop {
         // Delete keys targeting this piece: del[di..dj).
         let dj = di + del[di..].partition_point(|k| hi_key.is_none_or(|hi| *k < hi));
@@ -295,7 +295,7 @@ pub(crate) fn delete_merge<E: Element>(
                 // piece instead of walking the boundaries between.
                 let next = index.piece_containing(del[di]);
                 (start, end, lo_key, hi_key) = (next.start, next.end, next.lo_key, next.hi_key);
-                right = next.right_crack.map(|id| index.cursor_at(id));
+                right = next.hi_key.map(|k| index.cursor_at(k));
                 filler = None;
             }
             Some(_) if g == 0 => break, // nothing left to do anywhere

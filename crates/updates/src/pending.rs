@@ -115,6 +115,13 @@ impl<E: Element> PendingUpdates<E> {
         self.ops.is_empty()
     }
 
+    /// Heap bytes the stored entries take, as entry count × entry size.
+    /// A lower bound: the `BTreeMap` behind the store exposes no
+    /// capacity, so its node overhead and slack are not counted.
+    pub fn footprint(&self) -> usize {
+        self.ops.len() * std::mem::size_of::<(Slot, PendingOp<E>)>()
+    }
+
     /// Number of stored inserts (displaced column tuples included).
     pub fn pending_inserts(&self) -> usize {
         self.ops

@@ -40,7 +40,7 @@ pub fn ripple_insert<E: Element>(col: &mut CrackedColumn<E>, elem: E) {
     index.set_column_len(data.len());
     let mut hole = data.len() - 1;
     // Walk cracks right-to-left while they exceed the new key.
-    let mut cur = index.max_crack().map(|id| index.cursor_at(id));
+    let mut cur = index.max_crack().map(|k| index.cursor_at(k));
     while let Some(c) = cur {
         if index.cursor_key(c) <= key {
             break;
@@ -86,7 +86,7 @@ pub fn ripple_delete<E: Element>(col: &mut CrackedColumn<E>, key: u64) -> Option
     stats.swaps += 1;
     // Walk cracks left-to-right above the key; each boundary moves left
     // over the hole and its right piece donates its last element.
-    let mut cur = piece.right_crack.map(|id| index.cursor_at(id));
+    let mut cur = piece.hi_key.map(|k| index.cursor_at(k));
     while let Some(c) = cur {
         let p = index.cursor_pos(c);
         debug_assert_eq!(hole, p - 1, "hole must sit just left of the boundary");

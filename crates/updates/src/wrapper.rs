@@ -240,10 +240,8 @@ mod tests {
             eng.insert(1_000_000 + k);
         }
         eng.flush();
-        let max_crack = |eng: &Updatable<u64>| {
-            let (keys, _) = eng.inner().cracked().index().crack_arrays();
-            keys.into_iter().max().unwrap_or(0)
-        };
+        let max_crack =
+            |eng: &Updatable<u64>| eng.inner().cracked().index().max_crack().unwrap_or(0);
         for i in 0..32u64 {
             eng.select(QueryRange::new(i * 10, i * 10 + 5));
         }
