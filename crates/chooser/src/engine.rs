@@ -166,7 +166,7 @@ impl<E: Element> Engine<E> for ChooserEngine<E> {
             .policy
             .choose(&ctx, self.menu.len(), self.engine.rng_mut());
         let before = self.engine.stats();
-        let out = self.engine.select_as(self.menu[arm], q);
+        let out: QueryOutput<E> = self.engine.select_as(self.menu[arm], q);
         let delta = self.engine.stats().since(&before);
         let cost = (delta.touched + delta.materialized) as f64;
         let post = self.context(q);

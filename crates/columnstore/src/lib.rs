@@ -12,6 +12,8 @@
 //!   materialized overflow (plain scans materialize everything; cracking
 //!   returns one view; MDD1R returns fringes materialized + a middle view;
 //!   the hybrids return several views);
+//! * [`Answer`] — what a select answers into: a `QueryOutput`, or a
+//!   [`Tally`] that folds `(count, key_sum)` as the tuples are found;
 //! * [`Table`] — a minimal multi-attribute table for tuple reconstruction
 //!   through rowids, used by the examples.
 //!
@@ -25,5 +27,5 @@ mod result;
 mod table;
 
 pub use column::Column;
-pub use result::QueryOutput;
+pub use result::{Answer, QueryOutput, Tally};
 pub use table::Table;

@@ -109,6 +109,79 @@ impl<E: Element> QueryOutput<E> {
     }
 }
 
+/// What a select answers into, as it finds the qualifying tuples: whole
+/// runs of the column as views, and the tuples the fringe kernels find,
+/// run by run, through [`Extend`].
+///
+/// The select routines are written once over this trait. A
+/// [`QueryOutput`] keeps the views and stores the tuples (the
+/// [`Vec`] behind it keeps its slice-copy fast path); a [`Tally`] folds
+/// both into `(count, key_sum)` and holds no heap.
+pub trait Answer<E: Element>: Default + for<'a> Extend<&'a E> {
+    /// Adds the qualifying run `data[start..end]` (empty runs add
+    /// nothing). `data` is the column as it stands when the select
+    /// returns: no select reorganizes a run after adding it.
+    fn add_view(&mut self, data: &[E], start: usize, end: usize);
+
+    /// Room for `additional` more emitted tuples; a hint, which a fold
+    /// ignores.
+    fn reserve(&mut self, additional: usize);
+}
+
+impl<'a, E: Element> Extend<&'a E> for QueryOutput<E> {
+    #[inline]
+    fn extend<I: IntoIterator<Item = &'a E>>(&mut self, iter: I) {
+        self.mat.extend(iter);
+    }
+}
+
+impl<E: Element> Answer<E> for QueryOutput<E> {
+    #[inline]
+    fn add_view(&mut self, _data: &[E], start: usize, end: usize) {
+        self.push_view(start, end);
+    }
+
+    #[inline]
+    fn reserve(&mut self, additional: usize) {
+        self.mat.reserve(additional);
+    }
+}
+
+/// A select's `(count, key_sum)` aggregate, folded where the kernels
+/// emit it: the answer shape of the serving layers, with no buffer
+/// behind it. `key_sum` wraps modulo 2^64, as
+/// [`QueryOutput::key_checksum`] does, so a tally equals the
+/// `(len, key_checksum)` of the [`QueryOutput`] the same select builds.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Qualifying tuples.
+    pub count: usize,
+    /// Sum of their keys modulo 2^64.
+    pub key_sum: u64,
+}
+
+impl<'a, E: Element> Extend<&'a E> for Tally {
+    #[inline]
+    fn extend<I: IntoIterator<Item = &'a E>>(&mut self, iter: I) {
+        for e in iter {
+            self.count += 1;
+            self.key_sum = self.key_sum.wrapping_add(e.key());
+        }
+    }
+}
+
+impl<E: Element> Answer<E> for Tally {
+    #[inline]
+    fn add_view(&mut self, data: &[E], start: usize, end: usize) {
+        if start < end {
+            self.extend(&data[start..end]);
+        }
+    }
+
+    #[inline]
+    fn reserve(&mut self, _additional: usize) {}
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,5 +228,29 @@ mod tests {
         out.mat_mut().push(4);
         assert_eq!(out.key_checksum(&data), 14);
         assert_eq!(out.keys_sorted(&data), vec![1, 4, 9]);
+    }
+
+    #[test]
+    fn a_tally_folds_what_an_output_stores() {
+        /// One feed for both answer types, through the `Answer` surface.
+        fn feed<A: Answer<u64>>(answer: &mut A, data: &[u64]) {
+            answer.reserve(3);
+            answer.add_view(data, 1, 3);
+            answer.add_view(data, 4, 4); // empty: adds nothing
+            answer.extend(&[4u64, 5]);
+            answer.add_view(data, 3, 5); // wraps the key sum
+            answer.extend(std::iter::once(&1u64));
+        }
+        let data: Vec<u64> = vec![5, 1, 9, 7, u64::MAX];
+        let (mut out, mut tally) = (QueryOutput::<u64>::empty(), Tally::default());
+        feed(&mut out, &data);
+        feed(&mut tally, &data);
+        assert_eq!(out.views(), &[(1, 3), (3, 5)]);
+        assert_eq!(out.mat(), &[4, 5, 1]);
+        assert_eq!(
+            (tally.count, tally.key_sum),
+            (out.len(), out.key_checksum(&data))
+        );
+        assert_eq!(tally.count, 7);
     }
 }

@@ -23,11 +23,12 @@ use crate::config::CrackConfig;
 use crate::fault::{self, FaultInjector, FaultKind};
 use crate::meta::PieceState;
 use rand::Rng;
-use scrack_columnstore::QueryOutput;
-use scrack_index::{CrackerIndex, Piece};
+use scrack_columnstore::Answer;
+use scrack_index::{CrackerIndex, Piece, PieceSlot};
 use scrack_partition::{
     advance_job, crack_in_three_policy, crack_in_two_policy, median_partition_policy,
     scan_filter_policy, split_and_materialize_policy, Fringe, JobStatus, PartitionJob,
+    KERNEL_BLOCK,
 };
 use scrack_types::{Element, QueryRange, Stats};
 use std::collections::BTreeMap;
@@ -241,8 +242,10 @@ impl<E: Element> CrackedColumn<E> {
         *self = CrackedColumn::new(data, config);
     }
 
-    /// Registers a crack, counting it only if it is new.
-    fn register_crack(&mut self, key: u64, pos: usize) {
+    /// Registers a crack, counting it only if it is new. `slot` is the
+    /// slot of the lookup that found the piece the crack splits
+    /// ([`CrackerIndex::add_crack_at`]).
+    fn register_crack(&mut self, slot: PieceSlot, key: u64, pos: usize) {
         // The fault site: physical reorganization has run, the index has
         // not yet heard about it — the worst place to die or stall.
         if self.fault.poll(FaultKind::PanicInKernel) {
@@ -251,9 +254,16 @@ impl<E: Element> CrackedColumn<E> {
         if self.fault.poll(FaultKind::DelayInCrack) {
             fault::spin_delay(self.fault.plan().delay_units());
         }
-        if self.index.add_crack(key, pos) {
+        if self.index.add_crack_at(slot, key, pos) {
             self.stats.cracks += 1;
         }
+    }
+
+    /// An answer holding the single view `[start, end)`.
+    fn view<A: Answer<E>>(&self, start: usize, end: usize) -> A {
+        let mut out = A::default();
+        out.add_view(&self.data, start, end);
+        out
     }
 
     /// Completes any in-flight progressive partition of the piece
@@ -270,15 +280,15 @@ impl<E: Element> CrackedColumn<E> {
         if self.jobs.is_empty() {
             return; // no index lookup to find that out
         }
-        let piece = self.index.piece_containing(key);
+        let (piece, slot) = self.index.locate(key);
         if let Some(job) = self.jobs.remove(&piece.lo_key) {
-            self.finish_job(job, &piece);
+            self.finish_job(job, &piece, slot);
         }
     }
 
     /// Runs `piece`'s job to completion and registers its crack.
-    fn finish_job(&mut self, mut job: PartitionJob, piece: &Piece) {
-        let mut sink = Vec::new();
+    fn finish_job(&mut self, mut job: PartitionJob, piece: &Piece, slot: PieceSlot) {
+        let mut sink: Vec<E> = Vec::new(); // `Fringe::None` emits nothing
         match advance_job(
             &mut self.data,
             &mut job,
@@ -289,7 +299,7 @@ impl<E: Element> CrackedColumn<E> {
         ) {
             JobStatus::Done { crack_pos } => {
                 if crack_pos > piece.start && crack_pos < piece.end {
-                    self.register_crack(job.pivot, crack_pos);
+                    self.register_crack(slot, job.pivot, crack_pos);
                 }
             }
             JobStatus::InProgress => unreachable!("unlimited budget always completes"),
@@ -307,8 +317,8 @@ impl<E: Element> CrackedColumn<E> {
         // Ascending piece order: `None` (the head piece) sorts first. A
         // settled job cracks only its own piece, so the later keys hold.
         while let Some((lo_key, job)) = self.jobs.pop_first() {
-            let piece = self.index.piece_containing(lo_key.unwrap_or(0));
-            self.finish_job(job, &piece);
+            let (piece, slot) = self.index.locate(lo_key.unwrap_or(0));
+            self.finish_job(job, &piece, slot);
         }
     }
 
@@ -320,7 +330,12 @@ impl<E: Element> CrackedColumn<E> {
     /// partitioning only the piece that currently contains `key`.
     pub fn crack_on(&mut self, key: u64) -> usize {
         self.settle_job_at(key);
-        let piece = self.index.piece_containing(key);
+        let (piece, slot) = self.index.locate(key);
+        self.crack_piece(&piece, slot, key)
+    }
+
+    /// [`Self::crack_on`] once the piece holding `key` is found.
+    fn crack_piece(&mut self, piece: &Piece, slot: PieceSlot, key: u64) -> usize {
         if piece.lo_key == Some(key) {
             // The boundary already exists; nothing to touch.
             return piece.start;
@@ -333,7 +348,7 @@ impl<E: Element> CrackedColumn<E> {
             &mut self.stats,
         );
         let pos = piece.start + rel;
-        self.register_crack(key, pos);
+        self.register_crack(slot, key, pos);
         pos
     }
 
@@ -343,21 +358,21 @@ impl<E: Element> CrackedColumn<E> {
     /// split in one three-way pass (Fig. 1, Q1); otherwise each bound
     /// cracks its own piece (Fig. 1, Q2: "at most two end pieces per
     /// query", §3).
-    pub fn select_original(&mut self, q: QueryRange) -> QueryOutput<E> {
+    pub fn select_original<A: Answer<E>>(&mut self, q: QueryRange) -> A {
         self.stats.queries += 1;
         if q.is_empty() {
-            return QueryOutput::empty();
+            return A::default();
         }
         self.original_select_inner(q)
     }
 
     /// `select_original` without the query-counter bump, shared with the
     /// selective engines' original-cracking path.
-    fn original_select_inner(&mut self, q: QueryRange) -> QueryOutput<E> {
+    fn original_select_inner<A: Answer<E>>(&mut self, q: QueryRange) -> A {
         self.settle_job_at(q.low);
         self.settle_job_at(q.high);
-        let pa = self.index.piece_containing(q.low);
-        let pb = self.index.piece_containing(q.high);
+        let (pa, sa) = self.index.locate(q.low);
+        let (pb, sb) = self.index.locate_from(sa, q.high);
         if pa == pb && pa.lo_key != Some(q.low) && q.high < pa.hi_key.unwrap_or(u64::MAX) {
             let kernel = self.config.kernel;
             let (r1, r2) = crack_in_three_policy(
@@ -368,13 +383,19 @@ impl<E: Element> CrackedColumn<E> {
                 &mut self.stats,
             );
             let (lo, hi) = (pa.start + r1, pa.start + r2);
-            self.register_crack(q.low, lo);
-            self.register_crack(q.high, hi);
-            QueryOutput::view(lo, hi)
+            self.register_crack(sa, q.low, lo);
+            self.register_crack(sa, q.high, hi);
+            self.view(lo, hi)
         } else {
-            let lo = self.crack_on(q.low);
-            let hi = self.crack_on(q.high);
-            QueryOutput::view(lo, hi)
+            let lo = self.crack_piece(&pa, sa, q.low);
+            // Cracking the low bound split `pb` only if it is `pa`.
+            let (pb, sb) = if pa == pb {
+                self.index.locate_from(sb, q.high)
+            } else {
+                (pb, sb)
+            };
+            let hi = self.crack_piece(&pb, sb, q.high);
+            self.view(lo, hi)
         }
     }
 
@@ -418,13 +439,15 @@ impl<E: Element> CrackedColumn<E> {
         mut rng: Option<&mut R>,
     ) -> usize {
         self.settle_job_at(key);
-        let piece = self.index.piece_containing(key);
+        let (piece, slot) = self.index.locate(key);
         if piece.lo_key == Some(key) {
             return piece.start;
         }
         let crack_size = self.crack_size();
         let kernel = self.config.kernel;
         let (mut lo, mut hi) = (piece.start, piece.end);
+        // Every crack below splits a part of `piece`, so each goes in at
+        // its slot (or one step right of the cracks before it).
         while hi - lo > crack_size {
             let (pos, pivot) = match rng.as_deref_mut() {
                 Some(rng) => {
@@ -445,7 +468,7 @@ impl<E: Element> CrackedColumn<E> {
                 // recursing and fall through to the bound crack.
                 break;
             }
-            self.register_crack(pivot, pos);
+            self.register_crack(slot, pivot, pos);
             if key < pivot {
                 hi = pos;
             } else {
@@ -457,70 +480,78 @@ impl<E: Element> CrackedColumn<E> {
         }
         let rel = crack_in_two_policy(&mut self.data[lo..hi], key, kernel, &mut self.stats);
         let pos = lo + rel;
-        self.register_crack(key, pos);
+        self.register_crack(slot, key, pos);
         pos
     }
 
     /// Generic two-bound select through one of the DD* crack functions.
-    pub fn select_with(
+    pub fn select_with<A: Answer<E>>(
         &mut self,
         q: QueryRange,
         mut crack: impl FnMut(&mut Self, u64) -> usize,
-    ) -> QueryOutput<E> {
+    ) -> A {
         self.stats.queries += 1;
         if q.is_empty() {
-            return QueryOutput::empty();
+            return A::default();
         }
         let lo = crack(self, q.low);
         let hi = crack(self, q.high);
-        QueryOutput::view(lo, hi)
+        self.view(lo, hi)
     }
 
     // ------------------------------------------------------------------
     // MDD1R (Fig. 5/6)
     // ------------------------------------------------------------------
 
+    /// The two end pieces of `q`: `q.high`'s is resolved from `q.low`'s
+    /// slot, which costs no second search when it is the same piece or a
+    /// later one of the same index block.
+    fn end_pieces(&self, q: QueryRange) -> [(Piece, PieceSlot); 2] {
+        let low = self.index.locate(q.low);
+        [low, self.index.locate_from(low.1, q.high)]
+    }
+
     /// MDD1R select: never cracks on the query bounds; instead performs
     /// one random-pivot crack per end piece, materializing the qualifying
     /// fringe tuples during the same pass, and returns the fully covered
     /// middle as a view.
-    pub fn mdd1r_select(&mut self, q: QueryRange, rng: &mut impl Rng) -> QueryOutput<E> {
+    pub fn mdd1r_select<A: Answer<E>>(&mut self, q: QueryRange, rng: &mut impl Rng) -> A {
         self.stats.queries += 1;
-        let mut out = QueryOutput::empty();
+        let mut out = A::default();
         if q.is_empty() {
             return out;
         }
         self.settle_job_at(q.low);
         self.settle_job_at(q.high);
-        let p1 = self.index.piece_containing(q.low);
-        let p2 = self.index.piece_containing(q.high);
+        let [(p1, s1), (p2, s2)] = self.end_pieces(q);
         if p1 == p2 {
             if let Some(fringe) = Self::single_piece_fringe(&p1, q) {
-                self.stochastic_fringe(&p1, fringe, rng, &mut out);
+                out.reserve(fringe_room([Some(&p1), None]));
+                self.stochastic_fringe(&p1, s1, fringe, rng, &mut out);
             } else {
                 // The query exactly covers the piece: pure view, no
                 // materialization, no crack ("we avoid materialization
                 // altogether when a query exactly matches a piece").
-                out.push_view(p1.start, p1.end);
+                out.add_view(&self.data, p1.start, p1.end);
             }
             return out;
         }
+        let (low_fringe, high_fringe) = (p1.lo_key != Some(q.low), p2.lo_key != Some(q.high));
+        let fringes = [low_fringe.then_some(&p1), high_fringe.then_some(&p2)];
+        out.reserve(fringe_room(fringes));
         // Left fringe.
-        let view_start = if p1.lo_key == Some(q.low) {
-            p1.start // the whole piece qualifies; absorb it into the view
-        } else {
-            self.stochastic_fringe(&p1, Fringe::Low(q.low), rng, &mut out);
+        let view_start = if low_fringe {
+            self.stochastic_fringe(&p1, s1, Fringe::Low(q.low), rng, &mut out);
             p1.end
+        } else {
+            p1.start // the whole piece qualifies; absorb it into the view
         };
         // Right fringe. If `q.high` is an existing boundary, p2 starts at
         // it and holds no qualifying tuples.
-        let view_end = if p2.lo_key == Some(q.high) {
-            p2.start
-        } else {
-            self.stochastic_fringe(&p2, Fringe::High(q.high), rng, &mut out);
-            p2.start
-        };
-        out.push_view(view_start, view_end);
+        if high_fringe {
+            self.stochastic_fringe(&p2, s2, Fringe::High(q.high), rng, &mut out);
+        }
+        out.add_view(&self.data, view_start, p2.start);
         out
     }
 
@@ -538,12 +569,13 @@ impl<E: Element> CrackedColumn<E> {
     }
 
     /// One random crack + integrated materialization over `piece`.
-    fn stochastic_fringe(
+    fn stochastic_fringe<A: Answer<E>>(
         &mut self,
         piece: &Piece,
+        slot: PieceSlot,
         fringe: Fringe,
         rng: &mut impl Rng,
-        out: &mut QueryOutput<E>,
+        out: &mut A,
     ) {
         if piece.len() < 2 {
             // Nothing to split; just filter the (≤1) element.
@@ -551,7 +583,7 @@ impl<E: Element> CrackedColumn<E> {
                 &self.data[piece.start..piece.end],
                 fringe,
                 self.config.kernel,
-                out.mat_mut(),
+                out,
                 &mut self.stats,
             );
             return;
@@ -562,11 +594,11 @@ impl<E: Element> CrackedColumn<E> {
             pivot,
             fringe,
             self.config.kernel,
-            out.mat_mut(),
+            out,
             &mut self.stats,
         );
         if rel > 0 && rel < piece.len() {
-            self.register_crack(pivot, piece.start + rel);
+            self.register_crack(slot, pivot, piece.start + rel);
         }
     }
 
@@ -628,7 +660,7 @@ impl<E: Element> CrackedColumn<E> {
     /// Shared driver for DDM/DD1M, mirroring [`Self::data_driven_crack`].
     fn midpoint_crack(&mut self, key: u64, recursive: bool) -> usize {
         self.settle_job_at(key);
-        let piece = self.index.piece_containing(key);
+        let (piece, slot) = self.index.locate(key);
         if piece.lo_key == Some(key) {
             return piece.start;
         }
@@ -648,7 +680,7 @@ impl<E: Element> CrackedColumn<E> {
             // just ran, and everything outside [lo, hi) is bounded by the
             // enclosing cracks — and recording it is what lets the next
             // query skip straight to the narrowed half.
-            self.register_crack(pivot, pos);
+            self.register_crack(slot, pivot, pos);
             if key < pivot {
                 hi = pos;
                 bounds = Some((klo, pivot));
@@ -662,7 +694,7 @@ impl<E: Element> CrackedColumn<E> {
         }
         let rel = crack_in_two_policy(&mut self.data[lo..hi], key, kernel, &mut self.stats);
         let pos = lo + rel;
-        self.register_crack(key, pos);
+        self.register_crack(slot, key, pos);
         pos
     }
 
@@ -676,43 +708,49 @@ impl<E: Element> CrackedColumn<E> {
     /// no RNG anywhere. Midpoints halve a touched piece's key range no
     /// matter where the query landed inside it, which is the property the
     /// paper buys with randomness.
-    pub fn mdd1m_select(&mut self, q: QueryRange) -> QueryOutput<E> {
+    pub fn mdd1m_select<A: Answer<E>>(&mut self, q: QueryRange) -> A {
         self.stats.queries += 1;
-        let mut out = QueryOutput::empty();
+        let mut out = A::default();
         if q.is_empty() {
             return out;
         }
         self.settle_job_at(q.low);
         self.settle_job_at(q.high);
-        let p1 = self.index.piece_containing(q.low);
-        let p2 = self.index.piece_containing(q.high);
+        let [(p1, s1), (p2, s2)] = self.end_pieces(q);
         if p1 == p2 {
             if let Some(fringe) = Self::single_piece_fringe(&p1, q) {
-                self.midpoint_fringe(&p1, fringe, &mut out);
+                out.reserve(fringe_room([Some(&p1), None]));
+                self.midpoint_fringe(&p1, s1, fringe, &mut out);
             } else {
-                out.push_view(p1.start, p1.end);
+                out.add_view(&self.data, p1.start, p1.end);
             }
             return out;
         }
-        let view_start = if p1.lo_key == Some(q.low) {
-            p1.start
-        } else {
-            self.midpoint_fringe(&p1, Fringe::Low(q.low), &mut out);
+        let (low_fringe, high_fringe) = (p1.lo_key != Some(q.low), p2.lo_key != Some(q.high));
+        let fringes = [low_fringe.then_some(&p1), high_fringe.then_some(&p2)];
+        out.reserve(fringe_room(fringes));
+        let view_start = if low_fringe {
+            self.midpoint_fringe(&p1, s1, Fringe::Low(q.low), &mut out);
             p1.end
-        };
-        let view_end = if p2.lo_key == Some(q.high) {
-            p2.start
         } else {
-            self.midpoint_fringe(&p2, Fringe::High(q.high), &mut out);
-            p2.start
+            p1.start
         };
-        out.push_view(view_start, view_end);
+        if high_fringe {
+            self.midpoint_fringe(&p2, s2, Fringe::High(q.high), &mut out);
+        }
+        out.add_view(&self.data, view_start, p2.start);
         out
     }
 
     /// One midpoint crack + integrated materialization over `piece` —
     /// [`Self::stochastic_fringe`] with the pivot rule swapped.
-    fn midpoint_fringe(&mut self, piece: &Piece, fringe: Fringe, out: &mut QueryOutput<E>) {
+    fn midpoint_fringe<A: Answer<E>>(
+        &mut self,
+        piece: &Piece,
+        slot: PieceSlot,
+        fringe: Fringe,
+        out: &mut A,
+    ) {
         let pivot = self
             .piece_key_bounds(piece)
             .and_then(|(klo, khi)| Self::midpoint(klo, khi));
@@ -725,7 +763,7 @@ impl<E: Element> CrackedColumn<E> {
                     &self.data[piece.start..piece.end],
                     fringe,
                     self.config.kernel,
-                    out.mat_mut(),
+                    out,
                     &mut self.stats,
                 );
                 return;
@@ -736,13 +774,13 @@ impl<E: Element> CrackedColumn<E> {
             pivot,
             fringe,
             self.config.kernel,
-            out.mat_mut(),
+            out,
             &mut self.stats,
         );
         // Unlike the random-pivot fringe, degenerate splits ARE
         // registered: an empty-sided crack halves the piece's key range,
         // which is exactly what guarantees convergence here.
-        self.register_crack(pivot, piece.start + rel);
+        self.register_crack(slot, pivot, piece.start + rel);
     }
 
     // ------------------------------------------------------------------
@@ -757,28 +795,30 @@ impl<E: Element> CrackedColumn<E> {
     /// ScrackMon crack counters). This is the engine room of the paper's
     /// Selective Stochastic Cracking variants (§4, Figs. 17–19); the
     /// per-query policies (FiftyFifty, FlipCoin) are the special case of a
-    /// constant decision.
-    pub fn selective_select(
+    /// constant decision. Both end pieces are decided before either is
+    /// touched; a decision sees only its own piece and state, which the
+    /// other piece's crack leaves alone.
+    pub fn selective_select<A: Answer<E>>(
         &mut self,
         q: QueryRange,
         rng: &mut impl Rng,
         mut use_stochastic: impl FnMut(&Piece, &mut PieceState) -> bool,
-    ) -> QueryOutput<E> {
+    ) -> A {
         self.stats.queries += 1;
-        let mut out = QueryOutput::empty();
+        let mut out = A::default();
         if q.is_empty() {
             return out;
         }
         self.settle_job_at(q.low);
         self.settle_job_at(q.high);
-        let p1 = self.index.piece_containing(q.low);
-        let p2 = self.index.piece_containing(q.high);
+        let [(p1, s1), (p2, s2)] = self.end_pieces(q);
         if p1 == p2 {
             return match Self::single_piece_fringe(&p1, q) {
-                None => QueryOutput::view(p1.start, p1.end),
+                None => self.view(p1.start, p1.end),
                 Some(fringe) => {
                     if use_stochastic(&p1, self.index.piece_meta_mut(&p1)) {
-                        self.stochastic_fringe(&p1, fringe, rng, &mut out);
+                        out.reserve(fringe_room([Some(&p1), None]));
+                        self.stochastic_fringe(&p1, s1, fringe, rng, &mut out);
                         out
                     } else {
                         self.original_select_inner(q)
@@ -786,25 +826,35 @@ impl<E: Element> CrackedColumn<E> {
                 }
             };
         }
-        let view_start = if p1.lo_key == Some(q.low) {
-            p1.start
-        } else if use_stochastic(&p1, self.index.piece_meta_mut(&p1)) {
-            self.stochastic_fringe(&p1, Fringe::Low(q.low), rng, &mut out);
-            p1.end
-        } else {
+        // Per end piece: `None` when the bound is a crack (nothing to
+        // filter), else whether the fringe goes stochastic.
+        let low =
+            (p1.lo_key != Some(q.low)).then(|| use_stochastic(&p1, self.index.piece_meta_mut(&p1)));
+        let high = (p2.lo_key != Some(q.high))
+            .then(|| use_stochastic(&p2, self.index.piece_meta_mut(&p2)));
+        out.reserve(fringe_room([
+            (low == Some(true)).then_some(&p1),
+            (high == Some(true)).then_some(&p2),
+        ]));
+        let view_start = match low {
+            None => p1.start,
+            Some(true) => {
+                self.stochastic_fringe(&p1, s1, Fringe::Low(q.low), rng, &mut out);
+                p1.end
+            }
             // Original cracking on the low bound: the qualifying suffix of
             // p1 becomes contiguous with the middle.
-            self.crack_on(q.low)
+            Some(false) => self.crack_piece(&p1, s1, q.low),
         };
-        let view_end = if p2.lo_key == Some(q.high) {
-            p2.start
-        } else if use_stochastic(&p2, self.index.piece_meta_mut(&p2)) {
-            self.stochastic_fringe(&p2, Fringe::High(q.high), rng, &mut out);
-            p2.start
-        } else {
-            self.crack_on(q.high)
+        let view_end = match high {
+            None => p2.start,
+            Some(true) => {
+                self.stochastic_fringe(&p2, s2, Fringe::High(q.high), rng, &mut out);
+                p2.start
+            }
+            Some(false) => self.crack_piece(&p2, s2, q.high),
         };
-        out.push_view(view_start, view_end);
+        out.add_view(&self.data, view_start, view_end);
         out
     }
 
@@ -816,60 +866,61 @@ impl<E: Element> CrackedColumn<E> {
     /// queries, each performing at most `swap_pct`% of the piece size in
     /// swaps. Pieces at or below the L2 threshold take the full MDD1R
     /// path. `P100%` behaves identically to MDD1R.
-    pub fn pmdd1r_select(
+    pub fn pmdd1r_select<A: Answer<E>>(
         &mut self,
         q: QueryRange,
         swap_pct: f64,
         rng: &mut impl Rng,
-    ) -> QueryOutput<E> {
+    ) -> A {
         self.stats.queries += 1;
-        let mut out = QueryOutput::empty();
+        let mut out = A::default();
         if q.is_empty() {
             return out;
         }
-        let p1 = self.index.piece_containing(q.low);
-        let p2 = self.index.piece_containing(q.high);
+        let [(p1, s1), (p2, s2)] = self.end_pieces(q);
         if p1 == p2 {
             if let Some(fringe) = Self::single_piece_fringe(&p1, q) {
-                self.progressive_fringe(&p1, fringe, swap_pct, rng, &mut out);
+                out.reserve(fringe_room([Some(&p1), None]));
+                self.progressive_fringe(&p1, s1, fringe, swap_pct, rng, &mut out);
             } else {
-                out.push_view(p1.start, p1.end);
+                out.add_view(&self.data, p1.start, p1.end);
             }
             return out;
         }
-        let view_start = if p1.lo_key == Some(q.low) {
-            p1.start
-        } else {
-            self.progressive_fringe(&p1, Fringe::Low(q.low), swap_pct, rng, &mut out);
+        let (low_fringe, high_fringe) = (p1.lo_key != Some(q.low), p2.lo_key != Some(q.high));
+        let fringes = [low_fringe.then_some(&p1), high_fringe.then_some(&p2)];
+        out.reserve(fringe_room(fringes));
+        let view_start = if low_fringe {
+            self.progressive_fringe(&p1, s1, Fringe::Low(q.low), swap_pct, rng, &mut out);
             p1.end
-        };
-        let view_end = if p2.lo_key == Some(q.high) {
-            p2.start
         } else {
-            self.progressive_fringe(&p2, Fringe::High(q.high), swap_pct, rng, &mut out);
-            p2.start
+            p1.start
         };
-        out.push_view(view_start, view_end);
+        if high_fringe {
+            self.progressive_fringe(&p2, s2, Fringe::High(q.high), swap_pct, rng, &mut out);
+        }
+        out.add_view(&self.data, view_start, p2.start);
         out
     }
 
     /// Fringe handling with a swap budget: resume (or start) the piece's
     /// partition job; answer the query exactly regardless of how far the
     /// job got.
-    fn progressive_fringe(
+    fn progressive_fringe<A: Answer<E>>(
         &mut self,
         piece: &Piece,
+        slot: PieceSlot,
         fringe: Fringe,
         swap_pct: f64,
         rng: &mut impl Rng,
-        out: &mut QueryOutput<E>,
+        out: &mut A,
     ) {
         let threshold = self.config.progressive_threshold(std::mem::size_of::<E>());
         if piece.len() <= threshold && !self.piece_has_job(piece) {
             // Small piece: full MDD1R takes over ("otherwise, we prefer to
             // perform cracking as usual so as to reap the benefits of fast
             // convergence", §4).
-            self.stochastic_fringe(piece, fringe, rng, out);
+            self.stochastic_fringe(piece, slot, fringe, rng, out);
             return;
         }
         let budget = ((piece.len() as f64 * swap_pct / 100.0).ceil() as u64).max(1);
@@ -887,14 +938,14 @@ impl<E: Element> CrackedColumn<E> {
             &self.data[piece.start..job.l],
             fringe,
             kernel,
-            out.mat_mut(),
+            out,
             &mut self.stats,
         );
         scan_filter_policy(
             &self.data[job.r..piece.end],
             fringe,
             kernel,
-            out.mat_mut(),
+            out,
             &mut self.stats,
         );
         // 2. Advance the partition within budget, filtering what it visits.
@@ -903,12 +954,12 @@ impl<E: Element> CrackedColumn<E> {
             &mut job,
             budget,
             fringe,
-            out.mat_mut(),
+            out,
             &mut self.stats,
         ) {
             JobStatus::Done { crack_pos } => {
                 if crack_pos > piece.start && crack_pos < piece.end {
-                    self.register_crack(job.pivot, crack_pos);
+                    self.register_crack(slot, job.pivot, crack_pos);
                 }
                 // A degenerate pivot (crack at the piece edge) simply
                 // leaves the piece unsplit; the next query draws a new one.
@@ -919,7 +970,7 @@ impl<E: Element> CrackedColumn<E> {
                     &self.data[job.l..job.r],
                     fringe,
                     kernel,
-                    out.mat_mut(),
+                    out,
                     &mut self.stats,
                 );
                 self.jobs.insert(piece.lo_key, job);
@@ -928,11 +979,22 @@ impl<E: Element> CrackedColumn<E> {
     }
 }
 
+/// The room a select reserves, once, for what its fringe pieces can
+/// emit: their elements in all, capped at one kernel block. A larger
+/// answer grows by doubling, and nothing is kept between selects.
+fn fringe_room(fringes: [Option<&Piece>; 2]) -> usize {
+    let elems: usize = fringes.iter().flatten().map(|p| p.len()).sum();
+    elems.min(KERNEL_BLOCK)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use scrack_columnstore::QueryOutput;
+
+    type Out = QueryOutput<u64>;
 
     fn permuted(n: u64) -> Vec<u64> {
         (0..n).map(|i| (i * 7919) % n).collect()
@@ -976,7 +1038,7 @@ mod tests {
         col.crack_on(500);
         col.crack_on(90_000);
         let mut rng = SmallRng::seed_from_u64(5);
-        let _ = col.pmdd1r_select(QueryRange::new(1_000, 1_100), 1.0, &mut rng);
+        let _: Out = col.pmdd1r_select(QueryRange::new(1_000, 1_100), 1.0, &mut rng);
         assert_eq!(col.jobs.len(), 1, "a 1% budget parks the job");
         let job = std::mem::size_of::<(Option<u64>, PartitionJob)>();
         assert!(col.index().footprint() > 0);
@@ -998,7 +1060,7 @@ mod tests {
     #[test]
     fn select_original_same_piece_uses_single_pass() {
         let mut col = column(1000);
-        let out = col.select_original(QueryRange::new(300, 500));
+        let out: Out = col.select_original(QueryRange::new(300, 500));
         assert_eq!(out.len(), 200);
         assert_eq!(out.views().len(), 1);
         // One three-way pass: the whole column touched exactly once, plus
@@ -1011,11 +1073,11 @@ mod tests {
     #[test]
     fn select_original_across_pieces_cracks_two_end_pieces() {
         let mut col = column(1000);
-        col.select_original(QueryRange::new(300, 500)); // pieces at 300, 500
+        let _: Out = col.select_original(QueryRange::new(300, 500)); // pieces at 300, 500
         let before = col.stats();
         // Query spanning the middle piece: only the two end pieces are
         // analyzed (paper §3: "at most two end pieces per query").
-        let out = col.select_original(QueryRange::new(200, 600));
+        let out: Out = col.select_original(QueryRange::new(200, 600));
         assert_eq!(out.len(), 400);
         let delta = col.stats().since(&before);
         assert!(
@@ -1032,7 +1094,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         for i in 0..50u64 {
             let a = (i * 190) % 9_500;
-            let _ = col.mdd1r_select(QueryRange::new(a, a + 200), &mut rng);
+            let _: Out = col.mdd1r_select(QueryRange::new(a, a + 200), &mut rng);
         }
         // No crack value may equal any query bound (probability ~0 for a
         // random pivot to hit a bound exactly is nonzero but the dense
@@ -1059,7 +1121,7 @@ mod tests {
         col.crack_on(500);
         let before = col.stats();
         let mut rng = SmallRng::seed_from_u64(5);
-        let out = col.mdd1r_select(QueryRange::new(300, 500), &mut rng);
+        let out: Out = col.mdd1r_select(QueryRange::new(300, 500), &mut rng);
         assert_eq!(out.len(), 200);
         assert!(out.mat().is_empty(), "exact match must not materialize");
         let delta = col.stats().since(&before);
@@ -1073,7 +1135,7 @@ mod tests {
         col.crack_on(500);
         let mut rng = SmallRng::seed_from_u64(5);
         // Bounds fall inside the first and last pieces; middle is a view.
-        let out = col.mdd1r_select(QueryRange::new(100, 800), &mut rng);
+        let out: Out = col.mdd1r_select(QueryRange::new(100, 800), &mut rng);
         assert_eq!(out.len(), 700);
         assert!(!out.mat().is_empty(), "fringes must be materialized");
         assert_eq!(out.views().len(), 1, "middle must be a single view");
@@ -1132,7 +1194,7 @@ mod tests {
         );
         let mut rng = SmallRng::seed_from_u64(5);
         let q = QueryRange::new(1_000, 1_100);
-        let out = col.pmdd1r_select(q, 1.0, &mut rng);
+        let out: Out = col.pmdd1r_select(q, 1.0, &mut rng);
         assert_eq!(out.len(), 100);
         assert!(col.has_active_jobs(), "1% budget cannot finish 100k swaps");
         assert_eq!(col.index().crack_count(), 0, "crack lands only when done");
@@ -1145,7 +1207,7 @@ mod tests {
         // Repeating the query finishes the job eventually.
         let mut rounds = 0;
         while col.has_active_jobs() {
-            let out = col.pmdd1r_select(q, 1.0, &mut rng);
+            let out: Out = col.pmdd1r_select(q, 1.0, &mut rng);
             assert_eq!(out.len(), 100, "every round answers exactly");
             rounds += 1;
             assert!(rounds < 200, "job must complete");
@@ -1167,11 +1229,11 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         // First query on a big piece starts progressive; but a piece below
         // the threshold must be cracked in one go.
-        let _ = col.pmdd1r_select(QueryRange::new(100, 120), 10.0, &mut rng);
+        let _: Out = col.pmdd1r_select(QueryRange::new(100, 120), 10.0, &mut rng);
         // Run until no jobs remain, then all further work is immediate.
         let mut rounds = 0;
         while col.has_active_jobs() && rounds < 100 {
-            let _ = col.pmdd1r_select(QueryRange::new(100, 120), 10.0, &mut rng);
+            let _: Out = col.pmdd1r_select(QueryRange::new(100, 120), 10.0, &mut rng);
             rounds += 1;
         }
         assert!(!col.has_active_jobs());
@@ -1188,8 +1250,8 @@ mod tests {
         for i in 0..30u64 {
             let lo = (i * 310) % 9_000;
             let q = QueryRange::new(lo, lo + 100);
-            let out_a = a.mdd1r_select(q, &mut rng_a);
-            let out_b = b.pmdd1r_select(q, 100.0, &mut rng_b);
+            let out_a: Out = a.mdd1r_select(q, &mut rng_a);
+            let out_b: Out = b.pmdd1r_select(q, 100.0, &mut rng_b);
             assert_eq!(out_a.len(), out_b.len(), "query {i}");
         }
         assert!(!b.has_active_jobs(), "P100% always completes in one query");
@@ -1219,20 +1281,20 @@ mod tests {
         for round in 0..40 {
             // Start (round 0), advance, and finish jobs a few at a time:
             // a done job splits its piece, and both halves restart.
-            let _ = col.pmdd1r_select(far_apart, 5.0, &mut rng);
+            let _: Out = col.pmdd1r_select(far_apart, 5.0, &mut rng);
             peak = peak.max(jobs_in_step(&col, &format!("round {round}")));
         }
         assert!(peak >= 2, "both fringe pieces hold a job at some point");
         while col.jobs.is_empty() {
-            let _ = col.pmdd1r_select(far_apart, 1.0, &mut rng);
+            let _: Out = col.pmdd1r_select(far_apart, 1.0, &mut rng);
         }
         col.crack_on(far_apart.low); // settles at most the one piece it cracks
         jobs_in_step(&col, "crack_on");
-        let _ = col.pmdd1r_select(QueryRange::new(100, 90_000), 1.0, &mut rng);
+        let _: Out = col.pmdd1r_select(QueryRange::new(100, 90_000), 1.0, &mut rng);
         assert!(jobs_in_step(&col, "wide select") > 0);
         col.settle_all_jobs();
         assert_eq!(jobs_in_step(&col, "settle_all_jobs"), 0);
-        let _ = col.pmdd1r_select(QueryRange::new(5, 99_000), 1.0, &mut rng);
+        let _: Out = col.pmdd1r_select(QueryRange::new(5, 99_000), 1.0, &mut rng);
         assert!(jobs_in_step(&col, "second wide select") > 0);
         col.quarantine_rebuild();
         assert_eq!(jobs_in_step(&col, "quarantine_rebuild"), 0);
@@ -1244,18 +1306,18 @@ mod tests {
         // followed by original cracking of the same piece.
         let mut col = column_with(1_000, 16);
         let mut rng = SmallRng::seed_from_u64(63);
-        let _ = col.pmdd1r_select(QueryRange::new(0, 1), 10.0, &mut rng);
+        let _: Out = col.pmdd1r_select(QueryRange::new(0, 1), 10.0, &mut rng);
         assert!(col.has_active_jobs());
         col.crack_on(90);
         assert!(!col.has_active_jobs(), "crack_on must settle the job");
         col.check_integrity().unwrap();
-        let _ = col.pmdd1r_select(QueryRange::new(0, 1), 10.0, &mut rng);
+        let _: Out = col.pmdd1r_select(QueryRange::new(0, 1), 10.0, &mut rng);
         col.check_integrity().unwrap();
         // And mixing with every other op keeps integrity too.
         col.ddc_crack(500);
         col.ddr_crack(700, &mut rng);
-        let _ = col.mdd1r_select(QueryRange::new(40, 60), &mut rng);
-        let _ = col.select_original(QueryRange::new(800, 900));
+        let _: Out = col.mdd1r_select(QueryRange::new(40, 60), &mut rng);
+        let _: Out = col.select_original(QueryRange::new(800, 900));
         col.check_integrity().unwrap();
     }
 
@@ -1276,7 +1338,7 @@ mod tests {
         };
         for i in 0..20u64 {
             let a = (i * 450) % 9_000;
-            let out = col.selective_select(QueryRange::new(a, a + 100), &mut rng, decide);
+            let out: Out = col.selective_select(QueryRange::new(a, a + 100), &mut rng, decide);
             assert_eq!(out.len(), 100, "query {i}");
         }
         col.check_integrity().unwrap();
@@ -1287,10 +1349,12 @@ mod tests {
         let mut col = column(1000);
         let mut rng = SmallRng::seed_from_u64(5);
         let before = col.stats();
-        assert!(col.select_original(QueryRange::new(5, 5)).is_empty());
-        assert!(col.mdd1r_select(QueryRange::new(7, 3), &mut rng).is_empty());
+        assert!(col.select_original::<Out>(QueryRange::new(5, 5)).is_empty());
         assert!(col
-            .pmdd1r_select(QueryRange::new(0, 0), 10.0, &mut rng)
+            .mdd1r_select::<Out>(QueryRange::new(7, 3), &mut rng)
+            .is_empty());
+        assert!(col
+            .pmdd1r_select::<Out>(QueryRange::new(0, 0), 10.0, &mut rng)
             .is_empty());
         let delta = col.stats().since(&before);
         assert_eq!(delta.touched, 0);
@@ -1300,10 +1364,10 @@ mod tests {
     #[test]
     fn bounds_beyond_domain_are_fine() {
         let mut col = column(1000);
-        let out = col.select_original(QueryRange::new(990, 5_000));
+        let out: Out = col.select_original(QueryRange::new(990, 5_000));
         assert_eq!(out.len(), 10);
         let mut rng = SmallRng::seed_from_u64(5);
-        let out = col.mdd1r_select(QueryRange::new(2_000, 3_000), &mut rng);
+        let out: Out = col.mdd1r_select(QueryRange::new(2_000, 3_000), &mut rng);
         assert!(out.is_empty());
         col.check_integrity().unwrap();
     }
@@ -1312,11 +1376,11 @@ mod tests {
     fn stats_track_query_count_per_select_flavor() {
         let mut col = column(1000);
         let mut rng = SmallRng::seed_from_u64(5);
-        let _ = col.select_original(QueryRange::new(1, 2));
-        let _ = col.mdd1r_select(QueryRange::new(3, 4), &mut rng);
-        let _ = col.pmdd1r_select(QueryRange::new(5, 6), 10.0, &mut rng);
-        let _ = col.selective_select(QueryRange::new(7, 8), &mut rng, |_, _| true);
-        let _ = col.select_with(QueryRange::new(9, 10), |c, k| c.crack_on(k));
+        let _: Out = col.select_original(QueryRange::new(1, 2));
+        let _: Out = col.mdd1r_select(QueryRange::new(3, 4), &mut rng);
+        let _: Out = col.pmdd1r_select(QueryRange::new(5, 6), 10.0, &mut rng);
+        let _: Out = col.selective_select(QueryRange::new(7, 8), &mut rng, |_, _| true);
+        let _: Out = col.select_with(QueryRange::new(9, 10), |c, k| c.crack_on(k));
         assert_eq!(col.stats().queries, 5);
     }
 }

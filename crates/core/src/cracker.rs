@@ -15,7 +15,7 @@ use crate::engine::Engine;
 use crate::factory::EngineKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use scrack_columnstore::QueryOutput;
+use scrack_columnstore::{Answer, QueryOutput, Tally};
 use scrack_types::{Element, QueryRange, Stats};
 
 /// A cracker column answering selects through one [`EngineKind`].
@@ -92,12 +92,15 @@ impl<E: Element> CrackerEngine<E> {
     }
 
     /// Answers `q` through `kind`'s crack routine, whatever the engine's
-    /// own kind — the workspace's only strategy dispatch.
+    /// own kind — the workspace's only strategy dispatch. The answer is a
+    /// [`QueryOutput`], or a [`Tally`] that folds `(count, key_sum)`
+    /// where the tuples are found; the physical work and [`Stats`] are
+    /// the same either way.
     ///
     /// # Panics
     /// If `kind` is `Scan` or `Sort`.
     #[inline]
-    pub fn select_as(&mut self, kind: EngineKind, q: QueryRange) -> QueryOutput<E> {
+    pub fn select_as<A: Answer<E>>(&mut self, kind: EngineKind, q: QueryRange) -> A {
         let Self {
             col,
             rng,
@@ -157,7 +160,8 @@ impl<E: Element> CrackerEngine<E> {
                 let key_end = *key_end.get_or_insert_with(|| domain_end(col));
                 if query_no.is_multiple_of(u64::from(every)) && key_end > 0 {
                     // Inject one random query of the same selectivity; its
-                    // result is discarded but its cracks (and cost) remain.
+                    // answer is discarded (as a heap-free tally) but its
+                    // cracks (and cost) remain.
                     let width = q.width().min(key_end);
                     let max_low = key_end - width;
                     let low = if max_low == 0 {
@@ -165,7 +169,7 @@ impl<E: Element> CrackerEngine<E> {
                     } else {
                         rng.gen_range(0..max_low)
                     };
-                    let _ = col.select_original(QueryRange::new(low, low + width));
+                    let _: Tally = col.select_original(QueryRange::new(low, low + width));
                 }
                 *query_no += 1;
                 col.select_original(q)
@@ -197,6 +201,14 @@ impl<E: Element> Engine<E> for CrackerEngine<E> {
 
     fn reset_stats(&mut self) {
         self.col.stats_mut().reset();
+    }
+
+    /// The select through a [`Tally`]: the same physical work and
+    /// [`Stats`] as [`Engine::select`], with no answer buffer.
+    #[inline]
+    fn select_aggregate(&mut self, q: QueryRange) -> (usize, u64) {
+        let tally: Tally = self.select_as(self.kind, q);
+        (tally.count, tally.key_sum)
     }
 
     fn quarantine_rebuild(&mut self) {
@@ -269,7 +281,7 @@ mod tests {
             let low = (i * 61) % (n - 40);
             let q = QueryRange::new(low, low + 37);
             let kind = kinds[i as usize % kinds.len()];
-            let out = eng.select_as(kind, q);
+            let out: QueryOutput<u64> = eng.select_as(kind, q);
             assert_eq!(out.len(), oracle.count(q), "{} at query {i}", kind.label());
             assert_eq!(out.key_checksum(eng.data()), oracle.checksum(q));
         }

@@ -43,9 +43,15 @@ pub trait Engine<E: Element> {
     fn quarantine_rebuild(&mut self) {}
 
     /// Answers `[q.low, q.high)` as a `(count, key_sum)` aggregate —
-    /// the serving layers' answer shape. Defaults to running
-    /// [`Engine::select`] and folding the result views; engines with a
-    /// cheaper direct path may override.
+    /// the serving layers' answer shape, with `key_sum` wrapping modulo
+    /// 2^64 — reorganizing exactly as [`Engine::select`] would, with the
+    /// same [`Stats`].
+    ///
+    /// Defaults to running [`Engine::select`] and folding the result.
+    /// `CrackerEngine` (and `Updatable` over it) answers through a
+    /// `Tally` instead: the fringe kernels fold each qualifying run where
+    /// they emit it and views are folded in place, so the read builds no
+    /// `QueryOutput` and touches no heap.
     fn select_aggregate(&mut self, q: QueryRange) -> (usize, u64) {
         let out = self.select(q);
         let count = out.len();

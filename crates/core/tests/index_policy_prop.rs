@@ -16,6 +16,7 @@ use rand::SeedableRng;
 use scrack_core::{
     build_engine, CrackConfig, CrackedColumn, EngineKind, IndexPolicy, Oracle,
 };
+use scrack_columnstore::QueryOutput;
 use scrack_types::QueryRange;
 
 /// A fixed pseudo-random column: keys `0..n` shuffled.
@@ -115,13 +116,14 @@ fn replay(ops: &[Op], policy: IndexPolicy, seed: u64) -> Observation {
                 col.dd1r_crack(k, &mut rng);
             }
             Op::SelectOriginal(a, w) => {
-                col.select_original(QueryRange::new(a, a + w));
+                let _: QueryOutput<u64> = col.select_original(QueryRange::new(a, a + w));
             }
             Op::Mdd1r(a, w) => {
-                col.mdd1r_select(QueryRange::new(a, a + w), &mut rng);
+                let _: QueryOutput<u64> = col.mdd1r_select(QueryRange::new(a, a + w), &mut rng);
             }
             Op::Pmdd1r(a, w) => {
-                col.pmdd1r_select(QueryRange::new(a, a + w), 10.0, &mut rng);
+                let _: QueryOutput<u64> =
+                    col.pmdd1r_select(QueryRange::new(a, a + w), 10.0, &mut rng);
             }
             Op::Ddm(k) => {
                 col.ddm_crack(k);
@@ -130,10 +132,11 @@ fn replay(ops: &[Op], policy: IndexPolicy, seed: u64) -> Observation {
                 col.dd1m_crack(k);
             }
             Op::Mdd1m(a, w) => {
-                col.mdd1m_select(QueryRange::new(a, a + w));
+                let _: QueryOutput<u64> = col.mdd1m_select(QueryRange::new(a, a + w));
             }
             Op::Selective(a, w) => {
-                col.selective_select(QueryRange::new(a, a + w), &mut rng, |_, meta| {
+                let q = QueryRange::new(a, a + w);
+                let _: QueryOutput<u64> = col.selective_select(q, &mut rng, |_, meta| {
                     // The ScrackMon shape: stochastic every third crack,
                     // so the run exercises the piece counters too.
                     if meta.crack_count >= 2 {

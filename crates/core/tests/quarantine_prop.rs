@@ -22,6 +22,7 @@ use proptest::prelude::*;
 use scrack_core::{
     build_engine, CrackConfig, CrackedColumn, EngineKind, IndexPolicy, Oracle,
 };
+use scrack_columnstore::QueryOutput;
 use scrack_types::QueryRange;
 
 /// A fixed pseudo-random column: keys `0..n` shuffled.
@@ -117,14 +118,14 @@ proptest! {
             .with_index(policy);
         let mut col = CrackedColumn::new(column(N, 23), config);
         for q in &prefix {
-            col.select_original(*q);
+            let _: QueryOutput<u64> = col.select_original(*q);
         }
         col.quarantine_rebuild();
         col.stats_mut().reset();
         let mut twin = CrackedColumn::new(col.data().to_vec(), config);
         for q in &suffix {
-            let a = col.select_original(*q);
-            let b = twin.select_original(*q);
+            let a: QueryOutput<u64> = col.select_original(*q);
+            let b: QueryOutput<u64> = twin.select_original(*q);
             let ka = a.key_checksum(col.data());
             let kb = b.key_checksum(twin.data());
             prop_assert_eq!(

@@ -37,13 +37,24 @@
 //! * **Lookup** is two [`count_le`]s: one over the fences picks the
 //!   block, one over that block's keys picks the entry. Both piece edges
 //!   fall out of the same pair (the successor is the next entry, or the
-//!   first entry of the next block).
-//! * **Insert** is one such search. The new entry inherits its metadata
-//!   from the entry before it, which a key at or above a block's fence
-//!   always finds in the same block; then the tail of that one block
-//!   shifts — at most `BLOCK_CAP` entries, whatever the crack count. A
-//!   full block first moves its upper half into a fresh block and
-//!   inserts one fence.
+//!   first entry of the next block). [`FlatIndex::lookup`] also returns
+//!   that pair as a [`PieceSlot`]: the gap between the two edges.
+//! * **Insert** is *locate, then insert at the located slot*. A caller
+//!   that looked the piece up hands its slot to [`FlatIndex::insert_at`],
+//!   which re-checks it in O(1) — the entry left of the gap still `<=`
+//!   the key, entries since inserted at the gap stepped over — and
+//!   searches only when a split or a slot from another block leaves the
+//!   gap out of reach; [`FlatIndex::insert_with`] always searches. The
+//!   new entry inherits its metadata from the entry before it, which a
+//!   key at or above a block's fence always finds in the same block; then
+//!   the tail of that one block shifts — at most `BLOCK_CAP` entries,
+//!   whatever the crack count. A full block first moves its upper half
+//!   into a fresh block and inserts one fence.
+//! * **A second key of the same query** resolves from the first one's
+//!   slot ([`FlatIndex::lookup_from`]): the same piece, or a later one of
+//!   the same block, costs no search. A converged MDD1R select therefore
+//!   searches once, where a lookup per bound and a search per crack made
+//!   four.
 //! * There is no remove, and underfull blocks are never merged:
 //!   cracking only ever adds cracks.
 //! * Blocks are ranges of three pooled `Vec`s, never `Vec`s of their
@@ -58,11 +69,12 @@
 //!
 //! An entry moves when its block shifts or splits, so nothing outside
 //! the index holds its location: callers name cracks by key, and each
-//! key access is one search. Code that walks crack after crack — the
-//! Ripple update path — searches once and then steps a [`CrackCursor`],
-//! which is O(1) per boundary.
+//! key access is one search. A slot is no exception: it is a hint that
+//! every use re-checks, never a handle. Code that walks crack after
+//! crack — the Ripple update path — searches once and then steps a
+//! [`CrackCursor`], which is O(1) per boundary.
 
-use crate::index::CrackCursor;
+use crate::index::{CrackCursor, PieceSlot};
 
 /// Entries per block. An insert shifts on average a quarter of this many
 /// entries of each pooled array, a lookup halves over this many keys
@@ -199,6 +211,54 @@ impl<M> FlatIndex<M> {
         (r - 1, count_le(&self.keys[base..base + block.len()], probe))
     }
 
+    /// Re-checks a slot an earlier [`FlatIndex::lookup`] returned against
+    /// `probe`, in O(1) plus a step forward inside its block: the slot's
+    /// left neighbour must still be `<= probe`, and entries `<= probe`
+    /// that inserts have since put at or after it are stepped over. The
+    /// result is [`FlatIndex::locate`]'s answer for `probe`, or `None`
+    /// when the slot's block cannot say (a split, a slot from another
+    /// block, or a probe beyond the block's range).
+    #[inline]
+    fn revalidate(&self, slot: PieceSlot, probe: u64) -> Option<(usize, usize)> {
+        let rank = slot.rank as usize;
+        let block = *self.order.get(rank)?;
+        let (base, len) = (block.base(), block.len());
+        let mut c = slot.off as usize;
+        if c > len {
+            return None;
+        }
+        // Only a probe below every key sits at the front of a block.
+        let pred_ok = match c {
+            0 => rank == 0,
+            _ => self.keys[base + c - 1] <= probe,
+        };
+        if !pred_ok {
+            return None;
+        }
+        while c < len && self.keys[base + c] <= probe {
+            c += 1;
+        }
+        let leaves_block = c == len && self.fences.get(rank + 1).is_some_and(|&f| f <= probe);
+        (!leaves_block).then_some((rank, c))
+    }
+
+    /// The piece edges around `(rank, c)`, a [`FlatIndex::locate`] result:
+    /// the greatest entry `<= probe` and the smallest `> probe`, as
+    /// `(key, pos)` pairs.
+    #[inline]
+    #[allow(clippy::type_complexity)]
+    fn edges(&self, rank: usize, c: usize) -> (Option<(u64, usize)>, Option<(u64, usize)>) {
+        let pred = (c > 0).then(|| self.pair(rank, c - 1));
+        let succ = if c < self.order[rank].len() {
+            Some(self.pair(rank, c))
+        } else if rank + 1 < self.order.len() {
+            Some(self.pair(rank + 1, 0))
+        } else {
+            None
+        };
+        (pred, succ)
+    }
+
     /// Pool index of the greatest entry with key `<= probe`.
     #[inline]
     fn floor(&self, probe: u64) -> Option<usize> {
@@ -237,19 +297,37 @@ impl<M> FlatIndex<M> {
     #[inline]
     #[allow(clippy::type_complexity)]
     pub fn neighbors(&self, probe: u64) -> (Option<(u64, usize)>, Option<(u64, usize)>) {
+        self.lookup(probe).0
+    }
+
+    /// [`FlatIndex::neighbors`], plus the slot between them: where a key
+    /// of that gap would be inserted. The slot lets a later
+    /// [`FlatIndex::lookup_from`] or [`FlatIndex::insert_at`] skip the
+    /// search while no insert or split has moved the gap out of its block.
+    #[inline]
+    #[allow(clippy::type_complexity)]
+    pub fn lookup(&self, probe: u64) -> ((Option<(u64, usize)>, Option<(u64, usize)>), PieceSlot) {
         if self.order.is_empty() {
-            return (None, None);
+            return ((None, None), PieceSlot::SEARCH);
         }
         let (rank, c) = self.locate(probe);
-        let pred = (c > 0).then(|| self.pair(rank, c - 1));
-        let succ = if c < self.order[rank].len() {
-            Some(self.pair(rank, c))
-        } else if rank + 1 < self.order.len() {
-            Some(self.pair(rank + 1, 0))
-        } else {
-            None
-        };
-        (pred, succ)
+        (self.edges(rank, c), PieceSlot::at(rank, c))
+    }
+
+    /// [`FlatIndex::lookup`] starting from `slot`: when `probe` lies in
+    /// the slot's gap or further right in the same block, no search runs.
+    /// Any other slot, stale or foreign, costs the search.
+    #[inline]
+    #[allow(clippy::type_complexity)]
+    pub fn lookup_from(
+        &self,
+        slot: PieceSlot,
+        probe: u64,
+    ) -> ((Option<(u64, usize)>, Option<(u64, usize)>), PieceSlot) {
+        match self.revalidate(slot, probe) {
+            Some((rank, c)) => (self.edges(rank, c), PieceSlot::at(rank, c)),
+            None => self.lookup(probe),
+        }
     }
 
     /// Position of the entry with exactly `key`.
@@ -485,13 +563,32 @@ impl<M: Default> FlatIndex<M> {
         pos: usize,
         meta: impl FnOnce(Option<&M>) -> M,
     ) -> bool {
+        self.insert_at(PieceSlot::SEARCH, key, pos, meta)
+    }
+
+    /// [`FlatIndex::insert_with`] at the slot of a [`FlatIndex::lookup`]
+    /// whose gap holds `key`. The slot is re-checked first (its left
+    /// neighbour `<= key`, and a step over the entries inserted at or
+    /// after it since); only a slot that no longer reaches `key`'s gap
+    /// inside its block — after a split, or taken from another block —
+    /// pays the search.
+    pub fn insert_at(
+        &mut self,
+        slot: PieceSlot,
+        key: u64,
+        pos: usize,
+        meta: impl FnOnce(Option<&M>) -> M,
+    ) -> bool {
         if self.order.is_empty() {
             // An empty first block, for the shift below to fill.
             let id = self.alloc_block();
             self.fences.push(key);
             self.order.push(BlockRef { id, len: 0 });
         }
-        let (mut rank, mut c) = self.locate(key);
+        let (mut rank, mut c) = match self.revalidate(slot, key) {
+            Some(located) => located,
+            None => self.locate(key),
+        };
         // A key at or above a block's fence has its predecessor in that
         // block; only a new global minimum has none.
         let meta = match c.checked_sub(1).map(|off| self.slot_of(rank, off)) {

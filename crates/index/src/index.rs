@@ -122,6 +122,43 @@ pub struct CrackCursor {
     pub(crate) minor: u32,
 }
 
+/// Where a piece lookup found its piece: the gap between two cracks in
+/// the index's key order, as the flat representation addresses it.
+///
+/// Returned beside a [`Piece`] by [`CrackerIndex::locate`] and meaningful
+/// only to the index that issued it. A crack added later at a key of
+/// that gap goes in through [`CrackerIndex::add_crack_at`] without a
+/// second search, and [`CrackerIndex::locate_from`] resolves a greater
+/// key by stepping forward from it. A slot is never trusted: every use
+/// re-checks it in O(1), plus a step over entries inserted into its gap
+/// since, so one made stale by a block split, or one taken from another
+/// block, only costs the search it would have saved. The AVL
+/// representation ignores slots.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PieceSlot {
+    /// Flat: the block's rank in key order.
+    pub(crate) rank: u32,
+    /// Flat: the count of the block's keys at or below the gap.
+    pub(crate) off: u32,
+}
+
+impl PieceSlot {
+    /// A slot that names no gap: its use always searches.
+    pub(crate) const SEARCH: PieceSlot = PieceSlot {
+        rank: u32::MAX,
+        off: 0,
+    };
+
+    /// The slot at offset `off` of the block at `rank`.
+    #[inline]
+    pub(crate) fn at(rank: usize, off: usize) -> Self {
+        PieceSlot {
+            rank: rank as u32,
+            off: off as u32,
+        }
+    }
+}
+
 /// The physical representation behind a [`CrackerIndex`].
 #[derive(Debug, Clone)]
 enum Repr<M> {
@@ -250,10 +287,38 @@ impl<M: PieceMeta> CrackerIndex<M> {
     /// the AVL one with a single root-to-leaf walk.
     #[inline]
     pub fn piece_containing(&self, key: u64) -> Piece {
-        let (pred, succ) = match &self.repr {
-            Repr::Avl(t) => t.neighbors(key),
-            Repr::Flat(f) => f.neighbors(key),
-        };
+        self.locate(key).0
+    }
+
+    /// [`CrackerIndex::piece_containing`], plus the piece's slot for a
+    /// later [`CrackerIndex::add_crack_at`] or
+    /// [`CrackerIndex::locate_from`].
+    #[inline]
+    pub fn locate(&self, key: u64) -> (Piece, PieceSlot) {
+        self.locate_from(PieceSlot::SEARCH, key)
+    }
+
+    /// The piece containing `key`, found from `slot` (an earlier
+    /// [`CrackerIndex::locate`] of a key `<= key`): the flat
+    /// representation returns the slot's own piece when `key` is below
+    /// its right edge, steps forward inside the slot's block otherwise,
+    /// and searches only when `key` lies beyond that block or the slot
+    /// is stale.
+    #[inline]
+    pub fn locate_from(&self, slot: PieceSlot, key: u64) -> (Piece, PieceSlot) {
+        match &self.repr {
+            Repr::Avl(t) => (self.piece(t.neighbors(key)), PieceSlot::SEARCH),
+            Repr::Flat(f) => {
+                let (edges, slot) = f.lookup_from(slot, key);
+                (self.piece(edges), slot)
+            }
+        }
+    }
+
+    /// The piece between two neighbouring cracks (`None`: a column end).
+    #[inline]
+    #[allow(clippy::type_complexity)]
+    fn piece(&self, (pred, succ): (Option<(u64, usize)>, Option<(u64, usize)>)) -> Piece {
         let piece = Piece {
             start: pred.map_or(0, |(_, p)| p),
             end: succ.map_or(self.column_len, |(_, p)| p),
@@ -276,12 +341,21 @@ impl<M: PieceMeta> CrackerIndex<M> {
     /// is a no-op.
     #[inline]
     pub fn add_crack(&mut self, key: u64, pos: usize) -> bool {
+        self.add_crack_at(PieceSlot::SEARCH, key, pos)
+    }
+
+    /// [`CrackerIndex::add_crack`] at the slot of the lookup that found
+    /// the piece `key` splits: on the flat representation the slot,
+    /// re-checked in O(1), replaces the search unless a block split or a
+    /// slot from another block leaves the gap out of reach.
+    #[inline]
+    pub fn add_crack_at(&mut self, slot: PieceSlot, key: u64, pos: usize) -> bool {
         debug_assert!(pos <= self.column_len);
         let head = &self.head_meta;
         let inherit = |parent: Option<&M>| parent.unwrap_or(head).inherit();
         let fresh = match &mut self.repr {
             Repr::Avl(t) => t.insert_with(key, pos, inherit),
-            Repr::Flat(f) => f.insert_with(key, pos, inherit),
+            Repr::Flat(f) => f.insert_at(slot, key, pos, inherit),
         };
         // O(1) neighbor check (not the O(n) full walk): a fresh crack
         // must sit between its neighbors' positions, a repeated one must

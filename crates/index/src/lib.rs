@@ -40,4 +40,6 @@ pub use avl::{AscIter, AvlTree};
 #[doc(hidden)]
 pub use flat::BLOCK_CAP as FLAT_BLOCK_CAP;
 pub use flat::{FlatAscIter, FlatIndex};
-pub use index::{CrackCursor, CrackIter, CrackerIndex, IndexPolicy, Piece, PieceIter, PieceMeta};
+pub use index::{
+    CrackCursor, CrackIter, CrackerIndex, IndexPolicy, Piece, PieceIter, PieceMeta, PieceSlot,
+};

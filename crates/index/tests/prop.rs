@@ -3,7 +3,9 @@
 //! Avl/Flat cross-policy equivalence contract.
 
 use proptest::prelude::*;
-use scrack_index::{AvlTree, CrackerIndex, FlatIndex, IndexPolicy, PieceMeta, FLAT_BLOCK_CAP};
+use scrack_index::{
+    AvlTree, CrackerIndex, FlatIndex, IndexPolicy, PieceMeta, PieceSlot, FLAT_BLOCK_CAP,
+};
 use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
@@ -316,5 +318,147 @@ struct Counter(u32);
 impl PieceMeta for Counter {
     fn inherit(&self) -> Self {
         self.clone()
+    }
+}
+
+/// One step of a slot-lookup / slot-insert interleaving.
+#[derive(Clone, Debug)]
+enum SlotOp {
+    /// Look a key up and insert it at once, through the fresh slot.
+    Fresh(u64),
+    /// Look a key up now; insert it later through the held slot.
+    Hold(u64),
+    /// Insert the oldest held key through its (now possibly stale) slot.
+    Release,
+    /// Insert `count` keys just below `key`, through fresh slots: they
+    /// land in the block of any slot held at `key`, and enough of them
+    /// split it.
+    Burst(u64, usize),
+    /// Insert the first key through the slot of the second's lookup: a
+    /// slot taken from another piece.
+    Foreign(u64, u64),
+}
+
+fn slot_op_strategy() -> impl Strategy<Value = SlotOp> {
+    prop_oneof![
+        (0u64..1_000_000).prop_map(SlotOp::Fresh),
+        (0u64..1_000_000).prop_map(SlotOp::Hold),
+        (0u64..1u64).prop_map(|_| SlotOp::Release),
+        (1_000u64..1_000_000, 1usize..2 * FLAT_BLOCK_CAP).prop_map(|(k, n)| SlotOp::Burst(k, n)),
+        (0u64..1_000_000, 0u64..1_000_000).prop_map(|(k, from)| SlotOp::Foreign(k, from)),
+    ]
+}
+
+/// The flat index fed through slots, a `CrackerIndex` fed through
+/// `locate` / `add_crack_at`, and the reference fed through `add_crack`.
+struct SlotTwins {
+    flat: FlatIndex<u32>,
+    slotted: CrackerIndex<Depth>,
+    reference: CrackerIndex<Depth>,
+}
+
+impl SlotTwins {
+    fn new() -> Self {
+        SlotTwins {
+            flat: FlatIndex::new(),
+            slotted: CrackerIndex::new(1_000_001),
+            reference: CrackerIndex::new(1_000_001),
+        }
+    }
+
+    /// The slots a lookup of `key` returns, now.
+    fn slots(&self, key: u64) -> (PieceSlot, PieceSlot) {
+        (self.flat.lookup(key).1, self.slotted.locate(key).1)
+    }
+
+    /// Inserts `key` (at position `key`) through `slots`, the reference
+    /// through `add_crack`; all three agree on freshness and the flat
+    /// index keeps its invariants. A new entry's meta counts its
+    /// ancestors, as `Depth` inherits plus one.
+    fn insert(
+        &mut self,
+        (flat_slot, slot): (PieceSlot, PieceSlot),
+        key: u64,
+    ) -> Result<(), TestCaseError> {
+        let pos = key as usize;
+        let fresh = self
+            .flat
+            .insert_at(flat_slot, key, pos, |p| p.map_or(0, |m| *m) + 1);
+        prop_assert_eq!(self.slotted.add_crack_at(slot, key, pos), fresh);
+        prop_assert_eq!(self.reference.add_crack(key, pos), fresh);
+        self.flat.check_invariants().map_err(TestCaseError::fail)
+    }
+
+    fn insert_fresh(&mut self, key: u64) -> Result<(), TestCaseError> {
+        self.insert(self.slots(key), key)
+    }
+}
+
+proptest! {
+    /// Slots never misplace a crack. Random interleavings of lookups and
+    /// slot inserts make slots stale in all three ways — an earlier
+    /// insert into the same block, a block split, a slot taken from
+    /// another piece — and every step keeps the flat index's invariants.
+    /// At the end the flat index, and a `CrackerIndex` fed through
+    /// `locate` / `add_crack_at`, equal entry for entry (key, position,
+    /// inherited metadata) the same cracks added through `add_crack`.
+    #[test]
+    fn stale_slots_never_misplace_a_crack(
+        ops in proptest::collection::vec(slot_op_strategy(), 1..60),
+        anchor in 10_000u64..990_000,
+    ) {
+        let mut twins = SlotTwins::new();
+        // A guaranteed split under a held slot: the anchor's gap takes a
+        // full block of keys after its slot was taken.
+        let anchor_slots = twins.slots(anchor);
+        for k in 1..=FLAT_BLOCK_CAP as u64 + 1 {
+            twins.insert_fresh(anchor - k)?;
+        }
+        prop_assert_ne!(twins.slots(anchor), anchor_slots, "the held slot went stale");
+        twins.insert(anchor_slots, anchor)?;
+        let mut held = std::collections::VecDeque::new();
+        for op in ops {
+            match op {
+                SlotOp::Fresh(key) => twins.insert_fresh(key)?,
+                SlotOp::Hold(key) => held.push_back((key, twins.slots(key))),
+                SlotOp::Release => {
+                    if let Some((key, slots)) = held.pop_front() {
+                        twins.insert(slots, key)?;
+                    }
+                }
+                SlotOp::Burst(key, count) => {
+                    for k in 1..=count as u64 {
+                        twins.insert_fresh(key - k)?;
+                    }
+                }
+                SlotOp::Foreign(key, from) => twins.insert(twins.slots(from), key)?,
+            }
+            // A lookup through any held slot finds what a search finds.
+            for (key, (slot, _)) in &held {
+                prop_assert_eq!(twins.flat.lookup_from(*slot, *key), twins.flat.lookup(*key));
+            }
+        }
+        for (key, slots) in held {
+            twins.insert(slots, key)?;
+        }
+        prop_assert!(twins.flat.len() > FLAT_BLOCK_CAP, "the crack set spans block seams");
+        let expect: Vec<(u64, usize, u32)> =
+            twins.reference.iter_cracks().map(|(k, p, m)| (k, p, m.0)).collect();
+        let flat: Vec<(u64, usize, u32)> =
+            twins.flat.iter_asc().map(|(k, p, m)| (k, p, *m)).collect();
+        prop_assert_eq!(&flat, &expect);
+        let slotted: Vec<(u64, usize, u32)> =
+            twins.slotted.iter_cracks().map(|(k, p, m)| (k, p, m.0)).collect();
+        prop_assert_eq!(&slotted, &expect);
+    }
+}
+
+/// A crack's depth: its parent piece's plus one (the head piece is 0).
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Depth(u32);
+
+impl PieceMeta for Depth {
+    fn inherit(&self) -> Self {
+        Depth(self.0 + 1)
     }
 }

@@ -247,6 +247,14 @@ impl LockManager {
     pub fn stats(&self) -> LockStats {
         self.table().stats
     }
+
+    /// Heap bytes the table holds, counted as capacity × `size_of` (no
+    /// allocator hook), as [`crate::Shard::footprint`] counts: the entry
+    /// vector, granted and queued entries alike. The mutex, the condvar
+    /// and the counters are inline.
+    pub fn footprint(&self) -> usize {
+        self.table().entries.capacity() * std::mem::size_of::<Entry>()
+    }
 }
 
 /// RAII grant: releases its table entry and wakes all waiters on drop.
@@ -304,6 +312,30 @@ mod tests {
         drop(x);
         assert_eq!(mgr.residue(), 0);
         assert_eq!(mgr.stats().timed_out, 1);
+    }
+
+    #[test]
+    fn footprint_counts_granted_and_queued_entries() {
+        let mgr = Arc::new(LockManager::new());
+        assert_eq!(mgr.footprint(), 0, "an empty table allocates nothing");
+        let held = mgr.acquire(1, 0, r(0, 100), LockMode::Exclusive, None).unwrap();
+        let m2 = Arc::clone(&mgr);
+        let queued = thread::spawn(move || {
+            drop(m2.acquire(2, 0, r(50, 150), LockMode::Shared, None).unwrap());
+        });
+        while mgr.residue() < 2 {
+            thread::yield_now();
+        }
+        let granted = mgr.table().entries.iter().filter(|e| e.granted).count();
+        assert_eq!(granted, 1, "one granted entry, one queued");
+        // Two entries sit in the vector's first allocation, four entries
+        // wide, and the bytes are that capacity times the entry size.
+        let bytes = 4 * std::mem::size_of::<Entry>();
+        assert_eq!(mgr.footprint(), bytes);
+        drop(held);
+        queued.join().unwrap();
+        assert_eq!(mgr.residue(), 0);
+        assert_eq!(mgr.footprint(), bytes, "released entries keep their room");
     }
 
     #[test]

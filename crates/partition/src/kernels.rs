@@ -21,7 +21,8 @@
 //!   count) is **bit-identical** to [`crack_in_two`].
 //! * [`split_and_materialize_branchless`] — the same blockwise loop, which
 //!   also filters each freshly scanned chunk into a chunk-sized buffer
-//!   with a branch-free cursor before any exchange can move an element.
+//!   with a branch-free cursor before any exchange can move an element,
+//!   and emits the buffer as one run.
 //!   A two-sided range is tested with one compare (`key - low < width`).
 //!   Boundary, physical order, `Stats` and the materialized multiset are
 //!   identical to [`split_and_materialize`]; only the order *inside* the
@@ -29,10 +30,17 @@
 //! * [`crack_in_three_branchless`] — the Dutch-national-flag pass with the
 //!   per-element three-way branch replaced by an arithmetically selected
 //!   swap target; state evolution is identical to [`crack_in_three`].
-//! * [`scan_filter_branchless`] — a two-pass count-then-fill filter: a
-//!   branch-free (auto-vectorizable) counting pass sizes the output
-//!   exactly, then a cursor-arithmetic fill pass writes it without any
-//!   per-element branch or reallocation.
+//! * [`scan_filter_branchless`] — the same chunk-sized gather without the
+//!   partition: each [`KERNEL_BLOCK`]-wide chunk is filtered into the
+//!   buffer with a cursor-arithmetic write, then emitted as one run.
+//!
+//! The fused and filter kernels emit through [`Extend<&E>`](Extend), one
+//! call per qualifying run. A `Vec<E>` takes each run with one slice copy
+//! and grows by doubling; the serving layers' `(count, key_sum)` tally
+//! folds the run instead of storing it. No kernel reserves output room:
+//! how much to reserve is the caller's to say (a bare select reserves
+//! its fringe once, up to one kernel block), so no pass charges a
+//! speculative piece-sized allocation.
 //!
 //! All variants keep the `Stats` contract of their branchy twins to the
 //! counter: `touched`/`comparisons` follow the paper's §3 convention of
@@ -47,7 +55,7 @@
 //! start in their 16-wide tail loop); `Branchy` is the differential
 //! reference the tests select.
 
-use crate::materialize::{scan_filter, split_and_materialize, Fringe, RESERVE_CAP};
+use crate::materialize::{scan_filter, split_and_materialize, Fringe};
 use crate::three_way::crack_in_three;
 use crate::two_way::{crack_in_two, hoare_partition};
 use scrack_types::{Element, Stats};
@@ -120,7 +128,8 @@ pub fn crack_in_two_branchless<E: Element>(
 ) -> usize {
     // The filter-free instance: `keep` is constant false, so the filter
     // writes and the (never-grown) output compile out.
-    let (p, swaps) = blockwise_split::<E, KERNEL_BLOCK>(data, pivot, |_| false, &mut Vec::new());
+    let (p, swaps, _) =
+        blockwise_split::<E, _, KERNEL_BLOCK>(data, pivot, |_| false, &mut Vec::new());
     stats.touched += data.len() as u64;
     stats.comparisons += data.len() as u64;
     stats.swaps += swaps;
@@ -143,58 +152,54 @@ pub fn crack_in_two_policy<E: Element>(
 
 /// Blockwise predicated `split_and_materialize`: same boundary, physical
 /// order and [`Stats`] delta as [`split_and_materialize`], and the same
-/// multiset appended to `out` — only the order *inside* the appended run
-/// may differ.
+/// multiset emitted into `out` — only the order *inside* the emitted
+/// tuples may differ.
 ///
 /// This is [`crack_in_two_branchless`]'s loop plus one step: each freshly
 /// scanned chunk is also tested against `fringe` and its qualifying
 /// elements are gathered with a branch-free cursor into a chunk-sized
-/// buffer, then appended to `out`. A chunk is scanned before any exchange
-/// touches it, so every element is filtered exactly once, as it stood in
-/// the input.
+/// buffer, then emitted into `out` as one run. A chunk is scanned before
+/// any exchange touches it, so every element is filtered exactly once, as
+/// it stood in the input.
 // Out of line: inlined, its filter instances and their chunk buffers land
 // in the code and stack frame of every caller, including the reference
 // path of `split_and_materialize_policy`.
 #[inline(never)]
-pub fn split_and_materialize_branchless<E: Element>(
+pub fn split_and_materialize_branchless<E: Element, O: for<'a> Extend<&'a E>>(
     data: &mut [E],
     pivot: u64,
     fringe: Fringe,
-    out: &mut Vec<E>,
+    out: &mut O,
     stats: &mut Stats,
 ) -> usize {
-    // The branchy kernel's capped up-front reservation: no mid-scan
-    // reallocation up to RESERVE_CAP, and the same peak footprint.
-    out.reserve(data.len().min(RESERVE_CAP));
-    let before = out.len();
     // Monomorphize per filter shape, as the branchy kernel does.
-    let (p, swaps) = match fringe {
+    let (p, swaps, kept) = match fringe {
         // One compare instead of `contains`' two: `k - low` wraps past
         // `width` below the range, and the saturating width of an
         // inverted range keeps nothing.
         Fringe::Both(q) => {
             let (low, width) = (q.low, q.width());
-            blockwise_split::<E, KERNEL_BLOCK>(data, pivot, |k| k.wrapping_sub(low) < width, out)
+            blockwise_split::<E, _, KERNEL_BLOCK>(data, pivot, |k| k.wrapping_sub(low) < width, out)
         }
-        Fringe::Low(a) => blockwise_split::<E, KERNEL_BLOCK>(data, pivot, |k| k >= a, out),
-        Fringe::High(b) => blockwise_split::<E, KERNEL_BLOCK>(data, pivot, |k| k < b, out),
-        Fringe::None => blockwise_split::<E, KERNEL_BLOCK>(data, pivot, |_| false, out),
+        Fringe::Low(a) => blockwise_split::<E, _, KERNEL_BLOCK>(data, pivot, |k| k >= a, out),
+        Fringe::High(b) => blockwise_split::<E, _, KERNEL_BLOCK>(data, pivot, |k| k < b, out),
+        Fringe::None => blockwise_split::<E, _, KERNEL_BLOCK>(data, pivot, |_| false, out),
     };
     stats.touched += data.len() as u64;
     stats.comparisons += 2 * data.len() as u64; // pivot test + filter test
     stats.swaps += swaps;
-    stats.materialized += (out.len() - before) as u64;
+    stats.materialized += kept;
     p
 }
 
 /// Policy dispatch for the fused split-and-materialize pass.
 #[inline]
-pub fn split_and_materialize_policy<E: Element>(
+pub fn split_and_materialize_policy<E: Element, O: for<'a> Extend<&'a E>>(
     data: &mut [E],
     pivot: u64,
     fringe: Fringe,
     policy: KernelPolicy,
-    out: &mut Vec<E>,
+    out: &mut O,
     stats: &mut Stats,
 ) -> usize {
     match policy {
@@ -211,15 +216,16 @@ pub fn split_and_materialize_policy<E: Element>(
 const TAIL_BLOCK: usize = 16;
 
 /// The blockwise Hoare pass behind both two-way branchless kernels, at
-/// block width `B`: boundary plus exchange count, no stats. Appends every
-/// element passing `keep` to `out`, testing each exactly once.
+/// block width `B`: boundary, exchange count and emitted count, no
+/// stats. Emits every element passing `keep` into `out`, testing each
+/// exactly once.
 #[inline(always)]
-fn blockwise_split<E: Element, const B: usize>(
+fn blockwise_split<E: Element, O: for<'a> Extend<&'a E>, const B: usize>(
     data: &mut [E],
     pivot: u64,
     keep: impl Fn(u64) -> bool,
-    out: &mut Vec<E>,
-) -> (usize, u64) {
+    out: &mut O,
+) -> (usize, u64, u64) {
     let mut offs_l = [0u8; B];
     let mut offs_r = [0u8; B];
     // Qualifying elements of the chunk being scanned; the filler is never
@@ -230,6 +236,7 @@ fn blockwise_split<E: Element, const B: usize>(
     let (mut num_l, mut start_l) = (0usize, 0usize);
     let (mut num_r, mut start_r) = (0usize, 0usize);
     let mut swaps = 0u64;
+    let mut kept = 0u64;
     while r - l > 2 * B {
         if num_l == 0 {
             // Scan a fresh left chunk: record offsets of keys >= pivot.
@@ -243,7 +250,8 @@ fn blockwise_split<E: Element, const B: usize>(
                 buf[w] = *e;
                 w += keep(k) as usize;
             }
-            out.extend_from_slice(&buf[..w]);
+            out.extend(&buf[..w]);
+            kept += w as u64;
         }
         if num_r == 0 {
             // Scan a fresh right chunk from the outside in: record offsets
@@ -259,7 +267,8 @@ fn blockwise_split<E: Element, const B: usize>(
                 buf[w] = e;
                 w += keep(k) as usize;
             }
-            out.extend_from_slice(&buf[..w]);
+            out.extend(&buf[..w]);
+            kept += w as u64;
         }
         // Exchange pairs outside-in: k-th misplaced-from-the-left with
         // k-th misplaced-from-the-right — the Hoare pairing.
@@ -296,14 +305,15 @@ fn blockwise_split<E: Element, const B: usize>(
             buf[w] = *e;
             w += keep(e.key()) as usize;
         }
-        out.extend_from_slice(&buf[..w]);
+        out.extend(&buf[..w]);
+        kept += w as u64;
     }
     let (rel, tail_swaps) = if B > TAIL_BLOCK {
         blockwise_tail(&mut data[l..r], pivot)
     } else {
         hoare_partition(&mut data[l..r], pivot)
     };
-    (l + rel, swaps + tail_swaps)
+    (l + rel, swaps + tail_swaps, kept)
 }
 
 /// The filter-free [`TAIL_BLOCK`]-wide pass that finishes every
@@ -311,7 +321,9 @@ fn blockwise_split<E: Element, const B: usize>(
 /// instead of a copy in each filter instance's main loop.
 #[inline(never)]
 fn blockwise_tail<E: Element>(data: &mut [E], pivot: u64) -> (usize, u64) {
-    blockwise_split::<E, TAIL_BLOCK>(data, pivot, |_| false, &mut Vec::new())
+    let (rel, swaps, _) =
+        blockwise_split::<E, _, TAIL_BLOCK>(data, pivot, |_| false, &mut Vec::new());
+    (rel, swaps)
 }
 
 // ---------------------------------------------------------------------
@@ -381,71 +393,66 @@ pub fn crack_in_three_policy<E: Element>(
 // Scan + filter
 // ---------------------------------------------------------------------
 
-/// Two-pass count-then-fill filter scan: same contract, output and
-/// [`Stats`] delta as [`scan_filter`], without per-element branches or
-/// mid-scan reallocation.
+/// Blockwise gather filter scan: same contract, output and [`Stats`]
+/// delta as [`scan_filter`], without per-element branches.
 ///
-/// The first pass counts qualifiers with pure flag arithmetic (LLVM
-/// vectorizes it), the output is grown to the exact final size once, and
-/// the second pass writes every element to the current cursor slot,
-/// advancing the cursor only for keepers — non-keepers are overwritten by
-/// the next keeper, and one scratch slot past the end absorbs the final
-/// overwrites before the vector is truncated to the counted size.
-pub fn scan_filter_branchless<E: Element>(
+/// Each [`KERNEL_BLOCK`]-wide chunk is written element by element into a
+/// chunk-sized buffer at a cursor that advances only past keepers —
+/// non-keepers are overwritten by the next write — and the buffer's
+/// kept prefix is emitted into `out` as one run, in input order.
+pub fn scan_filter_branchless<E: Element, O: for<'a> Extend<&'a E>>(
     data: &[E],
     fringe: Fringe,
-    out: &mut Vec<E>,
+    out: &mut O,
     stats: &mut Stats,
 ) -> usize {
     // Monomorphize per filter shape, as the branchy kernel does.
-    match fringe {
-        Fringe::Both(q) => fill_branchless(data, |k| q.contains(k), out, stats),
-        Fringe::Low(a) => fill_branchless(data, |k| k >= a, out, stats),
-        Fringe::High(b) => fill_branchless(data, |k| k < b, out, stats),
-        Fringe::None => {
-            stats.touched += data.len() as u64;
-            stats.comparisons += data.len() as u64;
-            0
-        }
-    }
-}
-
-#[inline]
-fn fill_branchless<E: Element>(
-    data: &[E],
-    keep: impl Fn(u64) -> bool,
-    out: &mut Vec<E>,
-    stats: &mut Stats,
-) -> usize {
-    let count: usize = data.iter().map(|e| keep(e.key()) as usize).sum();
-    if count > 0 {
-        let base = out.len();
-        // One scratch slot past the counted size keeps the unconditional
-        // cursor write in bounds after the last keeper.
-        out.resize(base + count + 1, data[0]);
-        let dst = &mut out[base..];
-        let mut w = 0usize;
-        for e in data {
-            dst[w] = *e;
-            w += keep(e.key()) as usize;
-        }
-        out.truncate(base + count);
-    }
+    let kept = match fringe {
+        Fringe::Both(q) => gather(data, |k| q.contains(k), out),
+        Fringe::Low(a) => gather(data, |k| k >= a, out),
+        Fringe::High(b) => gather(data, |k| k < b, out),
+        Fringe::None => 0,
+    };
     // §3 convention: one logical inspection per element, regardless of
     // physical passes — identical to the branchy kernel's delta.
     stats.touched += data.len() as u64;
     stats.comparisons += data.len() as u64;
-    stats.materialized += count as u64;
-    count
+    stats.materialized += kept as u64;
+    kept
+}
+
+#[inline]
+fn gather<E: Element, O: for<'a> Extend<&'a E>>(
+    data: &[E],
+    keep: impl Fn(u64) -> bool,
+    out: &mut O,
+) -> usize {
+    let Some(first) = data.first() else {
+        return 0;
+    };
+    // The filler is never read: only `buf[..w]` is, and every slot below
+    // `w` is written first.
+    let mut buf = [*first; KERNEL_BLOCK];
+    let mut kept = 0usize;
+    for chunk in data.chunks(KERNEL_BLOCK) {
+        let mut w = 0usize;
+        for e in chunk {
+            buf[w] = *e;
+            w += keep(e.key()) as usize;
+        }
+        out.extend(&buf[..w]);
+        kept += w;
+    }
+    kept
 }
 
 /// Policy dispatch for the filter scan.
 #[inline]
-pub fn scan_filter_policy<E: Element>(
+pub fn scan_filter_policy<E: Element, O: for<'a> Extend<&'a E>>(
     data: &[E],
     fringe: Fringe,
     policy: KernelPolicy,
-    out: &mut Vec<E>,
+    out: &mut O,
     stats: &mut Stats,
 ) -> usize {
     match policy {
@@ -605,7 +612,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_filter_branchless_no_realloc_after_count() {
+    fn scan_filter_branchless_keeps_input_order_across_chunks() {
         let data: Vec<u64> = (0..1000).collect();
         let mut out = Vec::new();
         let mut stats = Stats::new();

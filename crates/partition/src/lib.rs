@@ -52,7 +52,7 @@ pub use kernels::{
     crack_in_two_policy, scan_filter_branchless, scan_filter_policy,
     split_and_materialize_branchless, split_and_materialize_policy, KernelPolicy, KERNEL_BLOCK,
 };
-pub use materialize::{scan_filter, split_and_materialize, Fringe, RESERVE_CAP};
+pub use materialize::{scan_filter, split_and_materialize, Fringe};
 pub use progressive::{advance_job, JobStatus, PartitionJob};
 pub use select_k::{median_partition, median_partition_policy, select_nth_key};
 pub use sort::{introsort, is_sorted_by_key, lower_bound, upper_bound};

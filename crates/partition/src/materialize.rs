@@ -22,16 +22,6 @@ pub enum Fringe {
     None,
 }
 
-/// Cap (in elements) on the speculative output reservation of the fused
-/// single-pass kernels. They cannot know the qualifying count without a
-/// second scan, so they reserve `min(piece_len, cap)`: small and medium
-/// results never reallocate mid-scan, while a low-selectivity query over
-/// a huge piece is not charged gigabytes of speculative capacity (beyond
-/// the cap, `Vec`'s doubling growth is amortized against a result that
-/// large). The two-pass branchless `scan_filter` reserves the exact count
-/// instead.
-pub const RESERVE_CAP: usize = 1 << 20;
-
 impl Fringe {
     /// Whether a key qualifies under this filter.
     #[inline(always)]
@@ -49,24 +39,30 @@ impl Fringe {
 ///
 /// This is `split_and_materialize` of Fig. 5: one Hoare-style pass that
 /// simultaneously (a) moves keys `< pivot` before keys `>= pivot`,
-/// returning the boundary, and (b) appends every element passing `fringe`
-/// to `out`. Fusing the two avoids the second scan the paper warns about
+/// returning the boundary, and (b) emits every element passing `fringe`
+/// into `out`. Fusing the two avoids the second scan the paper warns about
 /// ("otherwise, we would have to do a second scan after the random crack").
 ///
 /// Each element is inspected exactly once; exchanged elements are filter-
 /// checked at exchange time rather than re-visited (an equivalent, slightly
 /// tighter formulation of the paper's loop).
 ///
+/// `out` is any [`Extend`] sink: a `Vec` stores the tuples, a fold (the
+/// serving layers' `(count, key_sum)` tally) consumes them where they are
+/// found. Nothing is reserved up front: a caller that wants room reserves
+/// it, and a `Vec` grows by doubling past that.
+/// [`Stats::materialized`] counts the emitted tuples either way.
+///
 /// This is the `Branchy` kernel and the differential reference of the
 /// blockwise [`split_and_materialize_branchless`](crate::split_and_materialize_branchless);
 /// engines reach both through
 /// [`split_and_materialize_policy`](crate::split_and_materialize_policy).
 #[inline]
-pub fn split_and_materialize<E: Element>(
+pub fn split_and_materialize<E: Element, O: for<'a> Extend<&'a E>>(
     data: &mut [E],
     pivot: u64,
     fringe: Fringe,
-    out: &mut Vec<E>,
+    out: &mut O,
     stats: &mut Stats,
 ) -> usize {
     // Monomorphize the hot loop per filter shape, mirroring the paper's
@@ -80,17 +76,13 @@ pub fn split_and_materialize<E: Element>(
 }
 
 #[inline]
-fn split_inner<E: Element>(
+fn split_inner<E: Element, O: for<'a> Extend<&'a E>>(
     data: &mut [E],
     pivot: u64,
     keep: impl Fn(u64) -> bool,
-    out: &mut Vec<E>,
+    out: &mut O,
     stats: &mut Stats,
 ) -> usize {
-    // Worst case every element qualifies; a capped up-front reservation
-    // keeps the fused loop free of mid-scan reallocation for every piece
-    // up to RESERVE_CAP without charging huge pieces speculative memory.
-    out.reserve(data.len().min(RESERVE_CAP));
     let mut l = 0usize;
     let mut r = data.len();
     let mut swaps = 0u64;
@@ -102,7 +94,7 @@ fn split_inner<E: Element>(
                 break;
             }
             if keep(k) {
-                out.push(data[l]);
+                out.extend(std::slice::from_ref(&data[l]));
                 materialized += 1;
             }
             l += 1;
@@ -113,7 +105,7 @@ fn split_inner<E: Element>(
                 break;
             }
             if keep(k) {
-                out.push(data[r - 1]);
+                out.extend(std::slice::from_ref(&data[r - 1]));
                 materialized += 1;
             }
             r -= 1;
@@ -124,11 +116,11 @@ fn split_inner<E: Element>(
         // data[l] >= pivot, data[r-1] < pivot: both still unfiltered.
         let (kl, kr) = (data[l].key(), data[r - 1].key());
         if keep(kl) {
-            out.push(data[l]);
+            out.extend(std::slice::from_ref(&data[l]));
             materialized += 1;
         }
         if keep(kr) {
-            out.push(data[r - 1]);
+            out.extend(std::slice::from_ref(&data[r - 1]));
             materialized += 1;
         }
         data.swap(l, r - 1);
@@ -143,54 +135,42 @@ fn split_inner<E: Element>(
     l
 }
 
-/// Scans `data` appending every element passing `fringe` to `out`, without
-/// any reorganization.
+/// Scans `data` emitting every element passing `fringe` into `out`,
+/// without any reorganization; returns how many qualified.
 ///
 /// Used by progressive cracking for the settled prefix/suffix of a piece
 /// whose partition job is still in flight, and by the plain `Scan`
-/// baseline.
+/// baseline. Like [`split_and_materialize`] it reserves nothing.
 #[inline]
-pub fn scan_filter<E: Element>(
+pub fn scan_filter<E: Element, O: for<'a> Extend<&'a E>>(
     data: &[E],
     fringe: Fringe,
-    out: &mut Vec<E>,
+    out: &mut O,
     stats: &mut Stats,
 ) -> usize {
-    let before = out.len();
-    // Capped upper-bound reservation: no mid-scan reallocation up to
-    // RESERVE_CAP qualifying tuples (the branchless twin in `kernels.rs`
-    // reserves the exact count instead, at the cost of a second pass).
-    if !matches!(fringe, Fringe::None) {
-        out.reserve(data.len().min(RESERVE_CAP));
-    }
-    match fringe {
-        Fringe::Both(q) => {
-            for e in data {
-                if q.contains(e.key()) {
-                    out.push(*e);
-                }
-            }
-        }
-        Fringe::Low(a) => {
-            for e in data {
-                if e.key() >= a {
-                    out.push(*e);
-                }
-            }
-        }
-        Fringe::High(b) => {
-            for e in data {
-                if e.key() < b {
-                    out.push(*e);
-                }
-            }
-        }
-        Fringe::None => {}
-    }
-    let kept = out.len() - before;
+    // Monomorphize the loop per filter shape, as the fused pass does.
+    let kept = match fringe {
+        Fringe::Both(q) => filter_into(data, |k| q.contains(k), out),
+        Fringe::Low(a) => filter_into(data, |k| k >= a, out),
+        Fringe::High(b) => filter_into(data, |k| k < b, out),
+        Fringe::None => 0,
+    };
     stats.touched += data.len() as u64;
     stats.comparisons += data.len() as u64;
     stats.materialized += kept as u64;
+    kept
+}
+
+/// Emits the elements of `data` whose key passes `keep`, in order;
+/// returns how many.
+#[inline]
+fn filter_into<E: Element, O: for<'a> Extend<&'a E>>(
+    data: &[E],
+    keep: impl Fn(u64) -> bool,
+    out: &mut O,
+) -> usize {
+    let mut kept = 0usize;
+    out.extend(data.iter().filter(|e| keep(e.key())).inspect(|_| kept += 1));
     kept
 }
 

@@ -50,7 +50,8 @@ pub enum JobStatus {
 /// Resumes a partition job, performing at most `budget_swaps` exchanges.
 ///
 /// Every element the cursors visit is filter-checked against `fringe` and
-/// appended to `out` if it qualifies, exactly as in
+/// emitted into `out` (a `Vec`, or any other [`Extend`] sink) if it
+/// qualifies, exactly as in
 /// [`split_and_materialize`](crate::split_and_materialize) — progressive
 /// cracking is MDD1R with a swap budget. On return:
 ///
@@ -63,12 +64,12 @@ pub enum JobStatus {
 ///   finish answering the current query.
 ///
 /// `data` is the whole column; the job's cursors are absolute positions.
-pub fn advance_job<E: Element>(
+pub fn advance_job<E: Element, O: for<'a> Extend<&'a E>>(
     data: &mut [E],
     job: &mut PartitionJob,
     budget_swaps: u64,
     fringe: Fringe,
-    out: &mut Vec<E>,
+    out: &mut O,
     stats: &mut Stats,
 ) -> JobStatus {
     let pivot = job.pivot;
@@ -85,7 +86,7 @@ pub fn advance_job<E: Element>(
             }
             visited += 1;
             if fringe.keeps(k) {
-                out.push(data[l]);
+                out.extend(std::slice::from_ref(&data[l]));
                 materialized += 1;
             }
             l += 1;
@@ -97,7 +98,7 @@ pub fn advance_job<E: Element>(
             }
             visited += 1;
             if fringe.keeps(k) {
-                out.push(data[r - 1]);
+                out.extend(std::slice::from_ref(&data[r - 1]));
                 materialized += 1;
             }
             r -= 1;
@@ -113,11 +114,11 @@ pub fn advance_job<E: Element>(
         let (kl, kr) = (data[l].key(), data[r - 1].key());
         visited += 2;
         if fringe.keeps(kl) {
-            out.push(data[l]);
+            out.extend(std::slice::from_ref(&data[l]));
             materialized += 1;
         }
         if fringe.keeps(kr) {
-            out.push(data[r - 1]);
+            out.extend(std::slice::from_ref(&data[r - 1]));
             materialized += 1;
         }
         data.swap(l, r - 1);

@@ -328,6 +328,7 @@ pub(crate) fn delete_merge<E: Element>(
 mod tests {
     use super::*;
     use crate::{ripple_delete, ripple_insert};
+    use scrack_columnstore::QueryOutput;
     use scrack_core::CrackConfig;
     use scrack_types::QueryRange;
 
@@ -381,12 +382,12 @@ mod tests {
         // Adjacent cracks with nothing between them: donation count is
         // bounded by the (zero) piece size.
         let mut col = cracked_column(100, &[]);
-        let _ = col.select_original(QueryRange::new(40, 41)); // cracks 40, 41
-        let _ = col.select_original(QueryRange::new(41, 42)); // piece [41,42) of size 1
+        let _: QueryOutput<u64> = col.select_original(QueryRange::new(40, 41)); // cracks 40, 41
+        let _: QueryOutput<u64> = col.select_original(QueryRange::new(41, 42)); // piece [41,42) of size 1
         merge_ripple_inserts(&mut col, vec![0, 1, 2, 3, 40, 41]);
         col.check_integrity().unwrap();
         assert_eq!(col.data().len(), 106);
-        let out = col.select_original(QueryRange::new(40, 42));
+        let out: QueryOutput<u64> = col.select_original(QueryRange::new(40, 42));
         assert_eq!(out.keys_sorted(col.data()), vec![40, 40, 41, 41]);
     }
 
@@ -420,7 +421,7 @@ mod tests {
         assert_eq!(removed, 20);
         assert_eq!(col.data().len(), 80);
         col.check_integrity().unwrap();
-        let out = col.select_original(QueryRange::new(0, 30));
+        let out: QueryOutput<u64> = col.select_original(QueryRange::new(0, 30));
         assert_eq!(out.keys_sorted(col.data()), (0..5).chain(25..30).collect::<Vec<u64>>());
     }
 

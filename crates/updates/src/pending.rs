@@ -284,6 +284,7 @@ impl<E: Element> PendingUpdates<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scrack_columnstore::QueryOutput;
     use scrack_core::CrackConfig;
 
     fn column(n: u64, update: UpdatePolicy) -> CrackedColumn<u64> {
@@ -311,9 +312,9 @@ mod tests {
             assert_eq!(pending.len(), 2);
             col.check_integrity().unwrap();
             // 50 inserted (now twice), 60 gone.
-            let out = col.select_original(QueryRange::new(50, 51));
+            let out: QueryOutput<u64> = col.select_original(QueryRange::new(50, 51));
             assert_eq!(out.len(), 2, "{policy}");
-            let out = col.select_original(QueryRange::new(60, 61));
+            let out: QueryOutput<u64> = col.select_original(QueryRange::new(60, 61));
             assert_eq!(out.len(), 0, "{policy}");
         }
     }
@@ -487,8 +488,8 @@ mod tests {
         assert_eq!(col.data().len(), 298);
         col.check_integrity().unwrap();
         assert_eq!(pending.merge_qualifying(&mut col, QueryRange::new(100, 200)), 2);
-        assert_eq!(col.select_original(QueryRange::new(150, 151)).len(), 1);
-        assert_eq!(col.select_original(QueryRange::new(160, 161)).len(), 2);
+        assert_eq!(col.select_original::<QueryOutput<u64>>(QueryRange::new(150, 151)).len(), 1);
+        assert_eq!(col.select_original::<QueryOutput<u64>>(QueryRange::new(160, 161)).len(), 2);
         col.check_integrity().unwrap();
     }
 
@@ -506,7 +507,7 @@ mod tests {
             pending.queue_insert(5_000u64);
             assert_eq!(pending.merge_all(&mut col), 2, "{policy}");
             assert_eq!(col.data().len(), before + 1, "{policy}: insert must survive");
-            let out = col.select_original(QueryRange::new(5_000, 5_001));
+            let out: QueryOutput<u64> = col.select_original(QueryRange::new(5_000, 5_001));
             assert_eq!(out.len(), 1, "{policy}");
             col.check_integrity().unwrap();
         }

@@ -13,6 +13,7 @@ use scrack_types::Element;
 /// crossed boundary — `O(pieces right of the key)`, independent of `N`.
 ///
 /// ```
+/// use scrack_columnstore::QueryOutput;
 /// use scrack_core::{CrackConfig, CrackedColumn};
 /// use scrack_updates::ripple_insert;
 /// use scrack_types::QueryRange;
@@ -21,7 +22,7 @@ use scrack_types::Element;
 /// col.crack_on(50); // one boundary
 /// ripple_insert(&mut col, 50); // a duplicate of key 50
 /// assert_eq!(col.data().len(), 101);
-/// let out = col.select_original(QueryRange::new(50, 51));
+/// let out: QueryOutput<u64> = col.select_original(QueryRange::new(50, 51));
 /// assert_eq!(out.len(), 2);
 /// ```
 ///
@@ -108,6 +109,7 @@ pub fn ripple_delete<E: Element>(col: &mut CrackedColumn<E>, key: u64) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scrack_columnstore::QueryOutput;
     use scrack_core::CrackConfig;
     use scrack_types::QueryRange;
 
@@ -131,7 +133,7 @@ mod tests {
         assert_eq!(col.data().len(), 104);
         col.check_integrity().unwrap();
         // The inserted keys are answerable.
-        let out = col.select_original(QueryRange::new(39, 41));
+        let out: QueryOutput<u64> = col.select_original(QueryRange::new(39, 41));
         assert_eq!(out.keys_sorted(col.data()), vec![39, 39, 40, 40]);
     }
 
@@ -166,10 +168,10 @@ mod tests {
         assert_eq!(col.data().len(), 101);
         assert_eq!(ripple_delete(&mut col, 50), Some(50));
         col.check_integrity().unwrap();
-        let out = col.select_original(QueryRange::new(50, 51));
+        let out: QueryOutput<u64> = col.select_original(QueryRange::new(50, 51));
         assert_eq!(out.len(), 1, "one instance must remain");
         assert_eq!(ripple_delete(&mut col, 50), Some(50));
-        let out = col.select_original(QueryRange::new(50, 51));
+        let out: QueryOutput<u64> = col.select_original(QueryRange::new(50, 51));
         assert_eq!(out.len(), 0);
         assert_eq!(ripple_delete(&mut col, 50), None, "nothing left to delete");
     }

@@ -105,6 +105,13 @@ impl<E: Element> Engine<E> for Updatable<E> {
         self.engine.select(q)
     }
 
+    /// Merges the qualifying updates, as [`Engine::select`] does, then
+    /// answers through the wrapped engine's heap-free aggregate.
+    fn select_aggregate(&mut self, q: QueryRange) -> (usize, u64) {
+        self.pending.merge_qualifying(self.engine.cracked_mut(), q);
+        self.engine.select_aggregate(q)
+    }
+
     fn data(&self) -> &[E] {
         self.engine.data()
     }

@@ -4,7 +4,7 @@
 # "State of play"; choosing-metrics: >= 10 pairs, alternate which side
 # runs first, report every row).
 #
-#   scripts/bench_pairs.sh <parent-ref> [pairs=10] [workload ...]
+#   scripts/bench_pairs.sh [--pinned-rss] <parent-ref> [pairs=10] [workload ...]
 #
 # 1. exports <parent-ref> (`git archive`, committed files only) into
 #    target/bench_pairs/parent and builds its benchmark/ offline, the way
@@ -24,10 +24,20 @@
 #    more than that IQR, the rule a claimed gain must pass. Then it runs
 #    the benchmark's own `compare` (exit 1 if any row is worse than its
 #    bound).
+# 4. with --pinned-rss, reruns every pair once more with glibc's mmap
+#    threshold pinned (MALLOC_MMAP_THRESHOLD_=131072, set on the
+#    benchmark process only) and prints both sides' `peak_rss_mb`
+#    medians, default and pinned, side by side. A peak that moves only at
+#    the default threshold is allocator placement (glibc reusing or not
+#    reusing freed blocks across episodes), not footprint. The pinned
+#    runs feed no verdict and no `compare`.
 #
-# Nothing under benchmark/ is edited; ten pairs take about an hour.
+# Nothing under benchmark/ is edited; ten pairs take about an hour, twice
+# that with --pinned-rss.
 set -euo pipefail
-[ $# -ge 1 ] || { echo "usage: $0 <parent-ref> [pairs=10] [workload ...]" >&2; exit 2; }
+pinned_rss=0
+if [ "${1:-}" = --pinned-rss ]; then pinned_rss=1; shift; fi
+[ $# -ge 1 ] || { echo "usage: $0 [--pinned-rss] <parent-ref> [pairs=10] [workload ...]" >&2; exit 2; }
 cd "$(dirname "$0")/.."
 parent_ref=$1
 pairs=${2:-10}
@@ -51,20 +61,29 @@ if [ $# -gt 2 ]; then
     workloads="${*:3}"
 fi
 
-run() { # side binary workload seed
-    "$2" --workload "$3" --seed "$4" --seconds "$seconds" --trace 0 | tail -n 1 \
+run() { # side binary workload seed [env assignment ...]
+    env "${@:5}" "$2" --workload "$3" --seed "$4" --seconds "$seconds" --trace 0 | tail -n 1 \
         > "$work/runs/$1-$3-$4.json"
 }
-for seed in $(seq 1 "$pairs"); do
-    for w in $workloads; do
-        echo "pair $seed/$pairs: $w" >&2
-        if [ $((seed % 2)) -eq 1 ]; then
-            run parent "$parent_bin" "$w" "$seed"; run change "$change_bin" "$w" "$seed"
-        else
-            run change "$change_bin" "$w" "$seed"; run parent "$parent_bin" "$w" "$seed"
-        fi
+pairs_of() { # side prefix, then env assignments for both binaries
+    local prefix=$1; shift
+    for seed in $(seq 1 "$pairs"); do
+        for w in $workloads; do
+            echo "${prefix}pair $seed/$pairs: $w" >&2
+            if [ $((seed % 2)) -eq 1 ]; then
+                run "${prefix}parent" "$parent_bin" "$w" "$seed" "$@"
+                run "${prefix}change" "$change_bin" "$w" "$seed" "$@"
+            else
+                run "${prefix}change" "$change_bin" "$w" "$seed" "$@"
+                run "${prefix}parent" "$parent_bin" "$w" "$seed" "$@"
+            fi
+        done
     done
-done
+}
+pairs_of ""
+if [ "$pinned_rss" -eq 1 ]; then
+    pairs_of pinned- MALLOC_MMAP_THRESHOLD_=131072
+fi
 
 python3 - "$work" "$pairs" $workloads <<'EOF'
 import json, os, sys
@@ -99,5 +118,17 @@ for w in workloads:
               f"{parent_med:>11.4g} {change_med:>11.4g} {ratio:>6.3f} {q3 - q1:>11.4g}  "
               f"{'gain' if gain else '-'}")
 print("failed runs:", {s: sum(r["failed"] for r in runs) for s, runs in sets.items()})
+pinned = lambda side, w: [json.load(open(f"{work}/runs/pinned-{side}-{w}-{s}.json"))["metrics"]
+                          ["peak_rss_mb"]["value"] for s in range(1, pairs + 1)]
+if os.path.exists(f"{work}/runs/pinned-parent-{workloads[0]}-1.json"):
+    print(f"\npeak_rss_mb medians, default vs pinned (MALLOC_MMAP_THRESHOLD_=131072)")
+    print(f"{'workload':<14} {'parent':>9} {'change':>9} {'ratio':>6}   {'pinned parent':>13} "
+          f"{'pinned change':>13} {'ratio':>6}")
+    for w in workloads:
+        d = [quartiles([r["metrics"]["peak_rss_mb"] for r in sets[s] if r["workload"] == w])[1]
+             for s in ("parent", "change")]
+        p = [quartiles(pinned(s, w))[1] for s in ("parent", "change")]
+        print(f"{w:<14} {d[0]:>9.1f} {d[1]:>9.1f} {d[1] / d[0]:>6.3f}   {p[0]:>13.1f} "
+              f"{p[1]:>13.1f} {p[1] / p[0]:>6.3f}")
 EOF
 "$change_bin" compare "$work/parent.json" "$work/change.json"
