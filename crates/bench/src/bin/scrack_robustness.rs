@@ -20,9 +20,10 @@
 //! would otherwise make a throughput-ratio gate flaky on a shared CI
 //! box.
 
+use scrack_bench::flag_value;
 use scrack_bench::robustness_report::{verify_gauntlet, RobustnessConfig, RobustnessReport};
 use scrack_bench::trajectory::CommonCli;
-use scrack_bench::value_of;
+use scrack_core::IndexPolicy;
 use std::io::Write as _;
 
 fn main() {
@@ -50,61 +51,27 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--n" => {
-                i += 1;
-                cfg.n = value_of(&args, i, "--n").parse().expect("--n takes an integer");
-            }
+            "--n" => cfg.n = flag_value(&args, &mut i, "an integer", |v| v.parse().ok()),
             "--queries" => {
-                i += 1;
-                cfg.queries = value_of(&args, i, "--queries")
-                    .parse()
-                    .expect("--queries takes an integer");
+                cfg.queries = flag_value(&args, &mut i, "an integer", |v| v.parse().ok())
             }
-            "--batch" => {
-                i += 1;
-                cfg.batch = value_of(&args, i, "--batch")
-                    .parse()
-                    .expect("--batch takes an integer");
-            }
-            "--shards" => {
-                i += 1;
-                cfg.shards = value_of(&args, i, "--shards")
-                    .parse()
-                    .expect("--shards takes an integer");
-            }
+            "--batch" => cfg.batch = flag_value(&args, &mut i, "an integer", |v| v.parse().ok()),
+            "--shards" => cfg.shards = flag_value(&args, &mut i, "an integer", |v| v.parse().ok()),
             "--capacity" => {
-                i += 1;
-                cfg.queue_capacity = value_of(&args, i, "--capacity")
-                    .parse()
-                    .expect("--capacity takes an integer");
+                cfg.queue_capacity = flag_value(&args, &mut i, "an integer", |v| v.parse().ok());
             }
             "--loads" => {
-                i += 1;
-                cfg.load_factors = value_of(&args, i, "--loads")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--loads takes numbers"))
-                    .collect();
+                cfg.load_factors = flag_value(&args, &mut i, "F,F,...", |v| {
+                    v.split(',').map(|s| s.trim().parse().ok()).collect()
+                });
             }
             "--samples" => {
-                i += 1;
-                cfg.samples = value_of(&args, i, "--samples")
-                    .parse()
-                    .expect("--samples takes an integer");
+                cfg.samples = flag_value(&args, &mut i, "an integer", |v| v.parse().ok())
             }
             "--min-recovery" => {
-                i += 1;
-                min_recovery = value_of(&args, i, "--min-recovery")
-                    .parse()
-                    .expect("--min-recovery takes a number");
+                min_recovery = flag_value(&args, &mut i, "a number", |v| v.parse().ok());
             }
-            "--index" => {
-                i += 1;
-                cfg.index = scrack_core::IndexPolicy::parse(value_of(&args, i, "--index"))
-                    .unwrap_or_else(|| {
-                        eprintln!("--index takes avl|flat, got {}", args[i]);
-                        std::process::exit(2);
-                    });
-            }
+            "--index" => cfg.index = flag_value(&args, &mut i, "avl|flat", IndexPolicy::parse),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: scrack_robustness [--n N] [--queries Q] [--batch B] \

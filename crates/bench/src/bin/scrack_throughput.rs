@@ -15,11 +15,12 @@
 //! determinism only, never a perf threshold: CI boxes are too noisy to
 //! gate on queries/sec).
 
+use scrack_bench::flag_value;
 use scrack_bench::throughput_report::{
     verify_chunked_identity, ThroughputConfig, ThroughputReport,
 };
 use scrack_bench::trajectory::CommonCli;
-use scrack_bench::value_of;
+use scrack_core::IndexPolicy;
 use std::io::Write as _;
 
 fn main() {
@@ -40,42 +41,19 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--threads" => {
-                i += 1;
-                cfg.threads = value_of(&args, i, "--threads")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--threads takes integers"))
-                    .collect();
+                cfg.threads = flag_value(&args, &mut i, "N,N,...", |v| {
+                    v.split(',').map(|s| s.trim().parse().ok()).collect()
+                });
             }
-            "--n" => {
-                i += 1;
-                cfg.n = value_of(&args, i, "--n").parse().expect("--n takes an integer");
-            }
+            "--n" => cfg.n = flag_value(&args, &mut i, "an integer", |v| v.parse().ok()),
             "--queries" => {
-                i += 1;
-                cfg.queries = value_of(&args, i, "--queries")
-                    .parse()
-                    .expect("--queries takes an integer");
+                cfg.queries = flag_value(&args, &mut i, "an integer", |v| v.parse().ok())
             }
-            "--batch" => {
-                i += 1;
-                cfg.batch = value_of(&args, i, "--batch")
-                    .parse()
-                    .expect("--batch takes an integer");
-            }
+            "--batch" => cfg.batch = flag_value(&args, &mut i, "an integer", |v| v.parse().ok()),
             "--samples" => {
-                i += 1;
-                cfg.samples = value_of(&args, i, "--samples")
-                    .parse()
-                    .expect("--samples takes an integer");
+                cfg.samples = flag_value(&args, &mut i, "an integer", |v| v.parse().ok())
             }
-            "--index" => {
-                i += 1;
-                cfg.index = scrack_core::IndexPolicy::parse(value_of(&args, i, "--index"))
-                    .unwrap_or_else(|| {
-                        eprintln!("--index takes avl|flat, got {}", args[i]);
-                        std::process::exit(2);
-                    });
-            }
+            "--index" => cfg.index = flag_value(&args, &mut i, "avl|flat", IndexPolicy::parse),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: scrack_throughput [--threads N,N,...] [--n N] \

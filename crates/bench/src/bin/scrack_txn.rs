@@ -17,9 +17,9 @@
 //! replay diverges, or any armed fault fails to fire — the CI
 //! txn-smoke gate (counters only, so it never flakes on wall time).
 
+use scrack_bench::flag_value;
 use scrack_bench::trajectory::CommonCli;
 use scrack_bench::txn_report::{verify_txn, TxnGauntletConfig, TxnReport, SCENARIOS};
-use scrack_bench::value_of;
 use std::io::Write as _;
 
 fn main() {
@@ -34,53 +34,20 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--n" => {
-                i += 1;
-                cfg.n = value_of(&args, i, "--n").parse().expect("--n takes an integer");
-            }
-            "--rounds" => {
-                i += 1;
-                cfg.rounds = value_of(&args, i, "--rounds")
-                    .parse()
-                    .expect("--rounds takes an integer");
-            }
-            "--steps" => {
-                i += 1;
-                cfg.steps = value_of(&args, i, "--steps")
-                    .parse()
-                    .expect("--steps takes an integer");
-            }
+            "--n" => cfg.n = flag_value(&args, &mut i, "an integer", |v| v.parse().ok()),
+            "--rounds" => cfg.rounds = flag_value(&args, &mut i, "an integer", |v| v.parse().ok()),
+            "--steps" => cfg.steps = flag_value(&args, &mut i, "an integer", |v| v.parse().ok()),
             "--sessions" => {
-                i += 1;
-                cfg.sessions = value_of(&args, i, "--sessions")
-                    .parse()
-                    .expect("--sessions takes an integer");
+                cfg.sessions = flag_value(&args, &mut i, "an integer", |v| v.parse().ok());
             }
-            "--shards" => {
-                i += 1;
-                cfg.shards = value_of(&args, i, "--shards")
-                    .parse()
-                    .expect("--shards takes an integer");
-            }
+            "--shards" => cfg.shards = flag_value(&args, &mut i, "an integer", |v| v.parse().ok()),
             "--trigger" => {
-                i += 1;
-                cfg.fault_trigger = value_of(&args, i, "--trigger")
-                    .parse()
-                    .expect("--trigger takes an integer");
+                cfg.fault_trigger = flag_value(&args, &mut i, "an integer", |v| v.parse().ok());
             }
-            "--seed" => {
-                i += 1;
-                cfg.seed = value_of(&args, i, "--seed").parse().expect("--seed takes an integer");
-            }
-            "--scenario" => {
-                i += 1;
-                let name = value_of(&args, i, "--scenario");
-                let known = SCENARIOS.iter().find(|s| **s == name).unwrap_or_else(|| {
-                    eprintln!("unknown scenario {name} (one of {SCENARIOS:?})");
-                    std::process::exit(2);
-                });
-                scenarios.push(known);
-            }
+            "--seed" => cfg.seed = flag_value(&args, &mut i, "an integer", |v| v.parse().ok()),
+            "--scenario" => scenarios.push(flag_value(&args, &mut i, &SCENARIOS.join("|"), |v| {
+                SCENARIOS.iter().copied().find(|s| *s == v)
+            })),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: scrack_txn [--n N] [--rounds R] [--steps S] \

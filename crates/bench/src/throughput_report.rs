@@ -4,9 +4,8 @@
 //! execution. It sweeps `threads × strategy × workload` over the
 //! `scrack_parallel` wrappers and emits a stable
 //! [`scrack-trajectory/v1`](crate::trajectory) document (`BENCH_6.json`
-//! in the repo root, superseding PR 3's `BENCH_3.json`; regenerated via
-//! `cargo run --release -p scrack_bench --bin scrack_throughput -- --json
-//! BENCH_6.json`).
+//! in the repo root; regenerated via `cargo run --release -p scrack_bench
+//! --bin scrack_throughput -- --json BENCH_6.json`).
 //!
 //! Per cell the harness reports:
 //!

@@ -17,10 +17,8 @@
 //! * [`median`] / [`percentile`] — the nearest-rank order statistics the
 //!   timing harnesses share.
 //!
-//! The throughput, robustness, and txn reporters emit
-//! `scrack-trajectory/v1`; the older latency/updates reports
-//! predate the schema and keep their bespoke documents until their next
-//! regeneration.
+//! The throughput, robustness, and txn reporters all emit
+//! `scrack-trajectory/v1`.
 
 use std::fmt::Write as _;
 

@@ -85,7 +85,7 @@ fn query_output_views_and_materialized_resolve_against_reordered_buffer() {
 
 #[test]
 fn scan_select_checksum_is_reorder_invariant() {
-    // The fingerprint tests and benches rely on: physical reorganization
+    // The fingerprint tests and reporters rely on: physical reorganization
     // never changes a column's content checksum or its scan answers.
     let t = sample_table(512);
     let mut col: Column<Tuple> = t.cracker_column("ra");

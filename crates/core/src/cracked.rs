@@ -525,17 +525,14 @@ impl<E: Element> CrackedColumn<E> {
         self.settle_job_at(q.high);
         let [(p1, s1), (p2, s2)] = self.end_pieces(q);
         if p1 == p2 {
-            if let Some(fringe) = Self::single_piece_fringe(&p1, q) {
-                out.reserve(fringe_room([Some(&p1), None]));
-                self.stochastic_fringe(&p1, s1, fringe, rng, &mut out);
-            } else {
-                // The query exactly covers the piece: pure view, no
-                // materialization, no crack ("we avoid materialization
-                // altogether when a query exactly matches a piece").
-                out.add_view(&self.data, p1.start, p1.end);
-            }
+            out.reserve(fringe_room([Some(&p1), None]));
+            self.stochastic_fringe(&p1, s1, Self::single_piece_fringe(&p1, q), rng, &mut out);
             return out;
         }
+        // A bound that is already a crack needs no fringe: a query that
+        // exactly matches a piece is a pure view, no materialization, no
+        // crack ("we avoid materialization altogether when a query
+        // exactly matches a piece").
         let (low_fringe, high_fringe) = (p1.lo_key != Some(q.low), p2.lo_key != Some(q.high));
         let fringes = [low_fringe.then_some(&p1), high_fringe.then_some(&p2)];
         out.reserve(fringe_room(fringes));
@@ -555,16 +552,15 @@ impl<E: Element> CrackedColumn<E> {
         out
     }
 
-    /// The filter needed when both bounds fall in the same piece, or
-    /// `None` if the query exactly matches the piece (no work needed).
-    fn single_piece_fringe(piece: &Piece, q: QueryRange) -> Option<Fringe> {
-        let low_is_boundary = piece.lo_key == Some(q.low);
-        let high_is_boundary = piece.hi_key == Some(q.high);
-        match (low_is_boundary, high_is_boundary) {
-            (true, true) => None,
-            (true, false) => Some(Fringe::High(q.high)),
-            (false, true) => Some(Fringe::Low(q.low)),
-            (false, false) => Some(Fringe::Both(q)),
+    /// The filter needed when both bounds fall in the same piece. The
+    /// high bound is never that piece's upper crack (`end_pieces` would
+    /// have located it in the next piece), so only the low bound can
+    /// spare its filter.
+    fn single_piece_fringe(piece: &Piece, q: QueryRange) -> Fringe {
+        if piece.lo_key == Some(q.low) {
+            Fringe::High(q.high)
+        } else {
+            Fringe::Both(q)
         }
     }
 
@@ -718,12 +714,8 @@ impl<E: Element> CrackedColumn<E> {
         self.settle_job_at(q.high);
         let [(p1, s1), (p2, s2)] = self.end_pieces(q);
         if p1 == p2 {
-            if let Some(fringe) = Self::single_piece_fringe(&p1, q) {
-                out.reserve(fringe_room([Some(&p1), None]));
-                self.midpoint_fringe(&p1, s1, fringe, &mut out);
-            } else {
-                out.add_view(&self.data, p1.start, p1.end);
-            }
+            out.reserve(fringe_room([Some(&p1), None]));
+            self.midpoint_fringe(&p1, s1, Self::single_piece_fringe(&p1, q), &mut out);
             return out;
         }
         let (low_fringe, high_fringe) = (p1.lo_key != Some(q.low), p2.lo_key != Some(q.high));
@@ -813,18 +805,12 @@ impl<E: Element> CrackedColumn<E> {
         self.settle_job_at(q.high);
         let [(p1, s1), (p2, s2)] = self.end_pieces(q);
         if p1 == p2 {
-            return match Self::single_piece_fringe(&p1, q) {
-                None => self.view(p1.start, p1.end),
-                Some(fringe) => {
-                    if use_stochastic(&p1, self.index.piece_meta_mut(&p1)) {
-                        out.reserve(fringe_room([Some(&p1), None]));
-                        self.stochastic_fringe(&p1, s1, fringe, rng, &mut out);
-                        out
-                    } else {
-                        self.original_select_inner(q)
-                    }
-                }
-            };
+            if !use_stochastic(&p1, self.index.piece_meta_mut(&p1)) {
+                return self.original_select_inner(q);
+            }
+            out.reserve(fringe_room([Some(&p1), None]));
+            self.stochastic_fringe(&p1, s1, Self::single_piece_fringe(&p1, q), rng, &mut out);
+            return out;
         }
         // Per end piece: `None` when the bound is a crack (nothing to
         // filter), else whether the fringe goes stochastic.
@@ -879,12 +865,9 @@ impl<E: Element> CrackedColumn<E> {
         }
         let [(p1, s1), (p2, s2)] = self.end_pieces(q);
         if p1 == p2 {
-            if let Some(fringe) = Self::single_piece_fringe(&p1, q) {
-                out.reserve(fringe_room([Some(&p1), None]));
-                self.progressive_fringe(&p1, s1, fringe, swap_pct, rng, &mut out);
-            } else {
-                out.add_view(&self.data, p1.start, p1.end);
-            }
+            out.reserve(fringe_room([Some(&p1), None]));
+            let fringe = Self::single_piece_fringe(&p1, q);
+            self.progressive_fringe(&p1, s1, fringe, swap_pct, rng, &mut out);
             return out;
         }
         let (low_fringe, high_fringe) = (p1.lo_key != Some(q.low), p2.lo_key != Some(q.high));

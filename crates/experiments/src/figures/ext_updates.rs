@@ -118,7 +118,8 @@ pub fn run(cfg: &ExpConfig) -> String {
     out.push_str(&table.render());
 
     // Merge-policy comparison: a high-volume uniform mixed stream (the
-    // BENCH_5 "uniform" shape at this run's scale) across the engine zoo.
+    // "uniform" shape of `crates/updates/tests/swap_gate.rs` at this
+    // run's scale) across the engine zoo.
     let ops = MixedWorkloadSpec::fig15(WorkloadKind::Random, cfg.n, cfg.queries, cfg.seed)
         .with_update_rate(10.0)
         .with_burst(100)

@@ -63,8 +63,8 @@
 //!
 //! The search runs through `partition_point` (the classic branchy
 //! halving). A predicated conditional-move search was measured 4–5×
-//! slower here (`BENCH_4.json`): its loads form a serial dependency
-//! chain, while the branchy search speculates — the CPU issues the
+//! slower here (docs/ARCHITECTURE.md, cracker index): its loads form a
+//! serial dependency chain, while the branchy search speculates — the CPU issues the
 //! probable next load before the compare resolves.
 //!
 //! An entry moves when its block shifts or splits, so nothing outside

@@ -19,8 +19,8 @@
 //! one wins on lookup locality at every crack count a query sequence
 //! produces and serves every workload; the AVL tree is the paper's
 //! structure and the differential reference the cross-policy suites
-//! compare against (`crates/bench/benches/index.rs`, `replay_500k`, is
-//! the measurement).
+//! compare against (docs/ARCHITECTURE.md records the `replay_500k`
+//! measurement).
 //!
 //! A crack `(v, p)` asserts: positions `< p` hold keys `< v`, positions
 //! `>= p` hold keys `>= v`. Pieces are the gaps between consecutive cracks.

@@ -17,9 +17,9 @@
 //!   append-heavy monotone keys beyond the domain end (the classic
 //!   LFHV append workload).
 //!
-//! Streams are deterministic per seed, so engine comparisons and the
-//! `scrack_updates` perf baseline (`BENCH_5.json`) replay identical op
-//! sequences.
+//! Streams are deterministic per seed, so engine comparisons (the
+//! `scrack_updates` swap gate, the `mixed_updates` benchmark workload)
+//! replay identical op sequences.
 
 use crate::synthetic::{WorkloadKind, WorkloadSpec};
 use rand::rngs::SmallRng;

@@ -7,7 +7,7 @@
 #
 #   own    the declaring crate's `src/`
 #   other  other crates' `src/` and the facade's `src/`
-#   tests  `tests/`, `examples/`, `crates/*/tests`, `crates/*/benches`
+#   tests  `tests/`, `examples/`, `crates/*/tests`
 #   bench  `benchmark/src`
 #
 # Items mentioned nowhere outside their own file come last: candidates
@@ -23,7 +23,7 @@ cd "${1:-$(dirname "$0")/..}"
 
 {
     find crates/*/src -name '*.rs' | sort | sed 's/^/D /'
-    find crates/*/src crates/*/tests crates/*/benches src tests examples benchmark/src \
+    find crates/*/src crates/*/tests src tests examples benchmark/src \
         -name '*.rs' 2>/dev/null | sort | sed 's/^/R /'
 } | awk '
     function crate_of(path,    parts) { split(path, parts, "/"); return parts[2] }
