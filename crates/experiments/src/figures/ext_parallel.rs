@@ -16,9 +16,9 @@
 //! * `piecelock` — [`PieceLockedCracker`]: per-piece locks, one query
 //!   stream per thread.
 //!
-//! The full sweep (more strategies, p99 latency, scaling efficiency,
-//! JSON baseline) lives in the `scrack_throughput` binary; this section
-//! is the quick in-harness view.
+//! The repo benchmark measures the batched shape end to end
+//! (`batch_served`, with `parallel.speedup_vs_serial`); this section is
+//! the quick in-harness view.
 
 use super::{fresh_data, heading, workload};
 use crate::report::Table;
@@ -40,7 +40,7 @@ fn run_batched(cfg: &ExpConfig, data: &[u64], queries: &[QueryRange], threads: u
     );
     let mut checksum = 0u64;
     let t0 = Instant::now();
-    for chunk in queries.chunks(cfg.batch.max(1)) {
+    for chunk in queries.chunks(cfg.batch) {
         for (c, s) in sched.execute(chunk) {
             checksum = checksum.wrapping_add(c as u64).wrapping_add(s);
         }
@@ -59,7 +59,7 @@ fn run_chunked(cfg: &ExpConfig, data: &[u64], queries: &[QueryRange], threads: u
     );
     let mut checksum = 0u64;
     let t0 = Instant::now();
-    for chunk in queries.chunks(cfg.batch.max(1)) {
+    for chunk in queries.chunks(cfg.batch) {
         for (c, s) in cc.execute(chunk) {
             checksum = checksum.wrapping_add(c as u64).wrapping_add(s);
         }

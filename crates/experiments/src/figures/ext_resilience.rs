@@ -8,11 +8,12 @@
 //! queue overload — and reports, per fault: the outcome accounting
 //! (answered / shed / timed out), the fault signatures the run left
 //! (isolated panics, quarantines, rebuilds), and an exactness check of
-//! every answered query against a scan oracle. The full open-loop
-//! arrival-rate sweep (latency percentiles vs offered load, recovery
-//! ratios, JSON baseline `BENCH_7.json`) lives in the
-//! `scrack_robustness` binary; this section is the quick in-harness
-//! view.
+//! every answered query against a scan oracle. The same contracts are
+//! asserted under every admission policy by
+//! `crates/parallel/tests/resilience_gauntlet.rs`, and under
+//! transactional sessions by the fault axis of
+//! `crates/txn/tests/prop.rs`; what a served batch costs is measured by
+//! the repo benchmark's `batch_served` workload.
 
 use super::{fresh_data, heading, workload};
 use crate::report::Table;
@@ -49,7 +50,7 @@ fn run_fault(
         cfg.seed_for("ext-resilience"),
     );
     let (mut answered, mut shed, mut wrong) = (0usize, 0usize, 0usize);
-    for chunk in queries.chunks(cfg.batch.max(1)) {
+    for chunk in queries.chunks(cfg.batch) {
         let report = sched.execute_resilient(chunk, serving);
         assert_eq!(report.outcomes.len(), chunk.len(), "a query went missing");
         for (qi, outcome) in report.outcomes.iter().enumerate() {
@@ -81,12 +82,12 @@ pub fn run(cfg: &ExpConfig) -> String {
     let data = fresh_data(cfg);
     let queries = workload(cfg, WorkloadKind::Random);
     let serving = ServingConfig::bounded(
-        (cfg.batch.max(1) / 2).max(4),
+        (cfg.batch / 2).max(4),
         AdmissionPolicy::Shed,
     )
     .with_max_retries(1);
     let trigger = 12;
-    let window = (queries.len() / cfg.batch.max(1) / 3).max(1) as u32;
+    let window = (queries.len() / cfg.batch / 3).max(1) as u32;
     let plans = [
         ("none", FaultPlan::disabled()),
         ("panic", FaultPlan::panic_in_kernel(trigger).on_target(0)),

@@ -15,13 +15,48 @@
 //!                    and BatchScheduler batch size
 //! ```
 //!
-//! A value flag with a missing or unparsable value, like an unknown
-//! argument, prints a usage error and exits 2.
+//! A value flag with a missing, unparsable or zero value, like an
+//! unknown figure or argument, prints a usage error and exits 2 before
+//! anything runs.
 
 use scrack_core::{IndexPolicy, KernelPolicy, UpdatePolicy};
 use scrack_experiments::figures;
 use scrack_experiments::ExpConfig;
 use std::io::Write as _;
+use std::str::FromStr;
+
+/// A figure's CLI name and the function that renders its section.
+type Figure = (&'static str, fn(&ExpConfig) -> String);
+
+/// Every figure the harness runs, in the order `all` runs them.
+const FIGURES: [Figure; 21] = [
+    ("fig2", figures::fig02::run),
+    ("fig7", figures::fig07::run),
+    ("fig8", figures::fig08::run),
+    ("fig9", figures::fig09::run),
+    ("fig10", figures::fig10::run),
+    ("fig11", figures::fig11::run),
+    ("fig12", figures::fig12::run),
+    ("fig13", figures::fig13::run),
+    ("fig14", figures::fig14::run),
+    ("fig15", figures::fig15::run),
+    ("fig16", figures::fig16::run),
+    ("fig17", figures::fig17::run),
+    ("fig18", figures::fig18::run),
+    ("fig19", figures::fig19::run),
+    ("fig20", figures::fig20::run),
+    ("ext-updates", figures::ext_updates::run),
+    ("ext-io", figures::ext_io::run),
+    ("ext-chooser", figures::ext_chooser::run),
+    ("ext-metrics", figures::ext_metrics::run),
+    ("ext-parallel", figures::ext_parallel::run),
+    ("ext-resilience", figures::ext_resilience::run),
+];
+
+/// Parses a count that must be at least one.
+fn positive<T: FromStr + PartialOrd + Default>(v: &str) -> Option<T> {
+    v.parse().ok().filter(|n| *n > T::default())
+}
 
 /// The value after the flag at `args[*i]`, advancing `i` onto it. A
 /// missing value, or one `parse` rejects, prints the flag's usage and
@@ -44,13 +79,14 @@ fn flag_value<T>(
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = ExpConfig::default();
-    let mut figures_wanted: Vec<String> = Vec::new();
+    let mut figures_wanted = Vec::new();
+    let mut all = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--n" => cfg.n = flag_value(&args, &mut i, "an integer", |v| v.parse().ok()),
+            "--n" => cfg.n = flag_value(&args, &mut i, "a positive integer", positive),
             "--queries" | "-q" => {
-                cfg.queries = flag_value(&args, &mut i, "an integer", |v| v.parse().ok());
+                cfg.queries = flag_value(&args, &mut i, "a positive integer", positive);
             }
             "--seed" => cfg.seed = flag_value(&args, &mut i, "an integer", |v| v.parse().ok()),
             "--out" => {
@@ -69,11 +105,11 @@ fn main() {
                 cfg.update = flag_value(&args, &mut i, "per-element|batched", UpdatePolicy::parse);
             }
             "--threads" => {
-                cfg.threads = flag_value(&args, &mut i, "N,N,...", |v| {
-                    v.split(',').map(|s| s.trim().parse().ok()).collect()
+                cfg.threads = flag_value(&args, &mut i, "N,N,... (each >= 1)", |v| {
+                    v.split(',').map(|s| positive(s.trim())).collect()
                 });
             }
-            "--batch" => cfg.batch = flag_value(&args, &mut i, "an integer", |v| v.parse().ok()),
+            "--batch" => cfg.batch = flag_value(&args, &mut i, "a positive integer", positive),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: experiments [fig2|fig8|...|fig20|ext-updates|\
@@ -85,26 +121,24 @@ fn main() {
                 );
                 return;
             }
-            other if other.starts_with("fig") || other.starts_with("ext-") || other == "all" => {
-                figures_wanted.push(other.to_string());
-            }
-            other => {
-                eprintln!("unknown argument: {other} (try --help)");
-                std::process::exit(2);
-            }
+            "all" => all = true,
+            other => match FIGURES.iter().find(|(f, _)| *f == other) {
+                Some(figure) => figures_wanted.push(*figure),
+                None => {
+                    let what = if other.starts_with("fig") || other.starts_with("ext-") {
+                        "figure"
+                    } else {
+                        "argument"
+                    };
+                    eprintln!("unknown {what}: {other} (try --help)");
+                    std::process::exit(2);
+                }
+            },
         }
         i += 1;
     }
-    if figures_wanted.is_empty() || figures_wanted.iter().any(|f| f == "all") {
-        figures_wanted = [
-            "fig2", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-            "fig16",
-            "fig17", "fig18", "fig19", "fig20", "ext-updates", "ext-io", "ext-chooser",
-            "ext-metrics", "ext-parallel", "ext-resilience",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    if all || figures_wanted.is_empty() {
+        figures_wanted = FIGURES.to_vec();
     }
 
     let stdout = std::io::stdout();
@@ -116,35 +150,9 @@ fn main() {
          seed={}, verify={}, kernel={}, index={}, update={}.\n",
         cfg.n, cfg.queries, cfg.seed, cfg.verify, cfg.kernel, cfg.index, cfg.update
     );
-    for fig in &figures_wanted {
+    for (fig, run) in figures_wanted {
         let t0 = std::time::Instant::now();
-        let section = match fig.as_str() {
-            "fig2" => figures::fig02::run(&cfg),
-            "fig7" => figures::fig07::run(&cfg),
-            "fig8" => figures::fig08::run(&cfg),
-            "fig9" => figures::fig09::run(&cfg),
-            "fig10" => figures::fig10::run(&cfg),
-            "fig11" => figures::fig11::run(&cfg),
-            "fig12" => figures::fig12::run(&cfg),
-            "fig13" => figures::fig13::run(&cfg),
-            "fig14" => figures::fig14::run(&cfg),
-            "fig15" => figures::fig15::run(&cfg),
-            "fig16" => figures::fig16::run(&cfg),
-            "fig17" => figures::fig17::run(&cfg),
-            "fig18" => figures::fig18::run(&cfg),
-            "fig19" => figures::fig19::run(&cfg),
-            "fig20" => figures::fig20::run(&cfg),
-            "ext-updates" => figures::ext_updates::run(&cfg),
-            "ext-io" => figures::ext_io::run(&cfg),
-            "ext-chooser" => figures::ext_chooser::run(&cfg),
-            "ext-metrics" => figures::ext_metrics::run(&cfg),
-            "ext-parallel" => figures::ext_parallel::run(&cfg),
-            "ext-resilience" => figures::ext_resilience::run(&cfg),
-            other => {
-                eprintln!("unknown figure: {other}");
-                continue;
-            }
-        };
+        let section = run(&cfg);
         let _ = writeln!(lock, "{section}");
         let _ = writeln!(
             lock,

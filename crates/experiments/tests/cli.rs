@@ -1,5 +1,6 @@
-//! The `experiments` CLI rejects a malformed value flag with a usage
-//! error and exit code 2, never a panic (exit 101).
+//! The `experiments` CLI rejects a malformed value flag, a zero count and
+//! an unknown figure with a usage error and exit code 2 before running
+//! anything, never a panic (exit 101) or a silent success.
 
 use std::process::Command;
 
@@ -40,4 +41,32 @@ fn an_unparsable_value_is_a_usage_error() {
     ] {
         assert_eq!(exit_code(&args), Some(2), "{args:?}");
     }
+}
+
+#[test]
+fn a_zero_count_is_a_usage_error() {
+    for args in [
+        ["fig2", "--n", "0"],
+        ["fig2", "--queries", "0"],
+        ["ext-parallel", "--threads", "0"],
+        ["ext-parallel", "--threads", "1,0"],
+        ["ext-parallel", "--batch", "0"],
+    ] {
+        assert_eq!(exit_code(&args), Some(2), "{args:?}");
+    }
+}
+
+#[test]
+fn an_unknown_figure_is_a_usage_error_before_anything_runs() {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["fig2", "fig99", "--quick"])
+        .output()
+        .expect("run the experiments binary");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing runs before the check");
+}
+
+#[test]
+fn help_exits_zero() {
+    assert_eq!(exit_code(&["--help"]), Some(0));
 }

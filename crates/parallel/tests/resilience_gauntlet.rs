@@ -8,12 +8,13 @@
 //!   and the rest are `Shed` or `TimedOut` — `outcomes.len()` always
 //!   equals the batch length, so nothing is ever silently dropped.
 //! * **Degradation is observable.** Each planned fault leaves its
-//!   signature in the report (`panics_isolated`, `quarantined`,
-//!   `rebuilt`, shed counts), so the gauntlet can prove the fault
-//!   actually fired rather than vacuously passing.
+//!   signature in the counters (`panics_isolated`, `quarantines`,
+//!   `rebuilds`; an overload under `Shed` admission sheds), so the
+//!   gauntlet can prove the fault actually fired rather than vacuously
+//!   passing.
 //! * **Recovery is complete.** After the fault window, every shard is
-//!   `Healthy` again and subsequent batches are fully answered with
-//!   normal adaptive cracking (crack counts grow again).
+//!   `Healthy` again, subsequent batches are fully answered, and the
+//!   rebuilt shard cracks again: its `Stats.cracks` grows.
 
 use scrack_core::{CrackConfig, FaultPlan};
 use scrack_parallel::{
@@ -104,14 +105,15 @@ fn drive(
 fn fault_matrix_is_oracle_correct_under_every_admission_policy() {
     let data = column(N);
     let queries = stream(512);
+    // With the shard each fault targets, for the recovery probe.
     let plans = [
-        ("none", FaultPlan::disabled()),
-        ("panic", FaultPlan::panic_in_kernel(6).on_target(0)),
-        ("delay", FaultPlan::delay_in_crack(6, 10).on_target(1)),
-        ("poison", FaultPlan::poison_shard(4).on_target(2)),
-        ("overload", FaultPlan::queue_overload(3).with_repeat(3)),
+        ("none", FaultPlan::disabled(), None),
+        ("panic", FaultPlan::panic_in_kernel(6).on_target(0), Some(0)),
+        ("delay", FaultPlan::delay_in_crack(6, 10).on_target(1), None),
+        ("poison", FaultPlan::poison_shard(4).on_target(2), Some(2)),
+        ("overload", FaultPlan::queue_overload(3).with_repeat(3), None),
     ];
-    for (fault, plan) in plans {
+    for (fault, plan, rebuilt) in plans {
         for admission in AdmissionPolicy::ALL {
             let serving = ServingConfig::bounded(8, admission).with_max_retries(1);
             let mut sched = scheduler(4, plan);
@@ -136,6 +138,9 @@ fn fault_matrix_is_oracle_correct_under_every_admission_policy() {
                     assert!(stats.quarantines >= 1, "{admission}: poison never fired");
                     assert!(stats.rebuilds >= 1, "{admission}: no rebuild after poison");
                 }
+                "overload" if admission == AdmissionPolicy::Shed => {
+                    assert!(stats.shed >= 1, "overload never shed under Shed admission");
+                }
                 _ => {}
             }
             // Recovery: the fault window is long past; every shard must
@@ -149,6 +154,23 @@ fn fault_matrix_is_oracle_correct_under_every_admission_policy() {
                 report.fully_answered(),
                 "{fault}/{admission}: post-fault batch not fully answered"
             );
+            // The rebuilt shard serves adaptively again: fresh bounds
+            // inside its span crack it (a scan would crack nothing).
+            if let Some(si) = rebuilt {
+                let span = sched.shard_spans()[si];
+                let probes: Vec<QueryRange> = (1..=8)
+                    .map(|i| {
+                        let a = span.low + i * (span.high - span.low) / 10 + 3;
+                        QueryRange::new(a, a + 7)
+                    })
+                    .collect();
+                let before = sched.stats().cracks;
+                sched.execute_resilient(&probes, &ServingConfig::default());
+                assert!(
+                    sched.stats().cracks > before,
+                    "{fault}/{admission}: rebuilt shard {si} never cracks again"
+                );
+            }
         }
     }
 }

@@ -15,15 +15,24 @@
 //! * **serial equivalence** — replaying the oracle's committed history,
 //!   in epoch order, through every update-capable factory engine yields
 //!   the same final answers as a fresh transactional session, tying the
-//!   session layer to the single-threaded update path.
+//!   session layer to the single-threaded update path;
+//! * **fault isolation** — with one fault of the serving ladder armed
+//!   (kernel panic, commit panic, poisoned shard, admission overload,
+//!   crack delay), a session whose op fails is doomed and never commits,
+//!   every other read and outcome still matches the oracle, an abort the
+//!   oracle did not predict is excused only by a fault counter that moved
+//!   during that commit, each fault leaves its signature in the
+//!   resilience counters, and a replay with the same seed is
+//!   bit-identical.
 
 use proptest::prelude::*;
-use scrack_core::{CrackConfig, Engine, IndexPolicy, UpdatePolicy};
-use scrack_parallel::{ParallelStrategy, ServingConfig};
+use scrack_core::{CrackConfig, Engine, FaultKind, FaultPlan, IndexPolicy, UpdatePolicy};
+use scrack_parallel::{AdmissionPolicy, ParallelStrategy, ResilienceStats, ServingConfig};
 use scrack_txn::{Session, TxnManager, TxnOutcome};
 use scrack_types::QueryRange;
 use scrack_updates::{build_update_engine, update_capable_kinds};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const N: u64 = 1_200;
 /// Write keys may land beyond the original domain (appends).
@@ -148,9 +157,10 @@ impl Oracle {
         hits
     }
 
-    /// First-committer-wins commit: any committed op after the snapshot
-    /// on a written key (evaporated deletes included) aborts.
-    fn commit(&mut self, s: OracleSession) -> TxnOutcome {
+    /// The first-committer-wins outcome of committing `s` now: any
+    /// committed op after the snapshot on a written key (evaporated
+    /// deletes included) aborts.
+    fn predict(&self, s: &OracleSession) -> TxnOutcome {
         if s.writes.is_empty() {
             return TxnOutcome::Committed { epoch: s.snapshot };
         }
@@ -162,10 +172,18 @@ impl Oracle {
         if conflict {
             return TxnOutcome::Aborted { retryable: true };
         }
-        self.epoch += 1;
-        let ep = self.epoch;
-        self.committed.extend(s.writes.into_iter().map(|w| (ep, w)));
-        TxnOutcome::Committed { epoch: ep }
+        TxnOutcome::Committed {
+            epoch: self.epoch + 1,
+        }
+    }
+
+    /// Publishes a session the manager committed at a fresh epoch.
+    fn apply(&mut self, s: OracleSession) {
+        if !s.writes.is_empty() {
+            self.epoch += 1;
+            let ep = self.epoch;
+            self.committed.extend(s.writes.into_iter().map(|w| (ep, w)));
+        }
     }
 }
 
@@ -189,10 +207,101 @@ fn config(index: IndexPolicy, update: UpdatePolicy) -> CrackConfig {
         .with_update(update)
 }
 
+/// A fixed pseudo-random schedule of `len` steps in `op_strategy`'s mix,
+/// for the tests that sum evidence over a set of seeds.
+fn schedule(seed: u64, len: usize) -> Vec<(usize, Op)> {
+    let mut state = 0x2545_F491_4F6C_DD1Du64 ^ seed;
+    let mut next = move |span: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % span
+    };
+    (0..len)
+        .map(|_| {
+            let sid = next(SESSIONS as u64) as usize;
+            let op = match next(6) {
+                0 | 1 => Op::Read(next(N), 1 + next(399)),
+                2 => Op::Insert(next(KEY_SPAN)),
+                3 => Op::Delete(next(KEY_SPAN)),
+                4 => Op::Commit,
+                _ => Op::Abort,
+            };
+            (sid, op)
+        })
+        .collect()
+}
+
+/// The plan and serving config of one point on the fault axis. Kernel,
+/// commit and poison faults target shard 0, so the quarantine they cause
+/// stays bounded; an overload runs under `Shed` admission, whose
+/// refusals are the behaviour under test.
+fn armed(fault: Option<FaultKind>) -> (FaultPlan, ServingConfig) {
+    let plan = match fault {
+        None => FaultPlan::disabled(),
+        Some(FaultKind::PanicInKernel) => FaultPlan::panic_in_kernel(4).on_target(0),
+        // Polled once per commit that writes shard 0, far rarer than
+        // cracks, so it arms the first one.
+        Some(FaultKind::PanicInCommit) => FaultPlan::panic_in_commit(1).on_target(0),
+        Some(FaultKind::PoisonShard) => FaultPlan::poison_shard(4).on_target(0),
+        Some(FaultKind::QueueOverload) => FaultPlan::queue_overload(2).with_repeat(8),
+        Some(FaultKind::DelayInCrack) => FaultPlan::delay_in_crack(4, 1 << 14).on_target(0),
+    };
+    let serving = match fault {
+        Some(FaultKind::QueueOverload) => {
+            ServingConfig::bounded(usize::MAX, AdmissionPolicy::Shed)
+        }
+        _ => ServingConfig::default(),
+    };
+    (plan, serving)
+}
+
+/// What a schedule leaves behind: every read's answer and every
+/// session's outcome, in schedule order.
+#[derive(Debug, Default, PartialEq)]
+struct Trace {
+    answers: Vec<(usize, u64)>,
+    outcomes: Vec<TxnOutcome>,
+}
+
+/// Commits one session and checks the outcome against the oracle's
+/// prediction, publishing the session to the oracle only if the manager
+/// committed it. A doomed session must not commit. An abort the oracle
+/// did not predict is excused only by doom or by a fault counter that
+/// moved during this very commit.
+fn finish(
+    mgr: &Arc<TxnManager<u64>>,
+    oracle: &mut Oracle,
+    (session, model, doomed): (Session<u64>, OracleSession, bool),
+    what: &str,
+) -> TxnOutcome {
+    let want = oracle.predict(&model);
+    let faults = || {
+        let s = mgr.resilience_stats();
+        s.panics_isolated + s.quarantines
+    };
+    let before = faults();
+    let got = session.commit();
+    let moved = faults() > before;
+    match got {
+        TxnOutcome::Committed { .. } if !doomed && got == want => oracle.apply(model),
+        TxnOutcome::Aborted { retryable: true } if doomed || moved || got == want => {}
+        _ => panic!("{what}: outcome {got:?}, oracle {want:?} (doomed {doomed}, fault moved {moved})"),
+    }
+    got
+}
+
 /// Replays one interleaved schedule against both the manager and the
-/// oracle, asserting read-for-read and outcome-for-outcome equality.
-/// Returns the answer trace (for cross-config comparison) and the oracle
-/// (for serial-equivalence replays).
+/// oracle, with `fault` armed (or none), asserting read-for-read and
+/// outcome-for-outcome equality. Returns the trace (for cross-config and
+/// replay comparison), the oracle (for serial-equivalence replays) and
+/// the manager's resilience counters (for fault signatures).
+///
+/// A session whose op fails is doomed: it is compared no further and
+/// must not commit. An op may fail only while a fault is armed; a begin
+/// may be refused only by an overload under `Shed` admission. Every
+/// session, refused ones included, ends in one outcome, and the
+/// manager's counters must account for each exactly once.
 ///
 /// The driver is single-threaded, so a write op whose key is currently
 /// locked by *another* live session is skipped rather than issued — a
@@ -206,60 +315,81 @@ fn run_schedule(
     strategy: ParallelStrategy,
     index: IndexPolicy,
     update: UpdatePolicy,
-) -> (Vec<(usize, u64)>, Oracle) {
+    fault: Option<FaultKind>,
+) -> (Trace, Oracle, ResilienceStats) {
     let data = column(seed);
     let mut oracle = Oracle::new(&data);
+    let (plan, serving) = armed(fault);
     let mgr = TxnManager::new(
         data,
         3,
         strategy,
-        config(index, update),
-        ServingConfig::default(),
+        config(index, update).with_fault(plan),
+        serving,
         seed,
     );
-    let mut live: HashMap<usize, (Session<u64>, OracleSession)> = HashMap::new();
+    let mut live: HashMap<usize, (Session<u64>, OracleSession, bool)> = HashMap::new();
     let mut locked: HashMap<u64, usize> = HashMap::new();
-    let mut answers = Vec::new();
-    let ctx = |i: usize| format!("step {i} ({strategy:?}/{index}/{update})");
+    let mut trace = Trace::default();
+    let ctx = |i: usize| format!("step {i} ({strategy:?}/{index}/{update}/{fault:?})");
+    let fail = |i: usize| {
+        assert!(fault.is_some(), "{}: an op failed with no fault armed", ctx(i));
+        true
+    };
 
     for (i, (sid, op)) in steps.iter().enumerate() {
         let sid = *sid % SESSIONS;
-        let (session, model) = match live.remove(&sid) {
-            Some(pair) => pair,
-            None => (mgr.begin().unwrap(), oracle.begin()),
+        let (mut session, mut model, mut doomed) = match live.remove(&sid) {
+            Some(slot) => slot,
+            None => match mgr.begin() {
+                Ok(session) => (session, oracle.begin(), false),
+                Err(refused) => {
+                    assert_eq!(
+                        (fault, refused),
+                        (Some(FaultKind::QueueOverload), TxnOutcome::Shed),
+                        "{}: begin refused",
+                        ctx(i)
+                    );
+                    trace.outcomes.push(refused);
+                    continue;
+                }
+            },
         };
-        let (mut session, mut model) = (session, model);
+        let free = |k: u64| !doomed && locked.get(&k).is_none_or(|&o| o == sid);
         match *op {
-            Op::Read(a, w) => {
+            Op::Read(a, w) if !doomed => {
                 let q = QueryRange::new(a, a + w);
-                let got = session.read(q).unwrap();
-                let want = oracle.read(&model, q);
-                assert_eq!(got, want, "{}: read {q} diverged", ctx(i));
-                answers.push(got);
-                live.insert(sid, (session, model));
-            }
-            Op::Insert(k) => {
-                if locked.get(&k).is_none_or(|&o| o == sid) {
-                    session.insert(k).unwrap();
-                    oracle.insert(&mut model, k);
-                    locked.insert(k, sid);
+                match session.read(q) {
+                    Ok(got) => {
+                        let want = oracle.read(&model, q);
+                        assert_eq!(got, want, "{}: read {q} diverged", ctx(i));
+                        trace.answers.push(got);
+                    }
+                    Err(_) => doomed = fail(i),
                 }
-                live.insert(sid, (session, model));
             }
-            Op::Delete(k) => {
-                if locked.get(&k).is_none_or(|&o| o == sid) {
-                    let got = session.delete(k).unwrap();
-                    let want = oracle.delete(&mut model, k);
-                    assert_eq!(got, want, "{}: delete({k}) fate diverged", ctx(i));
-                    locked.insert(k, sid);
+            Op::Insert(k) if free(k) => {
+                match session.insert(k) {
+                    Ok(()) => oracle.insert(&mut model, k),
+                    Err(_) => doomed = fail(i),
                 }
-                live.insert(sid, (session, model));
+                locked.insert(k, sid);
+            }
+            Op::Delete(k) if free(k) => {
+                match session.delete(k) {
+                    Ok(got) => {
+                        let want = oracle.delete(&mut model, k);
+                        assert_eq!(got, want, "{}: delete({k}) fate diverged", ctx(i));
+                    }
+                    Err(_) => doomed = fail(i),
+                }
+                locked.insert(k, sid);
             }
             Op::Commit => {
-                let got = session.commit();
-                let want = oracle.commit(model);
-                assert_eq!(got, want, "{}: outcome diverged", ctx(i));
+                let got = finish(&mgr, &mut oracle, (session, model, doomed), &ctx(i));
+                trace.outcomes.push(got);
                 locked.retain(|_, o| *o != sid);
+                continue;
             }
             Op::Abort => {
                 let got = session.abort();
@@ -269,21 +399,30 @@ fn run_schedule(
                     "{}: abort outcome",
                     ctx(i)
                 );
+                trace.outcomes.push(got);
                 locked.retain(|_, o| *o != sid);
+                continue;
             }
+            _ => {}
         }
+        live.insert(sid, (session, model, doomed));
     }
     // Drain the stragglers; outcomes must still agree.
     let mut rest: Vec<usize> = live.keys().copied().collect();
     rest.sort_unstable();
     for sid in rest {
-        let (session, model) = live.remove(&sid).unwrap();
-        let got = session.commit();
-        let want = oracle.commit(model);
-        assert_eq!(got, want, "drain of session {sid}: outcome diverged");
+        let slot = live.remove(&sid).unwrap();
+        let got = finish(&mgr, &mut oracle, slot, &format!("drain of session {sid}"));
+        trace.outcomes.push(got);
     }
 
-    assert_eq!(mgr.lock_residue(), 0, "lock table must drain");
+    assert_eq!(mgr.lock_residue(), 0, "{fault:?}: lock table must drain");
+    let stats = mgr.resilience_stats();
+    assert_eq!(
+        stats.committed + stats.aborted + stats.shed + stats.timed_out,
+        trace.outcomes.len() as u64,
+        "{fault:?}: one outcome per session, each counted once: {stats:?}"
+    );
     mgr.check_integrity().unwrap();
     // Final state equality over the full domain and epoch agreement.
     let mut last = mgr.begin().unwrap();
@@ -292,11 +431,57 @@ fn run_schedule(
     assert_eq!(
         last.read(full).unwrap(),
         oracle.read(&final_model, full),
-        "final multiset diverged"
+        "{fault:?}: final multiset diverged"
     );
-    assert_eq!(mgr.current_epoch(), oracle.epoch, "epoch counters diverged");
+    assert_eq!(
+        mgr.current_epoch(),
+        oracle.epoch,
+        "{fault:?}: epoch counters diverged"
+    );
     last.commit();
-    (answers, oracle)
+    (trace, oracle, stats)
+}
+
+/// The fault axis over a fixed set of schedules: each fault of the
+/// serving ladder leaves its signature in the summed counters (a delay
+/// leaves none, so its traces must equal the unfaulted ones), and a
+/// replay of a faulted schedule with the same seed is bit-identical.
+/// `run_schedule` checks the rest of the contract on every run.
+#[test]
+fn fault_axis_isolates_each_fault_and_replays_bitwise() {
+    let run = |seed: u64, fault: Option<FaultKind>| {
+        let steps = schedule(seed, 64);
+        let (strategy, index, update) = (
+            ParallelStrategy::Stochastic,
+            IndexPolicy::default(),
+            UpdatePolicy::default(),
+        );
+        let (trace, _, stats) = run_schedule(&steps, seed, strategy, index, update, fault);
+        let (replay, _, _) = run_schedule(&steps, seed, strategy, index, update, fault);
+        assert_eq!(trace, replay, "{fault:?}, seed {seed}: replay diverged");
+        (trace, stats)
+    };
+    let seeds = 1..=4u64;
+    let clean: Vec<Trace> = seeds.clone().map(|seed| run(seed, None).0).collect();
+    for fault in std::iter::once(None).chain(FaultKind::ALL.map(Some)) {
+        let mut signature = 0;
+        for (seed, clean) in seeds.clone().zip(&clean) {
+            let (trace, s) = run(seed, fault);
+            signature += match fault {
+                Some(FaultKind::PanicInKernel | FaultKind::PanicInCommit) => s.panics_isolated,
+                Some(FaultKind::PoisonShard) => s.quarantines,
+                Some(FaultKind::QueueOverload) => s.shed,
+                None | Some(FaultKind::DelayInCrack) => {
+                    assert_eq!(&trace, clean, "{fault:?}, seed {seed}: trace moved");
+                    s.panics_isolated + s.quarantines + s.shed + s.timed_out
+                }
+            };
+        }
+        match fault {
+            None | Some(FaultKind::DelayInCrack) => assert_eq!(signature, 0, "{fault:?}"),
+            Some(_) => assert!(signature > 0, "{fault:?}: the fault never fired"),
+        }
+    }
 }
 
 proptest! {
@@ -314,7 +499,7 @@ proptest! {
         for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
             for index in IndexPolicy::ALL {
                 for update in UpdatePolicy::ALL {
-                    let (trace, _) = run_schedule(&steps, seed, strategy, index, update);
+                    let (trace, _, _) = run_schedule(&steps, seed, strategy, index, update, None);
                     traces.push(trace);
                 }
             }
@@ -332,9 +517,9 @@ proptest! {
         steps in proptest::collection::vec((0usize..SESSIONS, op_strategy()), 1..40),
         seed in 0u64..1_000,
     ) {
-        let (_, oracle) = run_schedule(
+        let (_, oracle, _) = run_schedule(
             &steps, seed, ParallelStrategy::Stochastic,
-            IndexPolicy::default(), UpdatePolicy::default(),
+            IndexPolicy::default(), UpdatePolicy::default(), None,
         );
         let probes = [
             QueryRange::new(0, KEY_SPAN + 1),
