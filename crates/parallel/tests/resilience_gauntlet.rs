@@ -105,7 +105,7 @@ fn drive(
 fn fault_matrix_is_oracle_correct_under_every_admission_policy() {
     let data = column(N);
     let queries = stream(512);
-    // With the shard each fault targets, for the recovery probe.
+    // With the shard a quarantining fault rebuilds, for the recovery probe.
     let plans = [
         ("none", FaultPlan::disabled(), None),
         ("panic", FaultPlan::panic_in_kernel(6).on_target(0), Some(0)),
