@@ -28,7 +28,6 @@ use scrack_index::{CrackerIndex, Piece, PieceSlot};
 use scrack_partition::{
     advance_job, crack_in_three_policy, crack_in_two_policy, median_partition_policy,
     scan_filter_policy, split_and_materialize_policy, Fringe, JobStatus, PartitionJob,
-    KERNEL_BLOCK,
 };
 use scrack_types::{Element, QueryRange, Stats};
 use std::collections::BTreeMap;
@@ -963,12 +962,18 @@ impl<E: Element> CrackedColumn<E> {
 }
 
 /// The room a select reserves, once, for what its fringe pieces can
-/// emit: their elements in all, capped at one kernel block. A larger
+/// emit: their elements in all, capped at [`FRINGE_ROOM_CAP`]. A larger
 /// answer grows by doubling, and nothing is kept between selects.
 fn fringe_room(fringes: [Option<&Piece>; 2]) -> usize {
     let elems: usize = fringes.iter().flatten().map(|p| p.len()).sum();
-    elems.min(KERNEL_BLOCK)
+    elems.min(FRINGE_ROOM_CAP)
 }
+
+/// The most a select reserves up front, in elements: 1 KB of `u64`
+/// keys, which glibc still serves from its per-thread cache. It was the
+/// kernel block width until that grew to 256; a select's reservation
+/// does not follow the kernel's chunking, which emits by hit offsets.
+const FRINGE_ROOM_CAP: usize = 128;
 
 #[cfg(test)]
 mod tests {

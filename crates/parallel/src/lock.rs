@@ -97,6 +97,10 @@ struct LockTable {
     entries: Vec<Entry>,
     next_id: u64,
     stats: LockStats,
+    /// Acquirers sleeping on the condvar. A release or a timeout
+    /// notifies only when one is: a notify makes a syscall even when no
+    /// thread waits.
+    waiters: usize,
 }
 
 impl LockTable {
@@ -209,32 +213,41 @@ impl LockManager {
                         let idx = t.position(id).expect("own entry vanished");
                         t.entries.remove(idx);
                         t.stats.timed_out += 1;
+                        let wake = t.waiters > 0;
                         drop(t);
                         // Our departure may unblock entries queued after us.
-                        self.cv.notify_all();
+                        if wake {
+                            self.cv.notify_all();
+                        }
                         return Err(LockError::TimedOut);
                     }
                     slice.min(d - now)
                 }
                 None => slice,
             };
+            t.waiters += 1;
             let (guard, _) = self
                 .cv
                 .wait_timeout(t, wait_for)
                 .unwrap_or_else(|e| e.into_inner());
             t = guard;
+            t.waiters -= 1;
             slice = (slice * 2).min(BACKOFF_MAX);
         }
     }
 
-    /// Releases entry `id` (guard drop path) and wakes all waiters.
+    /// Releases entry `id` (guard drop path) and wakes all waiters, if
+    /// any sleep.
     fn release(&self, id: u64) {
         let mut t = self.table();
         if let Some(idx) = t.position(id) {
             t.entries.remove(idx);
         }
+        let wake = t.waiters > 0;
         drop(t);
-        self.cv.notify_all();
+        if wake {
+            self.cv.notify_all();
+        }
     }
 
     /// Total entries in the table — granted or queued. Zero after every

@@ -12,17 +12,28 @@
 //! module provides those predicated variants:
 //!
 //! * [`crack_in_two_branchless`] — a blockwise two-ended partition in the
-//!   style of BlockQuicksort: misplaced-element offsets are collected with
-//!   pure `(key < pivot) as usize` cursor arithmetic over fixed-width
-//!   chunks from both ends, then exchanged pairwise. The exchange pairing
-//!   replicates the Hoare pass exactly at any block width, so the window
-//!   the [`KERNEL_BLOCK`]-wide loop leaves is finished by the same loop at
-//!   a narrow width, and the result (boundary, physical order, swap
-//!   count) is **bit-identical** to [`crack_in_two`].
-//! * [`split_and_materialize_branchless`] — the same blockwise loop, which
-//!   also filters each freshly scanned chunk into a chunk-sized buffer
-//!   with a branch-free cursor before any exchange can move an element,
-//!   and emits the buffer as one run.
+//!   style of BlockQuicksort. While more than two [`KERNEL_BLOCK`]-wide
+//!   chunks remain, each fresh chunk from either end is scanned once,
+//!   recording the offsets of its misplaced elements with pure
+//!   `(key < pivot) as usize` cursor arithmetic, and misplaced pairs are
+//!   exchanged. Chunks are fixed-width arrays taken with `split_at_mut`
+//!   and indexed by `u8` offsets, so neither the scans nor the exchanges
+//!   check bounds. The exchange pairing replicates the Hoare pass
+//!   exactly, so the at most `2 * KERNEL_BLOCK` elements that loop leaves
+//!   take the rest of the Hoare exchanges in closed form: count the keys
+//!   below the pivot, then swap the misplaced offsets of both sides
+//!   pairwise, with no data-dependent branch. The result (boundary,
+//!   physical order, swap count) is **bit-identical** to [`crack_in_two`].
+//! * [`split_and_materialize_branchless`] — the same pass, which also
+//!   counts the filter's hits in each chunk it scans, and records their
+//!   offsets while the chunk before had a hit. A chunk with hits is
+//!   emitted by those offsets before any exchange can move an element. So
+//!   a narrow query over a large piece pays one compare-and-add per
+//!   element plus a second look at the few chunks that hold its answer,
+//!   and a piece whose every chunk holds hits is scanned once. The window
+//!   no scan visited is gathered by recorded hit offsets too, and a piece
+//!   of at most `2 * KERNEL_BLOCK` elements never allocates the chunk
+//!   offset arrays.
 //!   A two-sided range is tested with one compare (`key - low < width`).
 //!   Boundary, physical order, `Stats` and the materialized multiset are
 //!   identical to [`split_and_materialize`]; only the order *inside* the
@@ -30,16 +41,16 @@
 //! * [`crack_in_three_branchless`] — the Dutch-national-flag pass with the
 //!   per-element three-way branch replaced by an arithmetically selected
 //!   swap target; state evolution is identical to [`crack_in_three`].
-//! * [`scan_filter_branchless`] — the same chunk-sized gather without the
-//!   partition: each [`KERNEL_BLOCK`]-wide chunk is filtered into the
-//!   buffer with a cursor-arithmetic write, then emitted as one run.
+//! * [`scan_filter_branchless`] — the same gather without the partition:
+//!   each [`KERNEL_BLOCK`]-element part records its hits' offsets with a
+//!   cursor-arithmetic write, then emits them.
 //!
 //! The fused and filter kernels emit through [`Extend<&E>`](Extend), one
-//! call per qualifying run. A `Vec<E>` takes each run with one slice copy
-//! and grows by doubling; the serving layers' `(count, key_sum)` tally
+//! call per chunk with hits. A `Vec<E>` takes each call's elements with
+//! one reservation and grows by doubling; the serving layers' `(count, key_sum)` tally
 //! folds the run instead of storing it. No kernel reserves output room:
 //! how much to reserve is the caller's to say (a bare select reserves
-//! its fringe once, up to one kernel block), so no pass charges a
+//! its fringe once, up to 128 elements), so no pass charges a
 //! speculative piece-sized allocation.
 //!
 //! All variants keep the `Stats` contract of their branchy twins to the
@@ -51,19 +62,22 @@
 //! [`split_and_materialize_policy`], [`crack_in_three_policy`] and
 //! [`scan_filter_policy`] are the dispatch points the engines route
 //! through. The default, `Auto`, runs the branchless kernels at every
-//! piece size (below `2 * KERNEL_BLOCK` elements the blockwise passes
-//! start in their 16-wide tail loop); `Branchy` is the differential
-//! reference the tests select.
+//! piece size (at `2 * KERNEL_BLOCK` elements or fewer the blockwise
+//! passes go straight to their closed-form finish); `Branchy` is the
+//! differential reference the tests select.
 
 use crate::materialize::{scan_filter, split_and_materialize, Fringe};
 use crate::three_way::crack_in_three;
-use crate::two_way::{crack_in_two, hoare_partition};
+use crate::two_way::crack_in_two;
 use scrack_types::{Element, Stats};
 
-/// Width of the fixed chunks the blockwise two-way partition processes
-/// from each end. 128 offsets fit a `u8` index array comfortably in
-/// registers/L1 while amortizing the loop bookkeeping.
-pub const KERNEL_BLOCK: usize = 128;
+/// Width of the fixed chunks the blockwise two-way partition scans from
+/// each end. 256 is the widest chunk whose offsets still fit `u8`, so
+/// a `u8` offset indexes a chunk with no bounds check and the three
+/// offset arrays of the main loop (misplaced left, misplaced right,
+/// hits) take 768 bytes. It was chosen over 128 by measurement
+/// (docs/ARCHITECTURE.md, "The crack kernels").
+pub const KERNEL_BLOCK: usize = 256;
 
 /// Which implementation of the reorganization primitives to run.
 ///
@@ -119,8 +133,7 @@ impl std::fmt::Display for KernelPolicy {
 /// misplaced left element with the rightmost misplaced right element,
 /// pairwise — exactly the exchange sequence of the Hoare pass, so the
 /// physical outcome is bit-identical to the branchy kernel. The final
-/// sub-2-chunk window runs the same loop with 16-wide chunks, and only
-/// its last 32 or fewer elements the shared scalar Hoare pass.
+/// sub-2-chunk window takes the same exchanges in closed form.
 pub fn crack_in_two_branchless<E: Element>(
     data: &mut [E],
     pivot: u64,
@@ -128,8 +141,7 @@ pub fn crack_in_two_branchless<E: Element>(
 ) -> usize {
     // The filter-free instance: `keep` is constant false, so the filter
     // writes and the (never-grown) output compile out.
-    let (p, swaps, _) =
-        blockwise_split::<E, _, KERNEL_BLOCK>(data, pivot, |_| false, &mut Vec::new());
+    let (p, swaps, _) = blockwise_split(data, pivot, |_| false, &mut Vec::new());
     stats.touched += data.len() as u64;
     stats.comparisons += data.len() as u64;
     stats.swaps += swaps;
@@ -156,14 +168,12 @@ pub fn crack_in_two_policy<E: Element>(
 /// tuples may differ.
 ///
 /// This is [`crack_in_two_branchless`]'s loop plus one step: each freshly
-/// scanned chunk is also tested against `fringe` and its qualifying
-/// elements are gathered with a branch-free cursor into a chunk-sized
-/// buffer, then emitted into `out` as one run. A chunk is scanned before
-/// any exchange touches it, so every element is filtered exactly once, as
-/// it stood in the input.
-// Out of line: inlined, its filter instances and their chunk buffers land
-// in the code and stack frame of every caller, including the reference
-// path of `split_and_materialize_policy`.
+/// scanned chunk is also tested against `fringe`, and a chunk with hits
+/// has them emitted into `out` in one call. A chunk is scanned before any
+/// exchange touches it, so every element is filtered exactly once, as it
+/// stood in the input.
+// Out of line: inlined, its filter instances land in the code of every
+// caller, including the reference path of `split_and_materialize_policy`.
 #[inline(never)]
 pub fn split_and_materialize_branchless<E: Element, O: for<'a> Extend<&'a E>>(
     data: &mut [E],
@@ -179,11 +189,11 @@ pub fn split_and_materialize_branchless<E: Element, O: for<'a> Extend<&'a E>>(
         // inverted range keeps nothing.
         Fringe::Both(q) => {
             let (low, width) = (q.low, q.width());
-            blockwise_split::<E, _, KERNEL_BLOCK>(data, pivot, |k| k.wrapping_sub(low) < width, out)
+            blockwise_split(data, pivot, |k| k.wrapping_sub(low) < width, out)
         }
-        Fringe::Low(a) => blockwise_split::<E, _, KERNEL_BLOCK>(data, pivot, |k| k >= a, out),
-        Fringe::High(b) => blockwise_split::<E, _, KERNEL_BLOCK>(data, pivot, |k| k < b, out),
-        Fringe::None => blockwise_split::<E, _, KERNEL_BLOCK>(data, pivot, |_| false, out),
+        Fringe::Low(a) => blockwise_split(data, pivot, |k| k >= a, out),
+        Fringe::High(b) => blockwise_split(data, pivot, |k| k < b, out),
+        Fringe::None => blockwise_split(data, pivot, |_| false, out),
     };
     stats.touched += data.len() as u64;
     stats.comparisons += 2 * data.len() as u64; // pivot test + filter test
@@ -208,76 +218,121 @@ pub fn split_and_materialize_policy<E: Element, O: for<'a> Extend<&'a E>>(
     }
 }
 
-/// Block width of the blockwise tail: the window of fewer than
-/// `2 * KERNEL_BLOCK` elements the main loop leaves is finished by the
-/// same loop at this width, and only the last `2 * TAIL_BLOCK` or fewer
-/// by the scalar Hoare pass. The Hoare pairing is the same at any block
-/// width, so the result is too.
-const TAIL_BLOCK: usize = 16;
-
-/// The blockwise Hoare pass behind both two-way branchless kernels, at
-/// block width `B`: boundary, exchange count and emitted count, no
-/// stats. Emits every element passing `keep` into `out`, testing each
-/// exactly once.
+/// The blockwise Hoare pass behind both two-way branchless kernels:
+/// boundary, exchange count and emitted count, no stats. Emits every
+/// element passing `keep` into `out`, testing each exactly once.
+///
+/// A piece of at most `2 * KERNEL_BLOCK` elements never enters
+/// [`block_loop`], so it pays for no chunk offset arrays: it is filtered
+/// by [`gather_hits`] and partitioned by [`closed_form_finish`].
 #[inline(always)]
-fn blockwise_split<E: Element, O: for<'a> Extend<&'a E>, const B: usize>(
+fn blockwise_split<E: Element, O: for<'a> Extend<&'a E>>(
     data: &mut [E],
     pivot: u64,
     keep: impl Fn(u64) -> bool,
     out: &mut O,
 ) -> (usize, u64, u64) {
+    let stop = if data.len() > 2 * KERNEL_BLOCK {
+        block_loop(data, pivot, &keep, out)
+    } else {
+        Stop::start(data.len())
+    };
+    // At most one side still has pending offsets, and they lie inside
+    // [l, r). A chunk with pending offsets was filtered when it was
+    // scanned; filter the window no scan has visited, then re-derive and
+    // finish the identical exchange sequence over [l, r) without a filter.
+    let kept = stop.kept + gather_hits(&data[stop.lo..stop.hi], &keep, out);
+    let (rel, tail_swaps) = finish(&mut data[stop.l..stop.r], pivot);
+    (stop.l + rel, stop.swaps + tail_swaps, kept)
+}
+
+/// Where a [`block_loop`] stopped: `data[..l]` is settled `< pivot` and
+/// `data[r..]` settled `>= pivot`; `[lo, hi)` is the part of `[l, r)`
+/// that no chunk scan visited, so its elements are still unfiltered.
+struct Stop {
+    l: usize,
+    r: usize,
+    lo: usize,
+    hi: usize,
+    swaps: u64,
+    kept: u64,
+}
+
+impl Stop {
+    /// Nothing settled, nothing visited: the state before any block.
+    fn start(len: usize) -> Stop {
+        Stop { l: 0, r: len, lo: 0, hi: len, swaps: 0, kept: 0 }
+    }
+}
+
+/// The [`KERNEL_BLOCK`]-wide loop of the blockwise Hoare pass, run while
+/// more than two chunks remain.
+///
+/// Each fresh chunk is scanned once by [`scan_chunk`], which records the
+/// offsets of its misplaced elements and counts `keep`'s hits; then the
+/// leftmost misplaced left element is exchanged with the rightmost
+/// misplaced right element, pairwise — the Hoare pairing. Chunks are
+/// `KERNEL_BLOCK`-wide arrays taken from `split_at_mut`, and a `u8`
+/// offset cannot leave one, so neither the scans nor the exchanges check
+/// bounds.
+///
+/// A scan also records the offsets of the hits only while the previous
+/// chunk had one (or for the first chunk): a narrow query over a large
+/// piece then pays one compare-and-add per element, and only a chunk with
+/// a hit after one without is filtered a second time, while a piece whose
+/// chunks all hold hits is scanned once per chunk. A chunk with hits is emitted before any exchange can move
+/// its elements.
+#[inline(never)]
+fn block_loop<E: Element, O: for<'a> Extend<&'a E>>(
+    data: &mut [E],
+    pivot: u64,
+    keep: &impl Fn(u64) -> bool,
+    out: &mut O,
+) -> Stop {
+    const B: usize = KERNEL_BLOCK;
     let mut offs_l = [0u8; B];
     let mut offs_r = [0u8; B];
-    // Qualifying elements of the chunk being scanned; the filler is never
-    // read (only `buf[..w]` is, and every slot below `w` is written first).
-    let mut buf = [E::from_key_row(0, 0); B];
+    let mut offs_hit = [0u8; B];
     let mut l = 0usize; // data[..l] settled < pivot
     let mut r = data.len(); // data[r..] settled >= pivot
     let (mut num_l, mut start_l) = (0usize, 0usize);
     let (mut num_r, mut start_r) = (0usize, 0usize);
     let mut swaps = 0u64;
     let mut kept = 0u64;
+    // The last chunk scanned had a hit; the first chunk is taken to have
+    // had one, so that a piece full of hits scans every chunk once.
+    let mut dense = true;
     while r - l > 2 * B {
+        let (left, rest) = data[l..r].split_at_mut(B);
+        let right = rest.split_at_mut(rest.len() - B).1;
+        let left: &mut [E; B] = left.try_into().expect("split at B");
+        let right: &mut [E; B] = right.try_into().expect("split at B");
         if num_l == 0 {
-            // Scan a fresh left chunk: record offsets of keys >= pivot.
+            // A fresh left chunk: offsets of keys >= pivot, ascending.
             start_l = 0;
-            let mut w = 0usize;
-            let block = &data[l..l + B];
-            for (i, e) in block.iter().enumerate() {
-                let k = e.key();
-                offs_l[num_l] = i as u8;
-                num_l += (k >= pivot) as usize;
-                buf[w] = *e;
-                w += keep(k) as usize;
-            }
-            out.extend(&buf[..w]);
-            kept += w as u64;
+            let hits;
+            (num_l, hits) =
+                scan_chunk(left, false, |k| k >= pivot, keep, dense, &mut offs_l, &mut offs_hit);
+            kept += emit_hits(left, &offs_hit[..hits], out);
+            dense = hits > 0;
         }
         if num_r == 0 {
-            // Scan a fresh right chunk from the outside in: record offsets
-            // (as distance from r-1) of keys < pivot.
+            // A fresh right chunk from the outside in: offsets of keys
+            // < pivot, descending.
             start_r = 0;
-            let mut w = 0usize;
-            let block = &data[r - B..r];
-            for i in 0..B {
-                let e = block[B - 1 - i];
-                let k = e.key();
-                offs_r[num_r] = i as u8;
-                num_r += (k < pivot) as usize;
-                buf[w] = e;
-                w += keep(k) as usize;
-            }
-            out.extend(&buf[..w]);
-            kept += w as u64;
+            let hits;
+            (num_r, hits) =
+                scan_chunk(right, true, |k| k < pivot, keep, dense, &mut offs_r, &mut offs_hit);
+            kept += emit_hits(right, &offs_hit[..hits], out);
+            dense = hits > 0;
         }
         // Exchange pairs outside-in: k-th misplaced-from-the-left with
         // k-th misplaced-from-the-right — the Hoare pairing.
         let m = num_l.min(num_r);
         for k in 0..m {
-            data.swap(
-                l + offs_l[start_l + k] as usize,
-                r - 1 - offs_r[start_r + k] as usize,
-            );
+            let a = usize::from(offs_l[(start_l + k) % B]);
+            let b = usize::from(offs_r[(start_r + k) % B]);
+            std::mem::swap(&mut left[a], &mut right[b]);
         }
         swaps += m as u64;
         num_l -= m;
@@ -292,38 +347,143 @@ fn blockwise_split<E: Element, O: for<'a> Extend<&'a E>, const B: usize>(
             r -= B;
         }
     }
-    // Tail: at most one side still has pending offsets, and they lie
-    // inside [l, r). A chunk with pending offsets was filtered when it
-    // was scanned; filter the window no scan has visited, then re-derive
-    // and finish the identical exchange sequence over [l, r) without a
-    // filter — blockwise at the tail width, scalar below it.
     let lo = l + B * usize::from(num_l > 0);
     let hi = r - B * usize::from(num_r > 0);
-    for chunk in data[lo..hi].chunks(B) {
-        let mut w = 0usize;
-        for e in chunk {
-            buf[w] = *e;
-            w += keep(e.key()) as usize;
-        }
-        out.extend(&buf[..w]);
-        kept += w as u64;
-    }
-    let (rel, tail_swaps) = if B > TAIL_BLOCK {
-        blockwise_tail(&mut data[l..r], pivot)
-    } else {
-        hoare_partition(&mut data[l..r], pivot)
-    };
-    (l + rel, swaps + tail_swaps, kept)
+    Stop { l, r, lo, hi, swaps, kept }
 }
 
-/// The filter-free [`TAIL_BLOCK`]-wide pass that finishes every
-/// [`KERNEL_BLOCK`]-wide one. Out of line: one instance per element type
-/// instead of a copy in each filter instance's main loop.
+/// One chunk scan of [`block_loop`], front to back or (`rev`) back to
+/// front: the offsets of the elements `misplaced` flags go to `offs` and
+/// the number of them is returned, with branch-free cursor arithmetic,
+/// together with the number of `keep`'s hits. With `record`, or when
+/// there is a hit, the hits' offsets go to `hits`.
+#[inline(always)]
+fn scan_chunk<E: Element>(
+    chunk: &[E; KERNEL_BLOCK],
+    rev: bool,
+    misplaced: impl Fn(u64) -> bool,
+    keep: &impl Fn(u64) -> bool,
+    record: bool,
+    offs: &mut [u8; KERNEL_BLOCK],
+    hits: &mut [u8; KERNEL_BLOCK],
+) -> (usize, usize) {
+    // One loop per mode, so that neither carries the other's stores.
+    let scan = |offs: &mut [u8; KERNEL_BLOCK], hits: &mut [u8; KERNEL_BLOCK], record: bool| {
+        let (mut num, mut hit) = (0usize, 0usize);
+        let mut step = |i: usize| {
+            let k = chunk[i].key();
+            offs[num % KERNEL_BLOCK] = i as u8;
+            num += usize::from(misplaced(k));
+            if record {
+                hits[hit % KERNEL_BLOCK] = i as u8;
+            }
+            hit += usize::from(keep(k));
+        };
+        if rev {
+            (0..KERNEL_BLOCK).rev().for_each(&mut step);
+        } else {
+            (0..KERNEL_BLOCK).for_each(&mut step);
+        }
+        (num, hit)
+    };
+    let found = if record { scan(offs, hits, true) } else { scan(offs, hits, false) };
+    if found.1 > 0 && !record {
+        // A hit in a sparse stretch: find where, in any order (only the
+        // multiset of the output is fixed).
+        let mut hit = 0usize;
+        for (i, e) in chunk.iter().enumerate() {
+            hits[hit % KERNEL_BLOCK] = i as u8;
+            hit += usize::from(keep(e.key()));
+        }
+    }
+    found
+}
+
+/// Extends `out` by the elements of `chunk` at `offs`, in that order.
+#[inline(always)]
+fn emit_hits<E: Element, O: for<'a> Extend<&'a E>>(
+    chunk: &[E; KERNEL_BLOCK],
+    offs: &[u8],
+    out: &mut O,
+) -> u64 {
+    if !offs.is_empty() {
+        out.extend(offs.iter().map(|&i| &chunk[usize::from(i)]));
+    }
+    offs.len() as u64
+}
+
+/// Emits the elements of `data` that pass `keep` into `out`, in input
+/// order: each [`KERNEL_BLOCK`]-element part records the offsets of its
+/// hits with a branch-free cursor, then extends `out` by them, so the
+/// cost past one compare per element follows the hits.
+#[inline]
+fn gather_hits<E: Element, O: for<'a> Extend<&'a E>>(
+    data: &[E],
+    keep: &impl Fn(u64) -> bool,
+    out: &mut O,
+) -> u64 {
+    let mut offs = [0u8; KERNEL_BLOCK];
+    let mut kept = 0u64;
+    for part in data.chunks(KERNEL_BLOCK) {
+        let mut hits = 0usize;
+        for (i, e) in part.iter().enumerate() {
+            offs[hits % KERNEL_BLOCK] = i as u8;
+            hits += usize::from(keep(e.key()));
+        }
+        if hits > 0 {
+            out.extend(offs[..hits].iter().map(|&i| &part[usize::from(i)]));
+            kept += hits as u64;
+        }
+    }
+    kept
+}
+
+/// The filter-free finish of every blockwise pass: [`closed_form_finish`]
+/// over the at most `2 * KERNEL_BLOCK` elements the loop left, with
+/// offset arrays sized for the piece (a few bytes for the small pieces a
+/// converged column mostly cracks). Out of line: one instance per element
+/// type instead of a copy in each filter instance.
 #[inline(never)]
-fn blockwise_tail<E: Element>(data: &mut [E], pivot: u64) -> (usize, u64) {
-    let (rel, swaps, _) =
-        blockwise_split::<E, _, TAIL_BLOCK>(data, pivot, |_| false, &mut Vec::new());
-    (rel, swaps)
+fn finish<E: Element>(data: &mut [E], pivot: u64) -> (usize, u64) {
+    if data.len() <= SMALL_FINISH {
+        closed_form_finish::<E, SMALL_FINISH>(data, pivot)
+    } else {
+        closed_form_finish::<E, { 2 * KERNEL_BLOCK }>(data, pivot)
+    }
+}
+
+/// Pieces up to this length finish with 32-entry offset arrays.
+const SMALL_FINISH: usize = 32;
+
+/// The Hoare pass over at most `W` elements, in closed form.
+///
+/// The pass ends at `c = #(key < pivot)`, and it exchanges the k-th key
+/// `>= pivot` of `[0, c)` from the left with the k-th key `< pivot` of
+/// `[c, n)` from the right: there are as many of one as of the other.
+/// So count `c`, collect both offset lists with branch-free cursors and
+/// swap them pairwise — the same exchanges, without the scalar pass's
+/// data-dependent branches.
+fn closed_form_finish<E: Element, const W: usize>(data: &mut [E], pivot: u64) -> (usize, u64) {
+    debug_assert!(data.len() <= W && W <= usize::from(u16::MAX));
+    let c = data.iter().map(|e| usize::from(e.key() < pivot)).sum();
+    let (left, right) = data.split_at_mut(c);
+    let mut offs_l = [0u16; W];
+    let mut offs_r = [0u16; W];
+    let mut m = 0usize;
+    for (i, e) in left.iter().enumerate() {
+        offs_l[m % W] = i as u16;
+        m += usize::from(e.key() >= pivot);
+    }
+    let mut m_r = 0usize;
+    for (i, e) in right.iter().enumerate().rev() {
+        offs_r[m_r % W] = i as u16;
+        m_r += usize::from(e.key() < pivot);
+    }
+    debug_assert_eq!(m, m_r);
+    for (&a, &b) in offs_l[..m].iter().zip(&offs_r[..m]) {
+        std::mem::swap(&mut left[usize::from(a)], &mut right[usize::from(b)]);
+    }
+    (c, m as u64)
 }
 
 // ---------------------------------------------------------------------
@@ -396,10 +556,10 @@ pub fn crack_in_three_policy<E: Element>(
 /// Blockwise gather filter scan: same contract, output and [`Stats`]
 /// delta as [`scan_filter`], without per-element branches.
 ///
-/// Each [`KERNEL_BLOCK`]-wide chunk is written element by element into a
-/// chunk-sized buffer at a cursor that advances only past keepers —
-/// non-keepers are overwritten by the next write — and the buffer's
-/// kept prefix is emitted into `out` as one run, in input order.
+/// The fused pass's [`gather_hits`] over the whole slice: each
+/// [`KERNEL_BLOCK`]-element part records the offsets of its keepers at a
+/// cursor that advances only past them, then emits them into `out` in
+/// one call, in input order.
 pub fn scan_filter_branchless<E: Element, O: for<'a> Extend<&'a E>>(
     data: &[E],
     fringe: Fringe,
@@ -408,42 +568,17 @@ pub fn scan_filter_branchless<E: Element, O: for<'a> Extend<&'a E>>(
 ) -> usize {
     // Monomorphize per filter shape, as the branchy kernel does.
     let kept = match fringe {
-        Fringe::Both(q) => gather(data, |k| q.contains(k), out),
-        Fringe::Low(a) => gather(data, |k| k >= a, out),
-        Fringe::High(b) => gather(data, |k| k < b, out),
+        Fringe::Both(q) => gather_hits(data, &|k| q.contains(k), out),
+        Fringe::Low(a) => gather_hits(data, &|k| k >= a, out),
+        Fringe::High(b) => gather_hits(data, &|k| k < b, out),
         Fringe::None => 0,
     };
     // §3 convention: one logical inspection per element, regardless of
     // physical passes — identical to the branchy kernel's delta.
     stats.touched += data.len() as u64;
     stats.comparisons += data.len() as u64;
-    stats.materialized += kept as u64;
-    kept
-}
-
-#[inline]
-fn gather<E: Element, O: for<'a> Extend<&'a E>>(
-    data: &[E],
-    keep: impl Fn(u64) -> bool,
-    out: &mut O,
-) -> usize {
-    let Some(first) = data.first() else {
-        return 0;
-    };
-    // The filler is never read: only `buf[..w]` is, and every slot below
-    // `w` is written first.
-    let mut buf = [*first; KERNEL_BLOCK];
-    let mut kept = 0usize;
-    for chunk in data.chunks(KERNEL_BLOCK) {
-        let mut w = 0usize;
-        for e in chunk {
-            buf[w] = *e;
-            w += keep(e.key()) as usize;
-        }
-        out.extend(&buf[..w]);
-        kept += w;
-    }
-    kept
+    stats.materialized += kept;
+    kept as usize
 }
 
 /// Policy dispatch for the filter scan.
@@ -477,18 +612,19 @@ mod tests {
             .collect()
     }
 
-    /// Sizes either side of the 2-chunk entry of the main and of the tail
-    /// loop, one that leaves the main loop a window just past the tail
-    /// loop's entry, and sizes that run many chunks.
+    /// Sizes either side of the main loop's 2-chunk entry and of the
+    /// small finish's width, one that leaves the main loop a window just
+    /// past that width, and sizes that run many chunks.
     fn edge_sizes() -> Vec<usize> {
-        let (b2, t2) = (2 * KERNEL_BLOCK, 2 * TAIL_BLOCK);
-        vec![0, 1, 5, t2 - 1, t2, t2 + 1, b2 - 1, b2, b2 + 1, b2 + 1 + t2, 400, 1000, 5000]
+        let (b2, t) = (2 * KERNEL_BLOCK, SMALL_FINISH);
+        vec![0, 1, 5, t - 1, t, t + 1, b2 - 1, b2, b2 + 1, b2 + 1 + t, 400, 1000, 5000]
     }
 
     #[test]
     fn two_way_is_bit_identical_to_branchy() {
-        // Cross the 2-chunk boundaries of the main and the tail loop in
-        // both directions, with pivots at the extremes and the middle.
+        // Cross the main loop's 2-chunk entry and the small finish's
+        // width in both directions, with pivots at the extremes and the
+        // middle.
         for n in edge_sizes() {
             for pivot_frac in [0u64, 1, 2, 4] {
                 let base = xorshift_data(n, 0x5EED + n as u64);

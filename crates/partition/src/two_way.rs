@@ -12,7 +12,9 @@ use scrack_types::{Element, Stats};
 /// The implementation is the Hoare-style two-cursor pass of the original
 /// cracking paper: each element is inspected exactly once, misplaced pairs
 /// are exchanged. Cost accounting: `touched` and `comparisons` grow by the
-/// number of inspections (= `data.len()`), `swaps` by the exchanges.
+/// number of inspections (= `data.len()`), `swaps` by the exchanges. The
+/// blockwise kernels (`kernels.rs`) replicate this exact exchange
+/// sequence, and so this exact result.
 ///
 /// ```
 /// use scrack_partition::crack_in_two;
@@ -27,18 +29,6 @@ use scrack_types::{Element, Stats};
 /// ```
 #[inline]
 pub fn crack_in_two<E: Element>(data: &mut [E], pivot: u64, stats: &mut Stats) -> usize {
-    let (p, swaps) = hoare_partition(data, pivot);
-    stats.touched += data.len() as u64;
-    stats.comparisons += data.len() as u64;
-    stats.swaps += swaps;
-    p
-}
-
-/// The raw Hoare pass: boundary position plus the number of exchanges, no
-/// stats. Shared between [`crack_in_two`] and the branchless kernel's
-/// scalar tail (`kernels.rs`), which must replicate this exact exchange
-/// sequence to stay bit-identical with the branchy kernel.
-pub(crate) fn hoare_partition<E: Element>(data: &mut [E], pivot: u64) -> (usize, u64) {
     let mut l = 0usize;
     let mut r = data.len();
     let mut swaps = 0u64;
@@ -60,7 +50,10 @@ pub(crate) fn hoare_partition<E: Element>(data: &mut [E], pivot: u64) -> (usize,
         l += 1;
         r -= 1;
     }
-    (l, swaps)
+    stats.touched += data.len() as u64;
+    stats.comparisons += data.len() as u64;
+    stats.swaps += swaps;
+    l
 }
 
 #[cfg(test)]

@@ -66,6 +66,10 @@ fn fused_len_strategy() -> impl Strategy<Value = usize> {
 
 const FUSED_MAX_LEN: usize = 3001;
 
+/// Piece sizes, in blocks, of the fused test's narrow-fringe cases.
+const NARROW_MIN_BLOCKS: usize = 4;
+const NARROW_MAX_BLOCKS: usize = 12;
+
 /// Runs both fused kernels on copies of `input`, each appending to a
 /// one-element `out`, and checks boundary, physical order, the full
 /// `Stats` delta, the untouched prefix of `out` and the materialized
@@ -166,16 +170,43 @@ proptest! {
 
     #[test]
     fn split_and_materialize_kernels_are_equivalent(
-        raw in proptest::collection::vec(any::<u64>(), FUSED_MAX_LEN),
+        raw in proptest::collection::vec(any::<u64>(), NARROW_MAX_BLOCKS * KERNEL_BLOCK),
         len in fused_len_strategy(),
         domain in prop_oneof![Just(2u64), Just(16), Just(1000)],
         pivot_rule in 0u8..5,
         (pivot_draw, a, w, shape) in (any::<u64>(), any::<u64>(), any::<u64>(), 0u8..6),
+        (narrow, blocks, plants) in (
+            0u8..4,
+            NARROW_MIN_BLOCKS..=NARROW_MAX_BLOCKS,
+            proptest::collection::vec(0u8..4, NARROW_MAX_BLOCKS),
+        ),
     ) {
         // Keys are multiples of 3 over a 2-, 16- or 1000-key domain, so
         // `3r + 1` is a pivot absent from the piece; a 2-key domain is
         // the duplicate-heavy case.
-        let keys: Vec<u64> = raw[..len].iter().map(|x| 3 * (x % domain)).collect();
+        //
+        // One case in four is a narrow fringe instead: a whole number of
+        // blocks over the 1000-key domain, filtered by a range 1–30 keys
+        // wide, so most chunks hold no qualifier. Each block then gets a
+        // qualifier planted in its first or its last slot, is filled with
+        // qualifiers, or is left alone. Chunks are aligned to the blocks
+        // from both ends, so the pass scans chunks with no qualifier, one
+        // at either edge, and only qualifiers.
+        let narrow = narrow == 0;
+        let (len, domain) = if narrow { (blocks * KERNEL_BLOCK, 1000) } else { (len, domain) };
+        let mut keys: Vec<u64> = raw[..len].iter().map(|x| 3 * (x % domain)).collect();
+        let span = 3 * domain + 2;
+        let (a, w) = if narrow { (a % span, 1 + w % 30) } else { (a % span, w % span) };
+        if narrow {
+            for (block, plant) in keys.chunks_mut(KERNEL_BLOCK).zip(&plants) {
+                match plant {
+                    0 => block[0] = a,
+                    1 => block[KERNEL_BLOCK - 1] = a,
+                    2 => block.iter_mut().zip(0..).for_each(|(k, i)| *k = a + i % w),
+                    _ => {}
+                }
+            }
+        }
         let (min, max) = (keys.iter().min().copied(), keys.iter().max().copied());
         let pivot = match pivot_rule {
             0 => min.unwrap_or(0),
@@ -184,9 +215,8 @@ proptest! {
             3 => max.map_or(0, |m| m + 1),
             _ => 3 * (pivot_draw % domain),
         };
-        let span = 3 * domain + 2;
-        let (a, w) = (a % span, w % span);
         let fringe = match shape {
+            _ if narrow => Fringe::Both(QueryRange::new(a, a + w)),
             0 => Fringe::Both(QueryRange::new(a, a + w)),
             1 => Fringe::Low(a),
             2 => Fringe::High(a),

@@ -36,6 +36,9 @@ struct Clock {
     active: BTreeMap<u64, usize>,
     /// Sessions admitted and not yet finished.
     sessions_active: usize,
+    /// Begins blocked on `admit_cv`; a session end notifies only when
+    /// one is, since a notify makes a syscall even with no waiter.
+    admit_waiters: usize,
 }
 
 /// A session-facing transactional front end over key-disjoint cracked
@@ -101,6 +104,7 @@ impl<E: Element> TxnManager<E> {
                 current: 0,
                 active: BTreeMap::new(),
                 sessions_active: 0,
+                admit_waiters: 0,
             }),
             admit_cv: Condvar::new(),
             serving,
@@ -158,6 +162,7 @@ impl<E: Element> TxnManager<E> {
                         },
                         None => None,
                     };
+                    clock.admit_waiters += 1;
                     clock = match remaining {
                         Some(rem) => {
                             self.admit_cv
@@ -170,6 +175,7 @@ impl<E: Element> TxnManager<E> {
                             .wait(clock)
                             .unwrap_or_else(|e| e.into_inner()),
                     };
+                    clock.admit_waiters -= 1;
                 },
             }
         }
@@ -327,8 +333,11 @@ impl<E: Element> TxnManager<E> {
             .next()
             .copied()
             .unwrap_or(clock.current);
+        let wake = clock.admit_waiters > 0;
         drop(clock);
-        self.admit_cv.notify_all();
+        if wake {
+            self.admit_cv.notify_all();
+        }
         // Hand aged epochs to the shards' stores, whose reads merge them.
         // Safe without the clock: future pins are at `current >=
         // watermark`, so no reader can ever need an epoch below it.

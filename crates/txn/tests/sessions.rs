@@ -275,6 +275,37 @@ fn quarantine_rebuild_preserves_pinned_snapshots() {
 }
 
 #[test]
+fn quarantined_read_adds_the_unmerged_log() {
+    let config = CrackConfig::default().with_fault(FaultPlan::poison_shard(1).on_target(0));
+    let mgr = manager(4_000, 2, config, ServingConfig::default());
+    let probe = QueryRange::new(0, 1_500); // entirely inside shard 0
+
+    // An old session pins the watermark at epoch 0, so the insert
+    // committed next stays in the epoch log instead of moving to the
+    // shard's store.
+    let mut old = mgr.begin().unwrap();
+    let mut w = mgr.begin().unwrap();
+    w.insert(10).unwrap();
+    assert!(matches!(w.commit(), TxnOutcome::Committed { epoch: 1 }));
+    let mut reader = mgr.begin().unwrap();
+
+    // The first read of shard 0 poisons it.
+    let mut victim = mgr.begin().unwrap();
+    victim.read(probe).unwrap_err();
+    victim.commit();
+    assert_eq!(mgr.quarantined_shards(), vec![0]);
+
+    // Served by scan while quarantined, each read still adds the log's
+    // delta up to its own snapshot: the insert for the reader only.
+    assert_eq!(reader.read(probe).unwrap().0, 1_501);
+    assert_eq!(old.read(probe).unwrap().0, 1_500);
+    reader.commit();
+    old.commit();
+    assert_eq!(mgr.lock_residue(), 0);
+    mgr.check_integrity().unwrap();
+}
+
+#[test]
 fn wound_timeout_breaks_session_deadlock() {
     let mgr = manager(4_000, 2, CrackConfig::default(), ServingConfig::default());
     let (k1, k2) = (10u64, 20u64);

@@ -7,9 +7,18 @@
 #   scripts/bench_pairs.sh [--pinned-rss] <parent-ref> [pairs=10] [workload ...]
 #
 # 1. exports <parent-ref> (`git archive`, committed files only) into
-#    target/bench_pairs/parent and builds its benchmark/ offline, the way
-#    the benchmark's own command would; builds this checkout's benchmark/
-#    the same way;
+#    target/bench_pairs/parent and this checkout's tracked files, with
+#    their uncommitted edits, into target/bench_pairs/change. It builds
+#    each side's benchmark/ offline the way the benchmark's own command
+#    would, one after the other at the same path (the side's tree is
+#    moved to target/bench_pairs/build for its build), so identical
+#    sources give identical binaries; the script says whether the two
+#    are `cmp`-identical. Built at two paths, the path alone moved
+#    functions to other 64-byte offsets, and that layout difference
+#    rode in every pair. The path enters the binary three ways: panic
+#    locations, the benchmark's `env!("CARGO_MANIFEST_DIR")` and, through
+#    a `--remap-path-prefix` naming it, cargo's symbol hashes; only one
+#    shared path removes all three;
 # 2. for seed 1..pairs and every workload runs both binaries back to
 #    back, the parent first on odd seeds and the change first on even
 #    ones, at the benchmark's run length (`run_seconds` of
@@ -43,16 +52,29 @@ parent_ref=$1
 pairs=${2:-10}
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 work=target/bench_pairs
-rm -rf "$work/parent"
-mkdir -p "$work/parent" "$work/runs"
+rm -rf "$work/parent" "$work/change" "$work/build"
+mkdir -p "$work/parent" "$work/change" "$work/runs"
 rm -f "$work"/runs/*.json
 git archive "$parent_ref" | tar -x -C "$work/parent"
+# `git stash create` snapshots the tracked files with their edits without
+# touching the checkout; it prints nothing on a clean tree.
+change_tree=$(git stash create)
+git archive "${change_tree:-HEAD}" | tar -x -C "$work/change"
 
-build() { (cd "$1/benchmark" && CARGO_TARGET_DIR=target cargo build --release --offline --quiet); }
-build "$work/parent"
-build .
+build() { # side, built at the one shared path target/bench_pairs/build
+    mv "$work/$1" "$work/build"
+    (cd "$work/build/benchmark" && CARGO_TARGET_DIR=target cargo build --release --offline --quiet)
+    mv "$work/build" "$work/$1"
+}
+build parent
+build change
 parent_bin=$work/parent/benchmark/target/release/scrack_benchmark
-change_bin=benchmark/target/release/scrack_benchmark
+change_bin=$work/change/benchmark/target/release/scrack_benchmark
+if cmp -s "$parent_bin" "$change_bin"; then
+    echo "binaries: cmp-identical" >&2
+else
+    echo "binaries: differ" >&2
+fi
 workloads=$("$change_bin" list | awk '$1 == "workload" { print $2 }')
 if [ $# -gt 2 ]; then
     for w in "${@:3}"; do
