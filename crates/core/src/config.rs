@@ -1,8 +1,6 @@
 //! Tuning knobs shared by all cracking engines.
 
 use crate::fault::FaultPlan;
-use scrack_index::IndexPolicy;
-use scrack_partition::KernelPolicy;
 use scrack_types::CacheProfile;
 
 /// How pending updates are merged into a cracked column.
@@ -75,21 +73,9 @@ impl std::fmt::Display for UpdatePolicy {
 ///   is bigger than the L2 cache", §4). Defaults to the elements fitting
 ///   in L2.
 ///
-/// The **kernel policy** selects between the branchy and branchless
-/// implementations of the reorganization primitives: the two-way and
-/// three-way partitions, the filter scan, and the fused
-/// split-and-materialize pass of MDD1R, MDD1M and the selective kinds.
-/// Both produce bit-identical results and cost counters (the fused pass
-/// may order a materialized result differently, never change it), so
-/// this is a pure wall-clock knob. The default `Auto` runs the branchless
-/// kernels on every piece; `Branchy` is the reference tests compare it
-/// with. Progressive's budgeted partition job stays branchy under both.
-///
-/// The **index policy** selects the cracker-index representation the
-/// engines navigate: the cache-conscious flat sorted-array directory
-/// (default) or the paper's AVL tree, kept for differential testing.
-/// Like the kernel policy, this is a pure wall-clock knob — crack
-/// boundaries, piece metadata and `Stats` are bit-identical under both.
+/// Every engine navigates the flat cracker index and reorganizes with the
+/// blockwise kernels; the AVL tree and the branchy kernels are references
+/// for the layer property tests, not configurations.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CrackConfig {
     /// Cache sizes the defaults are derived from.
@@ -98,10 +84,6 @@ pub struct CrackConfig {
     pub crack_size_override: Option<usize>,
     /// Explicit progressive threshold in elements; `None` derives from L2.
     pub progressive_threshold_override: Option<usize>,
-    /// Which reorganization-kernel implementation the engines run.
-    pub kernel: KernelPolicy,
-    /// Which cracker-index representation the engines navigate.
-    pub index: IndexPolicy,
     /// How pending updates merge into the column (see [`UpdatePolicy`]).
     pub update: UpdatePolicy,
     /// Planned fault injection (disabled by default; see
@@ -137,18 +119,6 @@ impl CrackConfig {
         self
     }
 
-    /// Convenience: a config with an explicit kernel policy.
-    pub fn with_kernel(mut self, kernel: KernelPolicy) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Convenience: a config with an explicit index policy.
-    pub fn with_index(mut self, index: IndexPolicy) -> Self {
-        self.index = index;
-        self
-    }
-
     /// Convenience: a config with an explicit update policy.
     pub fn with_update(mut self, update: UpdatePolicy) -> Self {
         self.update = update;
@@ -180,20 +150,6 @@ mod tests {
             .with_progressive_threshold(999);
         assert_eq!(c.crack_size(8), 128);
         assert_eq!(c.progressive_threshold(8), 999);
-    }
-
-    #[test]
-    fn kernel_policy_defaults_to_auto_and_overrides() {
-        assert_eq!(CrackConfig::default().kernel, KernelPolicy::Auto);
-        let c = CrackConfig::default().with_kernel(KernelPolicy::Branchy);
-        assert_eq!(c.kernel, KernelPolicy::Branchy);
-    }
-
-    #[test]
-    fn index_policy_defaults_to_flat_and_overrides() {
-        assert_eq!(CrackConfig::default().index, IndexPolicy::Flat);
-        let c = CrackConfig::default().with_index(IndexPolicy::Avl);
-        assert_eq!(c.index, IndexPolicy::Avl);
     }
 
     #[test]

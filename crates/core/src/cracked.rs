@@ -26,8 +26,8 @@ use rand::Rng;
 use scrack_columnstore::Answer;
 use scrack_index::{CrackerIndex, Piece, PieceSlot};
 use scrack_partition::{
-    advance_job, crack_in_three_policy, crack_in_two_policy, median_partition_policy,
-    scan_filter_policy, split_and_materialize_policy, Fringe, JobStatus, PartitionJob,
+    advance_job, crack_in_three_branchless, crack_in_two_branchless, median_partition,
+    scan_filter_branchless, split_and_materialize_branchless, Fringe, JobStatus, PartitionJob,
 };
 use scrack_types::{Element, QueryRange, Stats};
 use std::collections::BTreeMap;
@@ -66,13 +66,11 @@ pub struct CrackedColumn<E: Element> {
 }
 
 impl<E: Element> CrackedColumn<E> {
-    /// Takes ownership of `data` as a single uncracked piece; the cracker
-    /// index runs on `config.index`'s representation.
+    /// Takes ownership of `data` as a single uncracked piece.
     pub fn new(data: Vec<E>, config: CrackConfig) -> Self {
-        let index = CrackerIndex::with_policy(data.len(), config.index);
         Self {
+            index: CrackerIndex::new(data.len()),
             data,
-            index,
             stats: Stats::new(),
             config,
             fault: FaultInjector::new(config.fault),
@@ -246,12 +244,9 @@ impl<E: Element> CrackedColumn<E> {
     /// ([`CrackerIndex::add_crack_at`]).
     fn register_crack(&mut self, slot: PieceSlot, key: u64, pos: usize) {
         // The fault site: physical reorganization has run, the index has
-        // not yet heard about it — the worst place to die or stall.
+        // not yet heard about it — the worst place to die.
         if self.fault.poll(FaultKind::PanicInKernel) {
             fault::fire_panic("kernel: crack partition complete, index not updated");
-        }
-        if self.fault.poll(FaultKind::DelayInCrack) {
-            fault::spin_delay(self.fault.plan().delay_units());
         }
         if self.index.add_crack_at(slot, key, pos) {
             self.stats.cracks += 1;
@@ -339,11 +334,9 @@ impl<E: Element> CrackedColumn<E> {
             // The boundary already exists; nothing to touch.
             return piece.start;
         }
-        let kernel = self.config.kernel;
-        let rel = crack_in_two_policy(
+        let rel = crack_in_two_branchless(
             &mut self.data[piece.start..piece.end],
             key,
-            kernel,
             &mut self.stats,
         );
         let pos = piece.start + rel;
@@ -373,12 +366,10 @@ impl<E: Element> CrackedColumn<E> {
         let (pa, sa) = self.index.locate(q.low);
         let (pb, sb) = self.index.locate_from(sa, q.high);
         if pa == pb && pa.lo_key != Some(q.low) && q.high < pa.hi_key.unwrap_or(u64::MAX) {
-            let kernel = self.config.kernel;
-            let (r1, r2) = crack_in_three_policy(
+            let (r1, r2) = crack_in_three_branchless(
                 &mut self.data[pa.start..pa.end],
                 q.low,
                 q.high,
-                kernel,
                 &mut self.stats,
             );
             let (lo, hi) = (pa.start + r1, pa.start + r2);
@@ -443,7 +434,6 @@ impl<E: Element> CrackedColumn<E> {
             return piece.start;
         }
         let crack_size = self.crack_size();
-        let kernel = self.config.kernel;
         let (mut lo, mut hi) = (piece.start, piece.end);
         // Every crack below splits a part of `piece`, so each goes in at
         // its slot (or one step right of the cracks before it).
@@ -451,13 +441,11 @@ impl<E: Element> CrackedColumn<E> {
             let (pos, pivot) = match rng.as_deref_mut() {
                 Some(rng) => {
                     let pivot = self.data[rng.gen_range(lo..hi)].key();
-                    let rel =
-                        crack_in_two_policy(&mut self.data[lo..hi], pivot, kernel, &mut self.stats);
+                    let rel = crack_in_two_branchless(&mut self.data[lo..hi], pivot, &mut self.stats);
                     (lo + rel, pivot)
                 }
                 None => {
-                    let (rel, pivot) =
-                        median_partition_policy(&mut self.data[lo..hi], kernel, &mut self.stats);
+                    let (rel, pivot) = median_partition(&mut self.data[lo..hi], &mut self.stats);
                     (lo + rel, pivot)
                 }
             };
@@ -477,7 +465,7 @@ impl<E: Element> CrackedColumn<E> {
                 break;
             }
         }
-        let rel = crack_in_two_policy(&mut self.data[lo..hi], key, kernel, &mut self.stats);
+        let rel = crack_in_two_branchless(&mut self.data[lo..hi], key, &mut self.stats);
         let pos = lo + rel;
         self.register_crack(slot, key, pos);
         pos
@@ -574,21 +562,14 @@ impl<E: Element> CrackedColumn<E> {
     ) {
         if piece.len() < 2 {
             // Nothing to split; just filter the (≤1) element.
-            scan_filter_policy(
-                &self.data[piece.start..piece.end],
-                fringe,
-                self.config.kernel,
-                out,
-                &mut self.stats,
-            );
+            scan_filter_branchless(&self.data[piece.start..piece.end], fringe, out, &mut self.stats);
             return;
         }
         let pivot = self.data[piece.start + rng.gen_range(0..piece.len())].key();
-        let rel = split_and_materialize_policy(
+        let rel = split_and_materialize_branchless(
             &mut self.data[piece.start..piece.end],
             pivot,
             fringe,
-            self.config.kernel,
             out,
             &mut self.stats,
         );
@@ -660,7 +641,6 @@ impl<E: Element> CrackedColumn<E> {
             return piece.start;
         }
         let crack_size = self.crack_size();
-        let kernel = self.config.kernel;
         let (mut lo, mut hi) = (piece.start, piece.end);
         let mut bounds = self.piece_key_bounds(&piece);
         while hi - lo > crack_size {
@@ -668,7 +648,7 @@ impl<E: Element> CrackedColumn<E> {
             let Some(pivot) = Self::midpoint(klo, khi) else {
                 break; // key range exhausted (duplicate-heavy piece)
             };
-            let rel = crack_in_two_policy(&mut self.data[lo..hi], pivot, kernel, &mut self.stats);
+            let rel = crack_in_two_branchless(&mut self.data[lo..hi], pivot, &mut self.stats);
             let pos = lo + rel;
             // Registered even when degenerate (pos == lo or pos == hi):
             // an empty-sided crack is still globally valid — the partition
@@ -687,7 +667,7 @@ impl<E: Element> CrackedColumn<E> {
                 break;
             }
         }
-        let rel = crack_in_two_policy(&mut self.data[lo..hi], key, kernel, &mut self.stats);
+        let rel = crack_in_two_branchless(&mut self.data[lo..hi], key, &mut self.stats);
         let pos = lo + rel;
         self.register_crack(slot, key, pos);
         pos
@@ -750,21 +730,19 @@ impl<E: Element> CrackedColumn<E> {
             // Nothing to split (singleton piece, or a key range with no
             // interior): just filter the piece.
             _ => {
-                scan_filter_policy(
+                scan_filter_branchless(
                     &self.data[piece.start..piece.end],
                     fringe,
-                    self.config.kernel,
                     out,
                     &mut self.stats,
                 );
                 return;
             }
         };
-        let rel = split_and_materialize_policy(
+        let rel = split_and_materialize_branchless(
             &mut self.data[piece.start..piece.end],
             pivot,
             fringe,
-            self.config.kernel,
             out,
             &mut self.stats,
         );
@@ -913,23 +891,10 @@ impl<E: Element> CrackedColumn<E> {
                 PartitionJob::new(pivot, piece.start, piece.end)
             }
         };
-        let kernel = self.config.kernel;
         // 1. The regions settled by previous queries still need filtering
         //    for *this* query's result.
-        scan_filter_policy(
-            &self.data[piece.start..job.l],
-            fringe,
-            kernel,
-            out,
-            &mut self.stats,
-        );
-        scan_filter_policy(
-            &self.data[job.r..piece.end],
-            fringe,
-            kernel,
-            out,
-            &mut self.stats,
-        );
+        scan_filter_branchless(&self.data[piece.start..job.l], fringe, out, &mut self.stats);
+        scan_filter_branchless(&self.data[job.r..piece.end], fringe, out, &mut self.stats);
         // 2. Advance the partition within budget, filtering what it visits.
         match advance_job(
             &mut self.data,
@@ -948,13 +913,7 @@ impl<E: Element> CrackedColumn<E> {
             }
             JobStatus::InProgress => {
                 // 3. The untouched middle still holds unfiltered tuples.
-                scan_filter_policy(
-                    &self.data[job.l..job.r],
-                    fringe,
-                    kernel,
-                    out,
-                    &mut self.stats,
-                );
+                scan_filter_branchless(&self.data[job.l..job.r], fringe, out, &mut self.stats);
                 self.jobs.insert(piece.lo_key, job);
             }
         }

@@ -2,8 +2,8 @@
 //!
 //! The paper's thesis is robustness against adversarial *workloads*;
 //! this module supplies the machinery to prove robustness against
-//! adversarial *conditions* — worker panics mid-reorganization, stalled
-//! cracks, poisoned shards, queue overload — without ever touching a
+//! adversarial *conditions* — worker panics mid-reorganization, poisoned
+//! shards, queue overload, commit panics — without ever touching a
 //! production code path when disabled.
 //!
 //! A [`FaultPlan`] is a tiny `Copy` description of **one** fault: a
@@ -32,9 +32,6 @@ pub enum FaultKind {
     /// physical partition ran, before the crack registers) — the worst
     /// spot: data reorganized, index not yet updated.
     PanicInKernel,
-    /// A deterministic spin-delay inside the crack path, to blow
-    /// per-query deadline budgets.
-    DelayInCrack,
     /// Marks a shard's cracker index as corrupt at query time; the
     /// serving layer must quarantine and degrade to scans.
     PoisonShard,
@@ -49,43 +46,13 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// The kind's CLI/report label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FaultKind::PanicInKernel => "panic",
-            FaultKind::DelayInCrack => "delay",
-            FaultKind::PoisonShard => "poison",
-            FaultKind::QueueOverload => "overload",
-            FaultKind::PanicInCommit => "panic-commit",
-        }
-    }
-
-    /// Parses a CLI label (case-insensitive); `None` if unrecognized.
-    pub fn parse(s: &str) -> Option<FaultKind> {
-        match s.to_ascii_lowercase().as_str() {
-            "panic" | "panic-in-kernel" => Some(FaultKind::PanicInKernel),
-            "delay" | "delay-in-crack" => Some(FaultKind::DelayInCrack),
-            "poison" | "poison-shard" | "poisoned-shard" => Some(FaultKind::PoisonShard),
-            "overload" | "queue-overload" => Some(FaultKind::QueueOverload),
-            "panic-commit" | "panic-in-commit" => Some(FaultKind::PanicInCommit),
-            _ => None,
-        }
-    }
-
     /// Every kind, for gauntlet sweeps.
-    pub const ALL: [FaultKind; 5] = [
+    pub const ALL: [FaultKind; 4] = [
         FaultKind::PanicInKernel,
-        FaultKind::DelayInCrack,
         FaultKind::PoisonShard,
         FaultKind::QueueOverload,
         FaultKind::PanicInCommit,
     ];
-}
-
-impl std::fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
 }
 
 /// One planned fault: kind, injection-site trigger count, optional
@@ -102,8 +69,6 @@ pub struct FaultPlan {
     /// Restrict the fault to one shard/chunk owner id; `None` arms every
     /// owner.
     target: Option<usize>,
-    /// Spin units for [`FaultKind::DelayInCrack`].
-    delay_units: u32,
     /// Forced queue capacity for [`FaultKind::QueueOverload`].
     overload_capacity: usize,
 }
@@ -122,7 +87,6 @@ impl FaultPlan {
             trigger: 1,
             repeat: 1,
             target: None,
-            delay_units: 1 << 20,
             overload_capacity: 1,
         }
     }
@@ -132,17 +96,6 @@ impl FaultPlan {
         Self {
             kind: Some(FaultKind::PanicInKernel),
             trigger,
-            ..Self::disabled()
-        }
-    }
-
-    /// Spin-delay `units` of busy work inside the crack path, starting
-    /// on the `trigger`-th crack.
-    pub const fn delay_in_crack(trigger: u32, units: u32) -> Self {
-        Self {
-            kind: Some(FaultKind::DelayInCrack),
-            trigger,
-            delay_units: units,
             ..Self::disabled()
         }
     }
@@ -203,11 +156,6 @@ impl FaultPlan {
     /// The 1-based trigger hit count.
     pub const fn trigger(&self) -> u32 {
         self.trigger
-    }
-
-    /// Spin units for the delay fault.
-    pub const fn delay_units(&self) -> u32 {
-        self.delay_units
     }
 
     /// The forced queue capacity while a [`FaultKind::QueueOverload`]
@@ -304,16 +252,6 @@ pub fn is_injected_panic(message: &str) -> bool {
     message.contains(INJECTED_PANIC_PREFIX)
 }
 
-/// Deterministic busy work (no clock, no syscall): spins `units`
-/// iterations of arithmetic the optimizer cannot remove.
-pub fn spin_delay(units: u32) {
-    let mut acc = 0x9E37_79B9_7F4A_7C15u64;
-    for i in 0..units {
-        acc = std::hint::black_box(acc.rotate_left(7) ^ u64::from(i));
-    }
-    std::hint::black_box(acc);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,8 +277,8 @@ mod tests {
 
     #[test]
     fn repeat_widens_the_firing_window() {
-        let inj = FaultInjector::new(FaultPlan::delay_in_crack(2, 7).with_repeat(3));
-        let fired: Vec<bool> = (0..6).map(|_| inj.poll(FaultKind::DelayInCrack)).collect();
+        let inj = FaultInjector::new(FaultPlan::panic_in_kernel(2).with_repeat(3));
+        let fired: Vec<bool> = (0..6).map(|_| inj.poll(FaultKind::PanicInKernel)).collect();
         assert_eq!(fired, [false, true, true, true, false, false]);
     }
 
@@ -349,7 +287,7 @@ mod tests {
         let inj = FaultInjector::new(FaultPlan::poison_shard(2));
         assert!(!inj.poll(FaultKind::PanicInKernel));
         assert!(!inj.poll(FaultKind::PoisonShard), "first poison hit");
-        assert!(!inj.poll(FaultKind::DelayInCrack));
+        assert!(!inj.poll(FaultKind::PanicInCommit));
         assert!(inj.poll(FaultKind::PoisonShard), "second poison hit fires");
     }
 
@@ -379,21 +317,5 @@ mod tests {
         let msg = *caught.unwrap_err().downcast::<String>().unwrap();
         assert!(is_injected_panic(&msg), "{msg}");
         assert!(!is_injected_panic("index out of bounds"));
-    }
-
-    #[test]
-    fn labels_round_trip() {
-        for kind in FaultKind::ALL {
-            assert_eq!(FaultKind::parse(kind.label()), Some(kind));
-            assert_eq!(kind.to_string(), kind.label());
-        }
-        assert_eq!(FaultKind::parse("Poisoned-Shard"), Some(FaultKind::PoisonShard));
-        assert_eq!(FaultKind::parse("meteor"), None);
-    }
-
-    #[test]
-    fn spin_delay_is_pure_busy_work() {
-        spin_delay(0);
-        spin_delay(10_000); // must terminate, no clock involved
     }
 }

@@ -53,9 +53,10 @@ mod oracle;
 
 pub use baseline::{ScanEngine, SortEngine};
 pub use config::{CrackConfig, UpdatePolicy};
-// Re-exported so engine construction sites can name the kernel and index
-// policies, and the update walks the index and its cursor, without
-// depending on the substrate crates directly.
+// Re-exported so the update walks can name the index and its cursor
+// without depending on the index crate directly. `IndexPolicy` and
+// `KernelPolicy` (one value each) reach the facade prelude from here,
+// where the benchmark's probe names them.
 pub use scrack_index::{CrackCursor, CrackerIndex, IndexPolicy};
 pub use scrack_partition::KernelPolicy;
 pub use cracked::CrackedColumn;

@@ -6,9 +6,9 @@
 //! it to the plain path: twin engines over the same column answer one
 //! seeded stream, one twin through `select_aggregate`, the other through
 //! `select` + `key_checksum`, and after every query the pair and every
-//! `Stats` counter must be identical — for every cracker `EngineKind`
-//! under every `IndexPolicy` × `KernelPolicy`, and for `Updatable`
-//! under both `UpdatePolicy`s with writes in the stream.
+//! `Stats` counter must be identical — for every cracker `EngineKind`,
+//! and for `Updatable` under both `UpdatePolicy`s with writes in the
+//! stream.
 //!
 //! The stream mixes empty and inverted ranges, ranges inside one piece,
 //! exact piece matches (a pure view), pieces of 0–1 elements, `Low`,
@@ -16,9 +16,7 @@
 //! of distinct keys and a duplicate-heavy one; the run counts each shape
 //! it met and fails if one is missing.
 
-use scrack_core::{
-    CrackConfig, CrackerEngine, Engine, EngineKind, IndexPolicy, KernelPolicy, UpdatePolicy,
-};
+use scrack_core::{CrackConfig, CrackerEngine, Engine, EngineKind, UpdatePolicy};
 use scrack_types::{QueryRange, Stats};
 use scrack_updates::{update_capable_kinds, Updatable};
 
@@ -198,29 +196,23 @@ fn cracker_aggregates_match_plain_selects() {
     let kinds: Vec<EngineKind> = update_capable_kinds();
     for (column, data, domain) in columns() {
         for kind in &kinds {
-            for index in IndexPolicy::ALL {
-                for kernel in [KernelPolicy::Branchy, KernelPolicy::Auto] {
-                    let config = CrackConfig::default()
-                        .with_crack_size(64)
-                        .with_progressive_threshold(256)
-                        .with_index(index)
-                        .with_kernel(kernel);
-                    let ctx = format!("{column} {} {index} {kernel}", kind.label());
-                    let mut agg = CrackerEngine::new(*kind, data.clone(), config, SEED);
-                    let mut sel = CrackerEngine::new(*kind, data.clone(), config, SEED);
-                    let mut rng = Xorshift(SEED ^ 0xA66);
-                    let mut seen = Seen::default();
-                    for i in 0..QUERIES {
-                        let q = next_query(&mut rng, &sel, domain);
-                        seen.note(&sel, q);
-                        let got = agg.select_aggregate(q);
-                        let want = plain(&mut sel, q);
-                        assert_twins(&ctx, i, q, got, want, (agg.stats(), sel.stats()));
-                    }
-                    assert_eq!(agg.data(), sel.data(), "{ctx}: physical order");
-                    seen.assert_complete(&ctx);
-                }
+            let config = CrackConfig::default()
+                .with_crack_size(64)
+                .with_progressive_threshold(256);
+            let ctx = format!("{column} {}", kind.label());
+            let mut agg = CrackerEngine::new(*kind, data.clone(), config, SEED);
+            let mut sel = CrackerEngine::new(*kind, data.clone(), config, SEED);
+            let mut rng = Xorshift(SEED ^ 0xA66);
+            let mut seen = Seen::default();
+            for i in 0..QUERIES {
+                let q = next_query(&mut rng, &sel, domain);
+                seen.note(&sel, q);
+                let got = agg.select_aggregate(q);
+                let want = plain(&mut sel, q);
+                assert_twins(&ctx, i, q, got, want, (agg.stats(), sel.stats()));
             }
+            assert_eq!(agg.data(), sel.data(), "{ctx}: physical order");
+            seen.assert_complete(&ctx);
         }
     }
 }

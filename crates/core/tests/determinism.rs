@@ -6,7 +6,7 @@
 //! This guards the randomized engines' seeding paths (DDR and MDD1R draw
 //! their pivots from the seeded RNG) as much as the deterministic ones.
 
-use scrack_core::{build_engine, CrackConfig, EngineKind, KernelPolicy};
+use scrack_core::{build_engine, CrackConfig, EngineKind};
 use scrack_types::{QueryRange, Stats};
 
 const N: u64 = 50_000;
@@ -45,13 +45,8 @@ fn column(n: u64) -> Vec<u64> {
 /// cost counters (every `Stats` field) and the final physical order's
 /// checksum.
 fn run(kind: EngineKind, seed: u64) -> (Vec<(usize, u64)>, Stats, u64) {
-    run_with(kind, seed, CrackConfig::default())
-}
-
-/// [`run`] under an explicit config (kernel-policy sweeps).
-fn run_with(kind: EngineKind, seed: u64, config: CrackConfig) -> (Vec<(usize, u64)>, Stats, u64) {
     let data = column(N);
-    let mut engine = build_engine(kind, data, config, seed);
+    let mut engine = build_engine(kind, data, CrackConfig::default(), seed);
     let mut per_query = Vec::with_capacity(QUERIES);
     for q in query_sequence(N, QUERIES) {
         let out = engine.select(q);
@@ -114,8 +109,8 @@ fn progressive_is_deterministic() {
     assert_deterministic(EngineKind::Progressive { swap_pct: 10 });
 }
 
-/// The engines under test for the kernel-policy sweeps: every strategy
-/// family that reaches the reorganization kernels — the two-way and
+/// The engines under test for the kernel sweep: every strategy family
+/// that reaches the reorganization kernels — the two-way and
 /// three-way passes (Crack, DDC, DDR, DD1R), the fused
 /// split-and-materialize pass (MDD1R, MDD1M, the selective FiftyFifty)
 /// and progressive's budgeted jobs.
@@ -132,50 +127,20 @@ fn kernel_sensitive_kinds() -> [EngineKind; 8] {
     ]
 }
 
-/// Same `EngineKind` + seed + `KernelPolicy` must reproduce identical
-/// per-query results and crack counts across runs — the branchless
-/// kernels may not introduce any nondeterminism.
+/// Same `EngineKind` + seed must reproduce identical per-query results
+/// and crack counts across runs — the branchless kernels may not
+/// introduce any nondeterminism.
 #[test]
 fn branchless_policy_is_deterministic() {
-    let cfg = CrackConfig::default().with_kernel(KernelPolicy::Auto);
     for kind in kernel_sensitive_kinds() {
-        let (results_a, stats_a, order_a) = run_with(kind, SEED, cfg);
-        let (results_b, stats_b, order_b) = run_with(kind, SEED, cfg);
+        let (results_a, stats_a, order_a) = run(kind, SEED);
+        let (results_b, stats_b, order_b) = run(kind, SEED);
         assert_eq!(
             results_a, results_b,
             "{kind:?}: branchless run must give identical per-query results"
         );
         assert_eq!(stats_a, stats_b, "{kind:?}: branchless cost counters");
         assert_eq!(order_a, order_b, "{kind:?}: branchless physical order");
-    }
-}
-
-/// Stronger still: the kernels are bit-identical, so the *same seed under
-/// different kernel policies* must agree on every result, every `Stats`
-/// counter (a kernel that drops one swap or one materialized tuple turns
-/// this red) and the final physical order. This pins the equivalence
-/// contract at full engine scale.
-///
-/// The last case runs progressive jobs on pieces past 1 024 elements with
-/// a 1 % swap budget, so `Auto`'s filter scans over settled and unvisited
-/// job regions run on many piece sizes; at the default L2-sized
-/// threshold few pieces ever start a job.
-#[test]
-fn kernel_policy_does_not_change_any_result() {
-    let cases = kernel_sensitive_kinds()
-        .map(|kind| (kind, CrackConfig::default()))
-        .into_iter()
-        .chain([(
-            EngineKind::Progressive { swap_pct: 1 },
-            CrackConfig::default().with_progressive_threshold(1_024),
-        )]);
-    for (kind, config) in cases {
-        let branchy = run_with(kind, SEED, config.with_kernel(KernelPolicy::Branchy));
-        let auto = run_with(kind, SEED, config.with_kernel(KernelPolicy::Auto));
-        assert_eq!(
-            branchy, auto,
-            "{kind:?}: branchy and auto runs must be bit-identical"
-        );
     }
 }
 

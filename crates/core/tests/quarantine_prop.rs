@@ -4,8 +4,7 @@
 //! discard the cracker index (`quarantine_rebuild`), degrade to scans
 //! over the preserved base data, then re-crack adaptively. Two things
 //! make that safe, and both are pinned here across every factory engine
-//! (including the data-driven midpoint family) and every index policy —
-//! AVL and flat:
+//! (including the data-driven midpoint family):
 //!
 //! 1. **Answers never change.** A run that quarantines mid-stream
 //!    returns bit-identical per-query answers (count + key checksum) to
@@ -19,9 +18,7 @@
 //!    hidden residue that could skew adaptive behavior afterwards.
 
 use proptest::prelude::*;
-use scrack_core::{
-    build_engine, CrackConfig, CrackedColumn, EngineKind, IndexPolicy, Oracle,
-};
+use scrack_core::{build_engine, CrackConfig, CrackedColumn, EngineKind, Oracle};
 use scrack_columnstore::QueryOutput;
 use scrack_types::QueryRange;
 
@@ -48,14 +45,12 @@ fn query_strategy() -> impl Strategy<Value = QueryRange> {
 /// `quarantine_at` queries when `Some`; returns (len, checksum) pairs.
 fn run_engine(
     kind: EngineKind,
-    policy: IndexPolicy,
     queries: &[QueryRange],
     quarantine_at: Option<usize>,
 ) -> Vec<(usize, u64)> {
     let config = CrackConfig::default()
         .with_crack_size(64)
-        .with_progressive_threshold(512)
-        .with_index(policy);
+        .with_progressive_threshold(512);
     let mut engine = build_engine(kind, column(N, 17), config, 99);
     let mut answers = Vec::with_capacity(queries.len());
     for (qi, q) in queries.iter().enumerate() {
@@ -78,25 +73,23 @@ proptest! {
     fn quarantine_mid_stream_never_changes_answers(
         queries in proptest::collection::vec(query_strategy(), 8..40),
         cut in 0usize..40,
-        policy_idx in 0usize..IndexPolicy::ALL.len(),
     ) {
-        let policy = IndexPolicy::ALL[policy_idx];
         let oracle = Oracle::new(&column(N, 17));
         let cut = cut % queries.len();
         for kind in EngineKind::extended_selection() {
-            let clean = run_engine(kind, policy, &queries, None);
-            let faulted = run_engine(kind, policy, &queries, Some(cut));
+            let clean = run_engine(kind, &queries, None);
+            let faulted = run_engine(kind, &queries, Some(cut));
             prop_assert_eq!(
                 &clean, &faulted,
-                "{:?}/{}: answers diverged after quarantine at query {}",
-                kind, policy, cut
+                "{:?}: answers diverged after quarantine at query {}",
+                kind, cut
             );
             for (qi, q) in queries.iter().enumerate() {
                 prop_assert_eq!(
                     faulted[qi],
                     (oracle.count(*q), oracle.checksum(*q)),
-                    "{:?}/{}: query {} ({}) wrong vs oracle",
-                    kind, policy, qi, q
+                    "{:?}: query {} ({}) wrong vs oracle",
+                    kind, qi, q
                 );
             }
         }
@@ -105,17 +98,13 @@ proptest! {
     /// Property 2 at the column layer: after a warm-up prefix and a
     /// quarantine, the column replays the suffix with bit-identical
     /// answers and bit-identical `Stats` to a twin built fresh over the
-    /// same physical data — for every index policy.
+    /// same physical data.
     #[test]
     fn rebuilt_column_is_bit_identical_to_a_fresh_twin(
         prefix in proptest::collection::vec(query_strategy(), 1..30),
         suffix in proptest::collection::vec(query_strategy(), 1..30),
-        policy_idx in 0usize..IndexPolicy::ALL.len(),
     ) {
-        let policy = IndexPolicy::ALL[policy_idx];
-        let config = CrackConfig::default()
-            .with_crack_size(64)
-            .with_index(policy);
+        let config = CrackConfig::default().with_crack_size(64);
         let mut col = CrackedColumn::new(column(N, 23), config);
         for q in &prefix {
             let _: QueryOutput<u64> = col.select_original(*q);
@@ -130,11 +119,11 @@ proptest! {
             let kb = b.key_checksum(twin.data());
             prop_assert_eq!(
                 (a.len(), ka), (b.len(), kb),
-                "{}: suffix answers diverged", policy
+                "suffix answers diverged"
             );
         }
-        prop_assert_eq!(col.stats(), twin.stats(), "{}: Stats diverged", policy);
-        prop_assert_eq!(col.data(), twin.data(), "{}: physical order diverged", policy);
+        prop_assert_eq!(col.stats(), twin.stats(), "Stats diverged");
+        prop_assert_eq!(col.data(), twin.data(), "physical order diverged");
         col.check_integrity().unwrap();
     }
 }

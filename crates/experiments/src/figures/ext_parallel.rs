@@ -78,7 +78,6 @@ fn run_piecelocked(
     let plc = Arc::new(PieceLockedCracker::new(
         data.to_vec(),
         ParallelStrategy::Stochastic,
-        cfg.crack_config(),
         cfg.seed_for("ext-parallel-plc"),
     ));
     let t0 = Instant::now();

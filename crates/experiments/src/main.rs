@@ -3,7 +3,6 @@
 //! ```text
 //! experiments [FIGURES...] [--n N] [--queries Q] [--seed S]
 //!             [--out DIR] [--verify] [--quick]
-//!             [--kernel branchy|auto] [--index avl|flat]
 //!             [--update per-element|batched]
 //!             [--threads N,N,...] [--batch B]
 //!
@@ -19,7 +18,7 @@
 //! unknown figure or argument, prints a usage error and exits 2 before
 //! anything runs.
 
-use scrack_core::{IndexPolicy, KernelPolicy, UpdatePolicy};
+use scrack_core::UpdatePolicy;
 use scrack_experiments::figures;
 use scrack_experiments::ExpConfig;
 use std::io::Write as _;
@@ -97,10 +96,6 @@ fn main() {
                 cfg.n = 100_000;
                 cfg.queries = 1_000;
             }
-            "--kernel" => {
-                cfg.kernel = flag_value(&args, &mut i, "branchy|auto", KernelPolicy::parse)
-            }
-            "--index" => cfg.index = flag_value(&args, &mut i, "avl|flat", IndexPolicy::parse),
             "--update" => {
                 cfg.update = flag_value(&args, &mut i, "per-element|batched", UpdatePolicy::parse);
             }
@@ -115,8 +110,7 @@ fn main() {
                     "usage: experiments [fig2|fig8|...|fig20|ext-updates|\
                      ext-io|ext-chooser|ext-parallel|ext-resilience|all]... \
                      [--n N] [--queries Q] [--seed S] [--out DIR] \
-                     [--verify] [--quick] [--kernel branchy|auto] \
-                     [--index avl|flat] [--update per-element|batched] \
+                     [--verify] [--quick] [--update per-element|batched] \
                      [--threads N,N,...] [--batch B]"
                 );
                 return;
@@ -147,8 +141,8 @@ fn main() {
         lock,
         "# Stochastic Database Cracking — experiment run\n\n\
          Reproduction of Halim et al., VLDB 2012. Scale: N={}, Q={}, \
-         seed={}, verify={}, kernel={}, index={}, update={}.\n",
-        cfg.n, cfg.queries, cfg.seed, cfg.verify, cfg.kernel, cfg.index, cfg.update
+         seed={}, verify={}, update={}.\n",
+        cfg.n, cfg.queries, cfg.seed, cfg.verify, cfg.update
     );
     for (fig, run) in figures_wanted {
         let t0 = std::time::Instant::now();

@@ -1,6 +1,6 @@
 //! Timed query-sequence execution.
 
-use scrack_core::{CrackConfig, Engine, IndexPolicy, KernelPolicy, Oracle, UpdatePolicy};
+use scrack_core::{CrackConfig, Engine, Oracle, UpdatePolicy};
 use scrack_types::{Element, QueryRange, Stats};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -20,15 +20,6 @@ pub struct ExpConfig {
     /// Validate every query result against the oracle (adds overhead to
     /// the *reported* times of view-based engines; off for timing runs).
     pub verify: bool,
-    /// Reorganization-kernel implementation the in-memory engines run
-    /// (`--kernel branchy|auto`). Results are identical under
-    /// every policy; per-query wall-clock differs, so figures can be
-    /// regenerated per kernel and compared.
-    pub kernel: KernelPolicy,
-    /// Cracker-index representation the engines navigate
-    /// (`--index avl|flat`). Like the kernel policy, a pure
-    /// wall-clock knob: results are bit-identical under both.
-    pub index: IndexPolicy,
     /// How the update experiments merge pending updates
     /// (`--update per-element|batched`). Answers are bit-identical under
     /// both; per-query wall-clock differs (the merge-ripple's point).
@@ -48,8 +39,6 @@ impl Default for ExpConfig {
             seed: 20120827, // the paper's presentation date at VLDB
             out_dir: None,
             verify: false,
-            kernel: KernelPolicy::default(),
-            index: IndexPolicy::default(),
             update: UpdatePolicy::default(),
             threads: vec![1, 2, 4],
             batch: 256,
@@ -59,13 +48,10 @@ impl Default for ExpConfig {
 
 impl ExpConfig {
     /// The engine configuration every figure builds on: defaults plus
-    /// this run's kernel and index policies. Figure-specific overrides
-    /// (Fig. 8's crack-size sweep, …) chain on top.
+    /// this run's update policy. Figure-specific overrides (Fig. 8's
+    /// crack-size sweep, …) chain on top.
     pub fn crack_config(&self) -> CrackConfig {
-        CrackConfig::default()
-            .with_kernel(self.kernel)
-            .with_index(self.index)
-            .with_update(self.update)
+        CrackConfig::default().with_update(self.update)
     }
 
     /// A derived seed for a named sub-experiment, so runs are independent

@@ -20,8 +20,6 @@ fn a_trailing_value_flag_is_a_usage_error() {
         "-q",
         "--seed",
         "--out",
-        "--kernel",
-        "--index",
         "--update",
         "--threads",
         "--batch",
@@ -34,10 +32,9 @@ fn a_trailing_value_flag_is_a_usage_error() {
 fn an_unparsable_value_is_a_usage_error() {
     // The trailing `--help` ends a run quickly if a value is accepted.
     for args in [
-        ["--kernel", "branchless", "--help"],
         ["--n", "many", "--help"],
         ["--threads", "1,,2", "--help"],
-        ["--index", "radix", "--help"],
+        ["--update", "eager", "--help"],
     ] {
         assert_eq!(exit_code(&args), Some(2), "{args:?}");
     }
@@ -64,6 +61,21 @@ fn an_unknown_figure_is_a_usage_error_before_anything_runs() {
         .expect("run the experiments binary");
     assert_eq!(out.status.code(), Some(2));
     assert!(out.stdout.is_empty(), "nothing runs before the check");
+}
+
+#[test]
+fn the_kernel_and_index_flags_are_unknown_arguments() {
+    // Every engine runs the one index and the one kernel set, so neither
+    // flag exists; each is rejected, with a value a removed parser once
+    // accepted, before anything runs.
+    for args in [["fig2", "--kernel", "auto"], ["fig2", "--index", "flat"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(args)
+            .output()
+            .expect("run the experiments binary");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing runs before the check");
+    }
 }
 
 #[test]

@@ -174,7 +174,7 @@ impl<E: Element> Engine<E> for HybridEngine<E> {
             self.merged.insert(gap);
         }
         match &mut self.store {
-            FinalStore::Pieces(st) => st.select(q, self.config.kernel, &mut out, &mut self.stats),
+            FinalStore::Pieces(st) => st.select(q, &mut out, &mut self.stats),
             FinalStore::Sorted(st) => st.select(q, &mut out, &mut self.stats),
         }
         out

@@ -1,7 +1,7 @@
 //! Final stores of the hybrid engines: where merged tuples accumulate.
 
 use scrack_columnstore::QueryOutput;
-use scrack_partition::{crack_in_three_policy, introsort, lower_bound, KernelPolicy};
+use scrack_partition::{crack_in_three_branchless, introsort, lower_bound};
 use scrack_types::{Element, QueryRange, Stats};
 
 /// One run of the piece store: positions `[start, end)` hold keys within
@@ -65,15 +65,9 @@ impl<E: Element> PieceStore<E> {
     }
 
     /// Answers `q` from the store: whole-piece views where possible,
-    /// cracking partially overlapping pieces first (on the engine's
-    /// kernel policy, like every other reorganization pass).
-    pub fn select(
-        &mut self,
-        q: QueryRange,
-        kernel: KernelPolicy,
-        out: &mut QueryOutput<E>,
-        stats: &mut Stats,
-    ) {
+    /// cracking partially overlapping pieces first (with the blockwise
+    /// three-way kernel, like every other reorganization pass).
+    pub fn select(&mut self, q: QueryRange, out: &mut QueryOutput<E>, stats: &mut Stats) {
         if q.is_empty() {
             return;
         }
@@ -95,8 +89,7 @@ impl<E: Element> PieceStore<E> {
             // split its table entry; the middle sub-piece qualifies fully.
             let a = q.low.max(p.lo);
             let b = q.high.min(p.hi);
-            let (r1, r2) =
-                crack_in_three_policy(&mut self.data[p.start..p.end], a, b, kernel, stats);
+            let (r1, r2) = crack_in_three_branchless(&mut self.data[p.start..p.end], a, b, stats);
             let (m1, m2) = (p.start + r1, p.start + r2);
             self.pieces.swap_remove(i);
             if m1 > p.start {
@@ -238,7 +231,7 @@ mod tests {
         st.append_run(&[12, 10, 14], QueryRange::new(10, 15), &mut stats);
         st.append_run(&[20, 24], QueryRange::new(20, 25), &mut stats);
         let mut out = QueryOutput::empty();
-        st.select(QueryRange::new(10, 25), KernelPolicy::Auto, &mut out, &mut stats);
+        st.select(QueryRange::new(10, 25), &mut out, &mut stats);
         assert_eq!(sorted_keys(&out, st.data()), vec![10, 12, 14, 20, 24]);
         st.check_integrity().unwrap();
     }
@@ -249,7 +242,7 @@ mod tests {
         let mut stats = Stats::new();
         st.append_run(&[19, 11, 15, 13, 17], QueryRange::new(10, 20), &mut stats);
         let mut out = QueryOutput::empty();
-        st.select(QueryRange::new(13, 18), KernelPolicy::Auto, &mut out, &mut stats);
+        st.select(QueryRange::new(13, 18), &mut out, &mut stats);
         assert_eq!(sorted_keys(&out, st.data()), vec![13, 15, 17]);
         st.check_integrity().unwrap();
         assert!(
@@ -258,7 +251,7 @@ mod tests {
         );
         // Second query over a refined area: must still be exact.
         let mut out = QueryOutput::empty();
-        st.select(QueryRange::new(10, 14), KernelPolicy::Auto, &mut out, &mut stats);
+        st.select(QueryRange::new(10, 14), &mut out, &mut stats);
         assert_eq!(sorted_keys(&out, st.data()), vec![11, 13]);
         st.check_integrity().unwrap();
     }
@@ -270,7 +263,7 @@ mod tests {
         st.append_run(&[], QueryRange::new(0, 5), &mut stats);
         assert_eq!(st.piece_count(), 0);
         let mut out = QueryOutput::empty();
-        st.select(QueryRange::new(0, 100), KernelPolicy::Auto, &mut out, &mut stats);
+        st.select(QueryRange::new(0, 100), &mut out, &mut stats);
         assert!(out.is_empty());
     }
 

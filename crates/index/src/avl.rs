@@ -6,12 +6,10 @@
 //! rotations keep the balance factor within ±1, so lookups,
 //! predecessor/successor queries and inserts are `O(log n)`.
 //!
-//! Like the flat representation, the tree is addressed by key from
-//! outside: a node index never leaves this module except inside a
-//! [`CrackCursor`], which the Ripple walks step with the tree's own
-//! predecessor / successor navigation.
-
-use crate::index::CrackCursor;
+//! It is the paper's structure ("original cracking uses AVL-trees", §3)
+//! and the reference the index property tests compare
+//! [`crate::CrackerIndex`] with; no engine runs on it. Like the flat
+//! index, it is addressed by key: a node index never leaves this module.
 
 /// Sentinel for "no node".
 const NIL: u32 = u32::MAX;
@@ -62,11 +60,6 @@ impl<M> AvlTree<M> {
     pub fn clear(&mut self) {
         self.nodes.clear();
         self.root = NIL;
-    }
-
-    /// Heap bytes allocated: the node arena's capacity × node size.
-    pub(crate) fn footprint(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<Node<M>>()
     }
 
     #[inline]
@@ -271,11 +264,6 @@ impl<M> AvlTree<M> {
         self.neighbors(key).0.map(|(k, _)| k)
     }
 
-    /// Greatest key `< key`.
-    pub fn predecessor_strict(&self, key: u64) -> Option<u64> {
-        self.predecessor_or_equal(key.checked_sub(1)?)
-    }
-
     /// Smallest key `> key`.
     pub fn successor_strict(&self, key: u64) -> Option<u64> {
         self.neighbors(key).1.map(|(k, _)| k)
@@ -301,51 +289,6 @@ impl<M> AvlTree<M> {
     /// The greatest key.
     pub fn max(&self) -> Option<u64> {
         self.extreme(|n| n.right)
-    }
-
-    // ------------------------------------------------------------------
-    // Cursor: a `CrackCursor` here is `major` = the node index; steps
-    // are the tree's own predecessor / successor walks.
-    // ------------------------------------------------------------------
-
-    /// The cursor on the entry with exactly `key`. Panics if there is
-    /// none.
-    pub(crate) fn cursor_at(&self, key: u64) -> CrackCursor {
-        let id = self.find_node(key);
-        assert!(id != NIL, "no crack at {key}");
-        CrackCursor { major: id, minor: 0 }
-    }
-
-    /// The cursor one entry down in key order.
-    pub(crate) fn cursor_prev(&self, c: CrackCursor) -> Option<CrackCursor> {
-        let below = self.node(c.major).key.checked_sub(1)?;
-        let (pred, _) = self.descend(below);
-        (pred != NIL).then_some(CrackCursor { major: pred, minor: 0 })
-    }
-
-    /// The cursor one entry up in key order.
-    pub(crate) fn cursor_next(&self, c: CrackCursor) -> Option<CrackCursor> {
-        let (_, succ) = self.descend(self.node(c.major).key);
-        (succ != NIL).then_some(CrackCursor { major: succ, minor: 0 })
-    }
-
-    /// Key of the entry under the cursor.
-    pub(crate) fn cursor_key(&self, c: CrackCursor) -> u64 {
-        self.node(c.major).key
-    }
-
-    /// Position of the entry under the cursor.
-    pub(crate) fn cursor_pos(&self, c: CrackCursor) -> usize {
-        self.node(c.major).pos
-    }
-
-    /// Overwrites the position of the entry under the cursor.
-    ///
-    /// Positions carry no ordering obligation inside the tree (only keys
-    /// do), so this is safe structurally; the *cracker* invariant that
-    /// positions are monotone in key order is the caller's to maintain.
-    pub(crate) fn set_cursor_pos(&mut self, c: CrackCursor, pos: usize) {
-        self.node_mut(c.major).pos = pos;
     }
 
     /// In-order ascending iterator over `(key, pos, &meta)`. Allocates
@@ -490,9 +433,6 @@ mod tests {
                 .next()
                 .map(|(k, _)| *k);
             assert_eq!(t.successor_strict(probe), model_succ, "succ_strict({probe})");
-
-            let model_spred = model.range(..probe).next_back().map(|(k, _)| *k);
-            assert_eq!(t.predecessor_strict(probe), model_spred, "pred_strict({probe})");
         }
     }
 
@@ -508,32 +448,10 @@ mod tests {
     }
 
     #[test]
-    fn set_pos_and_meta_via_handle() {
-        // The cursor is the tree's one handle: it writes positions, the
-        // key reaches metadata.
-        let mut t = AvlTree::new();
-        t.insert(7, 3, 100u32);
-        let c = t.cursor_at(7);
-        t.set_cursor_pos(c, 9);
-        *t.meta_mut(7).unwrap() += 1;
-        assert_eq!(t.find(7), Some(9));
-        assert_eq!(t.meta(7), Some(&101));
-        assert_eq!(t.cursor_key(c), 7);
-        assert!(t.meta_mut(8).is_none());
-    }
-
-    #[test]
     fn min_max() {
         let t = build(&[50, 10, 90, 30, 70]);
         assert_eq!(t.min(), Some(10));
         assert_eq!(t.max(), Some(90));
-    }
-
-    #[test]
-    fn predecessor_strict_at_zero() {
-        let t = build(&[0, 5]);
-        assert!(t.predecessor_strict(0).is_none());
-        assert_eq!(t.predecessor_strict(1), Some(0));
     }
 
     #[test]

@@ -123,9 +123,9 @@ impl BlockRef {
 /// fixed-capacity sorted blocks under a fence-key array (see the module
 /// docs for layout and costs).
 ///
-/// API-compatible with [`crate::AvlTree`], so [`crate::CrackerIndex`]
-/// can dispatch between the representations and property tests can pin
-/// them against each other entry for entry.
+/// API-compatible with [`crate::AvlTree`] where both answer the same
+/// query, so property tests can pin them against each other entry for
+/// entry.
 #[derive(Debug, Clone)]
 pub struct FlatIndex<M> {
     /// `fences[r]` is the smallest key of the block at rank `r`;
@@ -432,9 +432,9 @@ impl<M> FlatIndex<M> {
 
     /// Overwrites the position of the entry under the cursor.
     ///
-    /// As with the AVL representation, positions carry no ordering
-    /// obligation inside the index; the cracker invariant that positions
-    /// are monotone in key order is the caller's to maintain.
+    /// Positions carry no ordering obligation inside the index; the
+    /// cracker invariant that positions are monotone in key order is the
+    /// caller's to maintain.
     #[inline]
     pub(crate) fn set_cursor_pos(&mut self, c: CrackCursor, pos: usize) {
         let i = self.slot_of(c.major as usize, c.minor as usize);

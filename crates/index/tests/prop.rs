@@ -1,12 +1,43 @@
-//! Property tests: both index representations against a BTreeMap model,
-//! cracker-index piece consistency under random crack sequences, and the
-//! Avl/Flat cross-policy equivalence contract.
+//! Property tests: the flat index and the AVL reference against a
+//! BTreeMap model, cracker-index piece consistency under random crack
+//! sequences, and the cracker index against the AVL reference: the same
+//! cracks give the same pieces, walks and inherited metadata.
 
 use proptest::prelude::*;
-use scrack_index::{
-    AvlTree, CrackerIndex, FlatIndex, IndexPolicy, PieceMeta, PieceSlot, FLAT_BLOCK_CAP,
-};
+use scrack_index::{AvlTree, CrackerIndex, FlatIndex, Piece, PieceMeta, PieceSlot, FLAT_BLOCK_CAP};
 use std::collections::BTreeMap;
+
+/// A piece as the comparisons below see it: `(start, end, lo_key, hi_key)`.
+type Edges = (usize, usize, Option<u64>, Option<u64>);
+
+fn edges(p: Piece) -> Edges {
+    (p.start, p.end, p.lo_key, p.hi_key)
+}
+
+/// The piece the AVL reference resolves `key` to, in a column of
+/// `column_len` elements: between the greatest crack `<= key` and the
+/// smallest crack `> key`.
+fn avl_piece<M>(tree: &AvlTree<M>, column_len: usize, key: u64) -> Edges {
+    let (pred, succ) = tree.neighbors(key);
+    (
+        pred.map_or(0, |(_, p)| p),
+        succ.map_or(column_len, |(_, p)| p),
+        pred.map(|(k, _)| k),
+        succ.map(|(k, _)| k),
+    )
+}
+
+/// Every piece of the AVL reference's column, in position order: the
+/// gaps between consecutive cracks of its in-order walk.
+fn avl_pieces<M>(tree: &AvlTree<M>, column_len: usize) -> Vec<Edges> {
+    let (mut pieces, mut start, mut lo_key) = (Vec::new(), 0, None);
+    for (k, p, _) in tree.iter_asc() {
+        pieces.push((start, p, lo_key, Some(k)));
+        (start, lo_key) = (p, Some(k));
+    }
+    pieces.push((start, column_len, lo_key, None));
+    pieces
+}
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -149,9 +180,10 @@ proptest! {
 
     /// The walk cursor: over crack sets several flat blocks wide,
     /// `cursor_prev` from `max_crack` and `cursor_next` from `min_crack`
-    /// visit the same `(key, pos)` sequence under every representation,
-    /// and positions written through the cursor read back through
-    /// `piece_containing` and `iter_cracks`.
+    /// visit the `(key, pos)` sequence the AVL reference holds, and
+    /// positions written through the cursor read back through
+    /// `piece_containing` and `iter_cracks` as the reference holding the
+    /// shifted positions resolves them.
     #[test]
     fn cursor_walks_and_writes_are_policy_invariant(
         keys in proptest::collection::vec(0u64..1_000_000, 5 * FLAT_BLOCK_CAP..10 * FLAT_BLOCK_CAP),
@@ -166,60 +198,59 @@ proptest! {
         prop_assert!(sorted.len() >= 3 * FLAT_BLOCK_CAP);
         let from = from % sorted.len();
         let pos_of = |k: u64| sorted.partition_point(|x| *x < k) * 3;
+        let shifted_pos_of = |k: u64| pos_of(k) + if k >= sorted[from] { shift } else { 0 };
         let column_len = sorted.len() * 3 + shift;
-        let mut expect: Vec<(u64, usize)> = sorted.iter().map(|k| (*k, pos_of(*k))).collect();
-        let mut walks = Vec::new();
-        for policy in IndexPolicy::ALL {
-            let mut idx: CrackerIndex<()> = CrackerIndex::with_policy(column_len, policy);
-            // Arrival order, duplicates included: splits land mid-stream.
-            for k in &keys {
-                idx.add_crack(*k, pos_of(*k));
-            }
-            let mut down = Vec::new();
-            let mut cur = idx.max_crack().map(|k| idx.cursor_at(k));
-            while let Some(c) = cur {
-                down.push((idx.cursor_key(c), idx.cursor_pos(c)));
-                cur = idx.cursor_prev(c);
-            }
-            let mut up = Vec::new();
-            let mut cur = idx.min_crack().map(|k| idx.cursor_at(k));
-            while let Some(c) = cur {
-                up.push((idx.cursor_key(c), idx.cursor_pos(c)));
-                cur = idx.cursor_next(c);
-            }
-            prop_assert_eq!(&up, &expect, "{}: upward walk", policy);
-            down.reverse();
-            prop_assert_eq!(&down, &expect, "{}: downward walk", policy);
-            // A ripple-insert-shaped write: every crack from rank `from`
-            // up shifts right, walking down from the top.
-            let mut cur = idx.max_crack().map(|k| idx.cursor_at(k));
-            while let Some(c) = cur {
-                if idx.cursor_key(c) < sorted[from] {
-                    break;
-                }
-                idx.set_cursor_pos(c, idx.cursor_pos(c) + shift);
-                cur = idx.cursor_prev(c);
-            }
-            walks.push(idx);
+        let mut idx: CrackerIndex<()> = CrackerIndex::new(column_len);
+        let (mut tree, mut shifted): (AvlTree<()>, AvlTree<()>) = (AvlTree::new(), AvlTree::new());
+        // Arrival order, duplicates included: splits land mid-stream.
+        for k in &keys {
+            idx.add_crack(*k, pos_of(*k));
+            tree.insert(*k, pos_of(*k), ());
+            shifted.insert(*k, shifted_pos_of(*k), ());
         }
-        for (_, p) in &mut expect[from..] {
-            *p += shift;
+        let expect: Vec<(u64, usize)> = tree.iter_asc().map(|(k, p, _)| (k, p)).collect();
+        prop_assert_eq!(expect.len(), sorted.len());
+        let mut down = Vec::new();
+        let mut cur = idx.max_crack().map(|k| idx.cursor_at(k));
+        while let Some(c) = cur {
+            down.push((idx.cursor_key(c), idx.cursor_pos(c)));
+            cur = idx.cursor_prev(c);
         }
-        for idx in &walks {
-            let got: Vec<(u64, usize)> = idx.iter_cracks().map(|(k, p, _)| (k, p)).collect();
-            prop_assert_eq!(&got, &expect, "{}: iter_cracks after the shift", idx.policy());
-            prop_assert!(idx.check_positions_monotone());
-            for (i, (k, p)) in expect.iter().enumerate() {
-                let piece = idx.piece_containing(*k);
-                let end = expect.get(i + 1).map_or(column_len, |(_, p)| *p);
-                prop_assert_eq!((piece.start, piece.end), (*p, end), "{}: piece of {}", idx.policy(), k);
+        let mut up = Vec::new();
+        let mut cur = idx.min_crack().map(|k| idx.cursor_at(k));
+        while let Some(c) = cur {
+            up.push((idx.cursor_key(c), idx.cursor_pos(c)));
+            cur = idx.cursor_next(c);
+        }
+        prop_assert_eq!(&up, &expect, "upward walk");
+        down.reverse();
+        prop_assert_eq!(&down, &expect, "downward walk");
+        // A ripple-insert-shaped write: every crack from rank `from` up
+        // shifts right, walking down from the top.
+        let mut cur = idx.max_crack().map(|k| idx.cursor_at(k));
+        while let Some(c) = cur {
+            if idx.cursor_key(c) < sorted[from] {
+                break;
             }
+            idx.set_cursor_pos(c, idx.cursor_pos(c) + shift);
+            cur = idx.cursor_prev(c);
+        }
+        let got: Vec<(u64, usize)> = idx.iter_cracks().map(|(k, p, _)| (k, p)).collect();
+        let want: Vec<(u64, usize)> = shifted.iter_asc().map(|(k, p, _)| (k, p)).collect();
+        prop_assert_eq!(&got, &want, "iter_cracks after the shift");
+        prop_assert!(idx.check_positions_monotone());
+        for k in &sorted {
+            prop_assert_eq!(
+                edges(idx.piece_containing(*k)),
+                avl_piece(&shifted, column_len, *k),
+                "piece of {}", k
+            );
         }
     }
 
-    /// The cross-policy contract at the index layer: identical crack
-    /// sequences produce identical pieces, for every probe, under every
-    /// representation — including the piece-metadata routing.
+    /// The cracker index against the AVL reference: identical crack
+    /// sequences produce identical crack lists, and identical pieces for
+    /// every probe and in enumeration order.
     #[test]
     fn index_policies_are_observationally_identical(
         cracks in proptest::collection::vec((0u64..1000, 0usize..1000), 0..100),
@@ -229,51 +260,37 @@ proptest! {
         cracks.sort_by_key(|(k, _)| *k);
         cracks.dedup_by_key(|(k, _)| *k);
         let column_len = 1000usize;
-        let mut indexes: Vec<CrackerIndex<()>> = IndexPolicy::ALL
-            .iter()
-            .map(|p| CrackerIndex::with_policy(column_len, *p))
-            .collect();
+        let mut idx: CrackerIndex<()> = CrackerIndex::new(column_len);
+        let mut tree: AvlTree<()> = AvlTree::new();
         let mut pos_floor = 0usize;
         for (k, p) in cracks.iter() {
             let p = (*p).max(pos_floor).min(column_len);
             pos_floor = p;
-            for idx in &mut indexes {
-                idx.add_crack(*k, p);
-            }
+            prop_assert_eq!(idx.add_crack(*k, p), tree.insert(*k, p, ()));
         }
-        let (reference, others) = indexes.split_first().unwrap();
-        let cr: Vec<(u64, usize)> = reference.iter_cracks().map(|(k, p, _)| (k, p)).collect();
-        let pr: Vec<(usize, usize, Option<u64>, Option<u64>)> = reference
-            .iter_pieces()
-            .map(|p| (p.start, p.end, p.lo_key, p.hi_key))
-            .collect();
-        for other in others {
-            prop_assert_eq!(reference.crack_count(), other.crack_count());
-            let co: Vec<(u64, usize)> = other.iter_cracks().map(|(k, p, _)| (k, p)).collect();
-            prop_assert_eq!(&cr, &co, "{}: crack lists differ", other.policy());
-            for probe in &probes {
-                let pa = reference.piece_containing(*probe);
-                let pb = other.piece_containing(*probe);
-                prop_assert_eq!(
-                    (pa.start, pa.end, pa.lo_key, pa.hi_key),
-                    (pb.start, pb.end, pb.lo_key, pb.hi_key),
-                    "{}: piece_containing({}) differs", other.policy(), probe
-                );
-            }
-            let po: Vec<(usize, usize, Option<u64>, Option<u64>)> = other
-                .iter_pieces()
-                .map(|p| (p.start, p.end, p.lo_key, p.hi_key))
-                .collect();
-            prop_assert_eq!(&pr, &po, "{}: piece enumerations differ", other.policy());
+        prop_assert_eq!(idx.crack_count(), tree.len());
+        let got: Vec<(u64, usize)> = idx.iter_cracks().map(|(k, p, _)| (k, p)).collect();
+        let want: Vec<(u64, usize)> = tree.iter_asc().map(|(k, p, _)| (k, p)).collect();
+        prop_assert_eq!(&got, &want, "crack lists differ");
+        for probe in &probes {
+            prop_assert_eq!(
+                edges(idx.piece_containing(*probe)),
+                avl_piece(&tree, column_len, *probe),
+                "piece_containing({}) differs", probe
+            );
         }
+        let pieces: Vec<Edges> = idx.iter_pieces().map(edges).collect();
+        prop_assert_eq!(&pieces, &avl_pieces(&tree, column_len), "piece enumerations differ");
     }
 
     /// The fused inherit path against the reference: more than two flat
     /// blocks of cracks, inserted in ascending, descending and arrival
-    /// order, with the split piece's counter bumped through
-    /// `piece_meta_mut` before every insert. Every piece's metadata —
-    /// inherited at a block seam, on either side of a split, or at a new
-    /// minimum — is identical under Flat and AVL.
+    /// order, with the split piece's counter bumped before every insert
+    /// (through `piece_meta_mut` on the index; on the AVL reference
+    /// through the metadata of the greatest crack `<=` the key, or the
+    /// head piece's). Every piece's metadata — inherited at a block seam,
+    /// on either side of a split, or at a new minimum — is the
+    /// reference's.
     #[test]
     fn piece_metas_are_policy_invariant_across_block_seams(
         keys in proptest::collection::vec(0u64..1_000_000, 3 * FLAT_BLOCK_CAP..5 * FLAT_BLOCK_CAP),
@@ -287,25 +304,27 @@ proptest! {
         let descending: Vec<u64> = sorted.iter().rev().copied().collect();
         let orders = [("ascending", &sorted), ("descending", &descending), ("arrival", &keys)];
         for (order, arrivals) in orders {
-            let mut indexes: Vec<CrackerIndex<Counter>> = IndexPolicy::ALL
-                .iter()
-                .map(|p| CrackerIndex::with_policy(sorted.len(), *p))
-                .collect();
+            let mut idx: CrackerIndex<Counter> = CrackerIndex::new(sorted.len());
+            let (mut tree, mut head): (AvlTree<Counter>, Counter) = Default::default();
             for (i, k) in arrivals.iter().enumerate() {
-                for idx in &mut indexes {
-                    let parent = idx.piece_containing(*k);
-                    idx.piece_meta_mut(&parent).0 += bumps[i % bumps.len()];
-                    idx.add_crack(*k, pos_of(*k));
+                let bump = bumps[i % bumps.len()];
+                let parent = idx.piece_containing(*k);
+                idx.piece_meta_mut(&parent).0 += bump;
+                idx.add_crack(*k, pos_of(*k));
+                match tree.predecessor_or_equal(*k) {
+                    Some(lo) => tree.meta_mut(lo).unwrap().0 += bump,
+                    None => head.0 += bump,
                 }
+                tree.insert_with(*k, pos_of(*k), |p| p.unwrap_or(&head).inherit());
             }
-            let metas: Vec<Vec<(Option<u64>, u32)>> = indexes
-                .iter()
-                .map(|idx| idx.iter_pieces().map(|p| (p.lo_key, idx.piece_meta(&p).0)).collect())
-                .collect();
-            prop_assert_eq!(metas[0].len(), sorted.len() + 1);
-            prop_assert_eq!(&metas[0], &metas[1], "{} inserts", order);
-            let cracks: Vec<u32> = indexes[1].iter_cracks().map(|(_, _, m)| m.0).collect();
-            prop_assert_eq!(cracks, metas[1][1..].iter().map(|(_, m)| *m).collect::<Vec<_>>());
+            let metas: Vec<(Option<u64>, u32)> =
+                idx.iter_pieces().map(|p| (p.lo_key, idx.piece_meta(&p).0)).collect();
+            let mut want = vec![(None, head.0)];
+            want.extend(tree.iter_asc().map(|(k, _, m)| (Some(k), m.0)));
+            prop_assert_eq!(metas.len(), sorted.len() + 1);
+            prop_assert_eq!(&metas, &want, "{} inserts", order);
+            let cracks: Vec<u32> = idx.iter_cracks().map(|(_, _, m)| m.0).collect();
+            prop_assert_eq!(cracks, metas[1..].iter().map(|(_, m)| *m).collect::<Vec<_>>());
         }
     }
 }

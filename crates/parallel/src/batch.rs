@@ -240,7 +240,7 @@ impl<E: Element> BatchScheduler<E> {
         config: CrackConfig,
         seed: u64,
     ) -> Self {
-        let parts = shard::key_disjoint_partitions(data, shard_count, config.kernel);
+        let parts = shard::key_disjoint_partitions(data, shard_count);
         Self::from_shards(shard::build_shards(parts, strategy, config, seed))
     }
 
@@ -642,7 +642,7 @@ impl<E: Element> BatchScheduler<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scrack_core::{FaultPlan, KernelPolicy};
+    use scrack_core::FaultPlan;
     use std::time::Duration;
 
     fn permuted(n: u64) -> Vec<u64> {
@@ -711,24 +711,18 @@ mod tests {
         let n = 30_000u64;
         let data = permuted(n);
         for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
-            for kernel in [KernelPolicy::Branchy, KernelPolicy::Auto] {
-                let config = CrackConfig::default().with_kernel(kernel);
-                let mut par = BatchScheduler::new(data.clone(), 6, strategy, config, 3);
-                let mut ser = BatchScheduler::new(data.clone(), 6, strategy, config, 3);
-                for round in 0..3u64 {
-                    let batch = mixed_batch(n, 64, round);
-                    assert_eq!(
-                        par.execute(&batch),
-                        ser.execute_serial(&batch),
-                        "{strategy:?}/{kernel:?} round {round}: answers"
-                    );
-                }
+            let config = CrackConfig::default();
+            let mut par = BatchScheduler::new(data.clone(), 6, strategy, config, 3);
+            let mut ser = BatchScheduler::new(data.clone(), 6, strategy, config, 3);
+            for round in 0..3u64 {
+                let batch = mixed_batch(n, 64, round);
                 assert_eq!(
-                    par.stats(),
-                    ser.stats(),
-                    "{strategy:?}/{kernel:?}: Stats must be bit-identical"
+                    par.execute(&batch),
+                    ser.execute_serial(&batch),
+                    "{strategy:?} round {round}: answers"
                 );
             }
+            assert_eq!(par.stats(), ser.stats(), "{strategy:?}: Stats must be bit-identical");
         }
     }
 

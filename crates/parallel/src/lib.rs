@@ -59,9 +59,8 @@
 //! `execute_resilient`) and the quarantine→scan→rebuild degradation
 //! ladder, which every batch follows.
 //!
-//! Every wrapper takes a [`scrack_core::CrackConfig`], so the concurrent
-//! paths run the same branchy/branchless reorganization kernels
-//! ([`scrack_core::KernelPolicy`]) as the single-threaded engines. All
+//! Every wrapper takes a [`scrack_core::CrackConfig`] and runs the same
+//! blockwise reorganization kernels as the single-threaded engines. All
 //! preserve the workspace-wide invariant: results equal the scan oracle
 //! under any interleaving.
 

@@ -16,10 +16,8 @@
 //! fine-grained locking without `unsafe` — while keeping the cost
 //! profile: a crack partitions one piece's buffer in place and splits it
 //! with a single tail copy (a constant factor on work cracking already
-//! does). The in-place partition runs through [`crack_in_two_policy`],
-//! so the [`CrackConfig`]'s [`KernelPolicy`](scrack_core::KernelPolicy)
-//! selects the branchy or branchless reorganization kernel exactly as in
-//! the single-threaded engines.
+//! does). The in-place partition is [`crack_in_two_branchless`], the
+//! blockwise kernel the single-threaded engines run.
 //!
 //! # Locking protocol (deadlock-free)
 //!
@@ -66,8 +64,7 @@ use crate::ParallelStrategy;
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use scrack_core::CrackConfig;
-use scrack_partition::crack_in_two_policy;
+use scrack_partition::crack_in_two_branchless;
 use scrack_types::{Element, QueryRange, Stats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -87,18 +84,14 @@ type PieceCell<E> = Arc<RwLock<PieceInner<E>>>;
 
 /// A cracked column with per-piece locks (see module docs).
 ///
-/// The constructor takes a [`CrackConfig`]; its kernel policy picks the
-/// reorganization kernel (branchy or branchless) every split runs.
-///
 /// ```
-/// use scrack_core::CrackConfig;
 /// use scrack_parallel::{ParallelStrategy, PieceLockedCracker};
 /// use scrack_types::QueryRange;
 /// use std::sync::Arc;
 ///
 /// let data: Vec<u64> = (0..100_000).rev().collect();
 /// let col = Arc::new(PieceLockedCracker::new(
-///     data, ParallelStrategy::Stochastic, CrackConfig::default(), 7,
+///     data, ParallelStrategy::Stochastic, 7,
 /// ));
 /// // Threads working disjoint key regions crack concurrently.
 /// let handles: Vec<_> = (0..4u64)
@@ -125,18 +118,16 @@ pub struct PieceLockedCracker<E: Element> {
     /// Owner ids for the lock manager, one per select call.
     next_owner: AtomicU64,
     strategy: ParallelStrategy,
-    config: CrackConfig,
     rng: Mutex<SmallRng>,
     stats: Mutex<Stats>,
 }
 
 impl<E: Element> PieceLockedCracker<E> {
-    /// Wraps `data` for concurrent use; `config.kernel` selects the
-    /// reorganization kernel every piece split runs.
+    /// Wraps `data` for concurrent use.
     ///
     /// # Panics
     /// If any key equals `u64::MAX` (reserved as the open upper bound).
-    pub fn new(data: Vec<E>, strategy: ParallelStrategy, config: CrackConfig, seed: u64) -> Self {
+    pub fn new(data: Vec<E>, strategy: ParallelStrategy, seed: u64) -> Self {
         assert!(
             data.iter().all(|e| e.key() < u64::MAX),
             "u64::MAX keys are reserved"
@@ -151,7 +142,6 @@ impl<E: Element> PieceLockedCracker<E> {
             locks: Arc::new(LockManager::new()),
             next_owner: AtomicU64::new(0),
             strategy,
-            config,
             rng: Mutex::new(SmallRng::seed_from_u64(seed)),
             stats: Mutex::new(Stats::default()),
         }
@@ -176,13 +166,13 @@ impl<E: Element> PieceLockedCracker<E> {
     }
 
     /// Splits the locked piece at `bound`, partitioning its buffer in
-    /// place with the configured kernel so keys `< bound` stay and keys
+    /// place with the blockwise kernel so keys `< bound` stay and keys
     /// `>= bound` move to a new piece (one tail copy). Returns the number
     /// of elements that moved.
     fn split_at(&self, g: &mut PieceInner<E>, bound: u64) -> usize {
         debug_assert!(g.lo < bound && bound < g.hi, "bound must be interior");
         let mut local = Stats::default();
-        let pos = crack_in_two_policy(&mut g.data, bound, self.config.kernel, &mut local);
+        let pos = crack_in_two_branchless(&mut g.data, bound, &mut local);
         let right = g.data.split_off(pos);
         let moved = right.len();
         let cell = Arc::new(RwLock::new(PieceInner {
@@ -425,7 +415,7 @@ mod tests {
     fn single_threaded_oracle_equivalence_both_strategies() {
         let data = permuted(20_000);
         for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
-            let plc = PieceLockedCracker::new(data.clone(), strategy, CrackConfig::default(), 5);
+            let plc = PieceLockedCracker::new(data.clone(), strategy, 5);
             for i in 0..200u64 {
                 let a = (i * 97) % 19_000;
                 let q = QueryRange::new(a, a + 317);
@@ -438,45 +428,9 @@ mod tests {
     }
 
     #[test]
-    fn kernel_policies_are_bit_identical() {
-        // The PR-2 kernel contract at the concurrent layer: branchy and
-        // branchless splits produce the same answers, the same piece
-        // structure, and the same Stats counters query for query.
-        use scrack_core::KernelPolicy;
-        let data = permuted(30_000);
-        let queries: Vec<QueryRange> = (0..150u64)
-            .map(|i| {
-                let a = (i * 193) % 28_000;
-                QueryRange::new(a, a + 511)
-            })
-            .collect();
-        type Run = (Vec<(usize, u64)>, usize, Stats);
-        for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
-            let runs: Vec<Run> =
-                [KernelPolicy::Branchy, KernelPolicy::Auto]
-                    .into_iter()
-                    .map(|kernel| {
-                        let plc = PieceLockedCracker::new(
-                            data.clone(),
-                            strategy,
-                            CrackConfig::default().with_kernel(kernel),
-                            5,
-                        );
-                        let answers = queries.iter().map(|q| plc.select_aggregate(*q)).collect();
-                        plc.check_integrity().unwrap();
-                        (answers, plc.piece_count(), plc.stats())
-                    })
-                    .collect();
-            assert_eq!(runs[0].0, runs[1].0, "{strategy:?}: answers must match");
-            assert_eq!(runs[0].1, runs[1].1, "{strategy:?}: piece counts must match");
-            assert_eq!(runs[0].2, runs[1].2, "{strategy:?}: Stats must be bit-identical");
-        }
-    }
-
-    #[test]
     fn query_spanning_many_pieces() {
         let data = permuted(10_000);
-        let plc = PieceLockedCracker::new(data.clone(), ParallelStrategy::Crack, CrackConfig::default(), 5);
+        let plc = PieceLockedCracker::new(data.clone(), ParallelStrategy::Crack, 5);
         // Create many pieces with narrow queries.
         for i in 0..50u64 {
             plc.select_aggregate(QueryRange::new(i * 200, i * 200 + 10));
@@ -490,7 +444,7 @@ mod tests {
     #[test]
     fn boundary_queries() {
         let data = permuted(1000);
-        let plc = PieceLockedCracker::new(data.clone(), ParallelStrategy::Crack, CrackConfig::default(), 5);
+        let plc = PieceLockedCracker::new(data.clone(), ParallelStrategy::Crack, 5);
         for q in [
             QueryRange::new(0, 1000),       // everything
             QueryRange::new(0, 1),          // leftmost key
@@ -507,7 +461,7 @@ mod tests {
     #[test]
     fn repeat_query_stops_reorganizing_with_crack_strategy() {
         let data = permuted(5_000);
-        let plc = PieceLockedCracker::new(data, ParallelStrategy::Crack, CrackConfig::default(), 5);
+        let plc = PieceLockedCracker::new(data, ParallelStrategy::Crack, 5);
         let q = QueryRange::new(1_000, 2_000);
         plc.select_aggregate(q);
         let pieces = plc.piece_count();
@@ -518,14 +472,14 @@ mod tests {
     #[test]
     fn duplicates_and_empty_column() {
         let dupes: Vec<u64> = (0..1000).map(|i| i % 10).collect();
-        let plc = PieceLockedCracker::new(dupes.clone(), ParallelStrategy::Stochastic, CrackConfig::default(), 5);
+        let plc = PieceLockedCracker::new(dupes.clone(), ParallelStrategy::Stochastic, 5);
         for v in 0..10u64 {
             let q = QueryRange::new(v, v + 1);
             assert_eq!(plc.select_aggregate(q), oracle(&dupes, q));
         }
         plc.check_integrity().unwrap();
 
-        let empty = PieceLockedCracker::<u64>::new(vec![], ParallelStrategy::Crack, CrackConfig::default(), 5);
+        let empty = PieceLockedCracker::<u64>::new(vec![], ParallelStrategy::Crack, 5);
         assert_eq!(empty.select_aggregate(QueryRange::new(0, 100)), (0, 0));
         empty.check_integrity().unwrap();
     }
@@ -533,7 +487,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "reserved")]
     fn max_key_rejected() {
-        PieceLockedCracker::new(vec![u64::MAX], ParallelStrategy::Crack, CrackConfig::default(), 5);
+        PieceLockedCracker::new(vec![u64::MAX], ParallelStrategy::Crack, 5);
     }
 
     #[test]
@@ -545,7 +499,6 @@ mod tests {
         let plc = Arc::new(PieceLockedCracker::new(
             data.clone(),
             ParallelStrategy::Stochastic,
-            CrackConfig::default(),
             5,
         ));
         let data = Arc::new(data);
@@ -589,7 +542,6 @@ mod tests {
         let plc = Arc::new(PieceLockedCracker::new(
             data.clone(),
             ParallelStrategy::Crack,
-            CrackConfig::default(),
             5,
         ));
         let data = Arc::new(data);

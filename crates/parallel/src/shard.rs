@@ -15,8 +15,8 @@
 
 use crate::resilience::ShardHealth;
 use crate::ParallelStrategy;
-use scrack_core::{CrackConfig, CrackerEngine, Engine, FaultInjector, KernelPolicy};
-use scrack_partition::crack_in_two_policy;
+use scrack_core::{CrackConfig, CrackerEngine, Engine, FaultInjector};
+use scrack_partition::crack_in_two_branchless;
 use scrack_types::{Element, QueryRange, Stats};
 use scrack_updates::PendingUpdates;
 use std::collections::VecDeque;
@@ -258,8 +258,8 @@ fn chain_spans(bounds: &[u64]) -> Vec<QueryRange> {
 /// Range-partitions `data` into (up to) `shard_count` key-disjoint
 /// spans on quantile bounds, in place. A read-only radix select picks
 /// the k-th smallest key at every `1/shard_count` position; the
-/// configured [`KernelPolicy`] kernel then cracks each bound out of the
-/// column's remaining suffix, front to back; and the parts are cut off
+/// blockwise two-way kernel then cracks each bound out of the column's
+/// remaining suffix, front to back; and the parts are cut off
 /// back to front at exact capacity, so the shards together hold one
 /// copy of the column (the first in `data`'s own allocation). Equal
 /// bounds merge, so fewer partitions than asked may come back. This
@@ -271,7 +271,6 @@ fn chain_spans(bounds: &[u64]) -> Vec<QueryRange> {
 pub fn key_disjoint_partitions<E: Element>(
     mut data: Vec<E>,
     shard_count: usize,
-    kernel: KernelPolicy,
 ) -> Vec<(QueryRange, Vec<E>)> {
     assert!(shard_count > 0, "need at least one shard");
     let bounds = quantile_bounds(&data, shard_count);
@@ -279,7 +278,7 @@ pub fn key_disjoint_partitions<E: Element>(
     let mut start = 0;
     let mut split_stats = Stats::default();
     for &b in &bounds {
-        start += crack_in_two_policy(&mut data[start..], b, kernel, &mut split_stats);
+        start += crack_in_two_branchless(&mut data[start..], b, &mut split_stats);
         cuts.push(start);
     }
     chain_spans(&bounds).into_iter().zip(split_exact(data, &cuts)).collect()
@@ -344,7 +343,7 @@ mod tests {
     fn partitions_chain_and_hold_only_their_own_keys() {
         let mut data = permuted(10_000);
         data.push(u64::MAX);
-        let parts = key_disjoint_partitions(data, 8, KernelPolicy::Auto);
+        let parts = key_disjoint_partitions(data, 8);
         let spans: Vec<QueryRange> = parts.iter().map(|(span, _)| *span).collect();
         check_spans(&spans).unwrap();
         assert_eq!(parts.iter().map(|(_, p)| p.len()).sum::<usize>(), 10_001);
@@ -420,7 +419,7 @@ mod tests {
             let mut sorted = data.clone();
             sorted.sort_unstable();
             for shard_count in [1, 2, 3, 4, 8] {
-                let parts = key_disjoint_partitions(data.clone(), shard_count, KernelPolicy::Auto);
+                let parts = key_disjoint_partitions(data.clone(), shard_count);
                 let last = parts.len() - 1;
                 for (i, (span, part)) in parts.iter().enumerate() {
                     assert_eq!(part.capacity(), part.len(), "part {i} of {shard_count}");

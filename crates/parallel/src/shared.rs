@@ -206,8 +206,7 @@ impl<E: Element> Inner<E> {
 }
 
 impl<E: Element> SharedCracker<E> {
-    /// Wraps `data` for shared use; `config.kernel` selects the
-    /// reorganization kernel the slow (cracking) path runs. Publishes the
+    /// Wraps `data` for shared use. Publishes the
     /// initial epoch (uncracked layout + key span), so edge queries are
     /// on the read path from the first call.
     pub fn new(data: Vec<E>, strategy: ParallelStrategy, config: CrackConfig, seed: u64) -> Self {

@@ -109,7 +109,6 @@ fn fault_matrix_is_oracle_correct_under_every_admission_policy() {
     let plans = [
         ("none", FaultPlan::disabled(), None),
         ("panic", FaultPlan::panic_in_kernel(6).on_target(0), Some(0)),
-        ("delay", FaultPlan::delay_in_crack(6, 10).on_target(1), None),
         ("poison", FaultPlan::poison_shard(4).on_target(2), Some(2)),
         ("overload", FaultPlan::queue_overload(3).with_repeat(3), None),
     ];

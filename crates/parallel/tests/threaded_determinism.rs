@@ -5,8 +5,7 @@
 //! (`crates/core/tests/determinism.rs`) to the `scrack_parallel` layer:
 //! every run here executes real threads, then replays the identical work
 //! single-threaded and asserts **bit-identical final [`Stats`]** (and
-//! oracle-equal answers) under both the `Branchy` and `Auto` kernel
-//! policies. The pillars:
+//! oracle-equal answers). The pillars:
 //!
 //! 1. [`BatchScheduler`]: `execute` (work-stealing workers over shard
 //!    queues) vs `execute_serial` — per-shard queues are drained in a
@@ -27,7 +26,7 @@
 //! path: readers on published ranges run concurrently with a cracking
 //! writer and must only ever observe oracle-exact views.
 
-use scrack_core::{CrackConfig, IndexPolicy, KernelPolicy, UpdatePolicy};
+use scrack_core::{CrackConfig, UpdatePolicy};
 use scrack_parallel::{
     BatchOp, BatchScheduler, ChunkedCracker, ParallelStrategy, PieceLockedCracker, SharedCracker,
 };
@@ -76,38 +75,32 @@ fn mixed_batch(lo: u64, hi: u64, count: usize, salt: u64) -> Vec<QueryRange> {
         .collect()
 }
 
-const POLICIES: [KernelPolicy; 2] = [KernelPolicy::Branchy, KernelPolicy::Auto];
-
 #[test]
 fn batch_scheduler_threads_match_serial_replay_bitwise() {
     let n = 40_000u64;
     let data = column(n);
-    for kernel in POLICIES {
-        for index in IndexPolicy::ALL {
-            for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
-                let config = CrackConfig::default().with_kernel(kernel).with_index(index);
-                let mut threaded = BatchScheduler::new(data.clone(), 4, strategy, config, SEED);
-                let mut serial = BatchScheduler::new(data.clone(), 4, strategy, config, SEED);
-                for round in 0..5u64 {
-                    let batch = mixed_batch(0, n, 80, round);
-                    let got = threaded.execute(&batch);
-                    assert_eq!(
-                        got,
-                        serial.execute_serial(&batch),
-                        "{kernel:?}/{index}/{strategy:?} round {round}: answers diverged"
-                    );
-                    for (qi, q) in batch.iter().enumerate() {
-                        assert_eq!(got[qi], oracle(&data, *q), "round {round} query {qi}");
-                    }
-                }
-                assert_eq!(
-                    threaded.stats(),
-                    serial.stats(),
-                    "{kernel:?}/{index}/{strategy:?}: Stats must be bit-identical"
-                );
-                threaded.check_integrity().unwrap();
+    for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
+        let config = CrackConfig::default();
+        let mut threaded = BatchScheduler::new(data.clone(), 4, strategy, config, SEED);
+        let mut serial = BatchScheduler::new(data.clone(), 4, strategy, config, SEED);
+        for round in 0..5u64 {
+            let batch = mixed_batch(0, n, 80, round);
+            let got = threaded.execute(&batch);
+            assert_eq!(
+                got,
+                serial.execute_serial(&batch),
+                "{strategy:?} round {round}: answers diverged"
+            );
+            for (qi, q) in batch.iter().enumerate() {
+                assert_eq!(got[qi], oracle(&data, *q), "round {round} query {qi}");
             }
         }
+        assert_eq!(
+            threaded.stats(),
+            serial.stats(),
+            "{strategy:?}: Stats must be bit-identical"
+        );
+        threaded.check_integrity().unwrap();
     }
 }
 
@@ -136,37 +129,30 @@ fn batch_scheduler_mixed_ops_match_serial_replay_bitwise() {
     // The mixed read/write extension of the pillar above: interleaved
     // inserts/deletes/selects, threaded vs serial, must be bit-identical
     // in answers, Stats, and leftover pending updates — under both
-    // kernel policies, both index policies, and both update policies.
+    // update policies.
     let n = 30_000u64;
     let data = column(n);
-    for kernel in POLICIES {
-        for index in IndexPolicy::ALL {
-            for update in UpdatePolicy::ALL {
-                let config = CrackConfig::default()
-                    .with_kernel(kernel)
-                    .with_index(index)
-                    .with_update(update);
-                let strategy = ParallelStrategy::Stochastic;
-                let mut threaded = BatchScheduler::new(data.clone(), 4, strategy, config, SEED);
-                let mut serial = BatchScheduler::new(data.clone(), 4, strategy, config, SEED);
-                for round in 0..4u64 {
-                    let ops = mixed_op_batch(n, 64, round);
-                    assert_eq!(
-                        threaded.execute_ops(&ops),
-                        serial.execute_ops_serial(&ops),
-                        "{kernel:?}/{index}/{update} round {round}: answers diverged"
-                    );
-                }
-                assert_eq!(
-                    threaded.stats(),
-                    serial.stats(),
-                    "{kernel:?}/{index}/{update}: Stats must be bit-identical"
-                );
-                assert_eq!(threaded.pending_updates(), serial.pending_updates());
-                threaded.flush_updates();
-                threaded.check_integrity().unwrap();
-            }
+    for update in UpdatePolicy::ALL {
+        let config = CrackConfig::default().with_update(update);
+        let strategy = ParallelStrategy::Stochastic;
+        let mut threaded = BatchScheduler::new(data.clone(), 4, strategy, config, SEED);
+        let mut serial = BatchScheduler::new(data.clone(), 4, strategy, config, SEED);
+        for round in 0..4u64 {
+            let ops = mixed_op_batch(n, 64, round);
+            assert_eq!(
+                threaded.execute_ops(&ops),
+                serial.execute_ops_serial(&ops),
+                "{update} round {round}: answers diverged"
+            );
         }
+        assert_eq!(
+            threaded.stats(),
+            serial.stats(),
+            "{update}: Stats must be bit-identical"
+        );
+        assert_eq!(threaded.pending_updates(), serial.pending_updates());
+        threaded.flush_updates();
+        threaded.check_integrity().unwrap();
     }
 }
 
@@ -193,78 +179,36 @@ fn batch_scheduler_mixed_ops_answers_are_update_policy_invariant() {
 }
 
 #[test]
-fn batch_scheduler_stats_are_index_policy_invariant() {
-    // The PR-4 contract lifted to the concurrent layer: the same batched
-    // run under `Avl` and `Flat` must produce bit-identical
-    // answers AND bit-identical Stats — the index representation is a
-    // pure wall-clock knob even across threads.
-    let n = 30_000u64;
-    let data = column(n);
-    for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
-        let mut runs = Vec::new();
-        for index in IndexPolicy::ALL {
-            let config = CrackConfig::default().with_index(index);
-            let mut sched = BatchScheduler::new(data.clone(), 4, strategy, config, SEED);
-            let mut answers = Vec::new();
-            for round in 0..4u64 {
-                let batch = mixed_batch(0, n, 64, round);
-                answers.push(sched.execute(&batch));
-            }
-            sched.check_integrity().unwrap();
-            runs.push((answers, sched.stats()));
-        }
-        for (i, run) in runs.iter().enumerate().skip(1) {
-            assert_eq!(
-                runs[0].0, run.0,
-                "{strategy:?}/{}: answers diverged across index policies",
-                IndexPolicy::ALL[i]
-            );
-            assert_eq!(
-                runs[0].1, run.1,
-                "{strategy:?}/{}: Stats diverged across index policies",
-                IndexPolicy::ALL[i]
-            );
-        }
-    }
-}
-
-#[test]
 fn chunked_cracker_threads_match_serial_replay_bitwise() {
     // The fourth pillar: every query fans out over private chunks, one
     // task per chunk, at 1 / 2 / 4 chunks (= intended workers); per-chunk
     // RNG streams keep the work scheduling-invariant.
     let n = 30_000u64;
     let data = column(n);
-    for kernel in POLICIES {
-        for index in IndexPolicy::ALL {
-            for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
-                for chunks in [1, 2, 4] {
-                    let config = CrackConfig::default().with_kernel(kernel).with_index(index);
-                    let label = format!("{kernel:?}/{index}/{strategy:?}/{chunks} chunks");
-                    let mut threaded =
-                        ChunkedCracker::new(data.clone(), chunks, strategy, config, SEED);
-                    let mut serial =
-                        ChunkedCracker::new(data.clone(), chunks, strategy, config, SEED);
-                    for round in 0..5u64 {
-                        let batch = mixed_batch(0, n, 80, round);
-                        let got = threaded.execute(&batch);
-                        assert_eq!(
-                            got,
-                            serial.execute_serial(&batch),
-                            "{label} round {round}: answers diverged"
-                        );
-                        for (qi, q) in batch.iter().enumerate() {
-                            assert_eq!(got[qi], oracle(&data, *q), "round {round} query {qi}");
-                        }
-                    }
-                    assert_eq!(
-                        threaded.stats(),
-                        serial.stats(),
-                        "{label}: Stats must be bit-identical"
-                    );
-                    threaded.check_integrity().unwrap();
+    for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
+        for chunks in [1, 2, 4] {
+            let config = CrackConfig::default();
+            let label = format!("{strategy:?}/{chunks} chunks");
+            let mut threaded = ChunkedCracker::new(data.clone(), chunks, strategy, config, SEED);
+            let mut serial = ChunkedCracker::new(data.clone(), chunks, strategy, config, SEED);
+            for round in 0..5u64 {
+                let batch = mixed_batch(0, n, 80, round);
+                let got = threaded.execute(&batch);
+                assert_eq!(
+                    got,
+                    serial.execute_serial(&batch),
+                    "{label} round {round}: answers diverged"
+                );
+                for (qi, q) in batch.iter().enumerate() {
+                    assert_eq!(got[qi], oracle(&data, *q), "round {round} query {qi}");
                 }
             }
+            assert_eq!(
+                threaded.stats(),
+                serial.stats(),
+                "{label}: Stats must be bit-identical"
+            );
+            threaded.check_integrity().unwrap();
         }
     }
 }
@@ -362,59 +306,51 @@ fn piece_locked_regions_match_serial_replay_bitwise() {
         .map(|r| mixed_batch(r * width, (r + 1) * width, 100, r))
         .collect();
 
-    for kernel in POLICIES {
-        let config = CrackConfig::default().with_kernel(kernel);
-        let run = |threaded: bool| -> (Vec<Vec<(usize, u64)>>, Stats) {
-            let plc = Arc::new(PieceLockedCracker::new(
-                data.clone(),
-                ParallelStrategy::Crack,
-                config,
-                SEED,
-            ));
-            for r in 1..regions {
-                plc.select_aggregate(QueryRange::new(0, r * width));
-            }
-            let answers: Vec<Vec<(usize, u64)>> = if threaded {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = batches
-                        .iter()
-                        .map(|batch| {
-                            let plc = Arc::clone(&plc);
-                            scope.spawn(move || {
-                                batch.iter().map(|q| plc.select_aggregate(*q)).collect()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("region worker panicked"))
-                        .collect()
-                })
-            } else {
-                batches
+    let run = |threaded: bool| -> (Vec<Vec<(usize, u64)>>, Stats) {
+        let plc = Arc::new(PieceLockedCracker::new(
+            data.clone(),
+            ParallelStrategy::Crack,
+            SEED,
+        ));
+        for r in 1..regions {
+            plc.select_aggregate(QueryRange::new(0, r * width));
+        }
+        let answers: Vec<Vec<(usize, u64)>> = if threaded {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = batches
                     .iter()
-                    .map(|batch| batch.iter().map(|q| plc.select_aggregate(*q)).collect())
+                    .map(|batch| {
+                        let plc = Arc::clone(&plc);
+                        scope
+                            .spawn(move || batch.iter().map(|q| plc.select_aggregate(*q)).collect())
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("region worker panicked"))
                     .collect()
-            };
-            plc.check_integrity().unwrap();
-            (answers, plc.stats())
+            })
+        } else {
+            batches
+                .iter()
+                .map(|batch| batch.iter().map(|q| plc.select_aggregate(*q)).collect())
+                .collect()
         };
+        plc.check_integrity().unwrap();
+        (answers, plc.stats())
+    };
 
-        let (threaded_answers, threaded_stats) = run(true);
-        let (serial_answers, serial_stats) = run(false);
-        assert_eq!(threaded_answers, serial_answers, "{kernel:?}: answers diverged");
-        assert_eq!(
-            threaded_stats, serial_stats,
-            "{kernel:?}: Stats must be bit-identical"
-        );
-        for (r, batch) in batches.iter().enumerate() {
-            for (qi, q) in batch.iter().enumerate() {
-                assert_eq!(
-                    threaded_answers[r][qi],
-                    oracle(&data, *q),
-                    "region {r} query {qi}"
-                );
-            }
+    let (threaded_answers, threaded_stats) = run(true);
+    let (serial_answers, serial_stats) = run(false);
+    assert_eq!(threaded_answers, serial_answers, "answers diverged");
+    assert_eq!(threaded_stats, serial_stats, "Stats must be bit-identical");
+    for (r, batch) in batches.iter().enumerate() {
+        for (qi, q) in batch.iter().enumerate() {
+            assert_eq!(
+                threaded_answers[r][qi],
+                oracle(&data, *q),
+                "region {r} query {qi}"
+            );
         }
     }
 }

@@ -1,5 +1,5 @@
-//! Branchless / predicated variants of the reorganization primitives, and
-//! the kernel-selection policy that picks between them.
+//! Branchless / predicated variants of the reorganization primitives:
+//! the kernels every engine runs.
 //!
 //! Every engine in the paper bottoms out in the same four primitives —
 //! [`crack_in_two`], [`crack_in_three`], [`scan_filter`] and MDD1R's fused
@@ -58,17 +58,17 @@
 //! charging one logical inspection per element (independent of physical
 //! passes), and `swaps` counts the same exchanges in the same order.
 //!
-//! [`KernelPolicy`] selects a variant per call; [`crack_in_two_policy`],
-//! [`split_and_materialize_policy`], [`crack_in_three_policy`] and
-//! [`scan_filter_policy`] are the dispatch points the engines route
-//! through. The default, `Auto`, runs the branchless kernels at every
-//! piece size (at `2 * KERNEL_BLOCK` elements or fewer the blockwise
-//! passes go straight to their closed-form finish); `Branchy` is the
-//! differential reference the tests select.
+//! The engines call these kernels directly, at every piece size (at
+//! `2 * KERNEL_BLOCK` elements or fewer the blockwise passes go straight
+//! to their closed-form finish). The branchy twins stay as the references
+//! the unit tests here and `tests/kernels_prop.rs` compare them with.
+//!
+//! [`crack_in_two`]: crate::crack_in_two
+//! [`crack_in_three`]: crate::crack_in_three
+//! [`scan_filter`]: crate::scan_filter
+//! [`split_and_materialize`]: crate::split_and_materialize
 
-use crate::materialize::{scan_filter, split_and_materialize, Fringe};
-use crate::three_way::crack_in_three;
-use crate::two_way::crack_in_two;
+use crate::materialize::Fringe;
 use scrack_types::{Element, Stats};
 
 /// Width of the fixed chunks the blockwise two-way partition scans from
@@ -79,45 +79,17 @@ use scrack_types::{Element, Stats};
 /// (docs/ARCHITECTURE.md, "The crack kernels").
 pub const KERNEL_BLOCK: usize = 256;
 
-/// Which implementation of the reorganization primitives to run.
+/// The kernel argument of [`crack_in_two_policy`], named for the frozen
+/// benchmark surface (`crack_in_two_policy(.., KernelPolicy::Auto, ..)`).
 ///
-/// Both variants produce bit-identical results (boundaries, physical
-/// order, stats), so the policy is purely a performance knob and can be
-/// changed between queries without affecting any answer.
+/// It has exactly one value: every engine runs the blockwise kernels of
+/// this module. The branchy kernels are references for the tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum KernelPolicy {
-    /// The classic loops with data-dependent branches: the differential
-    /// reference the blockwise kernels are tested against.
-    Branchy,
     /// The predicated/blockwise kernels of this module, at every piece
     /// size.
     #[default]
     Auto,
-}
-
-impl KernelPolicy {
-    /// Parses a CLI spelling (`branchy` | `auto`).
-    pub fn parse(s: &str) -> Option<KernelPolicy> {
-        match s.to_ascii_lowercase().as_str() {
-            "branchy" => Some(KernelPolicy::Branchy),
-            "auto" => Some(KernelPolicy::Auto),
-            _ => None,
-        }
-    }
-
-    /// The CLI/report spelling.
-    pub fn label(&self) -> &'static str {
-        match self {
-            KernelPolicy::Branchy => "branchy",
-            KernelPolicy::Auto => "auto",
-        }
-    }
-}
-
-impl std::fmt::Display for KernelPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -134,6 +106,8 @@ impl std::fmt::Display for KernelPolicy {
 /// pairwise — exactly the exchange sequence of the Hoare pass, so the
 /// physical outcome is bit-identical to the branchy kernel. The final
 /// sub-2-chunk window takes the same exchanges in closed form.
+///
+/// [`crack_in_two`]: crate::crack_in_two
 pub fn crack_in_two_branchless<E: Element>(
     data: &mut [E],
     pivot: u64,
@@ -148,18 +122,16 @@ pub fn crack_in_two_branchless<E: Element>(
     p
 }
 
-/// Policy dispatch for the two-way partition.
+/// [`crack_in_two_branchless`], under the name the frozen benchmark
+/// surface calls; [`KernelPolicy`] has one value.
 #[inline]
 pub fn crack_in_two_policy<E: Element>(
     data: &mut [E],
     pivot: u64,
-    policy: KernelPolicy,
+    _policy: KernelPolicy,
     stats: &mut Stats,
 ) -> usize {
-    match policy {
-        KernelPolicy::Branchy => crack_in_two(data, pivot, stats),
-        KernelPolicy::Auto => crack_in_two_branchless(data, pivot, stats),
-    }
+    crack_in_two_branchless(data, pivot, stats)
 }
 
 /// Blockwise predicated `split_and_materialize`: same boundary, physical
@@ -172,8 +144,11 @@ pub fn crack_in_two_policy<E: Element>(
 /// has them emitted into `out` in one call. A chunk is scanned before any
 /// exchange touches it, so every element is filtered exactly once, as it
 /// stood in the input.
-// Out of line: inlined, its filter instances land in the code of every
-// caller, including the reference path of `split_and_materialize_policy`.
+///
+/// [`split_and_materialize`]: crate::split_and_materialize
+// Out of line: inlined, its four filter instances would land in the code
+// of each of its callers (the MDD1R and MDD1M fringes) and of every
+// caller of those.
 #[inline(never)]
 pub fn split_and_materialize_branchless<E: Element, O: for<'a> Extend<&'a E>>(
     data: &mut [E],
@@ -200,22 +175,6 @@ pub fn split_and_materialize_branchless<E: Element, O: for<'a> Extend<&'a E>>(
     stats.swaps += swaps;
     stats.materialized += kept;
     p
-}
-
-/// Policy dispatch for the fused split-and-materialize pass.
-#[inline]
-pub fn split_and_materialize_policy<E: Element, O: for<'a> Extend<&'a E>>(
-    data: &mut [E],
-    pivot: u64,
-    fringe: Fringe,
-    policy: KernelPolicy,
-    out: &mut O,
-    stats: &mut Stats,
-) -> usize {
-    match policy {
-        KernelPolicy::Branchy => split_and_materialize(data, pivot, fringe, out, stats),
-        KernelPolicy::Auto => split_and_materialize_branchless(data, pivot, fringe, out, stats),
-    }
 }
 
 /// The blockwise Hoare pass behind both two-way branchless kernels:
@@ -500,6 +459,8 @@ fn closed_form_finish<E: Element, const W: usize>(data: &mut [E], pivot: u64) ->
 /// advances all three cursors by arithmetic on the two flags. The state
 /// evolution — including which exchanges are counted as swaps — matches
 /// the branchy Dutch-national-flag pass step for step.
+///
+/// [`crack_in_three`]: crate::crack_in_three
 pub fn crack_in_three_branchless<E: Element>(
     data: &mut [E],
     a: u64,
@@ -534,21 +495,6 @@ pub fn crack_in_three_branchless<E: Element>(
     (lo, hi)
 }
 
-/// Policy dispatch for the three-way partition.
-#[inline]
-pub fn crack_in_three_policy<E: Element>(
-    data: &mut [E],
-    a: u64,
-    b: u64,
-    policy: KernelPolicy,
-    stats: &mut Stats,
-) -> (usize, usize) {
-    match policy {
-        KernelPolicy::Branchy => crack_in_three(data, a, b, stats),
-        KernelPolicy::Auto => crack_in_three_branchless(data, a, b, stats),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Scan + filter
 // ---------------------------------------------------------------------
@@ -556,10 +502,12 @@ pub fn crack_in_three_policy<E: Element>(
 /// Blockwise gather filter scan: same contract, output and [`Stats`]
 /// delta as [`scan_filter`], without per-element branches.
 ///
-/// The fused pass's [`gather_hits`] over the whole slice: each
+/// The fused pass's `gather_hits` over the whole slice: each
 /// [`KERNEL_BLOCK`]-element part records the offsets of its keepers at a
 /// cursor that advances only past them, then emits them into `out` in
 /// one call, in input order.
+///
+/// [`scan_filter`]: crate::scan_filter
 pub fn scan_filter_branchless<E: Element, O: for<'a> Extend<&'a E>>(
     data: &[E],
     fringe: Fringe,
@@ -581,24 +529,10 @@ pub fn scan_filter_branchless<E: Element, O: for<'a> Extend<&'a E>>(
     kept as usize
 }
 
-/// Policy dispatch for the filter scan.
-#[inline]
-pub fn scan_filter_policy<E: Element, O: for<'a> Extend<&'a E>>(
-    data: &[E],
-    fringe: Fringe,
-    policy: KernelPolicy,
-    out: &mut O,
-    stats: &mut Stats,
-) -> usize {
-    match policy {
-        KernelPolicy::Branchy => scan_filter(data, fringe, out, stats),
-        KernelPolicy::Auto => scan_filter_branchless(data, fringe, out, stats),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{crack_in_three, crack_in_two, scan_filter, split_and_materialize};
     use scrack_types::{QueryRange, Tuple};
 
     fn xorshift_data(n: usize, mut state: u64) -> Vec<u64> {
@@ -758,51 +692,16 @@ mod tests {
     }
 
     #[test]
-    fn policy_parse_roundtrip() {
-        for p in [KernelPolicy::Branchy, KernelPolicy::Auto] {
-            assert_eq!(KernelPolicy::parse(p.label()), Some(p));
-            assert_eq!(p.to_string(), p.label());
-        }
-        assert_eq!(KernelPolicy::parse("AUTO"), Some(KernelPolicy::Auto));
-        assert_eq!(KernelPolicy::parse("branchless"), None);
-        assert_eq!(KernelPolicy::parse("simd"), None);
-    }
-
-    #[test]
     fn dispatchers_honor_policy() {
+        // The frozen name runs the blockwise pass: the branchy
+        // reference's boundary, order and stats.
         let base = xorshift_data(10_000, 0xD15);
-        for policy in [KernelPolicy::Branchy, KernelPolicy::Auto] {
-            let mut d = base.clone();
-            let mut stats = Stats::new();
-            let p = crack_in_two_policy(&mut d, 5000, policy, &mut stats);
-            assert!(d[..p].iter().all(|k| *k < 5000), "{policy}");
-            let (p1, p2) = crack_in_three_policy(&mut d, 2000, 8000, policy, &mut stats);
-            assert!(p1 <= p2, "{policy}");
-            let mut out = Vec::new();
-            let kept = scan_filter_policy(
-                &d,
-                Fringe::Both(QueryRange::new(0, 100)),
-                policy,
-                &mut out,
-                &mut stats,
-            );
-            assert_eq!(kept, out.len(), "{policy}");
-            // The fused pass: every policy reaches the branchy reference's
-            // boundary, order, stats and materialized multiset.
-            let fringe = Fringe::Both(QueryRange::new(1000, 6000));
-            let (mut want_d, mut want_out) = (base.clone(), Vec::new());
-            let mut want_stats = Stats::new();
-            let want_p =
-                split_and_materialize(&mut want_d, 5000, fringe, &mut want_out, &mut want_stats);
-            let (mut d, mut out, mut stats) = (base.clone(), Vec::new(), Stats::new());
-            let p =
-                split_and_materialize_policy(&mut d, 5000, fringe, policy, &mut out, &mut stats);
-            assert_eq!(p, want_p, "{policy}");
-            assert_eq!(d, want_d, "{policy}");
-            assert_eq!(stats, want_stats, "{policy}");
-            out.sort_unstable();
-            want_out.sort_unstable();
-            assert_eq!(out, want_out, "{policy}");
-        }
+        let (mut want, mut got) = (base.clone(), base);
+        let (mut want_stats, mut stats) = (Stats::new(), Stats::new());
+        let want_p = crack_in_two(&mut want, 5000, &mut want_stats);
+        let p = crack_in_two_policy(&mut got, 5000, KernelPolicy::Auto, &mut stats);
+        assert_eq!(p, want_p);
+        assert_eq!(got, want);
+        assert_eq!(stats, want_stats);
     }
 }

@@ -22,16 +22,17 @@
 //!   substrate.
 //!
 //! Each partitioning primitive exists in two bit-identical variants: the
-//! classic branchy loop and a predicated/blockwise branchless kernel (the
-//! `kernels` module). [`KernelPolicy`] selects between them per call via
-//! [`crack_in_two_policy`], [`split_and_materialize_policy`],
-//! [`crack_in_three_policy`] and [`scan_filter_policy`]: `Auto` (the
-//! default) serves every piece blockwise, and `Branchy` is the reference.
-//! Results are identical either way (the fused pass may order its
-//! materialized output differently, never its multiset), only the
-//! wall-clock cost differs. Progressive's budgeted [`advance_job`] stays
-//! branchy: its "unvisited at budget" cursor contract does not survive
-//! block scans.
+//! predicated/blockwise branchless kernel every engine runs
+//! ([`crack_in_two_branchless`], [`split_and_materialize_branchless`],
+//! [`crack_in_three_branchless`], [`scan_filter_branchless`]), and the
+//! classic branchy loop the property tests compare it with. Boundaries,
+//! physical orders and `Stats` are identical (the fused pass may order
+//! its materialized output differently, never its multiset). Two branchy
+//! passes still serve: progressive's budgeted [`advance_job`], whose
+//! "unvisited at budget" cursor contract does not survive block scans,
+//! and the paged kernels of `scrack_external`. [`crack_in_two_policy`]
+//! and its one-valued [`KernelPolicy`] are the blockwise two-way pass
+//! under the name the benchmark's probe calls.
 //!
 //! [`Element`]: scrack_types::Element
 //! [`Stats`]: scrack_types::Stats
@@ -48,13 +49,12 @@ mod three_way;
 mod two_way;
 
 pub use kernels::{
-    crack_in_three_branchless, crack_in_three_policy, crack_in_two_branchless,
-    crack_in_two_policy, scan_filter_branchless, scan_filter_policy,
-    split_and_materialize_branchless, split_and_materialize_policy, KernelPolicy, KERNEL_BLOCK,
+    crack_in_three_branchless, crack_in_two_branchless, crack_in_two_policy,
+    scan_filter_branchless, split_and_materialize_branchless, KernelPolicy, KERNEL_BLOCK,
 };
 pub use materialize::{scan_filter, split_and_materialize, Fringe};
 pub use progressive::{advance_job, JobStatus, PartitionJob};
-pub use select_k::{median_partition, median_partition_policy, select_nth_key};
+pub use select_k::{median_partition, select_nth_key};
 pub use sort::{introsort, is_sorted_by_key, lower_bound, upper_bound};
 pub use three_way::crack_in_three;
 pub use two_way::crack_in_two;

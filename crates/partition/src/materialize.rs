@@ -53,10 +53,9 @@ impl Fringe {
 /// it, and a `Vec` grows by doubling past that.
 /// [`Stats::materialized`] counts the emitted tuples either way.
 ///
-/// This is the `Branchy` kernel and the differential reference of the
-/// blockwise [`split_and_materialize_branchless`](crate::split_and_materialize_branchless);
-/// engines reach both through
-/// [`split_and_materialize_policy`](crate::split_and_materialize_policy).
+/// This is the branchy reference the blockwise
+/// [`split_and_materialize_branchless`](crate::split_and_materialize_branchless),
+/// which the engines run, is tested against.
 #[inline]
 pub fn split_and_materialize<E: Element, O: for<'a> Extend<&'a E>>(
     data: &mut [E],

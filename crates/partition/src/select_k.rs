@@ -143,28 +143,16 @@ pub fn select_nth_key<E: Element>(data: &mut [E], k: usize, stats: &mut Stats) -
 /// `len/2` exactly; with duplicates the boundary is the first occurrence
 /// of the median key.
 ///
-/// Implementation: introselect for the median value, then one
-/// [`crack_in_two`](crate::crack_in_two)-style pass to establish the strict
-/// boundary. The extra pass over mostly-partitioned data is cheap (few
+/// Implementation: introselect for the median value, then one blockwise
+/// two-way pass ([`crack_in_two_branchless`](crate::crack_in_two_branchless))
+/// to establish the strict boundary. The extra pass over mostly-partitioned data is cheap (few
 /// swaps) and keeps the crack invariant exact even with duplicate keys —
 /// this deliberate cost is part of why the paper finds DDC "expensive and
 /// data-dependent" relative to DDR (§4).
 pub fn median_partition<E: Element>(data: &mut [E], stats: &mut Stats) -> (usize, u64) {
-    median_partition_policy(data, crate::KernelPolicy::Branchy, stats)
-}
-
-/// [`median_partition`] with the boundary-establishing pass dispatched by
-/// `policy` — how DDC/DD1C route their auxiliary cracks through the
-/// engine's kernel policy. (The introselect reordering itself has no
-/// branchless twin; only the final full-piece pass is policy-dispatched.)
-pub fn median_partition_policy<E: Element>(
-    data: &mut [E],
-    policy: crate::KernelPolicy,
-    stats: &mut Stats,
-) -> (usize, u64) {
     debug_assert!(!data.is_empty());
     let pivot = select_nth_key(data, data.len() / 2, stats);
-    let pos = crate::crack_in_two_policy(data, pivot, policy, stats);
+    let pos = crate::crack_in_two_branchless(data, pivot, stats);
     (pos, pivot)
 }
 

@@ -89,7 +89,7 @@ impl<E: Element> TxnManager<E> {
             data.iter().all(|e| e.key() < u64::MAX),
             "u64::MAX keys are reserved"
         );
-        let parts = key_disjoint_partitions(data, shard_count, config.kernel);
+        let parts = key_disjoint_partitions(data, shard_count);
         let shards = build_shards(parts, strategy, config, seed);
         let spans = shards.iter().map(|s| s.span).collect();
         let shards = shards

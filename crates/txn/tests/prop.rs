@@ -9,16 +9,16 @@
 //!   exactly the outcome (including the committed epoch) the model
 //!   predicts from first-committer-wins validation;
 //! * **config invariance** — the same schedule produces bit-identical
-//!   answer traces across both cracking strategies and every
-//!   `IndexPolicy` × `UpdatePolicy` combination, with `check_integrity`
+//!   answer traces across both cracking strategies and both
+//!   `UpdatePolicy`s, with `check_integrity`
 //!   and a drained lock table after every schedule;
 //! * **serial equivalence** — replaying the oracle's committed history,
 //!   in epoch order, through every update-capable factory engine yields
 //!   the same final answers as a fresh transactional session, tying the
 //!   session layer to the single-threaded update path;
 //! * **fault isolation** — with one fault of the serving ladder armed
-//!   (kernel panic, commit panic, poisoned shard, admission overload,
-//!   crack delay), a session whose op fails is doomed and never commits,
+//!   (kernel panic, commit panic, poisoned shard, admission overload), a
+//!   session whose op fails is doomed and never commits,
 //!   every other read and outcome still matches the oracle, an abort the
 //!   oracle did not predict is excused only by a fault counter that moved
 //!   during that commit, each fault leaves its signature in the
@@ -26,7 +26,7 @@
 //!   bit-identical.
 
 use proptest::prelude::*;
-use scrack_core::{CrackConfig, Engine, FaultKind, FaultPlan, IndexPolicy, UpdatePolicy};
+use scrack_core::{CrackConfig, Engine, FaultKind, FaultPlan, UpdatePolicy};
 use scrack_parallel::{AdmissionPolicy, ParallelStrategy, ResilienceStats, ServingConfig};
 use scrack_txn::{Session, TxnManager, TxnOutcome};
 use scrack_types::QueryRange;
@@ -199,11 +199,10 @@ fn column(salt: u64) -> Vec<u64> {
     data
 }
 
-fn config(index: IndexPolicy, update: UpdatePolicy) -> CrackConfig {
+fn config(update: UpdatePolicy) -> CrackConfig {
     CrackConfig::default()
         .with_crack_size(64)
         .with_progressive_threshold(256)
-        .with_index(index)
         .with_update(update)
 }
 
@@ -245,7 +244,6 @@ fn armed(fault: Option<FaultKind>) -> (FaultPlan, ServingConfig) {
         Some(FaultKind::PanicInCommit) => FaultPlan::panic_in_commit(1).on_target(0),
         Some(FaultKind::PoisonShard) => FaultPlan::poison_shard(4).on_target(0),
         Some(FaultKind::QueueOverload) => FaultPlan::queue_overload(2).with_repeat(8),
-        Some(FaultKind::DelayInCrack) => FaultPlan::delay_in_crack(4, 1 << 14).on_target(0),
     };
     let serving = match fault {
         Some(FaultKind::QueueOverload) => {
@@ -313,7 +311,6 @@ fn run_schedule(
     steps: &[(usize, Op)],
     seed: u64,
     strategy: ParallelStrategy,
-    index: IndexPolicy,
     update: UpdatePolicy,
     fault: Option<FaultKind>,
 ) -> (Trace, Oracle, ResilienceStats) {
@@ -324,14 +321,14 @@ fn run_schedule(
         data,
         3,
         strategy,
-        config(index, update).with_fault(plan),
+        config(update).with_fault(plan),
         serving,
         seed,
     );
     let mut live: HashMap<usize, (Session<u64>, OracleSession, bool)> = HashMap::new();
     let mut locked: HashMap<u64, usize> = HashMap::new();
     let mut trace = Trace::default();
-    let ctx = |i: usize| format!("step {i} ({strategy:?}/{index}/{update}/{fault:?})");
+    let ctx = |i: usize| format!("step {i} ({strategy:?}/{update}/{fault:?})");
     let fail = |i: usize| {
         assert!(fault.is_some(), "{}: an op failed with no fault armed", ctx(i));
         true
@@ -443,21 +440,17 @@ fn run_schedule(
 }
 
 /// The fault axis over a fixed set of schedules: each fault of the
-/// serving ladder leaves its signature in the summed counters (a delay
-/// leaves none, so its traces must equal the unfaulted ones), and a
+/// serving ladder leaves its signature in the summed counters (the
+/// unfaulted run leaves none, and its traces are the clean ones), and a
 /// replay of a faulted schedule with the same seed is bit-identical.
 /// `run_schedule` checks the rest of the contract on every run.
 #[test]
 fn fault_axis_isolates_each_fault_and_replays_bitwise() {
     let run = |seed: u64, fault: Option<FaultKind>| {
         let steps = schedule(seed, 64);
-        let (strategy, index, update) = (
-            ParallelStrategy::Stochastic,
-            IndexPolicy::default(),
-            UpdatePolicy::default(),
-        );
-        let (trace, _, stats) = run_schedule(&steps, seed, strategy, index, update, fault);
-        let (replay, _, _) = run_schedule(&steps, seed, strategy, index, update, fault);
+        let (strategy, update) = (ParallelStrategy::Stochastic, UpdatePolicy::default());
+        let (trace, _, stats) = run_schedule(&steps, seed, strategy, update, fault);
+        let (replay, _, _) = run_schedule(&steps, seed, strategy, update, fault);
         assert_eq!(trace, replay, "{fault:?}, seed {seed}: replay diverged");
         (trace, stats)
     };
@@ -471,14 +464,14 @@ fn fault_axis_isolates_each_fault_and_replays_bitwise() {
                 Some(FaultKind::PanicInKernel | FaultKind::PanicInCommit) => s.panics_isolated,
                 Some(FaultKind::PoisonShard) => s.quarantines,
                 Some(FaultKind::QueueOverload) => s.shed,
-                None | Some(FaultKind::DelayInCrack) => {
+                None => {
                     assert_eq!(&trace, clean, "{fault:?}, seed {seed}: trace moved");
                     s.panics_isolated + s.quarantines + s.shed + s.timed_out
                 }
             };
         }
         match fault {
-            None | Some(FaultKind::DelayInCrack) => assert_eq!(signature, 0, "{fault:?}"),
+            None => assert_eq!(signature, 0, "{fault:?}"),
             Some(_) => assert!(signature > 0, "{fault:?}: the fault never fired"),
         }
     }
@@ -489,7 +482,7 @@ proptest! {
 
     /// Random interleaved schedules, full config matrix: oracle equality
     /// everywhere, plus bit-identical answer traces across strategies and
-    /// index/update policies (range aggregates are layout-independent).
+    /// update policies (range aggregates are layout-independent).
     #[test]
     fn interleaved_sessions_match_the_serial_oracle(
         steps in proptest::collection::vec((0usize..SESSIONS, op_strategy()), 1..48),
@@ -497,11 +490,9 @@ proptest! {
     ) {
         let mut traces = Vec::new();
         for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
-            for index in IndexPolicy::ALL {
-                for update in UpdatePolicy::ALL {
-                    let (trace, _, _) = run_schedule(&steps, seed, strategy, index, update, None);
-                    traces.push(trace);
-                }
+            for update in UpdatePolicy::ALL {
+                let (trace, _, _) = run_schedule(&steps, seed, strategy, update, None);
+                traces.push(trace);
             }
         }
         for t in &traces[1..] {
@@ -518,8 +509,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let (_, oracle, _) = run_schedule(
-            &steps, seed, ParallelStrategy::Stochastic,
-            IndexPolicy::default(), UpdatePolicy::default(), None,
+            &steps, seed, ParallelStrategy::Stochastic, UpdatePolicy::default(), None,
         );
         let probes = [
             QueryRange::new(0, KEY_SPAN + 1),
@@ -532,7 +522,7 @@ proptest! {
         for kind in update_capable_kinds() {
             let mut eng = build_update_engine(
                 kind, column(seed),
-                config(IndexPolicy::default(), UpdatePolicy::default()), seed,
+                config(UpdatePolicy::default()), seed,
             );
             for (_, op) in &oracle.committed {
                 match op {

@@ -357,46 +357,35 @@ fn watermark_merge_folds_committed_epochs_into_the_column() {
 }
 
 #[test]
-fn watermark_preserves_pinned_snapshots_under_every_index_policy() {
-    // The PR-9 merge-watermark contract, re-pinned per index
-    // representation as a merge check: the watermark hands committed
-    // epochs to the shards' stores, reads merge them into the columns,
-    // and a representation bug in crack-position bookkeeping would
-    // surface as a pinned reader seeing a merge happen.
-    for policy in scrack_core::IndexPolicy::ALL {
-        let config = CrackConfig::default().with_index(policy);
-        let mgr = manager(2_000, 2, config, ServingConfig::default());
-        let probe = QueryRange::new(500, 600);
-        let mut pinned = mgr.begin().unwrap();
-        let before = pinned.read(probe).unwrap();
-        // Commits land while the reader holds its snapshot, so the
-        // watermark trails it and merges are deferred.
-        for i in 0..4 {
-            let mut w = mgr.begin().unwrap();
-            w.insert(550 + i).unwrap();
-            assert!(
-                matches!(w.commit(), TxnOutcome::Committed { .. }),
-                "{policy}"
-            );
-            assert_eq!(
-                pinned.read(probe).unwrap(),
-                before,
-                "{policy}: pinned snapshot drifted at commit {i}"
-            );
-        }
-        pinned.commit();
-        // No live session: the watermark catches up and every committed
-        // op moves to its shard's store; the fresh read merges them.
-        assert_eq!(mgr.check_integrity().unwrap(), 2_004, "{policy}");
-        let mut fresh = mgr.begin().unwrap();
+fn watermark_preserves_pinned_snapshots() {
+    // The merge-watermark contract as a merge check: the watermark hands
+    // committed epochs to the shards' stores, reads merge them into the
+    // columns, and a bug in crack-position bookkeeping would surface as
+    // a pinned reader seeing a merge happen.
+    let mgr = manager(2_000, 2, CrackConfig::default(), ServingConfig::default());
+    let probe = QueryRange::new(500, 600);
+    let mut pinned = mgr.begin().unwrap();
+    let before = pinned.read(probe).unwrap();
+    // Commits land while the reader holds its snapshot, so the watermark
+    // trails it and merges are deferred.
+    for i in 0..4 {
+        let mut w = mgr.begin().unwrap();
+        w.insert(550 + i).unwrap();
+        assert!(matches!(w.commit(), TxnOutcome::Committed { .. }));
         assert_eq!(
-            fresh.read(probe).unwrap().0,
-            before.0 + 4,
-            "{policy}: merged state wrong"
+            pinned.read(probe).unwrap(),
+            before,
+            "pinned snapshot drifted at commit {i}"
         );
-        fresh.commit();
-        assert_eq!(mgr.lock_residue(), 0, "{policy}");
     }
+    pinned.commit();
+    // No live session: the watermark catches up and every committed op
+    // moves to its shard's store; the fresh read merges them.
+    assert_eq!(mgr.check_integrity().unwrap(), 2_004);
+    let mut fresh = mgr.begin().unwrap();
+    assert_eq!(fresh.read(probe).unwrap().0, before.0 + 4, "merged state wrong");
+    fresh.commit();
+    assert_eq!(mgr.lock_residue(), 0);
 }
 
 #[test]

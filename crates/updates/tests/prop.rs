@@ -1,5 +1,5 @@
-//! Differential update tests: every update-capable engine, under every
-//! `IndexPolicy` × `UpdatePolicy` combination, against a sorted-vec
+//! Differential update tests: every update-capable engine, under both
+//! `UpdatePolicy`s, against a sorted-vec
 //! oracle over random interleaved query/insert/delete streams.
 //!
 //! Two layers of guarantee:
@@ -10,14 +10,13 @@
 //!   become visible to the first qualifying query);
 //! * **policy invariance** — the per-element ripple and the batched
 //!   merge-ripple produce *bit-identical answers* (count + checksum per
-//!   query) under both index representations, with `check_integrity`
-//!   holding after every step;
+//!   query), with `check_integrity` holding after every step;
 //! * **checkpoint** — `flush()` at the end of every stream empties the
 //!   store (displaced column tuples included) and leaves exactly the
 //!   oracle's multiset in the column.
 
 use proptest::prelude::*;
-use scrack_core::{CrackConfig, Engine, EngineKind, IndexPolicy, UpdatePolicy};
+use scrack_core::{CrackConfig, Engine, EngineKind, UpdatePolicy};
 use scrack_index::FLAT_BLOCK_CAP;
 use scrack_types::QueryRange;
 use scrack_updates::{build_update_engine, update_capable_kinds};
@@ -125,25 +124,18 @@ fn column(salt: u64) -> Vec<u64> {
     data
 }
 
-fn config(index: IndexPolicy, update: UpdatePolicy) -> CrackConfig {
+fn config(update: UpdatePolicy) -> CrackConfig {
     CrackConfig::default()
         .with_crack_size(64)
         .with_progressive_threshold(256)
-        .with_index(index)
         .with_update(update)
 }
 
 /// Replays `ops` on one engine configuration, asserting every query
 /// against the oracle and checking integrity after every step; returns
 /// the per-query `(count, checksum)` trace for cross-policy comparison.
-fn replay(
-    ops: &[Op],
-    kind: EngineKind,
-    index: IndexPolicy,
-    update: UpdatePolicy,
-    seed: u64,
-) -> Vec<(usize, u64)> {
-    replay_with(ops, kind, config(index, update), seed).0
+fn replay(ops: &[Op], kind: EngineKind, update: UpdatePolicy, seed: u64) -> Vec<(usize, u64)> {
+    replay_with(ops, kind, config(update), seed).0
 }
 
 /// [`replay`] under an explicit config; also returns the crack count
@@ -154,7 +146,7 @@ fn replay_with(
     config: CrackConfig,
     seed: u64,
 ) -> (Vec<(usize, u64)>, Vec<usize>) {
-    let (index, update) = (config.index, config.update);
+    let update = config.update;
     let data = column(seed);
     let mut model = Model::new(&data);
     let mut eng = build_update_engine(kind, data, config, seed);
@@ -169,7 +161,7 @@ fn replay_with(
                 let want = model.query(q);
                 assert_eq!(
                     got, want,
-                    "{} / {index} / {update}: step {i} query {q} wrong",
+                    "{} / {update}: step {i} query {q} wrong",
                     eng.name()
                 );
                 answers.push(got);
@@ -184,14 +176,14 @@ fn replay_with(
             }
         }
         eng.check_integrity()
-            .unwrap_or_else(|e| panic!("{kind:?} / {index} / {update}: step {i}: {e}"));
+            .unwrap_or_else(|e| panic!("{kind:?} / {update}: step {i}: {e}"));
         // A displacement merge moves tuples between column and store
         // (parked tuples one way, early fillers the other), never in or
         // out of their union.
         assert_eq!(
             eng.data().len() + eng.pending_len(),
             model.keys.len() + model.pending.len(),
-            "{kind:?} / {index} / {update}: step {i}: column + store size"
+            "{kind:?} / {update}: step {i}: column + store size"
         );
         cracks.push(eng.inner().cracked().index().crack_count());
     }
@@ -203,20 +195,20 @@ fn replay_with(
     model.merge(|_| true);
     let mut keys = eng.data().to_vec();
     keys.sort_unstable();
-    assert_eq!(keys, model.keys, "{kind:?} / {index} / {update}: column after flush");
+    assert_eq!(keys, model.keys, "{kind:?} / {update}: column after flush");
     eng.check_integrity().unwrap();
     (answers, cracks)
 }
 
 /// Both update policies on the paper's two headline engines: oracle
 /// equality, the checkpoint, bit-identical answers.
-fn policies_agree(ops: &[Op], seed: u64, index: IndexPolicy) -> Result<(), TestCaseError> {
+fn policies_agree(ops: &[Op], seed: u64) -> Result<(), TestCaseError> {
     for kind in [EngineKind::Crack, EngineKind::Mdd1r] {
-        let per_elem = replay(ops, kind, index, UpdatePolicy::PerElement, seed);
-        let batched = replay(ops, kind, index, UpdatePolicy::Batched, seed);
+        let per_elem = replay(ops, kind, UpdatePolicy::PerElement, seed);
+        let batched = replay(ops, kind, UpdatePolicy::Batched, seed);
         prop_assert_eq!(
             &per_elem, &batched,
-            "{:?}/{}: answers diverged across update policies", kind, index
+            "{:?}: answers diverged across update policies", kind
         );
     }
     Ok(())
@@ -226,16 +218,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The full differential matrix on the paper's two headline engines:
-    /// random interleaved streams, all four policy combinations, oracle
-    /// equality plus bit-identical answers across update policies.
+    /// random interleaved streams, both update policies, oracle equality
+    /// plus bit-identical answers across them.
     #[test]
     fn crack_and_mdd1r_match_oracle_and_policies_agree(
         ops in proptest::collection::vec(op_strategy(), 1..80),
         seed in 0u64..1_000,
     ) {
-        for index in IndexPolicy::ALL {
-            policies_agree(&ops, seed, index)?;
-        }
+        policies_agree(&ops, seed)?;
     }
 
     /// Inserts only: under the batched policy every merged insert parks
@@ -246,7 +236,7 @@ proptest! {
         ops in proptest::collection::vec(one_sided_strategy(Op::Insert), 1..80),
         seed in 0u64..1_000,
     ) {
-        policies_agree(&ops, seed, IndexPolicy::default())?;
+        policies_agree(&ops, seed)?;
     }
 
     /// Deletes only: no filler is ever found, every hole block walks to
@@ -256,7 +246,7 @@ proptest! {
         ops in proptest::collection::vec(one_sided_strategy(Op::Delete), 1..80),
         seed in 0u64..1_000,
     ) {
-        policies_agree(&ops, seed, IndexPolicy::default())?;
+        policies_agree(&ops, seed)?;
     }
 
     /// Many ops per key: the per-key order of the store is what is
@@ -267,7 +257,7 @@ proptest! {
         ops in proptest::collection::vec(narrow_domain_strategy(), 1..120),
         seed in 0u64..1_000,
     ) {
-        policies_agree(&ops, seed, IndexPolicy::default())?;
+        policies_agree(&ops, seed)?;
     }
 
     /// A rotating single-engine deep run so every update-capable kind in
@@ -284,7 +274,7 @@ proptest! {
         let kinds = update_capable_kinds();
         let kind = kinds[kind_idx % kinds.len()];
         for update in UpdatePolicy::ALL {
-            replay(&ops, kind, IndexPolicy::default(), update, seed);
+            replay(&ops, kind, update, seed);
         }
     }
 }
@@ -307,8 +297,8 @@ fn fixed_stream(warm: usize, mixed: usize, max_width: u64) -> Vec<Op> {
         .collect()
 }
 
-/// The deterministic full matrix: every update-capable engine × every
-/// index policy × both update policies, with cross-policy bit-identity
+/// The deterministic full matrix: every update-capable engine × both
+/// update policies, with cross-policy bit-identity
 /// on the answers, on two fixed streams:
 ///
 /// * 60 mixed steps under the suite's config — a few dozen cracks;
@@ -327,25 +317,23 @@ fn full_matrix_policies_are_bit_identical() {
     for (ops, crack_size) in [small, seams] {
         for kind in update_capable_kinds() {
             let mut traces = Vec::new();
-            for index in IndexPolicy::ALL {
-                for update in UpdatePolicy::ALL {
-                    let mut config = config(index, update);
-                    if let Some(elems) = crack_size {
-                        config = config.with_crack_size(elems);
-                    }
-                    let (answers, cracks) = replay_with(&ops, kind, config, 42);
-                    if crack_size.is_some() {
-                        let (warm, end) = (cracks[WARM - 1], cracks[cracks.len() - 1]);
-                        assert!(warm > 2 * FLAT_BLOCK_CAP, "{kind:?} / {index}: only {warm} cracks after the warm-up");
-                        assert!(end > warm + FLAT_BLOCK_CAP / 2, "{kind:?} / {index}: {warm} -> {end} cracks in the mixed phase");
-                    }
-                    traces.push(answers);
+            for update in UpdatePolicy::ALL {
+                let mut config = config(update);
+                if let Some(elems) = crack_size {
+                    config = config.with_crack_size(elems);
                 }
+                let (answers, cracks) = replay_with(&ops, kind, config, 42);
+                if crack_size.is_some() {
+                    let (warm, end) = (cracks[WARM - 1], cracks[cracks.len() - 1]);
+                    assert!(warm > 2 * FLAT_BLOCK_CAP, "{kind:?}: only {warm} cracks after the warm-up");
+                    assert!(end > warm + FLAT_BLOCK_CAP / 2, "{kind:?}: {warm} -> {end} cracks in the mixed phase");
+                }
+                traces.push(answers);
             }
             for t in &traces[1..] {
                 assert_eq!(
                     t, &traces[0],
-                    "{kind:?}: answers must be identical across all policy combinations"
+                    "{kind:?}: answers must be identical across update policies"
                 );
             }
         }

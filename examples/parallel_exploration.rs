@@ -85,7 +85,6 @@ fn main() {
         let plc = Arc::new(PieceLockedCracker::new(
             data.clone(),
             ParallelStrategy::Stochastic,
-            CrackConfig::default(),
             17,
         ));
         let t0 = Instant::now();

@@ -22,8 +22,8 @@
 //! |---|---|---|
 //! | [`types`] | `scrack_types` | `Element`, `QueryRange`, `Stats`, `CacheProfile` |
 //! | [`columnstore`] | `scrack_columnstore` | `Column`, `QueryOutput`, `Table` |
-//! | [`index`] | `scrack_index` | cracker index: flat directory (default) + AVL reference, `IndexPolicy` |
-//! | [`partition`] | `scrack_partition` | crack-in-two/three, MDD1R split, introselect |
+//! | [`index`] | `scrack_index` | cracker index on the flat directory; the AVL tree as its test reference |
+//! | [`partition`] | `scrack_partition` | blockwise crack-in-two/three, MDD1R split and filter; branchy references; introselect |
 //! | [`core`] | `scrack_core` | every engine: Crack, DDC/DDR, DD1C/DD1R, MDD1R, DDM/MDD1M, … |
 //! | [`query`] | `scrack_query` | multi-column tables, predicates, aggregates |
 //! | [`workloads`] | `scrack_workloads` | Fig. 7 workload suite, SkyServer trace, data gens |
@@ -48,8 +48,8 @@ pub mod columnstore {
     pub use scrack_columnstore::*;
 }
 
-/// The cracker index: flat (serving) and AVL (reference) representations
-/// ([`scrack_index`]).
+/// The cracker index over the flat directory, and the AVL tree the index
+/// property tests compare it with ([`scrack_index`]).
 pub mod index {
     pub use scrack_index::*;
 }
@@ -101,9 +101,8 @@ pub mod updates {
 
 /// Parallel cracking ([`scrack_parallel`]).
 ///
-/// Four concurrency shapes, all config-aware (the [`CrackConfig`]
-/// kernel policy selects the branchy/branchless reorganization kernels
-/// on the concurrent paths too) and all oracle-equal under any
+/// Four concurrency shapes, all running the blockwise reorganization
+/// kernels of the single-threaded engines and all oracle-equal under any
 /// interleaving. The threaded paths share one work-stealing executor
 /// ([`scrack_parallel::executor`]) that caps live workers at available
 /// parallelism.
@@ -142,9 +141,7 @@ pub mod updates {
 ///
 /// let data: Vec<u64> = unique_permutation(2_000, 3);
 /// let oracle = Oracle::new(&data);
-/// let plc = PieceLockedCracker::new(
-///     data, ParallelStrategy::Crack, CrackConfig::default(), 3,
-/// );
+/// let plc = PieceLockedCracker::new(data, ParallelStrategy::Crack, 3);
 /// let q = QueryRange::new(100, 900);
 /// assert_eq!(plc.select_aggregate(q), (oracle.count(q), oracle.checksum(q)));
 /// ```
@@ -222,7 +219,6 @@ pub mod updates {
 /// [`PieceLockedCracker`]: scrack_parallel::PieceLockedCracker
 /// [`BatchScheduler`]: scrack_parallel::BatchScheduler
 /// [`ChunkedCracker`]: scrack_parallel::ChunkedCracker
-/// [`CrackConfig`]: scrack_core::CrackConfig
 pub mod parallel {
     pub use scrack_parallel::*;
 }

@@ -6,8 +6,7 @@
 //! ([`BatchScheduler`] at 1 and 4 shards and through its resilient
 //! entry point, [`TxnManager`] sessions) and
 //! the read-only wrappers ([`ChunkedCracker`], [`SharedCracker`],
-//! [`PieceLockedCracker`]) × every
-//! [`IndexPolicy`], on the degenerate columns (empty, single element,
+//! [`PieceLockedCracker`]), on the degenerate columns (empty, single element,
 //! all-duplicate keys, a column holding the unselectable key `u64::MAX`)
 //! against the degenerate ranges (zero-width, inverted, full-domain,
 //! out-of-domain, single-key). After **every** step the answer must equal
@@ -19,11 +18,10 @@ use stochastic_cracking::updates::update_capable_kinds;
 
 /// Thresholds far below the column sizes, so the recursive DD* variants
 /// and the progressive budget are exercised even on 200-key columns.
-fn config(index: IndexPolicy) -> CrackConfig {
+fn config() -> CrackConfig {
     CrackConfig::default()
         .with_crack_size(8)
         .with_progressive_threshold(32)
-        .with_index(index)
 }
 
 fn columns() -> Vec<(&'static str, Vec<u64>)> {
@@ -76,17 +74,15 @@ fn check_ranges(
 #[test]
 fn bare_engine_answers_every_edge_range_on_every_edge_column() {
     for kind in update_capable_kinds() {
-        for index in IndexPolicy::ALL {
-            for (name, column) in columns() {
-                let what = format!("{} / {index:?} / {name}", kind.label());
-                let mut engine = CrackerEngine::new(kind, column.clone(), config(index), 11);
-                engine.cracked().check_integrity().unwrap();
-                check_ranges(&what, &column, |q| {
-                    let out = engine.select(q);
-                    let answer = (out.len(), out.key_checksum(engine.data()));
-                    (answer, engine.cracked().check_integrity())
-                });
-            }
+        for (name, column) in columns() {
+            let what = format!("{} / {name}", kind.label());
+            let mut engine = CrackerEngine::new(kind, column.clone(), config(), 11);
+            engine.cracked().check_integrity().unwrap();
+            check_ranges(&what, &column, |q| {
+                let out = engine.select(q);
+                let answer = (out.len(), out.key_checksum(engine.data()));
+                (answer, engine.cracked().check_integrity())
+            });
         }
     }
 }
@@ -246,8 +242,8 @@ impl Served for std::sync::Arc<TxnManager<u64>> {
 /// The rows: `Updatable` over every update-capable kind, then the
 /// shard-backed shapes and the read-only wrappers under both of their
 /// strategies.
-fn shapes(column: &[u64], index: IndexPolicy) -> Vec<(String, Box<dyn Served>)> {
-    let cfg = config(index);
+fn shapes(column: &[u64]) -> Vec<(String, Box<dyn Served>)> {
+    let cfg = config();
     let mut rows: Vec<(String, Box<dyn Served>)> = update_capable_kinds()
         .into_iter()
         .map(|kind| -> (String, Box<dyn Served>) {
@@ -270,7 +266,7 @@ fn shapes(column: &[u64], index: IndexPolicy) -> Vec<(String, Box<dyn Served>)> 
             let serving = ServingConfig::default();
             let mgr = TxnManager::new(column.to_vec(), 4, strategy, cfg, serving, 11);
             rows.push((format!("TxnManager {strategy:?}"), Box::new(mgr)));
-            let piecelock = PieceLockedCracker::new(column.to_vec(), strategy, cfg, 11);
+            let piecelock = PieceLockedCracker::new(column.to_vec(), strategy, 11);
             rows.push((format!("PieceLockedCracker {strategy:?}"), Box::new(piecelock)));
         }
     }
@@ -279,50 +275,48 @@ fn shapes(column: &[u64], index: IndexPolicy) -> Vec<(String, Box<dyn Served>)> 
 
 #[test]
 fn every_serving_shape_answers_every_edge_range_around_edge_updates() {
-    for index in IndexPolicy::ALL {
-        for (name, column) in columns() {
-            for (shape, mut served) in shapes(&column, index) {
-                let what = format!("{shape} / {index:?} / {name}");
-                let mut model = column.clone();
-                let ranges = |what: &str, model: &[u64], served: &mut dyn Served| {
-                    check_ranges(what, model, |q| (served.select(q), served.integrity()))
-                };
+    for (name, column) in columns() {
+        for (shape, mut served) in shapes(&column) {
+            let what = format!("{shape} / {name}");
+            let mut model = column.clone();
+            let ranges = |what: &str, model: &[u64], served: &mut dyn Served| {
+                check_ranges(what, model, |q| (served.select(q), served.integrity()))
+            };
 
-                // Insert-then-delete of one key before any select: a net
-                // no-op, whether or not the key was already present.
-                for key in [50, 7, u64::MAX - 1] {
-                    if served.insert(key) {
-                        served.delete(key);
-                    }
+            // Insert-then-delete of one key before any select: a net
+            // no-op, whether or not the key was already present.
+            for key in [50, 7, u64::MAX - 1] {
+                if served.insert(key) {
+                    served.delete(key);
                 }
-                served.integrity().unwrap();
-                ranges(&format!("{what} / after insert+delete"), &model, served.as_mut());
-
-                // Real updates at the edges: below the minimum, a
-                // duplicate, far above the maximum, the last selectable
-                // key and the unselectable one (it merges only at the
-                // flush); deletes of a present and of an absent key.
-                for key in [0, 7, 5_000_000, u64::MAX - 1, u64::MAX] {
-                    if served.insert(key) {
-                        model.push(key);
-                    }
-                }
-                for key in [7, 123_456_789] {
-                    if served.delete(key) {
-                        if let Some(at) = model.iter().position(|k| *k == key) {
-                            model.swap_remove(at);
-                        }
-                    }
-                }
-                ranges(&format!("{what} / after updates"), &model, served.as_mut());
-
-                assert_eq!(served.flush(), 0, "{what}: flush leaves nothing pending");
-                served.integrity().unwrap();
-                if let Some(len) = served.physical_len() {
-                    assert_eq!(len, model.len(), "{what}: physical size");
-                }
-                ranges(&format!("{what} / after flush"), &model, served.as_mut());
             }
+            served.integrity().unwrap();
+            ranges(&format!("{what} / after insert+delete"), &model, served.as_mut());
+
+            // Real updates at the edges: below the minimum, a
+            // duplicate, far above the maximum, the last selectable
+            // key and the unselectable one (it merges only at the
+            // flush); deletes of a present and of an absent key.
+            for key in [0, 7, 5_000_000, u64::MAX - 1, u64::MAX] {
+                if served.insert(key) {
+                    model.push(key);
+                }
+            }
+            for key in [7, 123_456_789] {
+                if served.delete(key) {
+                    if let Some(at) = model.iter().position(|k| *k == key) {
+                        model.swap_remove(at);
+                    }
+                }
+            }
+            ranges(&format!("{what} / after updates"), &model, served.as_mut());
+
+            assert_eq!(served.flush(), 0, "{what}: flush leaves nothing pending");
+            served.integrity().unwrap();
+            if let Some(len) = served.physical_len() {
+                assert_eq!(len, model.len(), "{what}: physical size");
+            }
+            ranges(&format!("{what} / after flush"), &model, served.as_mut());
         }
     }
 }

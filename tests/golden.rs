@@ -51,14 +51,11 @@ fn column() -> Vec<u64> {
 
 /// Small thresholds so the DD* recursion and the progressive budget are
 /// both exercised on a 20k column.
-fn config(index: IndexPolicy) -> CrackConfig {
+fn config() -> CrackConfig {
     CrackConfig::default()
         .with_crack_size(64)
         .with_progressive_threshold(256)
-        .with_index(index)
 }
-
-const POLICIES: [IndexPolicy; 2] = [IndexPolicy::Flat, IndexPolicy::Avl];
 
 struct XorShift(u64);
 
@@ -132,8 +129,8 @@ fn run_reads(engine: &mut dyn Engine<u64>) -> u64 {
 // A. Every kind through `build_engine`
 // ---------------------------------------------------------------------
 
-fn bare(kind: EngineKind, index: IndexPolicy) -> (String, u64, Counters) {
-    let mut engine = build_engine(kind, column(), config(index), SEED);
+fn bare(kind: EngineKind) -> (String, u64, Counters) {
+    let mut engine = build_engine(kind, column(), config(), SEED);
     let answers = run_reads(engine.as_mut());
     (engine.name(), answers, counters(engine.stats()))
 }
@@ -164,18 +161,11 @@ const BARE: [(&str, Counters); 20] = [
 ];
 
 #[test]
-fn every_kind_matches_its_recorded_stats_under_flat_and_avl() {
+fn every_kind_matches_its_recorded_stats() {
     let kinds = EngineKind::extended_selection();
     assert_eq!(kinds.len(), BARE.len());
     for (kind, (name, stats)) in kinds.into_iter().zip(BARE) {
-        for index in POLICIES {
-            let got = bare(kind, index);
-            assert_eq!(
-                got,
-                (name.to_string(), BARE_ANSWERS, stats),
-                "{kind:?} / {index:?}"
-            );
-        }
+        assert_eq!(bare(kind), (name.to_string(), BARE_ANSWERS, stats), "{kind:?}");
     }
 }
 
@@ -183,8 +173,8 @@ fn every_kind_matches_its_recorded_stats_under_flat_and_avl() {
 // B. Every update-capable kind through `build_update_engine`
 // ---------------------------------------------------------------------
 
-fn updated(kind: EngineKind, index: IndexPolicy) -> (String, u64, Counters, usize, usize) {
-    let mut engine = build_update_engine(kind, column(), config(index), SEED);
+fn updated(kind: EngineKind) -> (String, u64, Counters, usize, usize) {
+    let mut engine = build_update_engine(kind, column(), config(), SEED);
     let mut answers = HASH_SEED;
     for op in mixed_ops() {
         match op {
@@ -236,14 +226,11 @@ fn every_update_capable_kind_matches_under_interleaved_writes() {
     let kinds = update_capable_kinds();
     assert_eq!(kinds.len(), UPDATED.len());
     for (kind, (name, stats, pending)) in kinds.into_iter().zip(UPDATED) {
-        for index in POLICIES {
-            let got = updated(kind, index);
-            assert_eq!(
-                got,
-                (name.to_string(), UPDATED_ANSWERS, stats, pending, pending),
-                "{kind:?} / {index:?}"
-            );
-        }
+        assert_eq!(
+            updated(kind),
+            (name.to_string(), UPDATED_ANSWERS, stats, pending, pending),
+            "{kind:?}"
+        );
     }
 }
 
@@ -256,7 +243,7 @@ const STRATEGIES: [ParallelStrategy; 2] = [ParallelStrategy::Crack, ParallelStra
 /// `BatchScheduler::execute_ops_serial` over 4 shards, the mixed stream
 /// in 64-op batches: (answers, Stats, pending after the last batch).
 fn batch_served(strategy: ParallelStrategy) -> (u64, Counters, usize) {
-    let mut sched = BatchScheduler::new(column(), 4, strategy, config(IndexPolicy::Flat), SEED);
+    let mut sched = BatchScheduler::new(column(), 4, strategy, config(), SEED);
     let mut answers = HASH_SEED;
     for batch in mixed_ops().chunks(64) {
         for (op, ans) in batch.iter().zip(sched.execute_ops_serial(batch)) {
@@ -297,7 +284,7 @@ fn batch_scheduler_serial_ops_match_the_recording() {
 
 /// The read-only wrappers on the read stream: `Stats` per wrapper.
 fn read_wrappers(strategy: ParallelStrategy) -> [Counters; 3] {
-    let cfg = config(IndexPolicy::Flat);
+    let cfg = config();
     let qs = queries();
     let map_strategy = match strategy {
         ParallelStrategy::Crack => MapStrategy::Crack,
@@ -356,7 +343,7 @@ fn sharded_shared_chunked_and_sideways_match_the_recording() {
 // ---------------------------------------------------------------------
 
 fn chooser(kind: PolicyKind) -> (String, u64, Counters, Vec<u64>) {
-    let mut engine = ChooserEngine::from_kind(column(), config(IndexPolicy::Flat), SEED, kind);
+    let mut engine = ChooserEngine::from_kind(column(), config(), SEED, kind);
     let answers = run_reads(&mut engine);
     (
         engine.name(),
@@ -396,19 +383,18 @@ fn chooser_engine_matches_the_recording_for_every_policy() {
 #[test]
 #[ignore = "prints the tables above; run by hand to re-record"]
 fn record() {
-    let flat = IndexPolicy::Flat;
     println!(
         "const BARE_ANSWERS: u64 = {:#x};",
-        bare(EngineKind::Scan, flat).1
+        bare(EngineKind::Scan).1
     );
     for kind in EngineKind::extended_selection() {
-        let (name, _, stats) = bare(kind, flat);
+        let (name, _, stats) = bare(kind);
         println!("    ({name:?}, {stats:?}),");
     }
-    let answers = updated(EngineKind::Crack, flat).1;
+    let answers = updated(EngineKind::Crack).1;
     println!("const UPDATED_ANSWERS: u64 = {answers:#x};");
     for kind in update_capable_kinds() {
-        let (name, _, stats, pending, _) = updated(kind, flat);
+        let (name, _, stats, pending, _) = updated(kind);
         println!("    ({name:?}, {stats:?}, {pending}),");
     }
     println!("BATCH_SERVED");
