@@ -4,7 +4,7 @@
 # "State of play"; choosing-metrics: >= 10 pairs, alternate which side
 # runs first, report every row).
 #
-#   scripts/bench_pairs.sh [--pinned-rss] <parent-ref> [pairs=10] [workload ...]
+#   scripts/bench_pairs.sh [--pinned-rss] [--layouts K] <parent-ref> [pairs=10] [workload ...]
 #
 # 1. exports <parent-ref> (`git archive`, committed files only) into
 #    target/bench_pairs/parent and this checkout's tracked files, with
@@ -40,20 +40,54 @@
 #    the default threshold is allocator placement (glibc reusing or not
 #    reusing freed blocks across episodes), not footprint. The pinned
 #    runs feed no verdict and no `compare`.
+# 5. with --layouts K (1..5), builds each side K times, each time with a
+#    different function and loop alignment (`-C llvm-args=-align-all-
+#    functions=N -C llvm-args=-align-loops=M`, set in RUSTFLAGS on these
+#    builds only; nothing in the repo sets it, and the judged command
+#    stays the plain `cargo run --release`). Pair s runs both sides'
+#    layout (s - 1) mod K, so the layouts rotate across pairs. Each row
+#    then also prints its placement floor: the spread of its per-layout
+#    medians, (max - min) / median, the larger of the two sides'. Code
+#    placement alone moves a row that much, so a `gain` must also put
+#    the ratio further than the floor from 1, and the `in floor` column
+#    says whether the ratio is within it. An A/A run
+#    (`--layouts 3 HEAD 10 seq_cold`) should read `yes` on every row.
+#    Mytkowicz et al. (ASPLOS 2009) and Curtsinger & Berger (ASPLOS 2013)
+#    measure by randomising layout the same way.
 #
 # Nothing under benchmark/ is edited; ten pairs take about an hour, twice
-# that with --pinned-rss.
+# that with --pinned-rss. --layouts K adds 2K - 2 builds.
 set -euo pipefail
+usage() { echo "usage: $0 [--pinned-rss] [--layouts K] <parent-ref> [pairs=10] [workload ...]" >&2; exit 2; }
+# Layout l's alignments: functions at 2^N bytes, loops at M bytes.
+layout_flags=(
+    "-C llvm-args=-align-all-functions=4 -C llvm-args=-align-loops=16"
+    "-C llvm-args=-align-all-functions=5 -C llvm-args=-align-loops=32"
+    "-C llvm-args=-align-all-functions=6 -C llvm-args=-align-loops=64"
+    "-C llvm-args=-align-all-functions=6 -C llvm-args=-align-loops=16"
+    "-C llvm-args=-align-all-functions=4 -C llvm-args=-align-loops=64"
+)
 pinned_rss=0
-if [ "${1:-}" = --pinned-rss ]; then pinned_rss=1; shift; fi
-[ $# -ge 1 ] || { echo "usage: $0 [--pinned-rss] <parent-ref> [pairs=10] [workload ...]" >&2; exit 2; }
+layouts=0
+while [ $# -gt 0 ]; do
+    case $1 in
+        --pinned-rss) pinned_rss=1; shift ;;
+        --layouts)
+            layouts=${2:-}
+            [[ $layouts =~ ^[1-9]$ ]] && [ "$layouts" -le ${#layout_flags[@]} ] || usage
+            shift 2 ;;
+        *) break ;;
+    esac
+done
+[ $# -ge 1 ] || usage
 cd "$(dirname "$0")/.."
 parent_ref=$1
 pairs=${2:-10}
+[ "$pairs" -ge "$layouts" ] || { echo "--layouts $layouts needs at least $layouts pairs" >&2; exit 2; }
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 work=target/bench_pairs
-rm -rf "$work/parent" "$work/change" "$work/build"
-mkdir -p "$work/parent" "$work/change" "$work/runs"
+rm -rf "$work/parent" "$work/change" "$work/build" "$work/bins"
+mkdir -p "$work/parent" "$work/change" "$work/runs" "$work/bins"
 rm -f "$work"/runs/*.json
 git archive "$parent_ref" | tar -x -C "$work/parent"
 # `git stash create` snapshots the tracked files with their edits without
@@ -61,21 +95,32 @@ git archive "$parent_ref" | tar -x -C "$work/parent"
 change_tree=$(git stash create)
 git archive "${change_tree:-HEAD}" | tar -x -C "$work/change"
 
-build() { # side, built at the one shared path target/bench_pairs/build
+build() { # side layout, built at the one shared path target/bench_pairs/build
     mv "$work/$1" "$work/build"
-    (cd "$work/build/benchmark" && CARGO_TARGET_DIR=target cargo build --release --offline --quiet)
+    if [ "$layouts" -eq 0 ]; then
+        (cd "$work/build/benchmark" && CARGO_TARGET_DIR=target cargo build --release --offline --quiet)
+    else
+        (cd "$work/build/benchmark" && RUSTFLAGS="${layout_flags[$2]}" CARGO_TARGET_DIR=target \
+            cargo build --release --offline --quiet)
+    fi
     mv "$work/build" "$work/$1"
+    cp "$work/$1/benchmark/target/release/scrack_benchmark" "$work/bins/$1-$2"
 }
-build parent
-build change
-parent_bin=$work/parent/benchmark/target/release/scrack_benchmark
-change_bin=$work/change/benchmark/target/release/scrack_benchmark
-if cmp -s "$parent_bin" "$change_bin"; then
-    echo "binaries: cmp-identical" >&2
-else
-    echo "binaries: differ" >&2
-fi
-workloads=$("$change_bin" list | awk '$1 == "workload" { print $2 }')
+for layout in $(seq 0 $(( (layouts > 0 ? layouts : 1) - 1 ))); do
+    build parent "$layout"
+    build change "$layout"
+    what=binaries
+    [ "$layouts" -eq 0 ] || what="layout $layout (${layout_flags[$layout]}): binaries"
+    if cmp -s "$work/bins/parent-$layout" "$work/bins/change-$layout"; then
+        echo "$what: cmp-identical" >&2
+    else
+        echo "$what: differ" >&2
+    fi
+done
+bin() { # side seed: the side's binary of that pair's layout
+    echo "$work/bins/$1-$(( layouts > 0 ? ($2 - 1) % layouts : 0 ))"
+}
+workloads=$("$(bin change 1)" list | awk '$1 == "workload" { print $2 }')
 if [ $# -gt 2 ]; then
     for w in "${@:3}"; do
         grep -qx "$w" <<< "$workloads" || { echo "unknown workload: $w" >&2; exit 2; }
@@ -93,11 +138,11 @@ pairs_of() { # side prefix, then env assignments for both binaries
         for w in $workloads; do
             echo "${prefix}pair $seed/$pairs: $w" >&2
             if [ $((seed % 2)) -eq 1 ]; then
-                run "${prefix}parent" "$parent_bin" "$w" "$seed" "$@"
-                run "${prefix}change" "$change_bin" "$w" "$seed" "$@"
+                run "${prefix}parent" "$(bin parent "$seed")" "$w" "$seed" "$@"
+                run "${prefix}change" "$(bin change "$seed")" "$w" "$seed" "$@"
             else
-                run "${prefix}change" "$change_bin" "$w" "$seed" "$@"
-                run "${prefix}parent" "$parent_bin" "$w" "$seed" "$@"
+                run "${prefix}change" "$(bin change "$seed")" "$w" "$seed" "$@"
+                run "${prefix}parent" "$(bin parent "$seed")" "$w" "$seed" "$@"
             fi
         done
     done
@@ -107,9 +152,9 @@ if [ "$pinned_rss" -eq 1 ]; then
     pairs_of pinned- MALLOC_MMAP_THRESHOLD_=131072
 fi
 
-python3 - "$work" "$pairs" $workloads <<'EOF'
+python3 - "$work" "$pairs" "$layouts" $workloads <<'EOF'
 import json, os, sys
-work, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+work, pairs, layouts, workloads = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4:]
 manifest = json.load(open("BENCHMARK.json"))
 sets = {"parent": [], "change": []}
 for side, runs in sets.items():
@@ -123,8 +168,17 @@ def quartiles(xs):  # (q1, median, q3), linear interpolation
     xs = sorted(xs)
     at = lambda f: xs[int(f)] + (xs[min(int(f) + 1, len(xs) - 1)] - xs[int(f)]) * (f - int(f))
     return tuple(at(q * (len(xs) - 1)) for q in (0.25, 0.5, 0.75))
+def floor(w, name):  # the larger side's spread of per-layout medians, relative
+    def spread(side):
+        runs = [r for r in sets[side] if r["workload"] == w]
+        meds = [quartiles([r["metrics"][name] for r in runs if (r["seed"] - 1) % layouts == l])[1]
+                for l in range(layouts)]
+        mid = quartiles([r["metrics"][name] for r in runs])[1]
+        return (max(meds) - min(meds)) / mid if mid else float("nan")
+    return max(spread("parent"), spread("change"))
 print(f"{'workload':<14} {'metric':<12} {'wins/ties/pairs':>15} {'parent':>11} "
-      f"{'change':>11} {'ratio':>6} {'parent IQR':>11}  verdict")
+      f"{'change':>11} {'ratio':>6} {'parent IQR':>11}"
+      + (f" {'floor':>6} {'in floor':>8}" if layouts else "") + "  verdict")
 for w in workloads:
     for m in manifest["end_to_end"]:
         better = (lambda a, b: b > a) if m["better"] == "higher" else (lambda a, b: b < a)
@@ -136,9 +190,16 @@ for w in workloads:
         # A claimed gain: >= 9/10 of the pairs won, and the medians apart by
         # more than the parent's own quartile spread.
         gain = 10 * wins >= 9 * len(both) and abs(change_med - parent_med) > q3 - q1
+        placement = ""
+        if layouts:
+            # With layouts, a gain must also clear the placement floor.
+            f = floor(w, m["name"])
+            within = abs(ratio - 1) <= f
+            gain = gain and not within
+            placement = f" {f:>6.3f} {'yes' if within else 'no':>8}"
         print(f"{w:<14} {m['name']:<12} {f'{wins} / {ties} / {len(both)}':>15} "
-              f"{parent_med:>11.4g} {change_med:>11.4g} {ratio:>6.3f} {q3 - q1:>11.4g}  "
-              f"{'gain' if gain else '-'}")
+              f"{parent_med:>11.4g} {change_med:>11.4g} {ratio:>6.3f} {q3 - q1:>11.4g}"
+              f"{placement}  {'gain' if gain else '-'}")
 print("failed runs:", {s: sum(r["failed"] for r in runs) for s, runs in sets.items()})
 pinned = lambda side, w: [json.load(open(f"{work}/runs/pinned-{side}-{w}-{s}.json"))["metrics"]
                           ["peak_rss_mb"]["value"] for s in range(1, pairs + 1)]
@@ -153,4 +214,4 @@ if os.path.exists(f"{work}/runs/pinned-parent-{workloads[0]}-1.json"):
         print(f"{w:<14} {d[0]:>9.1f} {d[1]:>9.1f} {d[1] / d[0]:>6.3f}   {p[0]:>13.1f} "
               f"{p[1]:>13.1f} {p[1] / p[0]:>6.3f}")
 EOF
-"$change_bin" compare "$work/parent.json" "$work/change.json"
+"$(bin change 1)" compare "$work/parent.json" "$work/change.json"
