@@ -441,7 +441,8 @@ impl<E: Element> CrackedColumn<E> {
             let (pos, pivot) = match rng.as_deref_mut() {
                 Some(rng) => {
                     let pivot = self.data[rng.gen_range(lo..hi)].key();
-                    let rel = crack_in_two_branchless(&mut self.data[lo..hi], pivot, &mut self.stats);
+                    let rel =
+                        crack_in_two_branchless(&mut self.data[lo..hi], pivot, &mut self.stats);
                     (lo + rel, pivot)
                 }
                 None => {
@@ -562,7 +563,8 @@ impl<E: Element> CrackedColumn<E> {
     ) {
         if piece.len() < 2 {
             // Nothing to split; just filter the (≤1) element.
-            scan_filter_branchless(&self.data[piece.start..piece.end], fringe, out, &mut self.stats);
+            let piece_data = &self.data[piece.start..piece.end];
+            scan_filter_branchless(piece_data, fringe, out, &mut self.stats);
             return;
         }
         let pivot = self.data[piece.start + rng.gen_range(0..piece.len())].key();
