@@ -1,7 +1,7 @@
 //! A cache-conscious flat cracker index: fixed-capacity sorted blocks
 //! under a fence-key array.
 //!
-//! The AVL representation ([`crate::AvlTree`]) navigates by pointer
+//! The paper's AVL tree ([`crate::AvlTree`]) navigates by pointer
 //! chasing: every `predecessor/successor` walk hops `O(log n)` nodes
 //! scattered across the arena, each hop a potential cache miss. Once
 //! cracking converges, that navigation — not data movement — bounds

@@ -37,8 +37,8 @@ pub fn build_update_engine<E: Element>(
 /// This is the setup of the paper's Fig. 15 — updates interleave with
 /// queries; each query first ripples in the pending updates qualifying
 /// for its range, then proceeds as usual — generalized to the whole
-/// engine zoo: a [`CrackerEngine`] of any kind composes, under any
-/// index representation and either [`scrack_core::UpdatePolicy`];
+/// engine zoo: a [`CrackerEngine`] of any kind composes, under either
+/// [`scrack_core::UpdatePolicy`];
 /// progressive kinds too — the merge path settles their in-flight
 /// partition jobs before rippling
 /// ([`scrack_core::CrackedColumn::settle_all_jobs`]). Use
